@@ -123,6 +123,27 @@ impl FrontDoor {
         self.latency.lock().expect("latency poisoned").record(ns);
     }
 
+    /// Extend a `/status` JSON object with the node's peer-health
+    /// readings. They come from the counters shared with the node, not
+    /// from the `Status` reply, so the binary wire format is untouched.
+    fn append_peer_health(&self, body: &mut String) {
+        let closed = body.pop();
+        debug_assert_eq!(closed, Some('}'), "status body is a JSON object");
+        let missed: Vec<String> = self
+            .shard
+            .vote_deadline_missed()
+            .iter()
+            .map(u64::to_string)
+            .collect();
+        body.push_str(&format!(
+            ",\"suspected\":\"{}\",\"vote_deadline_missed\":[{}],\
+             \"rounds_closed_early\":{}}}",
+            self.shard.suspected(),
+            missed.join(","),
+            self.shard.rounds_closed_early()
+        ));
+    }
+
     /// Render the Prometheus-style text exposition for `GET /metrics`:
     /// protocol-event tallies, net-stack counters, the inflight gauge,
     /// and the front-door op latency histogram.
@@ -203,6 +224,29 @@ impl FrontDoor {
         }
         out.push_str(&format!(
             "dynvote_pipeline_batch_total_count{{site=\"{site}\"}} {rounds}\n"
+        ));
+        // Peer health as this node's coordinators see it: who is
+        // currently suspected silent, how many vote deadlines each peer
+        // has missed, and how many rounds closed without waiting.
+        let suspected = self.shard.suspected();
+        let missed = self.shard.vote_deadline_missed();
+        out.push_str("# TYPE dynvote_peer_suspected gauge\n");
+        for peer in (0..missed.len()).filter(|&p| p != site) {
+            out.push_str(&format!(
+                "dynvote_peer_suspected{{site=\"{site}\",peer=\"{peer}\"}} {}\n",
+                u8::from(suspected.contains(SiteId::new(peer)))
+            ));
+        }
+        out.push_str("# TYPE dynvote_vote_deadline_missed_total counter\n");
+        for (peer, count) in missed.iter().enumerate().filter(|&(p, _)| p != site) {
+            out.push_str(&format!(
+                "dynvote_vote_deadline_missed_total{{site=\"{site}\",peer=\"{peer}\"}} {count}\n"
+            ));
+        }
+        out.push_str("# TYPE dynvote_rounds_closed_early_total counter\n");
+        out.push_str(&format!(
+            "dynvote_rounds_closed_early_total{{site=\"{site}\"}} {}\n",
+            self.shard.rounds_closed_early()
         ));
         out.push_str("# TYPE dynvote_http_inflight gauge\n");
         out.push_str(&format!(
@@ -379,7 +423,10 @@ impl HttpTx {
         if inner.delivered.swap(true, Ordering::AcqRel) {
             return;
         }
-        let (status, reason, body) = render_reply(reply);
+        let (status, reason, mut body) = render_reply(reply);
+        if matches!(reply, ClientReply::Status { .. }) {
+            inner.front.append_peer_health(&mut body);
+        }
         // A queue-bound refusal is back-pressure, not conflict: tell
         // the client when to come back, like the admission 429 does.
         let extra: &[(&str, &str)] = if matches!(reply, ClientReply::Overloaded) {

@@ -20,7 +20,8 @@
 //!    fan-out can trigger a dependent commit on another node.
 //! 5. **Dispatch** — sends and broadcasts go to the transport's batch
 //!    encoder, `SetTimer` arms the wall-clock wheel, `Resolved`
-//!    completes parked clients.
+//!    completes parked clients, `Unanswered` feeds the scheduler's
+//!    peer-suspicion set.
 
 use super::worker::ShardPool;
 use super::{Node, PendingClient};
@@ -165,6 +166,15 @@ impl Node {
                 // the live cluster runs single-file updates only.
                 Action::DecisionReady { .. } => {}
                 Action::CommitRecorded { .. } => {} // handled above
+                Action::Unanswered { early: true, .. } => self.shard_stats.note_closed_early(),
+                // A deadline waited for these peers in vain: stop
+                // waiting for them until they are heard from again.
+                Action::Unanswered { sites, .. } => {
+                    for peer in sites.iter() {
+                        self.shard_stats.note_deadline_missed(peer);
+                    }
+                    self.set_suspected(self.suspected.union(sites));
+                }
             }
         }
         self.merge_buf = batch;

@@ -141,8 +141,10 @@ pub enum NodeEvent {
 #[derive(Debug, Clone, Copy)]
 pub struct NodeConfig {
     /// Coordinator: how long to wait for votes before deciding with
-    /// whatever arrived. Only ever waited out when sites are down or
-    /// partitioned away — with all peers reachable the coordinator
+    /// whatever arrived. Waited out by the first round a silent peer
+    /// misses — after which the node suspects that peer and closes
+    /// rounds without it — and by any round the answering sites cannot
+    /// make distinguished. With all peers answering the coordinator
     /// decides on the last reply.
     pub vote_deadline: Duration,
     /// Coordinator: how long to wait for a catch-up reply before
@@ -351,6 +353,12 @@ pub struct Node {
     pub(crate) ledger: Arc<ClusterLedger>,
     pub(crate) down: bool,
     pub(crate) reachable: SiteSet,
+    /// Peers whose reply a vote deadline waited for in vain; emptied by
+    /// a frame from any of them. Volatile (a crash wipes it) and shared
+    /// by every object: handed to the kernels with each peer frame so a
+    /// round stops waiting for them once it is distinguished without
+    /// them — one crash costs about one deadline, not one per commit.
+    pub(crate) suspected: SiteSet,
     /// Wall-clock protocol deadlines, in the shared [`TimerWheel`] (the
     /// simulator arms the same wheel under a virtual clock). Its epoch
     /// is bumped on every crash so timers armed before the crash are
@@ -426,12 +434,13 @@ impl Node {
             ledger,
             down: false,
             reachable: SiteSet::all(n),
+            suspected: SiteSet::EMPTY,
             timers: TimerWheel::new(),
             events: None,
             net: None,
             shard_threads: 1,
             max_batch: DEFAULT_MAX_BATCH,
-            shard_stats: Arc::new(ShardStats::new(1)),
+            shard_stats: Arc::new(ShardStats::new(1, n)),
             stages: Vec::new(),
             pending: HashMap::new(),
             restart_txns: HashSet::new(),
@@ -452,7 +461,7 @@ impl Node {
     pub fn set_shard_threads(&mut self, threads: usize) {
         let workers = threads.clamp(1, self.objects.max(1));
         self.shard_threads = workers;
-        self.shard_stats = Arc::new(ShardStats::new(workers));
+        self.shard_stats = Arc::new(ShardStats::new(workers, self.n));
         self.stages = if workers > 1 {
             (0..workers)
                 .map(|_| Arc::new(Mutex::new(Vec::new())))

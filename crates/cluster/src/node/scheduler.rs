@@ -8,7 +8,7 @@
 use super::worker::{ShardPool, WorkItem};
 use super::{Node, NodeEvent};
 use crate::wire::{ClientOp, ClientReply};
-use dynvote_core::SiteId;
+use dynvote_core::{SiteId, SiteSet};
 use dynvote_protocol::{DurableState, Message, ObjectId, TimerKind, TxnId};
 use rand::Rng;
 use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
@@ -149,7 +149,21 @@ impl Node {
                 if self.down || !self.reachable.contains(from) {
                     return;
                 }
-                pool.dispatch(WorkItem::Peer { from, msg });
+                // A frame from a suspected peer proves the picture
+                // stale — a link healed, a site restarted. Forget all
+                // of it, not just this peer: whoever else was cut off
+                // with it may be back too, and a round must not close
+                // without them merely because this one spoke first.
+                // A peer that really is still silent costs one more
+                // deadline to re-learn.
+                if self.suspected.contains(from) {
+                    self.set_suspected(SiteSet::EMPTY);
+                }
+                pool.dispatch(WorkItem::Peer {
+                    from,
+                    msg,
+                    suspected: self.suspected,
+                });
             }
             NodeEvent::Client { id, op, reply } => self.handle_client(pool, id, op, reply),
             NodeEvent::Shutdown => {}
@@ -208,6 +222,7 @@ impl Node {
                 self.merge(pool);
                 if !self.down {
                     self.down = true;
+                    self.set_suspected(SiteSet::EMPTY);
                     // Lazy cancellation: already-armed entries become
                     // stale and are skimmed off at the next peek/pop.
                     self.timers.bump_epoch();
@@ -436,6 +451,13 @@ impl Node {
             // old epoch intact and will be retried next batch.
             eprintln!("site {}: WAL rotation failed: {err}", self.id);
         }
+    }
+
+    /// Replace the peer-suspicion set, keeping its published gauge in
+    /// step.
+    pub(crate) fn set_suspected(&mut self, suspected: SiteSet) {
+        self.suspected = suspected;
+        self.shard_stats.note_suspected(suspected);
     }
 
     pub(crate) fn send(&mut self, to: SiteId, msg: Message) {

@@ -17,7 +17,7 @@
 //! configuration keeps the original single-threaded runtime's costs.
 
 use crate::node::ReplySink;
-use dynvote_core::SiteId;
+use dynvote_core::{SiteId, SiteSet};
 use dynvote_protocol::{Action, Message, ObjectId, ShardPartition, ShardedSite, TimerKind, TxnId};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,6 +48,13 @@ pub struct ShardStats {
     /// each `start_update_batch` round sealed, bucketed by
     /// [`Self::BATCH_BUCKETS`].
     batch_sizes: Vec<AtomicU64>,
+    /// The node's peer-suspicion set, as [`SiteSet::bits`] (a gauge).
+    suspected: AtomicU64,
+    /// Per peer: vote deadlines that fired without its reply.
+    vote_deadline_missed: Vec<AtomicU64>,
+    /// Quorum rounds that closed before their vote deadline because
+    /// only suspected peers were still silent.
+    rounds_closed_early: AtomicU64,
 }
 
 impl ShardStats {
@@ -55,9 +62,10 @@ impl ShardStats {
     /// bucket is open-ended: every batch larger than 64 ops).
     pub const BATCH_BUCKETS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, u64::MAX];
 
-    /// Fresh counters for a pool of `workers`.
+    /// Fresh counters for a pool of `workers` on one node of a
+    /// `sites`-site cluster.
     #[must_use]
-    pub fn new(workers: usize) -> Self {
+    pub fn new(workers: usize, sites: usize) -> Self {
         ShardStats {
             dispatched: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             queue_peak: (0..workers).map(|_| AtomicU64::new(0)).collect(),
@@ -68,6 +76,9 @@ impl ShardStats {
                 .iter()
                 .map(|_| AtomicU64::new(0))
                 .collect(),
+            suspected: AtomicU64::new(0),
+            vote_deadline_missed: (0..sites).map(|_| AtomicU64::new(0)).collect(),
+            rounds_closed_early: AtomicU64::new(0),
         }
     }
 
@@ -100,6 +111,45 @@ impl ShardStats {
             .position(|&hi| ops <= hi)
             .unwrap_or(Self::BATCH_BUCKETS.len() - 1);
         self.batch_sizes[bucket].fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn note_suspected(&self, suspected: SiteSet) {
+        self.suspected.store(suspected.bits(), Ordering::Relaxed);
+    }
+
+    pub(crate) fn note_deadline_missed(&self, peer: SiteId) {
+        if let Some(count) = self.vote_deadline_missed.get(peer.index()) {
+            count.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    pub(crate) fn note_closed_early(&self) {
+        self.rounds_closed_early.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The peers this node currently suspects of being silent. These
+    /// three peer-health readings are served on `/metrics` and
+    /// `/status` only: [`Self::snapshot`] keeps its layout, because
+    /// wire readers locate the batch histogram from its tail.
+    #[must_use]
+    pub fn suspected(&self) -> SiteSet {
+        SiteSet::from_bits(self.suspected.load(Ordering::Relaxed))
+    }
+
+    /// Per peer (indexed by site), how many vote deadlines fired
+    /// without its reply.
+    #[must_use]
+    pub fn vote_deadline_missed(&self) -> Vec<u64> {
+        self.vote_deadline_missed
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    /// Quorum rounds closed ahead of their vote deadline.
+    #[must_use]
+    pub fn rounds_closed_early(&self) -> u64 {
+        self.rounds_closed_early.load(Ordering::Relaxed)
     }
 
     /// One row of counters, in [`Self::names`] order:
@@ -169,6 +219,8 @@ pub(crate) enum WorkItem {
         from: SiteId,
         /// The message.
         msg: Message,
+        /// The scheduler's peer-suspicion set when the frame arrived.
+        suspected: SiteSet,
     },
     /// Start a client update; the started transaction is recorded in
     /// [`WorkerGroup::starts`] so the merge can park the client on it.
@@ -322,7 +374,12 @@ impl WorkerGroup {
 pub(crate) fn process_item(group: &mut WorkerGroup, item: WorkItem) {
     let object = item.object();
     match item {
-        WorkItem::Peer { from, msg } => {
+        WorkItem::Peer {
+            from,
+            msg,
+            suspected,
+        } => {
+            group.part.set_suspected(suspected);
             // Unhosted or foreign-partition objects are dropped, not
             // panicked on: a misrouted frame must not kill the worker.
             group.part.handle_message(from, msg, &mut group.scratch);
@@ -640,7 +697,7 @@ mod tests {
 
     #[test]
     fn stats_snapshot_layout_matches_names() {
-        let stats = ShardStats::new(2);
+        let stats = ShardStats::new(2, 3);
         stats.note_dispatch(1);
         stats.note_queue_depth(0, 5);
         stats.note_merge(120);
@@ -668,7 +725,7 @@ mod tests {
 
     #[test]
     fn queue_peak_is_a_high_water_mark() {
-        let stats = ShardStats::new(1);
+        let stats = ShardStats::new(1, 3);
         stats.note_queue_depth(0, 7);
         stats.note_queue_depth(0, 3);
         assert_eq!(stats.snapshot()[1], 7);
@@ -678,7 +735,7 @@ mod tests {
 
     #[test]
     fn batch_sizes_land_in_their_buckets() {
-        let stats = ShardStats::new(1);
+        let stats = ShardStats::new(1, 3);
         for ops in [1, 1, 2, 5, 64, 65, 1000] {
             stats.note_batch(ops);
         }

@@ -259,9 +259,17 @@ impl Waker {
 
     /// Drain queued wake bytes. Call from the reactor thread when the
     /// waker token surfaces, *before* processing the work the wakes
-    /// announced (so a racing `wake()` is never lost).
+    /// announced.
+    ///
+    /// The pipe is read empty **first** and `pending` cleared **last**.
+    /// A `wake()` racing the drain therefore either still finds
+    /// `pending` set — it writes nothing, and the work it announced is
+    /// picked up by the processing that follows this drain — or finds
+    /// it cleared and writes a fresh byte for the next poll. Clearing
+    /// first would let that fresh byte be swallowed by the read below,
+    /// leaving `pending` set over an empty pipe: every later `wake()`
+    /// would return early and the poller would never hear one again.
     pub fn drain(&self) {
-        self.inner.pending.store(false, Ordering::Release);
         let fd = self.inner.read.as_raw_fd();
         let mut buf = [0u8; 64];
         unsafe {
@@ -272,6 +280,11 @@ impl Waker {
                 }
             }
         }
+        // A swap, not a store: the acquire half pairs with the release
+        // half of the swap in `wake()`, so whatever a coalesced waker
+        // published before calling `wake()` is visible to the work scan
+        // that follows.
+        self.inner.pending.swap(false, Ordering::AcqRel);
     }
 }
 
@@ -324,6 +337,58 @@ mod tests {
             .unwrap();
         assert!(events.is_empty());
         t.join().unwrap();
+    }
+
+    /// The lost-wake-up regression: a producer keeps at most two
+    /// announcements ahead of the consumer, so its `wake()` calls land
+    /// all around the consumer's `drain()`. Every announcement must be
+    /// observed — by the scan after the drain it raced, or by a later
+    /// poll — and a waker that goes deaf shows as a poll timeout.
+    #[test]
+    fn no_wake_is_lost_around_a_racing_drain() {
+        use std::sync::atomic::AtomicU64;
+        const SENDS: u64 = 200_000;
+        let poller = Poller::new().unwrap();
+        let waker = Waker::new(&poller, Token(0)).unwrap();
+        let sent = AtomicU64::new(0);
+        let observed = AtomicU64::new(0);
+        let deaf = AtomicBool::new(false);
+        let drains = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 1..=SENDS {
+                    while observed.load(Ordering::Acquire) + 2 < i {
+                        if deaf.load(Ordering::Acquire) {
+                            return;
+                        }
+                        std::hint::spin_loop();
+                    }
+                    sent.store(i, Ordering::Release);
+                    waker.wake();
+                }
+            });
+            let mut events = Events::with_capacity(8);
+            let mut drains = 0u64;
+            while observed.load(Ordering::Acquire) < SENDS {
+                poller
+                    .wait(&mut events, Some(Duration::from_secs(10)))
+                    .unwrap();
+                if events.is_empty() {
+                    deaf.store(true, Ordering::Release);
+                    panic!(
+                        "waker went deaf after {drains} drains: sent {} observed {}",
+                        sent.load(Ordering::Acquire),
+                        observed.load(Ordering::Acquire)
+                    );
+                }
+                waker.drain();
+                drains += 1;
+                observed.store(sent.load(Ordering::Acquire), Ordering::Release);
+            }
+            drains
+        });
+        // At most two announcements per drain, so the race was run at
+        // least this many times.
+        assert!(drains >= SENDS / 2, "only {drains} wake/drain rounds");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::event::EventSink;
 use crate::message::{Message, ObjectId, TxnId};
 use crate::persist::Persistence;
 use crate::site::{ActionSink, DurableState, SiteActor, TimerKind};
-use dynvote_core::{ReplicaControl, SiteId};
+use dynvote_core::{ReplicaControl, SiteId, SiteSet};
 use std::sync::Arc;
 
 /// One site's shard map: an independent protocol state machine per
@@ -256,6 +256,7 @@ impl ShardedSite {
                 worker,
                 workers,
                 objects,
+                suspected: SiteSet::EMPTY,
                 shards: Vec::with_capacity(objects / workers + 1),
             })
             .collect();
@@ -280,6 +281,10 @@ pub struct ShardPartition {
     worker: usize,
     workers: usize,
     objects: usize,
+    /// The node's peer-suspicion hint, stamped on a shard each time a
+    /// message is routed to it — one word here instead of one write per
+    /// hosted object whenever the set changes.
+    suspected: SiteSet,
     shards: Vec<SiteActor>,
 }
 
@@ -354,12 +359,22 @@ impl ShardPartition {
             .map(move |(l, shard)| (ObjectId((l * workers + worker) as u32), shard))
     }
 
+    /// Replace the peer-suspicion hint every owned shard sees from its
+    /// next routed message on ([`SiteActor::set_suspected`]). One set
+    /// per node, shared by all its objects: a peer that went silent on
+    /// one object is silent on all of them.
+    pub fn set_suspected(&mut self, suspected: SiteSet) {
+        self.suspected = suspected;
+    }
+
     /// Route a message to its object's shard. Returns `false` when this
     /// partition does not own the object.
     pub fn handle_message(&mut self, from: SiteId, msg: Message, out: &mut ActionSink) -> bool {
         let object = msg.txn().object;
+        let suspected = self.suspected;
         match self.shard_mut(object) {
             Some(shard) => {
+                shard.set_suspected(suspected);
                 shard.handle_message(from, msg, out);
                 true
             }
@@ -430,9 +445,10 @@ impl ShardPartition {
         }
     }
 
-    /// Crash every owned shard (volatile state lost, durable records
-    /// kept).
+    /// Crash every owned shard (volatile state lost — the suspicion
+    /// hint with it — durable records kept).
     pub fn crash(&mut self) {
+        self.suspected = SiteSet::EMPTY;
         for shard in &mut self.shards {
             shard.crash();
         }

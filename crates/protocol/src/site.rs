@@ -102,6 +102,19 @@ pub enum Action {
         /// The committing transaction.
         txn: TxnId,
     },
+    /// The voting phase of `txn` ended with `sites` still silent. Purely
+    /// advisory — a harness that keeps a peer-suspicion set (see
+    /// [`SiteActor::set_suspected`]) feeds it from this; ignoring it is
+    /// always correct.
+    Unanswered {
+        /// The transaction whose round closed.
+        txn: TxnId,
+        /// The peers whose reply never arrived.
+        sites: SiteSet,
+        /// `false`: the vote deadline fired waiting for them. `true`:
+        /// they were all suspected and the round closed without them.
+        early: bool,
+    },
 }
 
 /// A caller-owned, reusable buffer the kernel appends its [`Action`]s
@@ -173,10 +186,11 @@ impl DurableState {
 #[derive(Debug, Clone)]
 enum CoordPhase {
     /// Collecting `(VN, SC, DS)` replies; `replies` includes the
-    /// coordinator's own triple.
+    /// coordinator's own triple, `awaiting` is every peer that has not
+    /// answered yet (granted or busy).
     Voting {
         replies: Vec<(SiteId, CopyMeta)>,
-        responded: usize,
+        awaiting: SiteSet,
     },
     /// Waiting for missing log entries from a current subordinate.
     CatchingUp { members: Vec<(SiteId, CopyMeta)> },
@@ -219,6 +233,8 @@ struct Volatile {
     /// transaction; drives the engine's exponential retry backoff.
     /// Volatile on purpose: a restarted site probes eagerly again.
     prepared_rounds: u32,
+    /// The harness's peer-suspicion hint ([`SiteActor::set_suspected`]).
+    suspected: SiteSet,
 }
 
 /// One replica site's state machine for **one object**. A multi-object
@@ -299,6 +315,17 @@ impl SiteActor {
     #[must_use]
     pub fn object(&self) -> ObjectId {
         self.object
+    }
+
+    /// Hint which peers the harness believes are silent. It shortens
+    /// the *wait* of a voting phase, never its *decision*: a round may
+    /// close before the vote deadline once every unsuspected peer has
+    /// answered **and** the replies in hand are distinguished. Suspected
+    /// peers are still asked and their timely votes still counted. The
+    /// empty set — the default, restored by [`SiteActor::crash`] — is
+    /// the identity.
+    pub fn set_suspected(&mut self, suspected: SiteSet) {
+        self.volatile.suspected = suspected;
     }
 
     /// Install an [`EventSink`]; every subsequent protocol decision is
@@ -484,16 +511,15 @@ impl SiteActor {
         self.volatile.lock = Some(txn);
         let mut replies = Vec::with_capacity(self.n);
         replies.push((self.id, self.durable.meta));
+        let mut awaiting = SiteSet::all(self.n);
+        awaiting.remove(self.id);
         self.volatile.coordinating = Some(CoordTxn {
             txn,
             payload,
             extra: Vec::new(),
             read_only,
             group,
-            phase: CoordPhase::Voting {
-                replies,
-                responded: 0,
-            },
+            phase: CoordPhase::Voting { replies, awaiting },
         });
         out.push(Action::Broadcast {
             msg: Message::VoteRequest { txn },
@@ -537,8 +563,8 @@ impl SiteActor {
     pub fn handle_message(&mut self, from: SiteId, msg: Message, out: &mut ActionSink) {
         match msg {
             Message::VoteRequest { txn } => self.on_vote_request(from, txn, out),
-            Message::VoteGranted { txn, meta, from } => self.on_vote(txn, Some((from, meta)), out),
-            Message::VoteBusy { txn, .. } => self.on_vote(txn, None, out),
+            Message::VoteGranted { txn, meta, from } => self.on_vote(txn, from, Some(meta), out),
+            Message::VoteBusy { txn, from } => self.on_vote(txn, from, None, out),
             Message::CatchUpRequest { txn, after_version } => {
                 self.on_catchup_request(from, txn, after_version, out)
             }
@@ -562,7 +588,16 @@ impl SiteActor {
     /// A timer fires.
     pub fn timer_fired(&mut self, txn: TxnId, kind: TimerKind, out: &mut ActionSink) {
         match kind {
-            TimerKind::VoteDeadline => self.decide(txn, out),
+            TimerKind::VoteDeadline => {
+                if let Some(sites) = self.awaiting(txn).filter(|sites| !sites.is_empty()) {
+                    out.push(Action::Unanswered {
+                        txn,
+                        sites,
+                        early: false,
+                    });
+                }
+                self.decide(txn, out);
+            }
             TimerKind::CatchUpDeadline => {
                 // Catch-up source unreachable: abort the update (or, in
                 // group mode, report a negative decision and let the
@@ -840,28 +875,62 @@ impl SiteActor {
 
     // ----- coordinator paths -------------------------------------------
 
-    fn on_vote(&mut self, txn: TxnId, vote: Option<(SiteId, CopyMeta)>, out: &mut ActionSink) {
-        let n = self.n;
+    /// The peers `txn`'s voting phase is still waiting for, or `None`
+    /// when `txn` is not a round this site is collecting votes for.
+    fn awaiting(&self, txn: TxnId) -> Option<SiteSet> {
+        match self.volatile.coordinating.as_ref() {
+            Some(CoordTxn {
+                txn: t,
+                phase: CoordPhase::Voting { awaiting, .. },
+                ..
+            }) if *t == txn => Some(*awaiting),
+            _ => None,
+        }
+    }
+
+    /// One peer answered the vote request: `Some(meta)` granted, `None`
+    /// busy. The round closes when nobody is awaited any more, or —
+    /// with a suspicion hint — when only suspected peers are and the
+    /// replies in hand are already distinguished.
+    fn on_vote(&mut self, txn: TxnId, from: SiteId, vote: Option<CopyMeta>, out: &mut ActionSink) {
+        let suspected = self.volatile.suspected;
         let Some(coord) = self.volatile.coordinating.as_mut() else {
             return;
         };
         if coord.txn != txn {
             return;
         }
-        let CoordPhase::Voting { replies, responded } = &mut coord.phase else {
+        let CoordPhase::Voting { replies, awaiting } = &mut coord.phase else {
             return;
         };
-        if let Some((from, meta)) = vote {
-            if !replies.iter().any(|(s, _)| *s == from) {
-                replies.push((from, meta));
-                *responded += 1;
-            }
-        } else {
-            *responded += 1;
+        // A duplicate, or a sender we never asked (the wire does not
+        // bound the id, and `SiteSet` only holds ids below `n`).
+        if from.index() >= self.n || !awaiting.contains(from) {
+            return;
         }
-        if *responded >= n - 1 {
+        awaiting.remove(from);
+        if let Some(meta) = vote {
+            replies.push((from, meta));
+        }
+        let silent = *awaiting;
+        if silent.is_empty() {
             // Everyone answered: no need to wait for the deadline.
             self.decide(txn, out);
+        } else if silent.is_subset(suspected) {
+            // Only suspected peers are silent. Closing now is a timing
+            // shortcut, never a different verdict: it is taken only
+            // when the replies in hand already pass `Is_Distinguished`;
+            // otherwise the suspected peers get the full deadline.
+            let view = PartitionView::new(self.n, &self.order, replies)
+                .expect("vote replies form a valid view");
+            if self.algo.is_distinguished(&view) {
+                out.push(Action::Unanswered {
+                    txn,
+                    sites: silent,
+                    early: true,
+                });
+                self.decide(txn, out);
+            }
         }
     }
 
@@ -881,7 +950,7 @@ impl SiteActor {
         }
         let empty_phase = CoordPhase::Voting {
             replies: Vec::new(),
-            responded: 0,
+            awaiting: SiteSet::EMPTY,
         };
         let members = match std::mem::replace(&mut coord.phase, empty_phase) {
             CoordPhase::Voting { replies, .. } => replies,
@@ -971,7 +1040,7 @@ impl SiteActor {
         }
         let empty_phase = CoordPhase::Voting {
             replies: Vec::new(),
-            responded: 0,
+            awaiting: SiteSet::EMPTY,
         };
         let members = match std::mem::replace(&mut coord.phase, empty_phase) {
             CoordPhase::CatchingUp { members } => members,
@@ -1063,7 +1132,7 @@ impl SiteActor {
         }
         let empty_phase = CoordPhase::Voting {
             replies: Vec::new(),
-            responded: 0,
+            awaiting: SiteSet::EMPTY,
         };
         let members = match std::mem::replace(&mut coord.phase, empty_phase) {
             CoordPhase::Decided {
@@ -1110,7 +1179,7 @@ impl SiteActor {
             group: true,
             phase: CoordPhase::Voting {
                 replies: Vec::new(),
-                responded: 0,
+                awaiting: SiteSet::EMPTY,
             },
         };
         self.commit_with(coord, members.to_vec(), out);

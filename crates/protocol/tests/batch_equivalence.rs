@@ -50,7 +50,8 @@ fn pump(sites: &mut [ShardedSite], seed: Vec<Action>, from: SiteId) {
                     Action::SetTimer { .. }
                     | Action::Resolved { .. }
                     | Action::CommitRecorded { .. }
-                    | Action::DecisionReady { .. } => {}
+                    | Action::DecisionReady { .. }
+                    | Action::Unanswered { .. } => {}
                 }
             }
         };

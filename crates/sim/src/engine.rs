@@ -589,6 +589,10 @@ impl Simulation {
                 Action::DecisionReady { .. } => {
                     debug_assert!(false, "single-file engine never starts group legs");
                 }
+                // The simulator keeps no suspicion set: every round
+                // waits for all peers or the deadline, as the paper's
+                // protocol does.
+                Action::Unanswered { .. } => {}
             }
         }
         self.scratch = actions;

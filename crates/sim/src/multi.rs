@@ -399,7 +399,8 @@ impl MultiFileSimulation {
                         None => ledger[idx] = Some(entry),
                     }
                 }
-                Action::Resolved { .. } => {}
+                // The simulator keeps no suspicion set.
+                Action::Resolved { .. } | Action::Unanswered { .. } => {}
             }
         }
     }
