@@ -455,6 +455,7 @@ pub fn simulate_cmd(opts: &Opts) -> Result<(), String> {
     println!("updates submitted   {}", stats.submitted);
     println!("commits             {}", stats.commits);
     println!("rejected (quorum)   {}", stats.rejected);
+    println!("contended (race)    {}", stats.contended);
     println!("rejected (locked)   {}", stats.lock_busy);
     println!("timeouts            {}", stats.timeouts);
     println!("messages sent       {}", stats.messages_sent);

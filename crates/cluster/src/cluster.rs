@@ -3,7 +3,7 @@
 
 use crate::frontdoor::{FrontDoor, FrontDoorConfig};
 use crate::node::{
-    AuditOutcome, ClusterLedger, Node, NodeConfig, NodeDurability, NodeEvent, ReplySink,
+    AuditOutcome, ClusterLedger, Node, NodeConfig, NodeDurability, NodeEvent, ReplySink, ShardStats,
 };
 use crate::reactor::{Reactor, ReactorConfig, ReactorShared, ReactorTransport, TOKEN_WAKER};
 use crate::transport::{ChannelTransport, NetStats, Transport};
@@ -454,6 +454,7 @@ pub struct Cluster {
     reactors: Vec<(Arc<ReactorShared>, JoinHandle<()>)>,
     ledger: Arc<ClusterLedger>,
     events: Arc<CountingSink>,
+    shard_stats: Vec<Arc<ShardStats>>,
     addrs: Vec<SocketAddr>,
     http_addrs: Vec<SocketAddr>,
 }
@@ -505,6 +506,7 @@ impl Cluster {
         }
 
         let mut handles = Vec::with_capacity(n);
+        let mut shard_stats = Vec::with_capacity(n);
         let mut reactors = Vec::new();
         for (i, rx) in receivers.into_iter().enumerate() {
             let id = SiteId(i as u8);
@@ -538,6 +540,7 @@ impl Cluster {
             // are installed against the right per-worker stages.
             node.set_shard_threads(config.shard_threads);
             node.set_max_batch(config.max_batch);
+            shard_stats.push(node.shard_stats());
             if let DurabilityMode::Durable { data_dir, fsync } = &config.durability {
                 node.enable_durability(NodeDurability {
                     dir: data_dir.join(format!("site-{i}")),
@@ -606,6 +609,7 @@ impl Cluster {
             reactors,
             ledger,
             events,
+            shard_stats,
             addrs,
             http_addrs,
         })
@@ -640,6 +644,13 @@ impl Cluster {
     #[must_use]
     pub fn ledger(&self) -> &Arc<ClusterLedger> {
         &self.ledger
+    }
+
+    /// One node's worker-pool, peer-health and routing counters — the
+    /// ones `/metrics` serves, readable without an HTTP listener.
+    #[must_use]
+    pub fn shard_stats(&self, site: SiteId) -> &ShardStats {
+        &self.shard_stats[site.index()]
     }
 
     /// Per-site tallies of every protocol event emitted so far.

@@ -123,9 +123,10 @@ impl FrontDoor {
         self.latency.lock().expect("latency poisoned").record(ns);
     }
 
-    /// Extend a `/status` JSON object with the node's peer-health
-    /// readings. They come from the counters shared with the node, not
-    /// from the `Status` reply, so the binary wire format is untouched.
+    /// Extend a `/status` JSON object with the node's peer-health and
+    /// routing readings. They come from the counters shared with the
+    /// node, not from the `Status` reply, so the binary wire format is
+    /// untouched.
     fn append_peer_health(&self, body: &mut String) {
         let closed = body.pop();
         debug_assert_eq!(closed, Some('}'), "status body is a JSON object");
@@ -137,11 +138,15 @@ impl FrontDoor {
             .collect();
         body.push_str(&format!(
             ",\"suspected\":\"{}\",\"vote_deadline_missed\":[{}],\
-             \"rounds_closed_early\":{}}}",
+             \"rounds_closed_early\":{}",
             self.shard.suspected(),
             missed.join(","),
             self.shard.rounds_closed_early()
         ));
+        for (name, value) in self.shard.routing() {
+            body.push_str(&format!(",\"{name}\":{value}"));
+        }
+        body.push('}');
     }
 
     /// Render the Prometheus-style text exposition for `GET /metrics`:
@@ -248,6 +253,17 @@ impl FrontDoor {
             "dynvote_rounds_closed_early_total{{site=\"{site}\"}} {}\n",
             self.shard.rounds_closed_early()
         ));
+        // Single-writer routing: lock races lost here, how many objects
+        // this node now sends elsewhere, and the ops that travelled.
+        for (name, value) in self.shard.routing() {
+            let (name, kind) = match name {
+                "routed_objects" => (name.to_owned(), "gauge"),
+                _ => (format!("{name}_total"), "counter"),
+            };
+            out.push_str(&format!(
+                "# TYPE dynvote_{name} {kind}\ndynvote_{name}{{site=\"{site}\"}} {value}\n"
+            ));
+        }
         out.push_str("# TYPE dynvote_http_inflight gauge\n");
         out.push_str(&format!(
             "dynvote_http_inflight{{site=\"{site}\"}} {}\n",
@@ -474,6 +490,8 @@ fn render_reply(reply: &ClientReply) -> (u16, &'static str, String) {
         ),
         ClientReply::ReadServed => (200, "OK", "{\"outcome\":\"read_served\"}".to_owned()),
         ClientReply::Rejected => (409, "Conflict", "{\"outcome\":\"rejected\"}".to_owned()),
+        ClientReply::Contended => (409, "Conflict", "{\"outcome\":\"contended\"}".to_owned()),
+        ClientReply::UnknownKey => (404, "Not Found", "{\"outcome\":\"unknown_key\"}".to_owned()),
         ClientReply::Busy => (409, "Conflict", "{\"outcome\":\"busy\"}".to_owned()),
         ClientReply::TimedOut => (
             504,
@@ -616,6 +634,10 @@ mod tests {
         assert_eq!(render_reply(&ClientReply::ReadServed).0, 200);
         assert_eq!(render_reply(&ClientReply::Rejected).0, 409);
         assert_eq!(render_reply(&ClientReply::Busy).0, 409);
+        let (status, _, body) = render_reply(&ClientReply::Contended);
+        assert_eq!(status, 409);
+        assert_eq!(body, "{\"outcome\":\"contended\"}");
+        assert_eq!(render_reply(&ClientReply::UnknownKey).0, 404);
         assert_eq!(render_reply(&ClientReply::TimedOut).0, 504);
         assert_eq!(render_reply(&ClientReply::Down).0, 503);
         let (status, _, body) = render_reply(&ClientReply::Overloaded);

@@ -385,8 +385,12 @@ pub struct LoadReport {
     pub committed: u64,
     /// Reads served from a distinguished partition.
     pub reads_served: u64,
-    /// Aborted: partition not distinguished.
+    /// Aborted: partition not distinguished — it may not write.
     pub rejected: u64,
+    /// Aborted: the round lost a lock race to a rival coordinator.
+    pub contended: u64,
+    /// Refused: the key names no hosted object (never worth resending).
+    pub unknown_key: u64,
     /// Refused: copy locked by a concurrent transaction.
     pub busy: u64,
     /// Aborted: protocol deadline expired.
@@ -432,7 +436,8 @@ impl LoadReport {
 
     /// Parse a report back from JSON. Accepts both the current format
     /// and older baselines: a plain-array histogram, always-present
-    /// empty `events`/`net`/`shard` arrays, and no `overloaded` field.
+    /// empty `events`/`net`/`shard` arrays, and no `overloaded`,
+    /// `contended` or `unknown_key` field.
     pub fn from_json(text: &str) -> Result<Self, SerdeError> {
         let value: Value =
             serde_json::from_str(text).map_err(|e| SerdeError::custom(e.to_string()))?;
@@ -454,6 +459,8 @@ impl Serialize for LoadReport {
             ("committed".to_owned(), self.committed.serialize()),
             ("reads_served".to_owned(), self.reads_served.serialize()),
             ("rejected".to_owned(), self.rejected.serialize()),
+            ("contended".to_owned(), self.contended.serialize()),
+            ("unknown_key".to_owned(), self.unknown_key.serialize()),
             ("busy".to_owned(), self.busy.serialize()),
             ("timed_out".to_owned(), self.timed_out.serialize()),
             ("down".to_owned(), self.down.serialize()),
@@ -491,7 +498,7 @@ impl Serialize for LoadReport {
 impl Deserialize for LoadReport {
     fn deserialize(value: &Value) -> Result<Self, SerdeError> {
         // Sections a report may omit: absent means empty (new format)
-        // or zero (`overloaded`, absent from pre-pipelining baselines).
+        // or zero (counters a baseline predates).
         fn section<T: Deserialize + Default>(value: &Value, name: &str) -> Result<T, SerdeError> {
             match value.get(name) {
                 Some(v) => Deserialize::deserialize(v),
@@ -507,6 +514,8 @@ impl Deserialize for LoadReport {
             committed: Deserialize::deserialize(&value["committed"])?,
             reads_served: Deserialize::deserialize(&value["reads_served"])?,
             rejected: Deserialize::deserialize(&value["rejected"])?,
+            contended: section(value, "contended")?,
+            unknown_key: section(value, "unknown_key")?,
             busy: Deserialize::deserialize(&value["busy"])?,
             timed_out: Deserialize::deserialize(&value["timed_out"])?,
             down: Deserialize::deserialize(&value["down"])?,
@@ -530,6 +539,8 @@ struct Tally {
     committed: u64,
     reads_served: u64,
     rejected: u64,
+    contended: u64,
+    unknown_key: u64,
     busy: u64,
     timed_out: u64,
     down: u64,
@@ -581,6 +592,8 @@ impl LoadGen {
             tally.committed += t.committed;
             tally.reads_served += t.reads_served;
             tally.rejected += t.rejected;
+            tally.contended += t.contended;
+            tally.unknown_key += t.unknown_key;
             tally.busy += t.busy;
             tally.timed_out += t.timed_out;
             tally.down += t.down;
@@ -601,6 +614,8 @@ impl LoadGen {
             committed: tally.committed,
             reads_served: tally.reads_served,
             rejected: tally.rejected,
+            contended: tally.contended,
+            unknown_key: tally.unknown_key,
             busy: tally.busy,
             timed_out: tally.timed_out,
             down: tally.down,
@@ -651,6 +666,8 @@ fn worker_loop(cfg: LoadGenConfig, index: usize, mut target: Box<dyn WorkloadTar
             }
             Some(ClientReply::ReadServed) => tally.reads_served += 1,
             Some(ClientReply::Rejected) => tally.rejected += 1,
+            Some(ClientReply::Contended) => tally.contended += 1,
+            Some(ClientReply::UnknownKey) => tally.unknown_key += 1,
             Some(ClientReply::Busy) => tally.busy += 1,
             Some(ClientReply::TimedOut) => tally.timed_out += 1,
             Some(ClientReply::Down) => {

@@ -20,11 +20,12 @@
 //!    fan-out can trigger a dependent commit on another node.
 //! 5. **Dispatch** — sends and broadcasts go to the transport's batch
 //!    encoder, `SetTimer` arms the wall-clock wheel, `Resolved`
-//!    completes parked clients, `Unanswered` feeds the scheduler's
-//!    peer-suspicion set.
+//!    completes parked clients (or, for a lost lock race, forwards
+//!    them to the object's home), `Unanswered` feeds the scheduler's
+//!    peer-suspicion set and `Rival` its route table.
 
 use super::worker::ShardPool;
-use super::{Node, PendingClient};
+use super::{Node, Route};
 use crate::wire::ClientReply;
 use dynvote_core::SiteId;
 use dynvote_protocol::{Action, ResolveReason, SiteActor, TxnId};
@@ -51,23 +52,19 @@ impl Node {
                     // Park every op the round carries, in payload order
                     // — the commit fan-out below acks each at its own
                     // version.
-                    Some(txn) => self.pending.entry(txn).or_default().extend(
-                        clients
-                            .into_iter()
-                            .map(|(id, reply)| PendingClient { id, reply }),
-                    ),
+                    Some(txn) => self.pending.entry(txn).or_default().extend(clients),
                     // The kernel refused to start anything — busy.
                     None => {
-                        for (id, reply) in clients {
-                            reply.send(id, ClientReply::Busy);
+                        for client in clients {
+                            self.answer(client, ClientReply::Busy);
                         }
                     }
                 }
             }
             // Ops refused at the per-object queue bound: the typed
             // overload reply, distinct from a protocol-level refusal.
-            for (id, reply) in group.overflows.drain(..) {
-                reply.send(id, ClientReply::Overloaded);
+            for client in group.overflows.drain(..) {
+                self.answer(client, ClientReply::Overloaded);
             }
         }
 
@@ -133,6 +130,9 @@ impl Node {
                 }
                 Action::Resolved { txn, reason } => {
                     self.restart_txns.remove(&txn);
+                    if reason == ResolveReason::Contended {
+                        self.shard_stats.note_contended();
+                    }
                     if let Some(clients) = self.pending.remove(&txn) {
                         // One Resolved covers every op of the round:
                         // fan the completion out, acking each parked
@@ -147,6 +147,16 @@ impl Node {
                                 .map_or(0, |s| s.meta().version)
                         };
                         for (i, client) in clients.into_iter().enumerate() {
+                            // A lost race is not the client's problem
+                            // when the object has a home: the op joins
+                            // that site's queue instead of being sent
+                            // back to try the same race again.
+                            if reason == ResolveReason::Contended && client.route == Route::Free {
+                                if let Some(home) = self.usable_home(txn.object) {
+                                    self.forward(home, txn.object, client);
+                                    continue;
+                                }
+                            }
                             let reply = match reason {
                                 ResolveReason::Committed => ClientReply::Committed {
                                     version: versions
@@ -155,10 +165,11 @@ impl Node {
                                 },
                                 ResolveReason::ReadServed => ClientReply::ReadServed,
                                 ResolveReason::NotDistinguished => ClientReply::Rejected,
+                                ResolveReason::Contended => ClientReply::Contended,
                                 ResolveReason::LockBusy => ClientReply::Busy,
                                 ResolveReason::Timeout => ClientReply::TimedOut,
                             };
-                            client.reply.send(client.id, reply);
+                            self.answer(client, reply);
                         }
                     }
                 }
@@ -175,6 +186,7 @@ impl Node {
                     }
                     self.set_suspected(self.suspected.union(sites));
                 }
+                Action::Rival { txn, site } => self.learn_home(txn.object, site),
             }
         }
         self.merge_buf = batch;

@@ -9,7 +9,7 @@
 //! transaction. Everything arrives through one `mpsc` inbox
 //! ([`NodeEvent`]) — peer frames, client requests, and shutdown.
 //!
-//! The runtime is split into three pieces, one file each:
+//! The runtime is split into four pieces, one file each:
 //!
 //! * **scheduler** ([`Node::run`], `node/scheduler.rs`) — the inbox
 //!   thread. It classifies each event by `ObjectId` and hands it to the
@@ -27,6 +27,10 @@
 //!   the transport's batch encoder. The force-write discipline is
 //!   intact — nothing announced is ever lost — but the fsync is
 //!   amortized across every object and every worker the batch touched.
+//!
+//! * **route** (`node/route.rs`) — single-writer routing: the volatile
+//!   per-object home hints learned from lost lock races, and the table
+//!   of client ops handed to another site and not yet answered.
 //!
 //! Transactions on different objects never contend: each shard has its
 //! own lock, commit chain, and prepare record, and per-object event
@@ -50,6 +54,7 @@
 //!   simulator's link topology once in-flight traffic has drained.
 
 mod merge;
+mod route;
 mod scheduler;
 mod worker;
 
@@ -58,7 +63,7 @@ pub use worker::ShardStats;
 use crate::frontdoor::HttpTx;
 use crate::reactor::ConnTx;
 use crate::transport::{NetStats, Transport};
-use crate::wire::{ClientOp, ClientReply};
+use crate::wire::{ClientOp, ClientReply, Relay};
 use dynvote_core::{AlgorithmKind, BackoffPolicy, SiteId, SiteSet, TimerWheel};
 use dynvote_protocol::{
     Action, CountingSink, DurableState, EventSink, FanoutSink, LogEntry, Message, ObjectId,
@@ -132,6 +137,14 @@ pub enum NodeEvent {
         op: ClientOp,
         /// Where the reply goes.
         reply: ReplySink,
+    },
+    /// A client op relayed by another site, or that site's answer to
+    /// one relayed from here.
+    Relay {
+        /// The sending site.
+        from: SiteId,
+        /// The relayed op or answer.
+        relay: Relay,
     },
     /// Stop the node thread (parked clients are failed with `Down`).
     Shutdown,
@@ -320,9 +333,34 @@ pub struct NodeDurability {
     pub store: StoreConfig,
 }
 
-pub(crate) struct PendingClient {
+/// One data-plane client op on its way through the node: parked in an
+/// object's FIFO, riding a quorum round, or waiting for another site's
+/// answer. Answered exactly once, through [`Node::answer`].
+#[derive(Debug)]
+pub(crate) struct Client {
+    /// The correlation id the answer carries (for a [`Route::From`] op,
+    /// the origin's forward id).
     pub(crate) id: u64,
+    /// Where the answer goes ([`ReplySink::Null`] for a [`Route::From`]
+    /// op: its answer is a relay frame).
     pub(crate) reply: ReplySink,
+    /// A read-only request; otherwise an update.
+    pub(crate) read: bool,
+    pub(crate) route: Route,
+}
+
+/// How far an op may still travel. An op crosses at most one link to be
+/// coordinated and is never coordinated twice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// This node's client: may be handed to its object's home site.
+    Free,
+    /// This node's client, back from a home site that refused it: runs
+    /// here, whatever the route table says.
+    Spent,
+    /// Handed over by this origin: runs here and is answered with a
+    /// [`Relay::ForwardReply`].
+    From(SiteId),
 }
 
 /// A live protocol site: the sharded kernels plus their wall-clock
@@ -390,7 +428,9 @@ pub struct Node {
     /// carries many client ops, so one transaction parks a payload-
     /// ordered list; every entry is resolved (exactly once) when the
     /// transaction resolves.
-    pub(crate) pending: HashMap<TxnId, Vec<PendingClient>>,
+    pub(crate) pending: HashMap<TxnId, Vec<Client>>,
+    /// Single-writer routing state (see `node/route.rs`).
+    pub(crate) routes: route::Routes,
     pub(crate) restart_txns: HashSet<TxnId>,
     pub(crate) payload_seq: u64,
     pub(crate) commits: u64,
@@ -443,6 +483,7 @@ impl Node {
             shard_stats: Arc::new(ShardStats::new(1, n)),
             stages: Vec::new(),
             pending: HashMap::new(),
+            routes: route::Routes::default(),
             restart_txns: HashSet::new(),
             payload_seq: 0,
             commits: 0,

@@ -1,0 +1,251 @@
+//! Single-writer routing: stop losing the same lock race twice.
+//!
+//! Two coordinators that start rounds on one object at once are safe —
+//! one collects `VoteBusy`, aborts, and its client is told `Contended`
+//! — but the loser's round is wasted work, and clients on a shared
+//! clock lose the same race on every tick. So a node remembers whom it
+//! raced: when a kernel coordinating object *k* denies a rival's vote
+//! request it says so ([`Action::Rival`](dynvote_protocol::Action)),
+//! and the node records the rival as *k*'s **home** — only if the rival
+//! is lower-numbered, so hints point strictly downward and can neither
+//! cycle nor ping-pong. From then on this node's client ops on *k* (and
+//! the clients of a round it has just lost) are not started as rival
+//! rounds: each crosses one link as a [`Relay::Forward`], joins the
+//! home's ordinary per-object FIFO, and its answer comes back as a
+//! [`Relay::ForwardReply`] for the sink this node kept.
+//!
+//! Everything here is volatile and advisory. A hint is learned only
+//! from observed contention, never expires, and a stale one costs one
+//! hop; nothing a quorum decides depends on it. What a client may see
+//! when a forwarded op meets a fault is enumerated in DESIGN.md
+//! ("Single-writer routing").
+
+use super::worker::{ShardPool, WorkItem};
+use super::{Client, Node, Route};
+use crate::wire::{ClientReply, Relay};
+use dynvote_core::SiteId;
+use dynvote_protocol::ObjectId;
+use std::collections::{HashMap, VecDeque};
+use std::time::{Duration, Instant};
+
+/// An op handed to its object's home and not yet answered.
+#[derive(Debug)]
+struct Forwarded {
+    object: ObjectId,
+    home: SiteId,
+    client: Client,
+}
+
+/// The node's routing state.
+#[derive(Debug, Default)]
+pub(crate) struct Routes {
+    /// Per object, the lowest-numbered site this node has raced for it.
+    homes: HashMap<ObjectId, SiteId>,
+    /// Ops in flight to a home, by forward id.
+    pending: HashMap<u64, Forwarded>,
+    /// Forward ids with their deadlines. Every forward gets the same
+    /// allowance, so arrival order is deadline order.
+    deadlines: VecDeque<(Instant, u64)>,
+    /// Never reset: an answer to a forward from before a crash must not
+    /// find a newer op under its id.
+    next_id: u64,
+}
+
+impl Node {
+    /// How long a forwarded op may stay unanswered: the home may need a
+    /// full round for the op queued ahead of it and one for this one.
+    fn forward_deadline(&self) -> Duration {
+        2 * (self.config.vote_deadline + self.config.catchup_deadline)
+    }
+
+    /// A round coordinated here denied `rival`'s vote request for
+    /// `object`.
+    pub(super) fn learn_home(&mut self, object: ObjectId, rival: SiteId) {
+        if rival >= self.id {
+            return;
+        }
+        let home = self.routes.homes.entry(object).or_insert(rival);
+        *home = (*home).min(rival);
+        self.shard_stats.note_routed(self.routes.homes.len());
+    }
+
+    /// Drop `object`'s hint if it still names `home`.
+    fn forget_home(&mut self, object: ObjectId, home: SiteId) {
+        if self.routes.homes.get(&object) == Some(&home) {
+            self.routes.homes.remove(&object);
+            self.shard_stats.note_routed(self.routes.homes.len());
+        }
+    }
+
+    /// The site to hand `object`'s ops to, if the hint is worth
+    /// following right now: a home this node suspects or cannot reach
+    /// is bypassed, not forgotten.
+    pub(super) fn usable_home(&self, object: ObjectId) -> Option<SiteId> {
+        let home = *self.routes.homes.get(&object)?;
+        (self.reachable.contains(home) && !self.suspected.contains(home)).then_some(home)
+    }
+
+    /// Start a data-plane op of a live node on its way: to the object's
+    /// home if the op may still travel and a usable hint exists, into
+    /// the local per-object FIFO otherwise.
+    pub(super) fn submit(&mut self, pool: &mut ShardPool, object: ObjectId, client: Client) {
+        if client.route == Route::Free {
+            if let Some(home) = self.usable_home(object) {
+                self.forward(home, object, client);
+                return;
+            }
+        }
+        let payload = if client.read { 0 } else { self.fresh_payload() };
+        pool.dispatch(WorkItem::Op {
+            object,
+            payload,
+            client,
+        });
+    }
+
+    /// Hand one of this node's client ops to `home`.
+    pub(super) fn forward(&mut self, home: SiteId, object: ObjectId, client: Client) {
+        self.routes.next_id += 1;
+        let id = self.routes.next_id;
+        let read = client.read;
+        self.routes.pending.insert(
+            id,
+            Forwarded {
+                object,
+                home,
+                client,
+            },
+        );
+        self.routes
+            .deadlines
+            .push_back((Instant::now() + self.forward_deadline(), id));
+        self.shard_stats.note_forwarded_out();
+        self.relay(
+            home,
+            Relay::Forward {
+                id,
+                key: object.0,
+                read,
+            },
+        );
+    }
+
+    /// A relay frame from a peer this node can hear.
+    pub(super) fn on_relay(&mut self, pool: &mut ShardPool, from: SiteId, relay: Relay) {
+        match relay {
+            Relay::Forward { id, key, read } => {
+                let client = Client {
+                    id,
+                    reply: super::ReplySink::Null,
+                    read,
+                    route: Route::From(from),
+                };
+                self.shard_stats.note_forwarded_in();
+                if (key as usize) < self.objects {
+                    self.submit(pool, ObjectId(key), client);
+                } else {
+                    self.answer(client, ClientReply::UnknownKey);
+                }
+            }
+            Relay::ForwardReply { id, reply } => {
+                // No such forward to that site: the answer outlived its
+                // deadline or a crash, and the client has been told so.
+                if self.routes.pending.get(&id).map(|f| f.home) != Some(from) {
+                    return;
+                }
+                let Forwarded {
+                    object,
+                    home,
+                    mut client,
+                } = self.routes.pending.remove(&id).expect("entry just seen");
+                // A refusal is definite — the op did not run — so it
+                // runs here instead, once. The home's own `TimedOut`
+                // is relayed as it is: to a client that always means
+                // "may have run". Either way the home is no single
+                // writer to be trusted with the next op.
+                let refused = matches!(
+                    reply,
+                    ClientReply::Down
+                        | ClientReply::Rejected
+                        | ClientReply::Overloaded
+                        | ClientReply::Contended
+                        | ClientReply::Busy
+                );
+                if refused || reply == ClientReply::TimedOut {
+                    self.forget_home(object, home);
+                }
+                if refused {
+                    client.route = Route::Spent;
+                    self.submit(pool, object, client);
+                } else {
+                    self.answer(client, reply);
+                }
+            }
+        }
+    }
+
+    /// When the oldest forward still in flight runs out of time.
+    /// Answered forwards leave their deadline behind; those are skimmed
+    /// off here so that the event loop is not woken for them.
+    pub(super) fn next_forward_deadline(&mut self) -> Option<Instant> {
+        while let Some(&(when, id)) = self.routes.deadlines.front() {
+            if self.routes.pending.contains_key(&id) {
+                return Some(when);
+            }
+            self.routes.deadlines.pop_front();
+        }
+        None
+    }
+
+    /// Give up on forwards whose answer is overdue. The op may or may
+    /// not have run at the home, so it is **not** run again: the client
+    /// is told `TimedOut`, which means exactly that.
+    pub(super) fn expire_forwards(&mut self) {
+        let now = Instant::now();
+        while let Some(&(when, id)) = self.routes.deadlines.front() {
+            if when > now {
+                break;
+            }
+            self.routes.deadlines.pop_front();
+            if let Some(forwarded) = self.routes.pending.remove(&id) {
+                self.shard_stats.note_forward_timeout();
+                self.forget_home(forwarded.object, forwarded.home);
+                self.answer(forwarded.client, ClientReply::TimedOut);
+            }
+        }
+    }
+
+    /// Crash or shutdown: the route table is volatile state, and ops in
+    /// flight to a home die with the site like every other parked op.
+    pub(super) fn drop_routes(&mut self) {
+        self.routes.homes.clear();
+        self.shard_stats.note_routed(0);
+        self.routes.deadlines.clear();
+        let pending = std::mem::take(&mut self.routes.pending);
+        for (_, forwarded) in pending {
+            self.answer(forwarded.client, ClientReply::Down);
+        }
+    }
+
+    /// Answer a data-plane op, wherever its client is.
+    pub(crate) fn answer(&mut self, client: Client, reply: ClientReply) {
+        match client.route {
+            Route::From(origin) => self.relay(
+                origin,
+                Relay::ForwardReply {
+                    id: client.id,
+                    reply,
+                },
+            ),
+            Route::Free | Route::Spent => client.reply.send(client.id, reply),
+        }
+    }
+
+    /// Relay frames obey the same fault model as protocol messages: a
+    /// crashed site is silent and a partition drops both directions.
+    fn relay(&mut self, to: SiteId, relay: Relay) {
+        if self.reaches(to) {
+            self.transport.relay(to, relay);
+        }
+    }
+}

@@ -6,7 +6,7 @@
 //! the kernels themselves only ever run inside workers.
 
 use super::worker::{ShardPool, WorkItem};
-use super::{Node, NodeEvent};
+use super::{Client, Node, NodeEvent, ReplySink, Route};
 use crate::wire::{ClientOp, ClientReply};
 use dynvote_core::{SiteId, SiteSet};
 use dynvote_protocol::{DurableState, Message, ObjectId, TimerKind, TxnId};
@@ -70,6 +70,7 @@ impl Node {
                 Err(RecvTimeoutError::Timeout) => {}
             }
             self.fire_due_timers(&mut pool);
+            self.expire_forwards();
             // One barrier seals every worker's staged WAL ops, then the
             // staged sends and replies dispatch.
             self.merge(&mut pool);
@@ -83,17 +84,23 @@ impl Node {
         self.transport.flush();
         // Ops still parked in per-object FIFOs never started a round;
         // fail them alongside the in-flight ones.
-        for mut group in pool.lock_groups() {
-            for (id, reply) in group.fail_queued() {
-                reply.send(id, ClientReply::Down);
-            }
-        }
+        self.fail_parked(&pool);
         pool.shutdown();
-        for (_, clients) in self.pending.drain() {
-            for client in clients {
-                client.reply.send(client.id, ClientReply::Down);
-            }
+    }
+
+    /// Fail every data-plane op parked anywhere in the node — queued
+    /// behind an object's lock, riding a round, or in flight to another
+    /// site — with `Down`, each exactly once (crash and shutdown).
+    fn fail_parked(&mut self, pool: &ShardPool) {
+        let mut parked: Vec<Client> = Vec::new();
+        for mut group in pool.lock_groups() {
+            parked.extend(group.fail_queued());
         }
+        parked.extend(self.pending.drain().flat_map(|(_, clients)| clients));
+        for client in parked {
+            self.answer(client, ClientReply::Down);
+        }
+        self.drop_routes();
     }
 
     /// A durable node that boots with a prepare record on disk is in
@@ -144,76 +151,83 @@ impl Node {
     fn handle_event(&mut self, pool: &mut ShardPool, event: NodeEvent) {
         match event {
             NodeEvent::Peer { from, msg } => {
-                // A crashed site hears nothing; a partitioned-away
-                // sender's frames are dropped at the boundary.
-                if self.down || !self.reachable.contains(from) {
-                    return;
+                if self.hears(from) {
+                    pool.dispatch(WorkItem::Peer {
+                        from,
+                        msg,
+                        suspected: self.suspected,
+                    });
                 }
-                // A frame from a suspected peer proves the picture
-                // stale — a link healed, a site restarted. Forget all
-                // of it, not just this peer: whoever else was cut off
-                // with it may be back too, and a round must not close
-                // without them merely because this one spoke first.
-                // A peer that really is still silent costs one more
-                // deadline to re-learn.
-                if self.suspected.contains(from) {
-                    self.set_suspected(SiteSet::EMPTY);
+            }
+            NodeEvent::Relay { from, relay } => {
+                if self.hears(from) {
+                    self.on_relay(pool, from, relay);
                 }
-                pool.dispatch(WorkItem::Peer {
-                    from,
-                    msg,
-                    suspected: self.suspected,
-                });
             }
             NodeEvent::Client { id, op, reply } => self.handle_client(pool, id, op, reply),
             NodeEvent::Shutdown => {}
         }
     }
 
+    /// Whether a frame from `from` gets through: a crashed site hears
+    /// nothing, a partitioned-away sender's frames are dropped at the
+    /// boundary, and so is a sender id outside the cluster (the wire
+    /// does not bound it).
+    fn hears(&mut self, from: SiteId) -> bool {
+        if self.down || from.index() >= self.n || !self.reachable.contains(from) {
+            return false;
+        }
+        // A frame from a suspected peer proves the picture stale — a
+        // link healed, a site restarted. Forget all of it, not just
+        // this peer: whoever else was cut off with it may be back too,
+        // and a round must not close without them merely because this
+        // one spoke first. A peer that really is still silent costs one
+        // more deadline to re-learn.
+        if self.suspected.contains(from) {
+            self.set_suspected(SiteSet::EMPTY);
+        }
+        true
+    }
+
     /// Resolve a wire key to a hosted object, or fail the client.
-    fn object_for(&self, key: u32, id: u64, reply: &super::ReplySink) -> Option<ObjectId> {
+    fn object_for(&self, key: u32, id: u64, reply: &ReplySink) -> Option<ObjectId> {
         if (key as usize) < self.objects {
             Some(ObjectId(key))
         } else {
-            reply.send(id, ClientReply::Rejected);
+            reply.send(id, ClientReply::UnknownKey);
             None
         }
     }
 
-    fn handle_client(
+    /// A client update or read-only request.
+    fn handle_data_op(
         &mut self,
         pool: &mut ShardPool,
+        key: u32,
+        read: bool,
         id: u64,
-        op: ClientOp,
-        reply: super::ReplySink,
+        reply: ReplySink,
     ) {
+        if self.down {
+            reply.send(id, ClientReply::Down);
+            return;
+        }
+        let Some(object) = self.object_for(key, id, &reply) else {
+            return;
+        };
+        let client = Client {
+            id,
+            reply,
+            read,
+            route: Route::Free,
+        };
+        self.submit(pool, object, client);
+    }
+
+    fn handle_client(&mut self, pool: &mut ShardPool, id: u64, op: ClientOp, reply: ReplySink) {
         match op {
-            ClientOp::Update { key } => {
-                if self.down {
-                    reply.send(id, ClientReply::Down);
-                    return;
-                }
-                let Some(object) = self.object_for(key, id, &reply) else {
-                    return;
-                };
-                let payload = self.fresh_payload();
-                pool.dispatch(WorkItem::Update {
-                    object,
-                    payload,
-                    id,
-                    reply,
-                });
-            }
-            ClientOp::Read { key } => {
-                if self.down {
-                    reply.send(id, ClientReply::Down);
-                    return;
-                }
-                let Some(object) = self.object_for(key, id, &reply) else {
-                    return;
-                };
-                pool.dispatch(WorkItem::Read { object, id, reply });
-            }
+            ClientOp::Update { key } => self.handle_data_op(pool, key, false, id, reply),
+            ClientOp::Read { key } => self.handle_data_op(pool, key, true, id, reply),
             ClientOp::Crash => {
                 // Dispatch whatever earlier events in this batch staged
                 // *before* the crash wipes volatile state: those
@@ -228,17 +242,10 @@ impl Node {
                     self.timers.bump_epoch();
                     for mut group in pool.lock_groups() {
                         group.part.crash();
-                        // Queued-but-unstarted ops die with the site
-                        // too: each resolves exactly once, as Down.
-                        for (qid, reply) in group.fail_queued() {
-                            reply.send(qid, ClientReply::Down);
-                        }
                     }
-                    for (_, clients) in self.pending.drain() {
-                        for client in clients {
-                            client.reply.send(client.id, ClientReply::Down);
-                        }
-                    }
+                    // Parked ops die with the site, and so does what it
+                    // learned about rivals.
+                    self.fail_parked(pool);
                 }
                 reply.send(id, ClientReply::Ok);
             }
@@ -460,11 +467,16 @@ impl Node {
         self.shard_stats.note_suspected(suspected);
     }
 
+    /// Whether a frame to `to` leaves the node: a crashed site is
+    /// silent and a partition drops outbound traffic at the boundary.
+    pub(super) fn reaches(&self, to: SiteId) -> bool {
+        !self.down && self.reachable.contains(to)
+    }
+
     pub(crate) fn send(&mut self, to: SiteId, msg: Message) {
-        if self.down || !self.reachable.contains(to) {
-            return;
+        if self.reaches(to) {
+            self.transport.send(to, &msg);
         }
-        self.transport.send(to, &msg);
     }
 
     /// Arm one wall-clock deadline. `prepared_rounds` is the shard's
@@ -484,11 +496,15 @@ impl Node {
         self.timers.schedule(Instant::now() + delay, (txn, kind));
     }
 
+    /// Time until the next protocol deadline or forward deadline.
     fn next_timer_in(&mut self) -> Option<Duration> {
         let now = Instant::now();
-        self.timers
-            .next_deadline()
-            .map(|when| when.saturating_duration_since(now))
+        let protocol = self.timers.next_deadline().copied();
+        let next = match (protocol, self.next_forward_deadline()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        next.map(|when| when.saturating_duration_since(now))
     }
 
     /// Fire every due timer, dispatching each to its object's worker;
@@ -508,7 +524,7 @@ impl Node {
     /// Assigned by the scheduler at classification time — in arrival
     /// order, independent of the worker count — which is one leg of the
     /// determinism contract.
-    fn fresh_payload(&mut self) -> u64 {
+    pub(super) fn fresh_payload(&mut self) -> u64 {
         self.payload_seq += 1;
         ((u64::from(self.id.0) + 1) << 48) | self.payload_seq
     }

@@ -16,7 +16,7 @@
 //! runs the kernel inline under an uncontended mutex, so the default
 //! configuration keeps the original single-threaded runtime's costs.
 
-use crate::node::ReplySink;
+use crate::node::Client;
 use dynvote_core::{SiteId, SiteSet};
 use dynvote_protocol::{Action, Message, ObjectId, ShardPartition, ShardedSite, TimerKind, TxnId};
 use std::collections::{HashMap, VecDeque};
@@ -55,6 +55,16 @@ pub struct ShardStats {
     /// Quorum rounds that closed before their vote deadline because
     /// only suspected peers were still silent.
     rounds_closed_early: AtomicU64,
+    /// Client ops this node handed to an object's home site.
+    forwarded_out: AtomicU64,
+    /// Client ops other sites handed to this node.
+    forwarded_in: AtomicU64,
+    /// Forwarded ops whose answer never came back in time.
+    forward_timeouts: AtomicU64,
+    /// Rounds coordinated here that lost a lock race.
+    contended: AtomicU64,
+    /// Objects with a home hint right now (a gauge).
+    routed_objects: AtomicU64,
 }
 
 impl ShardStats {
@@ -79,6 +89,11 @@ impl ShardStats {
             suspected: AtomicU64::new(0),
             vote_deadline_missed: (0..sites).map(|_| AtomicU64::new(0)).collect(),
             rounds_closed_early: AtomicU64::new(0),
+            forwarded_out: AtomicU64::new(0),
+            forwarded_in: AtomicU64::new(0),
+            forward_timeouts: AtomicU64::new(0),
+            contended: AtomicU64::new(0),
+            routed_objects: AtomicU64::new(0),
         }
     }
 
@@ -127,10 +142,31 @@ impl ShardStats {
         self.rounds_closed_early.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The peers this node currently suspects of being silent. These
-    /// three peer-health readings are served on `/metrics` and
-    /// `/status` only: [`Self::snapshot`] keeps its layout, because
-    /// wire readers locate the batch histogram from its tail.
+    pub(crate) fn note_forwarded_out(&self) {
+        self.forwarded_out.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn note_forwarded_in(&self) {
+        self.forwarded_in.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn note_forward_timeout(&self) {
+        self.forward_timeouts.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn note_contended(&self) {
+        self.contended.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn note_routed(&self, objects: usize) {
+        self.routed_objects.store(objects as u64, Ordering::Relaxed);
+    }
+
+    /// The peers this node currently suspects of being silent. The
+    /// peer-health and routing readings (this one down to
+    /// [`Self::routed_objects`]) are served on `/metrics` and `/status`
+    /// only: [`Self::snapshot`] keeps its layout, because wire readers
+    /// locate the batch histogram from its tail.
     #[must_use]
     pub fn suspected(&self) -> SiteSet {
         SiteSet::from_bits(self.suspected.load(Ordering::Relaxed))
@@ -150,6 +186,49 @@ impl ShardStats {
     #[must_use]
     pub fn rounds_closed_early(&self) -> u64 {
         self.rounds_closed_early.load(Ordering::Relaxed)
+    }
+
+    /// Client ops this node handed to an object's home site.
+    #[must_use]
+    pub fn forwarded_out(&self) -> u64 {
+        self.forwarded_out.load(Ordering::Relaxed)
+    }
+
+    /// Client ops other sites handed to this node to coordinate.
+    #[must_use]
+    pub fn forwarded_in(&self) -> u64 {
+        self.forwarded_in.load(Ordering::Relaxed)
+    }
+
+    /// Forwarded ops answered `TimedOut` because the home never did.
+    #[must_use]
+    pub fn forward_timeouts(&self) -> u64 {
+        self.forward_timeouts.load(Ordering::Relaxed)
+    }
+
+    /// Rounds coordinated here that lost a lock race.
+    #[must_use]
+    pub fn contended(&self) -> u64 {
+        self.contended.load(Ordering::Relaxed)
+    }
+
+    /// Objects whose ops this node currently routes to another site.
+    #[must_use]
+    pub fn routed_objects(&self) -> u64 {
+        self.routed_objects.load(Ordering::Relaxed)
+    }
+
+    /// The five routing readings by name, for `/metrics` and `/status`
+    /// (`routed_objects` is a gauge, the rest are running totals).
+    #[must_use]
+    pub fn routing(&self) -> [(&'static str, u64); 5] {
+        [
+            ("contended", self.contended()),
+            ("routed_objects", self.routed_objects()),
+            ("forwarded_out", self.forwarded_out()),
+            ("forwarded_in", self.forwarded_in()),
+            ("forward_timeouts", self.forward_timeouts()),
+        ]
     }
 
     /// One row of counters, in [`Self::names`] order:
@@ -222,26 +301,17 @@ pub(crate) enum WorkItem {
         /// The scheduler's peer-suspicion set when the frame arrived.
         suspected: SiteSet,
     },
-    /// Start a client update; the started transaction is recorded in
-    /// [`WorkerGroup::starts`] so the merge can park the client on it.
-    Update {
-        /// The object to update.
+    /// Start a client update or read-only request; the started
+    /// transaction is recorded in [`WorkerGroup::starts`] so the merge
+    /// can park the client on it.
+    Op {
+        /// The object addressed.
         object: ObjectId,
-        /// The cluster-unique payload the scheduler assigned.
+        /// An update's cluster-unique payload, assigned by the
+        /// scheduler (unused for a read).
         payload: u64,
-        /// Client correlation id.
-        id: u64,
-        /// Where the eventual reply goes.
-        reply: ReplySink,
-    },
-    /// Start a client read-only request.
-    Read {
-        /// The object to read.
-        object: ObjectId,
-        /// Client correlation id.
-        id: u64,
-        /// Where the eventual reply goes.
-        reply: ReplySink,
+        /// Who asked, and whether it is a read.
+        client: Client,
     },
     /// A due wall-clock protocol timer.
     Timer {
@@ -268,26 +338,19 @@ impl WorkItem {
         match self {
             WorkItem::Peer { msg, .. } => msg.txn().object,
             WorkItem::Timer { txn, .. } => txn.object,
-            WorkItem::Update { object, .. }
-            | WorkItem::Read { object, .. }
-            | WorkItem::Recover { object, .. } => *object,
+            WorkItem::Op { object, .. } | WorkItem::Recover { object, .. } => *object,
         }
     }
 }
 
 /// One client op parked in an object's commit-pipelining FIFO, waiting
-/// for the object's lock to free.
+/// for the object's lock to free. A read is never batched with updates
+/// — it runs its own round — but it keeps its FIFO position.
 #[derive(Debug)]
-enum QueuedOp {
-    /// An update carrying its scheduler-assigned payload.
-    Update {
-        payload: u64,
-        id: u64,
-        reply: ReplySink,
-    },
-    /// A read-only request (never batched with updates — it runs its
-    /// own round — but it keeps its FIFO position).
-    Read { id: u64, reply: ReplySink },
+struct QueuedOp {
+    /// An update's scheduler-assigned payload.
+    payload: u64,
+    client: Client,
 }
 
 /// Bound on one object's pending-op queue. An op arriving beyond it is
@@ -295,9 +358,8 @@ enum QueuedOp {
 /// without bound — the front door surfaces that as `429 Retry-After`.
 pub(crate) const PER_OBJECT_QUEUE_LIMIT: usize = 1024;
 
-/// The client ops riding one started round, in payload order: the op id
-/// plus where its reply goes.
-pub(crate) type RoundClients = Vec<(u64, ReplySink)>;
+/// The client ops riding one started round, in payload order.
+pub(crate) type RoundClients = Vec<Client>;
 
 /// Everything one worker owns: its shard partition plus the in-progress
 /// batch's staged results. Locked by the worker while draining its
@@ -336,10 +398,7 @@ impl WorkerGroup {
     fn enqueue(&mut self, object: ObjectId, op: QueuedOp) {
         let queue = self.queues.entry(object).or_default();
         if queue.len() >= PER_OBJECT_QUEUE_LIMIT {
-            let (id, reply) = match op {
-                QueuedOp::Update { id, reply, .. } | QueuedOp::Read { id, reply } => (id, reply),
-            };
-            self.overflows.push((id, reply));
+            self.overflows.push(op.client);
             return;
         }
         queue.push_back(op);
@@ -347,20 +406,14 @@ impl WorkerGroup {
             .note_pipeline_depth(self.worker, queue.len() as u64);
     }
 
-    /// Fail every queued op, returning the `(id, reply)` pairs for the
-    /// caller to answer (crash and shutdown paths).
+    /// Empty every queue, returning the ops for the caller to answer
+    /// (crash and shutdown paths).
     pub(crate) fn fail_queued(&mut self) -> RoundClients {
-        let mut failed = Vec::new();
-        for (_, queue) in self.queues.iter_mut() {
-            for op in queue.drain(..) {
-                match op {
-                    QueuedOp::Update { id, reply, .. } | QueuedOp::Read { id, reply } => {
-                        failed.push((id, reply));
-                    }
-                }
-            }
-        }
-        failed
+        self.queues
+            .values_mut()
+            .flat_map(|queue| queue.drain(..))
+            .map(|op| op.client)
+            .collect()
     }
 }
 
@@ -384,17 +437,11 @@ pub(crate) fn process_item(group: &mut WorkerGroup, item: WorkItem) {
             // panicked on: a misrouted frame must not kill the worker.
             group.part.handle_message(from, msg, &mut group.scratch);
         }
-        WorkItem::Update {
+        WorkItem::Op {
             object,
             payload,
-            id,
-            reply,
-        } => {
-            group.enqueue(object, QueuedOp::Update { payload, id, reply });
-        }
-        WorkItem::Read { object, id, reply } => {
-            group.enqueue(object, QueuedOp::Read { id, reply });
-        }
+            client,
+        } => group.enqueue(object, QueuedOp { payload, client }),
         WorkItem::Timer { txn, kind } => {
             group.part.timer_fired(txn, kind, &mut group.scratch);
         }
@@ -441,31 +488,22 @@ fn pump(group: &mut WorkerGroup, object: ObjectId) {
             return;
         }
         let queue = group.queues.get_mut(&object).expect("checked non-empty");
-        if matches!(queue.front(), Some(QueuedOp::Read { .. })) {
-            let Some(QueuedOp::Read { id, reply }) = queue.pop_front() else {
-                unreachable!("front checked as read");
-            };
+        if queue.front().is_some_and(|op| op.client.read) {
+            let read = queue.pop_front().expect("front checked as read");
             let start = group.scratch.len();
             group.part.start_read(object, &mut group.scratch);
             let txn = txn_started(&group.scratch[start..]);
-            group.starts.push((txn, vec![(id, reply)]));
+            group.starts.push((txn, vec![read.client]));
             continue;
         }
         // A run of consecutive updates, in FIFO (= payload-assignment)
         // order, capped by the adaptive batch bound.
         let mut payloads = Vec::new();
         let mut clients = Vec::new();
-        while payloads.len() < group.max_batch {
-            match queue.front() {
-                Some(QueuedOp::Update { .. }) => {
-                    let Some(QueuedOp::Update { payload, id, reply }) = queue.pop_front() else {
-                        unreachable!("front checked as update");
-                    };
-                    payloads.push(payload);
-                    clients.push((id, reply));
-                }
-                _ => break,
-            }
+        while payloads.len() < group.max_batch && queue.front().is_some_and(|op| !op.client.read) {
+            let update = queue.pop_front().expect("front checked as update");
+            payloads.push(update.payload);
+            clients.push(update.client);
         }
         let txn = group
             .part

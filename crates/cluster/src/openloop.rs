@@ -137,6 +137,9 @@ pub struct OpenLoopReport {
     pub reads_served: u64,
     /// Refused: partition not distinguished (409 rejected).
     pub rejected: u64,
+    /// Refused: lost a lock race to a rival coordinator (409
+    /// contended).
+    pub contended: u64,
     /// Refused: copy locked (409 busy).
     pub busy: u64,
     /// Aborted: protocol deadline expired (504).
@@ -193,6 +196,7 @@ struct Tally {
     committed: u64,
     reads_served: u64,
     rejected: u64,
+    contended: u64,
     busy: u64,
     timed_out: u64,
     down: u64,
@@ -311,6 +315,7 @@ impl OpenLoop {
             committed: tally.committed,
             reads_served: tally.reads_served,
             rejected: tally.rejected,
+            contended: tally.contended,
             busy: tally.busy,
             timed_out: tally.timed_out,
             down: tally.down,
@@ -475,6 +480,8 @@ fn classify(status: u16, body: &[u8], conn: &OpenConn, tally: &mut Tally) {
         409 => {
             if body.windows(4).any(|w| w == b"busy") {
                 tally.busy += 1;
+            } else if body.windows(9).any(|w| w == b"contended") {
+                tally.contended += 1;
             } else {
                 tally.rejected += 1;
             }

@@ -173,7 +173,7 @@ impl fmt::Debug for ConnTx {
 }
 
 /// One peer's accumulating outbound batch: `count` length-prefixed
-/// message bodies concatenated in `bodies` (see
+/// item bodies (messages and relays) concatenated in `bodies` (see
 /// [`wire::encode_batch_into`]).
 #[derive(Default)]
 struct PeerBatch {
@@ -207,14 +207,25 @@ impl ReactorTransport {
     }
 }
 
-impl Transport for ReactorTransport {
-    fn send(&mut self, to: SiteId, msg: &Message) {
+impl ReactorTransport {
+    /// Stage one item body for `to`'s next batch.
+    fn stage(&mut self, to: SiteId, fill: impl FnOnce(&mut Vec<u8>)) {
         let Some(batch) = self.bufs.get_mut(to.index()) else {
             return;
         };
-        wire::encode_frame_into(&mut batch.bodies, |out| wire::encode_message_into(out, msg));
+        wire::encode_frame_into(&mut batch.bodies, fill);
         batch.count += 1;
         self.staged = true;
+    }
+}
+
+impl Transport for ReactorTransport {
+    fn send(&mut self, to: SiteId, msg: &Message) {
+        self.stage(to, |out| wire::encode_message_into(out, msg));
+    }
+
+    fn relay(&mut self, to: SiteId, relay: wire::Relay) {
+        self.stage(to, |out| wire::encode_relay_into(out, &relay));
     }
 
     fn flush(&mut self) {
@@ -338,8 +349,8 @@ pub(crate) struct Reactor {
     open_conns: usize,
     stats: Arc<NetStats>,
     scratch: Vec<u8>,
-    /// Reusable landing buffer for a decoded batch's messages.
-    msg_scratch: Vec<Message>,
+    /// Reusable landing buffer for a decoded batch's items.
+    msg_scratch: Vec<wire::PeerFrame>,
 }
 
 impl Reactor {
@@ -817,8 +828,8 @@ impl Reactor {
             ConnKind::PeerIn { from } => {
                 conn.decoder.extend(&self.scratch[start..n]);
                 loop {
-                    // A frame is a single message or a MSG_BATCH
-                    // envelope; either way the messages are collected
+                    // A frame is a single item or a MSG_BATCH
+                    // envelope; either way the items are collected
                     // into the reusable scratch (the frame body borrows
                     // the decoder, so the inbox send happens after).
                     let msgs = &mut self.msg_scratch;
@@ -836,8 +847,14 @@ impl Reactor {
                             self.stats.bump_frame_in();
                             let mut msgs = std::mem::take(&mut self.msg_scratch);
                             let mut ok = true;
-                            for msg in msgs.drain(..) {
-                                if ok && self.inbox.send(NodeEvent::Peer { from, msg }).is_err() {
+                            for item in msgs.drain(..) {
+                                let event = match item {
+                                    wire::PeerFrame::Msg(msg) => NodeEvent::Peer { from, msg },
+                                    wire::PeerFrame::Relay(relay) => {
+                                        NodeEvent::Relay { from, relay }
+                                    }
+                                };
+                                if ok && self.inbox.send(event).is_err() {
                                     ok = false;
                                 }
                             }

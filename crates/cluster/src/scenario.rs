@@ -132,6 +132,20 @@ pub fn run_cluster_config(config: &ClusterConfig, script: &[ScriptOp]) -> (Fixpo
             other => panic!("probe returned {other:?}"),
         }
     }
+    // Steps run to quiescence, so no two coordinators ever met: the
+    // cluster must not have learned a route or forwarded an op.
+    for i in 0..n {
+        let stats = cluster.shard_stats(SiteId(i as u8));
+        assert_eq!(
+            (
+                stats.contended(),
+                stats.routed_objects(),
+                stats.forwarded_out()
+            ),
+            (0, 0, 0),
+            "site {i} raced in a quiesced script"
+        );
+    }
     let audit = cluster.audit().expect("audit");
     let tallies = cluster.event_tallies();
     cluster.shutdown();

@@ -23,6 +23,7 @@
 //!   [`crate::wire::ClientOp::NetStats`] client op.
 
 use crate::node::NodeEvent;
+use crate::wire::Relay;
 use dynvote_core::SiteId;
 use dynvote_protocol::Message;
 use std::io;
@@ -97,6 +98,10 @@ pub trait Transport: Send {
     /// until [`Transport::flush`].
     fn send(&mut self, to: SiteId, msg: &Message);
 
+    /// Deliver a relayed client op or its answer to site `to`, on the
+    /// same best-effort terms (and the same link) as [`Transport::send`].
+    fn relay(&mut self, to: SiteId, relay: Relay);
+
     /// Push any buffered frames to the wire. The node runtime calls
     /// this once per event-loop batch (and on idle timeouts); eager
     /// transports need not override the no-op default.
@@ -126,6 +131,15 @@ impl Transport for ChannelTransport {
             let _ = peer.send(NodeEvent::Peer {
                 from: self.from,
                 msg: msg.clone(),
+            });
+        }
+    }
+
+    fn relay(&mut self, to: SiteId, relay: Relay) {
+        if let Some(peer) = self.peers.get(to.index()) {
+            let _ = peer.send(NodeEvent::Relay {
+                from: self.from,
+                relay,
             });
         }
     }

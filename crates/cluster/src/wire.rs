@@ -102,8 +102,16 @@ pub enum ClientReply {
     },
     /// The read was served from a distinguished partition.
     ReadServed,
-    /// Refused: the partition was not distinguished.
+    /// Refused: the partition was not distinguished — this partition
+    /// may not write.
     Rejected,
+    /// Refused: the round lost a lock race to a rival coordinator. Says
+    /// nothing about availability; the same op is likely to commit when
+    /// sent again.
+    Contended,
+    /// Refused: the key names no object this cluster hosts. Definite —
+    /// sending it again cannot succeed.
+    UnknownKey,
     /// Refused: the local copy was locked by another transaction.
     Busy,
     /// Refused at admission: the object's pending-op queue is full.
@@ -193,6 +201,39 @@ pub enum ClientReply {
         /// One counter per [`crate::ShardStats::names`] entry.
         counts: Vec<u64>,
     },
+}
+
+/// A client op in transit between two nodes (single-writer routing,
+/// see DESIGN.md): the node a client talks to hands the op to the
+/// object's home site and relays that site's answer.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Relay {
+    /// Origin to home: run this op as if a client of yours had sent it.
+    Forward {
+        /// The origin's handle for the op, echoed in the reply.
+        id: u64,
+        /// The object (shard) the op addresses.
+        key: u32,
+        /// `true` for a read-only request, `false` for an update.
+        read: bool,
+    },
+    /// Home to origin: the outcome of forwarded op `id`.
+    ForwardReply {
+        /// The handle the `Forward` carried.
+        id: u64,
+        /// What the home site's round (or admission) answered.
+        reply: ClientReply,
+    },
+}
+
+/// One item of a peer link's stream: a protocol message or a relayed
+/// client op.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PeerFrame {
+    /// A protocol [`Message`].
+    Msg(Message),
+    /// A [`Relay`].
+    Relay(Relay),
 }
 
 // The primitive `put_*` encoders and the `Reader` decoder live in
@@ -361,21 +402,69 @@ pub fn encode_batch_into(out: &mut Vec<u8>, count: u32, bodies: &[u8]) {
     out.extend_from_slice(bodies);
 }
 
-/// Decode a peer frame body that is either a single protocol message or
-/// a batch, feeding each decoded [`Message`] to `sink` in order.
-/// Returns the number of messages delivered.
-pub fn decode_peer_frame(body: &[u8], mut sink: impl FnMut(Message)) -> Result<u32, WireError> {
+/// Body tag of a [`Relay::Forward`] item; like every peer body tag it
+/// is distinct from the message tags (1–9) and [`MSG_BATCH_TAG`].
+pub const FORWARD_TAG: u8 = 11;
+/// Body tag of a [`Relay::ForwardReply`] item.
+pub const FORWARD_REPLY_TAG: u8 = 12;
+
+/// Append a [`Relay`] body to `out` (not cleared). It travels on a peer
+/// link wherever a message body does: alone in a frame, or as one item
+/// of a batch.
+pub fn encode_relay_into(out: &mut Vec<u8>, relay: &Relay) {
+    match relay {
+        Relay::Forward { id, key, read } => {
+            put_u8(out, FORWARD_TAG);
+            put_u64(out, *id);
+            put_u32(out, *key);
+            put_u8(out, u8::from(*read));
+        }
+        Relay::ForwardReply { id, reply } => {
+            put_u8(out, FORWARD_REPLY_TAG);
+            encode_reply_into(out, *id, reply);
+        }
+    }
+}
+
+/// Decode one peer item: a [`Relay`] or a protocol message.
+fn decode_peer_item(body: &[u8]) -> Result<PeerFrame, WireError> {
+    match body.first() {
+        Some(&FORWARD_TAG) => {
+            let mut r = Reader::new(&body[1..]);
+            let relay = Relay::Forward {
+                id: r.u64()?,
+                key: r.u32()?,
+                read: match r.u8()? {
+                    0 => false,
+                    1 => true,
+                    tag => return Err(WireError::BadTag(tag)),
+                },
+            };
+            r.finish(PeerFrame::Relay(relay))
+        }
+        Some(&FORWARD_REPLY_TAG) => {
+            let (id, reply) = decode_reply(&body[1..])?;
+            Ok(PeerFrame::Relay(Relay::ForwardReply { id, reply }))
+        }
+        _ => decode_message(body).map(PeerFrame::Msg),
+    }
+}
+
+/// Decode a peer frame body that is either a single item (a protocol
+/// message or a [`Relay`]) or a batch of them, feeding each to `sink`
+/// in order. Returns the number of items delivered.
+pub fn decode_peer_frame(body: &[u8], mut sink: impl FnMut(PeerFrame)) -> Result<u32, WireError> {
     if body.first() == Some(&MSG_BATCH_TAG) {
         let mut r = Reader::new(&body[1..]);
         let count = r.u32()?;
         for _ in 0..count {
             let len = r.u32()? as usize;
-            let msg_body = r.take(len)?;
-            sink(decode_message(msg_body)?);
+            let item = r.take(len)?;
+            sink(decode_peer_item(item)?);
         }
         r.finish(count)
     } else {
-        sink(decode_message(body)?);
+        sink(decode_peer_item(body)?);
         Ok(1)
     }
 }
@@ -555,6 +644,8 @@ pub fn encode_reply_into(out: &mut Vec<u8>, id: u64, reply: &ClientReply) {
         // Tag 14: appended after every pre-pipelining reply tag so old
         // decoders only ever see it when talking to a new server.
         ClientReply::Overloaded => put_u8(out, 14),
+        ClientReply::Contended => put_u8(out, 15),
+        ClientReply::UnknownKey => put_u8(out, 16),
     }
 }
 
@@ -649,6 +740,8 @@ pub fn decode_reply(body: &[u8]) -> Result<(u64, ClientReply), WireError> {
             ClientReply::ShardStats { workers, counts }
         }
         14 => ClientReply::Overloaded,
+        15 => ClientReply::Contended,
+        16 => ClientReply::UnknownKey,
         tag => return Err(WireError::BadTag(tag)),
     };
     r.finish((id, reply))
@@ -961,6 +1054,8 @@ mod tests {
                 counts: Vec::new(),
             },
             ClientReply::Overloaded,
+            ClientReply::Contended,
+            ClientReply::UnknownKey,
         ];
         for (i, reply) in replies.into_iter().enumerate() {
             let bytes = encode_reply(i as u64, &reply);
@@ -1003,17 +1098,18 @@ mod tests {
         }
         let mut frame = Vec::new();
         encode_batch_into(&mut frame, msgs.len() as u32, &bodies);
+        let framed: Vec<PeerFrame> = msgs.iter().cloned().map(PeerFrame::Msg).collect();
         let mut decoded = Vec::new();
         let n = decode_peer_frame(&frame, |m| decoded.push(m)).unwrap();
         assert_eq!(n, 5);
-        assert_eq!(decoded, msgs);
+        assert_eq!(decoded, framed);
 
         // A single bare message still decodes through the same entry
         // point (count 1), so mixed senders interoperate.
         let single = encode_message(&msgs[0]);
         let mut decoded = Vec::new();
         assert_eq!(decode_peer_frame(&single, |m| decoded.push(m)), Ok(1));
-        assert_eq!(decoded, vec![msgs[0].clone()]);
+        assert_eq!(decoded, framed[..1]);
 
         // Hostile batches: truncated inner body, trailing bytes, bad
         // inner message — all typed errors, never panics.
@@ -1026,6 +1122,131 @@ mod tests {
             decode_peer_frame(&trailing, |_| ()),
             Err(WireError::TrailingBytes(1))
         );
+    }
+
+    /// One value of each relay kind for every data-plane reply, plus a
+    /// reply that carries a vector.
+    fn sample_relays() -> Vec<Relay> {
+        let mut relays = vec![
+            Relay::Forward {
+                id: 1,
+                key: 0,
+                read: false,
+            },
+            Relay::Forward {
+                id: u64::MAX,
+                key: u32::MAX,
+                read: true,
+            },
+        ];
+        for (i, reply) in [
+            ClientReply::Committed { version: 9 },
+            ClientReply::ReadServed,
+            ClientReply::Rejected,
+            ClientReply::Contended,
+            ClientReply::UnknownKey,
+            ClientReply::Overloaded,
+            ClientReply::TimedOut,
+            ClientReply::Down,
+            ClientReply::Events { counts: vec![1, 2] },
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            relays.push(Relay::ForwardReply {
+                id: i as u64,
+                reply,
+            });
+        }
+        relays
+    }
+
+    #[test]
+    fn relays_round_trip_alone_and_in_a_batch_beside_messages() {
+        let relays = sample_relays();
+        for relay in &relays {
+            let mut body = Vec::new();
+            encode_relay_into(&mut body, relay);
+            let mut decoded = Vec::new();
+            assert_eq!(decode_peer_frame(&body, |f| decoded.push(f)), Ok(1));
+            assert_eq!(decoded, vec![PeerFrame::Relay(relay.clone())]);
+            // A relay is not a protocol message.
+            assert!(decode_message(&body).is_err());
+        }
+        // One batch, as the transport builds it: a vote request, then
+        // every relay.
+        let vote = Message::VoteRequest { txn: txn(0, 1) };
+        let mut bodies = Vec::new();
+        encode_frame_into(&mut bodies, |out| encode_message_into(out, &vote));
+        for relay in &relays {
+            encode_frame_into(&mut bodies, |out| encode_relay_into(out, relay));
+        }
+        let mut frame = Vec::new();
+        encode_batch_into(&mut frame, relays.len() as u32 + 1, &bodies);
+        let mut decoded = Vec::new();
+        decode_peer_frame(&frame, |f| decoded.push(f)).unwrap();
+        let mut expected = vec![PeerFrame::Msg(vote)];
+        expected.extend(relays.into_iter().map(PeerFrame::Relay));
+        assert_eq!(decoded, expected);
+    }
+
+    #[test]
+    fn hostile_relay_bytes_are_errors_not_panics() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x0F0A_57ED);
+        let valid: Vec<Vec<u8>> = sample_relays()
+            .iter()
+            .map(|relay| {
+                let mut body = Vec::new();
+                encode_relay_into(&mut body, relay);
+                body
+            })
+            .collect();
+        for body in &valid {
+            // Every strict prefix is truncated; trailing junk is
+            // rejected, never ignored.
+            for cut in 1..body.len() {
+                assert!(decode_peer_frame(&body[..cut], |_| ()).is_err());
+            }
+            let mut long = body.clone();
+            long.push(0);
+            assert!(decode_peer_frame(&long, |_| ()).is_err());
+        }
+        for round in 0..20_000 {
+            // Arbitrary bytes behind each relay tag and the batch tag,
+            // and valid bodies with bytes flipped.
+            let mut body: Vec<u8> = if round % 2 == 0 {
+                let len = rng.gen_range(0..48);
+                let tag = [FORWARD_TAG, FORWARD_REPLY_TAG, MSG_BATCH_TAG][round / 2 % 3];
+                std::iter::once(tag)
+                    .chain((0..len).map(|_| rng.gen::<u32>() as u8))
+                    .collect()
+            } else {
+                valid[rng.gen_range(0..valid.len())].clone()
+            };
+            if round % 2 == 1 {
+                for _ in 0..rng.gen_range(1..4) {
+                    let at = rng.gen_range(0..body.len());
+                    body[at] = rng.gen::<u32>() as u8;
+                }
+            }
+            // Whatever it decodes to, it must not panic or allocate
+            // from an unchecked length.
+            let _ = decode_peer_frame(&body, |_| ());
+        }
+        // A forward's read flag is a strict boolean.
+        let mut body = Vec::new();
+        encode_relay_into(
+            &mut body,
+            &Relay::Forward {
+                id: 3,
+                key: 4,
+                read: true,
+            },
+        );
+        *body.last_mut().unwrap() = 2;
+        assert_eq!(decode_peer_frame(&body, |_| ()), Err(WireError::BadTag(2)));
     }
 
     #[test]

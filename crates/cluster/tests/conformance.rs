@@ -360,6 +360,14 @@ fn run_keyed_and_check(config: &ClusterConfig, label: &str, refs: &[Fixpoint]) {
             "{label}: object {o} metadata bytes diverge"
         );
     }
+    for i in 0..n {
+        let stats = cluster.shard_stats(SiteId(i as u8));
+        assert_eq!(
+            (stats.routed_objects(), stats.forwarded_out()),
+            (0, 0),
+            "{label}: site {i} routed ops in a quiesced script"
+        );
+    }
     let audit = cluster.audit().expect("audit");
     assert!(audit.consistent, "{label}: {:?}", audit.violations);
     assert_eq!(

@@ -69,12 +69,29 @@ fn post_op_commits_and_status_reports_metadata() {
     assert!(body.contains("\"algorithm\":\"hybrid\""), "{body}");
     assert!(body.contains("\"vn\":1"), "{body}");
     assert!(body.contains("\"reachable\""), "{body}");
+    // One client, no rival: the routing readings are there and zero.
+    assert!(
+        body.ends_with(
+            "\"contended\":0,\"routed_objects\":0,\"forwarded_out\":0,\
+             \"forwarded_in\":0,\"forward_timeouts\":0}"
+        ),
+        "{body}"
+    );
 
     let (status, body) = roundtrip(
         addr,
         "GET /metrics HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
     );
     assert_eq!(status, 200, "metrics reply: {body}");
+    for sample in [
+        "dynvote_contended_total{site=\"0\"} 0",
+        "dynvote_routed_objects{site=\"0\"} 0",
+        "dynvote_forwarded_out_total{site=\"0\"} 0",
+        "dynvote_forwarded_in_total{site=\"0\"} 0",
+        "dynvote_forward_timeouts_total{site=\"0\"} 0",
+    ] {
+        assert!(body.contains(sample), "no {sample} in {body}");
+    }
     assert!(body.contains("dynvote_event_total"), "{body}");
     assert!(body.contains("dynvote_net_total"), "{body}");
     assert!(body.contains("dynvote_op_latency_seconds_count"), "{body}");

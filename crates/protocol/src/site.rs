@@ -34,8 +34,13 @@ pub enum ResolveReason {
     Committed,
     /// A read-only request was served (footnote 5: no metadata change).
     ReadServed,
-    /// The partition was not distinguished.
+    /// The partition was not distinguished: with every answering site's
+    /// vote in hand, this partition may not write.
     NotDistinguished,
+    /// The granted votes were not distinguished, but at least one peer
+    /// answered `VoteBusy` — its copy was locked by a rival coordinator.
+    /// A lost lock race, not a statement about the partition.
+    Contended,
     /// The local copy was locked by another transaction.
     LockBusy,
     /// Vote collection or catch-up timed out before a quorum assembled.
@@ -115,6 +120,16 @@ pub enum Action {
         /// they were all suspected and the round closed without them.
         early: bool,
     },
+    /// While coordinating `txn`, this site denied a vote request for the
+    /// same object from rival coordinator `site`. Purely advisory — a
+    /// harness may route later work on the object to one of the two
+    /// instead of racing again; ignoring it is always correct.
+    Rival {
+        /// The local round that met the rival.
+        txn: TxnId,
+        /// The coordinator whose vote request was denied.
+        site: SiteId,
+    },
 }
 
 /// A caller-owned, reusable buffer the kernel appends its [`Action`]s
@@ -187,10 +202,12 @@ impl DurableState {
 enum CoordPhase {
     /// Collecting `(VN, SC, DS)` replies; `replies` includes the
     /// coordinator's own triple, `awaiting` is every peer that has not
-    /// answered yet (granted or busy).
+    /// answered yet (granted or busy), `busy` every peer that answered
+    /// `VoteBusy`.
     Voting {
         replies: Vec<(SiteId, CopyMeta)>,
         awaiting: SiteSet,
+        busy: SiteSet,
     },
     /// Waiting for missing log entries from a current subordinate.
     CatchingUp { members: Vec<(SiteId, CopyMeta)> },
@@ -519,7 +536,11 @@ impl SiteActor {
             extra: Vec::new(),
             read_only,
             group,
-            phase: CoordPhase::Voting { replies, awaiting },
+            phase: CoordPhase::Voting {
+                replies,
+                awaiting,
+                busy: SiteSet::EMPTY,
+            },
         });
         out.push(Action::Broadcast {
             msg: Message::VoteRequest { txn },
@@ -630,6 +651,14 @@ impl SiteActor {
                     to: from,
                     msg: Message::VoteBusy { txn, from: self.id },
                 });
+                if self.volatile.coordinating.is_some() {
+                    // The lock is held for a round coordinated here:
+                    // two coordinators are racing for this object.
+                    out.push(Action::Rival {
+                        txn: holder,
+                        site: from,
+                    });
+                }
                 return;
             }
             _ => {}
@@ -900,7 +929,12 @@ impl SiteActor {
         if coord.txn != txn {
             return;
         }
-        let CoordPhase::Voting { replies, awaiting } = &mut coord.phase else {
+        let CoordPhase::Voting {
+            replies,
+            awaiting,
+            busy,
+        } = &mut coord.phase
+        else {
             return;
         };
         // A duplicate, or a sender we never asked (the wire does not
@@ -909,8 +943,9 @@ impl SiteActor {
             return;
         }
         awaiting.remove(from);
-        if let Some(meta) = vote {
-            replies.push((from, meta));
+        match vote {
+            Some(meta) => replies.push((from, meta)),
+            None => busy.insert(from),
         }
         let silent = *awaiting;
         if silent.is_empty() {
@@ -951,9 +986,10 @@ impl SiteActor {
         let empty_phase = CoordPhase::Voting {
             replies: Vec::new(),
             awaiting: SiteSet::EMPTY,
+            busy: SiteSet::EMPTY,
         };
-        let members = match std::mem::replace(&mut coord.phase, empty_phase) {
-            CoordPhase::Voting { replies, .. } => replies,
+        let (members, busy) = match std::mem::replace(&mut coord.phase, empty_phase) {
+            CoordPhase::Voting { replies, busy, .. } => (replies, busy),
             other => {
                 coord.phase = other;
                 self.volatile.coordinating = Some(coord);
@@ -968,7 +1004,14 @@ impl SiteActor {
             if group {
                 self.group_decision(txn, false, Vec::new(), out);
             } else {
-                self.abort_coordinated(txn, ResolveReason::NotDistinguished, out);
+                // Same abort either way; only the label says whether a
+                // rival's lock stood between this round and a quorum.
+                let reason = if busy.is_empty() {
+                    ResolveReason::NotDistinguished
+                } else {
+                    ResolveReason::Contended
+                };
+                self.abort_coordinated(txn, reason, out);
             }
             return;
         }
@@ -1041,6 +1084,7 @@ impl SiteActor {
         let empty_phase = CoordPhase::Voting {
             replies: Vec::new(),
             awaiting: SiteSet::EMPTY,
+            busy: SiteSet::EMPTY,
         };
         let members = match std::mem::replace(&mut coord.phase, empty_phase) {
             CoordPhase::CatchingUp { members } => members,
@@ -1133,6 +1177,7 @@ impl SiteActor {
         let empty_phase = CoordPhase::Voting {
             replies: Vec::new(),
             awaiting: SiteSet::EMPTY,
+            busy: SiteSet::EMPTY,
         };
         let members = match std::mem::replace(&mut coord.phase, empty_phase) {
             CoordPhase::Decided {
@@ -1180,6 +1225,7 @@ impl SiteActor {
             phase: CoordPhase::Voting {
                 replies: Vec::new(),
                 awaiting: SiteSet::EMPTY,
+                busy: SiteSet::EMPTY,
             },
         };
         self.commit_with(coord, members.to_vec(), out);

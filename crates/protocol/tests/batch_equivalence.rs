@@ -51,7 +51,8 @@ fn pump(sites: &mut [ShardedSite], seed: Vec<Action>, from: SiteId) {
                     | Action::Resolved { .. }
                     | Action::CommitRecorded { .. }
                     | Action::DecisionReady { .. }
-                    | Action::Unanswered { .. } => {}
+                    | Action::Unanswered { .. }
+                    | Action::Rival { .. } => {}
                 }
             }
         };

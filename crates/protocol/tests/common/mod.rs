@@ -3,7 +3,9 @@
 //! optionally, the per-site peer-suspicion bookkeeping a live node
 //! does (learn from `Unanswered` at the deadline, forget on a frame
 //! from a suspected peer, wipe on crash), so a run with the hint can be
-//! compared with a run without it.
+//! compared with a run without it. Likewise the node's single-writer
+//! routing (learn a home from `Rival`, hand later updates to it, bypass
+//! an unreachable home, wipe on crash) can be switched on.
 
 // Each test binary that includes this module uses a different subset.
 #![allow(dead_code)]
@@ -25,6 +27,13 @@ pub struct Net {
     pub closed_early: u64,
     /// `Unanswered` actions seen at a deadline.
     pub deadlines_missed: u64,
+    /// `Some` = act on `Rival` as a node does: per site, the
+    /// lower-numbered site it last raced, if any.
+    homes: Option<Vec<Option<SiteId>>>,
+    /// `Rival` actions seen.
+    pub rivals: u64,
+    /// Updates coordinated at their origin's home instead of the origin.
+    pub forwarded: u64,
 }
 
 impl Net {
@@ -40,7 +49,22 @@ impl Net {
             timers: Vec::new(),
             closed_early: 0,
             deadlines_missed: 0,
+            homes: None,
+            rivals: 0,
+            forwarded: 0,
         }
+    }
+
+    /// Switch single-writer routing on (see [`Net::submit_update`]).
+    pub fn routed(mut self) -> Net {
+        self.homes = Some(vec![None; self.n()]);
+        self
+    }
+
+    /// Where `site` sends its updates (`None` when it coordinates them
+    /// itself or routing is off).
+    pub fn home_of(&self, site: SiteId) -> Option<SiteId> {
+        self.homes.as_ref().and_then(|homes| homes[site.index()])
     }
 
     fn n(&self) -> usize {
@@ -86,6 +110,15 @@ impl Net {
                     self.deadlines_missed += 1;
                     if let Some(sets) = self.suspected.as_mut() {
                         sets[site.index()] = sets[site.index()].union(sites);
+                    }
+                }
+                Action::Rival { site: rival, .. } => {
+                    self.rivals += 1;
+                    // As the node does: hints point strictly downward.
+                    if let Some(home) = self.homes.as_mut().map(|homes| &mut homes[site.index()]) {
+                        if rival < site {
+                            *home = Some(home.map_or(rival, |known| known.min(rival)));
+                        }
                     }
                 }
                 Action::Resolved { .. }
@@ -167,6 +200,19 @@ impl Net {
         self.stage(site, out);
     }
 
+    /// A client update arrives at `site`: with routing on and a
+    /// reachable home on record it is coordinated there — one hop, the
+    /// home's own hint is not consulted — otherwise at `site` itself.
+    pub fn submit_update(&mut self, site: SiteId, payload: u64) {
+        match self.home_of(site).filter(|&home| self.linked(site, home)) {
+            Some(home) => {
+                self.forwarded += 1;
+                self.start_update(home, payload);
+            }
+            None => self.start_update(site, payload),
+        }
+    }
+
     pub fn crash(&mut self, site: SiteId) {
         if self.down.contains(site) {
             return;
@@ -176,6 +222,9 @@ impl Net {
         self.timers.retain(|(s, _, _)| *s != site);
         if let Some(sets) = self.suspected.as_mut() {
             sets[site.index()] = SiteSet::EMPTY;
+        }
+        if let Some(homes) = self.homes.as_mut() {
+            homes[site.index()] = None;
         }
     }
 

@@ -9,9 +9,10 @@ mod common;
 use common::Net;
 use dynvote_core::{AlgorithmKind, CopyMeta, LinearOrder, SiteId, SiteSet};
 use dynvote_protocol::{
-    Action, CountingSink, EventKind, Message, ResolveReason, SiteActor, StatusOutcome, TimerKind,
-    TxnId,
+    Action, CountingSink, EventKind, Message, ObjectId, ResolveReason, ShardedSite, SiteActor,
+    StatusOutcome, TimerKind, TxnId,
 };
+use proptest::prelude::*;
 use std::sync::Arc;
 
 fn site(id: u8, n: usize) -> SiteActor {
@@ -366,7 +367,8 @@ fn vote_busy_from_an_unsuspected_site_counts_as_an_answer() {
 
 /// The early close is never a refusal: when the replies in hand are not
 /// distinguished the round keeps the full deadline for the suspected
-/// site, and only then aborts — exactly as without the hint.
+/// site, and only then aborts — exactly as without the hint. (Two of
+/// the answers were `VoteBusy`, so the abort is labelled a lost race.)
 #[test]
 fn undistinguished_replies_keep_waiting_for_the_suspected_site() {
     let (mut a, t) = coordinator_suspecting_e();
@@ -390,7 +392,7 @@ fn undistinguished_replies_keep_waiting_for_the_suspected_site() {
     assert!(out.iter().any(|act| matches!(
         act,
         Action::Resolved {
-            reason: ResolveReason::NotDistinguished,
+            reason: ResolveReason::Contended,
             ..
         }
     )));
@@ -465,5 +467,248 @@ fn healed_minority_coordinator_commits_with_all_five() {
     assert_eq!(committed.cardinality, 5);
     for site in &net.sites {
         assert_eq!(site.meta(), committed, "site {}", site.id());
+    }
+}
+
+// ----- contention: a truthful label and an advisory action -------------
+
+/// How the round `t` coordinated at `a` ended, if `actions` end it.
+fn resolved(actions: &[Action], t: TxnId) -> Option<ResolveReason> {
+    actions.iter().find_map(|act| match act {
+        Action::Resolved { txn, reason } if *txn == t => Some(*reason),
+        _ => None,
+    })
+}
+
+/// The same two granted votes out of five abort the round either way;
+/// the label says why the other three are missing. A site that answered
+/// `VoteBusy` was reachable and locked by a rival: `Contended`. Sites
+/// that never answered leave `NotDistinguished` — this partition may
+/// not write. Both are one `aborted` event, as before.
+#[test]
+fn a_lost_lock_race_is_contended_and_a_minority_is_not_distinguished() {
+    let sink = Arc::new(CountingSink::new());
+    let aborted = |sink: &CountingSink| sink.tallies().count(SiteId(0), EventKind::Aborted);
+
+    let mut raced = site(0, 5);
+    raced.set_sink(sink.clone());
+    let t = open_round(&mut raced, 100);
+    assert!(grant(&mut raced, t, 1).is_empty());
+    assert!(busy(&mut raced, t, 2).is_empty());
+    assert!(busy(&mut raced, t, 3).is_empty());
+    let closing = busy(&mut raced, t, 4);
+    assert_eq!(resolved(&closing, t), Some(ResolveReason::Contended));
+    assert!(!raced.is_locked());
+    assert_eq!(aborted(&sink), 1);
+
+    let mut cut_off = site(0, 5);
+    cut_off.set_sink(sink.clone());
+    let t = open_round(&mut cut_off, 100);
+    assert!(grant(&mut cut_off, t, 1).is_empty());
+    let mut closing = Vec::new();
+    cut_off.timer_fired(t, TimerKind::VoteDeadline, &mut closing);
+    assert_eq!(resolved(&closing, t), Some(ResolveReason::NotDistinguished));
+    assert_eq!(aborted(&sink), 2);
+
+    // One busy voter does not relabel a round that commits anyway.
+    let mut won = site(0, 5);
+    let t = open_round(&mut won, 100);
+    for from in 1..=3 {
+        assert!(grant(&mut won, t, from).is_empty());
+    }
+    let closing = busy(&mut won, t, 4);
+    assert_eq!(resolved(&closing, t), Some(ResolveReason::Committed));
+    assert_eq!(committed_participants(&closing), Some(sites("ABCD")));
+}
+
+fn rivals(actions: &[Action]) -> Vec<(TxnId, SiteId)> {
+    actions
+        .iter()
+        .filter_map(|act| match act {
+            Action::Rival { txn, site } => Some((*txn, *site)),
+            _ => None,
+        })
+        .collect()
+}
+
+fn denies(actions: &[Action]) -> bool {
+    actions.iter().any(|act| {
+        matches!(
+            act,
+            Action::Send {
+                msg: Message::VoteBusy { .. },
+                ..
+            }
+        )
+    })
+}
+
+/// `Rival` is what a *coordinator* says when it turns away another
+/// coordinator of the same object — not what any locked site says.
+#[test]
+fn rival_is_emitted_only_while_coordinating_the_same_object() {
+    // Coordinating: the denial names the local round and the rival.
+    let mut a = site(1, 5);
+    let mine = open_round(&mut a, 100);
+    let out = deliver(&mut a, SiteId(0), Message::VoteRequest { txn: txn(0, 1) });
+    assert!(denies(&out));
+    assert_eq!(rivals(&out), vec![(mine, SiteId(0))]);
+    // ...for every rival, whichever way the numbering points.
+    let out = deliver(&mut a, SiteId(3), Message::VoteRequest { txn: txn(3, 1) });
+    assert_eq!(rivals(&out), vec![(mine, SiteId(3))]);
+
+    // Locked as a subordinate: a plain denial.
+    let mut b = site(1, 5);
+    deliver(&mut b, SiteId(0), Message::VoteRequest { txn: txn(0, 1) });
+    let out = deliver(&mut b, SiteId(2), Message::VoteRequest { txn: txn(2, 1) });
+    assert!(denies(&out));
+    assert!(rivals(&out).is_empty());
+
+    // Idle: a grant.
+    let mut c = site(1, 5);
+    let out = deliver(&mut c, SiteId(0), Message::VoteRequest { txn: txn(0, 1) });
+    assert!(!denies(&out) && rivals(&out).is_empty());
+
+    // Coordinating object 0 while a request for object 1 arrives: the
+    // two shards share nothing, so it is granted without comment.
+    let mut node = ShardedSite::new(SiteId(1), 5, 2, || AlgorithmKind::Hybrid.instantiate(5));
+    let mut out = Vec::new();
+    assert!(node.start_update(ObjectId(0), 100, &mut out));
+    out.clear();
+    let other = TxnId::keyed(SiteId(0), 1, ObjectId(1));
+    node.handle_message(SiteId(0), Message::VoteRequest { txn: other }, &mut out);
+    assert!(!denies(&out) && rivals(&out).is_empty());
+    let same = TxnId::keyed(SiteId(0), 2, ObjectId(0));
+    node.handle_message(SiteId(0), Message::VoteRequest { txn: same }, &mut out);
+    assert_eq!(rivals(&out).len(), 1);
+
+    // Once the round is over the site is a subordinate like any other.
+    let mut d = site(1, 5);
+    let t = open_round(&mut d, 100);
+    for from in [0, 2, 3] {
+        busy(&mut d, t, from);
+    }
+    busy(&mut d, t, 4);
+    assert!(!d.is_locked());
+    let out = deliver(&mut d, SiteId(0), Message::VoteRequest { txn: txn(0, 1) });
+    assert!(!denies(&out) && rivals(&out).is_empty());
+}
+
+/// Routing must actually bite, or the equivalence below is vacuous: B
+/// races A once, and from then on B's updates are coordinated at A.
+#[test]
+fn the_loser_of_a_race_hands_its_next_update_to_the_winner() {
+    let (a, b) = (SiteId(0), SiteId(1));
+    let mut net = Net::new(AlgorithmKind::Hybrid, 5, false).routed();
+    net.start_update(a, 1);
+    net.start_update(b, 2);
+    net.settle();
+    assert_eq!(net.rivals, 2, "each coordinator turned the other away");
+    assert_eq!(net.home_of(b), Some(a));
+    assert_eq!(net.home_of(a), None, "hints point downward only");
+    assert_eq!(net.sites[0].meta().version, 1, "one of the two committed");
+
+    let rounds_at_a = net.sites[0].durable().next_seq;
+    let rounds_at_b = net.sites[1].durable().next_seq;
+    net.submit_update(b, 3);
+    net.settle();
+    assert_eq!(net.forwarded, 1);
+    assert_eq!(net.sites[0].durable().next_seq, rounds_at_a + 1);
+    assert_eq!(net.sites[1].durable().next_seq, rounds_at_b);
+    assert_eq!(net.sites[1].meta().version, 2);
+
+    // A home that cannot be reached is bypassed, and a crash forgets it.
+    net.crash(a);
+    net.submit_update(b, 4);
+    net.settle();
+    assert_eq!(net.forwarded, 1);
+    assert_eq!(net.sites[1].meta().version, 3);
+    net.crash(b);
+    assert_eq!(net.home_of(b), None);
+}
+
+#[derive(Debug, Clone, Copy)]
+enum RouteStep {
+    Crash(u8),
+    Recover(u8),
+    Update(u8),
+    /// Two sites start a round at the same instant — the only way a
+    /// hint is ever learned.
+    Race(u8, u8),
+}
+
+fn route_script() -> impl Strategy<Value = Vec<RouteStep>> {
+    proptest::collection::vec(
+        (0..8u8, 0..5u8, 0..5u8).prop_map(|(kind, s, t)| match kind {
+            0 => RouteStep::Crash(s),
+            1 => RouteStep::Recover(s),
+            2 | 3 => RouteStep::Race(s, t),
+            _ => RouteStep::Update(s),
+        }),
+        1..=40,
+    )
+}
+
+fn run_route_script(algorithm: AlgorithmKind, script: &[RouteStep], routed: bool) -> Net {
+    let mut net = Net::new(algorithm, 5, false);
+    if routed {
+        net = net.routed();
+    }
+    for (i, step) in script.iter().enumerate() {
+        let payload = 1000 + 2 * i as u64;
+        match *step {
+            RouteStep::Crash(s) => net.crash(SiteId(s)),
+            RouteStep::Recover(s) => net.recover(SiteId(s), payload),
+            RouteStep::Update(s) => {
+                if !net.is_down(SiteId(s)) {
+                    net.submit_update(SiteId(s), payload);
+                }
+            }
+            RouteStep::Race(s, t) => {
+                for (site, payload) in [(s, payload), (t, payload + 1)] {
+                    if !net.is_down(SiteId(site)) {
+                        net.start_update(SiteId(site), payload);
+                    }
+                }
+            }
+        }
+        net.settle();
+    }
+    net
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `Rival` is advisory: a harness that acts on it — coordinating a
+    /// site's later updates at the lower-numbered site it raced — and
+    /// one that ignores it leave every site with byte-identical
+    /// `(VN, SC, DS)` metadata and log, for every algorithm and every
+    /// random crash/recover/race script. Each step runs to rest, so
+    /// the only difference is *where* an update is coordinated.
+    #[test]
+    fn acting_on_rival_changes_no_durable_state(script in route_script()) {
+        for algorithm in AlgorithmKind::ALL {
+            let routed = run_route_script(algorithm, &script, true);
+            let plain = run_route_script(algorithm, &script, false);
+            prop_assert_eq!(plain.forwarded, 0);
+            prop_assert_eq!(routed.rivals, plain.rivals);
+            for (r, p) in routed.sites.iter().zip(&plain.sites) {
+                prop_assert_eq!(
+                    r.meta(),
+                    p.meta(),
+                    "{:?}: site {} metadata diverges",
+                    algorithm,
+                    r.id()
+                );
+                prop_assert_eq!(
+                    r.log(),
+                    p.log(),
+                    "{:?}: site {} log diverges",
+                    algorithm,
+                    r.id()
+                );
+            }
+        }
     }
 }

@@ -135,8 +135,12 @@ pub struct SimStats {
     /// failed submissions by the paper's site-weighted availability
     /// measure).
     pub refused_down: u64,
-    /// Aborted: the partition was not distinguished.
+    /// Aborted: the partition was not distinguished. This is the
+    /// refusal the Markov and Monte-Carlo availability figures predict.
     pub rejected: u64,
+    /// Aborted: a rival coordinator held a voter's lock (a lost lock
+    /// race — says nothing about whether the partition may write).
+    pub contended: u64,
     /// Aborted: the local copy was locked.
     pub lock_busy: u64,
     /// Aborted: votes or catch-up timed out.
@@ -573,10 +577,15 @@ impl Simulation {
                         }
                         ResolveReason::Committed => self.stats.commits += 1,
                         ResolveReason::ReadServed => self.stats.reads_served += 1,
-                        ResolveReason::NotDistinguished | ResolveReason::Timeout if restart => {
+                        ResolveReason::NotDistinguished
+                        | ResolveReason::Contended
+                        | ResolveReason::Timeout
+                            if restart =>
+                        {
                             self.stats.restarts_rejected += 1;
                         }
                         ResolveReason::NotDistinguished => self.stats.rejected += 1,
+                        ResolveReason::Contended => self.stats.contended += 1,
                         ResolveReason::LockBusy => self.stats.lock_busy += 1,
                         ResolveReason::Timeout => self.stats.timeouts += 1,
                     }
@@ -589,10 +598,11 @@ impl Simulation {
                 Action::DecisionReady { .. } => {
                     debug_assert!(false, "single-file engine never starts group legs");
                 }
-                // The simulator keeps no suspicion set: every round
-                // waits for all peers or the deadline, as the paper's
-                // protocol does.
-                Action::Unanswered { .. } => {}
+                // The simulator keeps no suspicion set and no route
+                // table: every round waits for all peers or the
+                // deadline and every site coordinates its own arrivals,
+                // as the paper's protocol does.
+                Action::Unanswered { .. } | Action::Rival { .. } => {}
             }
         }
         self.scratch = actions;

@@ -98,6 +98,7 @@ fn main() {
     println!("updates submitted   {}", stats.submitted);
     println!("commits             {}", stats.commits);
     println!("rejected (quorum)   {}", stats.rejected);
+    println!("contended (race)    {}", stats.contended);
     println!("rejected (locked)   {}", stats.lock_busy);
     println!(
         "messages dropped    {}/{}",
