@@ -11,7 +11,7 @@
 //!   closed-loop clients hammer ONE object through one coordinator,
 //!   the worst case for one-op-per-round dynamic voting, varying only
 //!   `max_batch`. `contended-batch-1` is the single-op baseline (ops
-//!   queue instead of refusing Busy, but every quorum round still
+//!   queue behind the object's lock, but every quorum round still
 //!   seals exactly one entry); `contended-batch-64` lets one
 //!   vote/catch-up/commit round carry up to 64 consecutive log
 //!   entries. The acceptance bar is ≥3x commits/s from 1 → 64.
@@ -109,11 +109,10 @@ fn run(shape: &Shape) -> String {
     );
     cluster.shutdown();
     println!(
-        "{:<26} {:>9} committed  {:>12.0} commits/sec  busy {:>6}  p50 {:>7.3} ms  p99 {:>7.3} ms",
+        "{:<26} {:>9} committed  {:>12.0} commits/sec  p50 {:>7.3} ms  p99 {:>7.3} ms",
         shape.label,
         report.committed,
         report.throughput_per_sec,
-        report.busy,
         report.update_latency.p50_ms,
         report.update_latency.p99_ms
     );

@@ -153,7 +153,7 @@ USAGE:
         every batch as one group-commit record + one fsync.
 
         --max-batch k caps commit pipelining (default 32): ops against a
-        locked object queue per object instead of refusing Busy, and
+        locked object queue per object instead of being refused, and
         when the lock frees, up to k queued updates are sealed by one
         vote/commit round as k consecutive log entries. k=1 disables
         multi-op rounds; an idle object still commits a lone op

@@ -65,7 +65,7 @@ fn connect(port: u16) -> TcpClient {
     }
 }
 
-/// Commit one update, retrying past transient Busy/TimedOut replies.
+/// Commit one update, retrying past transient Contended/TimedOut replies.
 fn commit_update(client: &mut TcpClient, what: &str) -> u64 {
     for _ in 0..50 {
         match client.request(&ClientOp::Update { key: 0 }).expect(what) {

@@ -492,7 +492,6 @@ fn render_reply(reply: &ClientReply) -> (u16, &'static str, String) {
         ClientReply::Rejected => (409, "Conflict", "{\"outcome\":\"rejected\"}".to_owned()),
         ClientReply::Contended => (409, "Conflict", "{\"outcome\":\"contended\"}".to_owned()),
         ClientReply::UnknownKey => (404, "Not Found", "{\"outcome\":\"unknown_key\"}".to_owned()),
-        ClientReply::Busy => (409, "Conflict", "{\"outcome\":\"busy\"}".to_owned()),
         ClientReply::TimedOut => (
             504,
             "Gateway Timeout",
@@ -633,7 +632,6 @@ mod tests {
         assert_eq!(render_reply(&ClientReply::Committed { version: 3 }).0, 200);
         assert_eq!(render_reply(&ClientReply::ReadServed).0, 200);
         assert_eq!(render_reply(&ClientReply::Rejected).0, 409);
-        assert_eq!(render_reply(&ClientReply::Busy).0, 409);
         let (status, _, body) = render_reply(&ClientReply::Contended);
         assert_eq!(status, 409);
         assert_eq!(body, "{\"outcome\":\"contended\"}");

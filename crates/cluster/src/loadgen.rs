@@ -391,8 +391,6 @@ pub struct LoadReport {
     pub contended: u64,
     /// Refused: the key names no hosted object (never worth resending).
     pub unknown_key: u64,
-    /// Refused: copy locked by a concurrent transaction.
-    pub busy: u64,
     /// Aborted: protocol deadline expired.
     pub timed_out: u64,
     /// Refused: target site was crashed.
@@ -461,7 +459,6 @@ impl Serialize for LoadReport {
             ("rejected".to_owned(), self.rejected.serialize()),
             ("contended".to_owned(), self.contended.serialize()),
             ("unknown_key".to_owned(), self.unknown_key.serialize()),
-            ("busy".to_owned(), self.busy.serialize()),
             ("timed_out".to_owned(), self.timed_out.serialize()),
             ("down".to_owned(), self.down.serialize()),
             ("overloaded".to_owned(), self.overloaded.serialize()),
@@ -516,7 +513,6 @@ impl Deserialize for LoadReport {
             rejected: Deserialize::deserialize(&value["rejected"])?,
             contended: section(value, "contended")?,
             unknown_key: section(value, "unknown_key")?,
-            busy: Deserialize::deserialize(&value["busy"])?,
             timed_out: Deserialize::deserialize(&value["timed_out"])?,
             down: Deserialize::deserialize(&value["down"])?,
             overloaded: section(value, "overloaded")?,
@@ -541,7 +537,6 @@ struct Tally {
     rejected: u64,
     contended: u64,
     unknown_key: u64,
-    busy: u64,
     timed_out: u64,
     down: u64,
     overloaded: u64,
@@ -594,7 +589,6 @@ impl LoadGen {
             tally.rejected += t.rejected;
             tally.contended += t.contended;
             tally.unknown_key += t.unknown_key;
-            tally.busy += t.busy;
             tally.timed_out += t.timed_out;
             tally.down += t.down;
             tally.overloaded += t.overloaded;
@@ -616,7 +610,6 @@ impl LoadGen {
             rejected: tally.rejected,
             contended: tally.contended,
             unknown_key: tally.unknown_key,
-            busy: tally.busy,
             timed_out: tally.timed_out,
             down: tally.down,
             overloaded: tally.overloaded,
@@ -668,7 +661,6 @@ fn worker_loop(cfg: LoadGenConfig, index: usize, mut target: Box<dyn WorkloadTar
             Some(ClientReply::Rejected) => tally.rejected += 1,
             Some(ClientReply::Contended) => tally.contended += 1,
             Some(ClientReply::UnknownKey) => tally.unknown_key += 1,
-            Some(ClientReply::Busy) => tally.busy += 1,
             Some(ClientReply::TimedOut) => tally.timed_out += 1,
             Some(ClientReply::Down) => {
                 tally.down += 1;

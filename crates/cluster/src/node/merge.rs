@@ -21,14 +21,14 @@
 //! 5. **Dispatch** — sends and broadcasts go to the transport's batch
 //!    encoder, `SetTimer` arms the wall-clock wheel, `Resolved`
 //!    completes parked clients (or, for a lost lock race, forwards
-//!    them to the object's home), `Unanswered` feeds the scheduler's
-//!    peer-suspicion set and `Rival` its route table.
+//!    them to the object's home), and hints feed the scheduler's
+//!    peer-suspicion set (`Unanswered`) and route table (`Rival`).
 
 use super::worker::ShardPool;
 use super::{Node, Route};
 use crate::wire::ClientReply;
 use dynvote_core::SiteId;
-use dynvote_protocol::{Action, ResolveReason, SiteActor, TxnId};
+use dynvote_protocol::{Action, Hint, ResolveReason, SiteActor, TxnId};
 use std::collections::HashMap;
 
 impl Node {
@@ -53,10 +53,12 @@ impl Node {
                     // — the commit fan-out below acks each at its own
                     // version.
                     Some(txn) => self.pending.entry(txn).or_default().extend(clients),
-                    // The kernel refused to start anything — busy.
+                    // The kernel refused to start anything. `pump`
+                    // only starts rounds on an unlocked shard, so no
+                    // client op gets here; were one to, it never ran.
                     None => {
                         for client in clients {
-                            self.answer(client, ClientReply::Busy);
+                            self.answer(client, ClientReply::Overloaded);
                         }
                     }
                 }
@@ -72,9 +74,7 @@ impl Node {
         // batch is sealed as one record and fsynced (per the fsync
         // policy) before any send or client reply below announces it.
         // One fsync covers every object and every worker the batch
-        // touched. With one worker the stage list is empty — the
-        // shards' direct handles already appended into the store's
-        // pending record — and only the seal runs.
+        // touched.
         if let Some(core) = &self.store {
             let mut core = core.lock().expect("store poisoned");
             for stage in &self.stages {
@@ -166,7 +166,9 @@ impl Node {
                                 ResolveReason::ReadServed => ClientReply::ReadServed,
                                 ResolveReason::NotDistinguished => ClientReply::Rejected,
                                 ResolveReason::Contended => ClientReply::Contended,
-                                ResolveReason::LockBusy => ClientReply::Busy,
+                                // Unreachable for the same reason as
+                                // the refused start above.
+                                ResolveReason::LockBusy => ClientReply::Overloaded,
                                 ResolveReason::Timeout => ClientReply::TimedOut,
                             };
                             self.answer(client, reply);
@@ -177,16 +179,18 @@ impl Node {
                 // the live cluster runs single-file updates only.
                 Action::DecisionReady { .. } => {}
                 Action::CommitRecorded { .. } => {} // handled above
-                Action::Unanswered { early: true, .. } => self.shard_stats.note_closed_early(),
+                Action::Hint(Hint::Unanswered { early: true, .. }) => {
+                    self.shard_stats.note_closed_early();
+                }
                 // A deadline waited for these peers in vain: stop
                 // waiting for them until they are heard from again.
-                Action::Unanswered { sites, .. } => {
+                Action::Hint(Hint::Unanswered { sites, .. }) => {
                     for peer in sites.iter() {
                         self.shard_stats.note_deadline_missed(peer);
                     }
                     self.set_suspected(self.suspected.union(sites));
                 }
-                Action::Rival { txn, site } => self.learn_home(txn.object, site),
+                Action::Hint(Hint::Rival { txn, site }) => self.learn_home(txn.object, site),
             }
         }
         self.merge_buf = batch;

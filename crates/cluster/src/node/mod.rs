@@ -17,9 +17,9 @@
 //!   wall-clock timers, and paces the merge barrier.
 //! * **workers** (`node/worker.rs`) — N threads (none when
 //!   `--shard-threads 1`, the default: the scheduler then runs kernels
-//!   inline), each exclusively owning a [`ShardPartition`] of the
-//!   site's objects. Kernels stay single-threaded and lock-free: the
-//!   partition *is* the synchronization.
+//!   inline), each exclusively owning one [`ShardedSite::split`] piece
+//!   of the site's objects. Kernels stay single-threaded and lock-free:
+//!   the split *is* the synchronization.
 //! * **merge** (`node/merge.rs`) — the barrier that waits for every
 //!   worker's queue to drain, seals every worker's staged WAL ops as
 //!   **one** [`NodeStore`] group-commit record behind one fsync, and
@@ -69,9 +69,7 @@ use dynvote_protocol::{
     Action, CountingSink, DurableState, EventSink, FanoutSink, LogEntry, Message, ObjectId,
     RenderSink, ShardedSite, TimerKind, TxnId,
 };
-use dynvote_storage::{
-    NodeStore, RecoveryReport, ShardHandle, StagedHandle, StorageError, StoreConfig,
-};
+use dynvote_storage::{NodeStore, RecoveryReport, ShardHandle, StorageError, StoreConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
@@ -371,8 +369,8 @@ pub struct Node {
     pub(crate) objects: usize,
     pub(crate) algorithm: AlgorithmKind,
     /// The assembled shard map. `Some` until [`Node::run`] splits it
-    /// into the worker pool's partitions (and transiently during a disk
-    /// reboot, between restore and re-install).
+    /// across the worker pool (and transiently during a disk reboot,
+    /// between restore and re-install).
     pub(crate) site: Option<ShardedSite>,
     /// `Some` when this node owns a data directory: every boot and
     /// every [`ClientOp::Recover`] reloads the kernels' durable state
@@ -418,11 +416,10 @@ pub struct Node {
     /// The pool's observability counters, answering
     /// [`ClientOp::ShardStats`] and shared with the front door.
     pub(crate) shard_stats: Arc<ShardStats>,
-    /// Per-worker WAL staging buffers (durable pools of more than one
-    /// worker): each worker's persistence hooks encode keyed ops into
-    /// its own stage, and the merge barrier drains them into the store
-    /// in worker order — one record, one fsync, no store contention
-    /// while kernels run.
+    /// Per-worker WAL staging buffers, one per worker: each worker's
+    /// persistence hooks encode keyed ops into its own stage, and the
+    /// merge barrier drains them into the store in worker order — one
+    /// record, one fsync, no store contention while kernels run.
     pub(crate) stages: Vec<Arc<Mutex<Vec<u8>>>>,
     /// Clients parked on in-flight transactions. A pipelined round
     /// carries many client ops, so one transaction parks a payload-
@@ -481,7 +478,7 @@ impl Node {
             shard_threads: 1,
             max_batch: DEFAULT_MAX_BATCH,
             shard_stats: Arc::new(ShardStats::new(1, n)),
-            stages: Vec::new(),
+            stages: vec![Arc::default()],
             pending: HashMap::new(),
             routes: route::Routes::default(),
             restart_txns: HashSet::new(),
@@ -503,13 +500,7 @@ impl Node {
         let workers = threads.clamp(1, self.objects.max(1));
         self.shard_threads = workers;
         self.shard_stats = Arc::new(ShardStats::new(workers, self.n));
-        self.stages = if workers > 1 {
-            (0..workers)
-                .map(|_| Arc::new(Mutex::new(Vec::new())))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        self.stages = (0..workers).map(|_| Arc::default()).collect();
         if self.store.is_some() {
             self.install_persistence();
         }
@@ -569,12 +560,9 @@ impl Node {
         Ok(report)
     }
 
-    /// Hook every shard's persistence up to the store: direct
-    /// [`ShardHandle`]s with one worker (ops land straight in the
-    /// store's pending record), per-worker [`StagedHandle`]s otherwise
-    /// (ops land in the owning worker's stage, drained at the merge
-    /// barrier). Both preserve the single checksummed record per
-    /// barrier.
+    /// Hook every shard's persistence up to the store through a
+    /// [`ShardHandle`] on its owning worker's stage, drained at the
+    /// merge barrier into a single checksummed record.
     fn install_persistence(&mut self) {
         let Some(core) = self.store.clone() else {
             return;
@@ -583,14 +571,10 @@ impl Node {
         let Some(site) = self.site.as_mut() else {
             return;
         };
-        if stages.is_empty() {
-            site.set_persistence(|object| Box::new(ShardHandle::new(Arc::clone(&core), object)));
-        } else {
-            site.set_persistence(|object| {
-                let stage = Arc::clone(&stages[object.index() % stages.len()]);
-                Box::new(StagedHandle::new(stage, Arc::clone(&core), object))
-            });
-        }
+        site.set_persistence(|object| {
+            let stage = Arc::clone(&stages[object.index() % stages.len()]);
+            Box::new(ShardHandle::new(stage, Arc::clone(&core), object))
+        });
     }
 
     /// True when this node reloads state from a data directory.

@@ -169,7 +169,6 @@ impl Node {
                         | ClientReply::Rejected
                         | ClientReply::Overloaded
                         | ClientReply::Contended
-                        | ClientReply::Busy
                 );
                 if refused || reply == ClientReply::TimedOut {
                     self.forget_home(object, home);

@@ -18,7 +18,7 @@
 
 use crate::node::Client;
 use dynvote_core::{SiteId, SiteSet};
-use dynvote_protocol::{Action, Message, ObjectId, ShardPartition, ShardedSite, TimerKind, TxnId};
+use dynvote_protocol::{Action, Message, ObjectId, ShardedSite, TimerKind, TxnId};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -361,20 +361,20 @@ pub(crate) const PER_OBJECT_QUEUE_LIMIT: usize = 1024;
 /// The client ops riding one started round, in payload order.
 pub(crate) type RoundClients = Vec<Client>;
 
-/// Everything one worker owns: its shard partition plus the in-progress
+/// Everything one worker owns: its piece of the site plus the in-progress
 /// batch's staged results. Locked by the worker while draining its
 /// queue and by the merge barrier (after [`ShardPool::wait_idle`]) to
 /// collect — never both at once, so the mutex is uncontended.
 #[derive(Debug)]
 pub(crate) struct WorkerGroup {
     /// The shards this worker exclusively owns.
-    pub(crate) part: ShardPartition,
+    pub(crate) part: ShardedSite,
     /// This worker's staged actions for the in-progress batch.
     pub(crate) scratch: Vec<Action>,
     /// Rounds started this batch: the transaction plus every client op
     /// it carries, in payload order — one entry per read round, one per
     /// update batch. `txn` is `None` when the kernel refused to start
-    /// anything (answered `Busy` at merge time).
+    /// anything (answered `Overloaded` at merge time).
     pub(crate) starts: Vec<(Option<TxnId>, RoundClients)>,
     /// Ops refused at the per-object queue bound this batch (answered
     /// `Overloaded` at merge time).
@@ -417,7 +417,7 @@ impl WorkerGroup {
     }
 }
 
-/// Run one item against the group's partition, staging actions into its
+/// Run one item against the group's piece, staging actions into its
 /// scratch. The only code that touches kernels — on the owning worker
 /// thread, or inline on the scheduler with one worker. Client updates
 /// and reads are parked on their object's FIFO first; after every item
@@ -433,7 +433,7 @@ pub(crate) fn process_item(group: &mut WorkerGroup, item: WorkItem) {
             suspected,
         } => {
             group.part.set_suspected(suspected);
-            // Unhosted or foreign-partition objects are dropped, not
+            // Unhosted or foreign-piece objects are dropped, not
             // panicked on: a misrouted frame must not kill the worker.
             group.part.handle_message(from, msg, &mut group.scratch);
         }
@@ -586,8 +586,8 @@ pub(crate) struct ShardPool {
 }
 
 impl ShardPool {
-    /// Partition `sharded` across `workers` groups and, for pools of
-    /// more than one worker, spawn the worker threads
+    /// Split `sharded` across `workers` groups and, for pools of more
+    /// than one worker, spawn the worker threads
     /// (`dynvote-shard-<site>-<worker>`).
     pub(crate) fn launch(
         site: SiteId,
@@ -597,7 +597,7 @@ impl ShardPool {
         max_batch: usize,
     ) -> Self {
         let shareds: Vec<Arc<WorkerShared>> = sharded
-            .into_partitions(workers)
+            .split(workers)
             .into_iter()
             .enumerate()
             .map(|(w, part)| {
@@ -706,10 +706,10 @@ impl ShardPool {
             .collect()
     }
 
-    /// Replace every worker's partition with a freshly restored site's
-    /// — a disk reboot under `ClientOp::Recover`.
+    /// Replace every worker's piece with a freshly restored site's — a
+    /// disk reboot under `ClientOp::Recover`.
     pub(crate) fn install(&self, sharded: ShardedSite) {
-        let parts = sharded.into_partitions(self.workers);
+        let parts = sharded.split(self.workers);
         for (shared, part) in self.shareds.iter().zip(parts) {
             shared.group.lock().expect("shard group poisoned").part = part;
         }

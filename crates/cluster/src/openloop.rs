@@ -140,8 +140,6 @@ pub struct OpenLoopReport {
     /// Refused: lost a lock race to a rival coordinator (409
     /// contended).
     pub contended: u64,
-    /// Refused: copy locked (409 busy).
-    pub busy: u64,
     /// Aborted: protocol deadline expired (504).
     pub timed_out: u64,
     /// Refused: site crashed (503).
@@ -197,7 +195,6 @@ struct Tally {
     reads_served: u64,
     rejected: u64,
     contended: u64,
-    busy: u64,
     timed_out: u64,
     down: u64,
     rejected_429: u64,
@@ -316,7 +313,6 @@ impl OpenLoop {
             reads_served: tally.reads_served,
             rejected: tally.rejected,
             contended: tally.contended,
-            busy: tally.busy,
             timed_out: tally.timed_out,
             down: tally.down,
             rejected_429: tally.rejected_429,
@@ -478,9 +474,7 @@ fn classify(status: u16, body: &[u8], conn: &OpenConn, tally: &mut Tally) {
             }
         }
         409 => {
-            if body.windows(4).any(|w| w == b"busy") {
-                tally.busy += 1;
-            } else if body.windows(9).any(|w| w == b"contended") {
+            if body.windows(9).any(|w| w == b"contended") {
                 tally.contended += 1;
             } else {
                 tally.rejected += 1;

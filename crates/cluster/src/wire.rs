@@ -112,11 +112,8 @@ pub enum ClientReply {
     /// Refused: the key names no object this cluster hosts. Definite —
     /// sending it again cannot succeed.
     UnknownKey,
-    /// Refused: the local copy was locked by another transaction.
-    Busy,
-    /// Refused at admission: the object's pending-op queue is full.
-    /// Distinct from [`ClientReply::Busy`] — the op never reached the
-    /// protocol; retry after backing off.
+    /// Refused at admission: the object's pending-op queue is full. The
+    /// op never reached the protocol; retry after backing off.
     Overloaded,
     /// Aborted: vote collection or catch-up timed out.
     TimedOut,
@@ -557,7 +554,7 @@ pub fn encode_reply_into(out: &mut Vec<u8>, id: u64, reply: &ClientReply) {
         }
         ClientReply::ReadServed => put_u8(out, 1),
         ClientReply::Rejected => put_u8(out, 2),
-        ClientReply::Busy => put_u8(out, 3),
+        // Tag 3 was the retired `Busy` reply; it is not reused.
         ClientReply::TimedOut => put_u8(out, 4),
         ClientReply::Down => put_u8(out, 5),
         ClientReply::Ok => put_u8(out, 6),
@@ -657,7 +654,6 @@ pub fn decode_reply(body: &[u8]) -> Result<(u64, ClientReply), WireError> {
         0 => ClientReply::Committed { version: r.u64()? },
         1 => ClientReply::ReadServed,
         2 => ClientReply::Rejected,
-        3 => ClientReply::Busy,
         4 => ClientReply::TimedOut,
         5 => ClientReply::Down,
         6 => ClientReply::Ok,
@@ -981,7 +977,6 @@ mod tests {
             ClientReply::Committed { version: 12 },
             ClientReply::ReadServed,
             ClientReply::Rejected,
-            ClientReply::Busy,
             ClientReply::TimedOut,
             ClientReply::Down,
             ClientReply::Ok,
@@ -1061,6 +1056,9 @@ mod tests {
             let bytes = encode_reply(i as u64, &reply);
             assert_eq!(decode_reply(&bytes).unwrap(), (i as u64, reply));
         }
+        let mut retired = 7u64.to_le_bytes().to_vec();
+        retired.push(3);
+        assert_eq!(decode_reply(&retired), Err(WireError::BadTag(3)));
     }
 
     #[test]

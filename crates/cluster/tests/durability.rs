@@ -24,7 +24,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// Commit one update coordinated by `site`, retrying past transient
-/// Busy/TimedOut rejections.
+/// Contended/TimedOut rejections.
 fn commit_update(cluster: &Cluster, site: SiteId) -> u64 {
     for _ in 0..50 {
         match cluster.client(site).update() {
@@ -145,7 +145,11 @@ fn orphaned_prepares_resolve_via_termination_protocol_at_boot() {
                     states.remove(0),
                 );
                 let core = Arc::new(Mutex::new(store));
-                actor.set_persistence(Box::new(ShardHandle::new(core, ObjectId::ZERO)));
+                actor.set_persistence(Box::new(ShardHandle::new(
+                    Arc::default(),
+                    core,
+                    ObjectId::ZERO,
+                )));
                 actor
             })
             .collect();

@@ -35,7 +35,7 @@ fn hot_shard_does_not_starve_cold_shard_timers() {
             thread::spawn(move || {
                 let mut offered = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    // Committed, Busy, TimedOut — all fine; the point
+                    // Committed, Contended, TimedOut — all fine; the point
                     // is pressure, not success.
                     let _ = client.update_key(HOT);
                     offered += 1;

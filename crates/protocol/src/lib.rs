@@ -44,7 +44,7 @@ pub use event::{
 };
 pub use message::{LogEntry, Message, ObjectId, StatusOutcome, TxnId};
 pub use persist::Persistence;
-pub use shard::{ShardPartition, ShardedSite};
+pub use shard::ShardedSite;
 pub use site::{
-    Action, ActionSink, CommitRecord, DurableState, ResolveReason, SiteActor, TimerKind,
+    Action, ActionSink, CommitRecord, DurableState, Hint, ResolveReason, SiteActor, TimerKind,
 };

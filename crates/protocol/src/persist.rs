@@ -60,20 +60,6 @@ pub trait Persistence {
     /// flush here instead of inside every hook.
     fn sync(&mut self) {}
 
-    /// True when the implementation would like a fresh snapshot (e.g.
-    /// the WAL segment has grown past its rotation threshold). Polled
-    /// by the harness between batches.
-    fn wants_checkpoint(&self) -> bool {
-        false
-    }
-
-    /// Snapshot the full durable state (and typically rotate +
-    /// compact the log behind it). Driven by the harness via
-    /// [`SiteActor::maybe_checkpoint`](crate::SiteActor::maybe_checkpoint).
-    fn checkpoint(&mut self, state: &DurableState) {
-        let _ = state;
-    }
-
     /// The current WAL epoch (snapshot generation), when the
     /// implementation keeps one. Surfaced by status endpoints; the
     /// default `None` marks a volatile implementation.

@@ -107,10 +107,19 @@ pub enum Action {
         /// The committing transaction.
         txn: TxnId,
     },
-    /// The voting phase of `txn` ended with `sites` still silent. Purely
-    /// advisory — a harness that keeps a peer-suspicion set (see
-    /// [`SiteActor::set_suspected`]) feeds it from this; ignoring it is
-    /// always correct.
+    /// An advisory observation; see [`Hint`] for the contract.
+    Hint(Hint),
+}
+
+/// The advisory half of [`Action`]: observations the kernel passes up
+/// because a harness can use them to avoid waiting or racing. None
+/// changes what a quorum decides, and ignoring a hint is always
+/// correct.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Hint {
+    /// The voting phase of `txn` ended with `sites` still silent. A
+    /// harness that keeps a peer-suspicion set (see
+    /// [`SiteActor::set_suspected`]) feeds it from this.
     Unanswered {
         /// The transaction whose round closed.
         txn: TxnId,
@@ -121,9 +130,9 @@ pub enum Action {
         early: bool,
     },
     /// While coordinating `txn`, this site denied a vote request for the
-    /// same object from rival coordinator `site`. Purely advisory — a
-    /// harness may route later work on the object to one of the two
-    /// instead of racing again; ignoring it is always correct.
+    /// same object from rival coordinator `site`. A harness may route
+    /// later work on the object to one of the two instead of racing
+    /// again.
     Rival {
         /// The local round that met the rival.
         txn: TxnId,
@@ -380,17 +389,6 @@ impl SiteActor {
         self.persist.as_ref().and_then(|p| p.wal_epoch())
     }
 
-    /// Snapshot the durable state if the hook asks for one
-    /// ([`Persistence::wants_checkpoint`]); harnesses poll this between
-    /// batches.
-    pub fn maybe_checkpoint(&mut self) {
-        if let Some(p) = self.persist.as_mut() {
-            if p.wants_checkpoint() {
-                p.checkpoint(&self.durable);
-            }
-        }
-    }
-
     fn emit(&self, event: ProtocolEvent) {
         self.sink.emit(self.id, &event);
     }
@@ -611,11 +609,11 @@ impl SiteActor {
         match kind {
             TimerKind::VoteDeadline => {
                 if let Some(sites) = self.awaiting(txn).filter(|sites| !sites.is_empty()) {
-                    out.push(Action::Unanswered {
+                    out.push(Action::Hint(Hint::Unanswered {
                         txn,
                         sites,
                         early: false,
-                    });
+                    }));
                 }
                 self.decide(txn, out);
             }
@@ -654,10 +652,10 @@ impl SiteActor {
                 if self.volatile.coordinating.is_some() {
                     // The lock is held for a round coordinated here:
                     // two coordinators are racing for this object.
-                    out.push(Action::Rival {
+                    out.push(Action::Hint(Hint::Rival {
                         txn: holder,
                         site: from,
-                    });
+                    }));
                 }
                 return;
             }
@@ -959,11 +957,11 @@ impl SiteActor {
             let view = PartitionView::new(self.n, &self.order, replies)
                 .expect("vote replies form a valid view");
             if self.algo.is_distinguished(&view) {
-                out.push(Action::Unanswered {
+                out.push(Action::Hint(Hint::Unanswered {
                     txn,
                     sites: silent,
                     early: true,
-                });
+                }));
                 self.decide(txn, out);
             }
         }

@@ -51,8 +51,7 @@ fn pump(sites: &mut [ShardedSite], seed: Vec<Action>, from: SiteId) {
                     | Action::Resolved { .. }
                     | Action::CommitRecorded { .. }
                     | Action::DecisionReady { .. }
-                    | Action::Unanswered { .. }
-                    | Action::Rival { .. } => {}
+                    | Action::Hint(_) => {}
                 }
             }
         };
@@ -108,10 +107,8 @@ fn run_script(algorithm: AlgorithmKind, script: &[OpGroup], batched: bool) -> Ve
         } else {
             for p in payloads {
                 let mut out = Vec::new();
-                assert!(
-                    sites[group.site as usize].start_update(object, p, &mut out),
-                    "unlocked object refused an update"
-                );
+                let shard = sites[group.site as usize].shard_mut(object);
+                shard.expect("hosted object").start_update(p, &mut out);
                 pump(&mut sites, out, SiteId(group.site));
             }
         }

@@ -11,7 +11,7 @@
 #![allow(dead_code)]
 
 use dynvote_core::{AlgorithmKind, SiteId, SiteSet};
-use dynvote_protocol::{Action, Message, SiteActor, TimerKind, TxnId};
+use dynvote_protocol::{Action, Hint, Message, SiteActor, TimerKind, TxnId};
 use std::collections::VecDeque;
 
 pub struct Net {
@@ -102,17 +102,17 @@ impl Net {
                     }
                 }
                 Action::SetTimer { txn, kind } => self.timers.push((site, txn, kind)),
-                Action::Unanswered { early: true, .. } => {
+                Action::Hint(Hint::Unanswered { early: true, .. }) => {
                     assert!(self.suspected.is_some(), "early close without a hint");
                     self.closed_early += 1;
                 }
-                Action::Unanswered { sites, .. } => {
+                Action::Hint(Hint::Unanswered { sites, .. }) => {
                     self.deadlines_missed += 1;
                     if let Some(sets) = self.suspected.as_mut() {
                         sets[site.index()] = sets[site.index()].union(sites);
                     }
                 }
-                Action::Rival { site: rival, .. } => {
+                Action::Hint(Hint::Rival { site: rival, .. }) => {
                     self.rivals += 1;
                     // As the node does: hints point strictly downward.
                     if let Some(home) = self.homes.as_mut().map(|homes| &mut homes[site.index()]) {

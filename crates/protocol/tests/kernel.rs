@@ -9,8 +9,8 @@ mod common;
 use common::Net;
 use dynvote_core::{AlgorithmKind, CopyMeta, LinearOrder, SiteId, SiteSet};
 use dynvote_protocol::{
-    Action, CountingSink, EventKind, Message, ObjectId, ResolveReason, ShardedSite, SiteActor,
-    StatusOutcome, TimerKind, TxnId,
+    Action, CountingSink, EventKind, Hint, Message, ObjectId, ResolveReason, ShardedSite,
+    SiteActor, StatusOutcome, TimerKind, TxnId,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -313,11 +313,11 @@ fn round_closes_without_a_suspected_silent_site() {
     let closing = grant(&mut a, t, 3);
     assert!(matches!(
         closing[0],
-        Action::Unanswered {
+        Action::Hint(Hint::Unanswered {
             sites: s,
             early: true,
             ..
-        } if s == sites("E")
+        }) if s == sites("E")
     ));
     assert_eq!(committed_participants(&closing), Some(sites("ABCD")));
     assert_eq!(a.meta().cardinality, 4);
@@ -343,7 +343,7 @@ fn a_suspected_sites_timely_vote_is_counted() {
     assert!(
         !closing
             .iter()
-            .any(|act| matches!(act, Action::Unanswered { .. })),
+            .any(|act| matches!(act, Action::Hint(Hint::Unanswered { .. }))),
         "everyone answered: nothing to report"
     );
     assert_eq!(committed_participants(&closing), Some(sites("ABCDE")));
@@ -361,7 +361,7 @@ fn vote_busy_from_an_unsuspected_site_counts_as_an_answer() {
     let closing = busy(&mut a, t, 3);
     assert!(closing
         .iter()
-        .any(|act| matches!(act, Action::Unanswered { early: true, .. })));
+        .any(|act| matches!(act, Action::Hint(Hint::Unanswered { early: true, .. }))));
     assert_eq!(committed_participants(&closing), Some(sites("ABC")));
 }
 
@@ -383,11 +383,11 @@ fn undistinguished_replies_keep_waiting_for_the_suspected_site() {
     a.timer_fired(t, TimerKind::VoteDeadline, &mut out);
     assert!(matches!(
         out[0],
-        Action::Unanswered {
+        Action::Hint(Hint::Unanswered {
             sites: s,
             early: false,
             ..
-        } if s == sites("E")
+        }) if s == sites("E")
     ));
     assert!(out.iter().any(|act| matches!(
         act,
@@ -525,7 +525,7 @@ fn rivals(actions: &[Action]) -> Vec<(TxnId, SiteId)> {
     actions
         .iter()
         .filter_map(|act| match act {
-            Action::Rival { txn, site } => Some((*txn, *site)),
+            Action::Hint(Hint::Rival { txn, site }) => Some((*txn, *site)),
             _ => None,
         })
         .collect()
@@ -573,7 +573,9 @@ fn rival_is_emitted_only_while_coordinating_the_same_object() {
     // two shards share nothing, so it is granted without comment.
     let mut node = ShardedSite::new(SiteId(1), 5, 2, || AlgorithmKind::Hybrid.instantiate(5));
     let mut out = Vec::new();
-    assert!(node.start_update(ObjectId(0), 100, &mut out));
+    assert!(node
+        .start_update_batch(ObjectId(0), &[100], &mut out)
+        .is_some());
     out.clear();
     let other = TxnId::keyed(SiteId(0), 1, ObjectId(1));
     node.handle_message(SiteId(0), Message::VoteRequest { txn: other }, &mut out);

@@ -602,7 +602,7 @@ impl Simulation {
                 // table: every round waits for all peers or the
                 // deadline and every site coordinates its own arrivals,
                 // as the paper's protocol does.
-                Action::Unanswered { .. } | Action::Rival { .. } => {}
+                Action::Hint(_) => {}
             }
         }
         self.scratch = actions;

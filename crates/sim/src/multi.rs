@@ -400,7 +400,7 @@ impl MultiFileSimulation {
                     }
                 }
                 // The simulator keeps no suspicion set.
-                Action::Resolved { .. } | Action::Unanswered { .. } | Action::Rival { .. } => {}
+                Action::Resolved { .. } | Action::Hint(_) => {}
             }
         }
     }

@@ -7,16 +7,15 @@
 //! periodic snapshots, rotation/compaction, and recovery that obeys the
 //! torn-tail rule.
 //!
-//! * [`SiteStore`] — one site's store; implements the kernel's
-//!   [`Persistence`](dynvote_protocol::Persistence) hook, so installing
-//!   it via `SiteActor::set_persistence` gives the actor real
-//!   force-writes: the prepare record is on disk before the vote is
-//!   sent, the commit record before `COMMIT` fans out (under
-//!   [`FsyncPolicy::Always`]).
-//! * [`NodeStore`] — the multi-object node store: one WAL shared by
-//!   every hosted object, group-commit barriers that seal many shards'
-//!   steps as one record, node-wide snapshots. [`ShardHandle`] is the
-//!   per-shard [`Persistence`](dynvote_protocol::Persistence) adapter.
+//! * [`NodeStore`] — the store: one WAL shared by every object a node
+//!   hosts, group-commit barriers that seal many shards' steps as one
+//!   record, node-wide snapshots. Under [`FsyncPolicy::Always`] the
+//!   prepare record is on disk before the vote is sent, the commit
+//!   record before `COMMIT` fans out.
+//! * [`ShardHandle`] — the per-shard
+//!   [`Persistence`](dynvote_protocol::Persistence) adapter; installing
+//!   one via `SiteActor::set_persistence` gives the actor real
+//!   force-writes.
 //! * [`wal`] — record/snapshot byte formats, built on the protocol
 //!   crate's codec primitives.
 //! * [`crc32`] — table-driven CRC-32 (IEEE), no external crates.
@@ -32,6 +31,6 @@ mod multi;
 mod store;
 pub mod wal;
 
-pub use multi::{NodeStore, ShardHandle, StagedHandle};
-pub use store::{FsyncPolicy, RecoveryReport, SiteStore, StorageError, StoreConfig, TornTail};
+pub use multi::{NodeStore, ShardHandle};
+pub use store::{FsyncPolicy, RecoveryReport, StorageError, StoreConfig, TornTail};
 pub use wal::TornReason;

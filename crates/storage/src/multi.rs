@@ -1,17 +1,16 @@
-//! The multi-object node store: one WAL, many objects, group commit.
+//! The node store: one WAL, many objects, group commit.
 //!
-//! A sharded node hosts many independent per-object state machines
+//! A node hosts many independent per-object state machines
 //! (`dynvote_protocol::ShardedSite`), but giving each shard its own WAL
 //! would spend one fsync per shard per step — exactly the cost a
 //! sharded data plane exists to amortize. [`NodeStore`] instead keeps
 //! **one** segment file per node: every shard's [`Persistence`] hooks
-//! buffer keyed ops (`[object][op]`) into a shared pending batch, and a
-//! single force-write barrier seals them all as **one** record. That is
-//! group commit: a batch that interleaves ten objects' prepare and
-//! commit records reaches the platter with one `fdatasync`.
+//! stage keyed ops (`[object][op]`), and a single force-write barrier
+//! seals them all as **one** record. That is group commit: a batch that
+//! interleaves ten objects' prepare and commit records reaches the
+//! platter with one `fdatasync`.
 //!
-//! The discipline that makes single-object recovery sound carries over
-//! unchanged, because the barrier still sits between "hooks fired" and
+//! Recovery is sound because the barrier sits between "hooks fired" and
 //! "actions handed to the transport": nothing any shard announced can
 //! be lost, and a torn tail only ever loses whole multi-object batches
 //! whose effects were never visible outside the process.
@@ -20,9 +19,9 @@
 //! as one counted payload (`[count]([state])*`), so per-object replay
 //! starts from a mutually consistent cut.
 //!
-//! Files reuse the epoch-pair lifecycle of [`SiteStore`](crate::SiteStore)
+//! Files follow the epoch-pair lifecycle of [`crate::store`]
 //! (`snap-<E>`/`wal-<E>`, boot rotation, torn-tail truncation,
-//! compaction) under the multi-object magics `DVWALM01`/`DVSNAPM1`.
+//! compaction) under the magics `DVWALM01`/`DVSNAPM1`.
 
 use crate::store::{
     compact, create_segment, io_err, list_epochs, read_snapshot_bytes, snap_name, wal_name,
@@ -30,7 +29,7 @@ use crate::store::{
 };
 use crate::wal::{
     decode_states, encode_keyed_op_into, encode_states_into, frame_header, RecordScanner,
-    TornReason, SNAP_MAGIC_MULTI, WAL_MAGIC_MULTI,
+    TornReason, WAL_MAGIC_MULTI,
 };
 use dynvote_protocol::persist::{apply_op, PersistOp};
 use dynvote_protocol::{DurableState, ObjectId, Persistence};
@@ -40,14 +39,15 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// The durable store for one sharded node: a single open WAL segment
-/// shared by every hosted object, plus node-wide snapshots.
+/// The durable store for one node: a single open WAL segment shared by
+/// every hosted object, plus node-wide snapshots.
 ///
 /// # Panics
 ///
-/// Like [`SiteStore`](crate::SiteStore), the [`Persistence`]-facing
-/// paths panic on I/O failure: a node that cannot force-write cannot
-/// keep the protocol's promises.
+/// The [`Persistence`]-facing paths ([`ShardHandle`]) panic on I/O
+/// failure: a node that cannot force-write its prepare/commit records
+/// cannot keep its protocol promises, and limping on would silently
+/// void the recovery guarantees the rest of the system is built on.
 pub struct NodeStore {
     dir: PathBuf,
     config: StoreConfig,
@@ -81,9 +81,10 @@ impl NodeStore {
     ///
     /// Returns the store, the recovered per-object states (always at
     /// least `objects` long — longer if the directory holds more
-    /// objects than configured), and a [`RecoveryReport`]. As with the
-    /// single-object store, the open ends with a boot rotation so every
-    /// start begins from a clean `snapshot + empty WAL` pair.
+    /// objects than configured), and a [`RecoveryReport`]. The open
+    /// always ends with a boot rotation: the recovered states are
+    /// snapshotted at a fresh epoch and every older file — including
+    /// any torn segment — is deleted.
     pub fn open(
         dir: &Path,
         config: StoreConfig,
@@ -97,8 +98,8 @@ impl NodeStore {
 
         let mut payload = Vec::with_capacity(1024 * states.len());
         encode_states_into(&mut payload, &states);
-        write_snapshot_bytes(dir, epoch, SNAP_MAGIC_MULTI, &payload)?;
-        let (wal, wal_path) = create_segment(dir, epoch, WAL_MAGIC_MULTI)?;
+        write_snapshot_bytes(dir, epoch, &payload)?;
+        let (wal, wal_path) = create_segment(dir, epoch)?;
         compact(dir, epoch)?;
 
         let store = NodeStore {
@@ -217,8 +218,8 @@ impl NodeStore {
         let epoch = self.epoch + 1;
         let mut payload = Vec::with_capacity(1024 * states.len());
         encode_states_into(&mut payload, states);
-        write_snapshot_bytes(&self.dir, epoch, SNAP_MAGIC_MULTI, &payload)?;
-        let (wal, wal_path) = create_segment(&self.dir, epoch, WAL_MAGIC_MULTI)?;
+        write_snapshot_bytes(&self.dir, epoch, &payload)?;
+        let (wal, wal_path) = create_segment(&self.dir, epoch)?;
         self.epoch = epoch;
         self.wal = wal;
         self.wal_path = wal_path;
@@ -229,118 +230,34 @@ impl NodeStore {
     }
 }
 
-/// One shard's [`Persistence`] handle onto the shared [`NodeStore`]:
-/// every hook locks the store and buffers a keyed op. Install one per
-/// shard via `ShardedSite::set_persistence`; the node then amortizes
-/// durability by calling [`NodeStore::barrier`] once per drained batch
-/// (each handle's own `sync` is also a real barrier, so shard-at-a-time
-/// harnesses remain correct, just without the amortization).
+/// One shard's [`Persistence`] handle onto the shared [`NodeStore`].
+/// Hooks encode keyed ops into a **worker-local stage** — a byte buffer
+/// shared only by the shards one worker owns — so the durable hot path
+/// never contends on the store lock. At the node's merge barrier every
+/// worker's stage is [`NodeStore::ingest`]ed (in worker order) and a
+/// single [`NodeStore::barrier`] seals the lot as one checksummed
+/// record: the exact bytes [`NodeStore::append`] would have buffered.
 ///
-/// `wants_checkpoint` is always `false`: rotation needs every object's
-/// state at once, so the node drives it through
-/// [`NodeStore::wants_rotation`]/[`NodeStore::rotate`] instead of any
-/// single shard.
-pub struct ShardHandle {
-    core: Arc<Mutex<NodeStore>>,
-    object: ObjectId,
-}
-
-impl ShardHandle {
-    /// A handle routing `object`'s hooks into `core`.
-    #[must_use]
-    pub fn new(core: Arc<Mutex<NodeStore>>, object: ObjectId) -> Self {
-        ShardHandle { core, object }
-    }
-}
-
-impl Persistence for ShardHandle {
-    fn seq_advanced(&mut self, next_seq: u64) {
-        self.core
-            .lock()
-            .unwrap()
-            .append(self.object, &PersistOp::Seq(next_seq))
-            .expect("WAL append");
-    }
-
-    fn prepared(&mut self, txn: dynvote_protocol::TxnId, coordinator: dynvote_core::SiteId) {
-        self.core
-            .lock()
-            .unwrap()
-            .append(self.object, &PersistOp::Prepared(txn, coordinator))
-            .expect("WAL append");
-    }
-
-    fn prepare_cleared(&mut self, txn: dynvote_protocol::TxnId) {
-        self.core
-            .lock()
-            .unwrap()
-            .append(self.object, &PersistOp::PrepareCleared(txn))
-            .expect("WAL append");
-    }
-
-    fn entries_appended(&mut self, entries: &[dynvote_protocol::LogEntry]) {
-        self.core
-            .lock()
-            .unwrap()
-            .append(self.object, &PersistOp::Entries(entries.to_vec()))
-            .expect("WAL append");
-    }
-
-    fn meta_updated(&mut self, meta: dynvote_core::CopyMeta) {
-        self.core
-            .lock()
-            .unwrap()
-            .append(self.object, &PersistOp::Meta(meta))
-            .expect("WAL append");
-    }
-
-    fn committed(
-        &mut self,
-        txn: dynvote_protocol::TxnId,
-        meta: dynvote_core::CopyMeta,
-        participants: dynvote_core::SiteSet,
-    ) {
-        self.core
-            .lock()
-            .unwrap()
-            .append(self.object, &PersistOp::Committed(txn, meta, participants))
-            .expect("WAL append");
-    }
-
-    fn sync(&mut self) {
-        self.core.lock().unwrap().barrier().expect("WAL barrier");
-    }
-
-    fn wal_epoch(&self) -> Option<u64> {
-        Some(self.core.lock().unwrap().epoch())
-    }
-}
-
-/// One shard's [`Persistence`] handle onto a **worker-local stage**: a
-/// byte buffer shared only by the shards of one worker partition, so
-/// the durable hot path of a parallel node never contends on the
-/// [`NodeStore`] lock. Hooks encode keyed ops into the stage; at the
-/// node's merge barrier every worker's stage is [`NodeStore::ingest`]ed
-/// (in worker order) and a single [`NodeStore::barrier`] seals the lot
-/// as one checksummed record — the exact bytes [`ShardHandle`] would
-/// have produced, minus the shared-lock traffic.
-///
-/// `sync` on the handle itself remains a real barrier (it ingests its
-/// own stage, then seals), so a shard driven stand-alone stays correct,
+/// `sync` on the handle itself is a real barrier (it ingests its own
+/// stage, then seals), so a shard driven stand-alone stays correct,
 /// just without the cross-worker amortization. Lock order is
 /// store-then-stage everywhere, matching the node's merge path.
-pub struct StagedHandle {
+///
+/// Rotation needs every object's state at once, so the node drives it
+/// through [`NodeStore::wants_rotation`]/[`NodeStore::rotate`], not
+/// through any single shard.
+pub struct ShardHandle {
     stage: Arc<Mutex<Vec<u8>>>,
     core: Arc<Mutex<NodeStore>>,
     object: ObjectId,
 }
 
-impl StagedHandle {
+impl ShardHandle {
     /// A handle staging `object`'s hooks into `stage`, sealing through
     /// `core`.
     #[must_use]
     pub fn new(stage: Arc<Mutex<Vec<u8>>>, core: Arc<Mutex<NodeStore>>, object: ObjectId) -> Self {
-        StagedHandle {
+        ShardHandle {
             stage,
             core,
             object,
@@ -352,7 +269,7 @@ impl StagedHandle {
     }
 }
 
-impl Persistence for StagedHandle {
+impl Persistence for ShardHandle {
     fn seq_advanced(&mut self, next_seq: u64) {
         self.stage_op(&PersistOp::Seq(next_seq));
     }
@@ -395,11 +312,11 @@ impl Persistence for StagedHandle {
 
 // ----- recovery ----------------------------------------------------------
 
-/// Multi-object mirror of the single-object recovery scan: newest valid
-/// multi snapshot, then keyed replay of WAL tails under the torn-tail
-/// rule. States grow on demand (an op naming an object beyond the
-/// current map seeds it from `template`) and never shrink below
-/// `min_objects`.
+/// The recovery scan: newest valid snapshot, then keyed replay of WAL
+/// tails under the torn-tail rule. Returns the states, the report, and
+/// the highest epoch seen on disk (0 for an empty directory). States
+/// grow on demand (an op naming an object beyond the current map seeds
+/// it from `template`) and never shrink below `min_objects`.
 fn recover_multi(
     dir: &Path,
     template: &DurableState,
@@ -413,8 +330,8 @@ fn recover_multi(
     let mut base_epoch = 0u64;
     for &epoch in snaps.iter().rev() {
         let path = dir.join(snap_name(epoch));
-        let decoded = read_snapshot_bytes(&path, epoch, SNAP_MAGIC_MULTI)
-            .and_then(|payload| decode_states(&payload).ok());
+        let decoded =
+            read_snapshot_bytes(&path, epoch).and_then(|payload| decode_states(&payload).ok());
         match decoded {
             Some(snapped) => {
                 for (o, state) in snapped.into_iter().enumerate() {
@@ -439,6 +356,8 @@ fn recover_multi(
         expected_header.extend_from_slice(WAL_MAGIC_MULTI);
         expected_header.extend_from_slice(&epoch.to_le_bytes());
         if bytes.len() < 16 || bytes[..16] != expected_header[..] {
+            // The segment was killed mid-creation: its header never
+            // made it down. Nothing in it is trustworthy.
             report.truncated = Some(TornTail {
                 epoch,
                 offset: 0,
@@ -451,6 +370,9 @@ fn recover_multi(
         loop {
             match scanner.next_keyed() {
                 Some(Ok(ops)) => {
+                    // One record = one step of every object it names:
+                    // apply the whole batch. The scanner already
+                    // rejected any record it could not decode in full.
                     for (object, op) in &ops {
                         while object.index() >= states.len() {
                             states.push(template.clone());
@@ -465,6 +387,9 @@ fn recover_multi(
                         offset: 16 + scanner.valid_end() as u64,
                         reason,
                     });
+                    // Torn-tail rule: nothing after the first invalid
+                    // record is trusted, in this segment or any later
+                    // one.
                     break 'replay;
                 }
                 None => break,
@@ -599,50 +524,50 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn staged_workers_merge_into_one_record_with_shard_handle_bytes() {
-        // Two directories, same ops: one through the shared-lock
-        // ShardHandle path, one through two per-worker stages merged by
-        // ingest. Recovery must see one record in both, with identical
-        // per-object states.
-        let template = DurableState::initial(3);
-        let dir_direct = tmpdir("staged-direct");
-        let (store, _, _) =
-            NodeStore::open(&dir_direct, StoreConfig::default(), 4, template.clone()).unwrap();
-        let core = Arc::new(Mutex::new(store));
-        for object in 0..4u32 {
-            let mut h = ShardHandle::new(Arc::clone(&core), ObjectId(object));
-            for (o, op) in commit_ops(object, 1) {
-                assert_eq!(o, ObjectId(object));
-                match op {
-                    PersistOp::Entries(e) => h.entries_appended(&e),
-                    PersistOp::Meta(m) => h.meta_updated(m),
-                    PersistOp::Committed(t, m, p) => h.committed(t, m, p),
-                    other => panic!("unexpected op {other:?}"),
-                }
+    /// Feed one object's commit through its handle's hooks.
+    fn commit_through(handle: &mut ShardHandle, object: u32) {
+        for (_, op) in commit_ops(object, 1) {
+            match op {
+                PersistOp::Entries(e) => handle.entries_appended(&e),
+                PersistOp::Meta(m) => handle.meta_updated(m),
+                PersistOp::Committed(t, m, p) => handle.committed(t, m, p),
+                other => panic!("unexpected op {other:?}"),
             }
         }
-        core.lock().unwrap().barrier().unwrap();
-        drop(Arc::try_unwrap(core).map(|m| m.into_inner().unwrap()));
+    }
+
+    #[test]
+    fn staged_workers_merge_into_one_record_with_shard_handle_bytes() {
+        // Two directories, same ops: one appended straight into the
+        // store, one through two per-worker stages merged by ingest.
+        // Both must hold one record with the same bytes.
+        let template = DurableState::initial(3);
+        let dir_direct = tmpdir("staged-direct");
+        let (mut direct, _, _) =
+            NodeStore::open(&dir_direct, StoreConfig::default(), 4, template.clone()).unwrap();
+        // Worker order, then object order within a worker: the order
+        // the merge barrier ingests the stages in.
+        for object in [0u32, 2, 1, 3] {
+            for (o, op) in commit_ops(object, 1) {
+                direct.append(o, &op).unwrap();
+            }
+        }
+        direct.barrier().unwrap();
+        let direct_wal = fs::read(&direct.wal_path).unwrap();
+        drop(direct);
 
         let dir_staged = tmpdir("staged-pool");
         let (store, _, _) =
             NodeStore::open(&dir_staged, StoreConfig::default(), 4, template.clone()).unwrap();
+        let staged_wal_path = store.wal_path.clone();
         let core = Arc::new(Mutex::new(store));
         // Two workers under `object % 2`, each with its own stage.
         let stages: Vec<Arc<Mutex<Vec<u8>>>> =
             (0..2).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
         for object in 0..4u32 {
             let stage = Arc::clone(&stages[object as usize % 2]);
-            let mut h = StagedHandle::new(stage, Arc::clone(&core), ObjectId(object));
-            for (_, op) in commit_ops(object, 1) {
-                match op {
-                    PersistOp::Entries(e) => h.entries_appended(&e),
-                    PersistOp::Meta(m) => h.meta_updated(m),
-                    PersistOp::Committed(t, m, p) => h.committed(t, m, p),
-                    other => panic!("unexpected op {other:?}"),
-                }
-            }
+            let mut h = ShardHandle::new(stage, Arc::clone(&core), ObjectId(object));
+            commit_through(&mut h, object);
         }
         {
             let mut core = core.lock().unwrap();
@@ -654,6 +579,7 @@ mod tests {
             core.barrier().unwrap();
         }
         drop(Arc::try_unwrap(core).map(|m| m.into_inner().unwrap()));
+        assert_eq!(fs::read(&staged_wal_path).unwrap(), direct_wal);
 
         let (direct, direct_report) = NodeStore::inspect(&dir_direct, template.clone()).unwrap();
         let (staged, staged_report) = NodeStore::inspect(&dir_staged, template).unwrap();
@@ -676,7 +602,7 @@ mod tests {
             NodeStore::open(&dir, StoreConfig::default(), 1, template.clone()).unwrap();
         let core = Arc::new(Mutex::new(store));
         let stage = Arc::new(Mutex::new(Vec::new()));
-        let mut h = StagedHandle::new(stage, Arc::clone(&core), ObjectId(0));
+        let mut h = ShardHandle::new(stage, Arc::clone(&core), ObjectId(0));
         h.seq_advanced(3);
         assert_eq!(h.wal_epoch(), Some(core.lock().unwrap().epoch()));
         h.sync();
@@ -695,8 +621,9 @@ mod tests {
         let (store, _, _) =
             NodeStore::open(&dir, StoreConfig::default(), 2, template.clone()).unwrap();
         let core = Arc::new(Mutex::new(store));
-        let mut h0 = ShardHandle::new(Arc::clone(&core), ObjectId(0));
-        let mut h1 = ShardHandle::new(Arc::clone(&core), ObjectId(1));
+        let stage = Arc::new(Mutex::new(Vec::new()));
+        let mut h0 = ShardHandle::new(Arc::clone(&stage), Arc::clone(&core), ObjectId(0));
+        let mut h1 = ShardHandle::new(stage, Arc::clone(&core), ObjectId(1));
         h0.seq_advanced(1);
         h1.seq_advanced(5);
         h0.sync();

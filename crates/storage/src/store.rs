@@ -1,6 +1,7 @@
-//! The per-site durable store: segment files, snapshots, recovery.
+//! Store configuration, the recovery report, and the epoch-pair file
+//! lifecycle [`NodeStore`](crate::NodeStore) is built on.
 //!
-//! A site's data directory holds epoch-numbered pairs:
+//! A data directory holds epoch-numbered pairs:
 //!
 //! ```text
 //! snap-0000000000000007   state as of the epoch-7 rotation
@@ -22,23 +23,17 @@
 //! not just skipped.
 
 use crate::crc32::crc32;
-use crate::wal::{
-    decode_state, encode_op_into, encode_state_into, frame_header, RecordScanner, TornReason,
-    MAX_RECORD, SNAP_MAGIC, WAL_MAGIC,
-};
-use dynvote_protocol::persist::{apply_op, PersistOp};
-use dynvote_protocol::{DurableState, Persistence};
+use crate::wal::{TornReason, MAX_RECORD, SNAP_MAGIC_MULTI, WAL_MAGIC_MULTI};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// When (and whether) sealed records reach the platter.
 ///
 /// Ops always buffer in memory until the force-write barrier
-/// ([`Persistence::sync`]) seals them as one record — that is what
-/// makes a protocol step atomic on disk. The policy only decides when
-/// the sealed record is fsynced.
+/// ([`NodeStore::barrier`](crate::NodeStore::barrier)) seals them as
+/// one record — that is what makes a protocol step atomic on disk. The
+/// policy only decides when the sealed record is fsynced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// `fdatasync` at every barrier — the classic force-write
@@ -193,228 +188,6 @@ pub(crate) fn fsync_dir(dir: &Path) -> Result<(), StorageError> {
     Ok(())
 }
 
-/// The durable store for one site: an open WAL segment plus the
-/// snapshot lifecycle around it. Implements [`Persistence`], so it
-/// plugs directly into
-/// [`SiteActor::set_persistence`](dynvote_protocol::SiteActor::set_persistence).
-///
-/// # Panics
-///
-/// The [`Persistence`] hooks panic on I/O failure: a site that cannot
-/// force-write its prepare/commit records cannot keep its protocol
-/// promises, and limping on would silently void the recovery
-/// guarantees the rest of the system is built on.
-pub struct SiteStore {
-    dir: PathBuf,
-    config: StoreConfig,
-    epoch: u64,
-    wal: File,
-    wal_path: PathBuf,
-    /// Bytes of the live segment (header + records), including the
-    /// still-buffered batch.
-    wal_len: u64,
-    /// Encoded op bodies accumulated since the last barrier; sealed as
-    /// one framed record when the barrier fires, so the whole batch
-    /// replays atomically or not at all.
-    pending: Vec<u8>,
-    /// True when bytes were written to the file but not yet fsynced.
-    unsynced: bool,
-    last_fsync: Instant,
-}
-
-impl std::fmt::Debug for SiteStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SiteStore")
-            .field("dir", &self.dir)
-            .field("epoch", &self.epoch)
-            .field("wal_len", &self.wal_len)
-            .finish_non_exhaustive()
-    }
-}
-
-impl SiteStore {
-    /// Open (and recover) the store in `dir`, creating it if needed.
-    ///
-    /// Returns the store, the recovered durable state (`initial` when
-    /// the directory held nothing), and a [`RecoveryReport`]. The open
-    /// always ends with a rotation: the recovered state is snapshotted
-    /// at a fresh epoch and every older file — including any torn
-    /// segment — is deleted.
-    pub fn open(
-        dir: &Path,
-        config: StoreConfig,
-        initial: DurableState,
-    ) -> Result<(Self, DurableState, RecoveryReport), StorageError> {
-        io_err(dir, fs::create_dir_all(dir))?;
-        let (state, report, max_epoch) = recover_dir(dir, initial)?;
-        let epoch = max_epoch + 1;
-
-        // Boot rotation: persist the recovered state at the new epoch
-        // before touching anything older.
-        write_snapshot(dir, epoch, &state)?;
-        let (wal, wal_path) = create_segment(dir, epoch, WAL_MAGIC)?;
-        compact(dir, epoch)?;
-
-        let store = SiteStore {
-            dir: dir.to_path_buf(),
-            config,
-            epoch,
-            wal,
-            wal_path,
-            wal_len: 16,
-            pending: Vec::with_capacity(4096),
-            unsynced: false,
-            last_fsync: Instant::now(),
-        };
-        Ok((store, state, report))
-    }
-
-    /// Read-only recovery: reconstruct the state a crashed site would
-    /// boot with, without creating, truncating, rotating, or deleting
-    /// anything. This is what `dynvote recover` prints.
-    pub fn inspect(
-        dir: &Path,
-        initial: DurableState,
-    ) -> Result<(DurableState, RecoveryReport), StorageError> {
-        let (state, report, _) = recover_dir(dir, initial)?;
-        Ok((state, report))
-    }
-
-    /// The directory this store lives in.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The live segment's epoch.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Bytes in the live segment (including not-yet-flushed ones).
-    #[must_use]
-    pub fn wal_len(&self) -> u64 {
-        self.wal_len
-    }
-
-    /// Buffer one op into the current batch. Nothing reaches the file
-    /// until [`SiteStore::barrier`] seals the batch — ops within a
-    /// batch become durable together or not at all.
-    pub fn append(&mut self, op: &PersistOp) -> Result<(), StorageError> {
-        let before = self.pending.len();
-        encode_op_into(&mut self.pending, op);
-        self.wal_len += (self.pending.len() - before) as u64;
-        Ok(())
-    }
-
-    /// Frame the pending batch as one record and write it through to
-    /// the OS (no fsync).
-    fn seal_pending(&mut self) -> Result<(), StorageError> {
-        if !self.pending.is_empty() {
-            let header = frame_header(&self.pending);
-            io_err(&self.wal_path, self.wal.write_all(&header))?;
-            io_err(&self.wal_path, self.wal.write_all(&self.pending))?;
-            self.pending.clear();
-            self.wal_len += 8;
-            self.unsynced = true;
-        }
-        Ok(())
-    }
-
-    /// The force-write barrier: seal the pending batch as one record,
-    /// then fsync per policy.
-    pub fn barrier(&mut self) -> Result<(), StorageError> {
-        self.seal_pending()?;
-        let due = match self.config.fsync {
-            FsyncPolicy::Always => self.unsynced,
-            FsyncPolicy::Interval(ms) => {
-                self.unsynced && self.last_fsync.elapsed().as_millis() >= u128::from(ms)
-            }
-            FsyncPolicy::Never => false,
-        };
-        if due {
-            io_err(&self.wal_path, self.wal.sync_data())?;
-            self.unsynced = false;
-            self.last_fsync = Instant::now();
-        }
-        Ok(())
-    }
-
-    /// Snapshot `state` at the next epoch, open a fresh segment, and
-    /// delete everything the snapshot covers.
-    ///
-    /// `state` must reflect every op appended so far (it is the
-    /// caller's live durable state); the pending batch is discarded as
-    /// subsumed by the snapshot.
-    pub fn rotate(&mut self, state: &DurableState) -> Result<(), StorageError> {
-        self.pending.clear();
-        let epoch = self.epoch + 1;
-        write_snapshot(&self.dir, epoch, state)?;
-        let (wal, wal_path) = create_segment(&self.dir, epoch, WAL_MAGIC)?;
-        self.epoch = epoch;
-        self.wal = wal;
-        self.wal_path = wal_path;
-        self.wal_len = 16;
-        self.unsynced = false;
-        compact(&self.dir, epoch)?;
-        Ok(())
-    }
-}
-
-impl Persistence for SiteStore {
-    fn seq_advanced(&mut self, next_seq: u64) {
-        self.append(&PersistOp::Seq(next_seq)).expect("WAL append");
-    }
-
-    fn prepared(&mut self, txn: dynvote_protocol::TxnId, coordinator: dynvote_core::SiteId) {
-        self.append(&PersistOp::Prepared(txn, coordinator))
-            .expect("WAL append");
-    }
-
-    fn prepare_cleared(&mut self, txn: dynvote_protocol::TxnId) {
-        self.append(&PersistOp::PrepareCleared(txn))
-            .expect("WAL append");
-    }
-
-    fn entries_appended(&mut self, entries: &[dynvote_protocol::LogEntry]) {
-        self.append(&PersistOp::Entries(entries.to_vec()))
-            .expect("WAL append");
-    }
-
-    fn meta_updated(&mut self, meta: dynvote_core::CopyMeta) {
-        self.append(&PersistOp::Meta(meta)).expect("WAL append");
-    }
-
-    fn committed(
-        &mut self,
-        txn: dynvote_protocol::TxnId,
-        meta: dynvote_core::CopyMeta,
-        participants: dynvote_core::SiteSet,
-    ) {
-        self.append(&PersistOp::Committed(txn, meta, participants))
-            .expect("WAL append");
-    }
-
-    fn sync(&mut self) {
-        self.barrier().expect("WAL barrier");
-    }
-
-    fn wants_checkpoint(&self) -> bool {
-        self.wal_len >= self.config.rotate_bytes
-    }
-
-    fn checkpoint(&mut self, state: &DurableState) {
-        self.rotate(state).expect("WAL rotation");
-    }
-
-    fn wal_epoch(&self) -> Option<u64> {
-        Some(self.epoch())
-    }
-}
-
-// ----- recovery internals ------------------------------------------------
-
 /// List the snapshot and WAL epochs present in `dir`, sorted ascending.
 /// A missing directory lists as empty.
 pub(crate) fn list_epochs(dir: &Path) -> Result<(Vec<u64>, Vec<u64>), StorageError> {
@@ -441,11 +214,7 @@ pub(crate) fn list_epochs(dir: &Path) -> Result<(Vec<u64>, Vec<u64>), StorageErr
 }
 
 /// Create `wal-<epoch>` with its `magic + epoch` header, fsynced.
-pub(crate) fn create_segment(
-    dir: &Path,
-    epoch: u64,
-    magic: &[u8; 8],
-) -> Result<(File, PathBuf), StorageError> {
+pub(crate) fn create_segment(dir: &Path, epoch: u64) -> Result<(File, PathBuf), StorageError> {
     let wal_path = dir.join(wal_name(epoch));
     let mut wal = io_err(
         &wal_path,
@@ -456,7 +225,7 @@ pub(crate) fn create_segment(
             .open(&wal_path),
     )?;
     let mut header = Vec::with_capacity(16);
-    header.extend_from_slice(magic);
+    header.extend_from_slice(WAL_MAGIC_MULTI);
     header.extend_from_slice(&epoch.to_le_bytes());
     io_err(&wal_path, wal.write_all(&header))?;
     io_err(&wal_path, wal.sync_data())?;
@@ -464,89 +233,13 @@ pub(crate) fn create_segment(
     Ok((wal, wal_path))
 }
 
-/// Scan `dir`, pick the newest valid snapshot, replay WAL tails.
-/// Returns the state, the report, and the highest epoch seen on disk
-/// (0 for an empty directory).
-fn recover_dir(
-    dir: &Path,
-    initial: DurableState,
-) -> Result<(DurableState, RecoveryReport, u64), StorageError> {
-    let (snaps, wals) = list_epochs(dir)?;
-    let max_epoch = snaps.iter().chain(wals.iter()).copied().max().unwrap_or(0);
-
-    let mut report = RecoveryReport::default();
-    let mut state = initial;
-    let mut base_epoch = 0u64;
-    for &epoch in snaps.iter().rev() {
-        match read_snapshot(&dir.join(snap_name(epoch)), epoch) {
-            Some(snapped) => {
-                state = snapped;
-                base_epoch = epoch;
-                report.snapshot_epoch = Some(epoch);
-                break;
-            }
-            None => report.corrupt_snapshots += 1,
-        }
-    }
-
-    'replay: for &epoch in wals.iter().filter(|&&e| e >= base_epoch) {
-        let path = dir.join(wal_name(epoch));
-        let bytes = io_err(&path, fs::read(&path))?;
-        let mut expected_header = Vec::with_capacity(16);
-        expected_header.extend_from_slice(WAL_MAGIC);
-        expected_header.extend_from_slice(&epoch.to_le_bytes());
-        if bytes.len() < 16 || bytes[..16] != expected_header[..] {
-            // The segment was killed mid-creation: its header never
-            // made it down. Nothing in it is trustworthy.
-            report.truncated = Some(TornTail {
-                epoch,
-                offset: 0,
-                reason: TornReason::ShortHeader,
-            });
-            break 'replay;
-        }
-        report.segments_replayed += 1;
-        let mut scanner = RecordScanner::new(&bytes[16..]);
-        loop {
-            match scanner.next() {
-                Some(Ok(ops)) => {
-                    // One record = one protocol step: apply the whole
-                    // batch. The scanner already rejected any record it
-                    // could not decode in full.
-                    for op in &ops {
-                        apply_op(&mut state, op);
-                    }
-                    report.records_replayed += 1;
-                }
-                Some(Err(reason)) => {
-                    report.truncated = Some(TornTail {
-                        epoch,
-                        offset: 16 + scanner.valid_end() as u64,
-                        reason,
-                    });
-                    // Torn-tail rule: nothing after the first invalid
-                    // record is trusted, in this segment or any later
-                    // one.
-                    break 'replay;
-                }
-                None => break,
-            }
-        }
-    }
-    Ok((state, report, max_epoch))
-}
-
 /// Validate + read one snapshot file's payload (magic, epoch stamp,
 /// length, CRC); `None` if anything is off.
-pub(crate) fn read_snapshot_bytes(
-    path: &Path,
-    expected_epoch: u64,
-    magic: &[u8; 8],
-) -> Option<Vec<u8>> {
+pub(crate) fn read_snapshot_bytes(path: &Path, expected_epoch: u64) -> Option<Vec<u8>> {
     let mut file = File::open(path).ok()?;
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes).ok()?;
-    if bytes.len() < 24 || &bytes[..8] != magic {
+    if bytes.len() < 24 || &bytes[..8] != SNAP_MAGIC_MULTI {
         return None;
     }
     let epoch = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
@@ -565,22 +258,15 @@ pub(crate) fn read_snapshot_bytes(
     Some(payload)
 }
 
-/// Validate + decode one snapshot file; `None` if anything is off.
-fn read_snapshot(path: &Path, expected_epoch: u64) -> Option<DurableState> {
-    let payload = read_snapshot_bytes(path, expected_epoch, SNAP_MAGIC)?;
-    decode_state(&payload).ok()
-}
-
 /// Atomically write `snap-<epoch>` holding `payload`: tmp file, fsync,
 /// rename, fsync dir.
 pub(crate) fn write_snapshot_bytes(
     dir: &Path,
     epoch: u64,
-    magic: &[u8; 8],
     payload: &[u8],
 ) -> Result<(), StorageError> {
     let mut bytes = Vec::with_capacity(24 + payload.len());
-    bytes.extend_from_slice(magic);
+    bytes.extend_from_slice(SNAP_MAGIC_MULTI);
     bytes.extend_from_slice(&epoch.to_le_bytes());
     bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     bytes.extend_from_slice(&crc32(payload).to_le_bytes());
@@ -596,13 +282,6 @@ pub(crate) fn write_snapshot_bytes(
     io_err(&fin, fs::rename(&tmp, &fin))?;
     fsync_dir(dir)?;
     Ok(())
-}
-
-/// Atomically write a single-object `snap-<epoch>`.
-fn write_snapshot(dir: &Path, epoch: u64, state: &DurableState) -> Result<(), StorageError> {
-    let mut payload = Vec::with_capacity(1024);
-    encode_state_into(&mut payload, state);
-    write_snapshot_bytes(dir, epoch, SNAP_MAGIC, &payload)
 }
 
 /// Delete every snapshot/segment/tmp file of an epoch below `keep` —

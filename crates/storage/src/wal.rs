@@ -1,11 +1,11 @@
 //! WAL record and snapshot byte formats.
 //!
-//! A WAL record is the **batch** of [`PersistOp`]s a site's kernel
-//! emitted between two force-write barriers — one protocol step —
-//! framed as:
+//! A WAL record is the **batch** of keyed [`PersistOp`]s a node's
+//! kernels emitted between two force-write barriers — one step of every
+//! object the batch touched — framed as:
 //!
 //! ```text
-//! [len: u32 LE] [crc: u32 LE] [body: len bytes = concatenated ops]
+//! [len: u32 LE] [crc: u32 LE] [body: len bytes = ([object: u32][op])*]
 //! ```
 //!
 //! where `crc` is the CRC-32 (IEEE) of the body. Bodies reuse the
@@ -41,12 +41,6 @@ use dynvote_protocol::persist::PersistOp;
 use dynvote_protocol::{CommitRecord, DurableState, ObjectId};
 use std::collections::HashMap;
 
-/// First bytes of every single-object WAL segment file. (`002`: the
-/// encoded [`TxnId`](dynvote_protocol::TxnId) gained its object
-/// dimension, which changes every record that names a transaction.)
-pub const WAL_MAGIC: &[u8; 8] = b"DVWAL002";
-/// First bytes of every single-object snapshot file.
-pub const SNAP_MAGIC: &[u8; 8] = b"DVSNAP02";
 /// First bytes of a multi-object (node-wide) WAL segment, whose record
 /// bodies are concatenated `[object][op]` keyed ops.
 pub const WAL_MAGIC_MULTI: &[u8; 8] = b"DVWALM01";
@@ -59,8 +53,12 @@ pub const MAX_RECORD: usize = 16 * 1024 * 1024;
 
 // ----- record bodies -----------------------------------------------------
 
-/// Append the body of one [`PersistOp`] record (no framing).
-pub fn encode_op_into(out: &mut Vec<u8>, op: &PersistOp) {
+/// Append one keyed op — `[object: u32][op]` — the record vocabulary of
+/// the node WAL. One node-wide record interleaves many objects' ops;
+/// the object prefix routes each op back to its shard's state on
+/// replay.
+pub fn encode_keyed_op_into(out: &mut Vec<u8>, object: ObjectId, op: &PersistOp) {
+    put_u32(out, object.0);
     match op {
         PersistOp::Seq(next_seq) => {
             put_u8(out, 1);
@@ -92,15 +90,6 @@ pub fn encode_op_into(out: &mut Vec<u8>, op: &PersistOp) {
     }
 }
 
-/// Append one keyed op — `[object: u32][op]` — the record vocabulary of
-/// the multi-object node WAL. One node-wide record interleaves many
-/// objects' ops; the object prefix routes each op back to its shard's
-/// state on replay.
-pub fn encode_keyed_op_into(out: &mut Vec<u8>, object: ObjectId, op: &PersistOp) {
-    put_u32(out, object.0);
-    encode_op_into(out, op);
-}
-
 /// Decode a multi-object record body: the concatenated keyed ops of one
 /// group-commit batch, in append order.
 pub fn decode_keyed_ops(body: &[u8]) -> Result<Vec<(ObjectId, PersistOp)>, WireError> {
@@ -125,23 +114,6 @@ fn decode_one(r: &mut Reader) -> Result<PersistOp, WireError> {
     })
 }
 
-/// Decode a body holding exactly one op.
-pub fn decode_op(body: &[u8]) -> Result<PersistOp, WireError> {
-    let mut r = Reader::new(body);
-    let op = decode_one(&mut r)?;
-    r.finish(op)
-}
-
-/// Decode a record body: the concatenated ops of one batch.
-pub fn decode_ops(body: &[u8]) -> Result<Vec<PersistOp>, WireError> {
-    let mut r = Reader::new(body);
-    let mut ops = Vec::new();
-    while r.remaining() > 0 {
-        ops.push(decode_one(&mut r)?);
-    }
-    Ok(ops)
-}
-
 /// The `[len: u32 LE][crc: u32 LE]` frame header for a record body.
 #[must_use]
 pub fn frame_header(body: &[u8]) -> [u8; 8] {
@@ -150,19 +122,6 @@ pub fn frame_header(body: &[u8]) -> [u8; 8] {
     header[..4].copy_from_slice(&len.to_le_bytes());
     header[4..].copy_from_slice(&crc32(body).to_le_bytes());
     header
-}
-
-/// Append one fully framed record holding the batch `ops`.
-pub fn encode_record_into(out: &mut Vec<u8>, ops: &[PersistOp]) {
-    assert!(!ops.is_empty(), "a WAL record holds at least one op");
-    let frame_at = out.len();
-    out.extend_from_slice(&[0u8; 8]); // len + crc placeholders
-    for op in ops {
-        encode_op_into(out, op);
-    }
-    let body_at = frame_at + 8;
-    let header = frame_header(&out[body_at..]);
-    out[frame_at..body_at].copy_from_slice(&header);
 }
 
 // ----- scanning ----------------------------------------------------------
@@ -251,28 +210,11 @@ impl<'a> RecordScanner<'a> {
         Some(Ok((body, body_end)))
     }
 
-    /// The next record batch: `None` at a clean end, `Some(Err(..))` at
+    /// The next record batch — one group-commit barrier's worth of ops
+    /// across many objects: `None` at a clean end, `Some(Err(..))` at
     /// the first violation (the scanner stays put — further calls keep
     /// returning the same violation). A batch decodes in full or not at
     /// all, so replay can never apply half a protocol step.
-    #[allow(clippy::should_implement_trait)] // Iterator would lose the by-ref stop-and-hold semantics
-    pub fn next(&mut self) -> Option<Result<Vec<PersistOp>, TornReason>> {
-        match self.frame()? {
-            Ok((body, advance)) => match decode_ops(body) {
-                Ok(ops) => {
-                    self.pos += advance;
-                    Some(Ok(ops))
-                }
-                Err(e) => Some(Err(TornReason::BadBody(e))),
-            },
-            Err(reason) => Some(Err(reason)),
-        }
-    }
-
-    /// The next multi-object record batch — the keyed-op mirror of
-    /// [`RecordScanner::next`], with identical torn-tail semantics. One
-    /// batch is one group-commit barrier's worth of ops across many
-    /// objects.
     pub fn next_keyed(&mut self) -> Option<Result<Vec<(ObjectId, PersistOp)>, TornReason>> {
         match self.frame()? {
             Ok((body, advance)) => match decode_keyed_ops(body) {
@@ -317,7 +259,7 @@ pub fn encode_state_into(out: &mut Vec<u8>, state: &DurableState) {
 }
 
 /// Decode one [`DurableState`] at the reader's position, leaving the
-/// reader just past it — the building block for both snapshot flavors.
+/// reader just past it.
 fn read_state(r: &mut Reader) -> Result<DurableState, WireError> {
     let meta = r.meta()?;
     let log = r.entries()?;
@@ -346,13 +288,6 @@ fn read_state(r: &mut Reader) -> Result<DurableState, WireError> {
         prepared,
         next_seq,
     })
-}
-
-/// Decode a snapshot payload back into a [`DurableState`].
-pub fn decode_state(body: &[u8]) -> Result<DurableState, WireError> {
-    let mut r = Reader::new(body);
-    let state = read_state(&mut r)?;
-    r.finish(state)
 }
 
 /// Append a multi-object snapshot payload: a counted run of per-object
@@ -447,59 +382,50 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_op_round_trips_framed() {
-        let mut buf = Vec::new();
-        let ops = sample_ops();
-        for op in &ops {
-            encode_record_into(&mut buf, std::slice::from_ref(op));
+    /// One framed record holding `ops`, as `NodeStore::barrier` seals it.
+    fn record_into(out: &mut Vec<u8>, ops: &[(ObjectId, PersistOp)]) {
+        let mut body = Vec::new();
+        for (object, op) in ops {
+            encode_keyed_op_into(&mut body, *object, op);
         }
-        let mut scanner = RecordScanner::new(&buf);
-        for op in &ops {
-            assert_eq!(scanner.next().unwrap().unwrap(), vec![op.clone()]);
-        }
-        assert!(scanner.next().is_none());
-        assert_eq!(scanner.valid_end(), buf.len());
+        out.extend_from_slice(&frame_header(&body));
+        out.extend_from_slice(&body);
+    }
+
+    /// [`sample_ops`] spread over three objects.
+    fn keyed_sample_ops() -> Vec<(ObjectId, PersistOp)> {
+        sample_ops()
+            .into_iter()
+            .enumerate()
+            .map(|(i, op)| (ObjectId((i % 3) as u32), op))
+            .collect()
     }
 
     #[test]
-    fn a_batch_round_trips_as_one_record() {
-        let ops = sample_ops();
+    fn every_op_round_trips_framed() {
         let mut buf = Vec::new();
-        encode_record_into(&mut buf, &ops);
-        let mut scanner = RecordScanner::new(&buf);
-        assert_eq!(scanner.next().unwrap().unwrap(), ops);
-        assert!(scanner.next().is_none());
-
-        // The framed body is exactly the concatenated op encodings.
-        let mut body = Vec::new();
+        let ops = keyed_sample_ops();
         for op in &ops {
-            encode_op_into(&mut body, op);
+            record_into(&mut buf, std::slice::from_ref(op));
         }
-        assert_eq!(&buf[..8], &frame_header(&body));
-        assert_eq!(&buf[8..], &body[..]);
-        assert_eq!(decode_ops(&body).unwrap(), ops);
+        let mut scanner = RecordScanner::new(&buf);
+        for op in &ops {
+            assert_eq!(scanner.next_keyed().unwrap().unwrap(), vec![op.clone()]);
+        }
+        assert!(scanner.next_keyed().is_none());
+        assert_eq!(scanner.valid_end(), buf.len());
     }
 
     #[test]
     fn keyed_ops_round_trip_as_one_multi_object_record() {
-        let keyed: Vec<(ObjectId, PersistOp)> = sample_ops()
-            .into_iter()
-            .enumerate()
-            .map(|(i, op)| (ObjectId((i % 3) as u32), op))
-            .collect();
-        let mut body = Vec::new();
-        for (object, op) in &keyed {
-            encode_keyed_op_into(&mut body, *object, op);
-        }
+        let keyed = keyed_sample_ops();
         let mut buf = Vec::new();
-        buf.extend_from_slice(&frame_header(&body));
-        buf.extend_from_slice(&body);
+        record_into(&mut buf, &keyed);
         let mut scanner = RecordScanner::new(&buf);
         assert_eq!(scanner.next_keyed().unwrap().unwrap(), keyed);
         assert!(scanner.next_keyed().is_none());
         assert_eq!(scanner.valid_end(), buf.len());
-        assert_eq!(decode_keyed_ops(&body).unwrap(), keyed);
+        assert_eq!(decode_keyed_ops(&buf[8..]).unwrap(), keyed);
     }
 
     #[test]
@@ -519,25 +445,26 @@ mod tests {
         let state = sample_state();
         let mut a = Vec::new();
         let mut b = Vec::new();
-        encode_state_into(&mut a, &state);
-        encode_state_into(&mut b, &state.clone());
+        let copy = state.clone();
+        encode_states_into(&mut a, std::slice::from_ref(&state));
+        encode_states_into(&mut b, std::slice::from_ref(&copy));
         assert_eq!(a, b, "snapshot encoding is deterministic");
-        assert_eq!(decode_state(&a).unwrap(), state);
+        assert_eq!(decode_states(&a).unwrap(), vec![state]);
     }
 
     #[test]
     fn torn_tail_stops_at_first_violation() {
-        let ops = sample_ops();
+        let ops = keyed_sample_ops();
         let mut buf = Vec::new();
         for op in &ops {
-            encode_record_into(&mut buf, std::slice::from_ref(op));
+            record_into(&mut buf, std::slice::from_ref(op));
         }
         // Truncate mid-record: every cut point either replays a whole
         // prefix or stops with a torn reason — never panics.
         for cut in 0..buf.len() {
             let mut scanner = RecordScanner::new(&buf[..cut]);
             let mut replayed = 0usize;
-            while let Some(Ok(_)) = scanner.next() {
+            while let Some(Ok(_)) = scanner.next_keyed() {
                 replayed += 1;
             }
             assert!(replayed <= ops.len());
@@ -548,11 +475,11 @@ mod tests {
     #[test]
     fn bit_flip_in_body_is_caught_by_crc() {
         let mut buf = Vec::new();
-        encode_record_into(&mut buf, &sample_ops()[3..4]);
+        record_into(&mut buf, &keyed_sample_ops()[3..4]);
         let last = buf.len() - 1;
         buf[last] ^= 0x40; // flip a bit in the body
         let mut scanner = RecordScanner::new(&buf);
-        assert_eq!(scanner.next(), Some(Err(TornReason::BadCrc)));
+        assert_eq!(scanner.next_keyed(), Some(Err(TornReason::BadCrc)));
         assert_eq!(scanner.valid_end(), 0);
     }
 
@@ -562,7 +489,7 @@ mod tests {
         buf.extend_from_slice(&[0u8; 16]);
         let mut scanner = RecordScanner::new(&buf);
         assert!(matches!(
-            scanner.next(),
+            scanner.next_keyed(),
             Some(Err(TornReason::BadLength(_)))
         ));
     }
@@ -570,15 +497,15 @@ mod tests {
     #[test]
     fn zero_fill_tail_is_torn_not_replayed() {
         let mut buf = Vec::new();
-        encode_record_into(&mut buf, &[PersistOp::Seq(1)]);
+        record_into(&mut buf, &[(ObjectId(0), PersistOp::Seq(1))]);
         let good = buf.len();
         buf.extend_from_slice(&[0u8; 64]); // zero-filled tail
         let mut scanner = RecordScanner::new(&buf);
-        assert!(scanner.next().unwrap().is_ok());
+        assert!(scanner.next_keyed().unwrap().is_ok());
         // A zeroed header decodes as len=0/crc=0; crc32 of the empty
         // body is 0, so the CRC alone would pass — the explicit
         // zero-length check must reject it.
-        assert_eq!(scanner.next(), Some(Err(TornReason::Empty)));
+        assert_eq!(scanner.next_keyed(), Some(Err(TornReason::Empty)));
         assert_eq!(scanner.valid_end(), good);
     }
 }

@@ -5,13 +5,13 @@
 
 use dynvote_core::{CopyMeta, Distinguished, LinearOrder, SiteId, SiteSet};
 use dynvote_protocol::persist::{apply_op, PersistOp};
-use dynvote_protocol::{DurableState, LogEntry, TxnId};
-use dynvote_storage::wal::{encode_op_into, frame_header};
-use dynvote_storage::{FsyncPolicy, SiteStore, StoreConfig};
+use dynvote_protocol::{DurableState, LogEntry, ObjectId, TxnId};
+use dynvote_storage::wal::{encode_keyed_op_into, frame_header};
+use dynvote_storage::{FsyncPolicy, NodeStore, RecoveryReport, StoreConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::fs::OpenOptions;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const N: usize = 5;
@@ -35,6 +35,13 @@ fn initial_state() -> DurableState {
         prepared: None,
         next_seq: 0,
     }
+}
+
+/// Open (and recover) a one-object store.
+fn open(dir: &Path, config: StoreConfig) -> (NodeStore, DurableState, RecoveryReport) {
+    let (store, mut states, report) = NodeStore::open(dir, config, 1, initial_state()).unwrap();
+    assert_eq!(states.len(), 1);
+    (store, states.remove(0), report)
 }
 
 /// Decode one fuzz tuple into a `PersistOp`. Values are arbitrary on
@@ -85,12 +92,12 @@ proptest! {
             fsync: FsyncPolicy::Always,
             ..StoreConfig::default()
         };
-        let (mut store, state, _) = SiteStore::open(&dir, config, initial_state()).unwrap();
+        let (mut store, state, _) = open(&dir, config);
         let mut reference = state;
         let mut sealed = reference.clone();
         for (i, &(kind, a, b)) in raw.iter().enumerate() {
             let op = decode_cmd(kind, a, b);
-            store.append(&op).unwrap();
+            store.append(ObjectId::ZERO, &op).unwrap();
             apply_op(&mut reference, &op);
             // The control stream decides what happens between appends.
             match ctl[i % ctl.len()].0 % 8 {
@@ -101,13 +108,12 @@ proptest! {
                 1 => {
                     // A checkpoint subsumes even the pending batch: the
                     // snapshot is the caller's full live state.
-                    store.rotate(&reference).unwrap();
+                    store.rotate(std::slice::from_ref(&reference)).unwrap();
                     sealed = reference.clone();
                 }
                 2 => {
                     drop(store);
-                    let (s, recovered, report) =
-                        SiteStore::open(&dir, config, initial_state()).unwrap();
+                    let (s, recovered, report) = open(&dir, config);
                     prop_assert_eq!(&recovered, &sealed, "reopen #{}: {:?}", i, report);
                     prop_assert!(report.truncated.is_none());
                     // The crash rolled the site back to its last seal;
@@ -119,7 +125,7 @@ proptest! {
             }
         }
         drop(store);
-        let (_s, recovered, report) = SiteStore::open(&dir, config, initial_state()).unwrap();
+        let (_s, recovered, report) = open(&dir, config);
         prop_assert_eq!(&recovered, &sealed, "final reopen: {:?}", report);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -141,14 +147,14 @@ proptest! {
         let mut frame = Vec::new();
         let mut batch = Vec::new();
         let mut checkpoints = Vec::new(); // (file_end_offset, state)
-        let (mut store, state, _) = SiteStore::open(&dir, config, initial_state()).unwrap();
+        let (mut store, state, _) = open(&dir, config);
         let mut reference = state;
         checkpoints.push((16u64, reference.clone()));
         for &(kind, a, b) in &raw {
             let op = decode_cmd(kind, a, b);
-            store.append(&op).unwrap();
+            store.append(ObjectId::ZERO, &op).unwrap();
             apply_op(&mut reference, &op);
-            encode_op_into(&mut batch, &op);
+            encode_keyed_op_into(&mut batch, ObjectId::ZERO, &op);
             // `b` doubles as the barrier control: ~3 in 4 ops end a step.
             if b % 4 != 0 {
                 store.barrier().unwrap();
@@ -178,7 +184,7 @@ proptest! {
             .unwrap();
         let expect_torn = checkpoints.iter().all(|(end, _)| *end != cut);
 
-        let (_s, recovered, report) = SiteStore::open(&dir, config, initial_state()).unwrap();
+        let (_s, recovered, report) = open(&dir, config);
         prop_assert_eq!(&recovered, &expected, "cut at {}: {:?}", cut, report);
         prop_assert_eq!(report.truncated.is_some(), expect_torn, "cut at {}", cut);
         std::fs::remove_dir_all(&dir).unwrap();

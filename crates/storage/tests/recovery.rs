@@ -1,4 +1,5 @@
-//! Store lifecycle and the corruption matrix.
+//! Store lifecycle and the corruption matrix, on a [`NodeStore`]
+//! hosting one object (plus one two-object case).
 //!
 //! The matrix attacks a WAL segment the three ways a real crash can:
 //! truncation mid-record (torn write), a bit flip inside a checksummed
@@ -12,14 +13,17 @@
 
 use dynvote_core::{CopyMeta, Distinguished, LinearOrder, SiteId, SiteSet};
 use dynvote_protocol::persist::{apply_op, PersistOp};
-use dynvote_protocol::{DurableState, LogEntry, Persistence, TxnId};
-use dynvote_storage::wal::encode_record_into;
-use dynvote_storage::{FsyncPolicy, SiteStore, StoreConfig, TornReason};
+use dynvote_protocol::{DurableState, LogEntry, ObjectId, Persistence, TxnId};
+use dynvote_storage::wal::{encode_keyed_op_into, frame_header};
+use dynvote_storage::{
+    FsyncPolicy, NodeStore, RecoveryReport, ShardHandle, StoreConfig, TornReason,
+};
 use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::io::{Seek, SeekFrom, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -89,12 +93,29 @@ fn always() -> StoreConfig {
     }
 }
 
+/// Open (and recover) a one-object store over `n` sites.
+fn open(dir: &Path, config: StoreConfig, n: usize) -> (NodeStore, DurableState, RecoveryReport) {
+    let (store, mut states, report) = NodeStore::open(dir, config, 1, initial_state(n)).unwrap();
+    assert_eq!(states.len(), 1);
+    (store, states.remove(0), report)
+}
+
 /// Append each op as its own sealed record (barrier per op).
-fn append_sealed(store: &mut SiteStore, ops: &[PersistOp]) {
+fn append_sealed(store: &mut NodeStore, ops: &[PersistOp]) {
     for op in ops {
-        store.append(op).unwrap();
+        store.append(ObjectId::ZERO, op).unwrap();
         store.barrier().unwrap();
     }
+}
+
+/// The surviving persistence adapter for object 0, on a stage of its
+/// own.
+fn handle(store: NodeStore) -> ShardHandle {
+    ShardHandle::new(
+        Arc::new(Mutex::new(Vec::new())),
+        Arc::new(Mutex::new(store)),
+        ObjectId::ZERO,
+    )
 }
 
 /// The live WAL segment of a store that was just dropped (newest
@@ -114,7 +135,7 @@ fn live_wal(dir: &PathBuf) -> PathBuf {
 #[test]
 fn fresh_directory_boots_initial_state() {
     let dir = temp_dir("fresh");
-    let (store, state, report) = SiteStore::open(&dir, always(), initial_state(3)).unwrap();
+    let (store, state, report) = open(&dir, always(), 3);
     assert_eq!(state, initial_state(3));
     assert_eq!(report.snapshot_epoch, None);
     assert_eq!(report.records_replayed, 0);
@@ -129,12 +150,12 @@ fn appended_records_survive_reopen() {
     let dir = temp_dir("reopen");
     let ops = sample_ops();
     {
-        let (mut store, _, _) = SiteStore::open(&dir, always(), initial_state(3)).unwrap();
+        let (mut store, _, _) = open(&dir, always(), 3);
         append_sealed(&mut store, &ops);
         // Dropped without any graceful shutdown: the crash case. Every
         // op passed a barrier, so nothing is lost.
     }
-    let (store, state, report) = SiteStore::open(&dir, always(), initial_state(3)).unwrap();
+    let (store, state, report) = open(&dir, always(), 3);
     assert_eq!(state, reference_after(&ops));
     assert_eq!(report.records_replayed, ops.len() as u64);
     assert!(report.truncated.is_none());
@@ -152,10 +173,10 @@ fn rotation_compacts_and_recovery_uses_the_snapshot() {
     let dir = temp_dir("rotate");
     let ops = sample_ops();
     {
-        let (mut store, _, _) = SiteStore::open(&dir, always(), initial_state(3)).unwrap();
+        let (mut store, _, _) = open(&dir, always(), 3);
         append_sealed(&mut store, &ops);
         let state = reference_after(&ops);
-        store.rotate(&state).unwrap();
+        store.rotate(std::slice::from_ref(&state)).unwrap();
         assert_eq!(store.epoch(), 2);
         // Epoch-1 files are gone; only the new pair remains.
         let names: Vec<String> = std::fs::read_dir(&dir)
@@ -165,7 +186,7 @@ fn rotation_compacts_and_recovery_uses_the_snapshot() {
         assert_eq!(names.len(), 2, "{names:?}");
         assert!(names.iter().all(|n| n.ends_with(&format!("{:016}", 2))));
     }
-    let (_store, state, report) = SiteStore::open(&dir, always(), initial_state(3)).unwrap();
+    let (_store, state, report) = open(&dir, always(), 3);
     assert_eq!(state, reference_after(&ops));
     assert_eq!(report.snapshot_epoch, Some(2));
     assert_eq!(
@@ -185,7 +206,10 @@ fn corruption_matrix_truncate_bitflip_zerofill() {
     let mut ends = Vec::new();
     let mut buf = Vec::new();
     for op in &ops {
-        encode_record_into(&mut buf, std::slice::from_ref(op));
+        let mut body = Vec::new();
+        encode_keyed_op_into(&mut body, ObjectId::ZERO, op);
+        buf.extend_from_slice(&frame_header(&body));
+        buf.extend_from_slice(&body);
         ends.push(16 + buf.len() as u64); // offsets within the file
     }
 
@@ -193,7 +217,7 @@ fn corruption_matrix_truncate_bitflip_zerofill() {
     {
         let dir = temp_dir("torn");
         {
-            let (mut store, _, _) = SiteStore::open(&dir, always(), initial_state(3)).unwrap();
+            let (mut store, _, _) = open(&dir, always(), 3);
             append_sealed(&mut store, &ops);
         }
         let wal = live_wal(&dir);
@@ -204,7 +228,7 @@ fn corruption_matrix_truncate_bitflip_zerofill() {
             .unwrap()
             .set_len(cut)
             .unwrap();
-        let (_s, state, report) = SiteStore::open(&dir, always(), initial_state(3)).unwrap();
+        let (_s, state, report) = open(&dir, always(), 3);
         assert_eq!(state, reference_after(&ops[..5]));
         let torn = report.truncated.expect("torn tail reported");
         assert_eq!(torn.offset, ends[4]);
@@ -216,7 +240,7 @@ fn corruption_matrix_truncate_bitflip_zerofill() {
     {
         let dir = temp_dir("bitflip");
         {
-            let (mut store, _, _) = SiteStore::open(&dir, always(), initial_state(3)).unwrap();
+            let (mut store, _, _) = open(&dir, always(), 3);
             append_sealed(&mut store, &ops);
         }
         let wal = live_wal(&dir);
@@ -231,7 +255,7 @@ fn corruption_matrix_truncate_bitflip_zerofill() {
         file.seek(SeekFrom::Start(0)).unwrap();
         file.write_all(&bytes).unwrap();
         drop(file);
-        let (_s, state, report) = SiteStore::open(&dir, always(), initial_state(3)).unwrap();
+        let (_s, state, report) = open(&dir, always(), 3);
         assert_eq!(state, reference_after(&ops[..2]));
         let torn = report.truncated.expect("bit flip detected");
         assert_eq!(torn.offset, ends[1]);
@@ -248,7 +272,7 @@ fn corruption_matrix_truncate_bitflip_zerofill() {
     {
         let dir = temp_dir("zerofill");
         {
-            let (mut store, _, _) = SiteStore::open(&dir, always(), initial_state(3)).unwrap();
+            let (mut store, _, _) = open(&dir, always(), 3);
             append_sealed(&mut store, &ops);
         }
         let wal = live_wal(&dir);
@@ -257,10 +281,46 @@ fn corruption_matrix_truncate_bitflip_zerofill() {
             *b = 0;
         }
         std::fs::write(&wal, &bytes).unwrap();
-        let (_s, state, report) = SiteStore::open(&dir, always(), initial_state(3)).unwrap();
+        let (_s, state, report) = open(&dir, always(), 3);
         assert_eq!(state, reference_after(&ops[..3]));
         let torn = report.truncated.expect("zero fill detected");
         assert_eq!(torn.offset, ends[2]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // Case 4: one record carrying two objects' steps, torn inside the
+    // second object's ops — the first object's ops are intact on disk,
+    // yet the whole record is lost for both.
+    {
+        let dir = temp_dir("torn-second-object");
+        let first_record_end;
+        {
+            let (mut store, _, _) = NodeStore::open(&dir, always(), 2, initial_state(3)).unwrap();
+            for object in [ObjectId(0), ObjectId(1)] {
+                store.append(object, &ops[0]).unwrap();
+            }
+            store.barrier().unwrap();
+            first_record_end = store.wal_len();
+            for object in [ObjectId(0), ObjectId(1)] {
+                for op in &ops[1..4] {
+                    store.append(object, op).unwrap();
+                }
+            }
+            store.barrier().unwrap();
+        }
+        let wal = live_wal(&dir);
+        let len = std::fs::metadata(&wal).unwrap().len();
+        OpenOptions::new()
+            .write(true)
+            .open(&wal)
+            .unwrap()
+            .set_len(len - 3) // inside object 1's commit record
+            .unwrap();
+        let (_s, states, report) = NodeStore::open(&dir, always(), 2, initial_state(3)).unwrap();
+        assert_eq!(states, vec![reference_after(&ops[..1]); 2]);
+        let torn = report.truncated.expect("torn tail reported");
+        assert_eq!(torn.offset, first_record_end);
+        assert_eq!(report.records_replayed, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -270,13 +330,13 @@ fn corrupt_snapshot_falls_back_to_older_one() {
     let dir = temp_dir("snapfall");
     let ops = sample_ops();
     {
-        let (mut store, _, _) = SiteStore::open(&dir, always(), initial_state(3)).unwrap();
+        let (mut store, _, _) = open(&dir, always(), 3);
         append_sealed(&mut store, &ops);
     }
     // Plant a garbage "newest" snapshot; recovery must skip it, use the
     // epoch-1 snapshot, and still replay the epoch-1 WAL.
     std::fs::write(dir.join(format!("snap-{:016}", 7)), b"not a snapshot").unwrap();
-    let (_s, state, report) = SiteStore::open(&dir, always(), initial_state(3)).unwrap();
+    let (_s, state, report) = open(&dir, always(), 3);
     assert_eq!(state, reference_after(&ops));
     assert_eq!(report.corrupt_snapshots, 1);
     assert_eq!(report.snapshot_epoch, Some(1));
@@ -293,18 +353,18 @@ fn group_commit_loses_only_the_unsynced_tail() {
         ..StoreConfig::default()
     };
     {
-        let (mut store, _, _) = SiteStore::open(&dir, config, initial_state(3)).unwrap();
+        let (mut store, _, _) = open(&dir, config, 3);
         for op in &ops[..5] {
-            store.append(op).unwrap();
+            store.append(ObjectId::ZERO, op).unwrap();
         }
         store.barrier().unwrap(); // group-commit point: first 5 sealed as one record
         for op in &ops[5..] {
-            store.append(op).unwrap();
+            store.append(ObjectId::ZERO, op).unwrap();
         }
         // Killed before the next barrier: the tail lives only in the
         // user-space buffer and must be gone.
     }
-    let (_s, state, report) = SiteStore::open(&dir, config, initial_state(3)).unwrap();
+    let (_s, state, report) = open(&dir, config, 3);
     assert_eq!(state, reference_after(&ops[..5]));
     assert_eq!(report.records_replayed, 1, "the batch is one record");
     assert!(report.truncated.is_none(), "clean cut at the barrier");
@@ -319,18 +379,18 @@ fn a_step_seals_as_one_record_and_an_unbarriered_tail_is_lost() {
     let dir = temp_dir("step");
     let ops = sample_ops();
     {
-        let (mut store, _, _) = SiteStore::open(&dir, always(), initial_state(3)).unwrap();
+        let (mut store, _, _) = open(&dir, always(), 3);
         for op in &ops[..5] {
-            store.append(op).unwrap();
+            store.append(ObjectId::ZERO, op).unwrap();
         }
         store.barrier().unwrap();
         for op in &ops[5..] {
-            store.append(op).unwrap();
+            store.append(ObjectId::ZERO, op).unwrap();
         }
         // No barrier: these ops belong to a step that never announced
         // anything, so losing them is the same as crashing earlier.
     }
-    let (_s, state, report) = SiteStore::open(&dir, always(), initial_state(3)).unwrap();
+    let (_s, state, report) = open(&dir, always(), 3);
     assert_eq!(state, reference_after(&ops[..5]));
     assert_eq!(report.records_replayed, 1);
     assert!(report.truncated.is_none());
@@ -342,7 +402,7 @@ fn inspect_is_read_only() {
     let dir = temp_dir("inspect");
     let ops = sample_ops();
     {
-        let (mut store, _, _) = SiteStore::open(&dir, always(), initial_state(3)).unwrap();
+        let (mut store, _, _) = open(&dir, always(), 3);
         append_sealed(&mut store, &ops);
     }
     let before: Vec<_> = {
@@ -353,8 +413,8 @@ fn inspect_is_read_only() {
         v.sort();
         v
     };
-    let (state, report) = SiteStore::inspect(&dir, initial_state(3)).unwrap();
-    assert_eq!(state, reference_after(&ops));
+    let (states, report) = NodeStore::inspect(&dir, initial_state(3)).unwrap();
+    assert_eq!(states, vec![reference_after(&ops)]);
     assert_eq!(report.records_replayed, ops.len() as u64);
     let after: Vec<_> = {
         let mut v: Vec<String> = std::fs::read_dir(&dir)
@@ -377,9 +437,9 @@ fn persistence_hooks_feed_the_wal() {
 
     let dir = temp_dir("hooks");
     let n = 3;
-    let (store, state, _) = SiteStore::open(&dir, always(), initial_state(n)).unwrap();
+    let (store, state, _) = open(&dir, always(), n);
     let mut sub = SiteActor::restore(SiteId(1), n, AlgorithmKind::Hybrid.instantiate(n), state);
-    sub.set_persistence(Box::new(store));
+    sub.set_persistence(Box::new(handle(store)));
     let mut out = Vec::new();
     let t = txn(0, 1);
     sub.handle_message(SiteId(0), Message::VoteRequest { txn: t }, &mut out);
@@ -402,7 +462,7 @@ fn persistence_hooks_feed_the_wal() {
     let live = sub.durable().clone();
     drop(sub); // SIGKILL stand-in
 
-    let (_s, recovered, report) = SiteStore::open(&dir, always(), initial_state(n)).unwrap();
+    let (_s, recovered, report) = open(&dir, always(), n);
     assert_eq!(recovered, live);
     assert!(report.truncated.is_none());
     std::fs::remove_dir_all(&dir).unwrap();
@@ -418,11 +478,12 @@ fn sync_hook_flushes_buffered_records() {
         ..StoreConfig::default()
     };
     {
-        let (mut store, _, _) = SiteStore::open(&dir, config, initial_state(3)).unwrap();
-        Persistence::seq_advanced(&mut store, 9);
-        Persistence::sync(&mut store);
+        let (store, _, _) = open(&dir, config, 3);
+        let mut hook = handle(store);
+        hook.seq_advanced(9);
+        hook.sync();
     }
-    let (_s, state, _) = SiteStore::open(&dir, config, initial_state(3)).unwrap();
+    let (_s, state, _) = open(&dir, config, 3);
     assert_eq!(state.next_seq, 9);
     std::fs::remove_dir_all(&dir).unwrap();
 }
