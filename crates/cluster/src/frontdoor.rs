@@ -130,17 +130,19 @@ impl FrontDoor {
     fn append_peer_health(&self, body: &mut String) {
         let closed = body.pop();
         debug_assert_eq!(closed, Some('}'), "status body is a JSON object");
-        let missed: Vec<String> = self
-            .shard
-            .vote_deadline_missed()
-            .iter()
-            .map(u64::to_string)
-            .collect();
+        let list = |counts: Vec<u64>| {
+            let counts: Vec<String> = counts.iter().map(u64::to_string).collect();
+            counts.join(",")
+        };
         body.push_str(&format!(
             ",\"suspected\":\"{}\",\"vote_deadline_missed\":[{}],\
-             \"rounds_closed_early\":{}",
+             \"vote_grace_missed\":[{}],\"peer_vote_rtt_us\":[{}],\
+             \"vote_grace_us\":{},\"rounds_closed_early\":{}",
             self.shard.suspected(),
-            missed.join(","),
+            list(self.shard.vote_deadline_missed()),
+            list(self.shard.vote_grace_missed()),
+            list(self.shard.peer_vote_rtt_us()),
+            self.shard.vote_grace_us(),
             self.shard.rounds_closed_early()
         ));
         for (name, value) in self.shard.routing() {
@@ -231,23 +233,37 @@ impl FrontDoor {
             "dynvote_pipeline_batch_total_count{{site=\"{site}\"}} {rounds}\n"
         ));
         // Peer health as this node's coordinators see it: who is
-        // currently suspected silent, how many vote deadlines each peer
-        // has missed, and how many rounds closed without waiting.
+        // currently suspected silent, how fast each peer has been
+        // voting and the straggler grace that follows from it, how many
+        // graces and vote deadlines each peer has missed, and how many
+        // rounds closed without waiting.
         let suspected = self.shard.suspected();
-        let missed = self.shard.vote_deadline_missed();
-        out.push_str("# TYPE dynvote_peer_suspected gauge\n");
-        for peer in (0..missed.len()).filter(|&p| p != site) {
-            out.push_str(&format!(
-                "dynvote_peer_suspected{{site=\"{site}\",peer=\"{peer}\"}} {}\n",
-                u8::from(suspected.contains(SiteId::new(peer)))
-            ));
+        let deadline_missed = self.shard.vote_deadline_missed();
+        let suspected: Vec<u64> = (0..deadline_missed.len())
+            .map(|peer| u64::from(suspected.contains(SiteId::new(peer))))
+            .collect();
+        for (name, kind, per_peer) in [
+            ("peer_suspected", "gauge", suspected),
+            ("peer_vote_rtt_us", "gauge", self.shard.peer_vote_rtt_us()),
+            (
+                "vote_grace_missed_total",
+                "counter",
+                self.shard.vote_grace_missed(),
+            ),
+            ("vote_deadline_missed_total", "counter", deadline_missed),
+        ] {
+            out.push_str(&format!("# TYPE dynvote_{name} {kind}\n"));
+            for (peer, value) in per_peer.iter().enumerate().filter(|&(p, _)| p != site) {
+                out.push_str(&format!(
+                    "dynvote_{name}{{site=\"{site}\",peer=\"{peer}\"}} {value}\n"
+                ));
+            }
         }
-        out.push_str("# TYPE dynvote_vote_deadline_missed_total counter\n");
-        for (peer, count) in missed.iter().enumerate().filter(|&(p, _)| p != site) {
-            out.push_str(&format!(
-                "dynvote_vote_deadline_missed_total{{site=\"{site}\",peer=\"{peer}\"}} {count}\n"
-            ));
-        }
+        out.push_str("# TYPE dynvote_vote_grace_us gauge\n");
+        out.push_str(&format!(
+            "dynvote_vote_grace_us{{site=\"{site}\"}} {}\n",
+            self.shard.vote_grace_us()
+        ));
         out.push_str("# TYPE dynvote_rounds_closed_early_total counter\n");
         out.push_str(&format!(
             "dynvote_rounds_closed_early_total{{site=\"{site}\"}} {}\n",

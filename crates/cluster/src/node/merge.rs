@@ -20,21 +20,35 @@
 //!    fan-out can trigger a dependent commit on another node.
 //! 5. **Dispatch** — sends and broadcasts go to the transport's batch
 //!    encoder, `SetTimer` arms the wall-clock wheel, `Resolved`
-//!    completes parked clients (or, for a lost lock race, forwards
-//!    them to the object's home), and hints feed the scheduler's
-//!    peer-suspicion set (`Unanswered`) and route table (`Rival`).
+//!    retires the round's timers and completes parked clients (or, for
+//!    a lost lock race, forwards them to the object's home), and hints
+//!    feed the scheduler's peer-suspicion set (`Unanswered`) and route
+//!    table (`Rival`).
+//! 6. **Push** — if the suspicion set grew, every worker is handed the
+//!    new set, every round this node has open is re-tested against it,
+//!    and the barrier runs again for what the re-tests staged: the
+//!    rounds already waiting close in this loop iteration, not at
+//!    their own deadlines.
 
 use super::worker::ShardPool;
 use super::{Node, Route};
 use crate::wire::ClientReply;
 use dynvote_core::SiteId;
-use dynvote_protocol::{Action, Hint, ResolveReason, SiteActor, TxnId};
+use dynvote_protocol::{Action, CloseCause, Hint, ResolveReason, SiteActor, TxnId};
 use std::collections::HashMap;
 
 impl Node {
-    /// Run one merge barrier over `pool`. Idempotent: with nothing
-    /// staged it costs one no-op barrier check.
+    /// Run the merge barrier over `pool`, again for as long as a pass
+    /// grows the suspicion set (at most once per peer). Idempotent:
+    /// with nothing staged it costs one no-op barrier check.
     pub(super) fn merge(&mut self, pool: &mut ShardPool) {
+        while self.merge_pass(pool) {
+            self.push_suspicion(pool);
+        }
+    }
+
+    /// One barrier. `true` if it grew the suspicion set.
+    fn merge_pass(&mut self, pool: &mut ShardPool) -> bool {
         pool.wait_idle();
         let mut groups = pool.lock_groups();
 
@@ -106,6 +120,7 @@ impl Node {
             }
         }
 
+        let suspected_before = self.suspected;
         for action in batch.drain(..) {
             match action {
                 Action::Send { to, msg } => self.send(to, msg),
@@ -129,6 +144,11 @@ impl Node {
                     self.arm_timer(txn, kind, rounds);
                 }
                 Action::Resolved { txn, reason } => {
+                    // Nobody waits on this round's deadlines any more:
+                    // retire them instead of waking up for each.
+                    for timer in self.vote_clock.retire(txn) {
+                        self.timers.cancel(timer);
+                    }
                     self.restart_txns.remove(&txn);
                     if reason == ResolveReason::Contended {
                         self.shard_stats.note_contended();
@@ -179,14 +199,17 @@ impl Node {
                 // the live cluster runs single-file updates only.
                 Action::DecisionReady { .. } => {}
                 Action::CommitRecorded { .. } => {} // handled above
-                Action::Hint(Hint::Unanswered { early: true, .. }) => {
-                    self.shard_stats.note_closed_early();
-                }
-                // A deadline waited for these peers in vain: stop
-                // waiting for them until they are heard from again.
-                Action::Hint(Hint::Unanswered { sites, .. }) => {
+                Action::Hint(Hint::Unanswered {
+                    cause: CloseCause::Suspected,
+                    ..
+                }) => self.shard_stats.note_closed_early(),
+                // A deadline or a grace waited for these peers in vain:
+                // stop waiting for them until they are heard from
+                // again.
+                Action::Hint(Hint::Unanswered { sites, cause, .. }) => {
                     for peer in sites.iter() {
-                        self.shard_stats.note_deadline_missed(peer);
+                        self.shard_stats
+                            .note_vote_missed(peer, cause == CloseCause::Grace);
                     }
                     self.set_suspected(self.suspected.union(sites));
                 }
@@ -194,5 +217,6 @@ impl Node {
             }
         }
         self.merge_buf = batch;
+        self.suspected != suspected_before
     }
 }

@@ -9,7 +9,7 @@
 //! transaction. Everything arrives through one `mpsc` inbox
 //! ([`NodeEvent`]) — peer frames, client requests, and shutdown.
 //!
-//! The runtime is split into four pieces, one file each:
+//! The runtime is split into five pieces, one file each:
 //!
 //! * **scheduler** ([`Node::run`], `node/scheduler.rs`) — the inbox
 //!   thread. It classifies each event by `ObjectId` and hands it to the
@@ -31,6 +31,10 @@
 //! * **route** (`node/route.rs`) — single-writer routing: the volatile
 //!   per-object home hints learned from lost lock races, and the table
 //!   of client ops handed to another site and not yet answered.
+//! * **grace** (`node/grace.rs`) — per-peer vote latency and the
+//!   straggler grace scaled to it: how long a round that already holds
+//!   a distinguished set of votes waits for the rest before the node
+//!   suspects them.
 //!
 //! Transactions on different objects never contend: each shard has its
 //! own lock, commit chain, and prepare record, and per-object event
@@ -53,6 +57,7 @@
 //!   outbound messages — transport-agnostic, and equivalent to the
 //!   simulator's link topology once in-flight traffic has drained.
 
+mod grace;
 mod merge;
 mod route;
 mod scheduler;
@@ -151,11 +156,18 @@ pub enum NodeEvent {
 /// Wall-clock protocol deadlines for one node.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeConfig {
-    /// Coordinator: how long to wait for votes before deciding with
-    /// whatever arrived. Waited out by the first round a silent peer
-    /// misses — after which the node suspects that peer and closes
-    /// rounds without it — and by any round the answering sites cannot
-    /// make distinguished. With all peers answering the coordinator
+    /// Coordinator: how slow a live peer may be — how long to wait for
+    /// votes before deciding with whatever arrived. Waited out in full
+    /// only by a round the answering sites cannot make distinguished:
+    /// it is the one road to `Rejected`/`Contended`. A round whose
+    /// replies *are* distinguished gives the silent peers a straggler
+    /// grace instead — as long as this node's peers have lately needed
+    /// (largest smoothed vote latency plus four mean deviations), never
+    /// less than an eighth of this value nor more than all of it —
+    /// then closes without them and suspects them, after which rounds
+    /// close on the last unsuspected reply. A harness that must never
+    /// leave out a live but descheduled peer lengthens this value; the
+    /// grace floor follows. With all peers answering the coordinator
     /// decides on the last reply.
     pub vote_deadline: Duration,
     /// Coordinator: how long to wait for a catch-up reply before
@@ -389,12 +401,16 @@ pub struct Node {
     pub(crate) ledger: Arc<ClusterLedger>,
     pub(crate) down: bool,
     pub(crate) reachable: SiteSet,
-    /// Peers whose reply a vote deadline waited for in vain; emptied by
-    /// a frame from any of them. Volatile (a crash wipes it) and shared
-    /// by every object: handed to the kernels with each peer frame so a
-    /// round stops waiting for them once it is distinguished without
-    /// them — one crash costs about one deadline, not one per commit.
+    /// Peers whose reply a straggler grace or a vote deadline waited for
+    /// in vain; emptied by a frame from any of them. Volatile (a crash
+    /// wipes it) and shared by every object: pushed to every worker
+    /// whenever it changes, so a round stops waiting for them once it
+    /// is distinguished without them — one crash costs one coordinator
+    /// about one grace, not one deadline per commit.
     pub(crate) suspected: SiteSet,
+    /// How fast each peer has been voting, the straggler grace that
+    /// follows from it, and the timers guarding each recent round.
+    pub(crate) vote_clock: grace::VoteClock,
     /// Wall-clock protocol deadlines, in the shared [`TimerWheel`] (the
     /// simulator arms the same wheel under a virtual clock). Its epoch
     /// is bumped on every crash so timers armed before the crash are
@@ -472,6 +488,7 @@ impl Node {
             down: false,
             reachable: SiteSet::all(n),
             suspected: SiteSet::EMPTY,
+            vote_clock: grace::VoteClock::new(n),
             timers: TimerWheel::new(),
             events: None,
             net: None,

@@ -151,16 +151,15 @@ impl Node {
     fn handle_event(&mut self, pool: &mut ShardPool, event: NodeEvent) {
         match event {
             NodeEvent::Peer { from, msg } => {
-                if self.hears(from) {
-                    pool.dispatch(WorkItem::Peer {
-                        from,
-                        msg,
-                        suspected: self.suspected,
-                    });
+                if self.hears(pool, from) {
+                    if let Message::VoteGranted { txn, .. } | Message::VoteBusy { txn, .. } = &msg {
+                        self.note_vote(*txn, from);
+                    }
+                    pool.dispatch(WorkItem::Peer { from, msg });
                 }
             }
             NodeEvent::Relay { from, relay } => {
-                if self.hears(from) {
+                if self.hears(pool, from) {
                     self.on_relay(pool, from, relay);
                 }
             }
@@ -173,20 +172,29 @@ impl Node {
     /// nothing, a partitioned-away sender's frames are dropped at the
     /// boundary, and so is a sender id outside the cluster (the wire
     /// does not bound it).
-    fn hears(&mut self, from: SiteId) -> bool {
+    fn hears(&mut self, pool: &mut ShardPool, from: SiteId) -> bool {
         if self.down || from.index() >= self.n || !self.reachable.contains(from) {
             return false;
         }
         // A frame from a suspected peer proves the picture stale — a
-        // link healed, a site restarted. Forget all of it, not just
-        // this peer: whoever else was cut off with it may be back too,
-        // and a round must not close without them merely because this
-        // one spoke first. A peer that really is still silent costs one
-        // more deadline to re-learn.
+        // link healed, a site restarted, a vote was merely late. Forget
+        // all of it, not just this peer: whoever else was cut off with
+        // it may be back too, and a round must not close without them
+        // merely because this one spoke first. A peer that really is
+        // still silent costs one more grace to re-learn.
         if self.suspected.contains(from) {
             self.set_suspected(SiteSet::EMPTY);
+            pool.set_suspected(SiteSet::EMPTY);
         }
         true
+    }
+
+    /// `from`'s vote for `txn` arrived: one sample of how fast that
+    /// peer answers, whether or not the round is still open.
+    fn note_vote(&mut self, txn: TxnId, from: SiteId) {
+        if let Some(srtt) = self.vote_clock.sample(txn, from, Instant::now()) {
+            self.shard_stats.note_vote_rtt(from, srtt);
+        }
     }
 
     /// Resolve a wire key to a hosted object, or fail the client.
@@ -236,7 +244,10 @@ impl Node {
                 self.merge(pool);
                 if !self.down {
                     self.down = true;
+                    // The kernels' copy of the set goes with the rest
+                    // of their volatile state below.
                     self.set_suspected(SiteSet::EMPTY);
+                    self.vote_clock.reset();
                     // Lazy cancellation: already-armed entries become
                     // stale and are skimmed off at the next peek/pop.
                     self.timers.bump_epoch();
@@ -460,11 +471,24 @@ impl Node {
         }
     }
 
-    /// Replace the peer-suspicion set, keeping its published gauge in
-    /// step.
+    /// Replace the scheduler's copy of the peer-suspicion set, keeping
+    /// its published gauge in step. The kernels learn of a change from
+    /// [`ShardPool::set_suspected`] and nowhere else.
     pub(crate) fn set_suspected(&mut self, suspected: SiteSet) {
         self.suspected = suspected;
         self.shard_stats.note_suspected(suspected);
+    }
+
+    /// The set grew: hand it to every worker and have each round this
+    /// node has open re-tested against it — a round whose live votes
+    /// were all in hand before the set grew never sees another vote.
+    /// The re-tests stage their actions like any other work item; the
+    /// caller merges again to collect them.
+    pub(super) fn push_suspicion(&mut self, pool: &mut ShardPool) {
+        pool.set_suspected(self.suspected);
+        for &txn in self.pending.keys().chain(&self.restart_txns) {
+            pool.dispatch(WorkItem::SuspicionGrew { txn });
+        }
     }
 
     /// Whether a frame to `to` leaves the node: a crashed site is
@@ -482,10 +506,24 @@ impl Node {
     /// Arm one wall-clock deadline. `prepared_rounds` is the shard's
     /// current termination-round count, read by the merge pass while it
     /// holds the group locks (the scheduler itself never touches
-    /// kernels).
+    /// kernels). A vote deadline opens the round on the vote clock and
+    /// brings the straggler grace with it, unless the grace would be
+    /// the whole deadline anyway.
     pub(crate) fn arm_timer(&mut self, txn: TxnId, kind: TimerKind, prepared_rounds: u32) {
+        let now = Instant::now();
         let delay = match kind {
-            TimerKind::VoteDeadline => self.config.vote_deadline,
+            TimerKind::VoteDeadline => {
+                let deadline = self.config.vote_deadline;
+                self.vote_clock.open(txn, now, deadline);
+                let grace = self.vote_clock.grace(self.id, deadline);
+                self.shard_stats.note_vote_grace(grace);
+                if grace < deadline {
+                    self.arm_at(now + grace, txn, TimerKind::VoteGrace);
+                }
+                deadline
+            }
+            // Only ever armed with its round's vote deadline, above.
+            TimerKind::VoteGrace => return,
             TimerKind::CatchUpDeadline => self.config.catchup_deadline,
             TimerKind::PreparedRetry => {
                 let u: f64 = self.rng.gen();
@@ -493,7 +531,12 @@ impl Node {
                 Duration::from_secs_f64(ms / 1000.0)
             }
         };
-        self.timers.schedule(Instant::now() + delay, (txn, kind));
+        self.arm_at(now + delay, txn, kind);
+    }
+
+    fn arm_at(&mut self, when: Instant, txn: TxnId, kind: TimerKind) {
+        let id = self.timers.schedule(when, (txn, kind));
+        self.vote_clock.guard(txn, kind, id);
     }
 
     /// Time until the next protocol deadline or forward deadline.
@@ -515,6 +558,7 @@ impl Node {
             if self.down {
                 continue;
             }
+            self.vote_clock.fired(txn, kind);
             pool.dispatch(WorkItem::Timer { txn, kind });
         }
     }

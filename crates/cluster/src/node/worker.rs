@@ -23,7 +23,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Worker-pool counters in the style of [`crate::NetStats`]: relaxed
 /// atomics bumped on the hot path, snapshotted wholesale for loadgen
@@ -52,6 +52,15 @@ pub struct ShardStats {
     suspected: AtomicU64,
     /// Per peer: vote deadlines that fired without its reply.
     vote_deadline_missed: Vec<AtomicU64>,
+    /// Per peer: straggler graces that ran out without its reply and
+    /// closed the round (its replies were distinguished without it).
+    vote_grace_missed: Vec<AtomicU64>,
+    /// Per peer: smoothed vote latency in microseconds (a gauge; 0
+    /// until the peer has voted in a round coordinated here).
+    peer_vote_rtt_us: Vec<AtomicU64>,
+    /// The straggler grace the latest round was given, in microseconds
+    /// (a gauge).
+    vote_grace_us: AtomicU64,
     /// Quorum rounds that closed before their vote deadline because
     /// only suspected peers were still silent.
     rounds_closed_early: AtomicU64,
@@ -88,6 +97,9 @@ impl ShardStats {
                 .collect(),
             suspected: AtomicU64::new(0),
             vote_deadline_missed: (0..sites).map(|_| AtomicU64::new(0)).collect(),
+            vote_grace_missed: (0..sites).map(|_| AtomicU64::new(0)).collect(),
+            peer_vote_rtt_us: (0..sites).map(|_| AtomicU64::new(0)).collect(),
+            vote_grace_us: AtomicU64::new(0),
             rounds_closed_early: AtomicU64::new(0),
             forwarded_out: AtomicU64::new(0),
             forwarded_in: AtomicU64::new(0),
@@ -132,10 +144,28 @@ impl ShardStats {
         self.suspected.store(suspected.bits(), Ordering::Relaxed);
     }
 
-    pub(crate) fn note_deadline_missed(&self, peer: SiteId) {
-        if let Some(count) = self.vote_deadline_missed.get(peer.index()) {
+    /// A round closed without `peer`'s vote: at its straggler grace, or
+    /// else at its vote deadline.
+    pub(crate) fn note_vote_missed(&self, peer: SiteId, at_grace: bool) {
+        let counts = if at_grace {
+            &self.vote_grace_missed
+        } else {
+            &self.vote_deadline_missed
+        };
+        if let Some(count) = counts.get(peer.index()) {
             count.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    pub(crate) fn note_vote_rtt(&self, peer: SiteId, srtt: Duration) {
+        if let Some(gauge) = self.peer_vote_rtt_us.get(peer.index()) {
+            gauge.store(srtt.as_micros() as u64, Ordering::Relaxed);
+        }
+    }
+
+    pub(crate) fn note_vote_grace(&self, grace: Duration) {
+        self.vote_grace_us
+            .store(grace.as_micros() as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn note_closed_early(&self) {
@@ -176,10 +206,28 @@ impl ShardStats {
     /// without its reply.
     #[must_use]
     pub fn vote_deadline_missed(&self) -> Vec<u64> {
-        self.vote_deadline_missed
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
+        load_all(&self.vote_deadline_missed)
+    }
+
+    /// Per peer (indexed by site), how many rounds closed at their
+    /// straggler grace without its reply.
+    #[must_use]
+    pub fn vote_grace_missed(&self) -> Vec<u64> {
+        load_all(&self.vote_grace_missed)
+    }
+
+    /// Per peer (indexed by site), the smoothed latency of its votes in
+    /// microseconds; 0 for a peer that has not voted here yet.
+    #[must_use]
+    pub fn peer_vote_rtt_us(&self) -> Vec<u64> {
+        load_all(&self.peer_vote_rtt_us)
+    }
+
+    /// The straggler grace of the latest round coordinated here, in
+    /// microseconds.
+    #[must_use]
+    pub fn vote_grace_us(&self) -> u64 {
+        self.vote_grace_us.load(Ordering::Relaxed)
     }
 
     /// Quorum rounds closed ahead of their vote deadline.
@@ -287,8 +335,13 @@ impl ShardStats {
     }
 }
 
+fn load_all(counters: &[AtomicU64]) -> Vec<u64> {
+    counters.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+}
+
 /// One unit of shard work, classified by the scheduler thread and run
-/// by the worker owning [`WorkItem::object`].
+/// by the worker owning [`WorkItem::object`] (every worker, for the one
+/// item that names no object).
 #[derive(Debug)]
 pub(crate) enum WorkItem {
     /// A protocol message from another site (keyed by its transaction's
@@ -298,8 +351,6 @@ pub(crate) enum WorkItem {
         from: SiteId,
         /// The message.
         msg: Message,
-        /// The scheduler's peer-suspicion set when the frame arrived.
-        suspected: SiteSet,
     },
     /// Start a client update or read-only request; the started
     /// transaction is recorded in [`WorkerGroup::starts`] so the merge
@@ -330,15 +381,26 @@ pub(crate) enum WorkItem {
         /// The restart transaction's payload.
         payload: u64,
     },
+    /// The node's peer-suspicion set changed
+    /// ([`ShardPool::set_suspected`]): the one way a worker learns it.
+    Suspected(SiteSet),
+    /// The set grew while this round may be collecting votes: re-test
+    /// it now, it may never see another vote.
+    SuspicionGrew {
+        /// A round coordinated here.
+        txn: TxnId,
+    },
 }
 
 impl WorkItem {
-    /// The object this item addresses — what decides the owning worker.
-    fn object(&self) -> ObjectId {
+    /// The object this item addresses — what decides the owning worker
+    /// — or `None` for the one item every worker gets a copy of.
+    fn object(&self) -> Option<ObjectId> {
         match self {
-            WorkItem::Peer { msg, .. } => msg.txn().object,
-            WorkItem::Timer { txn, .. } => txn.object,
-            WorkItem::Op { object, .. } | WorkItem::Recover { object, .. } => *object,
+            WorkItem::Peer { msg, .. } => Some(msg.txn().object),
+            WorkItem::Timer { txn, .. } | WorkItem::SuspicionGrew { txn } => Some(txn.object),
+            WorkItem::Op { object, .. } | WorkItem::Recover { object, .. } => Some(*object),
+            WorkItem::Suspected(_) => None,
         }
     }
 }
@@ -427,12 +489,7 @@ impl WorkerGroup {
 pub(crate) fn process_item(group: &mut WorkerGroup, item: WorkItem) {
     let object = item.object();
     match item {
-        WorkItem::Peer {
-            from,
-            msg,
-            suspected,
-        } => {
-            group.part.set_suspected(suspected);
+        WorkItem::Peer { from, msg } => {
             // Unhosted or foreign-piece objects are dropped, not
             // panicked on: a misrouted frame must not kill the worker.
             group.part.handle_message(from, msg, &mut group.scratch);
@@ -445,6 +502,10 @@ pub(crate) fn process_item(group: &mut WorkerGroup, item: WorkItem) {
         WorkItem::Timer { txn, kind } => {
             group.part.timer_fired(txn, kind, &mut group.scratch);
         }
+        WorkItem::SuspicionGrew { txn } => {
+            group.part.suspicion_grew(txn, &mut group.scratch);
+        }
+        WorkItem::Suspected(suspected) => group.part.set_suspected(suspected),
         WorkItem::Recover { object, payload } => {
             let start = group.scratch.len();
             group.part.recover(object, payload, &mut group.scratch);
@@ -460,7 +521,9 @@ pub(crate) fn process_item(group: &mut WorkerGroup, item: WorkItem) {
             }
         }
     }
-    pump(group, object);
+    if let Some(object) = object {
+        pump(group, object);
+    }
 }
 
 /// Drain `object`'s pending-op FIFO into quorum rounds while its lock
@@ -657,7 +720,20 @@ impl ShardPool {
     /// queueing) with one worker, queued behind the worker's condvar
     /// otherwise.
     pub(crate) fn dispatch(&mut self, item: WorkItem) {
-        let w = self.owner_of(item.object());
+        let object = item.object().expect("an item for one object");
+        self.dispatch_to(self.owner_of(object), item);
+    }
+
+    /// Hand every worker the node's new peer-suspicion set, in order
+    /// with the rest of its work: items dispatched before this still
+    /// run under the old set, items dispatched after it under the new.
+    pub(crate) fn set_suspected(&mut self, suspected: SiteSet) {
+        for w in 0..self.workers {
+            self.dispatch_to(w, WorkItem::Suspected(suspected));
+        }
+    }
+
+    fn dispatch_to(&mut self, w: usize, item: WorkItem) {
         self.stats.note_dispatch(w);
         if self.handles.is_empty() {
             let mut group = self.shareds[w].group.lock().expect("shard group poisoned");

@@ -14,12 +14,34 @@
 //! faults never race in-flight traffic; that is what makes the
 //! simulator's link topology and the cluster's node-boundary
 //! reachability filter observationally equivalent.
+//!
+//! The one wall-clock quantity a fixpoint can depend on is who a round
+//! closes without. The simulator leaves out exactly the sites that are
+//! down or cut off; a live node leaves out whoever has not answered
+//! when the round's straggler grace runs out. Scripted clusters
+//! therefore boot with a long vote deadline ([`scripted`]), so that the
+//! grace floor — a fixed fraction of it — is longer than a busy test
+//! machine keeps a live peer descheduled.
 
 use crate::cluster::{Cluster, ClusterConfig, TransportKind};
 use crate::wire::ClientReply;
 use dynvote_core::{AlgorithmKind, CopyMeta, SiteId, SiteSet};
 use dynvote_protocol::EventTallies;
 use std::time::Duration;
+
+/// The shortest vote deadline a scripted cluster runs with: its grace
+/// floor (an eighth) is then the 25 ms default vote deadline, the
+/// tolerance these scripts have always passed under.
+const SCRIPT_VOTE_DEADLINE: Duration = Duration::from_millis(200);
+
+/// `config` with its vote deadline raised to at least 200 ms: what
+/// every cluster whose final `(VN, SC, DS)` is compared with the
+/// simulator's must boot from (see the module comment).
+#[must_use]
+pub fn scripted(mut config: ClusterConfig) -> ClusterConfig {
+    config.node.vote_deadline = config.node.vote_deadline.max(SCRIPT_VOTE_DEADLINE);
+    config
+}
 
 /// One step of a scripted scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,12 +123,13 @@ pub fn run_cluster_traced(
 }
 
 /// Interpret `script` on a cluster booted from an explicit
-/// [`ClusterConfig`] — the hook the conformance suite uses to run the
-/// same scenario with durability on and compare fixpoints.
+/// [`ClusterConfig`] ([`scripted`]) — the hook the conformance suite
+/// uses to run the same scenario with durability on and compare
+/// fixpoints.
 #[must_use]
 pub fn run_cluster_config(config: &ClusterConfig, script: &[ScriptOp]) -> (Fixpoint, EventTallies) {
     let n = config.n;
-    let cluster = Cluster::boot(config).expect("boot cluster");
+    let cluster = Cluster::boot(&scripted(config.clone())).expect("boot cluster");
     for op in script {
         match op {
             ScriptOp::Update(site) => {

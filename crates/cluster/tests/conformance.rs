@@ -14,7 +14,7 @@
 //! fixpoint — byte-identical metadata and gapless logs.
 
 use dynvote_cluster::scenario::{
-    demo_script, run_cluster, run_cluster_config, run_cluster_traced, Fixpoint, ScriptOp,
+    demo_script, run_cluster, run_cluster_config, run_cluster_traced, scripted, Fixpoint, ScriptOp,
 };
 use dynvote_cluster::wire::{ClientOp, ClientReply};
 use dynvote_cluster::{Cluster, ClusterConfig, LoadGen, LoadGenConfig, TransportKind};
@@ -325,7 +325,7 @@ fn keyed_references(algorithm: AlgorithmKind, n: usize, objects: u32) -> Vec<Fix
 fn run_keyed_and_check(config: &ClusterConfig, label: &str, refs: &[Fixpoint]) {
     let n = 5;
     let script = keyed_script();
-    let cluster = Cluster::boot(config).expect("boot sharded cluster");
+    let cluster = Cluster::boot(&scripted(config.clone())).expect("boot sharded cluster");
     for step in &script {
         match step {
             KeyedStep::Update(o, site) => {
@@ -486,7 +486,7 @@ fn pipelined_determinism(algorithm: AlgorithmKind) {
             .with_objects(OBJECTS as usize)
             .with_shard_threads(shard_threads)
             .with_max_batch(64);
-        let cluster = Cluster::boot(&config).expect("boot pipelined cluster");
+        let cluster = Cluster::boot(&scripted(config)).expect("boot pipelined cluster");
         for step in &script {
             match step {
                 KeyedStep::Update(o, site) => {
@@ -646,7 +646,9 @@ fn partition_wedging_one_object_does_not_block_the_other() {
         )
     };
     let s = |text: &str| SiteSet::parse(text).expect("valid site list");
-    let config = ClusterConfig::new(n, AlgorithmKind::DynamicVoting).with_objects(2);
+    // Who is counted decides who is wedged later: no live site may be
+    // left out of a round.
+    let config = scripted(ClusterConfig::new(n, AlgorithmKind::DynamicVoting).with_objects(2));
     let cluster = Cluster::boot(&config).expect("boot");
 
     // Shrink object A's voting population: partition {A,B,C} | {D,E}

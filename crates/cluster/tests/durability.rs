@@ -1,7 +1,12 @@
 //! Durable-cluster lifecycle: reboot-from-disk, crash/recover against
 //! real storage, and torn-WAL re-convergence through the protocol's
 //! own catch-up path.
+//!
+//! Every leg ends by asserting that *every* site holds the last
+//! version, so no live site may be left out of a round because an fsync
+//! took longer than a straggler grace: the clusters boot `scripted`.
 
+use dynvote_cluster::scenario::scripted;
 use dynvote_cluster::{ClientReply, Cluster, ClusterConfig};
 use dynvote_core::{AlgorithmKind, SiteId};
 use dynvote_protocol::{Action, DurableState, Message, ObjectId, SiteActor};
@@ -63,8 +68,9 @@ fn live_wal(site_dir: &PathBuf) -> PathBuf {
 fn durable_cluster_resumes_from_disk_across_reboots() {
     let dir = temp_dir("reboot");
     let n = 5;
-    let config =
-        ClusterConfig::new(n, AlgorithmKind::Hybrid).with_data_dir(&dir, FsyncPolicy::Always);
+    let config = scripted(
+        ClusterConfig::new(n, AlgorithmKind::Hybrid).with_data_dir(&dir, FsyncPolicy::Always),
+    );
 
     let first = Cluster::boot(&config).unwrap();
     for _ in 0..3 {
@@ -197,8 +203,9 @@ fn orphaned_prepares_resolve_via_termination_protocol_at_boot() {
     // --- Second life: every subordinate boots in doubt. The cluster
     // must resolve the orphaned transaction and keep committing — this
     // very update() wedged forever before in-doubt boot recovery.
-    let config =
-        ClusterConfig::new(n, AlgorithmKind::Hybrid).with_data_dir(&dir, FsyncPolicy::Always);
+    let config = scripted(
+        ClusterConfig::new(n, AlgorithmKind::Hybrid).with_data_dir(&dir, FsyncPolicy::Always),
+    );
     let cluster = Cluster::boot(&config).unwrap();
     let mut next = commit_update(&cluster, SiteId(0));
     assert!(next >= 2, "post-recovery commit must extend version 1");
@@ -251,8 +258,10 @@ fn orphaned_prepares_resolve_via_termination_protocol_at_boot() {
 fn recover_reboots_the_site_from_its_data_dir() {
     let dir = temp_dir("crashrec");
     let n = 3;
-    let config = ClusterConfig::new(n, AlgorithmKind::DynamicVoting)
-        .with_data_dir(&dir, FsyncPolicy::Always);
+    let config = scripted(
+        ClusterConfig::new(n, AlgorithmKind::DynamicVoting)
+            .with_data_dir(&dir, FsyncPolicy::Always),
+    );
     let cluster = Cluster::boot(&config).unwrap();
 
     commit_update(&cluster, SiteId(0));
@@ -286,8 +295,9 @@ fn recover_reboots_the_site_from_its_data_dir() {
 fn torn_wal_tail_truncates_and_catchup_reconverges() {
     let dir = temp_dir("torn");
     let n = 3;
-    let config =
-        ClusterConfig::new(n, AlgorithmKind::Hybrid).with_data_dir(&dir, FsyncPolicy::Always);
+    let config = scripted(
+        ClusterConfig::new(n, AlgorithmKind::Hybrid).with_data_dir(&dir, FsyncPolicy::Always),
+    );
 
     let first = Cluster::boot(&config).unwrap();
     for _ in 0..3 {

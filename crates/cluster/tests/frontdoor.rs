@@ -48,6 +48,27 @@ fn post_op(addr: SocketAddr, body: &str) -> (u16, String) {
     )
 }
 
+/// The raw value of `"field":` in a flat JSON object whose values hold
+/// no nested braces (arrays of numbers are fine).
+fn json_field<'a>(body: &'a str, field: &str) -> &'a str {
+    let (_, rest) = body
+        .split_once(&format!("\"{field}\":"))
+        .unwrap_or_else(|| panic!("no {field} in {body}"));
+    let end = if rest.starts_with('[') {
+        rest.find(']').expect("closed array") + 1
+    } else {
+        rest.find([',', '}']).expect("a value ends")
+    };
+    &rest[..end]
+}
+
+/// One `/metrics` sample by its full `name{labels}` key.
+fn sample(body: &str, key: &str) -> u64 {
+    body.lines()
+        .find_map(|line| line.strip_prefix(key)?.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no sample {key} in:\n{body}"))
+}
+
 #[test]
 fn post_op_commits_and_status_reports_metadata() {
     let cluster = http_cluster(3, 64);
@@ -69,6 +90,23 @@ fn post_op_commits_and_status_reports_metadata() {
     assert!(body.contains("\"algorithm\":\"hybrid\""), "{body}");
     assert!(body.contains("\"vn\":1"), "{body}");
     assert!(body.contains("\"reachable\""), "{body}");
+    // Both peers have voted twice and neither was ever waited for in
+    // vain; the second round got a grace between the floor (an eighth
+    // of the 25 ms vote deadline) and the deadline itself.
+    assert!(body.contains("\"vote_grace_missed\":[0,0,0]"), "{body}");
+    assert!(body.contains("\"vote_deadline_missed\":[0,0,0]"), "{body}");
+    let rtts = json_field(&body, "peer_vote_rtt_us");
+    let rtts: Vec<u64> = rtts
+        .trim_matches(|c| c == '[' || c == ']')
+        .split(',')
+        .map(|us| us.parse().expect("microseconds"))
+        .collect();
+    assert!(
+        matches!(rtts[..], [0, b, c] if b > 0 && c > 0),
+        "site 0's own slot stays 0, its peers' do not: {rtts:?}"
+    );
+    let grace: u64 = json_field(&body, "vote_grace_us").parse().expect("grace");
+    assert!((3_125..=25_000).contains(&grace), "{grace}");
     // One client, no rival: the routing readings are there and zero.
     assert!(
         body.ends_with(
@@ -92,6 +130,17 @@ fn post_op_commits_and_status_reports_metadata() {
     ] {
         assert!(body.contains(sample), "no {sample} in {body}");
     }
+    for peer in 1..=2 {
+        let labels = format!("{{site=\"0\",peer=\"{peer}\"}}");
+        assert!(sample(&body, &format!("dynvote_peer_vote_rtt_us{labels}")) > 0);
+        assert_eq!(
+            sample(&body, &format!("dynvote_vote_grace_missed_total{labels}")),
+            0
+        );
+    }
+    assert!(!body.contains("dynvote_peer_vote_rtt_us{site=\"0\",peer=\"0\"}"));
+    let grace = sample(&body, "dynvote_vote_grace_us{site=\"0\"}");
+    assert!((3_125..=25_000).contains(&grace), "{grace}");
     assert!(body.contains("dynvote_event_total"), "{body}");
     assert!(body.contains("dynvote_net_total"), "{body}");
     assert!(body.contains("dynvote_op_latency_seconds_count"), "{body}");

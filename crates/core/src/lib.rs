@@ -74,5 +74,5 @@ pub use scenario::{
     fig1_partition_graph, run_scenario, ReplicaSystem, ScenarioStep, StepReport, UpdateOutcome,
 };
 pub use site::{LinearOrder, SiteId, SiteSet, MAX_SITES};
-pub use timer::{TimerWheel, VirtualInstant};
+pub use timer::{TimerId, TimerWheel, VirtualInstant};
 pub use view::{PartitionView, ViewError};

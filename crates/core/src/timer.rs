@@ -5,14 +5,15 @@
 //! order)` so that ties fire in the order they were armed, with *epoch
 //! invalidation* — crashing a site must cancel every timer guarding
 //! volatile transactions that no longer exist, without walking the
-//! heap. The simulator instantiates it over virtual time
+//! heap — and per-timer *tombstones* for the one deadline whose
+//! transaction finished on time. The simulator instantiates it over virtual time
 //! ([`VirtualInstant`], a totally ordered `f64`), the live cluster over
 //! [`std::time::Instant`]; jittered delays come from
 //! [`BackoffPolicy`](crate::BackoffPolicy) scaling the delay *before*
 //! it is scheduled, so the wheel itself stays deterministic.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
 
 /// Virtual time for discrete-event simulation: a totally ordered
 /// wrapper over `f64` seconds (NaN-free by construction — deadlines are
@@ -66,17 +67,26 @@ impl<T: Ord, P> Ord for Entry<T, P> {
     }
 }
 
+/// Names one armed timer, for [`TimerWheel::cancel`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TimerId(u64);
+
 /// A binary-heap timer wheel ordered by `(deadline, arming order)` with
-/// epoch invalidation.
+/// epoch invalidation and per-timer tombstones.
 ///
 /// [`bump_epoch`](TimerWheel::bump_epoch) invalidates every currently
-/// armed timer in O(1); stale entries are discarded lazily as the heap
-/// is inspected, so a crash never pays for the timers it cancels.
+/// armed timer in O(1) and [`cancel`](TimerWheel::cancel) one of them;
+/// dead entries are discarded lazily as the heap is inspected, so
+/// neither a crash nor a cancellation pays for walking the heap, and a
+/// wall-clock loop is never woken for a deadline nobody waits on.
 #[derive(Debug)]
 pub struct TimerWheel<T, P> {
     heap: BinaryHeap<Reverse<Entry<T, P>>>,
     seq: u64,
     epoch: u64,
+    /// Tombstones: cancelled timers still sitting in the heap. Each
+    /// leaves the set with its entry.
+    cancelled: HashSet<u64>,
 }
 
 impl<T: Ord, P> Default for TimerWheel<T, P> {
@@ -93,11 +103,12 @@ impl<T: Ord, P> TimerWheel<T, P> {
             heap: BinaryHeap::new(),
             seq: 0,
             epoch: 0,
+            cancelled: HashSet::new(),
         }
     }
 
     /// Arm a timer for `when`. Equal deadlines fire in arming order.
-    pub fn schedule(&mut self, when: T, payload: P) {
+    pub fn schedule(&mut self, when: T, payload: P) -> TimerId {
         self.seq += 1;
         self.heap.push(Reverse(Entry {
             when,
@@ -105,6 +116,15 @@ impl<T: Ord, P> TimerWheel<T, P> {
             epoch: self.epoch,
             payload,
         }));
+        TimerId(self.seq)
+    }
+
+    /// Retire one armed timer: it will never be popped and no accessor
+    /// reports its deadline. Cancel each timer at most once, and only
+    /// while it is armed — a tombstone for an entry that has already
+    /// left the heap would never be collected.
+    pub fn cancel(&mut self, id: TimerId) {
+        self.cancelled.insert(id.0);
     }
 
     /// Invalidate every currently armed timer (a crash boundary). New
@@ -117,11 +137,17 @@ impl<T: Ord, P> TimerWheel<T, P> {
     /// Drop every entry, live or stale, without changing the epoch.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.cancelled.clear();
     }
 
-    /// Discard stale-epoch entries sitting at the top of the heap.
+    /// Discard stale-epoch and cancelled entries sitting at the top of
+    /// the heap.
     fn skim(&mut self) {
-        while matches!(self.heap.peek(), Some(Reverse(e)) if e.epoch != self.epoch) {
+        while let Some(Reverse(e)) = self.heap.peek() {
+            let cancelled = !self.cancelled.is_empty() && self.cancelled.remove(&e.seq);
+            if !cancelled && e.epoch == self.epoch {
+                return;
+            }
             self.heap.pop();
         }
     }
@@ -212,6 +238,32 @@ mod tests {
         assert_eq!(wheel.next_deadline(), Some(&VirtualInstant(3.0)));
         assert_eq!(wheel.pop_next(), Some((VirtualInstant(3.0), 3)));
         assert!(wheel.is_empty());
+    }
+
+    #[test]
+    fn cancelled_timers_are_skimmed_like_stale_epochs() {
+        let mut wheel: TimerWheel<VirtualInstant, u32> = TimerWheel::new();
+        let first = wheel.schedule(VirtualInstant(1.0), 1);
+        let second = wheel.schedule(VirtualInstant(2.0), 2);
+        wheel.schedule(VirtualInstant(3.0), 3);
+        wheel.cancel(first);
+        wheel.cancel(second);
+        // No accessor reports a cancelled deadline: a wall-clock loop
+        // sleeping until `next_deadline` is not woken for one.
+        assert_eq!(wheel.next_deadline(), Some(&VirtualInstant(3.0)));
+        assert_eq!(wheel.pop_due(&VirtualInstant(2.5)), None);
+        assert_eq!(
+            wheel.pop_due(&VirtualInstant(3.0)),
+            Some((VirtualInstant(3.0), 3))
+        );
+        assert!(wheel.is_empty());
+        // A tombstone dies with its entry, whichever reason killed it.
+        let doomed = wheel.schedule(VirtualInstant(4.0), 4);
+        wheel.cancel(doomed);
+        wheel.bump_epoch();
+        wheel.schedule(VirtualInstant(5.0), 5);
+        assert_eq!(wheel.pop_next(), Some((VirtualInstant(5.0), 5)));
+        assert!(wheel.cancelled.is_empty());
     }
 
     #[test]

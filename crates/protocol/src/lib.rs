@@ -46,5 +46,6 @@ pub use message::{LogEntry, Message, ObjectId, StatusOutcome, TxnId};
 pub use persist::Persistence;
 pub use shard::ShardedSite;
 pub use site::{
-    Action, ActionSink, CommitRecord, DurableState, Hint, ResolveReason, SiteActor, TimerKind,
+    Action, ActionSink, CloseCause, CommitRecord, DurableState, Hint, ResolveReason, SiteActor,
+    TimerKind,
 };

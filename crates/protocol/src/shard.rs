@@ -42,9 +42,9 @@ pub struct ShardedSite {
     workers: usize,
     /// Objects the whole site hosts, across every piece.
     objects: usize,
-    /// The node's peer-suspicion hint, stamped on a shard each time a
-    /// message is routed to it — one word here instead of one write per
-    /// hosted object whenever the set changes.
+    /// The node's peer-suspicion hint, copied onto a shard each time a
+    /// message or re-test is routed to it — one word here instead of
+    /// one write per hosted object whenever the set changes.
     suspected: SiteSet,
     /// Owned shards in object order: object `o` sits at `o / workers`.
     shards: Vec<SiteActor>,
@@ -201,9 +201,28 @@ impl ShardedSite {
     /// Replace the peer-suspicion hint every owned shard sees from its
     /// next routed message on ([`SiteActor::set_suspected`]). One set
     /// per node, shared by all its objects: a peer that went silent on
-    /// one object is silent on all of them.
+    /// one object is silent on all of them. This call is the set's only
+    /// carrier: the host makes it on every piece whenever the set
+    /// changes — no frame brings a copy along — so a piece whose
+    /// objects are quiet is never left holding an old set. After the
+    /// set *grew* the host also calls [`ShardedSite::suspicion_grew`]
+    /// for each round it has open.
     pub fn set_suspected(&mut self, suspected: SiteSet) {
         self.suspected = suspected;
+    }
+
+    /// Route a re-test of the early-close rule to `txn`'s shard
+    /// ([`SiteActor::suspicion_grew`]).
+    pub fn suspicion_grew(&mut self, txn: TxnId, out: &mut ActionSink) -> bool {
+        let suspected = self.suspected;
+        match self.shard_mut(txn.object) {
+            Some(shard) => {
+                shard.set_suspected(suspected);
+                shard.suspicion_grew(txn, out);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Route a message to its object's shard. Returns `false` (and does
@@ -463,7 +482,8 @@ mod tests {
     /// The suspicion hint reaches a shard with the message routed to
     /// it, at every stride: a round whose only silent peer is suspected
     /// closes on the last unsuspected vote instead of waiting out the
-    /// deadline.
+    /// deadline — or, when that vote was in before the set grew, on the
+    /// re-test.
     #[test]
     fn suspicion_hint_is_stamped_at_every_stride() {
         for workers in STRIDES {
@@ -484,6 +504,23 @@ mod tests {
                 !piece.any_locked(),
                 "workers={workers}: round still waits for the suspected peer"
             );
+            // The same round with the vote in hand first: nothing closes
+            // it until the host re-tests after growing the set.
+            out.clear();
+            start(&mut s, 3, 3, &mut out);
+            let txn = vote_request(&out).txn();
+            let piece = owner(&mut s, 3);
+            piece.set_suspected(SiteSet::EMPTY);
+            let vote = Message::VoteGranted {
+                txn,
+                meta: piece.shard(ObjectId(3)).unwrap().meta(),
+                from: SiteId(1),
+            };
+            piece.handle_message(SiteId(1), vote, &mut out);
+            piece.set_suspected(SiteSet::from_bits(0b100));
+            assert!(piece.any_locked(), "setting the hint tests nothing");
+            assert!(piece.suspicion_grew(txn, &mut out));
+            assert!(!piece.any_locked(), "workers={workers}: re-test");
             // A crash forgets the hint with the rest of volatile state.
             piece.crash();
             out.clear();

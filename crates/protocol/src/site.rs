@@ -52,6 +52,14 @@ pub enum ResolveReason {
 pub enum TimerKind {
     /// Coordinator: stop waiting for votes and decide.
     VoteDeadline,
+    /// Coordinator: the host's straggler grace for a voting phase ran
+    /// out. The round closes now if — and only if — the replies in hand
+    /// already pass `Is_Distinguished`; otherwise nothing happens and
+    /// [`TimerKind::VoteDeadline`] stays the only road to a refusal.
+    /// Host-armed: the kernel never asks for it with
+    /// [`Action::SetTimer`], so a host that does not arm it (the
+    /// simulator) sees no difference.
+    VoteGrace,
     /// Coordinator: catch-up reply is overdue; abort.
     CatchUpDeadline,
     /// Prepared subordinate: decision overdue; run the termination
@@ -125,9 +133,8 @@ pub enum Hint {
         txn: TxnId,
         /// The peers whose reply never arrived.
         sites: SiteSet,
-        /// `false`: the vote deadline fired waiting for them. `true`:
-        /// they were all suspected and the round closed without them.
-        early: bool,
+        /// What ended the wait.
+        cause: CloseCause,
     },
     /// While coordinating `txn`, this site denied a vote request for the
     /// same object from rival coordinator `site`. A harness may route
@@ -139,6 +146,22 @@ pub enum Hint {
         /// The coordinator whose vote request was denied.
         site: SiteId,
     },
+}
+
+/// What ended a voting phase that still had peers silent
+/// ([`Hint::Unanswered`]). Only [`CloseCause::Deadline`] can end it in a
+/// refusal; the other two are taken only when the replies in hand are
+/// already distinguished, so they change *when* a round decides, never
+/// *what*.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CloseCause {
+    /// [`TimerKind::VoteDeadline`] fired waiting for them.
+    Deadline,
+    /// [`TimerKind::VoteGrace`] fired: they are slower than the host
+    /// has seen its peers answer lately.
+    Grace,
+    /// They were all suspected already ([`SiteActor::set_suspected`]).
+    Suspected,
 }
 
 /// A caller-owned, reusable buffer the kernel appends its [`Action`]s
@@ -349,9 +372,18 @@ impl SiteActor {
     /// answered **and** the replies in hand are distinguished. Suspected
     /// peers are still asked and their timely votes still counted. The
     /// empty set — the default, restored by [`SiteActor::crash`] — is
-    /// the identity.
+    /// the identity. Setting it tests nothing by itself: a host that
+    /// grew the set calls [`SiteActor::suspicion_grew`] for the rounds
+    /// it has open.
     pub fn set_suspected(&mut self, suspected: SiteSet) {
         self.volatile.suspected = suspected;
+    }
+
+    /// The suspicion set grew while `txn` may be collecting votes here:
+    /// apply the early-close test now instead of at the next vote — a
+    /// round whose live votes are all in never sees another one.
+    pub fn suspicion_grew(&mut self, txn: TxnId, out: &mut ActionSink) {
+        self.close_early(txn, CloseCause::Suspected, out);
     }
 
     /// Install an [`EventSink`]; every subsequent protocol decision is
@@ -612,11 +644,12 @@ impl SiteActor {
                     out.push(Action::Hint(Hint::Unanswered {
                         txn,
                         sites,
-                        early: false,
+                        cause: CloseCause::Deadline,
                     }));
                 }
                 self.decide(txn, out);
             }
+            TimerKind::VoteGrace => self.close_early(txn, CloseCause::Grace, out),
             TimerKind::CatchUpDeadline => {
                 // Catch-up source unreachable: abort the update (or, in
                 // group mode, report a negative decision and let the
@@ -915,12 +948,48 @@ impl SiteActor {
         }
     }
 
+    /// The one early-close test, for all three of its callers: a vote
+    /// just arrived, the suspicion set grew, or the straggler grace ran
+    /// out. Closing ahead of the deadline is a timing shortcut, never a
+    /// different verdict: it is taken only when the replies in hand
+    /// already pass `Is_Distinguished` (and, unless the grace itself
+    /// ran out, only suspected peers are silent); otherwise the silent
+    /// peers keep the full deadline and this does nothing.
+    fn close_early(&mut self, txn: TxnId, cause: CloseCause, out: &mut ActionSink) {
+        let Some(CoordTxn {
+            txn: t,
+            phase: CoordPhase::Voting {
+                replies, awaiting, ..
+            },
+            ..
+        }) = self.volatile.coordinating.as_ref()
+        else {
+            return;
+        };
+        let silent = *awaiting;
+        if *t != txn
+            || silent.is_empty()
+            || (cause == CloseCause::Suspected && !silent.is_subset(self.volatile.suspected))
+        {
+            return;
+        }
+        let view = PartitionView::new(self.n, &self.order, replies)
+            .expect("vote replies form a valid view");
+        if self.algo.is_distinguished(&view) {
+            out.push(Action::Hint(Hint::Unanswered {
+                txn,
+                sites: silent,
+                cause,
+            }));
+            self.decide(txn, out);
+        }
+    }
+
     /// One peer answered the vote request: `Some(meta)` granted, `None`
     /// busy. The round closes when nobody is awaited any more, or —
     /// with a suspicion hint — when only suspected peers are and the
     /// replies in hand are already distinguished.
     fn on_vote(&mut self, txn: TxnId, from: SiteId, vote: Option<CopyMeta>, out: &mut ActionSink) {
-        let suspected = self.volatile.suspected;
         let Some(coord) = self.volatile.coordinating.as_mut() else {
             return;
         };
@@ -945,25 +1014,11 @@ impl SiteActor {
             Some(meta) => replies.push((from, meta)),
             None => busy.insert(from),
         }
-        let silent = *awaiting;
-        if silent.is_empty() {
+        if awaiting.is_empty() {
             // Everyone answered: no need to wait for the deadline.
             self.decide(txn, out);
-        } else if silent.is_subset(suspected) {
-            // Only suspected peers are silent. Closing now is a timing
-            // shortcut, never a different verdict: it is taken only
-            // when the replies in hand already pass `Is_Distinguished`;
-            // otherwise the suspected peers get the full deadline.
-            let view = PartitionView::new(self.n, &self.order, replies)
-                .expect("vote replies form a valid view");
-            if self.algo.is_distinguished(&view) {
-                out.push(Action::Hint(Hint::Unanswered {
-                    txn,
-                    sites: silent,
-                    early: true,
-                }));
-                self.decide(txn, out);
-            }
+        } else {
+            self.close_early(txn, CloseCause::Suspected, out);
         }
     }
 

@@ -1,9 +1,11 @@
 //! An in-memory network for kernel tests: `n` [`SiteActor`]s, a FIFO
 //! message queue, a timer list, crash/recover and partitions — and,
 //! optionally, the per-site peer-suspicion bookkeeping a live node
-//! does (learn from `Unanswered` at the deadline, forget on a frame
-//! from a suspected peer, wipe on crash), so a run with the hint can be
-//! compared with a run without it. Likewise the node's single-writer
+//! does (learn from `Unanswered` at a grace or deadline, forget on a
+//! frame from a suspected peer, wipe on crash) and the straggler grace
+//! it arms beside every vote deadline, so a run with the shortcuts can
+//! be compared with a run without them. Every commit any coordinator
+//! records is checked against one ledger as it happens. Likewise the node's single-writer
 //! routing (learn a home from `Rival`, hand later updates to it, bypass
 //! an unreachable home, wipe on crash) can be switched on.
 
@@ -11,7 +13,7 @@
 #![allow(dead_code)]
 
 use dynvote_core::{AlgorithmKind, SiteId, SiteSet};
-use dynvote_protocol::{Action, Hint, Message, SiteActor, TimerKind, TxnId};
+use dynvote_protocol::{Action, CloseCause, Hint, Message, SiteActor, TimerKind, TxnId};
 use std::collections::VecDeque;
 
 pub struct Net {
@@ -27,6 +29,13 @@ pub struct Net {
     pub closed_early: u64,
     /// `Unanswered` actions seen at a deadline.
     pub deadlines_missed: u64,
+    /// `Some` = arm a straggler grace beside every vote deadline, as a
+    /// node does; it fires first. Counts the rounds a grace closed.
+    pub graces_missed: Option<u64>,
+    /// The payload committed at each version, in version order.
+    pub ledger: Vec<u64>,
+    /// Commits that re-used a version or skipped one.
+    pub violations: Vec<String>,
     /// `Some` = act on `Rival` as a node does: per site, the
     /// lower-numbered site it last raced, if any.
     homes: Option<Vec<Option<SiteId>>>,
@@ -49,10 +58,19 @@ impl Net {
             timers: Vec::new(),
             closed_early: 0,
             deadlines_missed: 0,
+            graces_missed: None,
+            ledger: Vec::new(),
+            violations: Vec::new(),
             homes: None,
             rivals: 0,
             forwarded: 0,
         }
+    }
+
+    /// Arm a straggler grace with every vote deadline from now on.
+    pub fn graced(mut self) -> Net {
+        self.graces_missed = Some(0);
+        self
     }
 
     /// Switch single-writer routing on (see [`Net::submit_update`]).
@@ -101,13 +119,25 @@ impl Net {
                         }
                     }
                 }
-                Action::SetTimer { txn, kind } => self.timers.push((site, txn, kind)),
-                Action::Hint(Hint::Unanswered { early: true, .. }) => {
+                Action::SetTimer { txn, kind } => {
+                    if kind == TimerKind::VoteDeadline && self.graces_missed.is_some() {
+                        self.timers.push((site, txn, TimerKind::VoteGrace));
+                    }
+                    self.timers.push((site, txn, kind));
+                }
+                Action::Hint(Hint::Unanswered {
+                    cause: CloseCause::Suspected,
+                    ..
+                }) => {
                     assert!(self.suspected.is_some(), "early close without a hint");
                     self.closed_early += 1;
                 }
-                Action::Hint(Hint::Unanswered { sites, .. }) => {
-                    self.deadlines_missed += 1;
+                Action::Hint(Hint::Unanswered { sites, cause, .. }) => {
+                    if cause == CloseCause::Grace {
+                        *self.graces_missed.as_mut().expect("a grace nobody armed") += 1;
+                    } else {
+                        self.deadlines_missed += 1;
+                    }
                     if let Some(sets) = self.suspected.as_mut() {
                         sets[site.index()] = sets[site.index()].union(sites);
                     }
@@ -121,9 +151,20 @@ impl Net {
                         }
                     }
                 }
-                Action::Resolved { .. }
-                | Action::CommitRecorded { .. }
-                | Action::DecisionReady { .. } => {}
+                Action::CommitRecorded {
+                    version, payload, ..
+                } => {
+                    if version == self.ledger.len() as u64 + 1 {
+                        self.ledger.push(payload);
+                    } else {
+                        self.violations.push(format!(
+                            "site {site} committed version {version} (payload {payload}) \
+                             on a chain of {}",
+                            self.ledger.len()
+                        ));
+                    }
+                }
+                Action::Resolved { .. } | Action::DecisionReady { .. } => {}
             }
         }
     }
@@ -142,9 +183,72 @@ impl Net {
 
     /// Deliver queued messages in FIFO order until none is left.
     pub fn drain(&mut self) {
-        while let Some(frame) = self.queue.pop_front() {
+        self.deliver_next(usize::MAX);
+    }
+
+    /// Deliver up to `frames` queued messages in FIFO order.
+    pub fn deliver_next(&mut self, frames: usize) {
+        for _ in 0..frames {
+            let Some(frame) = self.queue.pop_front() else {
+                return;
+            };
             self.deliver(frame);
         }
+    }
+
+    /// The rounds of `site` an armed `kind` timer still guards.
+    fn armed(&self, site: SiteId, kind: TimerKind) -> Vec<TxnId> {
+        self.timers
+            .iter()
+            .filter(|(s, _, k)| *s == site && *k == kind)
+            .map(|(_, txn, _)| *txn)
+            .collect()
+    }
+
+    /// `site`'s straggler grace runs out *now* for whatever round it has
+    /// open, wherever its votes have got to.
+    pub fn fire_grace(&mut self, site: SiteId) {
+        assert!(self.graces_missed.is_some(), "a grace nobody armed");
+        for txn in self.armed(site, TimerKind::VoteGrace) {
+            let mut out = Vec::new();
+            self.sites[site.index()].timer_fired(txn, TimerKind::VoteGrace, &mut out);
+            self.stage(site, out);
+        }
+    }
+
+    /// `site` learns — from a round on some other object, say — that
+    /// every site which really is down is silent, and re-tests the
+    /// round it has open, as a node does when its set grows.
+    pub fn suspect_the_down(&mut self, site: SiteId) {
+        let down = self.down;
+        let sets = self.suspected.as_mut().expect("a run with the hint");
+        sets[site.index()] = sets[site.index()].union(down);
+        self.sites[site.index()].set_suspected(sets[site.index()]);
+        for txn in self.armed(site, TimerKind::VoteDeadline) {
+            let mut out = Vec::new();
+            self.sites[site.index()].suspicion_grew(txn, &mut out);
+            self.stage(site, out);
+        }
+    }
+
+    /// What every copy must satisfy against the ledger: its log is a
+    /// gapless prefix of the one chain and its version is the log's
+    /// length. Returns what does not.
+    pub fn audit(&self) -> Vec<String> {
+        let mut found = self.violations.clone();
+        for site in &self.sites {
+            let log = site.log();
+            if site.meta().version != log.len() as u64 {
+                found.push(format!("site {}: VN disagrees with its log", site.id()));
+            }
+            for (i, entry) in log.iter().enumerate() {
+                if entry.version != i as u64 + 1 || self.ledger.get(i) != Some(&entry.payload) {
+                    found.push(format!("site {}: log leaves the chain at {i}", site.id()));
+                    break;
+                }
+            }
+        }
+        found
     }
 
     /// Hand one frame to its destination; frames across a dead link are

@@ -9,8 +9,8 @@ mod common;
 use common::Net;
 use dynvote_core::{AlgorithmKind, CopyMeta, LinearOrder, SiteId, SiteSet};
 use dynvote_protocol::{
-    Action, CountingSink, EventKind, Hint, Message, ObjectId, ResolveReason, ShardedSite,
-    SiteActor, StatusOutcome, TimerKind, TxnId,
+    Action, CloseCause, CountingSink, EventKind, Hint, Message, ObjectId, ResolveReason,
+    ShardedSite, SiteActor, StatusOutcome, TimerKind, TxnId,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -315,7 +315,7 @@ fn round_closes_without_a_suspected_silent_site() {
         closing[0],
         Action::Hint(Hint::Unanswered {
             sites: s,
-            early: true,
+            cause: CloseCause::Suspected,
             ..
         }) if s == sites("E")
     ));
@@ -359,9 +359,13 @@ fn vote_busy_from_an_unsuspected_site_counts_as_an_answer() {
     assert!(grant(&mut a, t, 1).is_empty());
     assert!(grant(&mut a, t, 2).is_empty());
     let closing = busy(&mut a, t, 3);
-    assert!(closing
-        .iter()
-        .any(|act| matches!(act, Action::Hint(Hint::Unanswered { early: true, .. }))));
+    assert!(closing.iter().any(|act| matches!(
+        act,
+        Action::Hint(Hint::Unanswered {
+            cause: CloseCause::Suspected,
+            ..
+        })
+    )));
     assert_eq!(committed_participants(&closing), Some(sites("ABC")));
 }
 
@@ -385,7 +389,7 @@ fn undistinguished_replies_keep_waiting_for_the_suspected_site() {
         out[0],
         Action::Hint(Hint::Unanswered {
             sites: s,
-            early: false,
+            cause: CloseCause::Deadline,
             ..
         }) if s == sites("E")
     ));
@@ -396,6 +400,113 @@ fn undistinguished_replies_keep_waiting_for_the_suspected_site() {
             ..
         }
     )));
+}
+
+// ----- the straggler grace and the re-test: two more callers, one test --
+
+/// What a closing action list reports about the peers it left out.
+fn unanswered(actions: &[Action]) -> Option<(SiteSet, CloseCause)> {
+    actions.iter().find_map(|act| match act {
+        Action::Hint(Hint::Unanswered { sites, cause, .. }) => Some((*sites, *cause)),
+        _ => None,
+    })
+}
+
+fn fire(a: &mut SiteActor, t: TxnId, kind: TimerKind) -> Vec<Action> {
+    let mut out = Vec::new();
+    a.timer_fired(t, kind, &mut out);
+    out
+}
+
+/// The grace runs out with three of five votes in hand: distinguished,
+/// so the round closes now, names both silent peers, and commits with
+/// the three — what the deadline would have decided, earlier. The
+/// kernel never asked for the timer: no `SetTimer` names it.
+#[test]
+fn grace_with_distinguished_replies_closes_and_names_the_silent_peers() {
+    let mut a = site(0, 5);
+    let mut opening = Vec::new();
+    a.start_update(100, &mut opening);
+    let [Action::Broadcast {
+        msg: Message::VoteRequest { txn: t },
+    }, Action::SetTimer {
+        kind: TimerKind::VoteDeadline,
+        ..
+    }] = opening[..]
+    else {
+        panic!("a vote request and its deadline, nothing else: {opening:?}");
+    };
+    assert!(grant(&mut a, t, 1).is_empty());
+    assert!(grant(&mut a, t, 2).is_empty());
+    let closing = fire(&mut a, t, TimerKind::VoteGrace);
+    assert_eq!(unanswered(&closing), Some((sites("DE"), CloseCause::Grace)));
+    assert_eq!(committed_participants(&closing), Some(sites("ABC")));
+    assert_eq!(a.meta().cardinality, 3);
+    assert!(fire(&mut a, t, TimerKind::VoteDeadline).is_empty());
+    assert!(fire(&mut a, t, TimerKind::VoteGrace).is_empty());
+}
+
+/// The grace is never a refusal: with two of five in hand it does
+/// nothing at all, however often it fires, and the full deadline is
+/// what decides — `NotDistinguished`, exactly as without a grace.
+#[test]
+fn grace_without_distinguished_replies_is_a_no_op_and_the_deadline_decides() {
+    let mut a = site(0, 5);
+    let t = open_round(&mut a, 100);
+    assert!(grant(&mut a, t, 1).is_empty());
+    for _ in 0..3 {
+        assert!(fire(&mut a, t, TimerKind::VoteGrace).is_empty());
+        assert!(a.is_locked(), "the round stays open");
+    }
+    let closing = fire(&mut a, t, TimerKind::VoteDeadline);
+    assert_eq!(
+        unanswered(&closing),
+        Some((sites("CDE"), CloseCause::Deadline))
+    );
+    assert_eq!(resolved(&closing, t), Some(ResolveReason::NotDistinguished));
+    // Nor does it act on a round that is past its voting phase, or on
+    // somebody else's.
+    assert!(fire(&mut a, t, TimerKind::VoteGrace).is_empty());
+    assert!(fire(&mut a, TxnId::new(SiteId(3), 9), TimerKind::VoteGrace).is_empty());
+}
+
+/// A round whose live votes were all in hand before the host learned
+/// that the other peers are silent never sees another vote: the re-test
+/// is what closes it. A round that is not distinguished without them
+/// stays open through the re-test and gets its full deadline.
+#[test]
+fn retest_after_growth_closes_a_round_whose_live_votes_are_all_in() {
+    let mut a = site(0, 5);
+    let t = open_round(&mut a, 100);
+    for from in 1..=3 {
+        assert!(grant(&mut a, t, from).is_empty(), "E unsuspected: wait");
+    }
+    let mut out = Vec::new();
+    a.suspicion_grew(t, &mut out);
+    assert!(out.is_empty(), "nothing grew: nothing to close");
+    a.set_suspected(sites("E"));
+    assert!(a.is_locked(), "setting the hint tests nothing by itself");
+    a.suspicion_grew(t, &mut out);
+    assert_eq!(unanswered(&out), Some((sites("E"), CloseCause::Suspected)));
+    assert_eq!(committed_participants(&out), Some(sites("ABCD")));
+
+    let mut minority = site(0, 5);
+    let t = open_round(&mut minority, 100);
+    assert!(grant(&mut minority, t, 1).is_empty());
+    minority.set_suspected(sites("CDE"));
+    let mut out = Vec::new();
+    minority.suspicion_grew(t, &mut out);
+    assert!(out.is_empty() && minority.is_locked(), "two of five: wait");
+    // D is silent and unsuspected: the re-test must not close on E's
+    // account alone either.
+    let mut partial = site(0, 5);
+    let t = open_round(&mut partial, 100);
+    for from in 1..=2 {
+        assert!(grant(&mut partial, t, from).is_empty());
+    }
+    partial.set_suspected(sites("E"));
+    partial.suspicion_grew(t, &mut out);
+    assert!(out.is_empty() && partial.is_locked(), "D is still awaited");
 }
 
 /// The wire does not bound a frame's sender id: a vote claiming to come

@@ -559,7 +559,10 @@ impl Simulation {
                 }
                 Action::SetTimer { txn, kind } => {
                     let base = match kind {
-                        TimerKind::VoteDeadline => self.config.vote_timeout,
+                        // The kernel never asks for the host-armed grace; were
+                        // it to, a grace as long as the deadline is the
+                        // identity.
+                        TimerKind::VoteDeadline | TimerKind::VoteGrace => self.config.vote_timeout,
                         TimerKind::CatchUpDeadline => self.config.catchup_timeout,
                         TimerKind::PreparedRetry => self
                             .config
