@@ -16,9 +16,8 @@
 //! consistent) so a throughput number from a silently-broken cluster
 //! cannot become a baseline.
 //!
-//! Results land in `BENCH_e2e.json` in the working directory. Set
-//! `DYNVOTE_BENCH_QUICK=1` for a short CI smoke run with the same
-//! schema.
+//! One line per run goes to stderr and each run's JSON report to
+//! stdout. Set `DYNVOTE_BENCH_QUICK=1` for a short CI smoke run.
 
 use dynvote_cluster::{Cluster, ClusterConfig, LoadGen, LoadGenConfig, TcpClient, TransportKind};
 use dynvote_core::{AlgorithmKind, SiteId};
@@ -35,7 +34,7 @@ fn duration() -> Duration {
     }
 }
 
-fn run(kind: TransportKind) -> String {
+fn run(kind: TransportKind) {
     let name = match kind {
         TransportKind::Channel => "channel",
         TransportKind::Tcp => "tcp",
@@ -63,17 +62,9 @@ fn run(kind: TransportKind) -> String {
     report.algorithm = "hybrid".into();
     report.transport = name.into();
     report.sites = SITES;
-    let audit = cluster.audit().expect("audit succeeds");
-    assert!(
-        audit.consistent,
-        "{name}: cluster metadata inconsistent after load"
-    );
-    assert_eq!(
-        audit.commits, report.committed,
-        "{name}: ledger commits disagree with client-observed commits"
-    );
+    dynvote_bench::assert_audited(&cluster, name, report.committed);
     cluster.shutdown();
-    println!(
+    eprintln!(
         "{:<8} {:>9} committed  {:>12.0} commits/sec  p50 {:>7.3} ms  p99 {:>7.3} ms",
         name,
         report.committed,
@@ -81,25 +72,10 @@ fn run(kind: TransportKind) -> String {
         report.update_latency.p50_ms,
         report.update_latency.p99_ms
     );
-    report.to_json()
+    println!("{}", report.to_json());
 }
 
 fn main() {
-    let runs = [run(TransportKind::Channel), run(TransportKind::Tcp)];
-    let mut json = String::from("{\n  \"bench\": \"e2e_cluster\",\n  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        // Indent the pretty-printed report two levels into the array.
-        for (l, line) in r.lines().enumerate() {
-            if l > 0 {
-                json.push('\n');
-            }
-            json.push_str("    ");
-            json.push_str(line);
-        }
-        json.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_e2e.json";
-    std::fs::write(path, &json).expect("write BENCH_e2e.json");
-    println!("baseline written to {path}");
+    run(TransportKind::Channel);
+    run(TransportKind::Tcp);
 }

@@ -13,12 +13,13 @@
 //!   (which must stay fast, or overload turns into collapse).
 //!
 //! Every run ends with a ledger audit so a throughput number from an
-//! inconsistent cluster cannot become a baseline. Results land in
-//! `BENCH_frontdoor.json`. Set `DYNVOTE_BENCH_QUICK=1` for a short CI
-//! smoke run with the same schema.
+//! inconsistent cluster cannot be reported. One line per run goes to
+//! stderr and each run's JSON report to stdout. Set
+//! `DYNVOTE_BENCH_QUICK=1` for a short CI smoke run.
 
 use dynvote_cluster::{
-    Cluster, ClusterConfig, FrontDoorConfig, OpenLoop, OpenLoopConfig, TransportKind,
+    Cluster, ClusterConfig, FrontDoorConfig, OpenLoop, OpenLoopConfig, OpenLoopReport,
+    TransportKind,
 };
 use dynvote_core::{AlgorithmKind, SiteId};
 use std::net::SocketAddr;
@@ -34,7 +35,12 @@ fn duration() -> Duration {
     }
 }
 
-fn run(workload: &str, max_inflight: u64, target_sites: usize, config: OpenLoopConfig) -> String {
+fn run(
+    workload: &str,
+    max_inflight: u64,
+    target_sites: usize,
+    config: OpenLoopConfig,
+) -> OpenLoopReport {
     let cluster_config = ClusterConfig::new(SITES, AlgorithmKind::Hybrid)
         .with_transport(TransportKind::Tcp)
         .with_http(FrontDoorConfig {
@@ -59,7 +65,13 @@ fn run(workload: &str, max_inflight: u64, target_sites: usize, config: OpenLoopC
         "{workload}: cluster metadata inconsistent after load"
     );
     cluster.shutdown();
-    println!(
+    assert!(report.committed > 0, "{workload}: nothing committed");
+    assert_eq!(
+        (report.connect_errors, report.http_errors),
+        (0, 0),
+        "{workload}: transport errors"
+    );
+    eprintln!(
         "{:<10} {:>8} offered  {:>8} committed  {:>6} x429  {:>10.0} commits/sec  p99 {:>7.3} ms",
         workload,
         report.offered,
@@ -68,63 +80,23 @@ fn run(workload: &str, max_inflight: u64, target_sites: usize, config: OpenLoopC
         report.throughput_per_sec,
         report.update_latency.p99_ms
     );
-    format!(
-        "{{\n  \"workload\": \"{workload}\",\n  \"report\": {}\n}}",
-        indent_tail(&report.to_json(), "  ")
-    )
-}
-
-/// Indent every line after the first by `pad` (for nesting a
-/// pretty-printed JSON document inside another).
-fn indent_tail(json: &str, pad: &str) -> String {
-    let mut out = String::with_capacity(json.len());
-    for (i, line) in json.lines().enumerate() {
-        if i > 0 {
-            out.push('\n');
-            out.push_str(pad);
-        }
-        out.push_str(line);
-    }
-    out
+    println!(
+        "{{\"workload\": \"{workload}\", \"report\": {}}}",
+        report.to_json()
+    );
+    report
 }
 
 fn main() {
-    let runs = [
-        run(
-            "sustained",
-            512,
-            SITES,
-            OpenLoopConfig {
-                rate: 800.0,
-                duration: duration(),
-                connections: 2048,
-                read_fraction: 0.1,
-                seed: 42,
-                ..OpenLoopConfig::default()
-            },
-        ),
-        run(
-            "overload",
-            1,
-            1,
-            OpenLoopConfig {
-                rate: 3000.0,
-                duration: duration(),
-                connections: 2048,
-                read_fraction: 0.0,
-                seed: 43,
-                ..OpenLoopConfig::default()
-            },
-        ),
-    ];
-    let mut json = String::from("{\n  \"bench\": \"frontdoor\",\n  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        json.push_str("    ");
-        json.push_str(&indent_tail(r, "    "));
-        json.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_frontdoor.json";
-    std::fs::write(path, &json).expect("write BENCH_frontdoor.json");
-    println!("baseline written to {path}");
+    let load = |rate, read_fraction, seed| OpenLoopConfig {
+        rate,
+        duration: duration(),
+        connections: 2048,
+        read_fraction,
+        seed,
+        ..OpenLoopConfig::default()
+    };
+    run("sustained", 512, SITES, load(800.0, 0.1, 42));
+    let overload = run("overload", 1, 1, load(3000.0, 0.0, 43));
+    assert!(overload.rejected_429 > 0, "the 429 fast path never fired");
 }

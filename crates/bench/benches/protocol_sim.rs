@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dynvote_core::{AlgorithmKind, SiteId};
-use dynvote_sim::{MultiConfig, MultiFileSimulation, SimConfig, Simulation};
+use dynvote_sim::{ObjectId, SimConfig, Simulation};
 use std::hint::black_box;
 
 const HEALTHY_UPDATES: u64 = 100;
@@ -74,12 +74,13 @@ fn bench_multifile_groups(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("two_file_groups", |b| {
         b.iter(|| {
-            let mut sim = MultiFileSimulation::new(MultiConfig::default());
+            let files = [AlgorithmKind::Hybrid, AlgorithmKind::Voting];
+            let mut sim = Simulation::with_files(SimConfig::default(), &files);
             for i in 0..GROUPS {
-                sim.submit_group(SiteId::new((i % 5) as usize), &[0, 1]);
+                sim.submit_group(SiteId::new((i % 5) as usize), &[ObjectId(0), ObjectId(1)]);
                 sim.quiesce();
             }
-            assert_eq!(sim.stats().group_commits, GROUPS);
+            assert_eq!(sim.group_stats().group_commits, GROUPS);
             assert!(sim.check_atomicity().is_empty());
             black_box(sim.clock())
         });

@@ -18,13 +18,10 @@
 //!
 //! Each run ends with a ledger audit (per-object chains, every commit
 //! accounted for) so a throughput number from a silently-broken cluster
-//! cannot become a baseline. The committed baseline's acceptance bar:
-//! channel aggregate throughput at `KEYS` objects must be at least 4x
-//! the single-object `BENCH_e2e.json` channel number.
+//! cannot be reported.
 //!
-//! Results land in `BENCH_shard.json` in the working directory. Set
-//! `DYNVOTE_BENCH_QUICK=1` for a short CI smoke run with the same
-//! schema.
+//! One line per run goes to stderr and each run's JSON report to
+//! stdout. Set `DYNVOTE_BENCH_QUICK=1` for a short CI smoke run.
 
 use dynvote_cluster::{
     Cluster, ClusterConfig, KeyDist, LoadGen, LoadGenConfig, TcpClient, TransportKind,
@@ -44,7 +41,7 @@ fn duration() -> Duration {
     }
 }
 
-fn run(kind: TransportKind) -> String {
+fn run(kind: TransportKind) {
     let name = match kind {
         TransportKind::Channel => "channel",
         TransportKind::Tcp => "tcp",
@@ -75,15 +72,7 @@ fn run(kind: TransportKind) -> String {
     report.algorithm = "hybrid".into();
     report.transport = name.into();
     report.sites = SITES;
-    let audit = cluster.audit().expect("audit succeeds");
-    assert!(
-        audit.consistent,
-        "{name}: cluster metadata inconsistent after sharded load"
-    );
-    assert_eq!(
-        audit.commits, report.committed,
-        "{name}: ledger commits disagree with client-observed commits"
-    );
+    dynvote_bench::assert_audited(&cluster, name, report.committed);
     let shard_sum: u64 = report.per_shard_commits.iter().sum();
     assert_eq!(
         shard_sum, report.committed,
@@ -92,7 +81,7 @@ fn run(kind: TransportKind) -> String {
     cluster.shutdown();
     let busiest = report.per_shard_commits.iter().max().copied().unwrap_or(0);
     let quietest = report.per_shard_commits.iter().min().copied().unwrap_or(0);
-    println!(
+    eprintln!(
         "{:<8} {:>9} committed  {:>12.0} commits/sec  p50 {:>7.3} ms  p99 {:>7.3} ms  \
          per-shard [{quietest}..{busiest}]",
         name,
@@ -101,27 +90,10 @@ fn run(kind: TransportKind) -> String {
         report.update_latency.p50_ms,
         report.update_latency.p99_ms
     );
-    report.to_json()
+    println!("{}", report.to_json());
 }
 
 fn main() {
-    let runs = [run(TransportKind::Channel), run(TransportKind::Tcp)];
-    let mut json = format!(
-        "{{\n  \"bench\": \"shard\",\n  \"objects\": {KEYS},\n  \"workers\": {WORKERS},\n  \"runs\": [\n"
-    );
-    for (i, r) in runs.iter().enumerate() {
-        // Indent the pretty-printed report two levels into the array.
-        for (l, line) in r.lines().enumerate() {
-            if l > 0 {
-                json.push('\n');
-            }
-            json.push_str("    ");
-            json.push_str(line);
-        }
-        json.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_shard.json";
-    std::fs::write(path, &json).expect("write BENCH_shard.json");
-    println!("baseline written to {path}");
+    run(TransportKind::Channel);
+    run(TransportKind::Tcp);
 }

@@ -1,6 +1,6 @@
 //! Bench: parallel shard execution scaling curve.
 //!
-//! `BENCH_shard.json` measures what sharding the *data plane* buys; a
+//! The `shard` bench measures what sharding the *data plane* buys; a
 //! single node thread still runs every shard's kernel serially. This
 //! bench measures what the shard *pool* buys on top: the same 5-site,
 //! 128-object channel workload at 1, 2, 4, and 8 shard-affine worker
@@ -15,11 +15,10 @@
 //! Per-object determinism across worker counts is pinned separately by
 //! `tests/conformance.rs::sharded_*`; this bench re-checks the cheap
 //! invariant (audit consistency, commit accounting) so a number from a
-//! broken cluster cannot become a baseline.
+//! broken cluster cannot be reported.
 //!
-//! Results land in `BENCH_shard_par.json` in the working directory.
-//! Set `DYNVOTE_BENCH_QUICK=1` for a short CI smoke run with the same
-//! schema.
+//! The curve is printed to stderr and as one JSON document to stdout.
+//! Set `DYNVOTE_BENCH_QUICK=1` for a short CI smoke run.
 
 use dynvote_cluster::{Cluster, ClusterConfig, KeyDist, LoadGen, LoadGenConfig};
 use dynvote_core::{par, AlgorithmKind, SiteId};
@@ -63,15 +62,8 @@ fn run(shard_threads: usize) -> Point {
         Box::new(cluster.client(SiteId((w % SITES) as u8)))
     })
     .expect("load generation runs");
-    let audit = cluster.audit().expect("audit succeeds");
-    assert!(
-        audit.consistent,
-        "shard-threads={shard_threads}: cluster metadata inconsistent after load"
-    );
-    assert_eq!(
-        audit.commits, report.committed,
-        "shard-threads={shard_threads}: ledger commits disagree with client-observed commits"
-    );
+    let run = format!("shard-threads={shard_threads}");
+    dynvote_bench::assert_audited(&cluster, &run, report.committed);
     cluster.shutdown();
     Point {
         shard_threads,
@@ -90,10 +82,10 @@ fn main() {
         "{{\n  \"bench\": \"shard_par\",\n  \"cores\": {cores},\n  \"sites\": {SITES},\n  \
          \"objects\": {KEYS},\n  \"workers\": {WORKERS},\n  \"curve\": [\n"
     );
-    println!("shard pool scaling ({KEYS} objects, {WORKERS} loadgen workers, {cores} core(s)):");
+    eprintln!("shard pool scaling ({KEYS} objects, {WORKERS} loadgen workers, {cores} core(s)):");
     for (i, p) in points.iter().enumerate() {
         let speedup = p.throughput / base;
-        println!(
+        eprintln!(
             "  shard-threads {:>2}: {:>9} committed  {:>12.0} commits/sec  p50 {:>7.3} ms  \
              p99 {:>7.3} ms  speedup {speedup:.3}x",
             p.shard_threads, p.committed, p.throughput, p.p50_ms, p.p99_ms
@@ -110,7 +102,5 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    let path = "BENCH_shard_par.json";
-    std::fs::write(path, &json).expect("write BENCH_shard_par.json");
-    println!("baseline written to {path}");
+    print!("{json}");
 }

@@ -8,9 +8,23 @@
 //! * **performance characterisation** — kernel decision latency, Markov
 //!   solve scaling, protocol-simulation and Monte-Carlo throughput.
 
+use dynvote_cluster::Cluster;
 use dynvote_core::{
     AlgorithmKind, CopyMeta, LinearOrder, PartitionView, ReplicaSystem, SiteId, SiteSet,
 };
+
+/// How every cluster bench run ends: a number from a cluster that is
+/// inconsistent, lost count of a commit or committed nothing is not
+/// reported.
+pub fn assert_audited(cluster: &Cluster, run: &str, committed: u64) {
+    let audit = cluster.audit().expect("audit succeeds");
+    assert!(audit.consistent, "{run}: cluster metadata inconsistent");
+    assert_eq!(
+        audit.commits, committed,
+        "{run}: ledger commits disagree with client-observed commits"
+    );
+    assert!(committed > 0, "{run}: nothing committed");
+}
 
 /// Build a reachable `n`-site system state by a fixed partition script,
 /// for decision-kernel benchmarks.

@@ -14,7 +14,7 @@ use crate::wire::{ClientOp, ClientReply};
 use dynvote_core::ConfigError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Error as SerdeError, Number, Serialize, Value};
+use serde::{Number, Serialize, Value};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -184,8 +184,7 @@ pub struct Histogram {
 /// JSON form: the 64 buckets are run-length encoded as flat
 /// `[value, run, value, run, ...]` pairs — most buckets of a latency
 /// histogram are zero, so a report shrinks from 64 lines of zeros to a
-/// handful of pairs. [`Deserialize`] below also accepts the plain
-/// 64-element `"buckets"` array older reports carry.
+/// handful of pairs.
 impl Serialize for Histogram {
     fn serialize(&self) -> Value {
         let mut rle = Vec::new();
@@ -205,39 +204,6 @@ impl Serialize for Histogram {
             ("total".to_owned(), self.total.serialize()),
             ("max_ns".to_owned(), self.max_ns.serialize()),
         ])
-    }
-}
-
-impl Deserialize for Histogram {
-    fn deserialize(value: &Value) -> Result<Self, SerdeError> {
-        let buckets = if let Some(rle) = value.get("buckets_rle") {
-            let pairs: Vec<u64> = Deserialize::deserialize(rle)?;
-            if pairs.len() % 2 != 0 {
-                return Err(SerdeError::custom("buckets_rle must be value/run pairs"));
-            }
-            let mut buckets = Vec::with_capacity(64);
-            for pair in pairs.chunks(2) {
-                for _ in 0..pair[1] {
-                    buckets.push(pair[0]);
-                }
-            }
-            buckets
-        } else if let Some(plain) = value.get("buckets") {
-            // The pre-RLE baseline format: a plain 64-element array.
-            Deserialize::deserialize(plain)?
-        } else {
-            return Err(SerdeError::custom(
-                "histogram needs `buckets_rle` or `buckets`",
-            ));
-        };
-        if buckets.len() != 64 {
-            return Err(SerdeError::custom("histogram must have 64 buckets"));
-        }
-        Ok(Histogram {
-            buckets,
-            total: Deserialize::deserialize(&value["total"])?,
-            max_ns: Deserialize::deserialize(&value["max_ns"])?,
-        })
     }
 }
 
@@ -317,7 +283,7 @@ impl Histogram {
 }
 
 /// Latency percentiles of committed updates, in milliseconds.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct LatencyStats {
     /// Median.
     pub p50_ms: f64,
@@ -330,7 +296,7 @@ pub struct LatencyStats {
 }
 
 /// One per-site, per-kind protocol-event counter in a [`LoadReport`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct EventCountEntry {
     /// Site index.
     pub site: usize,
@@ -344,7 +310,7 @@ pub struct EventCountEntry {
 /// [`crate::NetStats`] tallies (dial failures, decode errors,
 /// backpressure drops, …) gathered after the run via
 /// `ClientOp::NetStats`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct NetCounterEntry {
     /// Site index.
     pub site: usize,
@@ -358,7 +324,7 @@ pub struct NetCounterEntry {
 /// dispatch totals and queue-depth high-water marks plus the merge
 /// barrier tallies (see [`crate::ShardStats`]), gathered after the run
 /// via `ClientOp::ShardStats`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ShardCounterEntry {
     /// Site index.
     pub site: usize,
@@ -431,16 +397,6 @@ impl LoadReport {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serializes")
     }
-
-    /// Parse a report back from JSON. Accepts both the current format
-    /// and older baselines: a plain-array histogram, always-present
-    /// empty `events`/`net`/`shard` arrays, and no `overloaded`,
-    /// `contended` or `unknown_key` field.
-    pub fn from_json(text: &str) -> Result<Self, SerdeError> {
-        let value: Value =
-            serde_json::from_str(text).map_err(|e| SerdeError::custom(e.to_string()))?;
-        Deserialize::deserialize(&value)
-    }
 }
 
 /// Hand-written so the optional sections stay out of the output: an
@@ -489,44 +445,6 @@ impl Serialize for LoadReport {
             fields.push(("shard".to_owned(), self.shard.serialize()));
         }
         Value::Object(fields)
-    }
-}
-
-impl Deserialize for LoadReport {
-    fn deserialize(value: &Value) -> Result<Self, SerdeError> {
-        // Sections a report may omit: absent means empty (new format)
-        // or zero (counters a baseline predates).
-        fn section<T: Deserialize + Default>(value: &Value, name: &str) -> Result<T, SerdeError> {
-            match value.get(name) {
-                Some(v) => Deserialize::deserialize(v),
-                None => Ok(T::default()),
-            }
-        }
-        Ok(LoadReport {
-            algorithm: Deserialize::deserialize(&value["algorithm"])?,
-            transport: Deserialize::deserialize(&value["transport"])?,
-            sites: Deserialize::deserialize(&value["sites"])?,
-            workers: Deserialize::deserialize(&value["workers"])?,
-            duration_secs: Deserialize::deserialize(&value["duration_secs"])?,
-            committed: Deserialize::deserialize(&value["committed"])?,
-            reads_served: Deserialize::deserialize(&value["reads_served"])?,
-            rejected: Deserialize::deserialize(&value["rejected"])?,
-            contended: section(value, "contended")?,
-            unknown_key: section(value, "unknown_key")?,
-            timed_out: Deserialize::deserialize(&value["timed_out"])?,
-            down: Deserialize::deserialize(&value["down"])?,
-            overloaded: section(value, "overloaded")?,
-            transport_errors: Deserialize::deserialize(&value["transport_errors"])?,
-            keys: Deserialize::deserialize(&value["keys"])?,
-            key_dist: Deserialize::deserialize(&value["key_dist"])?,
-            per_shard_commits: Deserialize::deserialize(&value["per_shard_commits"])?,
-            throughput_per_sec: Deserialize::deserialize(&value["throughput_per_sec"])?,
-            update_latency: Deserialize::deserialize(&value["update_latency"])?,
-            histogram: Deserialize::deserialize(&value["histogram"])?,
-            events: section(value, "events")?,
-            net: section(value, "net")?,
-            shard: section(value, "shard")?,
-        })
     }
 }
 
@@ -723,42 +641,24 @@ mod tests {
         h.record(1_100_000);
         h.record(64_000_000);
         let json = serde_json::to_string(&h).unwrap();
-        assert!(json.contains("buckets_rle"), "{json}");
         // 64 buckets with two runs of samples compress to a handful of
         // value/run pairs, far fewer than 64 numbers.
         let value: Value = serde_json::from_str(&json).unwrap();
         let rle = value["buckets_rle"].as_array().unwrap();
         assert!(rle.len() < 16, "rle has {} entries", rle.len());
-        let back = Histogram::deserialize(&value).unwrap();
-        assert_eq!(back.buckets, h.buckets);
-        assert_eq!(back.total, 3);
-        assert_eq!(back.max_ns, 64_000_000);
+        // Expanding the pairs gives the buckets back.
+        let pairs: Vec<u64> = rle.iter().map(|v| v.as_u64().unwrap()).collect();
+        let expanded: Vec<u64> = pairs
+            .chunks(2)
+            .flat_map(|pair| std::iter::repeat(pair[0]).take(pair[1] as usize))
+            .collect();
+        assert_eq!(expanded, h.buckets);
+        assert_eq!(value["total"].as_u64(), Some(3));
+        assert_eq!(value["max_ns"].as_u64(), Some(64_000_000));
     }
 
     #[test]
-    fn histogram_decodes_the_old_plain_bucket_format() {
-        let mut buckets = vec![0u64; 64];
-        buckets[20] = 5;
-        let old = format!(
-            "{{\"buckets\":[{}],\"total\":5,\"max_ns\":1500000}}",
-            buckets
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        let value: Value = serde_json::from_str(&old).unwrap();
-        let h = Histogram::deserialize(&value).unwrap();
-        assert_eq!(h.buckets, buckets);
-        assert_eq!(h.total(), 5);
-        // Truncated bucket arrays are rejected, not zero-padded.
-        let bad: Value =
-            serde_json::from_str("{\"buckets\":[1,2,3],\"total\":6,\"max_ns\":1}").unwrap();
-        assert!(Histogram::deserialize(&bad).is_err());
-    }
-
-    #[test]
-    fn report_json_omits_empty_sections_and_round_trips() {
+    fn report_json_omits_empty_sections() {
         let report = LoadGen::run(
             &LoadGenConfig {
                 concurrency: 1,
@@ -776,41 +676,14 @@ mod tests {
             },
         )
         .unwrap();
-        let json = report.to_json();
+        let value: Value = serde_json::from_str(&report.to_json()).unwrap();
         // No collected sections → no keys for them at all.
-        assert!(!json.contains("\"events\""), "{json}");
-        assert!(!json.contains("\"net\""), "{json}");
-        assert!(!json.contains("\"shard\""), "{json}");
-        assert!(json.contains("\"overloaded\""), "{json}");
-        let back = LoadReport::from_json(&json).unwrap();
-        assert_eq!(back.committed, report.committed);
-        assert!(back.events.is_empty() && back.net.is_empty() && back.shard.is_empty());
-        // A pre-pipelining baseline (no `overloaded`, explicit empty
-        // arrays, plain-bucket histogram) still decodes.
-        let old = json
-            .replace("\"overloaded\": 0,\n", "")
-            .replace("buckets_rle", "ignored");
-        let old = {
-            let hist_at = old.find("\"histogram\"").unwrap();
-            let (head, _) = old.split_at(hist_at);
-            format!(
-                "{head}\"histogram\":{{\"buckets\":[{}],\"total\":{},\"max_ns\":{}}},\
-                 \"events\":[],\"net\":[],\"shard\":[]}}",
-                report
-                    .histogram
-                    .buckets()
-                    .iter()
-                    .map(u64::to_string)
-                    .collect::<Vec<_>>()
-                    .join(","),
-                report.histogram.total(),
-                report.histogram.max_ns
-            )
-        };
-        let shim = LoadReport::from_json(&old).unwrap();
-        assert_eq!(shim.overloaded, 0);
-        assert_eq!(shim.committed, report.committed);
-        assert_eq!(shim.histogram.buckets(), report.histogram.buckets());
+        for section in ["events", "net", "shard"] {
+            assert!(value.get(section).is_none(), "{section}: {value:?}");
+        }
+        assert_eq!(value["overloaded"].as_u64(), Some(0));
+        assert_eq!(value["committed"].as_u64(), Some(report.committed));
+        assert!(value["histogram"].get("buckets_rle").is_some());
     }
 
     #[test]

@@ -243,11 +243,12 @@ enum CoordPhase {
     },
     /// Waiting for missing log entries from a current subordinate.
     CatchingUp { members: Vec<(SiteId, CopyMeta)> },
-    /// Group mode only: voting and catch-up are done; awaiting the
-    /// transaction manager's global commit/abort verdict.
+    /// A held round ([`SiteActor::start_group_update`]) reached one of
+    /// its two exits and parked: `Some(members)` at the commit door,
+    /// `None` at the abort door. [`SiteActor::finalize_group`] walks it
+    /// through.
     Decided {
-        distinguished: bool,
-        members: Vec<(SiteId, CopyMeta)>,
+        members: Option<Vec<(SiteId, CopyMeta)>>,
     },
 }
 
@@ -264,9 +265,11 @@ struct CoordTxn {
     /// Read-only request: needs a distinguished partition and a current
     /// local copy, but commits no new version (paper footnote 5).
     read_only: bool,
-    /// Group (multi-file) mode: stop after the decision and await
-    /// [`SiteActor::finalize_group`] instead of committing unilaterally.
-    group: bool,
+    /// Hold the decision: park at whichever exit the round reaches
+    /// ([`SiteActor::commit_with`] or [`SiteActor::abort_coordinated`])
+    /// and await [`SiteActor::finalize_group`] instead of walking
+    /// through. Set only by [`SiteActor::start_group_update`].
+    hold: bool,
     phase: CoordPhase,
 }
 
@@ -480,7 +483,7 @@ impl SiteActor {
     /// An update (or `Make_Current` no-op) arrives at this site.
     /// Effects are appended to `out`.
     pub fn start_update(&mut self, payload: u64, out: &mut ActionSink) {
-        self.start_transaction(payload, false, false, out);
+        self.start_transaction(payload, false, out);
     }
 
     /// Commit pipelining: seal `payloads` with ONE vote/catch-up/commit
@@ -494,9 +497,9 @@ impl SiteActor {
     pub fn start_update_batch(&mut self, payloads: &[u64], out: &mut ActionSink) -> Option<TxnId> {
         let (&first, rest) = payloads.split_first()?;
         if self.volatile.lock.is_some() {
-            return self.start_transaction(first, false, false, out);
+            return self.start_transaction(first, false, out);
         }
-        let txn = self.start_transaction(first, false, false, out)?;
+        let txn = self.start_transaction(first, false, out)?;
         if !rest.is_empty() {
             let coord = self
                 .volatile
@@ -513,12 +516,17 @@ impl SiteActor {
     }
 
     /// Start this file's leg of a multi-file transaction (paper
-    /// footnote 2). The protocol runs through voting and catch-up, then
-    /// pauses with [`Action::DecisionReady`]; the cross-file transaction
-    /// manager calls [`SiteActor::finalize_group`] once every file has
-    /// decided. Returns `None` if the local copy is locked.
+    /// footnote 2): an ordinary update whose coordinator *holds its
+    /// decision*. The round runs voting and catch-up unchanged, then
+    /// parks at the exit it reaches with [`Action::DecisionReady`]; the
+    /// cross-file transaction manager calls
+    /// [`SiteActor::finalize_group`] once every file has decided.
+    /// Returns `None` if the local copy is locked.
     pub fn start_group_update(&mut self, payload: u64, out: &mut ActionSink) -> Option<TxnId> {
-        self.start_transaction(payload, false, true, out)
+        let txn = self.start_transaction(payload, false, out)?;
+        let coord = self.volatile.coordinating.as_mut();
+        coord.expect("transaction just started").hold = true;
+        Some(txn)
     }
 
     /// A read-only request arrives at this site (paper footnote 5:
@@ -529,14 +537,13 @@ impl SiteActor {
     /// partition) and still catches up (to read current data), but
     /// commits nothing.
     pub fn start_read(&mut self, out: &mut ActionSink) {
-        self.start_transaction(0, true, false, out);
+        self.start_transaction(0, true, out);
     }
 
     fn start_transaction(
         &mut self,
         payload: u64,
         read_only: bool,
-        group: bool,
         out: &mut ActionSink,
     ) -> Option<TxnId> {
         if self.volatile.lock.is_some() {
@@ -565,7 +572,7 @@ impl SiteActor {
             payload,
             extra: Vec::new(),
             read_only,
-            group,
+            hold: false,
             phase: CoordPhase::Voting {
                 replies,
                 awaiting,
@@ -651,16 +658,11 @@ impl SiteActor {
             }
             TimerKind::VoteGrace => self.close_early(txn, CloseCause::Grace, out),
             TimerKind::CatchUpDeadline => {
-                // Catch-up source unreachable: abort the update (or, in
-                // group mode, report a negative decision and let the
-                // transaction manager abort the whole group).
+                // Catch-up source unreachable: abort the update.
                 let relevant = self.volatile.coordinating.as_ref().is_some_and(|c| {
                     c.txn == txn && matches!(c.phase, CoordPhase::CatchingUp { .. })
                 });
-                if !relevant {
-                } else if self.volatile.coordinating.as_ref().is_some_and(|c| c.group) {
-                    self.group_decision(txn, false, Vec::new(), out);
-                } else {
+                if relevant {
                     self.abort_coordinated(txn, ResolveReason::Timeout, out);
                 }
             }
@@ -1049,23 +1051,18 @@ impl SiteActor {
                 return;
             }
         };
-        let group = coord.group;
         let view = PartitionView::new(self.n, &self.order, &members)
             .expect("vote replies form a valid view");
         if !self.algo.is_distinguished(&view) {
             self.volatile.coordinating = Some(coord);
-            if group {
-                self.group_decision(txn, false, Vec::new(), out);
+            // Same abort either way; only the label says whether a
+            // rival's lock stood between this round and a quorum.
+            let reason = if busy.is_empty() {
+                ResolveReason::NotDistinguished
             } else {
-                // Same abort either way; only the label says whether a
-                // rival's lock stood between this round and a quorum.
-                let reason = if busy.is_empty() {
-                    ResolveReason::NotDistinguished
-                } else {
-                    ResolveReason::Contended
-                };
-                self.abort_coordinated(txn, reason, out);
-            }
+                ResolveReason::Contended
+            };
+            self.abort_coordinated(txn, reason, out);
             return;
         }
         self.emit(ProtocolEvent::QuorumAssembled {
@@ -1099,11 +1096,6 @@ impl SiteActor {
                 txn,
                 kind: TimerKind::CatchUpDeadline,
             });
-            return;
-        }
-        if group {
-            self.volatile.coordinating = Some(coord);
-            self.group_decision(txn, true, members, out);
             return;
         }
         self.commit_with(coord, members, out);
@@ -1147,7 +1139,6 @@ impl SiteActor {
                 return;
             }
         };
-        let group = coord.group;
         if coord.read_only {
             // The fetched entries carry the value the read needs; the
             // local copy stays untouched (applying them here would grow
@@ -1172,34 +1163,28 @@ impl SiteActor {
                 p.entries_appended(&self.durable.log[first_new..]);
             }
         }
-        if group {
-            self.volatile.coordinating = Some(coord);
-            self.group_decision(txn, true, members, out);
-            return;
-        }
         self.commit_with(coord, members, out);
     }
 
-    /// Group mode: park in the `Decided` phase and notify the manager.
-    fn group_decision(
+    /// A held round reached an exit: park it there and tell the
+    /// manager which one (`members` is `Some` at the commit door).
+    fn park(
         &mut self,
-        txn: TxnId,
-        distinguished: bool,
-        members: Vec<(SiteId, CopyMeta)>,
+        mut coord: CoordTxn,
+        members: Option<Vec<(SiteId, CopyMeta)>>,
         out: &mut ActionSink,
     ) {
-        if let Some(coord) = self.volatile.coordinating.as_mut() {
-            debug_assert!(coord.group && coord.txn == txn);
-            coord.phase = CoordPhase::Decided {
-                distinguished,
-                members,
-            };
-        }
-        out.push(Action::DecisionReady { txn, distinguished });
+        out.push(Action::DecisionReady {
+            txn: coord.txn,
+            distinguished: members.is_some(),
+        });
+        coord.phase = CoordPhase::Decided { members };
+        self.volatile.coordinating = Some(coord);
     }
 
-    /// The members recorded by a group decision (for the manager's
-    /// durable group record).
+    /// The members a held round parked at the commit door with (for the
+    /// manager's durable group record); `None` if it parked at the
+    /// abort door or has not parked.
     #[must_use]
     pub fn decided_members(&self, txn: TxnId) -> Option<&[(SiteId, CopyMeta)]> {
         let coord = self.volatile.coordinating.as_ref()?;
@@ -1207,7 +1192,7 @@ impl SiteActor {
             return None;
         }
         match &coord.phase {
-            CoordPhase::Decided { members, .. } => Some(members),
+            CoordPhase::Decided { members } => members.as_deref(),
             _ => None,
         }
     }
@@ -1222,33 +1207,22 @@ impl SiteActor {
             self.volatile.coordinating = Some(coord);
             return;
         }
-        if !commit {
-            self.volatile.coordinating = Some(coord);
-            self.abort_coordinated(txn, ResolveReason::NotDistinguished, out);
-            return;
-        }
-        let empty_phase = CoordPhase::Voting {
-            replies: Vec::new(),
-            awaiting: SiteSet::EMPTY,
-            busy: SiteSet::EMPTY,
+        coord.hold = false;
+        let parked = match &mut coord.phase {
+            CoordPhase::Decided { members } => members.take(),
+            _ => None,
         };
-        let members = match std::mem::replace(&mut coord.phase, empty_phase) {
-            CoordPhase::Decided {
-                distinguished,
-                members,
-            } => {
-                debug_assert!(distinguished, "commit verdict on a refused file");
-                members
-            }
-            other => {
-                debug_assert!(false, "commit verdict before decision");
-                coord.phase = other;
+        match parked {
+            Some(members) if commit => self.commit_with(coord, members, out),
+            _ => {
+                debug_assert!(
+                    !commit,
+                    "commit verdict on a leg not parked at the commit door"
+                );
                 self.volatile.coordinating = Some(coord);
-                self.abort_coordinated(txn, ResolveReason::Timeout, out);
-                return;
+                self.abort_coordinated(txn, ResolveReason::NotDistinguished, out);
             }
-        };
-        self.commit_with(coord, members, out);
+        }
     }
 
     /// Crash-recovery redo: re-perform a group commit from the durable
@@ -1274,7 +1248,7 @@ impl SiteActor {
             payload,
             extra: Vec::new(),
             read_only: false,
-            group: true,
+            hold: false,
             phase: CoordPhase::Voting {
                 replies: Vec::new(),
                 awaiting: SiteSet::EMPTY,
@@ -1316,6 +1290,10 @@ impl SiteActor {
         members: Vec<(SiteId, CopyMeta)>,
         out: &mut ActionSink,
     ) {
+        if coord.hold {
+            self.park(coord, Some(members), out);
+            return;
+        }
         let txn = coord.txn;
         if coord.read_only {
             self.volatile.coordinating = Some(coord);
@@ -1401,6 +1379,10 @@ impl SiteActor {
             return;
         };
         debug_assert_eq!(coord.txn, txn);
+        if coord.hold {
+            self.park(coord, None, out);
+            return;
+        }
         if self.volatile.lock == Some(txn) {
             self.volatile.lock = None;
         }
@@ -1750,6 +1732,85 @@ mod tests {
         assert!(redo.is_empty());
         assert_eq!(a.meta().version, 1);
         assert_eq!(a.log().len(), 1);
+    }
+
+    /// A held leg at a stale coordinator (version 0, both subordinates
+    /// at version 1), stopped in its catch-up phase.
+    fn held_leg_catching_up() -> (SiteActor, TxnId) {
+        let mut a = site(0, 3);
+        let mut out = Vec::new();
+        let txn = a.start_group_update(500, &mut out).unwrap();
+        let newer = CopyMeta {
+            version: 1,
+            cardinality: 3,
+            distinguished: dynvote_core::Distinguished::Trio(SiteSet::all(3)),
+        };
+        out.clear();
+        for sub in [1u8, 2] {
+            let vote = Message::VoteGranted {
+                txn,
+                meta: newer,
+                from: SiteId(sub),
+            };
+            a.handle_message(SiteId(sub), vote, &mut out);
+        }
+        let kind = TimerKind::CatchUpDeadline;
+        assert_eq!(out.last(), Some(&Action::SetTimer { txn, kind }), "{out:?}");
+        (a, txn)
+    }
+
+    #[test]
+    fn stale_held_leg_catches_up_then_parks_at_the_commit_door() {
+        let (mut a, txn) = held_leg_catching_up();
+        let entries = vec![LogEntry {
+            version: 1,
+            payload: 77,
+        }];
+        let out = deliver(&mut a, SiteId(1), Message::CatchUpReply { txn, entries });
+        assert_eq!(
+            out,
+            [Action::DecisionReady {
+                txn,
+                distinguished: true
+            }]
+        );
+        // The missing update is absorbed, but nothing is committed and
+        // the lock is held until the manager's verdict.
+        assert_eq!(a.log().len(), 1);
+        assert_eq!(a.meta().version, 0);
+        assert!(a.is_locked());
+        assert_eq!(a.decided_members(txn).map(<[_]>::len), Some(3));
+        let mut out = Vec::new();
+        a.finalize_group(txn, true, &mut out);
+        assert!(out
+            .iter()
+            .any(|act| matches!(act, Action::CommitRecorded { version: 2, .. })));
+        assert_eq!(a.meta().version, 2);
+        assert!(!a.is_locked());
+    }
+
+    #[test]
+    fn held_leg_whose_catch_up_times_out_parks_at_the_abort_door() {
+        let (mut a, txn) = held_leg_catching_up();
+        let mut out = Vec::new();
+        a.timer_fired(txn, TimerKind::CatchUpDeadline, &mut out);
+        assert_eq!(
+            out,
+            [Action::DecisionReady {
+                txn,
+                distinguished: false
+            }]
+        );
+        // Parked, not aborted: subordinates stay prepared until the
+        // manager has told every leg of the group the same thing.
+        assert!(a.is_locked());
+        assert_eq!(a.decided_members(txn), None);
+        out.clear();
+        a.finalize_group(txn, false, &mut out);
+        let reason = ResolveReason::NotDistinguished;
+        assert_eq!(out.last(), Some(&Action::Resolved { txn, reason }));
+        assert!(!a.is_locked());
+        assert_eq!(a.meta().version, 0);
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! The discrete-event simulation engine.
 //!
-//! Owns the topology, the site actors, the event queue, and an
-//! *omniscient ledger* against which every commit is checked: two
-//! commits of the same version — the divergence pessimistic replica
-//! control exists to prevent — abort the simulation immediately.
+//! Owns the topology, one [`ShardedSite`] per site (one protocol
+//! instance per hosted object; a plain run hosts one), the event queue,
+//! and an *omniscient ledger* per object against which every commit is
+//! checked: two commits of the same version — the divergence
+//! pessimistic replica control exists to prevent — are flagged the
+//! instant they happen.
 //!
 //! Messages take `latency` time units and are delivered only if the
 //! endpoints are connected (through up sites and up links) *at delivery
 //! time*; an optional drop probability models lossy channels ("messages
 //! may be lost or delivered out of order", Section II).
 
+use crate::multi::GroupManager;
 use crate::nemesis::{FaultSchedule, NemesisEvent};
 use crate::topology::Topology;
 use dynvote_core::{
@@ -17,8 +20,8 @@ use dynvote_core::{
     BackoffPolicy, ConfigError, SiteId, SiteSet, TimerWheel, VirtualInstant,
 };
 use dynvote_protocol::{
-    Action, CountingSink, EventSink, EventTallies, FanoutSink, LogEntry, Message, RenderSink,
-    ResolveReason, SiteActor, TimerKind, TxnId,
+    Action, CountingSink, EventSink, EventTallies, FanoutSink, LogEntry, Message, ObjectId,
+    RenderSink, ResolveReason, ShardedSite, SiteActor, TimerKind, TxnId,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,7 +33,8 @@ use std::sync::Arc;
 pub struct SimConfig {
     /// Number of replica sites.
     pub n: usize,
-    /// The replica control algorithm every site runs.
+    /// The replica control algorithm every site runs (for every object,
+    /// unless [`Simulation::with_files`] names one per object).
     pub algorithm: AlgorithmKind,
     /// One-way message latency.
     pub latency: f64,
@@ -282,8 +286,9 @@ impl std::fmt::Display for ConsistencyViolation {
 /// The discrete-event simulation.
 pub struct Simulation {
     config: SimConfig,
-    topology: Topology,
-    sites: Vec<SiteActor>,
+    pub(crate) topology: Topology,
+    /// `sites[site]` hosts every object's copy at that site.
+    pub(crate) sites: Vec<ShardedSite>,
     /// The event queue: the shared [`TimerWheel`] under a virtual clock
     /// (the live cluster runtime arms the same wheel with `Instant`s).
     timers: TimerWheel<VirtualInstant, Event>,
@@ -291,9 +296,10 @@ pub struct Simulation {
     rng: StdRng,
     /// Counts every [`dynvote_protocol::ProtocolEvent`] the actors emit.
     sink: Arc<CountingSink>,
-    ledger: Vec<Option<LedgerEntry>>,
+    /// `ledgers[object][v-1]` = that object's version `v`.
+    pub(crate) ledgers: Vec<Vec<Option<LedgerEntry>>>,
     violations: Vec<ConsistencyViolation>,
-    stats: SimStats,
+    pub(crate) stats: SimStats,
     next_payload: u64,
     /// Transactions started by the restart protocol, so their outcomes
     /// are booked separately from workload statistics.
@@ -305,7 +311,10 @@ pub struct Simulation {
     /// Reusable action sink: every kernel call emits into this buffer
     /// and [`Simulation::apply_actions`] drains it, so steady-state
     /// stepping allocates no per-event `Vec<Action>`.
-    scratch: Vec<Action>,
+    pub(crate) scratch: Vec<Action>,
+    /// Cross-object transaction groups ([`crate::multi`]); idle unless
+    /// [`Simulation::submit_group`] is called.
+    pub(crate) groups: GroupManager,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -318,37 +327,52 @@ impl std::fmt::Debug for Simulation {
 }
 
 impl Simulation {
-    /// Build a simulation with all sites up and connected.
+    /// Build a simulation of one replicated file running
+    /// `config.algorithm`, with all sites up and connected.
     ///
     /// # Panics
     ///
     /// If [`SimConfig::validate`] rejects the configuration.
     #[must_use]
     pub fn new(config: SimConfig) -> Self {
+        let algorithm = config.algorithm;
+        Self::with_files(config, &[algorithm])
+    }
+
+    /// Build a simulation of several replicated files (paper footnote
+    /// 2), every one hosted at all `config.n` sites: file `o` is object
+    /// `o` and runs `files[o]` (`config.algorithm` is not consulted).
+    ///
+    /// # Panics
+    ///
+    /// If [`SimConfig::validate`] rejects the configuration or `files`
+    /// is empty.
+    #[must_use]
+    pub fn with_files(config: SimConfig, files: &[AlgorithmKind]) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid SimConfig: {e}");
         }
+        assert!(!files.is_empty(), "{}", ConfigError::NoFiles);
+        let n = config.n;
         let sink = Arc::new(CountingSink::new());
-        let mut sites: Vec<SiteActor> = (0..config.n)
+        let sites = (0..n)
             .map(|i| {
-                SiteActor::new(
-                    SiteId::new(i),
-                    config.n,
-                    config.algorithm.instantiate(config.n),
-                )
+                let mut kinds = files.iter();
+                let mut site = ShardedSite::new(SiteId::new(i), n, files.len(), || {
+                    kinds.next().expect("one kind per object").instantiate(n)
+                });
+                site.set_sink(sink.clone());
+                site
             })
             .collect();
-        for site in &mut sites {
-            site.set_sink(sink.clone());
-        }
         Simulation {
-            topology: Topology::fully_connected(config.n),
+            topology: Topology::fully_connected(n),
             sites,
             timers: TimerWheel::new(),
             clock: 0.0,
             rng: StdRng::seed_from_u64(config.seed),
             sink,
-            ledger: Vec::new(),
+            ledgers: vec![Vec::new(); files.len()],
             violations: Vec::new(),
             stats: SimStats::default(),
             next_payload: 0,
@@ -356,6 +380,7 @@ impl Simulation {
             nemesis: NemesisKnobs::default(),
             divergence_trap: None,
             scratch: Vec::new(),
+            groups: GroupManager::default(),
             config,
         }
     }
@@ -378,16 +403,23 @@ impl Simulation {
         &self.topology
     }
 
-    /// The site actors (read-only inspection).
+    /// Object 0's copy at a site (read-only inspection).
     #[must_use]
     pub fn site(&self, id: SiteId) -> &SiteActor {
-        &self.sites[id.index()]
+        self.copy(ObjectId::ZERO, id)
     }
 
-    /// The global committed chain (`ledger[v-1]` = version `v`).
+    /// One object's copy at a site (read-only inspection).
+    #[must_use]
+    pub fn copy(&self, object: ObjectId, site: SiteId) -> &SiteActor {
+        let copy = self.sites[site.index()].shard(object);
+        copy.expect("every site hosts every object")
+    }
+
+    /// Object 0's global committed chain (`ledger[v-1]` = version `v`).
     #[must_use]
     pub fn ledger(&self) -> &[Option<LedgerEntry>] {
-        &self.ledger
+        &self.ledgers[0]
     }
 
     /// Consistency violations detected so far (must stay empty).
@@ -420,7 +452,7 @@ impl Simulation {
             .schedule(VirtualInstant(self.clock + delay), event);
     }
 
-    fn fresh_payload(&mut self) -> u64 {
+    pub(crate) fn fresh_payload(&mut self) -> u64 {
         self.next_payload += 1;
         self.next_payload
     }
@@ -433,7 +465,7 @@ impl Simulation {
         }
         self.stats.submitted += 1;
         let payload = self.fresh_payload();
-        self.sites[site.index()].start_update(payload, &mut self.scratch);
+        self.sites[site.index()].start_update_batch(ObjectId::ZERO, &[payload], &mut self.scratch);
         self.apply_actions(site);
         true
     }
@@ -445,7 +477,7 @@ impl Simulation {
             return false;
         }
         self.stats.submitted += 1;
-        self.sites[site.index()].start_read(&mut self.scratch);
+        self.sites[site.index()].start_read(ObjectId::ZERO, &mut self.scratch);
         self.apply_actions(site);
         true
     }
@@ -455,6 +487,7 @@ impl Simulation {
         if self.topology.is_up(site) {
             self.topology.crash(site);
             self.sites[site.index()].crash();
+            self.groups.crash(site);
             self.stats.site_crashes += 1;
             if self.divergence_trap == Some(site) {
                 // Fabricate the divergence the armed trap promises; the
@@ -481,24 +514,30 @@ impl Simulation {
         self.divergence_trap = Some(site);
     }
 
-    /// Recover a site; it runs the restart protocol of Section V-C.
+    /// Recover a site: redo any durably committed group whose legs did
+    /// not all finish, then run the restart protocol of Section V-C on
+    /// every object it hosts.
     pub fn recover_site(&mut self, site: SiteId) {
         if !self.topology.is_up(site) {
             self.topology.recover(site);
             self.stats.site_recoveries += 1;
-            let payload = self.fresh_payload();
-            self.sites[site.index()].recover(payload, &mut self.scratch);
-            // Tag the Make_Current transaction (if one started) so its
-            // outcome is booked as restart traffic, not workload.
-            for action in &self.scratch {
-                if let Action::Broadcast {
-                    msg: Message::VoteRequest { txn },
-                } = action
-                {
-                    self.restart_txns.insert(*txn);
+            self.redo_groups(site);
+            for object in 0..self.ledgers.len() as u32 {
+                let payload = self.fresh_payload();
+                self.sites[site.index()].recover(ObjectId(object), payload, &mut self.scratch);
+                // Tag the Make_Current transaction (if one started) so
+                // its outcome is booked as restart traffic, not
+                // workload.
+                for action in &self.scratch {
+                    if let Action::Broadcast {
+                        msg: Message::VoteRequest { txn },
+                    } = action
+                    {
+                        self.restart_txns.insert(*txn);
+                    }
                 }
+                self.apply_actions(site);
             }
-            self.apply_actions(site);
         }
     }
 
@@ -541,10 +580,11 @@ impl Simulation {
     }
 
     /// Drain the scratch sink, interpreting each action. The buffer is
-    /// taken out of `self` for the duration (the single-file engine
-    /// never re-enters a kernel from inside this loop) and put back
-    /// with its capacity intact.
-    fn apply_actions(&mut self, site: SiteId) {
+    /// taken out of `self` for the duration and put back with its
+    /// capacity intact, so nothing inside the loop may re-enter a
+    /// kernel: a held leg's [`Action::DecisionReady`] is queued and the
+    /// group manager runs after the drain.
+    pub(crate) fn apply_actions(&mut self, site: SiteId) {
         let mut actions = std::mem::take(&mut self.scratch);
         for action in actions.drain(..) {
             match action {
@@ -567,7 +607,7 @@ impl Simulation {
                         TimerKind::PreparedRetry => self
                             .config
                             .backoff()
-                            .base_delay(self.sites[site.index()].prepared_rounds()),
+                            .base_delay(self.copy(txn.object, site).prepared_rounds()),
                     };
                     let delay = self.jittered(base);
                     self.schedule(delay, Event::Timer { site, txn, kind });
@@ -598,8 +638,8 @@ impl Simulation {
                     payload,
                     txn,
                 } => self.record_commit(version, payload, txn),
-                Action::DecisionReady { .. } => {
-                    debug_assert!(false, "single-file engine never starts group legs");
+                Action::DecisionReady { txn, distinguished } => {
+                    self.groups.ready.push((txn, distinguished));
                 }
                 // The simulator keeps no suspicion set and no route
                 // table: every round waits for all peers or the
@@ -609,21 +649,23 @@ impl Simulation {
             }
         }
         self.scratch = actions;
+        self.run_group_manager();
     }
 
     fn record_commit(&mut self, version: u64, payload: u64, txn: TxnId) {
         let entry = LedgerEntry { payload, txn };
         let idx = (version - 1) as usize;
-        if idx >= self.ledger.len() {
-            self.ledger.resize(idx + 1, None);
+        let ledger = &mut self.ledgers[txn.object.index()];
+        if idx >= ledger.len() {
+            ledger.resize(idx + 1, None);
         }
-        match self.ledger[idx] {
+        match ledger[idx] {
             Some(existing) => self.violations.push(ConsistencyViolation::DivergentCommit {
                 version,
                 first: existing,
                 second: entry,
             }),
-            None => self.ledger[idx] = Some(entry),
+            None => ledger[idx] = Some(entry),
         }
     }
 
@@ -705,12 +747,7 @@ impl Simulation {
                 }
             }
             Event::Arrival { site } => {
-                if self.topology.is_up(site) {
-                    self.stats.submitted += 1;
-                    let payload = self.fresh_payload();
-                    self.sites[site.index()].start_update(payload, &mut self.scratch);
-                    self.apply_actions(site);
-                } else {
+                if !self.submit_update(site) {
                     self.stats.refused_down += 1;
                 }
             }
@@ -929,33 +966,36 @@ impl Simulation {
     #[must_use]
     pub fn check_invariants(&self) -> Vec<ConsistencyViolation> {
         let mut violations = self.violations.clone();
-        // The global chain must be gapless: versions 1..=max all
-        // committed.
-        for (i, slot) in self.ledger.iter().enumerate() {
-            if slot.is_none() {
-                violations.push(ConsistencyViolation::VersionGap {
-                    missing: (i + 1) as u64,
-                });
-            }
-        }
-        // Every site's log must be a gapless prefix matching the chain,
-        // and its metadata version must equal its log length.
-        for site in &self.sites {
-            for (i, entry) in site.log().iter().enumerate() {
-                let expected_version = (i + 1) as u64;
-                let chain = self.ledger.get(i).copied().flatten();
-                if entry.version != expected_version
-                    || chain.map_or(true, |c| c.payload != entry.payload)
-                {
-                    violations.push(ConsistencyViolation::LogMismatch {
-                        site: site.id(),
-                        version: expected_version,
+        for (object, ledger) in self.ledgers.iter().enumerate() {
+            // The global chain must be gapless: versions 1..=max all
+            // committed.
+            for (i, slot) in ledger.iter().enumerate() {
+                if slot.is_none() {
+                    violations.push(ConsistencyViolation::VersionGap {
+                        missing: (i + 1) as u64,
                     });
-                    break;
                 }
             }
-            if site.meta().version != site.log().last().map_or(0, LogEntry::version_of) {
-                violations.push(ConsistencyViolation::MetaLogSkew { site: site.id() });
+            // Every site's log must be a gapless prefix matching the
+            // chain, and its metadata version must equal its log length.
+            let object = ObjectId(object as u32);
+            for site in self.sites.iter().filter_map(|s| s.shard(object)) {
+                for (i, entry) in site.log().iter().enumerate() {
+                    let expected_version = (i + 1) as u64;
+                    let chain = ledger.get(i).copied().flatten();
+                    if entry.version != expected_version
+                        || chain.map_or(true, |c| c.payload != entry.payload)
+                    {
+                        violations.push(ConsistencyViolation::LogMismatch {
+                            site: site.id(),
+                            version: expected_version,
+                        });
+                        break;
+                    }
+                }
+                if site.meta().version != site.log().last().map_or(0, LogEntry::version_of) {
+                    violations.push(ConsistencyViolation::MetaLogSkew { site: site.id() });
+                }
             }
         }
         violations

@@ -13,13 +13,16 @@
 //!   classic 2PC force-writes (prepare records before voting, commit
 //!   records before announcing);
 //! * [`Topology`] — sites, links, partitions as connected components;
-//! * [`Simulation`] — deterministic discrete-event engine with message
-//!   latency, loss, fault injection, Poisson workloads, read-only
-//!   requests (paper footnote 5) and an *omniscient ledger* that flags
-//!   any violation of one-copy serializability the instant it happens;
-//! * [`MultiFileSimulation`] — several files with **atomic cross-file
-//!   transactions** (paper footnote 2): per-site transaction managers,
-//!   durable group commit records, crash redo, and an atomicity audit;
+//! * [`Simulation`] — the one deterministic discrete-event engine:
+//!   message latency, loss, fault injection, Poisson workloads,
+//!   read-only requests (paper footnote 5) and an *omniscient ledger*
+//!   that flags any violation of one-copy serializability the instant
+//!   it happens. Every site hosts one protocol instance per file: one
+//!   file by default, several with [`Simulation::with_files`];
+//! * [`multi`] — **atomic cross-file transactions** (paper footnote 2)
+//!   on that engine: [`Simulation::submit_group`], per-site transaction
+//!   managers, durable group commit records, crash redo, and the
+//!   [`Simulation::check_atomicity`] audit;
 //! * [`FaultSchedule`] — the nemesis layer: a serde-serializable DSL of
 //!   windowed fault behaviors (crash storms, rolling and asymmetric
 //!   one-way partitions, lossy bursts, duplication, reordering) that
@@ -62,10 +65,10 @@ mod topology;
 pub use dynvote_core::ConfigError;
 pub use dynvote_protocol::{
     Action, CountingSink, DurableState, EventKind, EventSink, EventTallies, LogEntry, Message,
-    ProtocolEvent, RenderSink, ResolveReason, SiteActor, StatusOutcome, TimerKind, TxnId,
+    ObjectId, ProtocolEvent, RenderSink, ResolveReason, SiteActor, StatusOutcome, TimerKind, TxnId,
 };
 pub use engine::{ConsistencyViolation, LedgerEntry, SimConfig, SimStats, Simulation};
 pub use experiments::{results_to_csv, ExperimentPlan, ExperimentResult};
-pub use multi::{GroupId, MultiConfig, MultiFileSimulation, MultiStats};
+pub use multi::{GroupId, GroupStats};
 pub use nemesis::{minimize, FaultSchedule, NemesisEvent, NemesisProfile};
 pub use topology::Topology;

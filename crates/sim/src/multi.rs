@@ -5,39 +5,34 @@
 //! **atomic**: either every touched file commits its new version or
 //! none does, even if the coordinator crashes between per-file commits.
 //!
-//! The engine runs one [`SiteActor`] per *(file, site)* pair — each file
-//! keeps its own metadata, locks, quorums and per-file protocol — plus a
-//! per-site **transaction manager** gluing the legs together:
+//! Files are the objects of a [`Simulation::with_files`] run: each keeps
+//! its own metadata, locks, quorums and per-file algorithm, and the
+//! engine delivers, times, drops and audits their messages like any
+//! other. This module adds only what is *about groups* — a per-site
+//! **transaction manager** gluing the legs together:
 //!
-//! 1. every file leg runs the normal voting (and catch-up) phases, then
-//!    parks with [`Action::DecisionReady`];
+//! 1. every file leg is an ordinary update whose coordinator holds its
+//!    decision (`SiteActor::start_group_update`): it runs the normal
+//!    voting (and catch-up) phases, then parks with
+//!    `Action::DecisionReady`;
 //! 2. when all legs have decided, the manager force-writes a durable
-//!    **group commit record** (files, payload, per-leg participant
-//!    views) and only then finalizes each leg — this is the classic
-//!    distributed-commit discipline: the single durable write *is* the
-//!    atomic commit point;
+//!    **group commit record** (payload and, per leg, the transaction —
+//!    which names its file — and the participant view) and only then
+//!    finalizes each leg — the classic distributed-commit discipline:
+//!    the single durable write *is* the atomic commit point;
 //! 3. a coordinator that crashes mid-finalization **redoes** the
 //!    remaining legs from the group record on recovery (idempotently);
 //!    a crash before the record means presumed abort for every leg,
 //!    resolved by each file's ordinary termination protocol.
 //!
-//! The engine's invariant checker verifies, beyond each file's one-copy
-//! serializability, cross-file **atomicity**: every durably committed
-//! group has all of its legs in the corresponding file ledgers.
+//! [`Simulation::check_atomicity`] audits, beyond per-file one-copy
+//! serializability, that every durably committed group has all of its
+//! legs in the file ledgers.
 
-use crate::engine::{ConsistencyViolation, LedgerEntry};
-use crate::topology::Topology;
-use dynvote_core::{
-    check_positive, check_probability, check_site_count, AlgorithmKind, ConfigError, CopyMeta,
-    SiteId, SiteSet, TimerWheel, VirtualInstant,
-};
-use dynvote_protocol::{Action, Message, SiteActor, TimerKind, TxnId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-
-/// Identifies a file in a [`MultiFileSimulation`].
-pub type FileIdx = usize;
+use crate::engine::Simulation;
+use dynvote_core::{CopyMeta, SiteId};
+use dynvote_protocol::{ObjectId, TxnId};
+use std::collections::BTreeMap;
 
 /// A cross-file transaction group id: coordinator site plus a
 /// per-site durable sequence number.
@@ -49,69 +44,10 @@ pub struct GroupId {
     pub seq: u64,
 }
 
-impl std::fmt::Display for GroupId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "G{}#{}", self.site, self.seq)
-    }
-}
-
-/// Configuration of a multi-file simulation.
-#[derive(Debug, Clone)]
-pub struct MultiConfig {
-    /// Number of sites (every file is replicated at all of them).
-    pub n: usize,
-    /// One replica control algorithm per file.
-    pub files: Vec<AlgorithmKind>,
-    /// One-way message latency.
-    pub latency: f64,
-    /// Per-file vote-collection deadline.
-    pub vote_timeout: f64,
-    /// Per-file catch-up deadline.
-    pub catchup_timeout: f64,
-    /// Prepared subordinate's termination-protocol retry interval.
-    pub prepared_retry: f64,
-    /// Probability an individual message is lost.
-    pub drop_probability: f64,
-    /// PRNG seed.
-    pub seed: u64,
-}
-
-impl Default for MultiConfig {
-    fn default() -> Self {
-        MultiConfig {
-            n: 5,
-            files: vec![AlgorithmKind::Hybrid, AlgorithmKind::Voting],
-            latency: 0.01,
-            vote_timeout: 0.05,
-            catchup_timeout: 0.05,
-            prepared_retry: 0.25,
-            drop_probability: 0.0,
-            seed: 7,
-        }
-    }
-}
-
-impl MultiConfig {
-    /// Validate every field; [`MultiFileSimulation::new`] refuses
-    /// (panics on) a configuration this rejects, so callers accepting
-    /// untrusted parameters should call it first and surface the error.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        check_site_count(self.n)?;
-        if self.files.is_empty() {
-            return Err(ConfigError::NoFiles);
-        }
-        check_positive("latency", self.latency)?;
-        check_positive("vote_timeout", self.vote_timeout)?;
-        check_positive("catchup_timeout", self.catchup_timeout)?;
-        check_positive("prepared_retry", self.prepared_retry)?;
-        check_probability("drop_probability", self.drop_probability)?;
-        Ok(())
-    }
-}
-
-/// Aggregate statistics of a multi-file run.
+/// Group outcomes of a run. Each leg is also booked in
+/// [`crate::SimStats`] as the single-file transaction it is.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MultiStats {
+pub struct GroupStats {
     /// Groups submitted.
     pub submitted: u64,
     /// Groups committed (all legs).
@@ -121,546 +57,220 @@ pub struct MultiStats {
     pub group_rejected: u64,
     /// Groups refused because some copy was locked.
     pub lock_busy: u64,
-    /// Messages handed to the network.
-    pub messages_sent: u64,
-    /// Messages lost.
-    pub messages_dropped: u64,
 }
 
 /// Durable group commit record (the atomic commit point).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct GroupRecord {
-    files: Vec<FileIdx>,
     txns: Vec<TxnId>,
     payload: u64,
     members: Vec<Vec<(SiteId, CopyMeta)>>,
 }
 
 /// Volatile per-group progress at the coordinator.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PendingGroup {
-    files: Vec<FileIdx>,
     txns: Vec<TxnId>,
     payload: u64,
-    decisions: Vec<Option<bool>>,
+    /// Legs that have not parked yet.
+    undecided: usize,
+    /// No leg has parked at its abort door so far.
+    commit: bool,
 }
 
-/// Per-site transaction-manager state.
+/// Every site's transaction manager (a [`GroupId`] names its site),
+/// plus the decisions the engine queued while draining a kernel call's
+/// actions. Ordered maps: redo order feeds the engine's PRNG (message
+/// loss), so it must not depend on hashing.
 #[derive(Debug, Default)]
-struct SiteManager {
-    /// Durable: next group sequence number.
-    next_seq: u64,
-    /// Durable: committed group records (the redo log).
-    committed: HashMap<GroupId, GroupRecord>,
+pub(crate) struct GroupManager {
+    /// Durable, per site: last group sequence number.
+    last_seq: BTreeMap<SiteId, u64>,
+    /// Durable: committed group records (each site's redo log).
+    committed: BTreeMap<GroupId, GroupRecord>,
     /// Volatile: groups awaiting decisions.
-    pending: HashMap<GroupId, PendingGroup>,
+    pending: BTreeMap<GroupId, PendingGroup>,
+    stats: GroupStats,
+    /// Legs that parked during the current drain.
+    pub(crate) ready: Vec<(TxnId, bool)>,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum MEvent {
-    Deliver {
-        file: FileIdx,
-        from: SiteId,
-        to: SiteId,
-        msg: Message,
-    },
-    Timer {
-        file: FileIdx,
-        site: SiteId,
-        txn: TxnId,
-        kind: TimerKind,
-    },
-}
-
-/// A discrete-event simulation of several replicated files with atomic
-/// cross-file transactions.
-pub struct MultiFileSimulation {
-    config: MultiConfig,
-    topology: Topology,
-    /// `actors[file][site]`.
-    actors: Vec<Vec<SiteActor>>,
-    managers: Vec<SiteManager>,
-    timers: TimerWheel<VirtualInstant, MEvent>,
-    clock: f64,
-    rng: StdRng,
-    next_payload: u64,
-    /// Per-file omniscient ledgers.
-    ledgers: Vec<Vec<Option<LedgerEntry>>>,
-    violations: Vec<ConsistencyViolation>,
-    /// Which (file, txn) legs the engine saw commit — for the
-    /// atomicity audit. (Txn ids are only unique per file: each file's
-    /// actor numbers its own transactions.)
-    leg_commits: HashMap<(FileIdx, TxnId), u64>,
-    stats: MultiStats,
-}
-
-impl std::fmt::Debug for MultiFileSimulation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiFileSimulation")
-            .field("clock", &self.clock)
-            .field("stats", &self.stats)
-            .finish_non_exhaustive()
+impl GroupManager {
+    /// A site crashed: its pending groups are lost; durable group
+    /// records survive.
+    pub(crate) fn crash(&mut self, site: SiteId) {
+        self.pending.retain(|group, _| group.site != site);
     }
 }
 
-impl MultiFileSimulation {
-    /// Build a simulation with all sites up.
-    ///
-    /// # Panics
-    ///
-    /// If [`MultiConfig::validate`] rejects the configuration.
+impl Simulation {
+    /// Group statistics so far.
     #[must_use]
-    pub fn new(config: MultiConfig) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("invalid MultiConfig: {e}");
-        }
-        let actors = config
-            .files
-            .iter()
-            .map(|&kind| {
-                (0..config.n)
-                    .map(|i| SiteActor::new(SiteId::new(i), config.n, kind.instantiate(config.n)))
-                    .collect()
-            })
-            .collect();
-        MultiFileSimulation {
-            topology: Topology::fully_connected(config.n),
-            actors,
-            managers: (0..config.n).map(|_| SiteManager::default()).collect(),
-            timers: TimerWheel::new(),
-            clock: 0.0,
-            rng: StdRng::seed_from_u64(config.seed),
-            next_payload: 0,
-            ledgers: vec![Vec::new(); config.files.len()],
-            violations: Vec::new(),
-            leg_commits: HashMap::new(),
-            stats: MultiStats::default(),
-            config,
-        }
+    pub fn group_stats(&self) -> &GroupStats {
+        &self.groups.stats
     }
 
-    /// Statistics so far.
-    #[must_use]
-    pub fn stats(&self) -> &MultiStats {
-        &self.stats
-    }
-
-    /// Current simulated time.
-    #[must_use]
-    pub fn clock(&self) -> f64 {
-        self.clock
-    }
-
-    /// A file's actor at a site (inspection).
-    #[must_use]
-    pub fn actor(&self, file: FileIdx, site: SiteId) -> &SiteActor {
-        &self.actors[file][site.index()]
-    }
-
-    /// Impose an explicit partition layout.
-    pub fn impose_partitions(&mut self, parts: &[SiteSet]) {
-        self.topology.impose_partitions(parts);
-    }
-
-    fn schedule(&mut self, delay: f64, event: MEvent) {
-        self.timers
-            .schedule(VirtualInstant(self.clock + delay), event);
-    }
-
-    fn send(&mut self, file: FileIdx, from: SiteId, to: SiteId, msg: Message) {
-        self.stats.messages_sent += 1;
-        if self.config.drop_probability > 0.0
-            && self.rng.gen::<f64>() < self.config.drop_probability
-        {
-            self.stats.messages_dropped += 1;
-            return;
-        }
-        self.schedule(
-            self.config.latency,
-            MEvent::Deliver {
-                file,
-                from,
-                to,
-                msg,
-            },
-        );
-    }
-
-    /// Submit an atomic update to `files` at `site`. Returns the group
-    /// id, or `None` if the site is down.
-    pub fn submit_group(&mut self, site: SiteId, files: &[FileIdx]) -> Option<GroupId> {
+    /// Submit an atomic update to the distinct objects `files` at
+    /// `site`. Returns the group id, or `None` if the site is down.
+    pub fn submit_group(&mut self, site: SiteId, files: &[ObjectId]) -> Option<GroupId> {
         assert!(!files.is_empty());
-        assert!(files.iter().all(|&f| f < self.config.files.len()));
         if !self.topology.is_up(site) {
             return None;
         }
-        self.stats.submitted += 1;
-        self.next_payload += 1;
-        let payload = self.next_payload;
-        self.managers[site.index()].next_seq += 1;
-        let group = GroupId {
-            site,
-            seq: self.managers[site.index()].next_seq,
-        };
-
-        // Start every leg; if any copy is locked, abort the ones
-        // already started (all-or-nothing from the first instant).
-        let mut txns = Vec::with_capacity(files.len());
-        let mut staged: Vec<(FileIdx, Vec<Action>)> = Vec::new();
-        let mut busy = false;
-        for &file in files {
-            let mut actions = Vec::new();
-            match self.actors[file][site.index()].start_group_update(payload, &mut actions) {
-                Some(txn) => {
-                    txns.push(txn);
-                    staged.push((file, actions));
-                }
-                None => {
-                    busy = true;
-                    break;
-                }
-            }
-        }
-        if busy {
-            for (&file, &txn) in files.iter().zip(&txns) {
-                let mut actions = Vec::new();
-                self.actors[file][site.index()].finalize_group(txn, false, &mut actions);
-                self.apply_actions(file, site, actions);
-            }
-            self.stats.lock_busy += 1;
+        self.groups.stats.submitted += 1;
+        let seq = self.groups.last_seq.entry(site).or_default();
+        *seq += 1;
+        let group = GroupId { site, seq: *seq };
+        // All-or-nothing from the first instant: a locked copy refuses
+        // the group before any leg starts.
+        if files.iter().any(|&file| self.copy(file, site).is_locked()) {
+            self.groups.stats.lock_busy += 1;
             return Some(group);
         }
-        self.managers[site.index()].pending.insert(
+        let payload = self.fresh_payload();
+        self.stats.submitted += files.len() as u64;
+        let txns: Vec<TxnId> = files
+            .iter()
+            .map(|&file| {
+                let leg = self.sites[site.index()].shard_mut(file);
+                leg.and_then(|leg| leg.start_group_update(payload, &mut self.scratch))
+                    .expect("objects are distinct and their locks were free")
+            })
+            .collect();
+        self.groups.pending.insert(
             group,
             PendingGroup {
-                files: files.to_vec(),
+                undecided: txns.len(),
+                commit: true,
                 txns,
                 payload,
-                decisions: vec![None; files.len()],
             },
         );
-        for (file, actions) in staged {
-            self.apply_actions(file, site, actions);
-        }
+        self.apply_actions(site);
         Some(group)
     }
 
-    fn apply_actions(&mut self, file: FileIdx, site: SiteId, actions: Vec<Action>) {
-        for action in actions {
-            match action {
-                Action::Send { to, msg } => self.send(file, site, to, msg),
-                Action::Broadcast { msg } => {
-                    for i in 0..self.config.n {
-                        let to = SiteId::new(i);
-                        if to != site {
-                            self.send(file, site, to, msg.clone());
-                        }
-                    }
-                }
-                Action::SetTimer { txn, kind } => {
-                    let delay = match kind {
-                        // The kernel never asks for the host-armed grace; were
-                        // it to, a grace as long as the deadline is the
-                        // identity.
-                        TimerKind::VoteDeadline | TimerKind::VoteGrace => self.config.vote_timeout,
-                        TimerKind::CatchUpDeadline => self.config.catchup_timeout,
-                        TimerKind::PreparedRetry => self.config.prepared_retry,
-                    };
-                    self.schedule(
-                        delay,
-                        MEvent::Timer {
-                            file,
-                            site,
-                            txn,
-                            kind,
-                        },
-                    );
-                }
-                Action::DecisionReady { txn, distinguished } => {
-                    self.on_decision(site, file, txn, distinguished);
-                }
-                Action::CommitRecorded {
-                    version,
-                    payload,
-                    txn,
-                } => {
-                    self.leg_commits.insert((file, txn), version);
-                    let idx = (version - 1) as usize;
-                    let ledger = &mut self.ledgers[file];
-                    if idx >= ledger.len() {
-                        ledger.resize(idx + 1, None);
-                    }
-                    let entry = LedgerEntry { payload, txn };
-                    match ledger[idx] {
-                        Some(existing) => {
-                            self.violations.push(ConsistencyViolation::DivergentCommit {
-                                version,
-                                first: existing,
-                                second: entry,
-                            });
-                        }
-                        None => ledger[idx] = Some(entry),
-                    }
-                }
-                // The simulator keeps no suspicion set.
-                Action::Resolved { .. } | Action::Hint(_) => {}
-            }
+    /// Hand the legs that parked during the drain just finished to
+    /// their managers (the tail of [`Simulation::apply_actions`]).
+    pub(crate) fn run_group_manager(&mut self) {
+        while let Some((txn, distinguished)) = self.groups.ready.pop() {
+            self.on_decision(txn, distinguished);
         }
     }
 
     /// A leg finished its voting/catch-up phases.
-    ///
-    /// Legs are identified by their *file* (txn ids repeat across files
-    /// — each file's actor numbers its own transactions).
-    fn on_decision(&mut self, site: SiteId, file: FileIdx, txn: TxnId, distinguished: bool) {
-        let manager = &mut self.managers[site.index()];
-        let Some((&group, _)) = manager.pending.iter().find(|(_, p)| {
-            p.files
-                .iter()
-                .zip(&p.txns)
-                .any(|(&f, &t)| f == file && t == txn)
-        }) else {
-            // The group was already resolved (e.g. aborted at
-            // submission); release the straggler leg.
-            let mut actions = Vec::new();
-            self.actors[file][site.index()].finalize_group(txn, false, &mut actions);
-            self.apply_actions(file, site, actions);
-            return;
+    fn on_decision(&mut self, txn: TxnId, distinguished: bool) {
+        let site = txn.coordinator;
+        let mut groups = self.groups.pending.iter_mut();
+        let Some((&group, pending)) = groups.find(|(_, p)| p.txns.contains(&txn)) else {
+            // The group is gone; release the straggler leg.
+            return self.finalize_leg(txn, false);
         };
-        let pending = manager.pending.get_mut(&group).expect("found above");
-        let leg = pending
-            .files
-            .iter()
-            .zip(&pending.txns)
-            .position(|(&f, &t)| f == file && t == txn)
-            .expect("leg belongs to group");
-        pending.decisions[leg] = Some(distinguished);
-        if pending.decisions.iter().any(Option::is_none) {
+        pending.undecided -= 1;
+        pending.commit &= distinguished;
+        if pending.undecided > 0 {
             return;
         }
         // Every leg decided: the global verdict.
-        let pending = manager.pending.remove(&group).expect("present");
-        let commit = pending.decisions.iter().all(|d| d == &Some(true));
+        let pending = self.groups.pending.remove(&group).expect("found above");
+        let commit = pending.commit;
         if commit {
             // Gather each leg's participant view and force-write the
             // group record — THE atomic commit point — before touching
             // any leg.
-            let members: Vec<Vec<(SiteId, CopyMeta)>> = pending
-                .files
-                .iter()
-                .zip(&pending.txns)
-                .map(|(&f, &t)| {
-                    self.actors[f][site.index()]
-                        .decided_members(t)
-                        .expect("decided legs carry members")
-                        .to_vec()
-                })
-                .collect();
-            self.managers[site.index()].committed.insert(
-                group,
-                GroupRecord {
-                    files: pending.files.clone(),
-                    txns: pending.txns.clone(),
-                    payload: pending.payload,
-                    members,
-                },
-            );
-            self.stats.group_commits += 1;
-            for (&f, &t) in pending.files.iter().zip(&pending.txns) {
-                let mut actions = Vec::new();
-                self.actors[f][site.index()].finalize_group(t, true, &mut actions);
-                self.apply_actions(f, site, actions);
-            }
+            let members = pending.txns.iter().map(|&t| {
+                let parked = self.copy(t.object, site).decided_members(t);
+                parked.expect("decided legs carry members").to_vec()
+            });
+            let record = GroupRecord {
+                members: members.collect(),
+                txns: pending.txns.clone(),
+                payload: pending.payload,
+            };
+            self.groups.committed.insert(group, record);
+            self.groups.stats.group_commits += 1;
         } else {
-            self.stats.group_rejected += 1;
-            for (&f, &t) in pending.files.iter().zip(&pending.txns) {
-                let mut actions = Vec::new();
-                self.actors[f][site.index()].finalize_group(t, false, &mut actions);
-                self.apply_actions(f, site, actions);
-            }
+            self.groups.stats.group_rejected += 1;
+        }
+        for txn in pending.txns {
+            self.finalize_leg(txn, commit);
         }
     }
 
-    /// Crash a site: every file's volatile state and the manager's
-    /// pending groups are lost; durable group records survive.
-    pub fn crash_site(&mut self, site: SiteId) {
-        if self.topology.is_up(site) {
-            self.topology.crash(site);
-            for file in 0..self.config.files.len() {
-                self.actors[file][site.index()].crash();
-            }
-            self.managers[site.index()].pending.clear();
+    /// Walk one parked leg through its door.
+    fn finalize_leg(&mut self, txn: TxnId, commit: bool) {
+        let site = txn.coordinator;
+        if let Some(leg) = self.sites[site.index()].shard_mut(txn.object) {
+            leg.finalize_group(txn, commit, &mut self.scratch);
         }
+        self.apply_actions(site);
     }
 
-    /// Recover a site: redo any durably committed group whose legs did
-    /// not all finish, then run each file's ordinary restart protocol.
-    pub fn recover_site(&mut self, site: SiteId) {
-        if self.topology.is_up(site) {
-            return;
-        }
-        self.topology.recover(site);
-        // REDO pass, before any new work: finish every durably
-        // committed group (idempotent per leg).
-        let records: Vec<(GroupId, GroupRecord)> = self.managers[site.index()]
-            .committed
-            .iter()
-            .map(|(g, r)| (*g, r.clone()))
-            .collect();
-        for (_, record) in records {
-            for ((&file, &txn), members) in
-                record.files.iter().zip(&record.txns).zip(&record.members)
-            {
-                let mut actions = Vec::new();
-                self.actors[file][site.index()].commit_from_record(
-                    txn,
-                    record.payload,
-                    members,
-                    &mut actions,
-                );
-                self.apply_actions(file, site, actions);
-            }
-        }
-        // Ordinary per-file restart (prepared-lock restoration or
-        // Make_Current).
-        for file in 0..self.config.files.len() {
-            self.next_payload += 1;
-            let payload = self.next_payload;
-            let mut actions = Vec::new();
-            self.actors[file][site.index()].recover(payload, &mut actions);
-            self.apply_actions(file, site, actions);
-        }
-    }
-
-    /// Process one event; false when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((when, event)) = self.timers.pop_next() else {
-            return false;
-        };
-        self.clock = when.0;
-        match event {
-            MEvent::Deliver {
-                file,
-                from,
-                to,
-                msg,
-            } => {
-                if self.topology.connected(from, to) {
-                    let mut actions = Vec::new();
-                    self.actors[file][to.index()].handle_message(from, msg, &mut actions);
-                    self.apply_actions(file, to, actions);
-                } else {
-                    self.stats.messages_dropped += 1;
+    /// REDO pass at the head of [`Simulation::recover_site`]: finish
+    /// every durably committed group (idempotent per leg).
+    pub(crate) fn redo_groups(&mut self, site: SiteId) {
+        let committed = std::mem::take(&mut self.groups.committed);
+        for (_, record) in committed.iter().filter(|(g, _)| g.site == site) {
+            for (&txn, members) in record.txns.iter().zip(&record.members) {
+                if let Some(leg) = self.sites[site.index()].shard_mut(txn.object) {
+                    leg.commit_from_record(txn, record.payload, members, &mut self.scratch);
                 }
-            }
-            MEvent::Timer {
-                file,
-                site,
-                txn,
-                kind,
-            } => {
-                if self.topology.is_up(site) {
-                    let mut actions = Vec::new();
-                    self.actors[file][site.index()].timer_fired(txn, kind, &mut actions);
-                    self.apply_actions(file, site, actions);
-                }
+                self.apply_actions(site);
             }
         }
-        true
-    }
-
-    /// Drain pending events (bounded, like [`crate::Simulation::quiesce`]).
-    pub fn quiesce(&mut self) {
-        let deadline = self.clock + 10_000.0 * self.config.prepared_retry;
-        let mut guard = 0u64;
-        while let Some(&VirtualInstant(t)) = self.timers.next_deadline() {
-            if t > deadline || guard > 10_000_000 {
-                break;
-            }
-            guard += 1;
-            self.step();
-        }
-    }
-
-    /// Verify per-file consistency plus cross-file atomicity.
-    #[must_use]
-    pub fn check_invariants(&self) -> Vec<ConsistencyViolation> {
-        let mut violations = self.violations.clone();
-        for (file, ledger) in self.ledgers.iter().enumerate() {
-            for (i, slot) in ledger.iter().enumerate() {
-                if slot.is_none() {
-                    violations.push(ConsistencyViolation::VersionGap {
-                        missing: (i + 1) as u64,
-                    });
-                }
-            }
-            for actor in &self.actors[file] {
-                for (i, entry) in actor.log().iter().enumerate() {
-                    let expected = (i + 1) as u64;
-                    let chain = ledger.get(i).copied().flatten();
-                    if entry.version != expected
-                        || chain.map_or(true, |c| c.payload != entry.payload)
-                    {
-                        violations.push(ConsistencyViolation::LogMismatch {
-                            site: actor.id(),
-                            version: expected,
-                        });
-                        break;
-                    }
-                }
-                if actor.meta().version != actor.log().last().map_or(0, |e| e.version) {
-                    violations.push(ConsistencyViolation::MetaLogSkew { site: actor.id() });
-                }
-            }
-        }
-        violations
+        self.groups.committed = committed;
     }
 
     /// Cross-file atomicity audit: every durably committed group must
     /// have *all* of its legs committed in the file ledgers. Returns
-    /// the offending group ids (empty = atomic).
+    /// the offending group ids in order (empty = atomic).
     #[must_use]
     pub fn check_atomicity(&self) -> Vec<GroupId> {
-        let mut bad = Vec::new();
-        for manager in &self.managers {
-            for (&group, record) in &manager.committed {
-                let all_legs = record
-                    .txns
-                    .iter()
-                    .zip(&record.files)
-                    .all(|(&txn, &file)| self.leg_commits.contains_key(&(file, txn)));
-                if !all_legs {
-                    bad.push(group);
-                }
-            }
-        }
-        bad.sort();
-        bad
+        let in_ledger = |txn: &TxnId| {
+            let mut ledger = self.ledgers[txn.object.index()].iter().flatten();
+            ledger.any(|entry| entry.txn == *txn)
+        };
+        let committed = self.groups.committed.iter();
+        committed
+            .filter(|(_, record)| !record.txns.iter().all(in_ledger))
+            .map(|(&group, _)| group)
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimConfig;
+    use dynvote_core::{AlgorithmKind, SiteSet};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const F0: ObjectId = ObjectId(0);
+    const F1: ObjectId = ObjectId(1);
 
     fn set(s: &str) -> SiteSet {
         SiteSet::parse(s).unwrap()
     }
 
-    fn sim() -> MultiFileSimulation {
-        MultiFileSimulation::new(MultiConfig::default())
+    fn sim_with(config: SimConfig) -> Simulation {
+        Simulation::with_files(config, &[AlgorithmKind::Hybrid, AlgorithmKind::Voting])
+    }
+
+    fn sim() -> Simulation {
+        sim_with(SimConfig::default())
     }
 
     #[test]
     fn healthy_group_commits_both_files() {
         let mut s = sim();
-        s.submit_group(SiteId(0), &[0, 1]).unwrap();
+        s.submit_group(SiteId(0), &[F0, F1]).unwrap();
         s.quiesce();
-        assert_eq!(s.stats().group_commits, 1);
-        for file in 0..2 {
+        assert_eq!(s.group_stats().group_commits, 1);
+        for file in [F0, F1] {
             for i in 0..5 {
                 assert_eq!(
-                    s.actor(file, SiteId(i)).meta().version,
+                    s.copy(file, SiteId(i)).meta().version,
                     1,
                     "file {file} site {i}"
                 );
@@ -673,30 +283,29 @@ mod tests {
     #[test]
     fn one_starved_file_aborts_the_whole_group() {
         let mut s = sim();
-        s.submit_group(SiteId(0), &[0, 1]).unwrap();
+        s.submit_group(SiteId(0), &[F0, F1]).unwrap();
         s.quiesce();
-        // Partition so the hybrid file (0) has a quorum at AB (its
-        // cardinality shrank? no — one commit happened with all 5, so
-        // file 0 needs 3 of 5) and voting file (1) needs 3 of 5 too:
-        // give AB only — both legs refuse. Then ABC — both accept.
+        // One commit happened with all 5, so the hybrid file (0) and
+        // the voting file (1) both need 3 of 5: give AB only — both
+        // legs refuse.
         s.impose_partitions(&[set("AB"), set("CDE")]);
-        s.submit_group(SiteId(0), &[0, 1]).unwrap();
+        s.submit_group(SiteId(0), &[F0, F1]).unwrap();
         s.quiesce();
-        assert_eq!(s.stats().group_rejected, 1);
-        assert_eq!(s.stats().group_commits, 1);
+        assert_eq!(s.group_stats().group_rejected, 1);
+        assert_eq!(s.group_stats().group_commits, 1);
         // Now shrink file 0's quorum alone (single-leg group on file 0
         // via ABC), then ask for a cross-file group from AB: file 0
         // says yes (2 of 3), file 1 says no (2 of 5) -> atomic abort.
         s.impose_partitions(&[set("ABC"), set("DE")]);
-        s.submit_group(SiteId(0), &[0]).unwrap();
+        s.submit_group(SiteId(0), &[F0]).unwrap();
         s.quiesce();
-        assert_eq!(s.stats().group_commits, 2);
+        assert_eq!(s.group_stats().group_commits, 2);
         s.impose_partitions(&[set("AB"), set("CDE")]);
-        s.submit_group(SiteId(0), &[0, 1]).unwrap();
+        s.submit_group(SiteId(0), &[F0, F1]).unwrap();
         s.quiesce();
-        assert_eq!(s.stats().group_rejected, 2);
+        assert_eq!(s.group_stats().group_rejected, 2);
         // File 0's version must NOT have advanced (atomicity).
-        assert_eq!(s.actor(0, SiteId(0)).meta().version, 2);
+        assert_eq!(s.copy(F0, SiteId(0)).meta().version, 2);
         assert!(s.check_invariants().is_empty());
         assert!(s.check_atomicity().is_empty());
     }
@@ -704,33 +313,31 @@ mod tests {
     #[test]
     fn coordinator_crash_after_group_record_redoes_on_recovery() {
         let mut s = sim();
-        s.submit_group(SiteId(0), &[0, 1]).unwrap();
+        s.submit_group(SiteId(0), &[F0, F1]).unwrap();
         s.quiesce();
         // Start a group and run *just* past the decision point: with
         // latency 0.01 the votes return by ~0.02 and both legs decide
         // (all replies in), writing the group record and sending the
         // COMMIT messages; crash A before those deliver.
-        s.submit_group(SiteId(0), &[0, 1]).unwrap();
-        s.run_past_decisions();
-        let committed_before = s.stats().group_commits;
+        s.submit_group(SiteId(0), &[F0, F1]).unwrap();
+        s.run_until(s.clock() + 2.0 * SimConfig::default().latency + 1e-6);
+        assert_eq!(s.group_stats().group_commits, 2);
         s.crash_site(SiteId(0));
         s.quiesce();
-        if committed_before == 2 {
-            // The group record is durable: recovery must redo both legs
-            // and the subordinates must converge.
-            s.recover_site(SiteId(0));
-            s.quiesce();
-            for file in 0..2 {
-                for i in 0..5 {
-                    assert!(
-                        s.actor(file, SiteId(i)).meta().version >= 2,
-                        "file {file} site {i} missed the redone commit"
-                    );
-                }
+        // The group record is durable: recovery must redo both legs
+        // and the subordinates must converge.
+        s.recover_site(SiteId(0));
+        s.quiesce();
+        for file in [F0, F1] {
+            for i in 0..5 {
+                assert!(
+                    s.copy(file, SiteId(i)).meta().version >= 2,
+                    "file {file} site {i} missed the redone commit"
+                );
             }
-            assert!(s.check_atomicity().is_empty());
-            assert!(s.check_invariants().is_empty());
         }
+        assert!(s.check_atomicity().is_empty());
+        assert!(s.check_invariants().is_empty());
     }
 
     #[test]
@@ -738,11 +345,11 @@ mod tests {
         let mut s = sim();
         // Two groups race at the same coordinator: the second finds the
         // locks held and aborts without touching anything.
-        s.submit_group(SiteId(0), &[0, 1]).unwrap();
-        s.submit_group(SiteId(0), &[0, 1]).unwrap();
+        s.submit_group(SiteId(0), &[F0, F1]).unwrap();
+        s.submit_group(SiteId(0), &[F0, F1]).unwrap();
         s.quiesce();
-        assert_eq!(s.stats().lock_busy, 1);
-        assert_eq!(s.stats().group_commits, 1);
+        assert_eq!(s.group_stats().lock_busy, 1);
+        assert_eq!(s.group_stats().group_commits, 1);
         assert!(s.check_invariants().is_empty());
         assert!(s.check_atomicity().is_empty());
     }
@@ -750,49 +357,33 @@ mod tests {
     #[test]
     fn per_file_quorums_evolve_independently() {
         let mut s = sim();
-        s.submit_group(SiteId(0), &[0, 1]).unwrap();
+        s.submit_group(SiteId(0), &[F0, F1]).unwrap();
         s.quiesce();
         // Shrink the hybrid file's quorum to ABC via single-file groups.
         s.impose_partitions(&[set("ABC"), set("DE")]);
-        s.submit_group(SiteId(0), &[0]).unwrap();
+        s.submit_group(SiteId(0), &[F0]).unwrap();
         s.quiesce();
         // AB: file 0 (hybrid, quorum base 3) accepts; file 1 (static
         // voting) refuses.
         s.impose_partitions(&[set("AB"), set("CDE")]);
-        s.submit_group(SiteId(0), &[0]).unwrap();
+        s.submit_group(SiteId(0), &[F0]).unwrap();
         s.quiesce();
-        assert_eq!(s.stats().group_commits, 3);
-        s.submit_group(SiteId(0), &[1]).unwrap();
+        assert_eq!(s.group_stats().group_commits, 3);
+        s.submit_group(SiteId(0), &[F1]).unwrap();
         s.quiesce();
-        assert_eq!(s.stats().group_rejected, 1);
+        assert_eq!(s.group_stats().group_rejected, 1);
         assert!(s.check_invariants().is_empty());
-    }
-
-    impl MultiFileSimulation {
-        /// Test helper: run until just past the decision/commit point of
-        /// an in-flight group (two latency hops plus a hair), without
-        /// delivering the outgoing COMMIT messages.
-        fn run_past_decisions(&mut self) {
-            let deadline = self.clock + 2.0 * self.config.latency + 1e-6;
-            while let Some(&VirtualInstant(t)) = self.timers.next_deadline() {
-                if t > deadline {
-                    break;
-                }
-                self.step();
-            }
-            self.clock = self.clock.max(deadline);
-        }
     }
 
     #[test]
     fn random_chaos_preserves_atomicity() {
         for seed in 0..3 {
-            let mut s = MultiFileSimulation::new(MultiConfig {
+            let mut s = sim_with(SimConfig {
                 drop_probability: 0.1,
                 seed,
-                ..MultiConfig::default()
+                ..SimConfig::default()
             });
-            s.submit_group(SiteId(0), &[0, 1]).unwrap();
+            s.submit_group(SiteId(0), &[F0, F1]).unwrap();
             s.quiesce();
             let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
             for round in 0..60u64 {
@@ -807,10 +398,10 @@ mod tests {
                         }
                     }
                     _ => {
-                        let files: &[FileIdx] = if rng.gen_bool(0.5) {
-                            &[0, 1]
+                        let files: &[ObjectId] = if rng.gen_bool(0.5) {
+                            &[F0, F1]
                         } else {
-                            &[rng.gen_range(0..2)]
+                            &[ObjectId(rng.gen_range(0..2))]
                         };
                         s.submit_group(site, files);
                     }
@@ -831,7 +422,7 @@ mod tests {
                 "seed {seed}: partial groups {:?}",
                 s.check_atomicity()
             );
-            assert!(s.stats().group_commits > 0, "seed {seed}");
+            assert!(s.group_stats().group_commits > 0, "seed {seed}");
         }
     }
 }
