@@ -13,9 +13,8 @@ use dynvote_cluster::wire::{ClientOp, ClientReply};
 use dynvote_cluster::{
     Cluster, ClusterConfig, EventCountEntry, FrontDoorConfig, KeyDist, LoadGen, LoadGenConfig,
     NetCounterEntry, NetStats, OpenLoop, OpenLoopConfig, ShardCounterEntry, ShardStats, TcpClient,
-    TransportKind, WorkloadTarget, DEFAULT_MAX_BATCH, MAX_SHARD_THREADS,
+    TransportKind, WorkloadTarget, DEFAULT_MAX_BATCH,
 };
-use dynvote_core::par::resolve_jobs;
 use dynvote_core::{AlgorithmKind, ConfigError, SiteId};
 use dynvote_protocol::{DurableState, EventKind};
 use dynvote_storage::{FsyncPolicy, NodeStore};
@@ -50,19 +49,12 @@ pub fn serve_cmd(opts: &Opts) -> Result<(), String> {
         "http-port",
         "max-inflight",
         "max-conns",
-        "shard-threads",
         "max-batch",
     ])
     .map_err(|e| format!("{e}; see `dynvote help`"))?;
     let algorithm = parse_algo(opts.get("algo").unwrap_or("hybrid"))?;
     let n: usize = opts.get_or("n", 5).map_err(|e| e.to_string())?;
     let keys: usize = opts.get_or("keys", 1).map_err(|e| e.to_string())?;
-    // 0 (the default) means auto: explicit request > DYNVOTE_JOBS >
-    // hardware thread count, the same resolution every other parallel
-    // surface in this repo uses. The node clamps to the object count at
-    // boot, so `--keys 1` still runs the single-threaded fast path.
-    let shard_threads: usize = opts.get_or("shard-threads", 0).map_err(|e| e.to_string())?;
-    let shard_threads = resolve_jobs(Some(shard_threads)).min(MAX_SHARD_THREADS);
     let max_batch: usize = opts
         .get_or("max-batch", DEFAULT_MAX_BATCH)
         .map_err(|e| e.to_string())?;
@@ -77,7 +69,6 @@ pub fn serve_cmd(opts: &Opts) -> Result<(), String> {
         .with_transport(TransportKind::Tcp)
         .with_objects(keys)
         .with_port_base(port_base)
-        .with_shard_threads(shard_threads)
         .with_max_batch(max_batch)
         .with_trace(trace);
     // The HTTP front door is opt-in; its tuning knobs without
@@ -139,7 +130,7 @@ pub fn serve_cmd(opts: &Opts) -> Result<(), String> {
     let mode = if durable { "durable" } else { "amnesia" };
     println!(
         "cluster ready: n={n} algo={algorithm} objects={keys} transport=tcp durability={mode} \
-         shard-threads={shard_threads} max-batch={max_batch}"
+         max-batch={max_batch}"
     );
     use std::io::Write as _;
     std::io::stdout().flush().ok();
@@ -493,9 +484,9 @@ pub fn loadgen_cmd(opts: &Opts) -> Result<(), String> {
             }
             other => return Err(format!("unexpected net-stats reply {other:?}")),
         }
-        // And the shard pool's execution counters: per-worker dispatch
-        // totals, queue-depth high-water marks, and the merge-barrier
-        // wait tallies (zero counts omitted).
+        // And the node's kernel-step counters: steps run, merge
+        // barriers, the pipelining queue peak and batch sizes (zero
+        // counts omitted).
         match client
             .request(&ClientOp::ShardStats)
             .map_err(|e| format!("shard-stats request {addr}: {e}"))?

@@ -128,7 +128,7 @@ USAGE:
     dynvote serve [--n k] [--algo <name>] [--port-base p] [--duration secs]
                   [--keys k] [--trace true] [--data-dir path] [--fsync policy]
                   [--http-port p] [--max-inflight k] [--max-conns k]
-                  [--shard-threads w] [--max-batch k]
+                  [--max-batch k]
         Boot a live n-node cluster on loopback TCP, node i listening on
         127.0.0.1:(port-base + i). With --duration 0 (default) it runs
         until killed; otherwise it audits consistency at the deadline
@@ -137,20 +137,12 @@ USAGE:
 
         --keys k hosts k independent replicated objects on the same
         sites (default 1). Each object runs its own voting state
-        machine; commit rounds from different objects share peer
+        machine, all of them on the node's one thread; commit rounds
+        from different objects share peer
         frames and, with --data-dir, one group-commit fsync barrier
         seals all objects' steps from a batch. Ops pick an object with
         a \"key\" field; an absent key means object 0, so single-object
         clients keep working unchanged.
-
-        --shard-threads w runs each node's protocol kernels on w
-        shard-affine worker threads (object o is owned by worker
-        o mod w; per-object execution stays single-threaded, so
-        per-object state is byte-identical for any w). 0 (default)
-        means auto: DYNVOTE_JOBS, else the hardware thread count. The
-        value is clamped to the object count, so --keys 1 always runs
-        the in-line single-threaded path. A merge barrier still seals
-        every batch as one group-commit record + one fsync.
 
         --max-batch k caps commit pipelining (default 32): ops against a
         locked object queue per object instead of being refused, and

@@ -26,11 +26,6 @@ use std::time::{Duration, Instant};
 /// fail loudly instead of allocating forever.
 pub const MAX_OBJECTS: usize = 65_536;
 
-/// Ceiling on shard worker threads per node — a sanity bound on
-/// configuration (each worker is an OS thread per node; 256 workers on
-/// an 8-site cluster is already 2048 threads).
-pub const MAX_SHARD_THREADS: usize = 256;
-
 /// Ceiling on [`ClusterConfig::max_batch`] — a sanity bound on
 /// configuration (one round sealing 4096 entries already ships a
 /// multi-frame commit; beyond that is a config error, not a workload).
@@ -120,19 +115,11 @@ pub struct ClusterConfig {
     pub objects: usize,
     /// The replica-control algorithm every site runs.
     pub algorithm: AlgorithmKind,
-    /// Shard-affine workers per node (`1..=MAX_SHARD_THREADS`). `1` —
-    /// the default — runs every kernel inline on the node's scheduler
-    /// thread, exactly the pre-pool runtime. Larger values partition
-    /// the objects `object % shard_threads` across worker threads;
-    /// per-object results stay byte-identical for any value (boot
-    /// clamps to the object count, since extra workers would own
-    /// nothing).
-    pub shard_threads: usize,
     /// Most queued client updates one quorum round may seal as
     /// consecutive log entries (`1..=MAX_BATCH`; commit pipelining).
     /// `1` runs one op per round, exactly the pre-pipelining runtime;
-    /// larger values let a shard worker drain an object's pending-op
-    /// FIFO into a single vote/commit round when its lock frees.
+    /// larger values let the node drain an object's pending-op FIFO
+    /// into a single vote/commit round when its lock frees.
     /// Batching is adaptive: an idle object still commits a lone op
     /// immediately.
     pub max_batch: usize,
@@ -162,7 +149,6 @@ impl ClusterConfig {
             n,
             objects: 1,
             algorithm,
-            shard_threads: 1,
             max_batch: crate::node::DEFAULT_MAX_BATCH,
             transport: TransportKind::Channel,
             port_base: None,
@@ -184,14 +170,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn with_objects(mut self, objects: usize) -> Self {
         self.objects = objects;
-        self
-    }
-
-    /// Run every node's kernels across `shard_threads` shard-affine
-    /// workers.
-    #[must_use]
-    pub fn with_shard_threads(mut self, shard_threads: usize) -> Self {
-        self.shard_threads = shard_threads;
         self
     }
 
@@ -252,14 +230,6 @@ impl ClusterConfig {
                 value: self.objects as u64,
                 lo: 1,
                 hi: MAX_OBJECTS as u64,
-            });
-        }
-        if self.shard_threads == 0 || self.shard_threads > MAX_SHARD_THREADS {
-            return Err(ConfigError::OutOfRange {
-                field: "shard_threads",
-                value: self.shard_threads as u64,
-                lo: 1,
-                hi: MAX_SHARD_THREADS as u64,
             });
         }
         if self.max_batch == 0 || self.max_batch > MAX_BATCH {
@@ -536,9 +506,6 @@ impl Cluster {
                 rx,
                 Arc::clone(&ledger),
             );
-            // Size the pool before durability so the persistence hooks
-            // are installed against the right per-worker stages.
-            node.set_shard_threads(config.shard_threads);
             node.set_max_batch(config.max_batch);
             shard_stats.push(node.shard_stats());
             if let DurabilityMode::Durable { data_dir, fsync } = &config.durability {
@@ -646,7 +613,7 @@ impl Cluster {
         &self.ledger
     }
 
-    /// One node's worker-pool, peer-health and routing counters — the
+    /// One node's kernel-step, peer-health and routing counters — the
     /// ones `/metrics` serves, readable without an HTTP listener.
     #[must_use]
     pub fn shard_stats(&self, site: SiteId) -> &ShardStats {

@@ -176,10 +176,10 @@ impl FrontDoor {
                 "dynvote_net_total{{site=\"{site}\",counter=\"{name}\"}} {count}\n"
             ));
         }
-        // Shard-pool counters: per-worker dispatch/queue-depth plus the
-        // merge-barrier tallies, from the same snapshot the binary
-        // `ShardStats` op serves. Layout: [dispatched(0..W),
-        // queue_peak(0..W), merge_barriers, merge_wait_ns].
+        // Node counters, from the same 13-slot snapshot the binary
+        // `ShardStats` op serves: [dispatched, queue_peak,
+        // merge_barriers, merge_wait_ns, pipeline_queue_peak,
+        // pipeline_batch(8)], with `worker="0"` on the one-thread rows.
         let shard = self.shard.snapshot();
         let workers = self.shard.workers();
         out.push_str("# TYPE dynvote_shard_worker_dispatched_total counter\n");
@@ -204,9 +204,9 @@ impl FrontDoor {
             "dynvote_shard_merge_wait_seconds_total{{site=\"{site}\"}} {:.9}\n",
             shard[2 * workers + 1] as f64 / 1e9
         ));
-        // Commit-pipelining counters, appended after the pre-pipelining
-        // layout: per-worker queue-depth peaks, then the 8-bucket
-        // batch-size histogram (rounds sealed per ops-per-round).
+        // Commit-pipelining counters: the per-object FIFO's depth peak,
+        // then the 8-bucket batch-size histogram (rounds sealed per
+        // ops-per-round).
         out.push_str("# TYPE dynvote_pipeline_queue_peak gauge\n");
         for (w, count) in shard.iter().skip(2 * workers + 2).take(workers).enumerate() {
             out.push_str(&format!(

@@ -57,7 +57,7 @@ pub mod wire;
 
 pub use cluster::{
     BootError, Cluster, ClusterConfig, DurabilityMode, LocalClient, RequestError, TcpClient,
-    TransportKind, MAX_BATCH, MAX_OBJECTS, MAX_SHARD_THREADS,
+    TransportKind, MAX_BATCH, MAX_OBJECTS,
 };
 pub use frontdoor::FrontDoorConfig;
 pub use loadgen::{

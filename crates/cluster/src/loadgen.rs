@@ -320,10 +320,10 @@ pub struct NetCounterEntry {
     pub count: u64,
 }
 
-/// One per-site shard-pool counter in a [`LoadReport`]: per-worker
-/// dispatch totals and queue-depth high-water marks plus the merge
-/// barrier tallies (see [`crate::ShardStats`]), gathered after the run
-/// via `ClientOp::ShardStats`.
+/// One per-site node counter in a [`LoadReport`]: kernel steps, merge
+/// barriers, the pipelining queue peak and batch sizes (see
+/// [`crate::ShardStats`]), gathered after the run via
+/// `ClientOp::ShardStats`.
 #[derive(Debug, Clone, Serialize)]
 pub struct ShardCounterEntry {
     /// Site index.
@@ -386,7 +386,7 @@ pub struct LoadReport {
     /// `ClientOp::NetStats` (zero-count entries omitted; empty under
     /// the channel transport or when the caller does not collect them).
     pub net: Vec<NetCounterEntry>,
-    /// Per-site shard-pool counters gathered after the run via
+    /// Per-site node counters gathered after the run via
     /// `ClientOp::ShardStats` (zero-count entries omitted; empty when
     /// the caller does not collect them).
     pub shard: Vec<ShardCounterEntry>,

@@ -1,6 +1,5 @@
-//! The per-site node runtime: a scheduler thread plus N shard-affine
-//! workers driving a [`ShardedSite`] — many independent per-object
-//! protocol kernels behind one static ownership map.
+//! The per-site node runtime: one thread driving a [`ShardedSite`] —
+//! many independent per-object protocol kernels behind one router.
 //!
 //! A node owns the protocol kernels for its site and translates their
 //! [`Action`]s into the outside world: sends go to the `Transport`,
@@ -9,25 +8,21 @@
 //! transaction. Everything arrives through one `mpsc` inbox
 //! ([`NodeEvent`]) — peer frames, client requests, and shutdown.
 //!
-//! The runtime is split into five pieces, one file each:
+//! The runtime is split into five pieces, one file each, all running
+//! on the node thread:
 //!
-//! * **scheduler** ([`Node::run`], `node/scheduler.rs`) — the inbox
-//!   thread. It classifies each event by `ObjectId` and hands it to the
-//!   worker owning that shard (static partition `object % N`), fires
-//!   wall-clock timers, and paces the merge barrier.
-//! * **workers** (`node/worker.rs`) — N threads (none when
-//!   `--shard-threads 1`, the default: the scheduler then runs kernels
-//!   inline), each exclusively owning one [`ShardedSite::split`] piece
-//!   of the site's objects. Kernels stay single-threaded and lock-free:
-//!   the split *is* the synchronization.
-//! * **merge** (`node/merge.rs`) — the barrier that waits for every
-//!   worker's queue to drain, seals every worker's staged WAL ops as
-//!   **one** [`NodeStore`] group-commit record behind one fsync, and
-//!   only then dispatches the staged sends and client replies through
-//!   the transport's batch encoder. The force-write discipline is
-//!   intact — nothing announced is ever lost — but the fsync is
-//!   amortized across every object and every worker the batch touched.
-//!
+//! * **scheduler** ([`Node::run`], `node/scheduler.rs`) — the event
+//!   loop. It hands each event to its object's shard, fires wall-clock
+//!   timers, and paces the merge barrier.
+//! * **worker** (`node/worker.rs`) — the kernel step: every event runs
+//!   its shard into one scratch buffer, then the object's commit-
+//!   pipelining FIFO is pumped.
+//! * **merge** (`node/merge.rs`) — the barrier that seals the batch's
+//!   staged WAL ops as **one** [`NodeStore`] group-commit record behind
+//!   one fsync, and only then dispatches the staged sends and client
+//!   replies through the transport's batch encoder. The force-write
+//!   discipline is intact — nothing announced is ever lost — but the
+//!   fsync is amortized across every object the batch touched.
 //! * **route** (`node/route.rs`) — single-writer routing: the volatile
 //!   per-object home hints learned from lost lock races, and the table
 //!   of client ops handed to another site and not yet answered.
@@ -37,17 +32,14 @@
 //!   suspects them.
 //!
 //! Transactions on different objects never contend: each shard has its
-//! own lock, commit chain, and prepare record, and per-object event
-//! order is preserved because one worker owns the object for the
-//! node's lifetime. That is why per-object results are byte-identical
-//! for any `--shard-threads` — pinned by the conformance suite.
+//! own lock, commit chain, and prepare record.
 //!
 //! Fault injection mirrors the simulator's model exactly:
 //!
 //! * **crash** wipes the kernels' volatile state (durable
 //!   prepare/commit records survive), cancels pending wall-clock timers
 //!   (they guard volatile transactions) and fails parked clients with
-//!   [`ClientReply::Down`]. The threads stay up so control traffic
+//!   [`ClientReply::Down`]. The thread stays up so control traffic
 //!   keeps working.
 //! * **recover** runs the Section V-C restart protocol
 //!   (`Make_Current`); its transactions are tagged so a resulting
@@ -78,7 +70,7 @@ use dynvote_storage::{NodeStore, RecoveryReport, ShardHandle, StorageError, Stor
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -380,10 +372,19 @@ pub struct Node {
     pub(crate) n: usize,
     pub(crate) objects: usize,
     pub(crate) algorithm: AlgorithmKind,
-    /// The assembled shard map. `Some` until [`Node::run`] splits it
-    /// across the worker pool (and transiently during a disk reboot,
-    /// between restore and re-install).
-    pub(crate) site: Option<ShardedSite>,
+    /// The site's kernels, one per object.
+    pub(crate) site: ShardedSite,
+    /// Actions the kernels staged since the last merge barrier, which
+    /// drains them; reused, so the steady-state loop allocates no
+    /// per-batch `Vec<Action>`.
+    pub(crate) scratch: Vec<Action>,
+    /// Per-object pending-op FIFOs: ops that arrived while the object's
+    /// lock was held, drained up to `max_batch` at a time into one
+    /// quorum round whenever the lock frees.
+    pub(crate) queues: HashMap<ObjectId, VecDeque<worker::QueuedOp>>,
+    /// Ops refused at the per-object queue bound since the last merge,
+    /// which answers them `Overloaded`.
+    pub(crate) overflows: Vec<Client>,
     /// `Some` when this node owns a data directory: every boot and
     /// every [`ClientOp::Recover`] reloads the kernels' durable state
     /// from disk instead of trusting process memory.
@@ -403,7 +404,7 @@ pub struct Node {
     pub(crate) reachable: SiteSet,
     /// Peers whose reply a straggler grace or a vote deadline waited for
     /// in vain; emptied by a frame from any of them. Volatile (a crash
-    /// wipes it) and shared by every object: pushed to every worker
+    /// wipes it) and shared by every object: handed to the kernels
     /// whenever it changes, so a round stops waiting for them once it
     /// is distinguished without them — one crash costs one coordinator
     /// about one grace, not one deadline per commit.
@@ -422,21 +423,17 @@ pub struct Node {
     /// This node's reactor counters, kept to answer
     /// [`ClientOp::NetStats`]. `None` under the channel transport.
     pub(crate) net: Option<Arc<NetStats>>,
-    /// How many shard-affine workers [`Node::run`] launches (1 = run
-    /// kernels inline on the scheduler thread).
-    pub(crate) shard_threads: usize,
     /// Most queued client updates one quorum round may seal as
     /// consecutive log entries (commit pipelining); `1` disables
     /// multi-op rounds entirely.
     pub(crate) max_batch: usize,
-    /// The pool's observability counters, answering
+    /// The node's observability counters, answering
     /// [`ClientOp::ShardStats`] and shared with the front door.
     pub(crate) shard_stats: Arc<ShardStats>,
-    /// Per-worker WAL staging buffers, one per worker: each worker's
-    /// persistence hooks encode keyed ops into its own stage, and the
-    /// merge barrier drains them into the store in worker order — one
-    /// record, one fsync, no store contention while kernels run.
-    pub(crate) stages: Vec<Arc<Mutex<Vec<u8>>>>,
+    /// The WAL staging buffer every shard's persistence hook encodes
+    /// keyed ops into; the merge barrier drains it into the store — one
+    /// record, one fsync.
+    pub(crate) stage: Arc<Mutex<Vec<u8>>>,
     /// Clients parked on in-flight transactions. A pipelined round
     /// carries many client ops, so one transaction parks a payload-
     /// ordered list; every entry is resolved (exactly once) when the
@@ -448,10 +445,6 @@ pub struct Node {
     pub(crate) payload_seq: u64,
     pub(crate) commits: u64,
     pub(crate) rng: StdRng,
-    /// Reusable merge buffer: every barrier collects the workers'
-    /// staged actions here and dispatches them, so the steady-state
-    /// loop allocates no per-batch `Vec<Action>`.
-    pub(crate) merge_buf: Vec<Action>,
 }
 
 impl Node {
@@ -477,7 +470,10 @@ impl Node {
             n,
             objects,
             algorithm,
-            site: Some(site),
+            site,
+            scratch: Vec::new(),
+            queues: HashMap::new(),
+            overflows: Vec::new(),
             durability: None,
             store: None,
             sink: None,
@@ -492,38 +488,19 @@ impl Node {
             timers: TimerWheel::new(),
             events: None,
             net: None,
-            shard_threads: 1,
             max_batch: DEFAULT_MAX_BATCH,
-            shard_stats: Arc::new(ShardStats::new(1, n)),
-            stages: vec![Arc::default()],
+            shard_stats: Arc::new(ShardStats::new(n)),
+            stage: Arc::default(),
             pending: HashMap::new(),
             routes: route::Routes::default(),
             restart_txns: HashSet::new(),
             payload_seq: 0,
             commits: 0,
             rng,
-            merge_buf: Vec::new(),
         }
     }
 
-    /// Size the shard worker pool: `threads` workers (clamped to
-    /// `1..=objects`), each exclusively owning the objects with
-    /// `object % threads == worker`. One worker — the default — runs
-    /// kernels inline on the scheduler thread, spawning no pool threads
-    /// at all. Call before [`Node::run`]; if durability is already
-    /// enabled the persistence hooks are re-installed so each shard
-    /// stages WAL ops into its owner's buffer.
-    pub fn set_shard_threads(&mut self, threads: usize) {
-        let workers = threads.clamp(1, self.objects.max(1));
-        self.shard_threads = workers;
-        self.shard_stats = Arc::new(ShardStats::new(workers, self.n));
-        self.stages = (0..workers).map(|_| Arc::default()).collect();
-        if self.store.is_some() {
-            self.install_persistence();
-        }
-    }
-
-    /// The worker pool's observability counters (shared with the front
+    /// The node's observability counters (shared with the front
     /// door for `/metrics`).
     #[must_use]
     pub fn shard_stats(&self) -> Arc<ShardStats> {
@@ -571,26 +548,26 @@ impl Node {
         if let Some(sink) = &self.sink {
             site.set_sink(Arc::clone(sink));
         }
-        self.site = Some(site);
+        self.site = site;
         self.store = Some(Arc::new(Mutex::new(store)));
         self.install_persistence();
         Ok(report)
     }
 
     /// Hook every shard's persistence up to the store through a
-    /// [`ShardHandle`] on its owning worker's stage, drained at the
-    /// merge barrier into a single checksummed record.
+    /// [`ShardHandle`] on the node's stage, drained at the merge
+    /// barrier into a single checksummed record.
     fn install_persistence(&mut self) {
         let Some(core) = self.store.clone() else {
             return;
         };
-        let stages = self.stages.clone();
-        let Some(site) = self.site.as_mut() else {
-            return;
-        };
-        site.set_persistence(|object| {
-            let stage = Arc::clone(&stages[object.index() % stages.len()]);
-            Box::new(ShardHandle::new(stage, Arc::clone(&core), object))
+        let stage = &self.stage;
+        self.site.set_persistence(|object| {
+            Box::new(ShardHandle::new(
+                Arc::clone(stage),
+                Arc::clone(&core),
+                object,
+            ))
         });
     }
 
@@ -607,8 +584,7 @@ impl Node {
     #[must_use]
     pub fn recovered_log(&self, object: ObjectId) -> &[LogEntry] {
         self.site
-            .as_ref()
-            .and_then(|site| site.shard(object))
+            .shard(object)
             .map_or(&[], |shard| &shard.durable().log)
     }
 
@@ -624,9 +600,7 @@ impl Node {
         } else {
             counting.clone()
         };
-        if let Some(site) = self.site.as_mut() {
-            site.set_sink(Arc::clone(&sink));
-        }
+        self.site.set_sink(Arc::clone(&sink));
         self.sink = Some(sink);
         self.events = Some(counting);
     }

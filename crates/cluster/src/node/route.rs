@@ -20,7 +20,6 @@
 //! when a forwarded op meets a fault is enumerated in DESIGN.md
 //! ("Single-writer routing").
 
-use super::worker::{ShardPool, WorkItem};
 use super::{Client, Node, Route};
 use crate::wire::{ClientReply, Relay};
 use dynvote_core::SiteId;
@@ -88,7 +87,7 @@ impl Node {
     /// Start a data-plane op of a live node on its way: to the object's
     /// home if the op may still travel and a usable hint exists, into
     /// the local per-object FIFO otherwise.
-    pub(super) fn submit(&mut self, pool: &mut ShardPool, object: ObjectId, client: Client) {
+    pub(super) fn submit(&mut self, object: ObjectId, client: Client) {
         if client.route == Route::Free {
             if let Some(home) = self.usable_home(object) {
                 self.forward(home, object, client);
@@ -96,11 +95,7 @@ impl Node {
             }
         }
         let payload = if client.read { 0 } else { self.fresh_payload() };
-        pool.dispatch(WorkItem::Op {
-            object,
-            payload,
-            client,
-        });
+        self.enqueue(object, payload, client);
     }
 
     /// Hand one of this node's client ops to `home`.
@@ -131,7 +126,7 @@ impl Node {
     }
 
     /// A relay frame from a peer this node can hear.
-    pub(super) fn on_relay(&mut self, pool: &mut ShardPool, from: SiteId, relay: Relay) {
+    pub(super) fn on_relay(&mut self, from: SiteId, relay: Relay) {
         match relay {
             Relay::Forward { id, key, read } => {
                 let client = Client {
@@ -142,7 +137,7 @@ impl Node {
                 };
                 self.shard_stats.note_forwarded_in();
                 if (key as usize) < self.objects {
-                    self.submit(pool, ObjectId(key), client);
+                    self.submit(ObjectId(key), client);
                 } else {
                     self.answer(client, ClientReply::UnknownKey);
                 }
@@ -175,7 +170,7 @@ impl Node {
                 }
                 if refused {
                     client.route = Route::Spent;
-                    self.submit(pool, object, client);
+                    self.submit(object, client);
                 } else {
                     self.answer(client, reply);
                 }

@@ -1,11 +1,8 @@
-//! The scheduler: the node's inbox thread. Blocks on the `mpsc` inbox,
-//! classifies each event by `ObjectId`, and hands it to the shard-affine
-//! worker owning that object ([`ShardPool::dispatch`] — inline when the
-//! pool has one worker). Wall-clock timers, reachability filtering, the
-//! crash/recover fault model, and control-plane queries all live here;
-//! the kernels themselves only ever run inside workers.
+//! The scheduler: the node thread's event loop. Blocks on the `mpsc`
+//! inbox and hands each event to its object's shard
+//! ([`Node::step`]). Wall-clock timers, reachability filtering, the
+//! crash/recover fault model, and control-plane queries all live here.
 
-use super::worker::{ShardPool, WorkItem};
 use super::{Client, Node, NodeEvent, ReplySink, Route};
 use crate::wire::{ClientOp, ClientReply};
 use dynvote_core::{SiteId, SiteSet};
@@ -23,31 +20,19 @@ const INBOX_BATCH: usize = 128;
 impl Node {
     /// The event loop: block on the inbox up to the next timer
     /// deadline, drain the burst queued behind the first event
-    /// (bounded by [`INBOX_BATCH`]) while the workers run kernels and
-    /// **stage** their actions, fire due timers, then [`Node::merge`]
+    /// (bounded by [`INBOX_BATCH`]) while the kernels run and **stage**
+    /// their actions, fire due timers, then [`Node::merge`]
     /// the whole batch behind **one** group-commit barrier and flush
     /// the transport once, repeat until [`NodeEvent::Shutdown`].
     ///
     /// The single barrier + single flush per iteration is what makes
     /// the durable hot path cheap: every WAL op the batch produced —
-    /// across every shard and every worker — is sealed by one fsync,
+    /// across every shard — is sealed by one fsync,
     /// and every frame for one peer leaves in one `write_all`. Idle
     /// timeouts also flush, so nothing lingers buffered when traffic
     /// stops.
-    ///
-    /// # Panics
-    ///
-    /// If the worker threads cannot be spawned.
     pub fn run(mut self) {
-        let site = self.site.take().expect("site present until run");
-        let mut pool = ShardPool::launch(
-            self.id,
-            site,
-            self.shard_threads,
-            std::sync::Arc::clone(&self.shard_stats),
-            self.max_batch,
-        );
-        self.resume_in_doubt(&mut pool);
+        self.resume_in_doubt();
         'outer: loop {
             let timeout = self
                 .next_timer_in()
@@ -56,46 +41,47 @@ impl Node {
             match self.rx.recv_timeout(timeout) {
                 Ok(NodeEvent::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
                 Ok(event) => {
-                    self.handle_event(&mut pool, event);
+                    self.handle_event(event);
                     for _ in 1..INBOX_BATCH {
                         match self.rx.try_recv() {
                             Ok(NodeEvent::Shutdown) | Err(TryRecvError::Disconnected) => {
                                 break 'outer;
                             }
-                            Ok(event) => self.handle_event(&mut pool, event),
+                            Ok(event) => self.handle_event(event),
                             Err(TryRecvError::Empty) => break,
                         }
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {}
             }
-            self.fire_due_timers(&mut pool);
+            self.fire_due_timers();
             self.expire_forwards();
-            // One barrier seals every worker's staged WAL ops, then the
+            // One barrier seals the batch's staged WAL ops, then the
             // staged sends and replies dispatch.
-            self.merge(&mut pool);
+            self.merge();
             // Between batches: rotate the WAL if it has grown past the
             // configured threshold (no-op for amnesiac nodes). Safe
             // here because merge() just drained the pending record.
-            self.maybe_rotate(&pool);
+            self.maybe_rotate();
             self.transport.flush();
         }
-        self.merge(&mut pool);
+        self.merge();
         self.transport.flush();
         // Ops still parked in per-object FIFOs never started a round;
         // fail them alongside the in-flight ones.
-        self.fail_parked(&pool);
-        pool.shutdown();
+        self.fail_parked();
     }
 
     /// Fail every data-plane op parked anywhere in the node — queued
     /// behind an object's lock, riding a round, or in flight to another
     /// site — with `Down`, each exactly once (crash and shutdown).
-    fn fail_parked(&mut self, pool: &ShardPool) {
-        let mut parked: Vec<Client> = Vec::new();
-        for mut group in pool.lock_groups() {
-            parked.extend(group.fail_queued());
-        }
+    fn fail_parked(&mut self) {
+        let mut parked: Vec<Client> = self
+            .queues
+            .values_mut()
+            .flat_map(|queue| queue.drain(..))
+            .map(|op| op.client)
+            .collect();
         parked.extend(self.pending.drain().flat_map(|(_, clients)| clients));
         for client in parked {
             self.answer(client, ClientReply::Down);
@@ -114,56 +100,54 @@ impl Node {
     /// and no partition is ever distinguished again). The StatusQuery
     /// broadcast may race the peers' own boots; the PreparedRetry
     /// timer the round arms re-sends it until someone answers.
-    fn resume_in_doubt(&mut self, pool: &mut ShardPool) {
+    fn resume_in_doubt(&mut self) {
         if self.durability.is_none() {
             return;
         }
-        let mut in_doubt: Vec<ObjectId> = Vec::new();
-        for group in pool.lock_groups() {
-            in_doubt.extend(
-                group
-                    .part
-                    .iter()
-                    .filter(|(_, shard)| shard.is_in_doubt())
-                    .map(|(object, _)| object),
-            );
-        }
+        // `iter` walks objects in order, so restart payloads are
+        // assigned in object order: the recovery byte-stream is a
+        // function of the disk alone.
+        let in_doubt: Vec<ObjectId> = self
+            .site
+            .iter()
+            .filter(|(_, shard)| shard.is_in_doubt())
+            .map(|(object, _)| object)
+            .collect();
         if in_doubt.is_empty() {
             return;
         }
-        // Restart payloads are assigned in object order regardless of
-        // how the objects are partitioned, keeping the recovery
-        // byte-stream independent of the worker count.
-        in_doubt.sort_by_key(|object| object.index());
         for object in in_doubt {
-            let payload = self.fresh_payload();
-            pool.dispatch(WorkItem::Recover { object, payload });
+            self.restart(object);
         }
-        self.merge(pool);
+        self.merge();
         self.transport.flush();
     }
 
-    /// Feed one inbox event to the owning worker. Actions are
-    /// **staged** in the workers' scratch sinks; nothing is sent or
-    /// replied until the batch's [`Node::merge`] — except control and
+    /// Run one inbox event on its object's shard. Actions are
+    /// **staged** in the scratch buffer; nothing is sent or replied
+    /// until the batch's [`Node::merge`] — except control and
     /// diagnostic operations, which manage the staging discipline
     /// explicitly (see [`Node::handle_client`]).
-    fn handle_event(&mut self, pool: &mut ShardPool, event: NodeEvent) {
+    fn handle_event(&mut self, event: NodeEvent) {
         match event {
             NodeEvent::Peer { from, msg } => {
-                if self.hears(pool, from) {
+                if self.hears(from) {
                     if let Message::VoteGranted { txn, .. } | Message::VoteBusy { txn, .. } = &msg {
                         self.note_vote(*txn, from);
                     }
-                    pool.dispatch(WorkItem::Peer { from, msg });
+                    // Unhosted objects are dropped, not panicked on: a
+                    // hostile frame must not kill the node.
+                    self.step(msg.txn().object, |site, out| {
+                        site.handle_message(from, msg, out);
+                    });
                 }
             }
             NodeEvent::Relay { from, relay } => {
-                if self.hears(pool, from) {
-                    self.on_relay(pool, from, relay);
+                if self.hears(from) {
+                    self.on_relay(from, relay);
                 }
             }
-            NodeEvent::Client { id, op, reply } => self.handle_client(pool, id, op, reply),
+            NodeEvent::Client { id, op, reply } => self.handle_client(id, op, reply),
             NodeEvent::Shutdown => {}
         }
     }
@@ -172,7 +156,7 @@ impl Node {
     /// nothing, a partitioned-away sender's frames are dropped at the
     /// boundary, and so is a sender id outside the cluster (the wire
     /// does not bound it).
-    fn hears(&mut self, pool: &mut ShardPool, from: SiteId) -> bool {
+    fn hears(&mut self, from: SiteId) -> bool {
         if self.down || from.index() >= self.n || !self.reachable.contains(from) {
             return false;
         }
@@ -184,7 +168,7 @@ impl Node {
         // still silent costs one more grace to re-learn.
         if self.suspected.contains(from) {
             self.set_suspected(SiteSet::EMPTY);
-            pool.set_suspected(SiteSet::EMPTY);
+            self.share_suspected();
         }
         true
     }
@@ -208,14 +192,7 @@ impl Node {
     }
 
     /// A client update or read-only request.
-    fn handle_data_op(
-        &mut self,
-        pool: &mut ShardPool,
-        key: u32,
-        read: bool,
-        id: u64,
-        reply: ReplySink,
-    ) {
+    fn handle_data_op(&mut self, key: u32, read: bool, id: u64, reply: ReplySink) {
         if self.down {
             reply.send(id, ClientReply::Down);
             return;
@@ -229,19 +206,19 @@ impl Node {
             read,
             route: Route::Free,
         };
-        self.submit(pool, object, client);
+        self.submit(object, client);
     }
 
-    fn handle_client(&mut self, pool: &mut ShardPool, id: u64, op: ClientOp, reply: ReplySink) {
+    fn handle_client(&mut self, id: u64, op: ClientOp, reply: ReplySink) {
         match op {
-            ClientOp::Update { key } => self.handle_data_op(pool, key, false, id, reply),
-            ClientOp::Read { key } => self.handle_data_op(pool, key, true, id, reply),
+            ClientOp::Update { key } => self.handle_data_op(key, false, id, reply),
+            ClientOp::Read { key } => self.handle_data_op(key, true, id, reply),
             ClientOp::Crash => {
                 // Dispatch whatever earlier events in this batch staged
                 // *before* the crash wipes volatile state: those
                 // actions were produced by a live site and their
                 // durable records are already hooked.
-                self.merge(pool);
+                self.merge();
                 if !self.down {
                     self.down = true;
                     // The kernels' copy of the set goes with the rest
@@ -251,37 +228,33 @@ impl Node {
                     // Lazy cancellation: already-armed entries become
                     // stale and are skimmed off at the next peek/pop.
                     self.timers.bump_epoch();
-                    for mut group in pool.lock_groups() {
-                        group.part.crash();
-                    }
+                    self.site.crash();
                     // Parked ops die with the site, and so does what it
                     // learned about rivals.
-                    self.fail_parked(pool);
+                    self.fail_parked();
                 }
                 reply.send(id, ClientReply::Ok);
             }
             ClientOp::Recover => {
-                self.merge(pool);
+                self.merge();
                 if self.down {
                     self.down = false;
                     // A durable site restarts from its disk, not from
                     // whatever this process still holds in memory —
                     // the same code path a genuinely rebooted process
                     // takes.
-                    self.reboot_from_disk(pool);
+                    self.reboot_from_disk();
                     for object in 0..self.objects {
-                        let object = ObjectId(object as u32);
-                        let payload = self.fresh_payload();
-                        pool.dispatch(WorkItem::Recover { object, payload });
+                        self.restart(ObjectId(object as u32));
                     }
-                    self.merge(pool);
+                    self.merge();
                 }
                 reply.send(id, ClientReply::Ok);
             }
             ClientOp::SetReachable(set) => {
                 // Staged sends were produced under the old topology;
                 // let them leave before the partition takes effect.
-                self.merge(pool);
+                self.merge();
                 self.reachable = set;
                 reply.send(id, ClientReply::Ok);
             }
@@ -290,12 +263,8 @@ impl Node {
                     return;
                 };
                 // Seal staged durable ops before announcing state.
-                self.merge(pool);
-                let groups = pool.lock_groups();
-                let shard = groups[pool.owner_of(object)]
-                    .part
-                    .shard(object)
-                    .expect("validated object");
+                self.merge();
+                let shard = self.site.shard(object).expect("validated object");
                 reply.send(
                     id,
                     ClientReply::Probe {
@@ -315,27 +284,17 @@ impl Node {
                 reply.send(id, ClientReply::Events { counts });
             }
             ClientOp::Audit => {
-                self.merge(pool);
-                let groups = pool.lock_groups();
+                self.merge();
                 // Consistency seen from this node: every shard's log is
                 // a gapless prefix of its object's chain AND no commit
                 // anywhere was flagged divergent — so remote auditors
                 // (the loadgen CLI) learn about ledger violations too.
                 let consistent = self.ledger.violations().is_empty()
-                    && (0..self.objects).all(|o| {
-                        let object = ObjectId(o as u32);
-                        let shard = groups[pool.owner_of(object)]
-                            .part
-                            .shard(object)
-                            .expect("hosted object");
+                    && self.site.iter().all(|(object, shard)| {
                         self.ledger
                             .check_log(object, shard.log(), shard.meta().version)
                     });
-                let log_len: u64 = groups
-                    .iter()
-                    .flat_map(|g| g.part.iter())
-                    .map(|(_, shard)| shard.log().len() as u64)
-                    .sum();
+                let log_len = self.log_len();
                 reply.send(
                     id,
                     ClientReply::Audit {
@@ -349,12 +308,8 @@ impl Node {
                 let Some(object) = self.object_for(key, id, &reply) else {
                     return;
                 };
-                self.merge(pool);
-                let groups = pool.lock_groups();
-                let shard = groups[pool.owner_of(object)]
-                    .part
-                    .shard(object)
-                    .expect("validated object");
+                self.merge();
+                let shard = self.site.shard(object).expect("validated object");
                 reply.send(
                     id,
                     ClientReply::Log {
@@ -364,17 +319,9 @@ impl Node {
                 );
             }
             ClientOp::Status => {
-                self.merge(pool);
-                let groups = pool.lock_groups();
-                let shard = groups[pool.owner_of(ObjectId::ZERO)]
-                    .part
-                    .shard(ObjectId::ZERO)
-                    .expect("object 0 hosted");
-                let log_len: u64 = groups
-                    .iter()
-                    .flat_map(|g| g.part.iter())
-                    .map(|(_, s)| s.log().len() as u64)
-                    .sum();
+                self.merge();
+                let shard = self.site.shard(ObjectId::ZERO).expect("object 0 hosted");
+                let log_len = self.log_len();
                 reply.send(
                     id,
                     ClientReply::Status {
@@ -382,8 +329,8 @@ impl Node {
                         objects: self.objects as u32,
                         meta: shard.meta(),
                         reachable: self.reachable,
-                        locked: groups.iter().any(|g| g.part.any_locked()),
-                        in_doubt: groups.iter().any(|g| g.part.any_in_doubt()),
+                        locked: self.site.any_locked(),
+                        in_doubt: self.site.any_in_doubt(),
                         down: self.down,
                         log_len,
                         commits: self.commits,
@@ -403,7 +350,7 @@ impl Node {
                 reply.send(
                     id,
                     ClientReply::ShardStats {
-                        workers: pool.workers() as u32,
+                        workers: 1,
                         counts: self.shard_stats.snapshot(),
                     },
                 );
@@ -413,10 +360,9 @@ impl Node {
 
     /// Rebuild the kernels from what the data directory says,
     /// discarding process memory — the in-process stand-in for a
-    /// machine reboot — and install the restored partitions into the
-    /// (already idle and merged) worker pool. Under a group-commit
-    /// fsync policy this honestly loses whatever the store had not yet
-    /// synced.
+    /// machine reboot. Called with the batch already merged. Under a
+    /// group-commit fsync policy this honestly loses whatever the store
+    /// had not yet synced.
     ///
     /// # Panics
     ///
@@ -424,7 +370,7 @@ impl Node {
     /// durable site that cannot read its own disk cannot rejoin.
     /// Corrupt or torn files do **not** panic — recovery truncates and
     /// reports.
-    fn reboot_from_disk(&mut self, pool: &mut ShardPool) {
+    fn reboot_from_disk(&mut self) {
         if self.durability.is_none() {
             return;
         }
@@ -435,7 +381,14 @@ impl Node {
                 self.id, torn.epoch, torn.offset, torn.reason
             );
         }
-        pool.install(self.site.take().expect("site just restored"));
+    }
+
+    /// Committed log entries summed over every object.
+    fn log_len(&self) -> u64 {
+        self.site
+            .iter()
+            .map(|(_, shard)| shard.log().len() as u64)
+            .sum()
     }
 
     /// Rotate the shared WAL into a fresh epoch behind a node-wide
@@ -443,26 +396,18 @@ impl Node {
     /// the configured threshold. Called right after [`Node::merge`], so
     /// the pending group-commit record is empty and the snapshot is a
     /// consistent cut across all objects.
-    fn maybe_rotate(&mut self, pool: &ShardPool) {
+    fn maybe_rotate(&mut self) {
         let Some(core) = self.store.clone() else {
             return;
         };
         if !core.lock().expect("store poisoned").wants_rotation() {
             return;
         }
-        let groups = pool.lock_groups();
-        let states: Vec<DurableState> = (0..self.objects)
-            .map(|o| {
-                let object = ObjectId(o as u32);
-                groups[pool.owner_of(object)]
-                    .part
-                    .shard(object)
-                    .expect("hosted object")
-                    .durable()
-                    .clone()
-            })
+        let states: Vec<DurableState> = self
+            .site
+            .iter()
+            .map(|(_, shard)| shard.durable().clone())
             .collect();
-        drop(groups);
         let outcome = core.lock().expect("store poisoned").rotate(&states);
         if let Err(err) = outcome {
             // Rotation is an optimization; a failed attempt leaves the
@@ -473,21 +418,29 @@ impl Node {
 
     /// Replace the scheduler's copy of the peer-suspicion set, keeping
     /// its published gauge in step. The kernels learn of a change from
-    /// [`ShardPool::set_suspected`] and nowhere else.
+    /// [`Node::share_suspected`] and nowhere else.
     pub(crate) fn set_suspected(&mut self, suspected: SiteSet) {
         self.suspected = suspected;
         self.shard_stats.note_suspected(suspected);
     }
 
-    /// The set grew: hand it to every worker and have each round this
+    /// The set grew: hand it to the kernels and have each round this
     /// node has open re-tested against it — a round whose live votes
     /// were all in hand before the set grew never sees another vote.
-    /// The re-tests stage their actions like any other work item; the
+    /// The re-tests stage their actions like any other kernel step; the
     /// caller merges again to collect them.
-    pub(super) fn push_suspicion(&mut self, pool: &mut ShardPool) {
-        pool.set_suspected(self.suspected);
-        for &txn in self.pending.keys().chain(&self.restart_txns) {
-            pool.dispatch(WorkItem::SuspicionGrew { txn });
+    pub(super) fn push_suspicion(&mut self) {
+        self.share_suspected();
+        let open: Vec<TxnId> = self
+            .pending
+            .keys()
+            .chain(&self.restart_txns)
+            .copied()
+            .collect();
+        for txn in open {
+            self.step(txn.object, |site, out| {
+                site.suspicion_grew(txn, out);
+            });
         }
     }
 
@@ -504,9 +457,8 @@ impl Node {
     }
 
     /// Arm one wall-clock deadline. `prepared_rounds` is the shard's
-    /// current termination-round count, read by the merge pass while it
-    /// holds the group locks (the scheduler itself never touches
-    /// kernels). A vote deadline opens the round on the vote clock and
+    /// current termination-round count, read by the merge pass. A vote
+    /// deadline opens the round on the vote clock and
     /// brings the straggler grace with it, unless the grace would be
     /// the whole deadline anyway.
     pub(crate) fn arm_timer(&mut self, txn: TxnId, kind: TimerKind, prepared_rounds: u32) {
@@ -550,24 +502,24 @@ impl Node {
         next.map(|when| when.saturating_duration_since(now))
     }
 
-    /// Fire every due timer, dispatching each to its object's worker;
-    /// the caller's [`Node::merge`] collects the results with the
-    /// batch.
-    fn fire_due_timers(&mut self, pool: &mut ShardPool) {
+    /// Fire every due timer on its object's shard; the caller's
+    /// [`Node::merge`] collects the results with the batch.
+    fn fire_due_timers(&mut self) {
         while let Some((_, (txn, kind))) = self.timers.pop_due(&Instant::now()) {
             if self.down {
                 continue;
             }
             self.vote_clock.fired(txn, kind);
-            pool.dispatch(WorkItem::Timer { txn, kind });
+            self.step(txn.object, |site, out| {
+                site.timer_fired(txn, kind, out);
+            });
         }
     }
 
     /// A cluster-unique payload: site in the top bits, a local counter
     /// below, so divergence checks can attribute every committed value.
-    /// Assigned by the scheduler at classification time — in arrival
-    /// order, independent of the worker count — which is one leg of the
-    /// determinism contract.
+    /// Assigned in arrival order, which is one leg of the determinism
+    /// contract.
     pub(super) fn fresh_payload(&mut self) -> u64 {
         self.payload_seq += 1;
         ((u64::from(self.id.0) + 1) << 48) | self.payload_seq

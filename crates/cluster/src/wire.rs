@@ -86,9 +86,9 @@ pub enum ClientOp {
     /// decode errors, backpressure drops, …) in
     /// [`crate::NetStats::NAMES`] order.
     NetStats,
-    /// Fetch the node's shard worker-pool counters (per-worker dispatch
-    /// totals and queue-depth peaks, merge-barrier count and wait
-    /// time) in [`crate::ShardStats::names`] order.
+    /// Fetch the node's kernel-step counters (steps run, merge-barrier
+    /// count, pipelining queue peak and batch sizes) in
+    /// [`crate::ShardStats::names`] order.
     ShardStats,
 }
 
@@ -189,11 +189,12 @@ pub enum ClientReply {
         /// One counter per [`crate::NetStats::NAMES`] entry.
         counts: Vec<u64>,
     },
-    /// Shard worker-pool counters in [`crate::ShardStats::names`]
-    /// order: `[dispatched(0..W), queue_peak(0..W), merge_barriers,
-    /// merge_wait_ns]`.
+    /// Node counters in [`crate::ShardStats::names`] order, 13 slots:
+    /// `[dispatched, queue_peak, merge_barriers, merge_wait_ns,
+    /// pipeline_queue_peak, pipeline_batch(8)]`.
     ShardStats {
-        /// Pool size `W` (1 = kernels ran inline on the scheduler).
+        /// Always 1: a node runs its kernels on one thread. Readers
+        /// pass it to [`crate::ShardStats::names_for`].
         workers: u32,
         /// One counter per [`crate::ShardStats::names`] entry.
         counts: Vec<u64>,

@@ -394,27 +394,6 @@ fn multi_object_conformance(algorithm: AlgorithmKind) {
     }
 }
 
-/// The cross-worker determinism leg: the keyed script on a parallel
-/// shard pool must reach the *same* byte-identical per-object fixpoints
-/// for every worker count. Worker count 4 exceeds the 3 hosted objects
-/// and exercises the boot-time clamp. Parallel execution is a pure
-/// optimization or it is a bug.
-fn sharded_determinism(algorithm: AlgorithmKind) {
-    const OBJECTS: u32 = 3;
-    let n = 5;
-    let refs = keyed_references(algorithm, n, OBJECTS);
-    for shard_threads in [1usize, 2, 4] {
-        let config = ClusterConfig::new(n, algorithm)
-            .with_objects(OBJECTS as usize)
-            .with_shard_threads(shard_threads);
-        run_keyed_and_check(
-            &config,
-            &format!("{algorithm:?}/shard-threads={shard_threads}"),
-            &refs,
-        );
-    }
-}
-
 #[test]
 fn multi_object_static_voting() {
     multi_object_conformance(AlgorithmKind::Voting);
@@ -451,8 +430,7 @@ fn multi_object_optimal_candidate() {
 /// *sequential* projection — the same updates one-op-per-round on a
 /// single-object simulator. Batched execution must reach byte-identical
 /// per-object `(VN, SC, DS)` metadata, a gapless log of exactly the
-/// reference length, and the same commit totals — at every worker
-/// count. (Byte-level log equality between batched and sequential runs
+/// reference length, and the same commit totals. (Byte-level log equality between batched and sequential runs
 /// is pinned at the kernel layer, where payloads are controlled; here
 /// concurrent arrival order assigns them.)
 fn pipelined_determinism(algorithm: AlgorithmKind) {
@@ -480,95 +458,92 @@ fn pipelined_determinism(algorithm: AlgorithmKind) {
         })
         .collect();
 
-    for shard_threads in [1usize, 2, 4] {
-        let label = format!("{algorithm:?}/pipelined/shard-threads={shard_threads}");
-        let config = ClusterConfig::new(n, algorithm)
-            .with_objects(OBJECTS as usize)
-            .with_shard_threads(shard_threads)
-            .with_max_batch(64);
-        let cluster = Cluster::boot(&scripted(config)).expect("boot pipelined cluster");
-        for step in &script {
-            match step {
-                KeyedStep::Update(o, site) => {
-                    thread::scope(|scope| {
-                        let cluster = &cluster;
-                        let handles: Vec<_> = (0..BURST)
-                            .map(|_| {
-                                let mut client = cluster.client(*site);
-                                scope.spawn(move || client.update_key(*o).expect("burst update"))
-                            })
-                            .collect();
-                        for handle in handles {
-                            let reply = handle.join().expect("burst client");
-                            assert!(
-                                matches!(reply, ClientReply::Committed { .. }),
-                                "{label}: burst op must commit, got {reply:?}"
-                            );
-                        }
-                    });
-                }
-                KeyedStep::Crash(site) => cluster.crash(*site).expect("crash"),
-                KeyedStep::Recover(site) => cluster.recover(*site).expect("recover"),
-            }
-            assert!(
-                cluster.await_quiescence(Duration::from_secs(10)),
-                "{label}: no quiescence after {step:?}"
-            );
-        }
-        for (o, reference) in refs.iter().enumerate() {
-            let mut metas = Vec::with_capacity(n);
-            for i in 0..n {
-                match cluster
-                    .probe_object(SiteId(i as u8), o as u32)
-                    .expect("probe object")
-                {
-                    ClientReply::Probe { meta, .. } => metas.push(meta),
-                    other => panic!("probe returned {other:?}"),
-                }
-            }
-            assert_eq!(
-                metas, reference.metas,
-                "{label}: object {o} metadata diverges from the sequential projection"
-            );
-            assert_eq!(
-                meta_bytes_of(&metas),
-                meta_bytes_of(&reference.metas),
-                "{label}: object {o} metadata bytes diverge"
-            );
-            // The batched log is a gapless 1..=VN chain of exactly the
-            // projection's length.
-            match cluster
-                .client(SiteId(0))
-                .request(ClientOp::DumpLog { key: o as u32 })
-                .expect("dump log")
-            {
-                ClientReply::Log { meta, entries } => {
-                    assert_eq!(
-                        entries.len() as u64,
-                        reference.metas[0].version,
-                        "{label}: object {o} log length diverges"
-                    );
-                    assert_eq!(meta.version, entries.len() as u64);
-                    for (j, entry) in entries.iter().enumerate() {
-                        assert_eq!(
-                            entry.version,
-                            (j + 1) as u64,
-                            "{label}: object {o} batched log has a gap"
+    let label = format!("{algorithm:?}/pipelined");
+    let config = ClusterConfig::new(n, algorithm)
+        .with_objects(OBJECTS as usize)
+        .with_max_batch(64);
+    let cluster = Cluster::boot(&scripted(config)).expect("boot pipelined cluster");
+    for step in &script {
+        match step {
+            KeyedStep::Update(o, site) => {
+                thread::scope(|scope| {
+                    let cluster = &cluster;
+                    let handles: Vec<_> = (0..BURST)
+                        .map(|_| {
+                            let mut client = cluster.client(*site);
+                            scope.spawn(move || client.update_key(*o).expect("burst update"))
+                        })
+                        .collect();
+                    for handle in handles {
+                        let reply = handle.join().expect("burst client");
+                        assert!(
+                            matches!(reply, ClientReply::Committed { .. }),
+                            "{label}: burst op must commit, got {reply:?}"
                         );
                     }
-                }
-                other => panic!("dump-log returned {other:?}"),
+                });
+            }
+            KeyedStep::Crash(site) => cluster.crash(*site).expect("crash"),
+            KeyedStep::Recover(site) => cluster.recover(*site).expect("recover"),
+        }
+        assert!(
+            cluster.await_quiescence(Duration::from_secs(10)),
+            "{label}: no quiescence after {step:?}"
+        );
+    }
+    for (o, reference) in refs.iter().enumerate() {
+        let mut metas = Vec::with_capacity(n);
+        for i in 0..n {
+            match cluster
+                .probe_object(SiteId(i as u8), o as u32)
+                .expect("probe object")
+            {
+                ClientReply::Probe { meta, .. } => metas.push(meta),
+                other => panic!("probe returned {other:?}"),
             }
         }
-        let audit = cluster.audit().expect("audit");
-        assert!(audit.consistent, "{label}: {:?}", audit.violations);
         assert_eq!(
-            audit.commits,
-            refs.iter().map(|r| r.committed).sum::<u64>(),
-            "{label}: total commits diverge from the projections"
+            metas, reference.metas,
+            "{label}: object {o} metadata diverges from the sequential projection"
         );
-        cluster.shutdown();
+        assert_eq!(
+            meta_bytes_of(&metas),
+            meta_bytes_of(&reference.metas),
+            "{label}: object {o} metadata bytes diverge"
+        );
+        // The batched log is a gapless 1..=VN chain of exactly the
+        // projection's length.
+        match cluster
+            .client(SiteId(0))
+            .request(ClientOp::DumpLog { key: o as u32 })
+            .expect("dump log")
+        {
+            ClientReply::Log { meta, entries } => {
+                assert_eq!(
+                    entries.len() as u64,
+                    reference.metas[0].version,
+                    "{label}: object {o} log length diverges"
+                );
+                assert_eq!(meta.version, entries.len() as u64);
+                for (j, entry) in entries.iter().enumerate() {
+                    assert_eq!(
+                        entry.version,
+                        (j + 1) as u64,
+                        "{label}: object {o} batched log has a gap"
+                    );
+                }
+            }
+            other => panic!("dump-log returned {other:?}"),
+        }
     }
+    let audit = cluster.audit().expect("audit");
+    assert!(audit.consistent, "{label}: {:?}", audit.violations);
+    assert_eq!(
+        audit.commits,
+        refs.iter().map(|r| r.committed).sum::<u64>(),
+        "{label}: total commits diverge from the projections"
+    );
+    cluster.shutdown();
 }
 
 #[test]
@@ -599,36 +574,6 @@ fn pipelined_modified_hybrid() {
 #[test]
 fn pipelined_optimal_candidate() {
     pipelined_determinism(AlgorithmKind::OptimalCandidate);
-}
-
-#[test]
-fn sharded_static_voting() {
-    sharded_determinism(AlgorithmKind::Voting);
-}
-
-#[test]
-fn sharded_dynamic_voting() {
-    sharded_determinism(AlgorithmKind::DynamicVoting);
-}
-
-#[test]
-fn sharded_dynamic_linear() {
-    sharded_determinism(AlgorithmKind::DynamicLinear);
-}
-
-#[test]
-fn sharded_hybrid() {
-    sharded_determinism(AlgorithmKind::Hybrid);
-}
-
-#[test]
-fn sharded_modified_hybrid() {
-    sharded_determinism(AlgorithmKind::ModifiedHybrid);
-}
-
-#[test]
-fn sharded_optimal_candidate() {
-    sharded_determinism(AlgorithmKind::OptimalCandidate);
 }
 
 /// Cross-shard independence: a partition that leaves object A without a

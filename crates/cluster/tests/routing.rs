@@ -19,11 +19,10 @@ const N: usize = 5;
 /// so instead of hanging.
 const MAX_TICKS: usize = 5000;
 
-fn boot(transport: TransportKind, shard_threads: usize, objects: usize) -> Cluster {
+fn boot(transport: TransportKind, objects: usize) -> Cluster {
     let mut config = ClusterConfig::new(N, AlgorithmKind::Hybrid)
         .with_transport(transport)
-        .with_objects(objects)
-        .with_shard_threads(shard_threads);
+        .with_objects(objects);
     // No site is ever silent here, so no round should end on its
     // deadline — not even when the test binary's other clusters keep
     // a vote from being scheduled for longer than the default 25 ms.
@@ -113,10 +112,10 @@ fn finish(cluster: Cluster) {
 /// Each key is raced for until site 1 has learned its home; from then on
 /// no op on it is refused, every site-1 op crosses exactly once, and the
 /// acked versions are the chain.
-fn two_rivals_stop_racing(transport: TransportKind, shard_threads: usize) {
+fn two_rivals_stop_racing(transport: TransportKind) {
     const KEYS: u32 = 4;
     const STEADY_TICKS: usize = 200;
-    let cluster = boot(transport, shard_threads, KEYS as usize);
+    let cluster = boot(transport, KEYS as usize);
     let mut clients = vec![cluster.client(SiteId(0)), cluster.client(SiteId(1))];
     let mut acked = Acked::new(KEYS as usize);
     let mut routed = [false; KEYS as usize];
@@ -179,22 +178,12 @@ fn two_rivals_stop_racing(transport: TransportKind, shard_threads: usize) {
 
 #[test]
 fn two_rivals_stop_racing_channel_inline() {
-    two_rivals_stop_racing(TransportKind::Channel, 1);
-}
-
-#[test]
-fn two_rivals_stop_racing_channel_four_workers() {
-    two_rivals_stop_racing(TransportKind::Channel, 4);
+    two_rivals_stop_racing(TransportKind::Channel);
 }
 
 #[test]
 fn two_rivals_stop_racing_tcp_inline() {
-    two_rivals_stop_racing(TransportKind::Tcp, 1);
-}
-
-#[test]
-fn two_rivals_stop_racing_tcp_four_workers() {
-    two_rivals_stop_racing(TransportKind::Tcp, 4);
+    two_rivals_stop_racing(TransportKind::Tcp);
 }
 
 // ----- three rivals ------------------------------------------------------
@@ -202,9 +191,9 @@ fn two_rivals_stop_racing_tcp_four_workers() {
 /// Sites 0, 1 and 2 race for one key. Hints only ever move downward, so
 /// all three end up writing through site 0 — and an op that was handed
 /// to site 1 on the way there is coordinated at site 1, never passed on.
-fn three_rivals_converge_on_the_lowest(transport: TransportKind, shard_threads: usize) {
+fn three_rivals_converge_on_the_lowest(transport: TransportKind) {
     const STEADY_TICKS: usize = 50;
-    let cluster = boot(transport, shard_threads, 1);
+    let cluster = boot(transport, 1);
     let mut clients: Vec<LocalClient> = (0..3).map(|s| cluster.client(SiteId(s))).collect();
     let mut acked = Acked::new(1);
     let mut steady = 0;
@@ -242,12 +231,12 @@ fn three_rivals_converge_on_the_lowest(transport: TransportKind, shard_threads: 
 
 #[test]
 fn three_rivals_converge_channel_inline() {
-    three_rivals_converge_on_the_lowest(TransportKind::Channel, 1);
+    three_rivals_converge_on_the_lowest(TransportKind::Channel);
 }
 
 #[test]
-fn three_rivals_converge_tcp_four_workers() {
-    three_rivals_converge_on_the_lowest(TransportKind::Tcp, 4);
+fn three_rivals_converge_tcp() {
+    three_rivals_converge_on_the_lowest(TransportKind::Tcp);
 }
 
 // ----- no contention, no routing ----------------------------------------
@@ -255,9 +244,9 @@ fn three_rivals_converge_tcp_four_workers() {
 /// The mechanism is learned from contention only: coordinators on
 /// disjoint keys at the same instant, and coordinators taking turns on
 /// one key, never forward anything.
-fn uncontended_traffic_is_never_forwarded(transport: TransportKind, shard_threads: usize) {
+fn uncontended_traffic_is_never_forwarded(transport: TransportKind) {
     const TURN_KEY: u32 = 8;
-    let cluster = boot(transport, shard_threads, 9);
+    let cluster = boot(transport, 9);
     let mut acked = Acked::new(9);
     for round in 0..50u32 {
         // Four coordinators at once, each on a key of its own.
@@ -311,13 +300,13 @@ fn uncontended_traffic_is_never_forwarded(transport: TransportKind, shard_thread
 }
 
 #[test]
-fn uncontended_traffic_is_never_forwarded_channel_four_workers() {
-    uncontended_traffic_is_never_forwarded(TransportKind::Channel, 4);
+fn uncontended_traffic_is_never_forwarded_channel() {
+    uncontended_traffic_is_never_forwarded(TransportKind::Channel);
 }
 
 #[test]
 fn uncontended_traffic_is_never_forwarded_tcp_inline() {
-    uncontended_traffic_is_never_forwarded(TransportKind::Tcp, 1);
+    uncontended_traffic_is_never_forwarded(TransportKind::Tcp);
 }
 
 // ----- faults ------------------------------------------------------------
@@ -351,13 +340,11 @@ fn set_reachable(cluster: &Cluster, site: u8, reachable: &str) {
 /// caught mid-stream: the home crashed; the home cut off from the origin
 /// before the forward arrived; the origin cut off from the home after it
 /// did.
-fn a_forward_that_meets_a_fault_times_out_once(transport: TransportKind, shard_threads: usize) {
+fn a_forward_that_meets_a_fault_times_out_once(transport: TransportKind) {
     // Long enough that "still parked at the home" is a window the test
     // can act in without racing the clock.
     let vote_deadline = Duration::from_millis(150);
-    let mut config = ClusterConfig::new(N, AlgorithmKind::Hybrid)
-        .with_transport(transport)
-        .with_shard_threads(shard_threads);
+    let mut config = ClusterConfig::new(N, AlgorithmKind::Hybrid).with_transport(transport);
     config.node.vote_deadline = vote_deadline;
     let forward_deadline = 2 * (vote_deadline + config.node.catchup_deadline);
     let cluster = Cluster::boot(&config).expect("boot cluster");
@@ -461,10 +448,10 @@ fn a_forward_that_meets_a_fault_times_out_once(transport: TransportKind, shard_t
 
 #[test]
 fn a_forward_that_meets_a_fault_times_out_once_channel_inline() {
-    a_forward_that_meets_a_fault_times_out_once(TransportKind::Channel, 1);
+    a_forward_that_meets_a_fault_times_out_once(TransportKind::Channel);
 }
 
 #[test]
-fn a_forward_that_meets_a_fault_times_out_once_tcp_four_workers() {
-    a_forward_that_meets_a_fault_times_out_once(TransportKind::Tcp, 4);
+fn a_forward_that_meets_a_fault_times_out_once_tcp() {
+    a_forward_that_meets_a_fault_times_out_once(TransportKind::Tcp);
 }

@@ -28,11 +28,10 @@ const VOTE_DEADLINE: Duration = Duration::from_millis(120);
 /// millisecond: the fixed fraction of the vote deadline.
 const GRACE_FLOOR: Duration = Duration::from_millis(15);
 
-fn boot(shard_threads: usize) -> Cluster {
+fn boot() -> Cluster {
     let mut config = ClusterConfig::new(N, AlgorithmKind::Hybrid)
         .with_transport(TransportKind::Tcp)
         .with_objects(OBJECTS as usize)
-        .with_shard_threads(shard_threads)
         .with_http(FrontDoorConfig::default());
     config.node.vote_deadline = VOTE_DEADLINE;
     Cluster::boot(&config).expect("boot cluster")
@@ -115,8 +114,9 @@ fn settle(cluster: &Cluster) {
     assert!(cluster.await_quiescence(Duration::from_secs(10)));
 }
 
-fn one_crash_costs_one_grace(shard_threads: usize) {
-    let cluster = boot(shard_threads);
+#[test]
+fn one_crash_costs_one_grace_inline() {
+    let cluster = boot();
     let (a, e) = (SiteId(0), SiteId(4));
     for key in 0..OBJECTS {
         let took = timed_update(&cluster, a, key);
@@ -184,43 +184,6 @@ fn one_crash_costs_one_grace(shard_threads: usize) {
     cluster.shutdown();
 }
 
-#[test]
-fn one_crash_costs_one_grace_inline() {
-    one_crash_costs_one_grace(1);
-}
-
-#[test]
-fn one_crash_costs_one_grace_four_workers() {
-    one_crash_costs_one_grace(4);
-}
-
-/// The set has one carrier, and it reaches a worker that has never
-/// handled a frame: suspicion learned on an object of worker 0 closes
-/// the next round on an object of worker 3 on its last live vote.
-#[test]
-fn suspicion_learned_on_one_worker_reaches_an_idle_one() {
-    let cluster = boot(4);
-    let (a, e) = (SiteId(0), SiteId(4));
-    // Key 0 is worker 0's; every peer votes a few times, so A has their
-    // measure. Workers 1 to 3 see nothing.
-    for _ in 0..8 {
-        timed_update(&cluster, a, 0);
-    }
-    settle(&cluster);
-    cluster.crash(e).expect("crash");
-    timed_update(&cluster, a, 0);
-    assert_eq!(suspected(&cluster, a, e), 1);
-    timed_update(&cluster, a, 3);
-    assert_eq!(cardinality(&cluster, a, 3), 4);
-    assert_eq!(
-        status_array(&cluster, a, "vote_grace_missed"),
-        [0, 0, 0, 0, 1],
-        "worker 3 waited for a grace of its own"
-    );
-    assert_eq!(closed_early(&cluster, a), 1);
-    cluster.shutdown();
-}
-
 /// Eight updates on eight keys, begun one after another while the node
 /// still believes E alive: all eight are voting, live votes in hand,
 /// when the first grace runs out. That round finds out; the push closes
@@ -228,7 +191,7 @@ fn suspicion_learned_on_one_worker_reaches_an_idle_one() {
 #[test]
 fn rounds_already_waiting_close_with_the_one_that_found_out() {
     const BURST: u32 = 8;
-    let cluster = boot(1);
+    let cluster = boot();
     let (a, e) = (SiteId(0), SiteId(4));
     for key in 0..OBJECTS {
         timed_update(&cluster, a, key);
@@ -296,7 +259,7 @@ fn rounds_already_waiting_close_with_the_one_that_found_out() {
 /// told `Rejected`.
 #[test]
 fn a_minority_is_refused_only_at_the_full_deadline() {
-    let cluster = boot(1);
+    let cluster = boot();
     let a = SiteId(0);
     for key in 0..OBJECTS {
         timed_update(&cluster, a, key);
@@ -334,7 +297,7 @@ fn a_minority_is_refused_only_at_the_full_deadline() {
 /// takes part in the round after.
 #[test]
 fn a_falsely_suspected_peer_clears_itself_with_its_late_vote() {
-    let cluster = boot(1);
+    let cluster = boot();
     let (a, e) = (SiteId(0), SiteId(4));
     let s = |text: &str| SiteSet::parse(text).expect("valid site list");
     for _ in 0..8 {

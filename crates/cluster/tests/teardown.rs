@@ -1,7 +1,9 @@
 //! `Cluster::shutdown` must join every thread it spawned — node
 //! threads and reactor threads alike. A leaked thread would show up
 //! here as a `dynvote-*` entry in `/proc/self/task` after shutdown
-//! returns, and in production as a reactor still holding ports.
+//! returns, and in production as a reactor still holding ports. While
+//! the cluster runs, the census is exact: one node thread per site,
+//! plus one reactor per site under TCP, however many objects it hosts.
 
 use dynvote_cluster::{ClientReply, Cluster, ClusterConfig, FrontDoorConfig, TransportKind};
 use dynvote_core::{AlgorithmKind, SiteId};
@@ -26,12 +28,32 @@ fn dynvote_threads() -> Vec<String> {
     found
 }
 
+/// What a running `config` cluster's census must read, by kernel
+/// `comm`: one `dynvote-node-i` per site, plus one `dynvote-reactor-i`
+/// per site under TCP — and no other `dynvote-*` thread.
+fn expected_threads(config: &ClusterConfig) -> Vec<String> {
+    let comm = |name: String| name[..name.len().min(15)].to_owned();
+    let mut names: Vec<String> = (0..config.n)
+        .map(|i| comm(format!("dynvote-node-{i}")))
+        .collect();
+    if config.transport == TransportKind::Tcp {
+        names.extend((0..config.n).map(|i| comm(format!("dynvote-reactor-{i}"))));
+    }
+    names.sort();
+    names
+}
+
 fn run_and_shutdown(config: &ClusterConfig) {
     let cluster = Cluster::boot(config).expect("boot");
     let mut client = cluster.client(SiteId(0));
-    for _ in 0..5 {
-        let reply = client.update().expect("update");
+    for key in 0..config.objects as u32 {
+        let reply = client.update_key(key).expect("update");
         assert!(matches!(reply, ClientReply::Committed { .. }), "{reply:?}");
+    }
+    if cfg!(target_os = "linux") {
+        let mut running = dynvote_threads();
+        running.sort();
+        assert_eq!(running, expected_threads(config), "thread census");
     }
     assert!(cluster.await_quiescence(Duration::from_secs(5)));
     cluster.shutdown();
@@ -48,45 +70,20 @@ fn shutdown_joins_every_thread() {
         "stray threads before the test: {before:?}"
     );
 
-    // Channel transport: node threads only.
-    run_and_shutdown(&ClusterConfig::new(3, AlgorithmKind::DynamicVoting));
+    // Channel transport: node threads only, however many objects.
+    run_and_shutdown(&ClusterConfig::new(3, AlgorithmKind::DynamicVoting).with_objects(8));
 
     // TCP transport with the HTTP front door: node threads plus one
     // reactor thread per node, each owning live sockets.
     run_and_shutdown(
         &ClusterConfig::new(5, AlgorithmKind::Hybrid)
             .with_transport(TransportKind::Tcp)
+            .with_objects(8)
             .with_http(FrontDoorConfig::default()),
     );
 
     let after = dynvote_threads();
     assert!(after.is_empty(), "threads leaked past shutdown: {after:?}");
-
-    // Parallel shard pool: each node additionally owns shard-affine
-    // worker threads ("dynvote-shard-<site>-<w>"). They must exist
-    // while the cluster runs and be joined by shutdown like everything
-    // else.
-    let config = ClusterConfig::new(3, AlgorithmKind::Hybrid)
-        .with_objects(8)
-        .with_shard_threads(4);
-    let cluster = Cluster::boot(&config).expect("boot sharded");
-    let mut client = cluster.client(SiteId(0));
-    for key in 0..8u32 {
-        let reply = client.update_key(key).expect("keyed update");
-        assert!(matches!(reply, ClientReply::Committed { .. }), "{reply:?}");
-    }
-    let running = dynvote_threads();
-    assert!(
-        running.iter().any(|name| name.starts_with("dynvote-shard")),
-        "no shard worker threads while the pool runs: {running:?}"
-    );
-    assert!(cluster.await_quiescence(Duration::from_secs(5)));
-    cluster.shutdown();
-    let after = dynvote_threads();
-    assert!(
-        after.is_empty(),
-        "shard worker threads leaked past shutdown: {after:?}"
-    );
 
     // Teardown must also be clean when sites are crashed or
     // partitioned at shutdown time (reactors mid-reconnect-backoff).
