@@ -16,8 +16,8 @@ use crate::transport::{ChannelTransport, NetStats, Transport};
 use crate::wire::{self, ClientOp, ClientReply, HELLO_CLIENT};
 use dynvote_core::{AlgorithmKind, ConfigError, SiteId, SiteSet, MAX_SITES};
 use dynvote_net::{Poller, Waker};
-use dynvote_protocol::{CountingSink, EventTallies, ObjectId};
-use dynvote_storage::{FsyncPolicy, StorageError, StoreConfig};
+use dynvote_protocol::{CountingSink, DurableState, EventTallies, ObjectId};
+use dynvote_storage::{FsyncPolicy, NodeStore, StorageError, StoreConfig};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -456,12 +456,20 @@ impl Cluster {
     /// [`TransportKind::Tcp`] each node also gets a loopback listener
     /// (ephemeral port unless `port_base` is set), and its thread is a
     /// reactor multiplexing all of its connections around it — with
-    /// [`ClusterConfig::http`], an HTTP front-door listener too. With
-    /// [`DurabilityMode::Durable`], each node first recovers its state
-    /// from `data_dir/site-<i>` — an empty directory boots the initial
-    /// state, a populated one resumes where the last process left off.
+    /// [`ClusterConfig::http`], an HTTP front-door listener too.
+    ///
+    /// With [`DurabilityMode::Durable`], every site's store under
+    /// `data_dir/site-<i>` is first opened and recovered, all n at once
+    /// on scoped threads joined before any node is built: an empty
+    /// directory boots the initial state, a populated one resumes where
+    /// the last process left off. The nodes are then built in site
+    /// order, each priming the audit ledger from its recovered logs. If
+    /// any store fails to open, boot returns [`BootError::Storage`] for
+    /// the lowest failing site having bound and spawned nothing. The
+    /// amnesiac path spawns no thread but the sites'.
     pub fn boot(config: &ClusterConfig) -> Result<Self, BootError> {
         config.validate()?;
+        let stores = open_stores(config)?;
         let n = config.n;
         let objects = config.objects;
         let ledger = Arc::new(ClusterLedger::new(objects));
@@ -495,20 +503,20 @@ impl Cluster {
         let mut inboxes = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
         let mut shard_stats = Vec::with_capacity(n);
-        for (i, rx) in receivers.into_iter().enumerate() {
+        for ((i, rx), opened) in receivers.into_iter().enumerate().zip(stores) {
             let id = SiteId(i as u8);
             let thread = thread::Builder::new().name(format!("dynvote-node-{i}"));
             let (waker, handle) = match config.transport {
                 TransportKind::Channel => {
                     let transport = ChannelTransport::new(id, senders.clone());
-                    let node = build_node(config, id, transport, &ledger, &events)?;
+                    let node = build_node(config, id, transport, opened, &ledger, &events);
                     shard_stats.push(node.shard_stats());
                     (None, thread.spawn(move || node.run(rx)))
                 }
                 TransportKind::Tcp => {
                     let stats = Arc::new(NetStats::new());
                     let transport = ReactorTransport::new(n, Arc::clone(&stats));
-                    let mut node = build_node(config, id, transport, &ledger, &events)?;
+                    let mut node = build_node(config, id, transport, opened, &ledger, &events);
                     node.set_net_stats(Arc::clone(&stats));
                     shard_stats.push(node.shard_stats());
                     let front = config.http.as_ref().map(|http| {
@@ -734,15 +742,62 @@ impl Cluster {
     }
 }
 
-/// Site `id`'s node sending through `transport`, its durable state
-/// recovered and the ledger primed with it, ready for its host.
+/// One site's data directory, its store opened and recovered from it,
+/// and the per-object states recovery returned.
+type OpenedStore = (NodeDurability, NodeStore, Vec<DurableState>);
+
+/// Under [`DurabilityMode::Durable`], open and recover every site's
+/// store at once, one scoped thread per site, and join them all; `None`
+/// per site when amnesiac, which spawns nothing. Each open forces
+/// several writes, so a sequential boot would queue n sites' worth of
+/// them. A failure names the lowest failing site: results are taken in
+/// site order, and the scope joins every open before it returns.
+fn open_stores(config: &ClusterConfig) -> Result<Vec<Option<OpenedStore>>, BootError> {
+    let DurabilityMode::Durable { data_dir, fsync } = &config.durability else {
+        return Ok((0..config.n).map(|_| None).collect());
+    };
+    thread::scope(|scope| {
+        let opens: Vec<_> = (0..config.n)
+            .map(|i| {
+                let durability = NodeDurability {
+                    dir: data_dir.join(format!("site-{i}")),
+                    store: StoreConfig {
+                        fsync: *fsync,
+                        ..StoreConfig::default()
+                    },
+                };
+                scope.spawn(move || {
+                    let (store, states, _) = durability.open(config.n, config.objects)?;
+                    Ok(Some((durability, store, states)))
+                })
+            })
+            .collect();
+        opens
+            .into_iter()
+            .enumerate()
+            .map(|(i, open)| {
+                open.join()
+                    .expect("store open panicked")
+                    .map_err(|error| BootError::Storage {
+                        site: SiteId(i as u8),
+                        error,
+                    })
+            })
+            .collect()
+    })
+}
+
+/// Site `id`'s node sending through `transport`, installed on its
+/// opened store (if durable) with the ledger primed from it, ready for
+/// its host.
 fn build_node<T: Transport>(
     config: &ClusterConfig,
     id: SiteId,
     transport: T,
+    opened: Option<OpenedStore>,
     ledger: &Arc<ClusterLedger>,
     events: &Arc<CountingSink>,
-) -> Result<Node<T>, BootError> {
+) -> Node<T> {
     let mut node = Node::new(
         id,
         config.n,
@@ -753,15 +808,8 @@ fn build_node<T: Transport>(
         Arc::clone(ledger),
     );
     node.set_max_batch(config.max_batch);
-    if let DurabilityMode::Durable { data_dir, fsync } = &config.durability {
-        node.enable_durability(NodeDurability {
-            dir: data_dir.join(format!("site-{}", id.index())),
-            store: StoreConfig {
-                fsync: *fsync,
-                ..StoreConfig::default()
-            },
-        })
-        .map_err(|error| BootError::Storage { site: id, error })?;
+    if let Some((durability, store, states)) = opened {
+        node.enable_durability(durability, store, states);
         // The audit ledger must start from the history the disks
         // already hold, or the first post-reboot commit would be
         // flagged as a version gap — per object, since every shard has
@@ -772,5 +820,5 @@ fn build_node<T: Transport>(
         }
     }
     node.set_event_sink(Arc::clone(events), config.trace);
-    Ok(node)
+    node
 }

@@ -349,6 +349,20 @@ pub struct NodeDurability {
     pub store: StoreConfig,
 }
 
+impl NodeDurability {
+    /// Open and recover the store of a site of an `n`-site cluster
+    /// hosting `objects` objects: the store, every object's recovered
+    /// state, and what recovery found. Touches only this site's
+    /// directory, so sites may open concurrently.
+    pub fn open(
+        &self,
+        n: usize,
+        objects: usize,
+    ) -> Result<(NodeStore, Vec<DurableState>, RecoveryReport), StorageError> {
+        NodeStore::open(&self.dir, self.store, objects, DurableState::initial(n))
+    }
+}
+
 /// One data-plane client op on its way through the node: parked in an
 /// object's FIFO, riding a quorum round, or waiting for another site's
 /// answer. Answered exactly once, through [`Node::answer`].
@@ -524,62 +538,59 @@ impl<T: Transport> Node<T> {
         self.max_batch = max_batch.max(1);
     }
 
-    /// Give this node a data directory: recover every hosted object's
-    /// durable state from it (snapshot + keyed WAL replay) and install
-    /// per-shard handles onto the shared [`NodeStore`] as each kernel's
-    /// [`dynvote_protocol::Persistence`] hook, so every durable-write
-    /// point (prepare records, commit records, log appends, metadata
-    /// installs) reaches the WAL before the action that announced it
-    /// leaves the node.
+    /// Give this node a data directory and the store already opened on
+    /// it by [`NodeDurability::open`], with the per-object states its
+    /// recovery returned. The kernels are rebuilt from those states and
+    /// every shard's [`dynvote_protocol::Persistence`] hook is wired to
+    /// the store, so every durable-write point (prepare records, commit
+    /// records, log appends, metadata installs) reaches the WAL before
+    /// the action that announced it leaves the node.
     ///
-    /// Call before [`Node::run`]. Returns what recovery found.
+    /// Opening is the caller's step so that a cluster can open every
+    /// site's store at once. Call before [`Node::run`].
     pub fn enable_durability(
         &mut self,
         durability: NodeDurability,
-    ) -> Result<RecoveryReport, StorageError> {
+        store: NodeStore,
+        states: Vec<DurableState>,
+    ) {
         self.durability = Some(durability);
-        self.reload_site_from_disk()
+        self.install_store(store, states);
     }
 
-    /// (Re)build the sharded kernel from the data directory: recover
-    /// every object's durable state (snapshot + keyed WAL replay),
-    /// swap the fresh site in, and hook persistence and the event sink
-    /// back up. The in-process stand-in for a machine reboot.
+    /// (Re)open the data directory and rebuild the kernels from what it
+    /// holds, discarding process memory. The in-process stand-in for a
+    /// machine reboot.
     pub(crate) fn reload_site_from_disk(&mut self) -> Result<RecoveryReport, StorageError> {
-        let durability = self.durability.clone().expect("durability configured");
-        let (store, states, report) = NodeStore::open(
-            &durability.dir,
-            durability.store,
-            self.objects,
-            DurableState::initial(self.n),
-        )?;
+        let durability = self.durability.as_ref().expect("durability configured");
+        let (store, states, report) = durability.open(self.n, self.objects)?;
+        self.install_store(store, states);
+        Ok(report)
+    }
+
+    /// Swap in kernels restored from `states` and hook each shard's
+    /// persistence up to `store` through a [`ShardHandle`] on the node's
+    /// stage, drained at the merge barrier into a single checksummed
+    /// record. The event sink, if any, is re-installed. Boot and reboot
+    /// both come through here.
+    fn install_store(&mut self, store: NodeStore, states: Vec<DurableState>) {
         let mut site = ShardedSite::restore(self.id, self.n, states, || {
             self.algorithm.instantiate(self.n)
         });
         if let Some(sink) = &self.sink {
             site.set_sink(Arc::clone(sink));
         }
-        self.site = site;
-        self.store = Some(Arc::new(Mutex::new(store)));
-        self.install_persistence();
-        Ok(report)
-    }
-
-    /// Hook every shard's persistence up to the store through a
-    /// [`ShardHandle`] on the node's stage, drained at the merge
-    /// barrier into a single checksummed record.
-    fn install_persistence(&mut self) {
-        let Some(core) = self.store.clone() else {
-            return;
-        };
+        let core = Arc::new(Mutex::new(store));
         let stage = &self.stage;
-        self.site.set_persistence(|object| {
+        site.set_persistence(|object| {
             Box::new(ShardHandle::new(
                 Arc::clone(stage),
                 Arc::clone(&core),
                 object,
             ))
         });
+        self.site = site;
+        self.store = Some(core);
     }
 
     /// True when this node reloads state from a data directory.

@@ -7,8 +7,8 @@
 //! took longer than a straggler grace: the clusters boot `scripted`.
 
 use dynvote_cluster::scenario::scripted;
-use dynvote_cluster::{ClientReply, Cluster, ClusterConfig};
-use dynvote_core::{AlgorithmKind, SiteId};
+use dynvote_cluster::{ClientReply, Cluster, ClusterConfig, TransportKind};
+use dynvote_core::{AlgorithmKind, CopyMeta, SiteId};
 use dynvote_protocol::{Action, DurableState, Message, ObjectId, SiteActor};
 use dynvote_storage::{FsyncPolicy, NodeStore, ShardHandle, StoreConfig};
 use std::fs::OpenOptions;
@@ -109,6 +109,87 @@ fn durable_cluster_resumes_from_disk_across_reboots() {
         assert_eq!(state.log.len(), 4);
         assert!(report.truncated.is_none());
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Commit one update on `key` coordinated by `site`, retrying past
+/// transient rejections.
+fn commit_key(cluster: &Cluster, site: SiteId, key: u32) -> u64 {
+    for _ in 0..50 {
+        match cluster.client(site).update_key(key) {
+            Ok(ClientReply::Committed { version }) => return version,
+            Ok(_) => std::thread::sleep(Duration::from_millis(20)),
+            Err(e) => panic!("client request failed: {e}"),
+        }
+    }
+    panic!("update on key {key} via site {site} never committed");
+}
+
+/// Every site's durable `(VN, SC, DS)` for every key, site-major.
+fn probe_all(cluster: &Cluster, n: usize, keys: u32) -> Vec<CopyMeta> {
+    let mut metas = Vec::new();
+    for i in 0..n {
+        for key in 0..keys {
+            match cluster.probe_object(SiteId(i as u8), key).unwrap() {
+                ClientReply::Probe {
+                    meta,
+                    in_doubt: false,
+                    ..
+                } => metas.push(meta),
+                other => panic!("site {i} key {key}: unexpected probe reply {other:?}"),
+            }
+        }
+    }
+    metas
+}
+
+/// Boot opens every site's store at once. On a populated multi-object
+/// data dir written by two coordinators, every site must come back with
+/// the exact `(VN, SC, DS)` it held for every key, and the ledger must
+/// be primed from every store: one more commit per key audits clean.
+#[test]
+fn concurrent_boot_recovers_a_populated_multi_object_dir() {
+    let dir = temp_dir("multi");
+    let n = 5;
+    let keys = 8u32;
+    let config = scripted(
+        ClusterConfig::new(n, AlgorithmKind::Hybrid)
+            .with_transport(TransportKind::Tcp)
+            .with_objects(keys as usize)
+            .with_data_dir(&dir, FsyncPolicy::Always),
+    );
+
+    let first = Cluster::boot(&config).unwrap();
+    // Keys end at different versions, each written by both coordinators.
+    for round in 0..3u32 {
+        for key in 0..keys {
+            if round < 2 || key % 3 == 0 {
+                commit_key(&first, SiteId(((key + round) % 2) as u8), key);
+            }
+        }
+    }
+    assert!(first.await_quiescence(Duration::from_secs(5)));
+    let before = probe_all(&first, n, keys);
+    let audit = first.audit().unwrap();
+    assert!(audit.consistent, "{:?}", audit.violations);
+    first.shutdown();
+
+    let second = Cluster::boot(&config).unwrap();
+    assert_eq!(probe_all(&second, n, keys), before, "rebooted (VN, SC, DS)");
+    let chain_len = second.audit().unwrap().chain_len;
+    assert_eq!(chain_len, audit.chain_len, "ledger primed from the disks");
+    for key in 0..keys {
+        let top = (0..n)
+            .map(|i| before[i * keys as usize + key as usize].version)
+            .max()
+            .unwrap();
+        assert_eq!(commit_key(&second, SiteId(1), key), top + 1, "key {key}");
+    }
+    assert!(second.await_quiescence(Duration::from_secs(5)));
+    let audit = second.audit().unwrap();
+    assert!(audit.consistent, "{:?}", audit.violations);
+    assert_eq!(audit.chain_len, chain_len + u64::from(keys));
+    second.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -4,10 +4,14 @@
 //! reactor still holding ports. While the cluster runs, the census is
 //! exact: one thread per site — under TCP the reactor that hosts the
 //! node — on either transport, however many objects it hosts, and
-//! whether its sites are healthy, crashed or partitioned.
+//! whether its sites are healthy, crashed or partitioned. A boot that
+//! fails leaves no thread behind.
 
-use dynvote_cluster::{ClientReply, Cluster, ClusterConfig, FrontDoorConfig, TransportKind};
+use dynvote_cluster::{
+    BootError, ClientReply, Cluster, ClusterConfig, FrontDoorConfig, TransportKind,
+};
 use dynvote_core::{AlgorithmKind, SiteId};
+use dynvote_storage::FsyncPolicy;
 use std::time::Duration;
 
 /// Names (kernel `comm`, truncated to 15 bytes) of live threads that
@@ -108,4 +112,33 @@ fn shutdown_joins_every_thread() {
         after.is_empty(),
         "threads leaked past faulted shutdown: {after:?}"
     );
+
+    // A boot whose stores fail to open leaves nothing running, on
+    // either transport: every store is opened before any site thread
+    // is spawned, and the error names the lowest failing site.
+    for transport in [TransportKind::Channel, TransportKind::Tcp] {
+        let dir = std::env::temp_dir().join(format!(
+            "dynvote-teardown-boot-{}-{transport:?}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // A regular file where a site's data directory should be.
+        std::fs::write(dir.join("site-2"), b"not a directory").unwrap();
+        std::fs::write(dir.join("site-3"), b"not a directory").unwrap();
+        let config = ClusterConfig::new(5, AlgorithmKind::Hybrid)
+            .with_transport(transport)
+            .with_data_dir(&dir, FsyncPolicy::Always);
+        match Cluster::boot(&config) {
+            Err(BootError::Storage { site, .. }) => assert_eq!(site, SiteId(2), "{transport:?}"),
+            Err(other) => panic!("{transport:?}: expected a storage error, got {other}"),
+            Ok(_) => panic!("{transport:?}: boot over regular files must fail"),
+        }
+        let after = dynvote_threads();
+        assert!(
+            after.is_empty(),
+            "{transport:?}: threads left running by a failed boot: {after:?}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

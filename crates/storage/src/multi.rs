@@ -24,8 +24,9 @@
 //! compaction) under the magics `DVWALM01`/`DVSNAPM1`.
 
 use crate::store::{
-    compact, create_segment, io_err, list_epochs, read_snapshot_bytes, snap_name, wal_name,
-    write_snapshot_bytes, FsyncPolicy, RecoveryReport, StorageError, StoreConfig, TornTail,
+    compact, create_segment, fsync_dir, io_err, list_epochs, read_snapshot_bytes, snap_name,
+    wal_name, write_snapshot_bytes, FsyncPolicy, RecoveryReport, StorageError, StoreConfig,
+    TornTail,
 };
 use crate::wal::{
     decode_states, encode_keyed_op_into, encode_states_into, frame_header, RecordScanner,
@@ -84,7 +85,12 @@ impl NodeStore {
     /// objects than configured), and a [`RecoveryReport`]. The open
     /// always ends with a boot rotation: the recovered states are
     /// snapshotted at a fresh epoch and every older file — including
-    /// any torn segment — is deleted.
+    /// any torn segment — is deleted. When `open` creates `dir`, it
+    /// also fsyncs the parent directory, so the new directory's own
+    /// entry is as durable as the files inside it.
+    ///
+    /// `open` touches nothing outside `dir` but that parent fsync, so
+    /// stores in different directories may be opened concurrently.
     pub fn open(
         dir: &Path,
         config: StoreConfig,
@@ -92,7 +98,12 @@ impl NodeStore {
         template: DurableState,
     ) -> Result<(Self, Vec<DurableState>, RecoveryReport), StorageError> {
         assert!(objects >= 1, "a node hosts at least one object");
+        let created = !dir.is_dir();
         io_err(dir, fs::create_dir_all(dir))?;
+        if created {
+            let parent = dir.parent().filter(|p| !p.as_os_str().is_empty());
+            fsync_dir(parent.unwrap_or(Path::new(".")))?;
+        }
         let (states, report, max_epoch) = recover_multi(dir, &template, objects)?;
         let epoch = max_epoch + 1;
 
@@ -523,58 +534,63 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Feed one object's commit through its handle's hooks.
-    fn commit_through(handle: &mut ShardHandle, object: u32) {
-        for (_, op) in commit_ops(object, 1) {
-            match op {
-                PersistOp::Entries(e) => handle.entries_appended(&e),
-                PersistOp::Meta(m) => handle.meta_updated(m),
-                PersistOp::Committed(t, m, p) => handle.committed(t, m, p),
-                other => panic!("unexpected op {other:?}"),
-            }
+    /// Feed one op through a shard handle's matching hook.
+    fn stage_through(handle: &mut ShardHandle, op: PersistOp) {
+        match op {
+            PersistOp::Entries(e) => handle.entries_appended(&e),
+            PersistOp::Meta(m) => handle.meta_updated(m),
+            PersistOp::Committed(t, m, p) => handle.committed(t, m, p),
+            other => panic!("unexpected op {other:?}"),
         }
     }
 
+    /// Four objects' commits in the order a node's kernel steps
+    /// interleave them: each object's ops in order, different objects'
+    /// ops mixed.
+    fn interleaved_steps() -> Vec<(ObjectId, PersistOp)> {
+        let per_object: Vec<Vec<(ObjectId, PersistOp)>> =
+            [0u32, 2, 1, 3].map(|o| commit_ops(o, 1)).into();
+        let steps = per_object[0].len();
+        (0..steps)
+            .flat_map(|step| per_object.iter().map(move |ops| ops[step].clone()))
+            .collect()
+    }
+
     #[test]
-    fn staged_workers_merge_into_one_record_with_shard_handle_bytes() {
+    fn node_stage_merges_into_one_record_with_append_bytes() {
         // Two directories, same ops: one appended straight into the
-        // store, one through two per-worker stages merged by ingest.
-        // Both must hold one record with the same bytes.
+        // store, one staged through the node's one stage by every
+        // object's handle and merged by ingest. Both must hold one
+        // record with the same bytes.
         let template = DurableState::initial(3);
         let dir_direct = tmpdir("staged-direct");
         let (mut direct, _, _) =
             NodeStore::open(&dir_direct, StoreConfig::default(), 4, template.clone()).unwrap();
-        // Worker order, then object order within a worker: the order
-        // the merge barrier ingests the stages in.
-        for object in [0u32, 2, 1, 3] {
-            for (o, op) in commit_ops(object, 1) {
-                direct.append(o, &op).unwrap();
-            }
+        for (o, op) in interleaved_steps() {
+            direct.append(o, &op).unwrap();
         }
         direct.barrier().unwrap();
         let direct_wal = fs::read(&direct.wal_path).unwrap();
         drop(direct);
 
-        let dir_staged = tmpdir("staged-pool");
+        let dir_staged = tmpdir("staged-node");
         let (store, _, _) =
             NodeStore::open(&dir_staged, StoreConfig::default(), 4, template.clone()).unwrap();
         let staged_wal_path = store.wal_path.clone();
         let core = Arc::new(Mutex::new(store));
-        // Two workers under `object % 2`, each with its own stage.
-        let stages: Vec<Arc<Mutex<Vec<u8>>>> =
-            (0..2).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
-        for object in 0..4u32 {
-            let stage = Arc::clone(&stages[object as usize % 2]);
-            let mut h = ShardHandle::new(stage, Arc::clone(&core), ObjectId(object));
-            commit_through(&mut h, object);
+        let stage = Arc::new(Mutex::new(Vec::new()));
+        let mut handles: Vec<ShardHandle> = (0..4)
+            .map(|o| ShardHandle::new(Arc::clone(&stage), Arc::clone(&core), ObjectId(o)))
+            .collect();
+        for (o, op) in interleaved_steps() {
+            stage_through(&mut handles[o.index()], op);
         }
+        drop(handles);
         {
             let mut core = core.lock().unwrap();
-            for stage in &stages {
-                let mut stage = stage.lock().unwrap();
-                core.ingest(&mut stage);
-                assert!(stage.is_empty(), "ingest drains the stage");
-            }
+            let mut stage = stage.lock().unwrap();
+            core.ingest(&mut stage);
+            assert!(stage.is_empty(), "ingest drains the stage");
             core.barrier().unwrap();
         }
         drop(Arc::try_unwrap(core).map(|m| m.into_inner().unwrap()));
