@@ -16,8 +16,8 @@ use crate::transport::{ChannelTransport, NetStats, Transport};
 use crate::wire::{self, ClientOp, ClientReply, HELLO_CLIENT};
 use dynvote_core::{AlgorithmKind, ConfigError, SiteId, SiteSet, MAX_SITES};
 use dynvote_net::{Poller, Waker};
-use dynvote_protocol::{CountingSink, DurableState, EventTallies, ObjectId};
-use dynvote_storage::{FsyncPolicy, NodeStore, StorageError, StoreConfig};
+use dynvote_protocol::{CountingSink, EventTallies, ObjectId};
+use dynvote_storage::{FsyncPolicy, StorageError, StoreConfig};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -70,7 +70,8 @@ pub enum DurabilityMode {
     },
 }
 
-/// Booting failed before any node thread started.
+/// Booting failed before any site ran a protocol step; every site
+/// thread it started has been joined.
 #[derive(Debug)]
 pub enum BootError {
     /// The configuration was rejected by [`ClusterConfig::validate`].
@@ -458,21 +459,20 @@ impl Cluster {
     /// reactor multiplexing all of its connections around it — with
     /// [`ClusterConfig::http`], an HTTP front-door listener too.
     ///
-    /// With [`DurabilityMode::Durable`], every site's store under
-    /// `data_dir/site-<i>` is first opened and recovered, all n at once
-    /// on scoped threads joined before any node is built: an empty
-    /// directory boots the initial state, a populated one resumes where
-    /// the last process left off. The nodes are then built in site
-    /// order, each priming the audit ledger from its recovered logs. If
-    /// any store fails to open, boot returns [`BootError::Storage`] for
-    /// the lowest failing site having bound and spawned nothing. The
-    /// amnesiac path spawns no thread but the sites'.
+    /// Each site thread builds its own node: with
+    /// [`DurabilityMode::Durable`] it first opens and recovers its store
+    /// under `data_dir/site-<i>` (an empty directory boots the initial
+    /// state, a populated one resumes where the last process left off)
+    /// and primes the audit ledger from the recovered logs. It then
+    /// reports ready and waits for go, which boot sends once every site
+    /// is ready, so no site runs a protocol step before every store is
+    /// open and every log primed. If any store fails to open, boot
+    /// joins every site thread, which drops its listeners unrun, and
+    /// returns [`BootError::Storage`] for the lowest failing site.
     pub fn boot(config: &ClusterConfig) -> Result<Self, BootError> {
         config.validate()?;
-        let stores = open_stores(config)?;
         let n = config.n;
-        let objects = config.objects;
-        let ledger = Arc::new(ClusterLedger::new(objects));
+        let ledger = Arc::new(ClusterLedger::new(config.objects));
         let events = Arc::new(CountingSink::new());
         let (senders, receivers): (Vec<Sender<NodeEvent>>, Vec<_>) =
             (0..n).map(|_| mpsc::channel()).unzip();
@@ -500,59 +500,51 @@ impl Cluster {
             }
         }
 
+        let shared = Arc::new(config.clone());
         let mut inboxes = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
-        let mut shard_stats = Vec::with_capacity(n);
-        for ((i, rx), opened) in receivers.into_iter().enumerate().zip(stores) {
-            let id = SiteId(i as u8);
+        let mut readies = Vec::with_capacity(n);
+        let mut gos = Vec::with_capacity(n);
+        for (i, rx) in receivers.into_iter().enumerate() {
+            let (ready, ready_rx) = mpsc::channel();
+            let (go_tx, go) = mpsc::channel();
+            readies.push(ready_rx);
+            gos.push(go_tx);
+            let site = SiteBoot {
+                config: Arc::clone(&shared),
+                id: SiteId(i as u8),
+                ledger: Arc::clone(&ledger),
+                events: Arc::clone(&events),
+                ready,
+                go,
+            };
             let thread = thread::Builder::new().name(format!("dynvote-node-{i}"));
             let (waker, handle) = match config.transport {
                 TransportKind::Channel => {
-                    let transport = ChannelTransport::new(id, senders.clone());
-                    let node = build_node(config, id, transport, opened, &ledger, &events);
-                    shard_stats.push(node.shard_stats());
-                    (None, thread.spawn(move || node.run(rx)))
+                    let senders = senders.clone();
+                    (None, thread.spawn(move || site.run_channel(rx, senders)))
                 }
                 TransportKind::Tcp => {
-                    let stats = Arc::new(NetStats::new());
-                    let transport = ReactorTransport::new(n, Arc::clone(&stats));
-                    let mut node = build_node(config, id, transport, opened, &ledger, &events);
-                    node.set_net_stats(Arc::clone(&stats));
-                    shard_stats.push(node.shard_stats());
-                    let front = config.http.as_ref().map(|http| {
-                        Arc::new(FrontDoor::new(
-                            id,
-                            config.algorithm.to_string(),
-                            objects as u32,
-                            http.max_inflight,
-                            Arc::clone(&events),
-                            Arc::clone(&stats),
-                            node.shard_stats(),
-                        ))
-                    });
                     // The poller/waker pair exists before the thread
                     // does, so the inbox can hold the waker from the
                     // start.
                     let poller = Poller::new().expect("create epoll instance");
                     let waker = Waker::new(&poller, TOKEN_WAKER).expect("create reactor waker");
-                    let reactor = Reactor::new(
-                        poller,
-                        waker.clone(),
-                        node,
-                        rx,
-                        ReactorConfig {
-                            site: id,
-                            peer_addrs: addrs.clone(),
-                            listener: listeners[i].take().expect("listener bound above"),
-                            http_listener: http_listeners[i].take(),
-                            backoff: config.node.backoff,
-                            front,
-                            max_conns: config.http.as_ref().map_or(8192, |http| http.max_conns),
-                            stats,
-                        },
+                    let reactor = ReactorConfig {
+                        site: site.id,
+                        peer_addrs: addrs.clone(),
+                        listener: listeners[i].take().expect("listener bound above"),
+                        http_listener: http_listeners[i].take(),
+                        backoff: config.node.backoff,
+                        front: None,
+                        max_conns: config.http.as_ref().map_or(8192, |http| http.max_conns),
+                        stats: Arc::new(NetStats::new()),
+                    };
+                    let reactor_waker = waker.clone();
+                    (
+                        Some(waker),
+                        thread.spawn(move || site.run_tcp(rx, poller, reactor_waker, reactor)),
                     )
-                    .expect("register reactor listeners");
-                    (Some(waker), thread.spawn(move || reactor.run()))
                 }
             };
             inboxes.push(Inbox {
@@ -560,6 +552,34 @@ impl Cluster {
                 waker,
             });
             handles.push(handle.expect("spawn site thread"));
+        }
+
+        // Reports are taken in site order, so the first failure is the
+        // lowest failing site's. Dropping every go sender then releases
+        // each waiting site unrun.
+        let ready: Result<Vec<_>, BootError> = readies
+            .iter()
+            .enumerate()
+            .map(|(i, ready)| {
+                let report = ready.recv().expect("site thread panicked while booting");
+                report.map_err(|error| BootError::Storage {
+                    site: SiteId(i as u8),
+                    error,
+                })
+            })
+            .collect();
+        let shard_stats = match ready {
+            Ok(shard_stats) => shard_stats,
+            Err(error) => {
+                drop(gos);
+                for handle in handles {
+                    let _ = handle.join();
+                }
+                return Err(error);
+            }
+        };
+        for go in &gos {
+            let _ = go.send(());
         }
 
         Ok(Cluster {
@@ -742,83 +762,116 @@ impl Cluster {
     }
 }
 
-/// One site's data directory, its store opened and recovered from it,
-/// and the per-object states recovery returned.
-type OpenedStore = (NodeDurability, NodeStore, Vec<DurableState>);
-
-/// Under [`DurabilityMode::Durable`], open and recover every site's
-/// store at once, one scoped thread per site, and join them all; `None`
-/// per site when amnesiac, which spawns nothing. Each open forces
-/// several writes, so a sequential boot would queue n sites' worth of
-/// them. A failure names the lowest failing site: results are taken in
-/// site order, and the scope joins every open before it returns.
-fn open_stores(config: &ClusterConfig) -> Result<Vec<Option<OpenedStore>>, BootError> {
-    let DurabilityMode::Durable { data_dir, fsync } = &config.durability else {
-        return Ok((0..config.n).map(|_| None).collect());
-    };
-    thread::scope(|scope| {
-        let opens: Vec<_> = (0..config.n)
-            .map(|i| {
-                let durability = NodeDurability {
-                    dir: data_dir.join(format!("site-{i}")),
-                    store: StoreConfig {
-                        fsync: *fsync,
-                        ..StoreConfig::default()
-                    },
-                };
-                scope.spawn(move || {
-                    let (store, states, _) = durability.open(config.n, config.objects)?;
-                    Ok(Some((durability, store, states)))
-                })
-            })
-            .collect();
-        opens
-            .into_iter()
-            .enumerate()
-            .map(|(i, open)| {
-                open.join()
-                    .expect("store open panicked")
-                    .map_err(|error| BootError::Storage {
-                        site: SiteId(i as u8),
-                        error,
-                    })
-            })
-            .collect()
-    })
+/// What a site thread builds its node from, and its half of the boot
+/// barrier.
+struct SiteBoot {
+    config: Arc<ClusterConfig>,
+    id: SiteId,
+    ledger: Arc<ClusterLedger>,
+    events: Arc<CountingSink>,
+    /// The site's one ready report: its node's counters, or why its
+    /// store failed to open.
+    ready: Sender<Result<Arc<ShardStats>, StorageError>>,
+    /// Go, sent once every site is ready; dropped unsent when any
+    /// site's open failed.
+    go: Receiver<()>,
 }
 
-/// Site `id`'s node sending through `transport`, installed on its
-/// opened store (if durable) with the ledger primed from it, ready for
-/// its host.
-fn build_node<T: Transport>(
-    config: &ClusterConfig,
-    id: SiteId,
-    transport: T,
-    opened: Option<OpenedStore>,
-    ledger: &Arc<ClusterLedger>,
-    events: &Arc<CountingSink>,
-) -> Node<T> {
-    let mut node = Node::new(
-        id,
-        config.n,
-        config.objects,
-        config.algorithm,
-        config.node,
-        transport,
-        Arc::clone(ledger),
-    );
-    node.set_max_batch(config.max_batch);
-    if let Some((durability, store, states)) = opened {
-        node.enable_durability(durability, store, states);
-        // The audit ledger must start from the history the disks
-        // already hold, or the first post-reboot commit would be
-        // flagged as a version gap — per object, since every shard has
-        // its own chain.
-        for o in 0..config.objects {
-            let object = ObjectId(o as u32);
-            ledger.prime(object, node.recovered_log(object));
+impl SiteBoot {
+    /// Report `built` and wait for go: the host to run, or `None` when
+    /// this site or another failed to open, so the thread returns
+    /// without a protocol step.
+    fn pass<H>(self, built: Result<(H, Arc<ShardStats>), StorageError>) -> Option<H> {
+        let (host, report) = match built {
+            Ok((host, stats)) => (Some(host), Ok(stats)),
+            Err(error) => (None, Err(error)),
+        };
+        self.ready.send(report).ok()?;
+        self.go.recv().ok()?;
+        host
+    }
+
+    /// A channel site's thread: build the node, pass the barrier, run.
+    fn run_channel(self, inbox: Receiver<NodeEvent>, senders: Vec<Sender<NodeEvent>>) {
+        let built = self
+            .node(ChannelTransport::new(self.id, senders))
+            .map(|node| {
+                let stats = node.shard_stats();
+                (node, stats)
+            });
+        if let Some(node) = self.pass(built) {
+            node.run(inbox);
         }
     }
-    node.set_event_sink(Arc::clone(events), config.trace);
-    node
+
+    /// A TCP site's thread: build the node and its front door into a
+    /// reactor around the poller and sockets boot made for it, pass
+    /// the barrier, run.
+    fn run_tcp(
+        self,
+        inbox: Receiver<NodeEvent>,
+        poller: Poller,
+        waker: Waker,
+        mut reactor: ReactorConfig,
+    ) {
+        let transport = ReactorTransport::new(self.config.n, Arc::clone(&reactor.stats));
+        let built = self.node(transport).map(|mut node| {
+            node.set_net_stats(Arc::clone(&reactor.stats));
+            let stats = node.shard_stats();
+            reactor.front = self.config.http.as_ref().map(|http| {
+                Arc::new(FrontDoor::new(
+                    self.id,
+                    self.config.algorithm.to_string(),
+                    self.config.objects as u32,
+                    http.max_inflight,
+                    Arc::clone(&self.events),
+                    Arc::clone(&reactor.stats),
+                    node.shard_stats(),
+                ))
+            });
+            let reactor = Reactor::new(poller, waker, node, inbox, reactor)
+                .expect("register reactor listeners");
+            (reactor, stats)
+        });
+        if let Some(reactor) = self.pass(built) {
+            reactor.run();
+        }
+    }
+
+    /// This site's node sending through `transport`: opened and
+    /// recovered from its data directory if durable, with the ledger
+    /// primed from it, ready for its host.
+    fn node<T: Transport>(&self, transport: T) -> Result<Node<T>, StorageError> {
+        let config = &self.config;
+        let mut node = Node::new(
+            self.id,
+            config.n,
+            config.objects,
+            config.algorithm,
+            config.node,
+            transport,
+            Arc::clone(&self.ledger),
+        );
+        node.set_max_batch(config.max_batch);
+        if let DurabilityMode::Durable { data_dir, fsync } = &config.durability {
+            node.enable_durability(NodeDurability {
+                dir: data_dir.join(format!("site-{}", self.id.index())),
+                store: StoreConfig {
+                    fsync: *fsync,
+                    ..StoreConfig::default()
+                },
+            })?;
+            // The audit ledger must start from the history the disks
+            // already hold, or the first post-reboot commit would be
+            // flagged as a version gap — per object, since every shard
+            // has its own chain. Sites prime concurrently: `prime`
+            // converges on the longest recovered prefix in any order.
+            for o in 0..config.objects {
+                let object = ObjectId(o as u32);
+                self.ledger.prime(object, node.recovered_log(object));
+            }
+        }
+        node.set_event_sink(Arc::clone(&self.events), config.trace);
+        Ok(node)
+    }
 }

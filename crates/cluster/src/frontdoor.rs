@@ -181,44 +181,37 @@ impl FrontDoor {
         // merge_barriers, merge_wait_ns, pipeline_queue_peak,
         // pipeline_batch(8)], with `worker="0"` on the one-thread rows.
         let shard = self.shard.snapshot();
-        let workers = self.shard.workers();
         out.push_str("# TYPE dynvote_shard_worker_dispatched_total counter\n");
-        for (w, count) in shard.iter().take(workers).enumerate() {
-            out.push_str(&format!(
-                "dynvote_shard_worker_dispatched_total{{site=\"{site}\",worker=\"{w}\"}} {count}\n"
-            ));
-        }
+        out.push_str(&format!(
+            "dynvote_shard_worker_dispatched_total{{site=\"{site}\",worker=\"0\"}} {}\n",
+            shard[0]
+        ));
         out.push_str("# TYPE dynvote_shard_worker_queue_peak gauge\n");
-        for (w, count) in shard.iter().skip(workers).take(workers).enumerate() {
-            out.push_str(&format!(
-                "dynvote_shard_worker_queue_peak{{site=\"{site}\",worker=\"{w}\"}} {count}\n"
-            ));
-        }
+        out.push_str(&format!(
+            "dynvote_shard_worker_queue_peak{{site=\"{site}\",worker=\"0\"}} {}\n",
+            shard[1]
+        ));
         out.push_str("# TYPE dynvote_shard_merge_barriers_total counter\n");
         out.push_str(&format!(
             "dynvote_shard_merge_barriers_total{{site=\"{site}\"}} {}\n",
-            shard[2 * workers]
+            shard[2]
         ));
         out.push_str("# TYPE dynvote_shard_merge_wait_seconds_total counter\n");
         out.push_str(&format!(
             "dynvote_shard_merge_wait_seconds_total{{site=\"{site}\"}} {:.9}\n",
-            shard[2 * workers + 1] as f64 / 1e9
+            shard[3] as f64 / 1e9
         ));
         // Commit-pipelining counters: the per-object FIFO's depth peak,
         // then the 8-bucket batch-size histogram (rounds sealed per
         // ops-per-round).
         out.push_str("# TYPE dynvote_pipeline_queue_peak gauge\n");
-        for (w, count) in shard.iter().skip(2 * workers + 2).take(workers).enumerate() {
-            out.push_str(&format!(
-                "dynvote_pipeline_queue_peak{{site=\"{site}\",worker=\"{w}\"}} {count}\n"
-            ));
-        }
+        out.push_str(&format!(
+            "dynvote_pipeline_queue_peak{{site=\"{site}\",worker=\"0\"}} {}\n",
+            shard[4]
+        ));
         out.push_str("# TYPE dynvote_pipeline_batch_total histogram\n");
         let mut rounds = 0u64;
-        for (bound, count) in ShardStats::BATCH_BUCKETS
-            .iter()
-            .zip(shard.iter().skip(3 * workers + 2))
-        {
+        for (bound, count) in ShardStats::BATCH_BUCKETS.iter().zip(&shard[5..]) {
             rounds += count;
             let le = if *bound == u64::MAX {
                 "+Inf".to_owned()

@@ -353,7 +353,7 @@ impl NodeDurability {
     /// Open and recover the store of a site of an `n`-site cluster
     /// hosting `objects` objects: the store, every object's recovered
     /// state, and what recovery found. Touches only this site's
-    /// directory, so sites may open concurrently.
+    /// directory, so every site thread opens its own at boot.
     pub fn open(
         &self,
         n: usize,
@@ -538,29 +538,25 @@ impl<T: Transport> Node<T> {
         self.max_batch = max_batch.max(1);
     }
 
-    /// Give this node a data directory and the store already opened on
-    /// it by [`NodeDurability::open`], with the per-object states its
-    /// recovery returned. The kernels are rebuilt from those states and
-    /// every shard's [`dynvote_protocol::Persistence`] hook is wired to
-    /// the store, so every durable-write point (prepare records, commit
-    /// records, log appends, metadata installs) reaches the WAL before
-    /// the action that announced it leaves the node.
-    ///
-    /// Opening is the caller's step so that a cluster can open every
-    /// site's store at once. Call before [`Node::run`].
+    /// Give this node a data directory: open and recover its store
+    /// ([`NodeDurability::open`]) and rebuild the kernels from the
+    /// per-object states recovery returned. Every shard's
+    /// [`dynvote_protocol::Persistence`] hook is wired to the store, so
+    /// every durable-write point (prepare records, commit records, log
+    /// appends, metadata installs) reaches the WAL before the action
+    /// that announced it leaves the node. Call before [`Node::run`], on
+    /// the thread that will run the node.
     pub fn enable_durability(
         &mut self,
         durability: NodeDurability,
-        store: NodeStore,
-        states: Vec<DurableState>,
-    ) {
+    ) -> Result<RecoveryReport, StorageError> {
         self.durability = Some(durability);
-        self.install_store(store, states);
+        self.reload_site_from_disk()
     }
 
     /// (Re)open the data directory and rebuild the kernels from what it
-    /// holds, discarding process memory. The in-process stand-in for a
-    /// machine reboot.
+    /// holds, discarding process memory. Boot, and the in-process
+    /// stand-in for a machine reboot.
     pub(crate) fn reload_site_from_disk(&mut self) -> Result<RecoveryReport, StorageError> {
         let durability = self.durability.as_ref().expect("durability configured");
         let (store, states, report) = durability.open(self.n, self.objects)?;
@@ -571,8 +567,7 @@ impl<T: Transport> Node<T> {
     /// Swap in kernels restored from `states` and hook each shard's
     /// persistence up to `store` through a [`ShardHandle`] on the node's
     /// stage, drained at the merge barrier into a single checksummed
-    /// record. The event sink, if any, is re-installed. Boot and reboot
-    /// both come through here.
+    /// record. The event sink, if any, is re-installed.
     fn install_store(&mut self, store: NodeStore, states: Vec<DurableState>) {
         let mut site = ShardedSite::restore(self.id, self.n, states, || {
             self.algorithm.instantiate(self.n)

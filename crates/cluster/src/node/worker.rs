@@ -89,13 +89,6 @@ impl ShardStats {
         }
     }
 
-    /// Always 1: a node runs its kernels on one thread. The `worker`
-    /// rows of [`Self::snapshot`] and `/metrics` keep this index.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        1
-    }
-
     fn note_dispatch(&self) {
         self.dispatched.fetch_add(1, Ordering::Relaxed);
     }

@@ -114,8 +114,9 @@ fn shutdown_joins_every_thread() {
     );
 
     // A boot whose stores fail to open leaves nothing running, on
-    // either transport: every store is opened before any site thread
-    // is spawned, and the error names the lowest failing site.
+    // either transport: boot joins every site thread, whether its own
+    // open failed or it was waiting for go, and the error names the
+    // lowest failing site.
     for transport in [TransportKind::Channel, TransportKind::Tcp] {
         let dir = std::env::temp_dir().join(format!(
             "dynvote-teardown-boot-{}-{transport:?}",
@@ -141,4 +142,39 @@ fn shutdown_joins_every_thread() {
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    // Only the lowest site fails: every other site opens its store,
+    // builds its node and waits for a go that never comes. Under TCP at
+    // a fixed port base, the failed boot also releases every port, so
+    // booting again there on a good directory succeeds at once.
+    for transport in [TransportKind::Channel, TransportKind::Tcp] {
+        let dir = std::env::temp_dir().join(format!(
+            "dynvote-teardown-site0-{}-{transport:?}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("site-0"), b"not a directory").unwrap();
+        let mut config = ClusterConfig::new(5, AlgorithmKind::Hybrid)
+            .with_transport(transport)
+            .with_data_dir(&dir, FsyncPolicy::Always);
+        if transport == TransportKind::Tcp {
+            config = config.with_port_base(7880);
+        }
+        match Cluster::boot(&config) {
+            Err(BootError::Storage { site, .. }) => assert_eq!(site, SiteId(0), "{transport:?}"),
+            Err(other) => panic!("{transport:?}: expected a storage error, got {other}"),
+            Ok(_) => panic!("{transport:?}: boot over a regular file must fail"),
+        }
+        let after = dynvote_threads();
+        assert!(
+            after.is_empty(),
+            "{transport:?}: threads left running by a failed boot: {after:?}"
+        );
+        std::fs::remove_file(dir.join("site-0")).unwrap();
+        run_and_shutdown(&config);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    let after = dynvote_threads();
+    assert!(after.is_empty(), "threads leaked past reboot: {after:?}");
 }

@@ -82,12 +82,17 @@ impl NodeStore {
     ///
     /// Returns the store, the recovered per-object states (always at
     /// least `objects` long — longer if the directory holds more
-    /// objects than configured), and a [`RecoveryReport`]. The open
-    /// always ends with a boot rotation: the recovered states are
-    /// snapshotted at a fresh epoch and every older file — including
-    /// any torn segment — is deleted. When `open` creates `dir`, it
-    /// also fsyncs the parent directory, so the new directory's own
-    /// entry is as durable as the files inside it.
+    /// objects than configured), and a [`RecoveryReport`]. Every open
+    /// starts a fresh, forced segment one epoch past anything on disk,
+    /// so every life writes its own. A directory with history ends its
+    /// open with a boot rotation: the recovered states are snapshotted
+    /// at that epoch and every older file — including any torn
+    /// segment — is deleted. A directory with nothing to recover gets
+    /// `wal-1` alone: its states are the template, which is what
+    /// recovery starts from when no snapshot exists. When `open`
+    /// creates `dir`, it also fsyncs the parent directory once the
+    /// segment is down, so the new directory's own entry is as durable
+    /// as the file inside it.
     ///
     /// `open` touches nothing outside `dir` but that parent fsync, so
     /// stores in different directories may be opened concurrently.
@@ -100,18 +105,23 @@ impl NodeStore {
         assert!(objects >= 1, "a node hosts at least one object");
         let created = !dir.is_dir();
         io_err(dir, fs::create_dir_all(dir))?;
+        let (states, report, max_epoch) = recover_multi(dir, &template, objects)?;
+        let epoch = max_epoch + 1;
+
+        let (wal, wal_path) = if max_epoch == 0 {
+            create_segment(dir, epoch)?
+        } else {
+            let mut payload = Vec::with_capacity(1024 * states.len());
+            encode_states_into(&mut payload, &states);
+            write_snapshot_bytes(dir, epoch, &payload)?;
+            let segment = create_segment(dir, epoch)?;
+            compact(dir, epoch)?;
+            segment
+        };
         if created {
             let parent = dir.parent().filter(|p| !p.as_os_str().is_empty());
             fsync_dir(parent.unwrap_or(Path::new(".")))?;
         }
-        let (states, report, max_epoch) = recover_multi(dir, &template, objects)?;
-        let epoch = max_epoch + 1;
-
-        let mut payload = Vec::with_capacity(1024 * states.len());
-        encode_states_into(&mut payload, &states);
-        write_snapshot_bytes(dir, epoch, &payload)?;
-        let (wal, wal_path) = create_segment(dir, epoch)?;
-        compact(dir, epoch)?;
 
         let store = NodeStore {
             dir: dir.to_path_buf(),
@@ -130,7 +140,9 @@ impl NodeStore {
     /// Read-only recovery: reconstruct the per-object states a crashed
     /// node would boot with, without creating, truncating, rotating, or
     /// deleting anything. Objects are discovered from disk (`template`
-    /// seeds any object a replayed op names that the snapshot did not).
+    /// seeds any object a replayed op names that the snapshot did not),
+    /// so a store that has never rebooted, and so holds no snapshot,
+    /// lists only the objects its WAL names (always at least one).
     /// This is what `dynvote recover` prints per-object stats from.
     pub fn inspect(
         dir: &Path,
@@ -530,7 +542,11 @@ mod tests {
         assert!(report.truncated.is_some());
         assert_eq!(report.records_replayed, 1);
         assert_eq!(states[0].meta.version, 1, "first batch survives whole");
-        assert_eq!(states[1].meta.version, 0, "torn batch fully discarded");
+        // No snapshot lists object 1, so only a surviving op could.
+        assert!(
+            states.len() < 2 || states[1].meta.version == 0,
+            "torn batch fully discarded"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -17,15 +17,18 @@
 //! **Recovery** inverts this: load the newest snapshot that passes its
 //! CRC (falling back to older ones if the newest is corrupt), replay
 //! every WAL segment of an epoch ≥ the snapshot's in ascending order,
-//! and stop at the first torn record (see [`crate::wal`]). Opening a
-//! store always ends with a rotation, so each boot starts from a clean
-//! `snapshot + empty WAL` pair and torn tails are physically discarded,
-//! not just skipped.
+//! and stop at the first torn record (see [`crate::wal`]). Every open
+//! starts a fresh, empty segment, so each life writes its own. Opening
+//! a store with history ends with a rotation, so that boot starts from
+//! a clean `snapshot + empty WAL` pair and torn tails are physically
+//! discarded, not just skipped. A directory with nothing to recover
+//! gets only `wal-1`: no snapshot is what recovery reads as the initial
+//! state anyway.
 
 use crate::crc32::crc32;
 use crate::wal::{TornReason, MAX_RECORD, SNAP_MAGIC_MULTI, WAL_MAGIC_MULTI};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// When (and whether) sealed records reach the platter.
@@ -178,14 +181,16 @@ pub(crate) fn parse_epoch(name: &str, prefix: &str) -> Option<u64> {
     name.strip_prefix(prefix)?.parse().ok()
 }
 
+/// Make the creates, renames and removals in `dir` durable. A directory
+/// that cannot be opened, or whose sync fails, is an error; only a
+/// filesystem that refuses to sync a directory handle at all
+/// (`InvalidInput`/`Unsupported`) is skipped, as production WALs do.
 pub(crate) fn fsync_dir(dir: &Path) -> Result<(), StorageError> {
-    // Directory fsync makes renames/creates/removals durable; some
-    // filesystems refuse to sync a directory handle — treat that as
-    // best-effort, matching what production WALs do.
-    if let Ok(handle) = File::open(dir) {
-        let _ = handle.sync_all();
+    let handle = io_err(dir, File::open(dir))?;
+    match handle.sync_all() {
+        Err(e) if matches!(e.kind(), ErrorKind::InvalidInput | ErrorKind::Unsupported) => Ok(()),
+        synced => io_err(dir, synced),
     }
-    Ok(())
 }
 
 /// List the snapshot and WAL epochs present in `dir`, sorted ascending.
@@ -300,4 +305,18 @@ pub(crate) fn compact(dir: &Path, keep: u64) -> Result<(), StorageError> {
     }
     fsync_dir(dir)?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fsync_dir_reports_a_missing_directory() {
+        let missing =
+            std::env::temp_dir().join(format!("dynvote-fsync-dir-missing-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&missing);
+        assert!(fsync_dir(&missing).is_err(), "a missing directory synced");
+        assert!(fsync_dir(&std::env::temp_dir()).is_ok());
+    }
 }

@@ -132,6 +132,16 @@ fn live_wal(dir: &PathBuf) -> PathBuf {
     dir.join(format!("wal-{:016}", wals.last().unwrap()))
 }
 
+/// Every file in `dir`, sorted.
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
 #[test]
 fn fresh_directory_boots_initial_state() {
     let dir = temp_dir("fresh");
@@ -141,6 +151,27 @@ fn fresh_directory_boots_initial_state() {
     assert_eq!(report.records_replayed, 0);
     assert!(report.truncated.is_none());
     assert_eq!(store.epoch(), 1);
+    // Nothing to recover, so nothing to snapshot: one forced segment.
+    assert_eq!(file_names(&dir), ["wal-0000000000000001"]);
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn fresh_store_dropped_before_any_barrier_reopens_initial() {
+    let dir = temp_dir("fresh-drop");
+    drop(open(&dir, always(), 3));
+    // The reopen has a segment to recover, so it rotates.
+    let (store, state, report) = open(&dir, always(), 3);
+    assert_eq!(state, initial_state(3));
+    assert!(report.truncated.is_none());
+    assert_eq!(report.segments_replayed, 1);
+    assert_eq!(report.records_replayed, 0);
+    assert_eq!(store.epoch(), 2);
+    assert_eq!(
+        file_names(&dir),
+        ["snap-0000000000000002", "wal-0000000000000002"]
+    );
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -179,12 +210,10 @@ fn rotation_compacts_and_recovery_uses_the_snapshot() {
         store.rotate(std::slice::from_ref(&state)).unwrap();
         assert_eq!(store.epoch(), 2);
         // Epoch-1 files are gone; only the new pair remains.
-        let names: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        assert_eq!(names.len(), 2, "{names:?}");
-        assert!(names.iter().all(|n| n.ends_with(&format!("{:016}", 2))));
+        assert_eq!(
+            file_names(&dir),
+            ["snap-0000000000000002", "wal-0000000000000002"]
+        );
     }
     let (_store, state, report) = open(&dir, always(), 3);
     assert_eq!(state, reference_after(&ops));
@@ -329,17 +358,19 @@ fn corruption_matrix_truncate_bitflip_zerofill() {
 fn corrupt_snapshot_falls_back_to_older_one() {
     let dir = temp_dir("snapfall");
     let ops = sample_ops();
+    // A fresh open writes no snapshot; the reopen rotates to `snap-2`.
+    drop(open(&dir, always(), 3));
     {
         let (mut store, _, _) = open(&dir, always(), 3);
         append_sealed(&mut store, &ops);
     }
     // Plant a garbage "newest" snapshot; recovery must skip it, use the
-    // epoch-1 snapshot, and still replay the epoch-1 WAL.
+    // epoch-2 snapshot, and still replay the epoch-2 WAL.
     std::fs::write(dir.join(format!("snap-{:016}", 7)), b"not a snapshot").unwrap();
     let (_s, state, report) = open(&dir, always(), 3);
     assert_eq!(state, reference_after(&ops));
     assert_eq!(report.corrupt_snapshots, 1);
-    assert_eq!(report.snapshot_epoch, Some(1));
+    assert_eq!(report.snapshot_epoch, Some(2));
     assert_eq!(report.records_replayed, ops.len() as u64);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -405,26 +436,11 @@ fn inspect_is_read_only() {
         let (mut store, _, _) = open(&dir, always(), 3);
         append_sealed(&mut store, &ops);
     }
-    let before: Vec<_> = {
-        let mut v: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        v.sort();
-        v
-    };
+    let before = file_names(&dir);
     let (states, report) = NodeStore::inspect(&dir, initial_state(3)).unwrap();
     assert_eq!(states, vec![reference_after(&ops)]);
     assert_eq!(report.records_replayed, ops.len() as u64);
-    let after: Vec<_> = {
-        let mut v: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        v.sort();
-        v
-    };
-    assert_eq!(before, after, "inspect changed the directory");
+    assert_eq!(before, file_names(&dir), "inspect changed the directory");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
