@@ -7,11 +7,11 @@
 //!    staged into, and answer the ops refused at a per-object queue
 //!    bound. Started client requests were parked on their transactions
 //!    and restart transactions tagged as the kernels ran.
-//! 2. **WAL barrier** — ingest the node's staging buffer into the
-//!    shared [`dynvote_storage::NodeStore`] and seal it as **one**
-//!    checksummed group-commit record behind one fsync. Only after
-//!    this may anything be announced: nothing leaves the node before
-//!    this point.
+//! 2. **WAL barrier** — encode the batch's [`Action::Persist`] effects,
+//!    in emission order, into the node's [`dynvote_storage::NodeStore`]
+//!    and seal them as **one** checksummed group-commit record behind
+//!    one fsync. Only after this may anything be announced: nothing
+//!    leaves the node before this point.
 //! 3. **Ledger** — record commits in the cluster ledger before the
 //!    fan-out can trigger a dependent commit on another node.
 //! 4. **Dispatch** — sends and broadcasts go to the transport's batch
@@ -30,6 +30,7 @@ use super::{Node, Route};
 use crate::transport::Transport;
 use crate::wire::ClientReply;
 use dynvote_core::SiteId;
+use dynvote_protocol::persist::effects;
 use dynvote_protocol::{Action, CloseCause, Hint, ResolveReason, SiteActor, TxnId};
 use std::collections::HashMap;
 
@@ -53,14 +54,19 @@ impl<T: Transport> Node<T> {
             self.answer(client, ClientReply::Overloaded);
         }
 
-        // Group-commit barrier: every WAL op the batch staged is sealed
-        // as one record and fsynced (per the fsync policy) before any
-        // send or client reply below announces it. One fsync covers
-        // every object the batch touched.
-        if let Some(core) = &self.store {
-            let mut core = core.lock().expect("store poisoned");
-            core.ingest(&mut self.stage.lock().expect("stage poisoned"));
-            core.barrier().expect("WAL barrier");
+        // Group-commit barrier: every persist effect the batch emitted
+        // is sealed as one record and fsynced (per the fsync policy)
+        // before any send or client reply below announces it. One fsync
+        // covers every object the batch touched.
+        if let Some(store) = &mut self.store {
+            for (object, effect) in effects(&batch) {
+                let shard = self
+                    .site
+                    .shard(object)
+                    .expect("an effect names its own shard");
+                store.append_effect(object, &effect, shard.log());
+            }
+            store.barrier().expect("WAL barrier");
         }
 
         // Ledger bookkeeping before the fan-out: a commit must be
@@ -157,7 +163,7 @@ impl<T: Transport> Node<T> {
                 // Group mode is a multi-file transaction-manager hook;
                 // the live cluster runs single-file updates only.
                 Action::DecisionReady { .. } => {}
-                Action::CommitRecorded { .. } => {} // handled above
+                Action::CommitRecorded { .. } | Action::Persist { .. } => {} // handled above
                 Action::Hint(Hint::Unanswered {
                     cause: CloseCause::Suspected,
                     ..

@@ -29,10 +29,11 @@
 //! * **worker** (`node/worker.rs`) — the kernel step: every event runs
 //!   its shard into one scratch buffer, then the object's commit-
 //!   pipelining FIFO is pumped.
-//! * **merge** (`node/merge.rs`) — the barrier that seals the batch's
-//!   staged WAL ops as **one** [`NodeStore`] group-commit record behind
-//!   one fsync, and only then dispatches the staged sends and client
-//!   replies through the transport's batch encoder. The force-write
+//! * **merge** (`node/merge.rs`) — the barrier that encodes the batch's
+//!   persist effects into the node's own [`NodeStore`] and seals them as
+//!   **one** group-commit record behind one fsync, and only then
+//!   dispatches the staged sends and client replies through the
+//!   transport's batch encoder. The force-write
 //!   discipline is intact — nothing announced is ever lost — but the
 //!   fsync is amortized across every object the batch touched.
 //! * **route** (`node/route.rs`) — single-writer routing: the volatile
@@ -78,7 +79,7 @@ use dynvote_protocol::{
     Action, CountingSink, DurableState, EventSink, FanoutSink, LogEntry, Message, ObjectId,
     RenderSink, ShardedSite, TimerKind, TxnId,
 };
-use dynvote_storage::{NodeStore, RecoveryReport, ShardHandle, StorageError, StoreConfig};
+use dynvote_storage::{NodeStore, RecoveryReport, StorageError, StoreConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
@@ -418,10 +419,10 @@ pub struct Node<T: Transport> {
     /// every [`ClientOp::Recover`] reloads the kernels' durable state
     /// from disk instead of trusting process memory.
     pub(crate) durability: Option<NodeDurability>,
-    /// The shared multi-object store behind every shard's persistence
-    /// hook, kept so the merge barrier can issue the group-commit
-    /// record and drive WAL rotation. `None` for amnesiac nodes.
-    pub(crate) store: Option<Arc<Mutex<NodeStore>>>,
+    /// The node's multi-object store: the merge barrier encodes every
+    /// shard's persist effects into it, seals them as one group-commit
+    /// record, and drives WAL rotation. `None` for amnesiac nodes.
+    pub(crate) store: Option<NodeStore>,
     /// The installed event sink, kept so a disk reboot can re-install
     /// it on the freshly restored kernel.
     pub(crate) sink: Option<Arc<dyn EventSink>>,
@@ -458,10 +459,6 @@ pub struct Node<T: Transport> {
     /// The node's observability counters, answering
     /// [`ClientOp::ShardStats`] and shared with the front door.
     pub(crate) shard_stats: Arc<ShardStats>,
-    /// The WAL staging buffer every shard's persistence hook encodes
-    /// keyed ops into; the merge barrier drains it into the store — one
-    /// record, one fsync.
-    pub(crate) stage: Arc<Mutex<Vec<u8>>>,
     /// Clients parked on in-flight transactions. A pipelined round
     /// carries many client ops, so one transaction parks a payload-
     /// ordered list; every entry is resolved (exactly once) when the
@@ -515,7 +512,6 @@ impl<T: Transport> Node<T> {
             net: None,
             max_batch: DEFAULT_MAX_BATCH,
             shard_stats: Arc::new(ShardStats::new(n)),
-            stage: Arc::default(),
             pending: HashMap::new(),
             routes: route::Routes::default(),
             restart_txns: HashSet::new(),
@@ -540,12 +536,12 @@ impl<T: Transport> Node<T> {
 
     /// Give this node a data directory: open and recover its store
     /// ([`NodeDurability::open`]) and rebuild the kernels from the
-    /// per-object states recovery returned. Every shard's
-    /// [`dynvote_protocol::Persistence`] hook is wired to the store, so
-    /// every durable-write point (prepare records, commit records, log
+    /// per-object states recovery returned. From then on every
+    /// durable-write point (prepare records, commit records, log
     /// appends, metadata installs) reaches the WAL before the action
-    /// that announced it leaves the node. Call before [`Node::run`], on
-    /// the thread that will run the node.
+    /// that announced it leaves the node: the merge barrier seals the
+    /// batch's [`Action::Persist`] effects first. Call before
+    /// [`Node::run`], on the thread that will run the node.
     pub fn enable_durability(
         &mut self,
         durability: NodeDurability,
@@ -564,10 +560,8 @@ impl<T: Transport> Node<T> {
         Ok(report)
     }
 
-    /// Swap in kernels restored from `states` and hook each shard's
-    /// persistence up to `store` through a [`ShardHandle`] on the node's
-    /// stage, drained at the merge barrier into a single checksummed
-    /// record. The event sink, if any, is re-installed.
+    /// Swap in kernels restored from `states` and the `store` their
+    /// effects are sealed into. The event sink, if any, is re-installed.
     fn install_store(&mut self, store: NodeStore, states: Vec<DurableState>) {
         let mut site = ShardedSite::restore(self.id, self.n, states, || {
             self.algorithm.instantiate(self.n)
@@ -575,17 +569,8 @@ impl<T: Transport> Node<T> {
         if let Some(sink) = &self.sink {
             site.set_sink(Arc::clone(sink));
         }
-        let core = Arc::new(Mutex::new(store));
-        let stage = &self.stage;
-        site.set_persistence(|object| {
-            Box::new(ShardHandle::new(
-                Arc::clone(stage),
-                Arc::clone(&core),
-                object,
-            ))
-        });
         self.site = site;
-        self.store = Some(core);
+        self.store = Some(store);
     }
 
     /// True when this node reloads state from a data directory.

@@ -9,7 +9,8 @@ use super::{Client, Node, NodeEvent, ReplySink, Route};
 use crate::transport::Transport;
 use crate::wire::{ClientOp, ClientReply};
 use dynvote_core::{SiteId, SiteSet};
-use dynvote_protocol::{DurableState, Message, ObjectId, TimerKind, TxnId};
+use dynvote_protocol::{Message, ObjectId, TimerKind, TxnId};
+use dynvote_storage::NodeStore;
 use rand::Rng;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant};
@@ -59,13 +60,13 @@ impl<T: Transport> Node<T> {
     /// if it is due, and flush the transport once.
     ///
     /// The single barrier + single flush per batch is what makes the
-    /// durable hot path cheap: every WAL op the batch produced — across
-    /// every shard — is sealed by one fsync, and each peer gets one
-    /// frame.
+    /// durable hot path cheap: every persist effect the batch produced
+    /// — across every shard — is sealed by one fsync, and each peer
+    /// gets one frame.
     pub(crate) fn end_batch(&mut self) {
         self.fire_due_timers();
         self.expire_forwards();
-        // One barrier seals the batch's staged WAL ops, then the staged
+        // One barrier seals the batch's persist effects, then the staged
         // sends and replies dispatch.
         self.merge();
         // Between batches: rotate the WAL if it has grown past the
@@ -233,8 +234,8 @@ impl<T: Transport> Node<T> {
             ClientOp::Crash => {
                 // Dispatch whatever earlier events in this batch staged
                 // *before* the crash wipes volatile state: those
-                // actions were produced by a live site and their
-                // durable records are already hooked.
+                // actions were produced by a live site, and the merge
+                // seals their persist effects first.
                 self.merge();
                 if !self.down {
                     self.down = true;
@@ -351,7 +352,7 @@ impl<T: Transport> Node<T> {
                         down: self.down,
                         log_len,
                         commits: self.commits,
-                        wal_epoch: shard.wal_epoch(),
+                        wal_epoch: self.store.as_ref().map(NodeStore::epoch),
                     },
                 );
             }
@@ -383,8 +384,8 @@ impl<T: Transport> Node<T> {
     ///
     /// # Panics
     ///
-    /// On I/O failure, matching the store's own hook discipline: a
-    /// durable site that cannot read its own disk cannot rejoin.
+    /// On I/O failure, matching the merge barrier's: a durable site
+    /// that cannot read its own disk cannot rejoin.
     /// Corrupt or torn files do **not** panic — recovery truncates and
     /// reports.
     fn reboot_from_disk(&mut self) {
@@ -414,21 +415,14 @@ impl<T: Transport> Node<T> {
     /// the pending group-commit record is empty and the snapshot is a
     /// consistent cut across all objects.
     fn maybe_rotate(&mut self) {
-        let Some(core) = self.store.clone() else {
+        let Some(store) = self.store.as_mut().filter(|store| store.wants_rotation()) else {
             return;
         };
-        if !core.lock().expect("store poisoned").wants_rotation() {
-            return;
-        }
-        let states: Vec<DurableState> = self
-            .site
-            .iter()
-            .map(|(_, shard)| shard.durable().clone())
-            .collect();
-        let outcome = core.lock().expect("store poisoned").rotate(&states);
-        if let Err(err) = outcome {
-            // Rotation is an optimization; a failed attempt leaves the
-            // old epoch intact and will be retried next batch.
+        let states = self.site.iter().map(|(_, shard)| shard.durable());
+        if let Err(err) = store.rotate(states) {
+            // Rotation is an optimization; a failed attempt leaves every
+            // appended record recoverable and is retried once the
+            // segment appended to outgrows the threshold.
             eprintln!("site {}: WAL rotation failed: {err}", self.id);
         }
     }

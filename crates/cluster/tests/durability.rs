@@ -7,14 +7,14 @@
 //! took longer than a straggler grace: the clusters boot `scripted`.
 
 use dynvote_cluster::scenario::scripted;
-use dynvote_cluster::{ClientReply, Cluster, ClusterConfig, TransportKind};
+use dynvote_cluster::{ClientOp, ClientReply, Cluster, ClusterConfig, TransportKind};
 use dynvote_core::{AlgorithmKind, CopyMeta, SiteId};
-use dynvote_protocol::{Action, DurableState, Message, ObjectId, SiteActor};
-use dynvote_storage::{FsyncPolicy, NodeStore, ShardHandle, StoreConfig};
+use dynvote_protocol::persist::effects;
+use dynvote_protocol::{Action, DurableState, Message, SiteActor};
+use dynvote_storage::{FsyncPolicy, NodeStore, StoreConfig};
 use std::fs::OpenOptions;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -193,6 +193,15 @@ fn concurrent_boot_recovers_a_populated_multi_object_dir() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Seal what one kernel call on `actor` emitted the way its node's
+/// merge barrier does: its persist effects, then one barrier.
+fn seal(store: &mut NodeStore, actor: &SiteActor, actions: &[Action]) {
+    for (object, effect) in effects(actions) {
+        store.append_effect(object, &effect, actor.log());
+    }
+    store.barrier().unwrap();
+}
+
 /// The worst SIGKILL interleaving: the coordinator's commit record hit
 /// its disk and the client was acked, but the process died before the
 /// COMMIT fan-out was delivered — every subordinate reboots holding a
@@ -215,7 +224,7 @@ fn orphaned_prepares_resolve_via_termination_protocol_at_boot() {
     // the commit — and then the "process dies": the Commit fan-out in
     // `fanout` is dropped on the floor and every actor is dropped.
     {
-        let mut actors: Vec<SiteActor> = (0..n)
+        let (mut stores, mut actors): (Vec<NodeStore>, Vec<SiteActor>) = (0..n)
             .map(|i| {
                 let site_dir = dir.join(format!("site-{i}"));
                 let (store, mut states, _) = NodeStore::open(
@@ -225,25 +234,19 @@ fn orphaned_prepares_resolve_via_termination_protocol_at_boot() {
                     DurableState::initial(n),
                 )
                 .unwrap();
-                let mut actor = SiteActor::restore(
+                let actor = SiteActor::restore(
                     SiteId(i as u8),
                     n,
                     AlgorithmKind::Hybrid.instantiate(n),
                     states.remove(0),
                 );
-                let core = Arc::new(Mutex::new(store));
-                actor.set_persistence(Box::new(ShardHandle::new(
-                    Arc::default(),
-                    core,
-                    ObjectId::ZERO,
-                )));
-                actor
+                (store, actor)
             })
-            .collect();
+            .unzip();
 
         let mut out = Vec::new();
         actors[0].start_update(4242, &mut out);
-        actors[0].sync_persistence();
+        seal(&mut stores[0], &actors[0], &out);
         let request = out
             .iter()
             .find_map(|action| match action {
@@ -253,12 +256,12 @@ fn orphaned_prepares_resolve_via_termination_protocol_at_boot() {
             .expect("vote request broadcast");
 
         let mut votes = Vec::new();
-        for (i, sub) in actors.iter_mut().enumerate().skip(1) {
+        for (i, (sub, store)) in actors.iter_mut().zip(&mut stores).enumerate().skip(1) {
             let mut sub_out = Vec::new();
             sub.handle_message(SiteId(0), request.clone(), &mut sub_out);
             // Barrier before the vote "leaves the site": the prepare
             // record is durable from here on.
-            sub.sync_persistence();
+            seal(store, sub, &sub_out);
             for action in sub_out {
                 if let Action::Send { to, msg } = action {
                     assert_eq!(to, SiteId(0));
@@ -271,7 +274,7 @@ fn orphaned_prepares_resolve_via_termination_protocol_at_boot() {
         for (from, msg) in votes {
             actors[0].handle_message(from, msg, &mut fanout);
         }
-        actors[0].sync_persistence();
+        seal(&mut stores[0], &actors[0], &fanout);
         assert_eq!(actors[0].meta().version, 1, "coordinator committed");
         assert_eq!(actors[0].meta().cardinality, n as u32);
         for actor in &actors[1..] {
@@ -429,4 +432,90 @@ fn torn_wal_tail_truncates_and_catchup_reconverges() {
     assert_eq!(audit.chain_len, 5);
     second.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The epoch of `site`'s live WAL segment, as `/status` reports it.
+fn wal_epoch(cluster: &Cluster, site: SiteId) -> Option<u64> {
+    match cluster.client(site).request(ClientOp::Status).unwrap() {
+        ClientReply::Status { wal_epoch, .. } => wal_epoch,
+        other => panic!("unexpected status reply {other:?}"),
+    }
+}
+
+/// Every file in a site directory, sorted.
+fn file_names(site_dir: &PathBuf) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(site_dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// Live rotation: a durable cluster that commits past the 4 MiB
+/// rotation threshold (about 38k one-op rounds, ~110 WAL bytes each per
+/// site) snapshots and compacts on every site while it serves. `/status` reports the new epoch, each site directory holds
+/// one snapshot/segment pair, and a reboot from that pair recovers
+/// every acked version. An amnesiac cluster reports no epoch at all.
+#[test]
+fn live_rotation_advances_wal_epoch_and_reboot_recovers_every_acked_version() {
+    let dir = temp_dir("rotate");
+    let n = 5;
+    let config = scripted(
+        ClusterConfig::new(n, AlgorithmKind::Hybrid).with_data_dir(&dir, FsyncPolicy::Never),
+    );
+    let sites = || (0..n).map(|i| SiteId(i as u8));
+
+    let first = Cluster::boot(&config).unwrap();
+    let boot: Vec<u64> = sites()
+        .map(|site| wal_epoch(&first, site).expect("a durable site reports its epoch"))
+        .collect();
+    let mut client = first.client(SiteId(0));
+    let mut acked = 0;
+    while sites().any(|site| wal_epoch(&first, site) == Some(boot[site.index()])) {
+        assert!(acked < 60_000, "no rotation after {acked} commits");
+        for _ in 0..500 {
+            match client.update() {
+                Ok(ClientReply::Committed { version }) => acked = version,
+                // A refused or timed-out round: the next update retries.
+                Ok(_) => {}
+                Err(e) => panic!("client request failed: {e}"),
+            }
+        }
+    }
+    assert!(first.await_quiescence(Duration::from_secs(5)));
+    let rotated: Vec<u64> = sites()
+        .map(|site| wal_epoch(&first, site).unwrap())
+        .collect();
+    first.shutdown();
+    for (i, epoch) in rotated.iter().enumerate() {
+        assert!(*epoch > boot[i], "site {i} never rotated");
+        let names = file_names(&dir.join(format!("site-{i}")));
+        assert_eq!(
+            names,
+            [format!("snap-{epoch:016}"), format!("wal-{epoch:016}")],
+            "site {i}"
+        );
+    }
+
+    // Every acked version survives: the ledger primes from the longest
+    // recovered log, and the next commit extends it.
+    let second = Cluster::boot(&config).unwrap();
+    let audit = second.audit().unwrap();
+    assert!(audit.consistent, "{:?}", audit.violations);
+    assert!(
+        audit.chain_len >= acked,
+        "chain {} < acked {acked}",
+        audit.chain_len
+    );
+    assert_eq!(commit_update(&second, SiteId(1)), audit.chain_len + 1);
+    for site in sites() {
+        assert!(wal_epoch(&second, site).unwrap() > rotated[site.index()]);
+    }
+    second.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let amnesiac = Cluster::boot(&ClusterConfig::new(n, AlgorithmKind::Hybrid)).unwrap();
+    assert_eq!(wal_epoch(&amnesiac, SiteId(0)), None);
+    amnesiac.shutdown();
 }

@@ -12,8 +12,8 @@
 //! The kernel owns no clock, no RNG and no socket. Every input is a
 //! method call ([`SiteActor::handle_message`], [`SiteActor::timer_fired`],
 //! [`SiteActor::start_update`], ...); every effect is a returned
-//! [`Action`] (send, broadcast, set-timer, resolved, commit-recorded)
-//! for a *harness* to interpret. Two harnesses exist:
+//! [`Action`] (send, broadcast, set-timer, resolved, commit-recorded,
+//! persist) for a *harness* to interpret. Two harnesses exist:
 //!
 //! * `dynvote-sim` — a discrete-event simulator under a virtual clock
 //!   and an adversarial fault layer;
@@ -43,7 +43,7 @@ pub use event::{
     CountingSink, EventKind, EventSink, EventTallies, FanoutSink, ProtocolEvent, RenderSink,
 };
 pub use message::{LogEntry, Message, ObjectId, StatusOutcome, TxnId};
-pub use persist::Persistence;
+pub use persist::{PersistEffect, Persistence};
 pub use shard::ShardedSite;
 pub use site::{
     Action, ActionSink, CloseCause, CommitRecord, DurableState, Hint, ResolveReason, SiteActor,

@@ -3,176 +3,124 @@
 //! [`SiteActor`](crate::SiteActor) funnels every mutation of its
 //! [`DurableState`](crate::DurableState) through a handful of code
 //! paths — prepare, commit, metadata install, log append, sequence
-//! bump. A [`Persistence`] implementation observes exactly those
-//! mutations, *synchronously, before the corresponding protocol action
-//! leaves the site*: the kernel calls the hook at the mutation point,
-//! and only afterwards does the harness flush the action batch to the
-//! transport. A write-ahead log that fsyncs inside the hook therefore
-//! gets the classic force-write discipline for free — the prepare
-//! record is on disk before `VOTE_GRANTED` is sent, the commit record
-//! before `COMMIT` fans out.
+//! bump. Each one writes a [`PersistEffect`] into the caller's
+//! [`ActionSink`](crate::ActionSink) as an [`Action::Persist`], at the
+//! mutation point and therefore *ahead of every action the mutation
+//! guards*. A harness that makes each step's persist effects durable
+//! before it hands any later action to the transport gets the classic
+//! force-write discipline: the prepare record is on disk before
+//! `VOTE_GRANTED` is sent, the commit record before `COMMIT` fans out.
 //!
-//! The trait is defined here, in the sans-IO kernel, but implemented
-//! elsewhere (`dynvote-storage` provides the on-disk one): the kernel
-//! stays free of files, clocks and sockets. When no hook is installed
-//! the per-mutation cost is one `Option` branch.
+//! Effects are plain data: the kernel stays free of files, clocks and
+//! sockets, and owns no store. An [`PersistEffect::Entries`] effect
+//! names a version range of the emitting shard's own log rather than
+//! carrying a copy — the log is append-only, so the range stays valid
+//! until the harness encodes it.
 //!
-//! Every hook is *monotonic/idempotent by construction* — replaying a
-//! recorded hook stream into a fresh `DurableState`, in order, possibly
-//! with a duplicated or truncated tail, reconstructs a valid state.
-//! That is what makes torn-tail WAL recovery sound.
+//! [`PersistOp`] is the owned form recovery decodes a WAL into;
+//! [`PersistEffect::op`] turns an effect into one. Every op is
+//! *monotonic/idempotent by construction* — replaying a stream into a
+//! fresh `DurableState` with [`apply_op`], in order, possibly with a
+//! duplicated or truncated tail, reconstructs a valid state. That is
+//! what makes torn-tail WAL recovery sound.
 
-use crate::message::{LogEntry, TxnId};
-use crate::site::DurableState;
+use crate::message::{LogEntry, ObjectId, TxnId};
+use crate::site::{Action, DurableState};
 use dynvote_core::{CopyMeta, SiteId, SiteSet};
 
-/// Observer of [`DurableState`](crate::DurableState) mutations; the
-/// kernel invokes each hook at the mutation point, before the
-/// corresponding action is handed to the transport.
-pub trait Persistence {
-    /// The transaction sequence counter advanced to `next_seq`.
-    fn seq_advanced(&mut self, next_seq: u64);
-
-    /// A prepare record was forced: the site is in doubt on `txn`,
-    /// coordinated by `coordinator`. Fires before the vote is sent.
-    fn prepared(&mut self, txn: TxnId, coordinator: SiteId);
-
-    /// The prepare record for `txn` was cleared (commit or abort
-    /// arrived, or the termination protocol resolved it).
-    fn prepare_cleared(&mut self, txn: TxnId);
-
-    /// `entries` were appended to the committed log (already gapless —
-    /// the kernel filters duplicates before the hook fires).
-    fn entries_appended(&mut self, entries: &[LogEntry]);
-
-    /// The `(VN, SC, DS)` triple advanced to `meta`. Fires only when
-    /// the version actually moves forward.
-    fn meta_updated(&mut self, meta: CopyMeta);
-
-    /// A commit record for `txn` was forced: it installed `meta` and
-    /// counted `participants`. On the coordinator this fires before
-    /// `COMMIT` fans out.
-    fn committed(&mut self, txn: TxnId, meta: CopyMeta, participants: SiteSet);
-
-    /// Durability barrier: the harness calls this (via
-    /// [`SiteActor::sync_persistence`](crate::SiteActor::sync_persistence))
-    /// after draining an action batch. Group-commit implementations
-    /// flush here instead of inside every hook.
-    fn sync(&mut self) {}
-
-    /// The current WAL epoch (snapshot generation), when the
-    /// implementation keeps one. Surfaced by status endpoints; the
-    /// default `None` marks a volatile implementation.
-    fn wal_epoch(&self) -> Option<u64> {
-        None
-    }
-}
-
-/// A [`Persistence`] recorder for tests: captures the hook stream as a
-/// list of [`PersistOp`]s. Cloning yields a handle onto the same
-/// recording, so one clone can live inside the actor while the test
-/// keeps another to inspect.
-#[derive(Debug, Default, Clone)]
-pub struct RecordingPersistence {
-    inner: std::sync::Arc<std::sync::Mutex<Recorded>>,
-}
-
-#[derive(Debug, Default)]
-struct Recorded {
-    ops: Vec<PersistOp>,
-    syncs: u64,
-}
-
-impl RecordingPersistence {
-    /// An empty recording.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The recorded hook stream, in invocation order.
-    #[must_use]
-    pub fn ops(&self) -> Vec<PersistOp> {
-        self.inner.lock().unwrap().ops.clone()
-    }
-
-    /// Number of [`Persistence::sync`] calls observed.
-    #[must_use]
-    pub fn syncs(&self) -> u64 {
-        self.inner.lock().unwrap().syncs
-    }
-}
-
-/// One recorded [`Persistence`] hook invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PersistOp {
-    /// [`Persistence::seq_advanced`].
+/// One mutation of a shard's [`DurableState`], as the kernel emits it
+/// in an [`Action::Persist`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PersistEffect {
+    /// The transaction sequence counter advanced to this value.
     Seq(u64),
-    /// [`Persistence::prepared`].
+    /// A prepare record: the site is in doubt on the transaction,
+    /// coordinated by the site. Emitted before the vote.
     Prepared(TxnId, SiteId),
-    /// [`Persistence::prepare_cleared`].
+    /// The prepare record for the transaction was cleared (commit or
+    /// abort arrived, or the termination protocol resolved it).
     PrepareCleared(TxnId),
-    /// [`Persistence::entries_appended`].
-    Entries(Vec<LogEntry>),
-    /// [`Persistence::meta_updated`].
+    /// The log entries with versions in `(after, upto]` were appended
+    /// (gapless — the kernel filters duplicates first). They are read
+    /// from the emitting shard's own log: see [`PersistEffect::entries`].
+    Entries {
+        /// The log's newest version before the append.
+        after: u64,
+        /// The log's newest version after it.
+        upto: u64,
+    },
+    /// The `(VN, SC, DS)` triple advanced to this value. Emitted only
+    /// when the version actually moves forward.
     Meta(CopyMeta),
-    /// [`Persistence::committed`].
+    /// A commit record: the transaction installed the metadata and
+    /// counted the participants. On the coordinator this precedes the
+    /// `COMMIT` fan-out.
     Committed(TxnId, CopyMeta, SiteSet),
 }
 
-impl Persistence for RecordingPersistence {
-    fn seq_advanced(&mut self, next_seq: u64) {
-        self.inner
-            .lock()
-            .unwrap()
-            .ops
-            .push(PersistOp::Seq(next_seq));
+impl PersistEffect {
+    /// The entries an [`PersistEffect::Entries`] effect names, sliced
+    /// out of `log` — the emitting shard's log, at emission or any time
+    /// later — and `None` for every other effect.
+    #[must_use]
+    pub fn entries<'a>(&self, log: &'a [LogEntry]) -> Option<&'a [LogEntry]> {
+        match *self {
+            // The log is gapless from version 1: version `v` sits at
+            // index `v - 1`.
+            PersistEffect::Entries { after, upto } => Some(&log[after as usize..upto as usize]),
+            _ => None,
+        }
     }
 
-    fn prepared(&mut self, txn: TxnId, coordinator: SiteId) {
-        self.inner
-            .lock()
-            .unwrap()
-            .ops
-            .push(PersistOp::Prepared(txn, coordinator));
-    }
-
-    fn prepare_cleared(&mut self, txn: TxnId) {
-        self.inner
-            .lock()
-            .unwrap()
-            .ops
-            .push(PersistOp::PrepareCleared(txn));
-    }
-
-    fn entries_appended(&mut self, entries: &[LogEntry]) {
-        self.inner
-            .lock()
-            .unwrap()
-            .ops
-            .push(PersistOp::Entries(entries.to_vec()));
-    }
-
-    fn meta_updated(&mut self, meta: CopyMeta) {
-        self.inner.lock().unwrap().ops.push(PersistOp::Meta(meta));
-    }
-
-    fn committed(&mut self, txn: TxnId, meta: CopyMeta, participants: SiteSet) {
-        self.inner
-            .lock()
-            .unwrap()
-            .ops
-            .push(PersistOp::Committed(txn, meta, participants));
-    }
-
-    fn sync(&mut self) {
-        self.inner.lock().unwrap().syncs += 1;
+    /// The owned op this effect records, reading entries from `log` as
+    /// [`PersistEffect::entries`] does.
+    #[must_use]
+    pub fn op(&self, log: &[LogEntry]) -> PersistOp {
+        match *self {
+            PersistEffect::Seq(next_seq) => PersistOp::Seq(next_seq),
+            PersistEffect::Prepared(txn, coordinator) => PersistOp::Prepared(txn, coordinator),
+            PersistEffect::PrepareCleared(txn) => PersistOp::PrepareCleared(txn),
+            PersistEffect::Entries { .. } => {
+                PersistOp::Entries(self.entries(log).unwrap_or_default().to_vec())
+            }
+            PersistEffect::Meta(meta) => PersistOp::Meta(meta),
+            PersistEffect::Committed(txn, meta, participants) => {
+                PersistOp::Committed(txn, meta, participants)
+            }
+        }
     }
 }
 
-/// Replay a recorded hook stream into `state`, the way WAL recovery
-/// does: every op applies monotonically, so duplicated or truncated
-/// tails cannot corrupt the result.
+/// The persist effects in `actions`, in emission order, with the object
+/// each belongs to.
+pub fn effects(actions: &[Action]) -> impl Iterator<Item = (ObjectId, PersistEffect)> + '_ {
+    actions.iter().filter_map(|action| match action {
+        Action::Persist { object, effect } => Some((*object, *effect)),
+        _ => None,
+    })
+}
+
+/// One durable-state mutation in owned form: what a WAL record holds
+/// and recovery replays.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PersistOp {
+    /// [`PersistEffect::Seq`].
+    Seq(u64),
+    /// [`PersistEffect::Prepared`].
+    Prepared(TxnId, SiteId),
+    /// [`PersistEffect::PrepareCleared`].
+    PrepareCleared(TxnId),
+    /// [`PersistEffect::Entries`], with the entries themselves.
+    Entries(Vec<LogEntry>),
+    /// [`PersistEffect::Meta`].
+    Meta(CopyMeta),
+    /// [`PersistEffect::Committed`].
+    Committed(TxnId, CopyMeta, SiteSet),
+}
+
+/// Replay one op into `state`, the way WAL recovery does: every op
+/// applies monotonically, so duplicated or truncated tails cannot
+/// corrupt the result.
 pub fn apply_op(state: &mut DurableState, op: &PersistOp) {
     match op {
         PersistOp::Seq(next_seq) => state.next_seq = state.next_seq.max(*next_seq),
@@ -208,89 +156,138 @@ pub fn apply_op(state: &mut DurableState, op: &PersistOp) {
     }
 }
 
+/// The benchmark's adapter onto the kernel's persist effects: a
+/// per-mutation observer installed with
+/// [`SiteActor::set_persistence`](crate::SiteActor::set_persistence).
+/// The kernel forwards each [`PersistEffect`] to the installed hook as
+/// it writes the effect into the sink; no node installs one. Kept only
+/// until the benchmark's storage rung reads [`Action::Persist`] itself,
+/// and deleted with that change.
+pub trait Persistence {
+    /// [`PersistEffect::Seq`].
+    fn seq_advanced(&mut self, next_seq: u64);
+    /// [`PersistEffect::Prepared`].
+    fn prepared(&mut self, txn: TxnId, coordinator: SiteId);
+    /// [`PersistEffect::PrepareCleared`].
+    fn prepare_cleared(&mut self, txn: TxnId);
+    /// [`PersistEffect::Entries`], with the entries themselves.
+    fn entries_appended(&mut self, entries: &[LogEntry]);
+    /// [`PersistEffect::Meta`].
+    fn meta_updated(&mut self, meta: CopyMeta);
+    /// [`PersistEffect::Committed`].
+    fn committed(&mut self, txn: TxnId, meta: CopyMeta, participants: SiteSet);
+    /// Durability barrier, called by
+    /// [`SiteActor::sync_persistence`](crate::SiteActor::sync_persistence).
+    fn sync(&mut self) {}
+}
+
+/// Hand one effect to a [`Persistence`] hook.
+pub(crate) fn forward(hook: &mut dyn Persistence, effect: PersistEffect, log: &[LogEntry]) {
+    match effect {
+        PersistEffect::Seq(next_seq) => hook.seq_advanced(next_seq),
+        PersistEffect::Prepared(txn, coordinator) => hook.prepared(txn, coordinator),
+        PersistEffect::PrepareCleared(txn) => hook.prepare_cleared(txn),
+        PersistEffect::Entries { .. } => {
+            hook.entries_appended(effect.entries(log).unwrap_or_default());
+        }
+        PersistEffect::Meta(meta) => hook.meta_updated(meta),
+        PersistEffect::Committed(txn, meta, participants) => {
+            hook.committed(txn, meta, participants);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::site::SiteActor;
     use crate::Message;
-    use dynvote_core::{AlgorithmKind, LinearOrder};
+    use dynvote_core::AlgorithmKind;
 
-    fn initial_state(n: usize) -> DurableState {
-        DurableState {
-            meta: CopyMeta::initial(n, &LinearOrder::lexicographic(n)),
-            log: Vec::new(),
-            commits: std::collections::HashMap::new(),
-            prepared: None,
-            next_seq: 0,
+    fn site(id: u8, n: usize) -> SiteActor {
+        SiteActor::new(SiteId(id), n, AlgorithmKind::Hybrid.instantiate(n))
+    }
+
+    /// Replay every persist effect a site wrote into `actions` through
+    /// [`apply_op`], reading entries from the site's log.
+    fn replay(actor: &SiteActor, actions: &[Action]) -> DurableState {
+        let mut state = DurableState::initial(3);
+        for (_, effect) in effects(actions) {
+            apply_op(&mut state, &effect.op(actor.log()));
         }
+        state
     }
 
-    fn recorded_site(id: u8, n: usize) -> (SiteActor, RecordingPersistence) {
-        let mut actor = SiteActor::new(SiteId(id), n, AlgorithmKind::Hybrid.instantiate(n));
-        let rec = RecordingPersistence::new();
-        actor.set_persistence(Box::new(rec.clone()));
-        (actor, rec)
-    }
-
-    /// Drive a full three-site commit (and an aborted prepare) through
-    /// hooked actors, then replay each site's hook stream into a fresh
-    /// state: the result must equal the live durable state. This is the
-    /// soundness argument WAL recovery rests on.
+    /// Drive a full three-site commit (and an aborted prepare), keeping
+    /// every action each site emitted, then replay each site's persist
+    /// effects into a fresh state: the result must equal the live
+    /// durable state. This is the soundness argument WAL recovery rests
+    /// on.
     #[test]
     fn hook_stream_replays_to_identical_state() {
         let n = 3;
-        let (mut a, rec_a) = recorded_site(0, n);
-        let (mut b, rec_b) = recorded_site(1, n);
-        let (mut c, rec_c) = recorded_site(2, n);
-        let mut out = Vec::new();
+        let (mut a, mut b, mut c) = (site(0, n), site(1, n), site(2, n));
+        let (mut out_a, mut out_b, mut out_c) = (Vec::new(), Vec::new(), Vec::new());
 
         // A coordinates an update; B and C vote; A commits; the COMMIT
         // messages land at B and C.
-        a.start_update(4242, &mut out);
-        let mut to_a = Vec::new();
-        for (site, sub) in [(SiteId(1), &mut b), (SiteId(2), &mut c)] {
-            let mut sub_out = Vec::new();
-            let req = out
-                .iter()
-                .find_map(|act| match act {
-                    crate::Action::Broadcast { msg } => Some(msg.clone()),
+        a.start_update(4242, &mut out_a);
+        let req = out_a
+            .iter()
+            .find_map(|act| match act {
+                Action::Broadcast { msg } => Some(msg.clone()),
+                _ => None,
+            })
+            .expect("vote request broadcast");
+        b.handle_message(SiteId(0), req.clone(), &mut out_b);
+        c.handle_message(SiteId(0), req, &mut out_c);
+        let votes: Vec<(SiteId, Message)> = [(SiteId(1), &out_b), (SiteId(2), &out_c)]
+            .into_iter()
+            .flat_map(|(from, out)| {
+                out.iter().filter_map(move |act| match act {
+                    Action::Send { to, msg } => {
+                        assert_eq!(*to, SiteId(0));
+                        Some((from, msg.clone()))
+                    }
                     _ => None,
                 })
-                .expect("vote request broadcast");
-            sub.handle_message(SiteId(0), req, &mut sub_out);
-            for act in sub_out {
-                if let crate::Action::Send { to, msg } = act {
-                    assert_eq!(to, SiteId(0));
-                    to_a.push((site, msg));
-                }
-            }
+            })
+            .collect();
+        let start = out_a.len();
+        for (from, msg) in votes {
+            a.handle_message(from, msg, &mut out_a);
         }
-        let mut commit_out = Vec::new();
-        for (from, msg) in to_a {
-            a.handle_message(from, msg, &mut commit_out);
-        }
-        let mut leftovers = Vec::new();
-        for act in commit_out {
-            if let crate::Action::Send { to, msg } = act {
-                let target = if to == SiteId(1) { &mut b } else { &mut c };
-                target.handle_message(SiteId(0), msg, &mut leftovers);
-            }
+        let commits: Vec<(SiteId, Message)> = out_a[start..]
+            .iter()
+            .filter_map(|act| match act {
+                Action::Send { to, msg } => Some((*to, msg.clone())),
+                _ => None,
+            })
+            .collect();
+        for (to, msg) in commits {
+            let (target, out) = if to == SiteId(1) {
+                (&mut b, &mut out_b)
+            } else {
+                (&mut c, &mut out_c)
+            };
+            target.handle_message(SiteId(0), msg, out);
         }
         assert_eq!(a.meta().version, 1, "commit went through");
         assert_eq!(b.meta().version, 1);
 
         // One more prepare at B that aborts, exercising
-        // prepared/prepare_cleared.
+        // Prepared/PrepareCleared.
         let t2 = crate::TxnId::new(SiteId(2), 99);
-        b.handle_message(SiteId(2), Message::VoteRequest { txn: t2 }, &mut leftovers);
-        b.handle_message(SiteId(2), Message::Abort { txn: t2 }, &mut leftovers);
+        b.handle_message(SiteId(2), Message::VoteRequest { txn: t2 }, &mut out_b);
+        b.handle_message(SiteId(2), Message::Abort { txn: t2 }, &mut out_b);
 
-        for (actor, rec) in [(&a, &rec_a), (&b, &rec_b), (&c, &rec_c)] {
-            let mut replayed = initial_state(n);
-            for op in rec.ops() {
-                apply_op(&mut replayed, &op);
-            }
-            assert_eq!(&replayed, actor.durable(), "site {:?}", actor.id());
+        for (actor, out) in [(&a, &out_a), (&b, &out_b), (&c, &out_c)] {
+            assert_eq!(
+                &replay(actor, out),
+                actor.durable(),
+                "site {:?}",
+                actor.id()
+            );
         }
     }
 
@@ -299,7 +296,7 @@ mod tests {
     #[test]
     fn truncated_and_duplicated_tails_are_safe() {
         let n = 3;
-        let (mut b, rec) = recorded_site(1, n);
+        let mut b = site(1, n);
         let mut out = Vec::new();
         let t = crate::TxnId::new(SiteId(0), 1);
         b.handle_message(SiteId(0), Message::VoteRequest { txn: t }, &mut out);
@@ -321,9 +318,10 @@ mod tests {
             },
             &mut out,
         );
-        let ops = rec.ops();
+        let ops: Vec<PersistOp> = effects(&out).map(|(_, e)| e.op(b.log())).collect();
+        assert_eq!(ops.len(), 5, "prepare, entries, meta, commit, clear");
         for cut in 0..=ops.len() {
-            let mut state = initial_state(n);
+            let mut state = DurableState::initial(n);
             for op in &ops[..cut] {
                 apply_op(&mut state, op);
             }
@@ -336,8 +334,8 @@ mod tests {
             }
         }
         // Duplicate the whole stream: idempotent.
-        let mut once = initial_state(n);
-        let mut twice = initial_state(n);
+        let mut once = DurableState::initial(n);
+        let mut twice = DurableState::initial(n);
         for op in &ops {
             apply_op(&mut once, op);
         }

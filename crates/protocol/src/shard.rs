@@ -14,13 +14,12 @@
 //! every entry point appends [`Action`](crate::Action)s to a
 //! caller-owned sink exactly like the single-object kernel. Harnesses
 //! that batch many shards' steps between two durability barriers get
-//! group commit for free: the [`Persistence`](crate::Persistence) hooks
-//! of all shards buffer into one store, and a single barrier seals the
-//! whole multi-object batch.
+//! group commit for free: every shard's [`Action::Persist`](crate::Action)
+//! effects land in the one sink, each stamped with its object, and a
+//! single barrier seals the whole multi-object batch.
 
 use crate::event::EventSink;
 use crate::message::{Message, ObjectId, TxnId};
-use crate::persist::Persistence;
 use crate::site::{ActionSink, DurableState, SiteActor, TimerKind};
 use dynvote_core::{ReplicaControl, SiteId, SiteSet};
 use std::sync::Arc;
@@ -108,7 +107,7 @@ impl ShardedSite {
     }
 
     /// Every shard with its object id, in object order.
-    pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &SiteActor)> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (ObjectId, &SiteActor)> {
         self.shards.iter().map(|shard| (shard.object(), shard))
     }
 
@@ -116,26 +115,6 @@ impl ShardedSite {
     pub fn set_sink(&mut self, sink: Arc<dyn EventSink>) {
         for shard in &mut self.shards {
             shard.set_sink(Arc::clone(&sink));
-        }
-    }
-
-    /// Install a per-shard [`Persistence`] hook built by `make_hook`
-    /// (typically a keyed handle onto one shared store).
-    pub fn set_persistence<F>(&mut self, mut make_hook: F)
-    where
-        F: FnMut(ObjectId) -> Box<dyn Persistence + Send>,
-    {
-        for shard in &mut self.shards {
-            shard.set_persistence(make_hook(shard.object()));
-        }
-    }
-
-    /// Durability barrier across all shards (each forwards to its
-    /// hook; with a shared store the first call seals the whole
-    /// multi-object batch and the rest are no-ops).
-    pub fn sync_persistence(&mut self) {
-        for shard in &mut self.shards {
-            shard.sync_persistence();
         }
     }
 

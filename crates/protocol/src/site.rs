@@ -22,7 +22,7 @@
 
 use crate::event::{EventSink, NoopSink, ProtocolEvent};
 use crate::message::{LogEntry, Message, ObjectId, StatusOutcome, TxnId};
-use crate::persist::Persistence;
+use crate::persist::{self, PersistEffect, Persistence};
 use dynvote_core::{CopyMeta, LinearOrder, PartitionView, ReplicaControl, SiteId, SiteSet};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -117,6 +117,16 @@ pub enum Action {
     },
     /// An advisory observation; see [`Hint`] for the contract.
     Hint(Hint),
+    /// A mutation of `object`'s durable state (see [`crate::persist`]).
+    /// Written at the mutation point, so it precedes every action the
+    /// mutation guards: the harness makes it durable before it hands
+    /// any later action to the transport.
+    Persist {
+        /// The shard whose state changed.
+        object: ObjectId,
+        /// What changed.
+        effect: PersistEffect,
+    },
 }
 
 /// The advisory half of [`Action`]: observations the kernel passes up
@@ -305,11 +315,8 @@ pub struct SiteActor {
     durable: DurableState,
     volatile: Volatile,
     sink: Arc<dyn EventSink>,
-    /// Durability hook: observes every `durable` mutation at the
-    /// mutation point (see [`crate::persist`]). `None` — the default —
-    /// costs one branch per mutation. `Send` because harnesses move
-    /// whole actors onto their event-loop threads.
-    persist: Option<Box<dyn Persistence + Send>>,
+    /// The benchmark's [`Persistence`] adapter, `None` everywhere else.
+    hook: Option<Box<dyn Persistence + Send>>,
 }
 
 impl std::fmt::Debug for SiteActor {
@@ -351,7 +358,7 @@ impl SiteActor {
             durable,
             volatile: Volatile::default(),
             sink: Arc::new(NoopSink),
-            persist: None,
+            hook: None,
         }
     }
 
@@ -395,10 +402,11 @@ impl SiteActor {
         self.sink = sink;
     }
 
-    /// Install a [`Persistence`] hook; every subsequent durable-state
-    /// mutation is reported to it at the mutation point.
-    pub fn set_persistence(&mut self, persist: Box<dyn Persistence + Send>) {
-        self.persist = Some(persist);
+    /// Install the benchmark's [`Persistence`] adapter: every
+    /// subsequent [`Action::Persist`] is also forwarded to it. Deleted
+    /// once the benchmark reads the effects instead.
+    pub fn set_persistence(&mut self, hook: Box<dyn Persistence + Send>) {
+        self.hook = Some(hook);
     }
 
     /// The full durable state (what a snapshot captures).
@@ -407,21 +415,33 @@ impl SiteActor {
         &self.durable
     }
 
-    /// Durability barrier: forward to [`Persistence::sync`]. Harnesses
-    /// call this after draining an action batch, *before* flushing the
-    /// transport — under a group-commit fsync policy this is the point
-    /// where buffered records hit disk ahead of their acks.
+    /// [`Persistence::sync`] on the installed adapter, if any.
     pub fn sync_persistence(&mut self) {
-        if let Some(p) = self.persist.as_mut() {
-            p.sync();
+        if let Some(hook) = self.hook.as_mut() {
+            hook.sync();
         }
     }
 
-    /// The installed persistence hook's WAL epoch, when one is
-    /// installed and durable ([`Persistence::wal_epoch`]).
-    #[must_use]
-    pub fn wal_epoch(&self) -> Option<u64> {
-        self.persist.as_ref().and_then(|p| p.wal_epoch())
+    /// The one exit for a durable-state mutation: an [`Action::Persist`]
+    /// in `out`, ahead of whatever the caller pushes next.
+    fn persist(&mut self, effect: PersistEffect, out: &mut ActionSink) {
+        if let Some(hook) = self.hook.as_mut() {
+            persist::forward(hook.as_mut(), effect, &self.durable.log);
+        }
+        out.push(Action::Persist {
+            object: self.object,
+            effect,
+        });
+    }
+
+    /// Persist the log entries appended since it held `first_new`
+    /// entries, if any were.
+    fn persist_entries(&mut self, first_new: usize, out: &mut ActionSink) {
+        let upto = self.durable.log.len() as u64;
+        if upto > first_new as u64 {
+            let after = first_new as u64;
+            self.persist(PersistEffect::Entries { after, upto }, out);
+        }
     }
 
     fn emit(&self, event: ProtocolEvent) {
@@ -467,12 +487,10 @@ impl SiteActor {
         self.volatile.prepared_rounds
     }
 
-    fn fresh_txn(&mut self) -> TxnId {
+    fn fresh_txn(&mut self, out: &mut ActionSink) -> TxnId {
         // Force-written: id reuse after a crash would be unsound.
         self.durable.next_seq += 1;
-        if let Some(p) = self.persist.as_mut() {
-            p.seq_advanced(self.durable.next_seq);
-        }
+        self.persist(PersistEffect::Seq(self.durable.next_seq), out);
         TxnId {
             coordinator: self.id,
             seq: self.durable.next_seq,
@@ -550,7 +568,7 @@ impl SiteActor {
             // Step i) failed: the local lock manager cannot grant the
             // lock now. The submission is refused (a real system would
             // queue or retry; retries are the workload driver's job).
-            let txn = self.fresh_txn();
+            let txn = self.fresh_txn(out);
             self.emit(ProtocolEvent::Aborted {
                 txn,
                 reason: ResolveReason::LockBusy,
@@ -561,7 +579,7 @@ impl SiteActor {
             });
             return None;
         }
-        let txn = self.fresh_txn();
+        let txn = self.fresh_txn(out);
         self.volatile.lock = Some(txn);
         let mut replies = Vec::with_capacity(self.n);
         replies.push((self.id, self.durable.meta));
@@ -632,14 +650,14 @@ impl SiteActor {
                 meta,
                 entries,
                 participants,
-            } => self.on_commit(txn, meta, entries, participants),
-            Message::Abort { txn } => self.on_abort(txn),
+            } => self.on_commit(txn, meta, entries, participants, out),
+            Message::Abort { txn } => self.release(txn, out),
             Message::StatusQuery {
                 txn,
                 after_version,
                 from,
             } => self.on_status_query(from, txn, after_version, out),
-            Message::StatusReply { txn, outcome } => self.on_status_reply(txn, outcome),
+            Message::StatusReply { txn, outcome } => self.on_status_reply(txn, outcome, out),
         }
     }
 
@@ -702,9 +720,7 @@ impl SiteActor {
         self.volatile.prepared = Some((txn, from));
         self.volatile.prepared_rounds = 0;
         self.durable.prepared = Some((txn, from));
-        if let Some(p) = self.persist.as_mut() {
-            p.prepared(txn, from);
-        }
+        self.persist(PersistEffect::Prepared(txn, from), out);
         self.emit(ProtocolEvent::PrepareForced {
             txn,
             coordinator: from,
@@ -733,31 +749,21 @@ impl SiteActor {
         meta: CopyMeta,
         entries: Vec<LogEntry>,
         participants: SiteSet,
+        out: &mut ActionSink,
     ) {
-        self.apply_commit(txn, meta, &entries, participants);
-        if self.volatile.prepared.is_some_and(|(t, _)| t == txn) {
-            self.volatile.prepared = None;
-        }
-        if self.durable.prepared.is_some_and(|(t, _)| t == txn) {
-            self.durable.prepared = None;
-            if let Some(p) = self.persist.as_mut() {
-                p.prepare_cleared(txn);
-            }
-        }
-        if self.volatile.lock == Some(txn) {
-            self.volatile.lock = None;
-        }
+        self.apply_commit(txn, meta, &entries, participants, out);
+        self.release(txn, out);
     }
 
-    fn on_abort(&mut self, txn: TxnId) {
+    /// Release `txn`'s prepare record and lock, if it holds them (the
+    /// tail of a commit, and all of an abort).
+    fn release(&mut self, txn: TxnId, out: &mut ActionSink) {
         if self.volatile.prepared.is_some_and(|(t, _)| t == txn) {
             self.volatile.prepared = None;
         }
         if self.durable.prepared.is_some_and(|(t, _)| t == txn) {
             self.durable.prepared = None;
-            if let Some(p) = self.persist.as_mut() {
-                p.prepare_cleared(txn);
-            }
+            self.persist(PersistEffect::PrepareCleared(txn), out);
         }
         if self.volatile.lock == Some(txn) {
             self.volatile.lock = None;
@@ -772,20 +778,9 @@ impl SiteActor {
         meta: CopyMeta,
         entries: &[LogEntry],
         participants: SiteSet,
+        out: &mut ActionSink,
     ) {
-        let first_new = self.durable.log.len();
-        let mut newest = self.durable.log.last().map_or(0, |e| e.version);
-        for entry in entries {
-            if entry.version == newest + 1 {
-                self.durable.log.push(*entry);
-                newest = entry.version;
-            }
-        }
-        if let Some(p) = self.persist.as_mut() {
-            if self.durable.log.len() > first_new {
-                p.entries_appended(&self.durable.log[first_new..]);
-            }
-        }
+        let newest = self.absorb(entries, out);
         if meta.version > self.durable.meta.version {
             debug_assert_eq!(
                 meta.version, newest,
@@ -793,9 +788,7 @@ impl SiteActor {
                 self.id, meta.version
             );
             self.durable.meta = meta;
-            if let Some(p) = self.persist.as_mut() {
-                p.meta_updated(meta);
-            }
+            self.persist(PersistEffect::Meta(meta), out);
             // Emitted only when the copy actually advances, so a
             // duplicated or termination-protocol-delivered commit never
             // double-counts.
@@ -804,12 +797,25 @@ impl SiteActor {
                 version: meta.version,
             });
         }
-        if let Some(p) = self.persist.as_mut() {
-            p.committed(txn, meta, participants);
-        }
+        self.persist(PersistEffect::Committed(txn, meta, participants), out);
         self.durable
             .commits
             .insert(txn, CommitRecord { meta, participants });
+    }
+
+    /// Append the entries that continue the log (duplicates and gaps
+    /// are skipped) and persist them; returns the newest version.
+    fn absorb(&mut self, entries: &[LogEntry], out: &mut ActionSink) -> u64 {
+        let first_new = self.durable.log.len();
+        let mut newest = self.durable.log.last().map_or(0, |e| e.version);
+        for entry in entries {
+            if entry.version == newest + 1 {
+                self.durable.log.push(*entry);
+                newest = entry.version;
+            }
+        }
+        self.persist_entries(first_new, out);
+        newest
     }
 
     /// One round of the cooperative termination protocol: ask everyone
@@ -920,7 +926,7 @@ impl SiteActor {
         });
     }
 
-    fn on_status_reply(&mut self, txn: TxnId, outcome: StatusOutcome) {
+    fn on_status_reply(&mut self, txn: TxnId, outcome: StatusOutcome, out: &mut ActionSink) {
         if !self.volatile.prepared.is_some_and(|(t, _)| t == txn) {
             return;
         }
@@ -929,8 +935,8 @@ impl SiteActor {
                 meta,
                 entries,
                 participants,
-            } => self.on_commit(txn, meta, entries, participants),
-            StatusOutcome::Aborted => self.on_abort(txn),
+            } => self.on_commit(txn, meta, entries, participants, out),
+            StatusOutcome::Aborted => self.release(txn, out),
             StatusOutcome::Unknown => {}
         }
     }
@@ -1150,19 +1156,7 @@ impl SiteActor {
         }
         // Absorb the missing updates (metadata still advances only at
         // commit).
-        let first_new = self.durable.log.len();
-        let mut newest = self.durable.log.last().map_or(0, |e| e.version);
-        for entry in &entries {
-            if entry.version == newest + 1 {
-                self.durable.log.push(*entry);
-                newest = entry.version;
-            }
-        }
-        if let Some(p) = self.persist.as_mut() {
-            if self.durable.log.len() > first_new {
-                p.entries_appended(&self.durable.log[first_new..]);
-            }
-        }
+        self.absorb(&entries, out);
         self.commit_with(coord, members, out);
     }
 
@@ -1331,11 +1325,9 @@ impl SiteActor {
         self.durable
             .commits
             .insert(txn, CommitRecord { meta, participants });
-        if let Some(p) = self.persist.as_mut() {
-            p.entries_appended(&self.durable.log[first_new..]);
-            p.meta_updated(meta);
-            p.committed(txn, meta, participants);
-        }
+        self.persist_entries(first_new, out);
+        self.persist(PersistEffect::Meta(meta), out);
+        self.persist(PersistEffect::Committed(txn, meta, participants), out);
         self.volatile.lock = None;
 
         self.emit(ProtocolEvent::CommitForced {
@@ -1425,14 +1417,23 @@ mod tests {
         let mut a = site(0, 3);
         let actions = update(&mut a, 100);
         assert!(a.is_locked());
+        // The fresh id's sequence number is persisted ahead of the
+        // request that carries it.
         assert!(matches!(
             &actions[0],
+            Action::Persist {
+                effect: PersistEffect::Seq(1),
+                ..
+            }
+        ));
+        assert!(matches!(
+            &actions[1],
             Action::Broadcast {
                 msg: Message::VoteRequest { .. }
             }
         ));
         assert!(matches!(
-            &actions[1],
+            &actions[2],
             Action::SetTimer {
                 kind: TimerKind::VoteDeadline,
                 ..
@@ -1447,10 +1448,16 @@ mod tests {
         let actions = update(&mut a, 101);
         assert!(matches!(
             actions[..],
-            [Action::Resolved {
-                reason: ResolveReason::LockBusy,
-                ..
-            }]
+            [
+                Action::Persist {
+                    effect: PersistEffect::Seq(2),
+                    ..
+                },
+                Action::Resolved {
+                    reason: ResolveReason::LockBusy,
+                    ..
+                }
+            ]
         ));
     }
 
@@ -1461,8 +1468,16 @@ mod tests {
         let actions = deliver(&mut b, SiteId(0), Message::VoteRequest { txn: t });
         assert!(b.is_locked());
         assert!(b.is_in_doubt());
+        // The prepare record leaves the kernel ahead of the vote.
+        assert_eq!(
+            actions[0],
+            Action::Persist {
+                object: ObjectId::ZERO,
+                effect: PersistEffect::Prepared(t, SiteId(0)),
+            }
+        );
         assert!(matches!(
-            &actions[0],
+            &actions[1],
             Action::Send {
                 to: SiteId(0),
                 msg: Message::VoteGranted { .. }
@@ -1626,7 +1641,7 @@ mod tests {
         let mut actions = Vec::new();
         let txn = a.start_group_update(500, &mut actions).expect("lock free");
         assert!(matches!(
-            &actions[0],
+            &actions[1],
             Action::Broadcast {
                 msg: Message::VoteRequest { .. }
             }
@@ -1769,10 +1784,16 @@ mod tests {
         let out = deliver(&mut a, SiteId(1), Message::CatchUpReply { txn, entries });
         assert_eq!(
             out,
-            [Action::DecisionReady {
-                txn,
-                distinguished: true
-            }]
+            [
+                Action::Persist {
+                    object: ObjectId::ZERO,
+                    effect: PersistEffect::Entries { after: 0, upto: 1 },
+                },
+                Action::DecisionReady {
+                    txn,
+                    distinguished: true
+                }
+            ]
         );
         // The missing update is absorbed, but nothing is committed and
         // the lock is held until the manager's verdict.
@@ -1820,14 +1841,15 @@ mod tests {
         let t = a
             .start_update_batch(&[100, 101, 102], &mut out)
             .expect("lock free");
-        // One round regardless of batch size: one broadcast, one timer.
+        // One round regardless of batch size: one sequence number, one
+        // broadcast, one timer.
         assert!(matches!(
-            &out[0],
+            &out[1],
             Action::Broadcast {
                 msg: Message::VoteRequest { .. }
             }
         ));
-        assert_eq!(out.len(), 2);
+        assert_eq!(out.len(), 3);
         for sub in [1u8, 2] {
             deliver(
                 &mut a,
@@ -1915,12 +1937,15 @@ mod tests {
         assert!(t.is_some());
         assert_eq!(plain_actions, batched_actions);
         // Drive both to commit; the full action streams must match.
-        let pt = match &plain_actions[0] {
-            Action::Broadcast {
-                msg: Message::VoteRequest { txn },
-            } => *txn,
-            other => panic!("unexpected first action {other:?}"),
-        };
+        let pt = plain_actions
+            .iter()
+            .find_map(|action| match action {
+                Action::Broadcast {
+                    msg: Message::VoteRequest { txn },
+                } => Some(*txn),
+                _ => None,
+            })
+            .expect("vote request");
         for sub in [1u8, 2] {
             let plain_vote = Message::VoteGranted {
                 txn: pt,
@@ -1957,11 +1982,53 @@ mod tests {
         assert!(a.start_update_batch(&[1, 2, 3], &mut out).is_none());
         assert!(matches!(
             out[..],
-            [Action::Resolved {
-                reason: ResolveReason::LockBusy,
-                ..
-            }]
+            [
+                Action::Persist {
+                    effect: PersistEffect::Seq(_),
+                    ..
+                },
+                Action::Resolved {
+                    reason: ResolveReason::LockBusy,
+                    ..
+                }
+            ]
         ));
+    }
+
+    /// The coordinator's commit step persists the entries, the new
+    /// metadata and the commit record, in that order, ahead of every
+    /// action the commit produces.
+    #[test]
+    fn commit_record_is_persisted_ahead_of_the_fan_out() {
+        let mut a = site(0, 3);
+        let t = a.start_update_batch(&[7, 8], &mut Vec::new()).unwrap();
+        let mut out = Vec::new();
+        for sub in [1u8, 2] {
+            let meta = CopyMeta::initial(3, &LinearOrder::lexicographic(3));
+            let vote = Message::VoteGranted {
+                txn: t,
+                meta,
+                from: SiteId(sub),
+            };
+            a.handle_message(SiteId(sub), vote, &mut out);
+        }
+        let meta = a.meta();
+        let participants = SiteSet::all(3);
+        let persisted: Vec<PersistEffect> = crate::persist::effects(&out).map(|(_, e)| e).collect();
+        assert_eq!(
+            persisted,
+            [
+                PersistEffect::Entries { after: 0, upto: 2 },
+                PersistEffect::Meta(meta),
+                PersistEffect::Committed(t, meta, participants),
+            ]
+        );
+        assert!(out[..3]
+            .iter()
+            .all(|action| matches!(action, Action::Persist { .. })));
+        assert!(out[3..]
+            .iter()
+            .any(|action| matches!(action, Action::Send { .. })));
     }
 
     #[test]

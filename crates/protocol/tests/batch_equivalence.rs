@@ -10,10 +10,12 @@
 //! and `Broadcast` action is delivered synchronously, timers never need
 //! to fire (no faults, no losses), so each round resolves before the
 //! next op group starts — exactly the sequential projection the node
-//! runtime's per-object FIFO guarantees.
+//! runtime's per-object FIFO guarantees. Either way, every site's
+//! persist effects replay to exactly its durable state.
 
 use dynvote_core::{AlgorithmKind, SiteId};
-use dynvote_protocol::{Action, Message, ObjectId, ShardedSite};
+use dynvote_protocol::persist::{apply_op, PersistEffect};
+use dynvote_protocol::{Action, DurableState, Message, ObjectId, ShardedSite};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -26,13 +28,17 @@ fn fresh_sites(algorithm: AlgorithmKind) -> Vec<ShardedSite> {
         .collect()
 }
 
-/// Deliver every staged Send/Broadcast until the network drains. Full
-/// connectivity, no drops: timers and resolution actions are ignored —
-/// a round either completes inside this pump or the test's quiescence
-/// assertions below catch the hang.
-fn pump(sites: &mut [ShardedSite], seed: Vec<Action>, from: SiteId) {
+/// Per site, the persist effects it emitted, in order.
+type Persisted = Vec<Vec<(ObjectId, PersistEffect)>>;
+
+/// Deliver every staged Send/Broadcast until the network drains,
+/// keeping every persist effect in `persisted`. Full connectivity, no
+/// drops: timers and resolution actions are ignored — a round either
+/// completes inside this pump or the test's quiescence assertions below
+/// catch the hang.
+fn pump(sites: &mut [ShardedSite], persisted: &mut Persisted, seed: Vec<Action>, from: SiteId) {
     let mut queue: VecDeque<(SiteId, SiteId, Message)> = VecDeque::new();
-    let stage =
+    let mut stage =
         |queue: &mut VecDeque<(SiteId, SiteId, Message)>, from: SiteId, actions: Vec<Action>| {
             for action in actions {
                 match action {
@@ -52,6 +58,9 @@ fn pump(sites: &mut [ShardedSite], seed: Vec<Action>, from: SiteId) {
                     | Action::CommitRecorded { .. }
                     | Action::DecisionReady { .. }
                     | Action::Hint(_) => {}
+                    Action::Persist { object, effect } => {
+                        persisted[from.index()].push((object, effect));
+                    }
                 }
             }
         };
@@ -89,6 +98,7 @@ fn groups_strategy() -> impl Strategy<Value = Vec<OpGroup>> {
 /// bytes into the log.
 fn run_script(algorithm: AlgorithmKind, script: &[OpGroup], batched: bool) -> Vec<ShardedSite> {
     let mut sites = fresh_sites(algorithm);
+    let mut persisted: Persisted = vec![Vec::new(); N];
     let mut payload = 0u64;
     for group in script {
         let object = ObjectId(group.object);
@@ -103,13 +113,13 @@ fn run_script(algorithm: AlgorithmKind, script: &[OpGroup], batched: bool) -> Ve
             let started =
                 sites[group.site as usize].start_update_batch(object, &payloads, &mut out);
             assert!(started.is_some(), "unlocked object refused a batch");
-            pump(&mut sites, out, SiteId(group.site));
+            pump(&mut sites, &mut persisted, out, SiteId(group.site));
         } else {
             for p in payloads {
                 let mut out = Vec::new();
                 let shard = sites[group.site as usize].shard_mut(object);
                 shard.expect("hosted object").start_update(p, &mut out);
-                pump(&mut sites, out, SiteId(group.site));
+                pump(&mut sites, &mut persisted, out, SiteId(group.site));
             }
         }
         // The round must have fully resolved: pipelining never leaves a
@@ -117,6 +127,15 @@ fn run_script(algorithm: AlgorithmKind, script: &[OpGroup], batched: bool) -> Ve
         for site in &sites {
             assert!(!site.any_locked(), "{algorithm:?}: round left a lock held");
             assert!(!site.any_in_doubt(), "{algorithm:?}: round left doubt");
+        }
+    }
+    for (site, effects) in sites.iter().zip(&persisted) {
+        for (object, shard) in site.iter() {
+            let mut replayed = DurableState::initial(N);
+            for (_, effect) in effects.iter().filter(|(o, _)| *o == object) {
+                apply_op(&mut replayed, &effect.op(shard.log()));
+            }
+            assert_eq!(&replayed, shard.durable(), "site {} {object}", site.id());
         }
     }
     sites

@@ -7,13 +7,18 @@
 //! be compared with a run without them. Every commit any coordinator
 //! records is checked against one ledger as it happens. Likewise the node's single-writer
 //! routing (learn a home from `Rival`, hand later updates to it, bypass
-//! an unreachable home, wipe on crash) can be switched on.
+//! an unreachable home, wipe on crash) can be switched on. Every site's
+//! persist effects are kept, in emission order, so a test can replay
+//! them the way WAL recovery does.
 
 // Each test binary that includes this module uses a different subset.
 #![allow(dead_code)]
 
 use dynvote_core::{AlgorithmKind, SiteId, SiteSet};
-use dynvote_protocol::{Action, CloseCause, Hint, Message, SiteActor, TimerKind, TxnId};
+use dynvote_protocol::persist::{apply_op, PersistEffect};
+use dynvote_protocol::{
+    Action, CloseCause, DurableState, Hint, Message, SiteActor, TimerKind, TxnId,
+};
 use std::collections::VecDeque;
 
 pub struct Net {
@@ -43,6 +48,8 @@ pub struct Net {
     pub rivals: u64,
     /// Updates coordinated at their origin's home instead of the origin.
     pub forwarded: u64,
+    /// Per site, every persist effect it emitted, in order.
+    pub persisted: Vec<Vec<PersistEffect>>,
 }
 
 impl Net {
@@ -64,6 +71,7 @@ impl Net {
             homes: None,
             rivals: 0,
             forwarded: 0,
+            persisted: vec![Vec::new(); n],
         }
     }
 
@@ -164,6 +172,7 @@ impl Net {
                         ));
                     }
                 }
+                Action::Persist { effect, .. } => self.persisted[site.index()].push(effect),
                 Action::Resolved { .. } | Action::DecisionReady { .. } => {}
             }
         }
@@ -295,6 +304,25 @@ impl Net {
                 return;
             }
         }
+    }
+
+    /// What recovery would rebuild `site`'s durable state from: its
+    /// persist effects replayed into the initial state.
+    pub fn replayed(&self, site: SiteId) -> DurableState {
+        let actor = &self.sites[site.index()];
+        let mut state = DurableState::initial(self.n());
+        for effect in &self.persisted[site.index()] {
+            apply_op(&mut state, &effect.op(actor.log()));
+        }
+        state
+    }
+
+    /// Start a batched round sealing `payloads` at `site` without
+    /// delivering anything yet.
+    pub fn start_batch(&mut self, site: SiteId, payloads: &[u64]) {
+        let mut out = Vec::new();
+        self.sites[site.index()].start_update_batch(payloads, &mut out);
+        self.stage(site, out);
     }
 
     /// Start an update at `site` without delivering anything yet.

@@ -9,8 +9,8 @@ mod common;
 use common::Net;
 use dynvote_core::{AlgorithmKind, CopyMeta, LinearOrder, SiteId, SiteSet};
 use dynvote_protocol::{
-    Action, CloseCause, CountingSink, EventKind, Hint, Message, ObjectId, ResolveReason,
-    ShardedSite, SiteActor, StatusOutcome, TimerKind, TxnId,
+    Action, CloseCause, CountingSink, EventKind, Hint, Message, ObjectId, PersistEffect,
+    ResolveReason, ShardedSite, SiteActor, StatusOutcome, TimerKind, TxnId,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -144,7 +144,7 @@ fn recovered_coordinator_presumes_abort_for_its_lost_transaction() {
     // A starts an update; B prepares for it.
     let mut actions = Vec::new();
     a.start_update(100, &mut actions);
-    let t = match &actions[0] {
+    let t = match &actions[1] {
         Action::Broadcast {
             msg: Message::VoteRequest { txn },
         } => *txn,
@@ -255,7 +255,7 @@ fn open_round(a: &mut SiteActor, payload: u64) -> TxnId {
     let mut out = Vec::new();
     a.start_update(payload, &mut out);
     assert!(out.iter().all(|act| !matches!(act, Action::Send { .. })));
-    match &out[0] {
+    match &out[1] {
         Action::Broadcast {
             msg: Message::VoteRequest { txn },
         } => *txn,
@@ -427,14 +427,17 @@ fn grace_with_distinguished_replies_closes_and_names_the_silent_peers() {
     let mut a = site(0, 5);
     let mut opening = Vec::new();
     a.start_update(100, &mut opening);
-    let [Action::Broadcast {
+    let [Action::Persist {
+        effect: PersistEffect::Seq(1),
+        ..
+    }, Action::Broadcast {
         msg: Message::VoteRequest { txn: t },
     }, Action::SetTimer {
         kind: TimerKind::VoteDeadline,
         ..
     }] = opening[..]
     else {
-        panic!("a vote request and its deadline, nothing else: {opening:?}");
+        panic!("a sequence number, a vote request and its deadline, nothing else: {opening:?}");
     };
     assert!(grant(&mut a, t, 1).is_empty());
     assert!(grant(&mut a, t, 2).is_empty());

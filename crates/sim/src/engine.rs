@@ -646,6 +646,9 @@ impl Simulation {
                 // deadline and every site coordinates its own arrivals,
                 // as the paper's protocol does.
                 Action::Hint(_) => {}
+                // A simulated crash keeps `DurableState` in memory, so
+                // there is no disk to write.
+                Action::Persist { .. } => {}
             }
         }
         self.scratch = actions;

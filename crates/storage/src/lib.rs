@@ -9,13 +9,12 @@
 //!
 //! * [`NodeStore`] — the store: one WAL shared by every object a node
 //!   hosts, group-commit barriers that seal many shards' steps as one
-//!   record, node-wide snapshots. Under [`FsyncPolicy::Always`] the
+//!   record, node-wide snapshots. The node that owns it feeds it the
+//!   kernels' [`Action::Persist`](dynvote_protocol::Action::Persist)
+//!   effects ([`NodeStore::append_effect`]) and seals them before any
+//!   action behind them leaves, so under [`FsyncPolicy::Always`] the
 //!   prepare record is on disk before the vote is sent, the commit
 //!   record before `COMMIT` fans out.
-//! * [`ShardHandle`] — the per-shard
-//!   [`Persistence`](dynvote_protocol::Persistence) adapter; installing
-//!   one via `SiteActor::set_persistence` gives the actor real
-//!   force-writes.
 //! * [`wal`] — record/snapshot byte formats, built on the protocol
 //!   crate's codec primitives.
 //! * [`crc32`] — table-driven CRC-32 (IEEE), no external crates.
@@ -31,6 +30,6 @@ mod multi;
 mod store;
 pub mod wal;
 
-pub use multi::{NodeStore, ShardHandle};
+pub use multi::NodeStore;
 pub use store::{FsyncPolicy, RecoveryReport, StorageError, StoreConfig, TornTail};
 pub use wal::TornReason;

@@ -4,16 +4,17 @@
 //! (`dynvote_protocol::ShardedSite`), but giving each shard its own WAL
 //! would spend one fsync per shard per step — exactly the cost a
 //! sharded data plane exists to amortize. [`NodeStore`] instead keeps
-//! **one** segment file per node: every shard's [`Persistence`] hooks
-//! stage keyed ops (`[object][op]`), and a single force-write barrier
+//! **one** segment file per node, owned by the node's thread: the node
+//! encodes every shard's persist effects as keyed ops (`[object][op]`,
+//! [`NodeStore::append_effect`]), and a single force-write barrier
 //! seals them all as **one** record. That is group commit: a batch that
 //! interleaves ten objects' prepare and commit records reaches the
 //! platter with one `fdatasync`.
 //!
-//! Recovery is sound because the barrier sits between "hooks fired" and
-//! "actions handed to the transport": nothing any shard announced can
-//! be lost, and a torn tail only ever loses whole multi-object batches
-//! whose effects were never visible outside the process.
+//! Recovery is sound because the barrier sits between "effects emitted"
+//! and "actions handed to the transport": nothing any shard announced
+//! can be lost, and a torn tail only ever loses whole multi-object
+//! batches whose effects were never visible outside the process.
 //!
 //! Snapshots are node-wide too: a rotation writes every object's state
 //! as one counted payload (`[count]([state])*`), so per-object replay
@@ -29,26 +30,18 @@ use crate::store::{
     TornTail,
 };
 use crate::wal::{
-    decode_states, encode_keyed_op_into, encode_states_into, frame_header, RecordScanner,
-    TornReason, WAL_MAGIC_MULTI,
+    decode_states, encode_keyed_effect_into, encode_keyed_op_into, encode_states_into,
+    frame_header, RecordScanner, TornReason, WAL_MAGIC_MULTI,
 };
-use dynvote_protocol::persist::{apply_op, PersistOp};
-use dynvote_protocol::{DurableState, ObjectId, Persistence};
+use dynvote_protocol::persist::{apply_op, PersistEffect, PersistOp};
+use dynvote_protocol::{DurableState, LogEntry, ObjectId};
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// The durable store for one node: a single open WAL segment shared by
 /// every hosted object, plus node-wide snapshots.
-///
-/// # Panics
-///
-/// The [`Persistence`]-facing paths ([`ShardHandle`]) panic on I/O
-/// failure: a node that cannot force-write its prepare/commit records
-/// cannot keep its protocol promises, and limping on would silently
-/// void the recovery guarantees the rest of the system is built on.
 pub struct NodeStore {
     dir: PathBuf,
     config: StoreConfig,
@@ -179,10 +172,22 @@ impl NodeStore {
         Ok(())
     }
 
+    /// Buffer one object's persist effect — an
+    /// [`Action::Persist`](dynvote_protocol::Action::Persist) — into the
+    /// group-commit batch, reading an `Entries` effect's entries from
+    /// `log`, that object's log. The bytes are exactly what
+    /// [`NodeStore::append`] buffers for [`PersistEffect::op`], with no
+    /// copy of the entries made on the way.
+    pub fn append_effect(&mut self, object: ObjectId, effect: &PersistEffect, log: &[LogEntry]) {
+        let before = self.pending.len();
+        encode_keyed_effect_into(&mut self.pending, object, effect, log);
+        self.wal_len += (self.pending.len() - before) as u64;
+    }
+
     /// The group-commit barrier: seal the whole pending multi-object
     /// batch as **one** framed record, then fsync per policy. Every
-    /// shard whose hooks fired since the previous barrier becomes
-    /// durable with this single force-write.
+    /// shard whose effects were buffered since the previous barrier
+    /// becomes durable with this single force-write.
     pub fn barrier(&mut self) -> Result<(), StorageError> {
         if !self.pending.is_empty() {
             let header = frame_header(&self.pending);
@@ -207,22 +212,6 @@ impl NodeStore {
         Ok(())
     }
 
-    /// Move the node's staged keyed-op bytes into the pending
-    /// group-commit batch, preserving the single-record-per-barrier
-    /// discipline: the next [`NodeStore::barrier`] seals everything the
-    /// batch staged as **one** framed, checksummed record with one
-    /// fsync — the exact bytes [`NodeStore::append`] would have
-    /// buffered.
-    ///
-    /// `staged` is drained (its capacity is kept for reuse). The node
-    /// has one stage, filled by its one thread in kernel-step order, so
-    /// each object's ops keep their order — all recovery needs, since
-    /// it replays keyed ops per object and never orders across objects.
-    pub fn ingest(&mut self, staged: &mut Vec<u8>) {
-        self.wal_len += staged.len() as u64;
-        self.pending.append(staged);
-    }
-
     /// True once the live segment has outgrown the rotation threshold.
     /// The node polls this between batches and calls
     /// [`NodeStore::rotate`] with every shard's state — rotation is
@@ -232,103 +221,42 @@ impl NodeStore {
         self.wal_len >= self.config.rotate_bytes
     }
 
-    /// Snapshot all objects' states at the next epoch, open a fresh
-    /// segment, and delete everything the snapshot covers. `states`
-    /// must reflect every op appended so far; the pending batch is
-    /// discarded as subsumed.
-    pub fn rotate(&mut self, states: &[DurableState]) -> Result<(), StorageError> {
-        self.pending.clear();
+    /// Snapshot all objects' states at the next epoch, switch to a
+    /// fresh segment, and delete everything the snapshot covers.
+    /// `states` are every object's states in object order, reflecting
+    /// every op appended so far; ops still pending seal into the new
+    /// segment at the next barrier, where replaying them over a
+    /// snapshot that already holds them changes nothing.
+    ///
+    /// The segment is created first and the store switches to it before
+    /// the snapshot is written, so no snapshot is ever newer than the
+    /// segment being appended to. If the segment cannot be created,
+    /// nothing changes. If the snapshot cannot be written, the old
+    /// segment is not compacted and recovery replays it, then the new
+    /// one, from the older snapshot.
+    pub fn rotate<'a, I>(&mut self, states: I) -> Result<(), StorageError>
+    where
+        I: IntoIterator<Item = &'a DurableState>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        if self.unsynced {
+            // Records sealed but not yet forced: force them before the
+            // switch, since the snapshot that would subsume them may not
+            // land.
+            io_err(&self.wal_path, self.wal.sync_data())?;
+        }
         let epoch = self.epoch + 1;
-        let mut payload = Vec::with_capacity(1024 * states.len());
-        encode_states_into(&mut payload, states);
-        write_snapshot_bytes(&self.dir, epoch, &payload)?;
         let (wal, wal_path) = create_segment(&self.dir, epoch)?;
         self.epoch = epoch;
         self.wal = wal;
         self.wal_path = wal_path;
-        self.wal_len = 16;
+        self.wal_len = 16 + self.pending.len() as u64;
         self.unsynced = false;
-        compact(&self.dir, epoch)?;
-        Ok(())
-    }
-}
-
-/// One shard's [`Persistence`] handle onto the shared [`NodeStore`].
-/// Every shard of a node holds a handle onto the node's **one stage**,
-/// a byte buffer its hooks encode keyed ops into as the kernels step.
-/// At the node's merge barrier the stage is [`NodeStore::ingest`]ed and
-/// a single [`NodeStore::barrier`] seals the lot as one checksummed
-/// record: the exact bytes [`NodeStore::append`] would have buffered.
-///
-/// `sync` on the handle itself is a real barrier (it ingests the
-/// stage, then seals), so a shard driven stand-alone stays correct,
-/// just without the batch amortization. Lock order is store-then-stage
-/// everywhere, matching the node's merge path.
-///
-/// Rotation needs every object's state at once, so the node drives it
-/// through [`NodeStore::wants_rotation`]/[`NodeStore::rotate`], not
-/// through any single shard.
-pub struct ShardHandle {
-    stage: Arc<Mutex<Vec<u8>>>,
-    core: Arc<Mutex<NodeStore>>,
-    object: ObjectId,
-}
-
-impl ShardHandle {
-    /// A handle staging `object`'s hooks into `stage`, sealing through
-    /// `core`.
-    #[must_use]
-    pub fn new(stage: Arc<Mutex<Vec<u8>>>, core: Arc<Mutex<NodeStore>>, object: ObjectId) -> Self {
-        ShardHandle {
-            stage,
-            core,
-            object,
-        }
-    }
-
-    fn stage_op(&self, op: &PersistOp) {
-        encode_keyed_op_into(&mut self.stage.lock().unwrap(), self.object, op);
-    }
-}
-
-impl Persistence for ShardHandle {
-    fn seq_advanced(&mut self, next_seq: u64) {
-        self.stage_op(&PersistOp::Seq(next_seq));
-    }
-
-    fn prepared(&mut self, txn: dynvote_protocol::TxnId, coordinator: dynvote_core::SiteId) {
-        self.stage_op(&PersistOp::Prepared(txn, coordinator));
-    }
-
-    fn prepare_cleared(&mut self, txn: dynvote_protocol::TxnId) {
-        self.stage_op(&PersistOp::PrepareCleared(txn));
-    }
-
-    fn entries_appended(&mut self, entries: &[dynvote_protocol::LogEntry]) {
-        self.stage_op(&PersistOp::Entries(entries.to_vec()));
-    }
-
-    fn meta_updated(&mut self, meta: dynvote_core::CopyMeta) {
-        self.stage_op(&PersistOp::Meta(meta));
-    }
-
-    fn committed(
-        &mut self,
-        txn: dynvote_protocol::TxnId,
-        meta: dynvote_core::CopyMeta,
-        participants: dynvote_core::SiteSet,
-    ) {
-        self.stage_op(&PersistOp::Committed(txn, meta, participants));
-    }
-
-    fn sync(&mut self) {
-        let mut core = self.core.lock().unwrap();
-        core.ingest(&mut self.stage.lock().unwrap());
-        core.barrier().expect("WAL barrier");
-    }
-
-    fn wal_epoch(&self) -> Option<u64> {
-        Some(self.core.lock().unwrap().epoch())
+        let states = states.into_iter();
+        let mut payload = Vec::with_capacity(1024 * states.len());
+        encode_states_into(&mut payload, states);
+        write_snapshot_bytes(&self.dir, epoch, &payload)?;
+        compact(&self.dir, epoch)
     }
 }
 
@@ -550,12 +478,16 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Feed one op through a shard handle's matching hook.
-    fn stage_through(handle: &mut ShardHandle, op: PersistOp) {
+    /// The effect a kernel emits for one of [`commit_ops`]'s ops, with
+    /// the log its entries are read from.
+    fn as_effect(op: &PersistOp) -> (PersistEffect, Vec<LogEntry>) {
         match op {
-            PersistOp::Entries(e) => handle.entries_appended(&e),
-            PersistOp::Meta(m) => handle.meta_updated(m),
-            PersistOp::Committed(t, m, p) => handle.committed(t, m, p),
+            PersistOp::Entries(entries) => {
+                let upto = entries.len() as u64;
+                (PersistEffect::Entries { after: 0, upto }, entries.clone())
+            }
+            PersistOp::Meta(m) => (PersistEffect::Meta(*m), Vec::new()),
+            PersistOp::Committed(t, m, p) => (PersistEffect::Committed(*t, *m, *p), Vec::new()),
             other => panic!("unexpected op {other:?}"),
         }
     }
@@ -574,10 +506,9 @@ mod tests {
 
     #[test]
     fn node_stage_merges_into_one_record_with_append_bytes() {
-        // Two directories, same ops: one appended straight into the
-        // store, one staged through the node's one stage by every
-        // object's handle and merged by ingest. Both must hold one
-        // record with the same bytes.
+        // Two directories, same steps: one appended as owned ops, one
+        // fed as the effects the node's merge barrier reads out of its
+        // action buffer. Both must hold one record with the same bytes.
         let template = DurableState::initial(3);
         let dir_direct = tmpdir("staged-direct");
         let (mut direct, _, _) =
@@ -589,82 +520,77 @@ mod tests {
         let direct_wal = fs::read(&direct.wal_path).unwrap();
         drop(direct);
 
-        let dir_staged = tmpdir("staged-node");
-        let (store, _, _) =
-            NodeStore::open(&dir_staged, StoreConfig::default(), 4, template.clone()).unwrap();
-        let staged_wal_path = store.wal_path.clone();
-        let core = Arc::new(Mutex::new(store));
-        let stage = Arc::new(Mutex::new(Vec::new()));
-        let mut handles: Vec<ShardHandle> = (0..4)
-            .map(|o| ShardHandle::new(Arc::clone(&stage), Arc::clone(&core), ObjectId(o)))
-            .collect();
+        let dir_effects = tmpdir("staged-node");
+        let (mut store, _, _) =
+            NodeStore::open(&dir_effects, StoreConfig::default(), 4, template.clone()).unwrap();
         for (o, op) in interleaved_steps() {
-            stage_through(&mut handles[o.index()], op);
+            let (effect, log) = as_effect(&op);
+            store.append_effect(o, &effect, &log);
         }
-        drop(handles);
-        {
-            let mut core = core.lock().unwrap();
-            let mut stage = stage.lock().unwrap();
-            core.ingest(&mut stage);
-            assert!(stage.is_empty(), "ingest drains the stage");
-            core.barrier().unwrap();
-        }
-        drop(Arc::try_unwrap(core).map(|m| m.into_inner().unwrap()));
-        assert_eq!(fs::read(&staged_wal_path).unwrap(), direct_wal);
+        store.barrier().unwrap();
+        assert_eq!(fs::read(&store.wal_path).unwrap(), direct_wal);
+        drop(store);
 
         let (direct, direct_report) = NodeStore::inspect(&dir_direct, template.clone()).unwrap();
-        let (staged, staged_report) = NodeStore::inspect(&dir_staged, template).unwrap();
+        let (effects, effects_report) = NodeStore::inspect(&dir_effects, template).unwrap();
         assert_eq!(direct_report.records_replayed, 1);
-        assert_eq!(staged_report.records_replayed, 1, "still one record");
-        for o in 0..4 {
-            assert_eq!(direct[o].meta, staged[o].meta, "object {o} meta diverges");
-            assert_eq!(direct[o].log, staged[o].log, "object {o} log diverges");
-            assert_eq!(direct[o].commits, staged[o].commits);
-        }
+        assert_eq!(effects_report.records_replayed, 1, "still one record");
+        assert_eq!(direct, effects);
         let _ = fs::remove_dir_all(&dir_direct);
-        let _ = fs::remove_dir_all(&dir_staged);
+        let _ = fs::remove_dir_all(&dir_effects);
     }
 
     #[test]
-    fn staged_handle_standalone_sync_is_a_real_barrier() {
-        let dir = tmpdir("staged-sync");
-        let template = DurableState::initial(3);
-        let (store, _, _) =
-            NodeStore::open(&dir, StoreConfig::default(), 1, template.clone()).unwrap();
-        let core = Arc::new(Mutex::new(store));
-        let stage = Arc::new(Mutex::new(Vec::new()));
-        let mut h = ShardHandle::new(stage, Arc::clone(&core), ObjectId(0));
-        h.seq_advanced(3);
-        assert_eq!(h.wal_epoch(), Some(core.lock().unwrap().epoch()));
-        h.sync();
-        drop(h);
-        drop(Arc::try_unwrap(core).map(|m| m.into_inner().unwrap()));
-        let (states, report) = NodeStore::inspect(&dir, template).unwrap();
-        assert_eq!(report.records_replayed, 1);
-        assert_eq!(states[0].next_seq, 3);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shard_handles_share_one_store_and_one_barrier() {
+    fn shards_share_one_store_and_one_barrier() {
         let dir = tmpdir("handles");
         let template = DurableState::initial(3);
-        let (store, _, _) =
+        let (mut store, _, _) =
             NodeStore::open(&dir, StoreConfig::default(), 2, template.clone()).unwrap();
-        let core = Arc::new(Mutex::new(store));
-        let stage = Arc::new(Mutex::new(Vec::new()));
-        let mut h0 = ShardHandle::new(Arc::clone(&stage), Arc::clone(&core), ObjectId(0));
-        let mut h1 = ShardHandle::new(stage, Arc::clone(&core), ObjectId(1));
-        h0.seq_advanced(1);
-        h1.seq_advanced(5);
-        h0.sync();
-        drop((h0, h1));
-        let _ = Arc::try_unwrap(core).map(|m| drop(m.into_inner().unwrap()));
+        store.append_effect(ObjectId(0), &PersistEffect::Seq(1), &[]);
+        store.append_effect(ObjectId(1), &PersistEffect::Seq(5), &[]);
+        store.barrier().unwrap();
+        drop(store);
 
         let (states, report) = NodeStore::inspect(&dir, template).unwrap();
         assert_eq!(report.records_replayed, 1, "both shards in one record");
         assert_eq!(states[0].next_seq, 1);
         assert_eq!(states[1].next_seq, 5);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A rotation that fails part-way must not strand later commits:
+    /// recovery starts from the newest snapshot and replays only
+    /// segments of its epoch or later, so a snapshot newer than the
+    /// segment being appended to would hide every append after it.
+    /// Each step of the rotation is made to fail in turn by planting a
+    /// directory where its file goes.
+    #[test]
+    fn failed_rotation_loses_no_later_commit() {
+        for blocked in [wal_name(2), snap_name(2)] {
+            let dir = tmpdir("rotate-fail");
+            let template = DurableState::initial(3);
+            let (mut store, mut states, _) =
+                NodeStore::open(&dir, StoreConfig::default(), 1, template.clone()).unwrap();
+            let commit = |store: &mut NodeStore, states: &mut [DurableState], version| {
+                for (object, op) in commit_ops(0, version) {
+                    store.append(object, &op).unwrap();
+                    apply_op(&mut states[0], &op);
+                }
+                store.barrier().unwrap();
+            };
+            commit(&mut store, &mut states, 1);
+            assert_eq!(store.epoch(), 1);
+            fs::create_dir(dir.join(&blocked)).unwrap();
+            assert!(store.rotate(&states).is_err(), "{blocked} did not block");
+            fs::remove_dir(dir.join(&blocked)).unwrap();
+            commit(&mut store, &mut states, 2);
+            drop(store);
+
+            let (_, recovered, report) =
+                NodeStore::open(&dir, StoreConfig::default(), 1, template).unwrap();
+            assert_eq!(recovered[0].meta.version, 2, "{blocked}: {report:?}");
+            assert_eq!(recovered[0].log.len(), 2);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }

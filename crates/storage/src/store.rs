@@ -8,11 +8,14 @@
 //! wal-0000000000000007    records appended since that snapshot
 //! ```
 //!
-//! A **rotation** (checkpoint) moves from epoch `E` to `E+1`: write
-//! `snap-(E+1)` (tmp file → fsync → rename → fsync dir), open a fresh
-//! `wal-(E+1)`, then delete every file of epoch ≤ `E` — compaction is
-//! just that deletion, since the new snapshot subsumes everything the
-//! old segments said.
+//! A **rotation** (checkpoint) moves from epoch `E` to `E+1`: open a
+//! fresh `wal-(E+1)` and append there from then on, write `snap-(E+1)`
+//! (tmp file → fsync → rename → fsync dir), then delete every file of
+//! epoch ≤ `E` — compaction is just that deletion, since the new
+//! snapshot subsumes everything the old segments said. The segment
+//! comes first so that no snapshot is ever newer than the segment being
+//! appended to: recovery replays only segments at or past the snapshot
+//! it starts from.
 //!
 //! **Recovery** inverts this: load the newest snapshot that passes its
 //! CRC (falling back to older ones if the newest is corrupt), replay

@@ -1,6 +1,6 @@
 //! WAL record and snapshot byte formats.
 //!
-//! A WAL record is the **batch** of keyed [`PersistOp`]s a node's
+//! A WAL record is the **batch** of keyed persist effects a node's
 //! kernels emitted between two force-write barriers — one step of every
 //! object the batch touched — framed as:
 //!
@@ -17,7 +17,7 @@
 //!
 //! Framing the step, not the op, is what makes recovery sound: a
 //! commit mutates the log, the metadata, and the commit-record table
-//! through three separate hooks, and a state holding only a prefix of
+//! through three separate effects, and a state holding only a prefix of
 //! those mutations violates kernel invariants ("an update operation at
 //! a site is atomic", Section V-B). Because a record either replays in
 //! full or not at all, a killed process can only ever lose whole steps
@@ -37,8 +37,8 @@ use dynvote_core::SiteId;
 use dynvote_protocol::codec::{
     put_entries, put_meta, put_site_set, put_txn, put_u32, put_u64, put_u8, Reader, WireError,
 };
-use dynvote_protocol::persist::PersistOp;
-use dynvote_protocol::{CommitRecord, DurableState, ObjectId};
+use dynvote_protocol::persist::{PersistEffect, PersistOp};
+use dynvote_protocol::{CommitRecord, DurableState, LogEntry, ObjectId};
 use std::collections::HashMap;
 
 /// First bytes of a multi-object (node-wide) WAL segment, whose record
@@ -73,10 +73,7 @@ pub fn encode_keyed_op_into(out: &mut Vec<u8>, object: ObjectId, op: &PersistOp)
             put_u8(out, 3);
             put_txn(out, *txn);
         }
-        PersistOp::Entries(entries) => {
-            put_u8(out, 4);
-            put_entries(out, entries);
-        }
+        PersistOp::Entries(entries) => encode_entries(out, entries),
         PersistOp::Meta(meta) => {
             put_u8(out, 5);
             put_meta(out, *meta);
@@ -88,6 +85,29 @@ pub fn encode_keyed_op_into(out: &mut Vec<u8>, object: ObjectId, op: &PersistOp)
             put_site_set(out, *participants);
         }
     }
+}
+
+/// Append one keyed effect: the bytes [`encode_keyed_op_into`] writes
+/// for [`PersistEffect::op`], without building the op — an `Entries`
+/// effect is encoded straight from `log`, the emitting shard's log.
+pub(crate) fn encode_keyed_effect_into(
+    out: &mut Vec<u8>,
+    object: ObjectId,
+    effect: &PersistEffect,
+    log: &[LogEntry],
+) {
+    match effect.entries(log) {
+        Some(entries) => {
+            put_u32(out, object.0);
+            encode_entries(out, entries);
+        }
+        None => encode_keyed_op_into(out, object, &effect.op(log)),
+    }
+}
+
+fn encode_entries(out: &mut Vec<u8>, entries: &[LogEntry]) {
+    put_u8(out, 4);
+    put_entries(out, entries);
 }
 
 /// Decode a multi-object record body: the concatenated keyed ops of one
@@ -291,9 +311,15 @@ fn read_state(r: &mut Reader) -> Result<DurableState, WireError> {
 }
 
 /// Append a multi-object snapshot payload: a counted run of per-object
-/// states in object order (`states[o]` is object `o`'s state — objects
-/// are dense, so the index is the id).
-pub fn encode_states_into(out: &mut Vec<u8>, states: &[DurableState]) {
+/// states in object order (the `o`-th state is object `o`'s — objects
+/// are dense, so the index is the id). Takes borrowed states, so a node
+/// snapshots its live shards without copying their history.
+pub fn encode_states_into<'a, I>(out: &mut Vec<u8>, states: I)
+where
+    I: IntoIterator<Item = &'a DurableState>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let states = states.into_iter();
     put_u32(out, states.len() as u32);
     for state in states {
         encode_state_into(out, state);

@@ -12,18 +12,15 @@
 //! record — to aim damage at exact frame boundaries.
 
 use dynvote_core::{CopyMeta, Distinguished, LinearOrder, SiteId, SiteSet};
-use dynvote_protocol::persist::{apply_op, PersistOp};
-use dynvote_protocol::{DurableState, LogEntry, ObjectId, Persistence, TxnId};
+use dynvote_protocol::persist::{apply_op, effects, PersistEffect, PersistOp};
+use dynvote_protocol::{Action, DurableState, LogEntry, ObjectId, TxnId};
 use dynvote_storage::wal::{encode_keyed_op_into, frame_header};
-use dynvote_storage::{
-    FsyncPolicy, NodeStore, RecoveryReport, ShardHandle, StoreConfig, TornReason,
-};
+use dynvote_storage::{FsyncPolicy, NodeStore, RecoveryReport, StoreConfig, TornReason};
 use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -108,14 +105,14 @@ fn append_sealed(store: &mut NodeStore, ops: &[PersistOp]) {
     }
 }
 
-/// The surviving persistence adapter for object 0, on a stage of its
-/// own.
-fn handle(store: NodeStore) -> ShardHandle {
-    ShardHandle::new(
-        Arc::new(Mutex::new(Vec::new())),
-        Arc::new(Mutex::new(store)),
-        ObjectId::ZERO,
-    )
+/// Seal one site's kernel output the way a node's merge barrier does:
+/// every persist effect in `actions`, in emission order, entries read
+/// from the site's `log`, then one barrier.
+fn seal(store: &mut NodeStore, actions: &[Action], log: &[LogEntry]) {
+    for (object, effect) in effects(actions) {
+        store.append_effect(object, &effect, log);
+    }
+    store.barrier().unwrap();
 }
 
 /// The live WAL segment of a store that was just dropped (newest
@@ -444,7 +441,7 @@ fn inspect_is_read_only() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Installing the store as the actor's persistence hook and killing the
+/// Sealing the actor's persist effects into the store and killing the
 /// actor mid-protocol reproduces its durable state byte-for-byte.
 #[test]
 fn persistence_hooks_feed_the_wal() {
@@ -453,9 +450,8 @@ fn persistence_hooks_feed_the_wal() {
 
     let dir = temp_dir("hooks");
     let n = 3;
-    let (store, state, _) = open(&dir, always(), n);
+    let (mut store, state, _) = open(&dir, always(), n);
     let mut sub = SiteActor::restore(SiteId(1), n, AlgorithmKind::Hybrid.instantiate(n), state);
-    sub.set_persistence(Box::new(handle(store)));
     let mut out = Vec::new();
     let t = txn(0, 1);
     sub.handle_message(SiteId(0), Message::VoteRequest { txn: t }, &mut out);
@@ -472,11 +468,11 @@ fn persistence_hooks_feed_the_wal() {
         },
         &mut out,
     );
-    // The node loop's durability barrier: fires before any of `out`
+    // The node loop's durability barrier: runs before any of `out`
     // leaves the site. Only steps that passed it are recoverable.
-    sub.sync_persistence();
+    seal(&mut store, &out, sub.log());
     let live = sub.durable().clone();
-    drop(sub); // SIGKILL stand-in
+    drop((sub, store)); // SIGKILL stand-in
 
     let (_s, recovered, report) = open(&dir, always(), n);
     assert_eq!(recovered, live);
@@ -484,8 +480,8 @@ fn persistence_hooks_feed_the_wal() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Explicit Persistence-trait barrier path (what the cluster's node
-/// loop calls between batches).
+/// The barrier the node runs between batches flushes a buffered
+/// effect under a group-commit policy.
 #[test]
 fn sync_hook_flushes_buffered_records() {
     let dir = temp_dir("synchook");
@@ -494,10 +490,9 @@ fn sync_hook_flushes_buffered_records() {
         ..StoreConfig::default()
     };
     {
-        let (store, _, _) = open(&dir, config, 3);
-        let mut hook = handle(store);
-        hook.seq_advanced(9);
-        hook.sync();
+        let (mut store, _, _) = open(&dir, config, 3);
+        store.append_effect(ObjectId::ZERO, &PersistEffect::Seq(9), &[]);
+        store.barrier().unwrap();
     }
     let (_s, state, _) = open(&dir, config, 3);
     assert_eq!(state.next_seq, 9);
