@@ -3,7 +3,7 @@
 //! Everything above the kernel costs something — wire encoding, framing,
 //! transport writes, the node event loop, client round-trips. This bench
 //! boots the full `dynvote-cluster` runtime (five sites, hybrid
-//! algorithm) and drives it with the closed-loop [`LoadGen`] twice:
+//! algorithm) and drives it with the [`LoadGen`], closed loop, twice:
 //!
 //! * `channel` — in-process channel transport: the runtime's floor,
 //!   no serialization or sockets;
@@ -19,7 +19,9 @@
 //! One line per run goes to stderr and each run's JSON report to
 //! stdout. Set `DYNVOTE_BENCH_QUICK=1` for a short CI smoke run.
 
-use dynvote_cluster::{Cluster, ClusterConfig, LoadGen, LoadGenConfig, TcpClient, TransportKind};
+use dynvote_cluster::{
+    Cluster, ClusterConfig, LoadGen, LoadGenConfig, TcpClient, TransportKind, WorkloadTarget,
+};
 use dynvote_core::{AlgorithmKind, SiteId};
 use std::time::Duration;
 
@@ -42,23 +44,24 @@ fn run(kind: TransportKind) {
     let config = ClusterConfig::new(SITES, AlgorithmKind::Hybrid).with_transport(kind);
     let cluster = Cluster::boot(&config).expect("cluster boots");
     let loadgen = LoadGenConfig {
-        concurrency: WORKERS,
         duration: duration(),
         read_fraction: 0.1,
         seed: 42,
         ..LoadGenConfig::default()
     };
-    let mut report = LoadGen::run(&loadgen, |w| {
-        let site = SiteId((w % SITES) as u8);
-        match kind {
-            TransportKind::Channel => Box::new(cluster.client(site)),
-            TransportKind::Tcp => {
-                let addr = cluster.addr(site).expect("tcp cluster publishes addrs");
-                Box::new(TcpClient::connect(addr).expect("client connects"))
+    let targets = (0..WORKERS)
+        .map(|w| -> Box<dyn WorkloadTarget> {
+            let site = SiteId((w % SITES) as u8);
+            match kind {
+                TransportKind::Channel => Box::new(cluster.client(site)),
+                TransportKind::Tcp => {
+                    let addr = cluster.addr(site).expect("tcp cluster publishes addrs");
+                    Box::new(TcpClient::connect(addr).expect("client connects"))
+                }
             }
-        }
-    })
-    .expect("load generation runs");
+        })
+        .collect();
+    let mut report = LoadGen::run(&loadgen, targets).expect("load generation runs");
     report.algorithm = "hybrid".into();
     report.transport = name.into();
     report.sites = SITES;

@@ -1,16 +1,17 @@
-//! Bench: HTTP front-door throughput under open-loop load.
+//! Bench: HTTP front-door throughput under paced load.
 //!
-//! The closed-loop e2e bench (`e2e_cluster`) measures the binary wire
-//! path with self-pacing workers. This bench measures the other front:
-//! paced arrivals against the HTTP/1.1 front door, each op on its own
-//! connection through the per-node epoll reactor — connect, parse,
-//! admission, node round-trip, response, close. Two workloads:
+//! The e2e bench (`e2e_cluster`) measures the binary wire path with
+//! closed-loop workers. This bench measures the other front: the
+//! [`LoadGen`] paced on a fixed clock against the HTTP/1.1 front door,
+//! each op on its own connection through the per-node epoll reactor —
+//! connect, parse, admission, node round-trip, response, close. Two
+//! workloads:
 //!
 //! * `sustained` — an arrival rate the cluster absorbs; the number to
 //!   watch is committed throughput and the intended-arrival p99;
-//! * `overload` — every arrival aimed at one node with admission
-//!   capped at 1 inflight op: exercises the 429 reject fast path
-//!   (which must stay fast, or overload turns into collapse).
+//! * `overload` — every worker aimed at one node with admission capped
+//!   at 1 inflight op: exercises the 429 reject fast path (which must
+//!   stay fast, or overload turns into collapse).
 //!
 //! Every run ends with a ledger audit so a throughput number from an
 //! inconsistent cluster cannot be reported. One line per run goes to
@@ -18,14 +19,14 @@
 //! `DYNVOTE_BENCH_QUICK=1` for a short CI smoke run.
 
 use dynvote_cluster::{
-    Cluster, ClusterConfig, FrontDoorConfig, OpenLoop, OpenLoopConfig, OpenLoopReport,
-    TransportKind,
+    Cluster, ClusterConfig, FrontDoorConfig, HttpClient, LoadGen, LoadGenConfig, LoadReport,
+    TransportKind, WorkloadTarget,
 };
 use dynvote_core::{AlgorithmKind, SiteId};
-use std::net::SocketAddr;
 use std::time::Duration;
 
 const SITES: usize = 5;
+const WORKERS: usize = 16;
 
 fn duration() -> Duration {
     if std::env::var_os("DYNVOTE_BENCH_QUICK").is_some() {
@@ -39,8 +40,8 @@ fn run(
     workload: &str,
     max_inflight: u64,
     target_sites: usize,
-    config: OpenLoopConfig,
-) -> OpenLoopReport {
+    config: LoadGenConfig,
+) -> LoadReport {
     let cluster_config = ClusterConfig::new(SITES, AlgorithmKind::Hybrid)
         .with_transport(TransportKind::Tcp)
         .with_http(FrontDoorConfig {
@@ -49,11 +50,15 @@ fn run(
             max_conns: 8192,
         });
     let cluster = Cluster::boot(&cluster_config).expect("cluster boots");
-    let targets: Vec<SocketAddr> = (0..target_sites)
-        .map(|i| cluster.http_addr(SiteId(i as u8)).expect("http addr"))
+    let targets = (0..WORKERS)
+        .map(|w| -> Box<dyn WorkloadTarget> {
+            let site = SiteId((w % target_sites) as u8);
+            Box::new(HttpClient::new(cluster.http_addr(site).expect("http addr")))
+        })
         .collect();
-    let mut report = OpenLoop::run(&config, &targets).expect("open-loop run");
+    let mut report = LoadGen::run(&config, targets).expect("paced run");
     report.algorithm = "hybrid".into();
+    report.transport = "http".into();
     report.sites = SITES;
     assert!(
         cluster.await_quiescence(Duration::from_secs(10)),
@@ -66,17 +71,13 @@ fn run(
     );
     cluster.shutdown();
     assert!(report.committed > 0, "{workload}: nothing committed");
-    assert_eq!(
-        (report.connect_errors, report.http_errors),
-        (0, 0),
-        "{workload}: transport errors"
-    );
+    assert_eq!(report.transport_errors, 0, "{workload}: transport errors");
     eprintln!(
         "{:<10} {:>8} offered  {:>8} committed  {:>6} x429  {:>10.0} commits/sec  p99 {:>7.3} ms",
         workload,
         report.offered,
         report.committed,
-        report.rejected_429,
+        report.overloaded,
         report.throughput_per_sec,
         report.update_latency.p99_ms
     );
@@ -88,15 +89,14 @@ fn run(
 }
 
 fn main() {
-    let load = |rate, read_fraction, seed| OpenLoopConfig {
-        rate,
+    let load = |rate, read_fraction, seed| LoadGenConfig {
         duration: duration(),
-        connections: 2048,
+        rate: Some(rate),
         read_fraction,
         seed,
-        ..OpenLoopConfig::default()
+        ..LoadGenConfig::default()
     };
     run("sustained", 512, SITES, load(800.0, 0.1, 42));
-    let overload = run("overload", 1, 1, load(3000.0, 0.0, 43));
-    assert!(overload.rejected_429 > 0, "the 429 fast path never fired");
+    let overload = run("overload", 1, 1, load(10_000.0, 0.0, 43));
+    assert!(overload.overloaded > 0, "the 429 fast path never fired");
 }

@@ -23,7 +23,9 @@
 //! One line per run goes to stderr and each run's JSON report to
 //! stdout. Set `DYNVOTE_BENCH_QUICK=1` for a short CI smoke run.
 
-use dynvote_cluster::{Cluster, ClusterConfig, LoadGen, LoadGenConfig, TransportKind};
+use dynvote_cluster::{
+    Cluster, ClusterConfig, LoadGen, LoadGenConfig, TransportKind, WorkloadTarget,
+};
 use dynvote_core::{AlgorithmKind, SiteId};
 use std::time::Duration;
 
@@ -79,22 +81,18 @@ fn run(shape: &Shape) -> f64 {
         .with_max_batch(shape.max_batch);
     let cluster = Cluster::boot(&config).expect("cluster boots");
     let loadgen = LoadGenConfig {
-        concurrency: shape.workers,
         duration: duration(),
         read_fraction: shape.read_fraction,
         seed: 42,
         ..LoadGenConfig::default()
     };
-    let spread = shape.spread;
-    let mut report = LoadGen::run(&loadgen, |w| {
-        let site = if spread {
-            SiteId((w % SITES) as u8)
-        } else {
-            SiteId(0)
-        };
-        Box::new(cluster.client(site))
-    })
-    .expect("load generation runs");
+    let targets = (0..shape.workers)
+        .map(|w| -> Box<dyn WorkloadTarget> {
+            let site = if shape.spread { w % SITES } else { 0 };
+            Box::new(cluster.client(SiteId(site as u8)))
+        })
+        .collect();
+    let mut report = LoadGen::run(&loadgen, targets).expect("load generation runs");
     report.algorithm = "hybrid".into();
     report.transport = shape.label.clone();
     report.sites = SITES;

@@ -9,7 +9,7 @@
 //! batched into shared peer frames and sealed by one group-commit
 //! barrier per node-loop batch.
 //!
-//! Runs the closed-loop [`LoadGen`] with a uniform key distribution
+//! Runs the [`LoadGen`] closed loop with a uniform key distribution
 //! over both transports:
 //!
 //! * `channel` — in-process transport: the sharded runtime's floor;
@@ -25,6 +25,7 @@
 
 use dynvote_cluster::{
     Cluster, ClusterConfig, KeyDist, LoadGen, LoadGenConfig, TcpClient, TransportKind,
+    WorkloadTarget,
 };
 use dynvote_core::{AlgorithmKind, SiteId};
 use std::time::Duration;
@@ -51,24 +52,26 @@ fn run(kind: TransportKind) {
         .with_objects(KEYS as usize);
     let cluster = Cluster::boot(&config).expect("cluster boots");
     let loadgen = LoadGenConfig {
-        concurrency: WORKERS,
         duration: duration(),
+        rate: None,
         read_fraction: 0.0,
         keys: KEYS,
         key_dist: KeyDist::Uniform,
         seed: 42,
     };
-    let mut report = LoadGen::run(&loadgen, |w| {
-        let site = SiteId((w % SITES) as u8);
-        match kind {
-            TransportKind::Channel => Box::new(cluster.client(site)),
-            TransportKind::Tcp => {
-                let addr = cluster.addr(site).expect("tcp cluster publishes addrs");
-                Box::new(TcpClient::connect(addr).expect("client connects"))
+    let targets = (0..WORKERS)
+        .map(|w| -> Box<dyn WorkloadTarget> {
+            let site = SiteId((w % SITES) as u8);
+            match kind {
+                TransportKind::Channel => Box::new(cluster.client(site)),
+                TransportKind::Tcp => {
+                    let addr = cluster.addr(site).expect("tcp cluster publishes addrs");
+                    Box::new(TcpClient::connect(addr).expect("client connects"))
+                }
             }
-        }
-    })
-    .expect("load generation runs");
+        })
+        .collect();
+    let mut report = LoadGen::run(&loadgen, targets).expect("load generation runs");
     report.algorithm = "hybrid".into();
     report.transport = name.into();
     report.sites = SITES;

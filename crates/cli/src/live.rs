@@ -2,17 +2,17 @@
 //!
 //! `serve` boots an n-node TCP loopback cluster at fixed ports and
 //! keeps it running; `loadgen` connects from a separate process,
-//! hammers it with a closed-loop workload (optionally crashing and
-//! restarting one node mid-run), audits every node, and emits a
-//! machine-readable JSON report. `loadgen` exits non-zero on a
-//! consistency violation or a missed `--min-commits` floor, so CI can
-//! gate on it directly.
+//! loads it over the binary wire or the HTTP front door, closed loop or
+//! paced (optionally crashing and restarting one node mid-run), audits
+//! every node, and emits a machine-readable JSON report. `loadgen` exits
+//! non-zero on a consistency violation or a missed `--min-commits`
+//! floor, so CI can gate on it directly.
 
 use crate::opts::Opts;
 use dynvote_cluster::wire::{ClientOp, ClientReply};
 use dynvote_cluster::{
-    Cluster, ClusterConfig, EventCountEntry, FrontDoorConfig, KeyDist, LoadGen, LoadGenConfig,
-    NetCounterEntry, NetStats, OpenLoop, OpenLoopConfig, ShardCounterEntry, ShardStats, TcpClient,
+    check_concurrency, Cluster, ClusterConfig, EventCountEntry, FrontDoorConfig, HttpClient,
+    LoadGen, LoadGenConfig, NetCounterEntry, NetStats, ShardCounterEntry, ShardStats, TcpClient,
     TransportKind, WorkloadTarget, DEFAULT_MAX_BATCH,
 };
 use dynvote_core::{AlgorithmKind, ConfigError, SiteId};
@@ -73,13 +73,7 @@ pub fn serve_cmd(opts: &Opts) -> Result<(), String> {
         .with_trace(trace);
     // The HTTP front door is opt-in; its tuning knobs without
     // --http-port are a typed configuration error, not a silent ignore.
-    let http_port: Option<u16> = match opts.get("http-port") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| format!("invalid value {raw:?} for --http-port"))?,
-        ),
-    };
+    let http_port: Option<u16> = optional(opts, "http-port")?;
     if http_port.is_none()
         && (opts.get("max-inflight").is_some() || opts.get("max-conns").is_some())
     {
@@ -249,49 +243,38 @@ pub fn loadgen_cmd(opts: &Opts) -> Result<(), String> {
         "crash",
         "crash-after",
         "restart-after",
-        "open-loop",
         "rate",
-        "connections",
         "http-port",
     ])
     .map_err(|e| format!("{e}; see `dynvote help`"))?;
     let n: usize = opts.get_or("n", 5).map_err(|e| e.to_string())?;
     let host = opts.get("host").unwrap_or("127.0.0.1");
     let port_base: u16 = opts.get_or("port-base", 7700).map_err(|e| e.to_string())?;
-    let open_loop: bool = opts.get_or("open-loop", false).map_err(|e| e.to_string())?;
-    if !open_loop {
-        for flag in ["rate", "connections", "http-port"] {
-            if opts.get(flag).is_some() {
-                return Err(ConfigError::Requires {
-                    field: "--rate / --connections / --http-port",
-                    requires: "--open-loop true",
-                }
-                .to_string());
-            }
-        }
-    }
-    let duration = secs(
-        opts.get_or("duration", 5.0).map_err(|e| e.to_string())?,
-        "duration",
-    )?;
-    let read_fraction: f64 = opts
-        .get_or("read-fraction", 0.1)
-        .map_err(|e| e.to_string())?;
-    let keys: u32 = opts.get_or("keys", 1).map_err(|e| e.to_string())?;
-    let key_dist: KeyDist = opts
-        .get("key-dist")
-        .unwrap_or("uniform")
-        .parse()
-        .map_err(|e: ConfigError| e.to_string())?;
-    let seed: u64 = opts.get_or("seed", 7).map_err(|e| e.to_string())?;
+    let concurrency: usize = opts.get_or("concurrency", 4).map_err(|e| e.to_string())?;
+    let config = LoadGenConfig {
+        duration: secs(
+            opts.get_or("duration", 5.0).map_err(|e| e.to_string())?,
+            "duration",
+        )?,
+        rate: optional(opts, "rate")?,
+        read_fraction: opts
+            .get_or("read-fraction", 0.1)
+            .map_err(|e| e.to_string())?,
+        keys: opts.get_or("keys", 1).map_err(|e| e.to_string())?,
+        key_dist: opts
+            .get("key-dist")
+            .unwrap_or("uniform")
+            .parse()
+            .map_err(|e: ConfigError| e.to_string())?,
+        seed: opts.get_or("seed", 7).map_err(|e| e.to_string())?,
+    };
+    // Typed validation before any socket is touched: absurd rates,
+    // read mixes or worker counts are rejected, never panicked on.
+    config.validate().map_err(|e| e.to_string())?;
+    check_concurrency(concurrency).map_err(|e| e.to_string())?;
+    let http_port: Option<u16> = optional(opts, "http-port")?;
     let min_commits: u64 = opts.get_or("min-commits", 0).map_err(|e| e.to_string())?;
-    let crash_site: Option<usize> =
-        match opts.get("crash") {
-            None => None,
-            Some(raw) => Some(raw.parse().map_err(|_| {
-                format!("invalid value {raw:?} for --crash (expected a site index)")
-            })?),
-        };
+    let crash_site: Option<usize> = optional(opts, "crash")?;
     if let Some(site) = crash_site {
         if site >= n {
             return Err(format!("--crash {site} out of range for n={n}"));
@@ -307,14 +290,7 @@ pub fn loadgen_cmd(opts: &Opts) -> Result<(), String> {
         "restart-after",
     )?;
 
-    let addrs: Vec<SocketAddr> = (0..n)
-        .map(|i| {
-            format!("{host}:{}", port_base + i as u16)
-                .parse()
-                .map_err(|_| format!("invalid address {host}:{}", port_base + i as u16))
-        })
-        .collect::<Result<_, String>>()?;
-
+    let addrs = site_addrs(host, port_base, n)?;
     // Wait for the cluster to come up (serve may still be booting).
     let deadline = Instant::now() + Duration::from_secs(10);
     for addr in &addrs {
@@ -328,6 +304,24 @@ pub fn loadgen_cmd(opts: &Opts) -> Result<(), String> {
             }
         }
     }
+
+    // Workers go round-robin over the nodes: through the HTTP front
+    // door with --http-port, else over the binary wire.
+    let http_addrs = http_port
+        .map(|base| site_addrs(host, base, n))
+        .transpose()?;
+    let targets = (0..concurrency)
+        .map(|w| -> Result<Box<dyn WorkloadTarget>, String> {
+            let site = w % n;
+            if let Some(http) = &http_addrs {
+                return Ok(Box::new(HttpClient::new(http[site])));
+            }
+            let addr = addrs[site];
+            let client = TcpClient::connect(addr)
+                .map_err(|e| format!("loadgen worker connect {addr}: {e}"))?;
+            Ok(Box::new(client))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
 
     // One induced crash/restart mid-run, driven over the same wire.
     let chaos = crash_site.map(|site| {
@@ -347,76 +341,7 @@ pub fn loadgen_cmd(opts: &Opts) -> Result<(), String> {
         })
     });
 
-    // ---- open-loop branch: paced arrivals against the HTTP front door
-    if open_loop {
-        let config = OpenLoopConfig {
-            rate: opts.get_or("rate", 500.0).map_err(|e| e.to_string())?,
-            duration,
-            connections: opts
-                .get_or("connections", 1024)
-                .map_err(|e| e.to_string())?,
-            read_fraction,
-            keys,
-            key_dist,
-            seed,
-        };
-        config.validate().map_err(|e| e.to_string())?;
-        let http_base: u16 = opts.get_or("http-port", 7800).map_err(|e| e.to_string())?;
-        let targets: Vec<SocketAddr> = (0..n)
-            .map(|i| {
-                format!("{host}:{}", http_base + i as u16)
-                    .parse()
-                    .map_err(|_| format!("invalid address {host}:{}", http_base + i as u16))
-            })
-            .collect::<Result<_, String>>()?;
-        let run = OpenLoop::run(&config, &targets);
-        let mut report = run.map_err(|e| e.to_string())?;
-        if let Some(handle) = chaos {
-            handle
-                .join()
-                .map_err(|_| "chaos thread panicked".to_string())??;
-        }
-        thread::sleep(Duration::from_millis(200));
-        let (audited_commits, consistent) = audit_over_wire(&addrs)?;
-        report.algorithm = opts.get("algo").unwrap_or("unlabeled").into();
-        report.sites = n;
-        println!("{}", report.to_json());
-        eprintln!(
-            "audited: coordinator commits = {audited_commits}, consistent = {consistent} \
-             (client observed {} commits, peak {} open connections)",
-            report.committed, report.peak_open
-        );
-        if !consistent {
-            return Err("serializability violation: a node's log diverged from the chain".into());
-        }
-        if report.committed < min_commits {
-            return Err(format!(
-                "only {} updates committed; --min-commits {min_commits} not met",
-                report.committed
-            ));
-        }
-        return Ok(());
-    }
-
-    // ---- closed-loop branch: self-pacing workers on the binary port
-    let config = LoadGenConfig {
-        concurrency: opts.get_or("concurrency", 4).map_err(|e| e.to_string())?,
-        duration,
-        read_fraction,
-        keys,
-        key_dist,
-        seed,
-    };
-    // Typed validation before any socket is touched (satellite: absurd
-    // concurrency / read mixes are rejected, never panicked on).
-    config.validate().map_err(|e| e.to_string())?;
-    let run = LoadGen::run(&config, |w| {
-        let addr = addrs[w % addrs.len()];
-        let client = TcpClient::connect(addr)
-            .unwrap_or_else(|e| panic!("loadgen worker connect {addr}: {e}"));
-        Box::new(client) as Box<dyn WorkloadTarget>
-    });
-    let mut report = run.map_err(|e| e.to_string())?;
+    let mut report = LoadGen::run(&config, targets).map_err(|e| e.to_string())?;
     if let Some(handle) = chaos {
         handle
             .join()
@@ -424,92 +349,78 @@ pub fn loadgen_cmd(opts: &Opts) -> Result<(), String> {
     }
 
     // Give in-flight commit fan-out a moment to drain, then audit every
-    // node over the wire.
+    // node over the wire and pull its counters into the report: protocol
+    // event tallies, the reactor's transport and front-door counters
+    // (dial failures, backpressure drops, decode errors) and the node's
+    // kernel-step counters (steps run, merge barriers, the pipelining
+    // queue peak and batch sizes). Zero counts are omitted.
     thread::sleep(Duration::from_millis(200));
     let mut audited_commits = 0u64;
     let mut consistent = true;
     for (site, addr) in addrs.iter().enumerate() {
         let mut client =
             TcpClient::connect(*addr).map_err(|e| format!("audit connect {addr}: {e}"))?;
-        match client
-            .request(&ClientOp::Audit)
-            .map_err(|e| format!("audit request {addr}: {e}"))?
-        {
+        let mut ask = |op: ClientOp| {
+            client
+                .request(&op)
+                .map_err(|e| format!("{op:?} request {addr}: {e}"))
+        };
+        let replies = (
+            ask(ClientOp::Audit)?,
+            ask(ClientOp::Events)?,
+            ask(ClientOp::NetStats)?,
+            ask(ClientOp::ShardStats)?,
+        );
+        let (
             ClientReply::Audit {
                 commits,
                 consistent: ok,
                 ..
-            } => {
-                audited_commits += commits;
-                consistent &= ok;
-            }
-            other => return Err(format!("unexpected audit reply {other:?}")),
-        }
-        // Pull this node's protocol event tallies into the JSON report
-        // (zero counts are omitted to keep the report readable).
-        match client
-            .request(&ClientOp::Events)
-            .map_err(|e| format!("events request {addr}: {e}"))?
-        {
-            ClientReply::Events { counts } => {
-                for (kind, &count) in EventKind::ALL.iter().zip(&counts) {
-                    if count > 0 {
-                        report.events.push(EventCountEntry {
-                            site,
-                            event: kind.name().to_owned(),
-                            count,
-                        });
-                    }
-                }
-            }
-            other => return Err(format!("unexpected events reply {other:?}")),
-        }
-        // And the reactor's transport/front-door counters: dial
-        // failures, backpressure drops, decode errors — the failure
-        // modes `take_error` used to swallow (zero counts omitted).
-        match client
-            .request(&ClientOp::NetStats)
-            .map_err(|e| format!("net-stats request {addr}: {e}"))?
-        {
-            ClientReply::NetStats { counts } => {
-                for (name, &count) in NetStats::NAMES.iter().zip(&counts) {
-                    if count > 0 {
-                        report.net.push(NetCounterEntry {
-                            site,
-                            counter: (*name).to_owned(),
-                            count,
-                        });
-                    }
-                }
-            }
-            other => return Err(format!("unexpected net-stats reply {other:?}")),
-        }
-        // And the node's kernel-step counters: steps run, merge
-        // barriers, the pipelining queue peak and batch sizes (zero
-        // counts omitted).
-        match client
-            .request(&ClientOp::ShardStats)
-            .map_err(|e| format!("shard-stats request {addr}: {e}"))?
-        {
-            ClientReply::ShardStats { workers, counts } => {
-                for (name, &count) in ShardStats::names_for(workers as usize).iter().zip(&counts) {
-                    if count > 0 {
-                        report.shard.push(ShardCounterEntry {
-                            site,
-                            counter: name.clone(),
-                            count,
-                        });
-                    }
-                }
-            }
-            other => return Err(format!("unexpected shard-stats reply {other:?}")),
-        }
+            },
+            ClientReply::Events { counts: events },
+            ClientReply::NetStats { counts: net },
+            ClientReply::ShardStats {
+                workers,
+                counts: shard,
+            },
+        ) = replies
+        else {
+            return Err(format!("unexpected audit replies from {addr}: {replies:?}"));
+        };
+        audited_commits += commits;
+        consistent &= ok;
+        let nonzero = |names: Vec<String>, counts: Vec<u64>| {
+            names
+                .into_iter()
+                .zip(counts)
+                .filter(|&(_, count)| count > 0)
+        };
+        let names = EventKind::ALL.iter().map(|k| k.name().to_owned()).collect();
+        report.events.extend(
+            nonzero(names, events).map(|(event, count)| EventCountEntry { site, event, count }),
+        );
+        let names = NetStats::NAMES.iter().map(|&n| n.to_owned()).collect();
+        report
+            .net
+            .extend(nonzero(names, net).map(|(counter, count)| NetCounterEntry {
+                site,
+                counter,
+                count,
+            }));
+        let names = ShardStats::names_for(workers as usize);
+        report.shard.extend(
+            nonzero(names, shard).map(|(counter, count)| ShardCounterEntry {
+                site,
+                counter,
+                count,
+            }),
+        );
     }
 
     // The protocol is opaque to a wire client, so the report's algorithm
     // field is a caller-supplied label (matching serve's --algo).
     report.algorithm = opts.get("algo").unwrap_or("unlabeled").into();
-    report.transport = "tcp".into();
+    report.transport = if http_addrs.is_some() { "http" } else { "tcp" }.into();
     report.sites = n;
     println!("{}", report.to_json());
     eprintln!(
@@ -530,28 +441,23 @@ pub fn loadgen_cmd(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Audit every node over the binary wire: summed coordinator commits
-/// and the conjunction of per-node consistency verdicts.
-fn audit_over_wire(addrs: &[SocketAddr]) -> Result<(u64, bool), String> {
-    let mut audited_commits = 0u64;
-    let mut consistent = true;
-    for addr in addrs {
-        let mut client =
-            TcpClient::connect(*addr).map_err(|e| format!("audit connect {addr}: {e}"))?;
-        match client
-            .request(&ClientOp::Audit)
-            .map_err(|e| format!("audit request {addr}: {e}"))?
-        {
-            ClientReply::Audit {
-                commits,
-                consistent: ok,
-                ..
-            } => {
-                audited_commits += commits;
-                consistent &= ok;
-            }
-            other => return Err(format!("unexpected audit reply {other:?}")),
-        }
-    }
-    Ok((audited_commits, consistent))
+/// Node `i`'s address: `host:(base + i)`, for `i` in `0..n`.
+fn site_addrs(host: &str, base: u16, n: usize) -> Result<Vec<SocketAddr>, String> {
+    (0..n)
+        .map(|i| {
+            let addr = format!("{host}:{}", base + i as u16);
+            addr.parse().map_err(|_| format!("invalid address {addr}"))
+        })
+        .collect()
+}
+
+/// An optional flag's value: `None` when absent, an error when it does
+/// not parse.
+fn optional<T: std::str::FromStr>(opts: &Opts, flag: &str) -> Result<Option<T>, String> {
+    opts.get(flag)
+        .map(|raw| {
+            raw.parse()
+                .map_err(|_| format!("invalid value {raw:?} for --{flag}"))
+        })
+        .transpose()
 }

@@ -11,7 +11,7 @@
 //! dynvote experiments [...]   algorithms × seeds protocol-sim grid
 //! dynvote chaos [...]         nemesis schedules: run, replay, minimize
 //! dynvote serve [...]         boot a live TCP loopback cluster
-//! dynvote loadgen [...]       closed-loop load against a served cluster
+//! dynvote loadgen [...]       load a served cluster and audit it
 //! dynvote recover [...]       inspect a serve data directory offline
 //! dynvote help                this text
 //! ```
@@ -188,35 +188,35 @@ USAGE:
 
     dynvote loadgen [--n k] [--host h] [--port-base p] [--concurrency c]
                     [--duration secs] [--read-fraction f] [--seed s]
-                    [--keys k] [--key-dist uniform|zipf]
+                    [--keys k] [--key-dist uniform|zipf] [--rate r]
+                    [--http-port p]
                     [--crash <site>] [--crash-after secs] [--restart-after secs]
                     [--min-commits k] [--algo <label>]
-                    [--open-loop true] [--rate r] [--connections c]
-                    [--http-port p]
-        Closed-loop workload against a served cluster: c workers issue
-        updates/reads round-robin over the nodes, optionally crashing
-        and restarting one site mid-run. Prints a JSON report with
-        throughput, per-shard and aggregate commit counts, p50/p95/p99
-        commit latency, per-site protocol event tallies, and per-site
-        net counters (dial failures, backpressure drops, decode
-        errors), audits every node, and exits non-zero on a
-        serializability violation or if fewer than --min-commits
-        updates committed. --algo only labels the report (the wire
-        protocol is algorithm-agnostic).
+        Workload against a served cluster: c workers issue updates/reads
+        round-robin over the nodes, optionally crashing and restarting
+        one site mid-run. Prints a JSON report with throughput,
+        per-shard and aggregate commit counts, p50/p95/p99 commit
+        latency, per-site protocol event tallies, net counters (dial
+        failures, backpressure drops, decode errors) and node counters,
+        audits every node, and exits non-zero on a serializability
+        violation or if fewer than --min-commits updates committed.
+        --algo only labels the report (the wire protocol is
+        algorithm-agnostic).
 
         --keys k spreads ops over k objects (serve must host at least
         that many); --key-dist picks the sampling law: uniform
         (default) or zipf (exponent 1, key 0 hottest). The report's
         per_shard_commits array has one commit count per key.
 
-        --open-loop true switches to paced arrivals against the HTTP
-        front door (serve must be running with --http-port): --rate
-        arrivals per second, each on its own connection, at most
-        --connections open at once (excess arrivals are shed and
-        counted). Latency is measured from the intended arrival
-        instant, so queueing shows up as latency instead of silently
-        reducing offered load. 429s, shed arrivals, and connect errors
-        are reported separately.
+        Without --rate each worker issues back to back (closed loop).
+        --rate r schedules r arrivals per second on a fixed clock; a
+        free worker takes the next due one, so at most c are in flight,
+        latency counts from each arrival's intended instant, and
+        arrivals no worker reached in time are reported as shed.
+        --http-port p sends every op as POST /v1/op on its own
+        connection to the front door at p + i (serve must be running
+        with --http-port) instead of over the binary wire; front-door
+        429s count as overloaded.
 ";
 
 fn main() -> ExitCode {

@@ -7,7 +7,7 @@
 //! only way into a site from another thread is its `Inbox`, which
 //! [`Cluster`]'s control ops, [`LocalClient`] and shutdown share.
 
-use crate::frontdoor::{FrontDoor, FrontDoorConfig};
+use crate::frontdoor::{self, FrontDoor, FrontDoorConfig};
 use crate::node::{
     AuditOutcome, ClusterLedger, Node, NodeConfig, NodeDurability, NodeEvent, ReplySink, ShardStats,
 };
@@ -15,10 +15,10 @@ use crate::reactor::{Reactor, ReactorConfig, ReactorTransport, TOKEN_WAKER};
 use crate::transport::{ChannelTransport, NetStats, Transport};
 use crate::wire::{self, ClientOp, ClientReply, HELLO_CLIENT};
 use dynvote_core::{AlgorithmKind, ConfigError, SiteId, SiteSet, MAX_SITES};
-use dynvote_net::{Poller, Waker};
+use dynvote_net::{Poller, ResponseParser, Waker};
 use dynvote_protocol::{CountingSink, EventTallies, ObjectId};
 use dynvote_storage::{FsyncPolicy, StorageError, StoreConfig};
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -437,6 +437,58 @@ impl TcpClient {
                 return Ok(reply);
             }
         }
+    }
+}
+
+/// A blocking HTTP/1.1 client for one node's front door: each op is a
+/// `POST /v1/op` on its own connection, with [`TcpClient`]'s 2 s
+/// timeouts.
+pub struct HttpClient {
+    addr: SocketAddr,
+}
+
+impl HttpClient {
+    /// A client for the front door at `addr`; each op connects afresh.
+    #[must_use]
+    pub fn new(addr: SocketAddr) -> Self {
+        HttpClient { addr }
+    }
+
+    /// Issue one update or read and wait for its reply. A response the
+    /// front door does not send for an op is `InvalidData`.
+    pub fn request(&self, op: &ClientOp) -> io::Result<ClientReply> {
+        let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
+        let (verb, key) = match *op {
+            ClientOp::Update { key } => ("update", key),
+            ClientOp::Read { key } => ("read", key),
+            ref other => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("{other:?} has no HTTP form"),
+                ))
+            }
+        };
+        let body = format!("{{\"op\":\"{verb}\",\"key\":{key}}}");
+        let request = format!(
+            "POST /v1/op HTTP/1.1\r\nhost: dynvote\r\ncontent-length: {}\r\n\
+             connection: close\r\n\r\n{body}",
+            body.len()
+        );
+        let timeout = Duration::from_secs(2);
+        let mut stream = TcpStream::connect_timeout(&self.addr, timeout)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.write_all(request.as_bytes())?;
+        let mut raw = Vec::new();
+        stream.read_to_end(&mut raw)?;
+        let mut parser = ResponseParser::new();
+        parser.extend(&raw);
+        let response = parser
+            .next_response()
+            .map_err(|e| invalid(format!("{e:?}")))?
+            .ok_or_else(|| invalid("connection closed mid-response".into()))?;
+        frontdoor::parse_reply(response.status, &response.body)
+            .ok_or_else(|| invalid(format!("unexpected HTTP {} reply", response.status)))
     }
 }
 

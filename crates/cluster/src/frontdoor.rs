@@ -513,7 +513,7 @@ fn render_reply(reply: &ClientReply) -> (u16, &'static str, String) {
         ),
         // The per-object pipeline queue is full: the op was never
         // admitted to a round. Same status as the admission gate so
-        // open-loop clients count both as back-pressure.
+        // clients count both as back-pressure.
         ClientReply::Overloaded => (
             429,
             "Too Many Requests",
@@ -551,6 +551,34 @@ fn render_reply(reply: &ClientReply) -> (u16, &'static str, String) {
             format!("{{\"error\":\"unexpected reply {other:?}\"}}"),
         ),
     }
+}
+
+/// Decode a `POST /v1/op` response back into the node's reply: the
+/// inverse of [`render_reply`] on the data-plane outcomes. Every `429`
+/// is `Overloaded`, whether the admission gate or the object's queue
+/// refused. Anything else (a `400`, a route miss, a body this module
+/// never renders) is `None`.
+pub(crate) fn parse_reply(status: u16, body: &[u8]) -> Option<ClientReply> {
+    if status == 429 {
+        return Some(ClientReply::Overloaded);
+    }
+    let text = std::str::from_utf8(body).ok()?;
+    let (outcome, rest) = text.strip_prefix("{\"outcome\":\"")?.split_once('"')?;
+    Some(match (status, outcome) {
+        (200, "committed") => {
+            let version = rest.strip_prefix(",\"version\":")?.strip_suffix('}')?;
+            ClientReply::Committed {
+                version: version.parse().ok()?,
+            }
+        }
+        (200, "read_served") => ClientReply::ReadServed,
+        (409, "rejected") => ClientReply::Rejected,
+        (409, "contended") => ClientReply::Contended,
+        (404, "unknown_key") => ClientReply::UnknownKey,
+        (504, "timed_out") => ClientReply::TimedOut,
+        (503, "down") => ClientReply::Down,
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -653,5 +681,38 @@ mod tests {
         assert_eq!(render_reply(&ClientReply::Ok).0, 500);
         let body = render_reply(&ClientReply::Committed { version: 3 }).2;
         assert!(body.contains("\"version\":3"));
+    }
+
+    #[test]
+    fn parse_reply_inverts_render_reply_on_the_data_plane() {
+        for reply in [
+            ClientReply::Committed { version: 1 },
+            ClientReply::Committed { version: u64::MAX },
+            ClientReply::ReadServed,
+            ClientReply::Rejected,
+            ClientReply::Contended,
+            ClientReply::UnknownKey,
+            ClientReply::TimedOut,
+            ClientReply::Down,
+            ClientReply::Overloaded,
+        ] {
+            let (status, _, body) = render_reply(&reply);
+            assert_eq!(parse_reply(status, body.as_bytes()), Some(reply));
+        }
+        // The admission gate's 429 carries no outcome; it is still
+        // back-pressure.
+        assert_eq!(
+            parse_reply(429, b"{\"error\":\"inflight budget exhausted\"}"),
+            Some(ClientReply::Overloaded)
+        );
+        // A status the data plane never sends, or a body that does not
+        // match its status, is a transport error.
+        assert_eq!(parse_reply(500, b"{\"outcome\":\"committed\"}"), None);
+        assert_eq!(parse_reply(418, b""), None);
+        assert_eq!(parse_reply(200, b"{\"outcome\":\"rejected\"}"), None);
+        assert_eq!(
+            parse_reply(400, OpParseError::Syntax.body().as_bytes()),
+            None
+        );
     }
 }

@@ -4,9 +4,9 @@
 //! ([`dynvote_protocol::SiteActor`]) under a virtual clock and an
 //! omniscient in-memory network. This crate runs the *same kernel*
 //! against wall clocks and real byte streams: one OS thread per site, a
-//! pluggable [`Transport`] for inter-site messages, and a closed-loop
-//! [`LoadGen`] that measures throughput and latency percentiles of the
-//! resulting system.
+//! pluggable [`Transport`] for inter-site messages, and a [`LoadGen`]
+//! that drives any client, closed loop or paced on a fixed clock, and
+//! measures throughput and latency percentiles of the resulting system.
 //!
 //! The layering is strictly sans-IO:
 //!
@@ -18,7 +18,7 @@
 //!                   Transport: in-process channels, or the per-node epoll
 //!                   reactor multiplexing peer links, binary clients, and
 //!                   the HTTP front door (`/v1/op`, `/metrics`, `/status`)
-//!                   Cluster / LoadGen / OpenLoop: boot, faults, measurement
+//!                   Cluster / LoadGen: boot, faults, measurement
 //! ```
 //!
 //! Because the kernel is shared, a scripted scenario executed on the
@@ -49,26 +49,24 @@ mod cluster;
 mod frontdoor;
 mod loadgen;
 mod node;
-mod openloop;
 mod reactor;
 pub mod scenario;
 mod transport;
 pub mod wire;
 
 pub use cluster::{
-    BootError, Cluster, ClusterConfig, DurabilityMode, LocalClient, RequestError, TcpClient,
-    TransportKind, MAX_BATCH, MAX_OBJECTS,
+    BootError, Cluster, ClusterConfig, DurabilityMode, HttpClient, LocalClient, RequestError,
+    TcpClient, TransportKind, MAX_BATCH, MAX_OBJECTS,
 };
 pub use frontdoor::FrontDoorConfig;
 pub use loadgen::{
-    EventCountEntry, Histogram, KeyDist, LoadGen, LoadGenConfig, LoadReport, NetCounterEntry,
-    ShardCounterEntry, WorkloadTarget,
+    check_concurrency, EventCountEntry, Histogram, KeyDist, LoadGen, LoadGenConfig, LoadReport,
+    NetCounterEntry, ShardCounterEntry, WorkloadTarget,
 };
 pub use node::{
     AuditOutcome, ClusterLedger, Node, NodeConfig, NodeDurability, NodeEvent, ReplySink,
     ShardStats, DEFAULT_MAX_BATCH,
 };
-pub use openloop::{OpenLoop, OpenLoopConfig, OpenLoopReport};
 pub use reactor::ReactorTransport;
 pub use transport::{ChannelTransport, NetStats, Transport, TransportError};
 pub use wire::{ClientOp, ClientReply, WireError};

@@ -1,20 +1,30 @@
-//! Closed-loop load generation and measurement.
+//! Load generation and measurement: one driver for every client.
 //!
-//! Each worker thread owns one [`WorkloadTarget`] (an in-process or TCP
-//! client bound to some node) and issues one request at a time —
-//! classic closed-loop load, so offered load self-paces to what the
-//! cluster sustains. Commit latencies land in a log-bucketed
-//! [`Histogram`] (64 power-of-two nanosecond buckets: the full range
-//! from sub-microsecond channel hops to multi-second stalls in 64
-//! counters), and the run is summarized as a machine-readable
-//! [`LoadReport`].
+//! [`LoadGen::run`] gives each caller-built [`WorkloadTarget`] (an
+//! in-process, binary TCP or HTTP client bound to some node) its own
+//! worker thread, which issues one request at a time, so the target
+//! count bounds the ops in flight. Without a rate the workers issue
+//! back to back — closed loop: offered load self-paces to what the
+//! cluster sustains, and latency runs from send. With a rate, arrival
+//! `i` is due at `start + i/rate` on a fixed clock; a free worker takes
+//! the next due arrival from a shared ticket, and latency runs from the
+//! arrival's *intended* instant, so a stalled cluster shows up as
+//! latency instead of as politely reduced load (no coordinated
+//! omission). Arrivals no worker took before the window closed are
+//! counted as shed.
+//!
+//! Commit latencies land in a log-bucketed [`Histogram`] (64
+//! power-of-two nanosecond buckets: the full range from
+//! sub-microsecond channel hops to multi-second stalls in 64 counters),
+//! and the run is summarized as a machine-readable [`LoadReport`].
 
-use crate::cluster::{LocalClient, TcpClient};
+use crate::cluster::{HttpClient, LocalClient, TcpClient};
 use crate::wire::{ClientOp, ClientReply};
 use dynvote_core::ConfigError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Number, Serialize, Value};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -38,9 +48,30 @@ impl WorkloadTarget for TcpClient {
     }
 }
 
-/// Bounds on the load generator's knobs, enforced by
-/// [`LoadGenConfig::validate`].
+impl WorkloadTarget for HttpClient {
+    fn submit(&mut self, op: &ClientOp) -> Option<ClientReply> {
+        self.request(op).ok()
+    }
+}
+
+/// Most targets (and so worker threads) one run may drive, enforced by
+/// [`check_concurrency`].
 pub const MAX_CONCURRENCY: usize = 1024;
+
+/// Reject a worker count outside `1..=MAX_CONCURRENCY`. [`LoadGen::run`]
+/// applies it to its targets; a caller can apply it before building
+/// any.
+pub fn check_concurrency(workers: usize) -> Result<(), ConfigError> {
+    if workers == 0 || workers > MAX_CONCURRENCY {
+        return Err(ConfigError::OutOfRange {
+            field: "concurrency",
+            value: workers as u64,
+            lo: 1,
+            hi: MAX_CONCURRENCY as u64,
+        });
+    }
+    Ok(())
+}
 
 /// How workload keys are drawn across the object space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -106,13 +137,15 @@ pub(crate) fn sample_key(rng: &mut StdRng, keys: u32, cdf: Option<&[f64]>) -> u3
     }
 }
 
-/// Load-generation parameters.
+/// Load-generation parameters. The worker count is not among them: it
+/// is the number of targets handed to [`LoadGen::run`].
 #[derive(Debug, Clone, Copy)]
 pub struct LoadGenConfig {
-    /// Number of closed-loop worker threads (`1..=MAX_CONCURRENCY`).
-    pub concurrency: usize,
     /// How long to keep offering load.
     pub duration: Duration,
+    /// Arrivals per second on a fixed clock, or `None` for closed loop
+    /// (every worker issues back to back).
+    pub rate: Option<f64>,
     /// Fraction of requests that are read-only (`0..=1`).
     pub read_fraction: f64,
     /// Number of distinct objects the workload targets (`>= 1`); each
@@ -127,8 +160,8 @@ pub struct LoadGenConfig {
 impl Default for LoadGenConfig {
     fn default() -> Self {
         LoadGenConfig {
-            concurrency: 4,
             duration: Duration::from_secs(5),
+            rate: None,
             read_fraction: 0.1,
             keys: 1,
             key_dist: KeyDist::Uniform,
@@ -140,13 +173,13 @@ impl Default for LoadGenConfig {
 impl LoadGenConfig {
     /// Reject absurd parameters through the shared typed error path.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.concurrency == 0 || self.concurrency > MAX_CONCURRENCY {
-            return Err(ConfigError::OutOfRange {
-                field: "concurrency",
-                value: self.concurrency as u64,
-                lo: 1,
-                hi: MAX_CONCURRENCY as u64,
-            });
+        if let Some(rate) = self.rate {
+            if !rate.is_finite() || rate <= 0.0 {
+                return Err(ConfigError::NotPositive {
+                    field: "rate",
+                    value: rate,
+                });
+            }
         }
         if !(0.0..=1.0).contains(&self.read_fraction) || !self.read_fraction.is_finite() {
             return Err(ConfigError::NotProbability {
@@ -343,10 +376,18 @@ pub struct LoadReport {
     pub transport: String,
     /// Cluster size (caller-supplied context).
     pub sites: usize,
-    /// Closed-loop worker count.
+    /// Worker threads, one per target: the bound on ops in flight.
     pub workers: usize,
     /// Wall-clock measurement window in seconds.
     pub duration_secs: f64,
+    /// Arrivals the clock scheduled in the window (paced), or ops
+    /// issued (closed loop).
+    pub offered: u64,
+    /// Ops sent to a target; every one gets exactly one outcome below.
+    pub issued: u64,
+    /// Scheduled arrivals no worker took before the window closed
+    /// (`offered - issued`; always 0 in closed loop).
+    pub shed: u64,
     /// Updates that committed.
     pub committed: u64,
     /// Reads served from a distinguished partition.
@@ -374,7 +415,8 @@ pub struct LoadReport {
     pub per_shard_commits: Vec<u64>,
     /// Committed updates per second of wall-clock time.
     pub throughput_per_sec: f64,
-    /// Commit-latency percentiles.
+    /// Commit-latency percentiles, from send (closed loop) or from the
+    /// intended arrival instant (paced).
     pub update_latency: LatencyStats,
     /// The underlying commit-latency histogram.
     pub histogram: Histogram,
@@ -410,6 +452,9 @@ impl Serialize for LoadReport {
             ("sites".to_owned(), self.sites.serialize()),
             ("workers".to_owned(), self.workers.serialize()),
             ("duration_secs".to_owned(), self.duration_secs.serialize()),
+            ("offered".to_owned(), self.offered.serialize()),
+            ("issued".to_owned(), self.issued.serialize()),
+            ("shed".to_owned(), self.shed.serialize()),
             ("committed".to_owned(), self.committed.serialize()),
             ("reads_served".to_owned(), self.reads_served.serialize()),
             ("rejected".to_owned(), self.rejected.serialize()),
@@ -450,6 +495,7 @@ impl Serialize for LoadReport {
 
 #[derive(Default)]
 struct Tally {
+    issued: u64,
     committed: u64,
     reads_served: u64,
     rejected: u64,
@@ -470,59 +516,119 @@ impl Tally {
             ..Tally::default()
         }
     }
+
+    fn merge(&mut self, other: &Tally) {
+        self.issued += other.issued;
+        self.committed += other.committed;
+        self.reads_served += other.reads_served;
+        self.rejected += other.rejected;
+        self.contended += other.contended;
+        self.unknown_key += other.unknown_key;
+        self.timed_out += other.timed_out;
+        self.down += other.down;
+        self.overloaded += other.overloaded;
+        self.transport_errors += other.transport_errors;
+        for (mine, theirs) in self
+            .per_shard_commits
+            .iter_mut()
+            .zip(&other.per_shard_commits)
+        {
+            *mine += theirs;
+        }
+        self.latency.merge(&other.latency);
+    }
 }
 
-/// The closed-loop driver. Stateless: [`LoadGen::run`] does everything.
+/// When each worker's next op starts, shared by all workers of a run.
+struct Clock {
+    start: Instant,
+    end: Instant,
+    /// Paced runs: arrivals per second, the window's arrival count, and
+    /// the next arrival no worker has taken yet.
+    pace: Option<(f64, u64, AtomicU64)>,
+}
+
+impl Clock {
+    fn new(config: &LoadGenConfig) -> Self {
+        let start = Instant::now();
+        Clock {
+            start,
+            end: start + config.duration,
+            pace: config.rate.map(|rate| {
+                let offered = (config.duration.as_secs_f64() * rate).ceil() as u64;
+                (rate, offered, AtomicU64::new(0))
+            }),
+        }
+    }
+
+    /// The latency origin of a free worker's next op — now (closed
+    /// loop), or the intended instant of the next due arrival, slept
+    /// until if it lies ahead (paced) — or `None` once the window is
+    /// over.
+    fn next(&self) -> Option<Instant> {
+        let now = Instant::now();
+        if now >= self.end {
+            return None;
+        }
+        let Some((rate, offered, ticket)) = &self.pace else {
+            return Some(now);
+        };
+        let i = ticket.fetch_add(1, Ordering::Relaxed);
+        if i >= *offered {
+            return None;
+        }
+        let due = self.start + Duration::from_secs_f64(i as f64 / rate);
+        thread::sleep(due.saturating_duration_since(Instant::now()));
+        Some(due)
+    }
+}
+
+/// The driver. Stateless: [`LoadGen::run`] does everything.
 pub struct LoadGen;
 
 impl LoadGen {
-    /// Run `config.concurrency` workers, each against the target built
-    /// for its index, for `config.duration`. Context fields of the
-    /// returned report (`algorithm`, `transport`, `sites`) are left
-    /// empty for the caller to fill.
-    pub fn run<F>(config: &LoadGenConfig, mut make_target: F) -> Result<LoadReport, ConfigError>
-    where
-        F: FnMut(usize) -> Box<dyn WorkloadTarget>,
-    {
+    /// Run one worker per target for `config.duration`, closed loop or
+    /// paced per `config.rate`. Fails with a typed error, before any op
+    /// is sent, on an absurd config or a target count outside
+    /// `1..=MAX_CONCURRENCY`. Context fields of the returned report
+    /// (`algorithm`, `transport`, `sites`) are left empty for the
+    /// caller to fill.
+    pub fn run(
+        config: &LoadGenConfig,
+        targets: Vec<Box<dyn WorkloadTarget>>,
+    ) -> Result<LoadReport, ConfigError> {
         config.validate()?;
-        let targets: Vec<Box<dyn WorkloadTarget>> =
-            (0..config.concurrency).map(&mut make_target).collect();
-        let start = Instant::now();
-        let workers: Vec<_> = targets
-            .into_iter()
-            .enumerate()
-            .map(|(w, target)| {
-                let cfg = *config;
-                thread::Builder::new()
-                    .name(format!("dynvote-loadgen-{w}"))
-                    .spawn(move || worker_loop(cfg, w, target))
-                    .expect("spawn loadgen worker")
-            })
-            .collect();
+        check_concurrency(targets.len())?;
+        let workers = targets.len();
+        let clock = Clock::new(config);
         let mut tally = Tally::with_keys(config.keys);
-        for worker in workers {
-            let t = worker.join().expect("loadgen worker panicked");
-            tally.committed += t.committed;
-            tally.reads_served += t.reads_served;
-            tally.rejected += t.rejected;
-            tally.contended += t.contended;
-            tally.unknown_key += t.unknown_key;
-            tally.timed_out += t.timed_out;
-            tally.down += t.down;
-            tally.overloaded += t.overloaded;
-            tally.transport_errors += t.transport_errors;
-            for (mine, theirs) in tally.per_shard_commits.iter_mut().zip(&t.per_shard_commits) {
-                *mine += theirs;
+        thread::scope(|s| {
+            let handles: Vec<_> = targets
+                .into_iter()
+                .enumerate()
+                .map(|(w, target)| {
+                    let clock = &clock;
+                    thread::Builder::new()
+                        .name(format!("dynvote-loadgen-{w}"))
+                        .spawn_scoped(s, move || worker_loop(config, w, clock, target))
+                        .expect("spawn loadgen worker")
+                })
+                .collect();
+            for handle in handles {
+                tally.merge(&handle.join().expect("loadgen worker panicked"));
             }
-            tally.latency.merge(&t.latency);
-        }
-        let elapsed = start.elapsed().as_secs_f64();
+        });
+        let elapsed = clock.start.elapsed().as_secs_f64();
+        let offered = clock.pace.map_or(tally.issued, |(_, offered, _)| offered);
         Ok(LoadReport {
             algorithm: String::new(),
             transport: String::new(),
             sites: 0,
-            workers: config.concurrency,
+            workers,
             duration_secs: elapsed,
+            offered,
+            issued: tally.issued,
+            shed: offered - tally.issued,
             committed: tally.committed,
             reads_served: tally.reads_served,
             rejected: tally.rejected,
@@ -550,7 +656,12 @@ impl LoadGen {
     }
 }
 
-fn worker_loop(cfg: LoadGenConfig, index: usize, mut target: Box<dyn WorkloadTarget>) -> Tally {
+fn worker_loop(
+    cfg: &LoadGenConfig,
+    index: usize,
+    clock: &Clock,
+    mut target: Box<dyn WorkloadTarget>,
+) -> Tally {
     let mut rng =
         StdRng::seed_from_u64(cfg.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut tally = Tally::with_keys(cfg.keys);
@@ -558,17 +669,16 @@ fn worker_loop(cfg: LoadGenConfig, index: usize, mut target: Box<dyn WorkloadTar
         KeyDist::Uniform => None,
         KeyDist::Zipf => Some(zipf_cdf(cfg.keys)),
     };
-    let deadline = Instant::now() + cfg.duration;
-    while Instant::now() < deadline {
+    while let Some(origin) = clock.next() {
         let key = sample_key(&mut rng, cfg.keys, cdf.as_deref());
         let op = if cfg.read_fraction > 0.0 && rng.gen_bool(cfg.read_fraction) {
             ClientOp::Read { key }
         } else {
             ClientOp::Update { key }
         };
-        let t0 = Instant::now();
+        tally.issued += 1;
         let reply = target.submit(&op);
-        let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let ns = origin.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         match reply {
             Some(ClientReply::Committed { .. }) => {
                 tally.committed += 1;
@@ -587,7 +697,8 @@ fn worker_loop(cfg: LoadGenConfig, index: usize, mut target: Box<dyn WorkloadTar
             }
             Some(ClientReply::Overloaded) => {
                 tally.overloaded += 1;
-                // The object's queue is full; back off before retrying.
+                // The object's queue or the front door's admission
+                // budget is full; back off before retrying.
                 thread::sleep(Duration::from_millis(1));
             }
             Some(_) => tally.transport_errors += 1,
@@ -657,25 +768,29 @@ mod tests {
         assert_eq!(value["max_ns"].as_u64(), Some(64_000_000));
     }
 
+    /// Answers every op with a commit after a fixed delay.
+    struct Fixed(Duration);
+
+    impl WorkloadTarget for Fixed {
+        fn submit(&mut self, _: &ClientOp) -> Option<ClientReply> {
+            thread::sleep(self.0);
+            Some(ClientReply::Committed { version: 1 })
+        }
+    }
+
+    fn fixed(count: usize, delay: Duration) -> Vec<Box<dyn WorkloadTarget>> {
+        (0..count)
+            .map(|_| Box::new(Fixed(delay)) as Box<dyn WorkloadTarget>)
+            .collect()
+    }
+
     #[test]
     fn report_json_omits_empty_sections() {
-        let report = LoadGen::run(
-            &LoadGenConfig {
-                concurrency: 1,
-                duration: Duration::from_millis(1),
-                ..LoadGenConfig::default()
-            },
-            |_| {
-                struct Null;
-                impl WorkloadTarget for Null {
-                    fn submit(&mut self, _: &ClientOp) -> Option<ClientReply> {
-                        Some(ClientReply::Committed { version: 1 })
-                    }
-                }
-                Box::new(Null)
-            },
-        )
-        .unwrap();
+        let config = LoadGenConfig {
+            duration: Duration::from_millis(1),
+            ..LoadGenConfig::default()
+        };
+        let report = LoadGen::run(&config, fixed(1, Duration::ZERO)).unwrap();
         let value: Value = serde_json::from_str(&report.to_json()).unwrap();
         // No collected sections → no keys for them at all.
         for section in ["events", "net", "shard"] {
@@ -688,28 +803,19 @@ mod tests {
 
     #[test]
     fn config_rejects_absurd_values_with_typed_errors() {
-        let cfg = LoadGenConfig {
-            concurrency: 0,
-            ..LoadGenConfig::default()
-        };
-        assert!(matches!(
-            cfg.validate(),
-            Err(ConfigError::OutOfRange {
-                field: "concurrency",
-                ..
-            })
-        ));
-        let cfg = LoadGenConfig {
-            concurrency: MAX_CONCURRENCY + 1,
-            ..LoadGenConfig::default()
-        };
-        assert!(matches!(
-            cfg.validate(),
-            Err(ConfigError::OutOfRange {
-                field: "concurrency",
-                ..
-            })
-        ));
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let cfg = LoadGenConfig {
+                rate: Some(rate),
+                ..LoadGenConfig::default()
+            };
+            assert!(
+                matches!(
+                    cfg.validate(),
+                    Err(ConfigError::NotPositive { field: "rate", .. })
+                ),
+                "rate {rate}"
+            );
+        }
         let cfg = LoadGenConfig {
             read_fraction: 1.5,
             ..LoadGenConfig::default()
@@ -734,7 +840,68 @@ mod tests {
             cfg.validate(),
             Err(ConfigError::OutOfRange { field: "keys", .. })
         ));
+        for workers in [0, MAX_CONCURRENCY + 1] {
+            assert!(matches!(
+                check_concurrency(workers),
+                Err(ConfigError::OutOfRange {
+                    field: "concurrency",
+                    ..
+                })
+            ));
+        }
+        assert!(check_concurrency(MAX_CONCURRENCY).is_ok());
         assert!(LoadGenConfig::default().validate().is_ok());
+        let paced = LoadGenConfig {
+            rate: Some(500.0),
+            ..LoadGenConfig::default()
+        };
+        assert!(paced.validate().is_ok());
+    }
+
+    #[test]
+    fn run_rejects_zero_or_too_many_targets() {
+        let config = LoadGenConfig::default();
+        for count in [0, MAX_CONCURRENCY + 1] {
+            assert!(matches!(
+                LoadGen::run(&config, fixed(count, Duration::ZERO)),
+                Err(ConfigError::OutOfRange {
+                    field: "concurrency",
+                    ..
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn paced_run_sheds_what_a_slow_target_cannot_take() {
+        // One 5 ms target cannot keep up with 1000 arrivals/s: it falls
+        // behind the clock, its latency counts from each arrival's
+        // intended instant, and what it never reached is shed.
+        let config = LoadGenConfig {
+            duration: Duration::from_millis(200),
+            rate: Some(1000.0),
+            read_fraction: 0.0,
+            ..LoadGenConfig::default()
+        };
+        let report = LoadGen::run(&config, fixed(1, Duration::from_millis(5))).unwrap();
+        assert_eq!(report.offered, 200, "{}", report.to_json());
+        assert_eq!(report.issued + report.shed, report.offered);
+        assert!(report.shed > 0, "{}", report.to_json());
+        assert_eq!(report.committed, report.issued);
+        assert!(report.update_latency.p50_ms >= 5.0, "{}", report.to_json());
+    }
+
+    #[test]
+    fn closed_loop_run_sheds_nothing() {
+        let config = LoadGenConfig {
+            duration: Duration::from_millis(200),
+            read_fraction: 0.0,
+            ..LoadGenConfig::default()
+        };
+        let report = LoadGen::run(&config, fixed(1, Duration::from_millis(5))).unwrap();
+        assert_eq!(report.shed, 0);
+        assert_eq!(report.offered, report.issued);
+        assert!(report.committed > 0, "{}", report.to_json());
     }
 
     #[test]

@@ -17,7 +17,9 @@ use dynvote_cluster::scenario::{
     demo_script, run_cluster, run_cluster_config, run_cluster_traced, scripted, Fixpoint, ScriptOp,
 };
 use dynvote_cluster::wire::{ClientOp, ClientReply};
-use dynvote_cluster::{Cluster, ClusterConfig, LoadGen, LoadGenConfig, TransportKind};
+use dynvote_cluster::{
+    Cluster, ClusterConfig, LoadGen, LoadGenConfig, TransportKind, WorkloadTarget,
+};
 use dynvote_core::{AlgorithmKind, CopyMeta, SiteId, SiteSet};
 use dynvote_protocol::{DurableState, EventKind, EventTallies};
 use dynvote_sim::{SimConfig, Simulation};
@@ -662,14 +664,15 @@ fn loadgen_under_crash_restart_stays_serializable() {
     });
 
     let lg = LoadGenConfig {
-        concurrency: 3,
         duration: Duration::from_millis(800),
         read_fraction: 0.1,
         seed: 42,
         ..LoadGenConfig::default()
     };
-    let report = LoadGen::run(&lg, |w| Box::new(cluster.client(SiteId(w as u8))))
-        .expect("loadgen config is valid");
+    let targets = (0..3)
+        .map(|w| Box::new(cluster.client(SiteId(w))) as Box<dyn WorkloadTarget>)
+        .collect();
+    let report = LoadGen::run(&lg, targets).expect("loadgen config is valid");
     chaos_thread.join().expect("chaos thread");
 
     assert!(

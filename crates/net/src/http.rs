@@ -6,8 +6,7 @@
 //! bodies, and pipelining — and rejects everything exotic
 //! (`Transfer-Encoding`, headers past 8 KiB, bodies past 64 KiB) with
 //! typed errors so the reactor can answer 4xx and close. A matching
-//! [`ResponseParser`] drives the open-loop load generator's client
-//! side. Both sides decode byte-dribble input identically to one-shot
+//! [`ResponseParser`] decodes the load generator's HTTP replies. Both sides decode byte-dribble input identically to one-shot
 //! input (pinned by proptests).
 
 use std::fmt;
@@ -220,7 +219,7 @@ pub struct Response {
     pub body: Vec<u8>,
 }
 
-/// Incremental response parser for the open-loop HTTP client.
+/// Incremental response parser for the load generator's HTTP client.
 #[derive(Default)]
 pub struct ResponseParser {
     buf: Vec<u8>,

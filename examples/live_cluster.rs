@@ -24,16 +24,15 @@ fn main() {
 
     let burst = |label: &str, cluster: &Cluster| {
         let lg = LoadGenConfig {
-            concurrency: 3,
             duration: Duration::from_millis(600),
             read_fraction: 0.1,
             seed: 7,
             ..LoadGenConfig::default()
         };
-        let report = LoadGen::run(&lg, |w| {
-            Box::new(cluster.client(SiteId(w as u8))) as Box<dyn WorkloadTarget>
-        })
-        .expect("valid loadgen config");
+        let targets = (0..3)
+            .map(|w| Box::new(cluster.client(SiteId(w))) as Box<dyn WorkloadTarget>)
+            .collect();
+        let report = LoadGen::run(&lg, targets).expect("valid loadgen config");
         println!(
             "{label}: {} commits in {:.2}s ({:.0}/s), p50 {:.3} ms, p99 {:.3} ms",
             report.committed,
