@@ -294,6 +294,45 @@ fn simulate_reports_consistency_ok() {
     assert!(out.contains("commits"));
 }
 
+/// `--trace` prints each event from the same drain that counts it: one
+/// `[site i]` line per event in the `protocol events` tally.
+#[test]
+fn simulate_trace_lines_match_the_event_tallies() {
+    let (ok, out, err) = dynvote(&[
+        "simulate",
+        "--n",
+        "5",
+        "--algo",
+        "hybrid",
+        "--duration",
+        "50",
+        "--seed",
+        "7",
+        "--fault-rate",
+        "0.02",
+        "--trace",
+        "true",
+    ]);
+    assert!(ok, "{out}{err}");
+    let tallies = out
+        .lines()
+        .find_map(|line| line.strip_prefix("protocol events"))
+        .expect("a protocol events line");
+    let counted: u64 = tallies
+        .split_whitespace()
+        .map(|pair| {
+            let (_, count) = pair.split_once('=').expect("kind=count");
+            count.parse::<u64>().expect("a count")
+        })
+        .sum();
+    let traced = err
+        .lines()
+        .filter(|line| line.starts_with("[site "))
+        .count() as u64;
+    assert!(counted > 0, "{out}");
+    assert_eq!(traced, counted, "{out}");
+}
+
 #[test]
 fn chaos_runs_every_algorithm_clean() {
     let (ok, out, _) = dynvote(&["chaos", "--n", "5", "--seed", "3", "--duration", "25"]);

@@ -16,7 +16,7 @@ use crate::transport::{ChannelTransport, NetStats, Transport};
 use crate::wire::{self, ClientOp, ClientReply, HELLO_CLIENT};
 use dynvote_core::{AlgorithmKind, ConfigError, SiteId, SiteSet, MAX_SITES};
 use dynvote_net::{Poller, ResponseParser, Waker};
-use dynvote_protocol::{CountingSink, EventTallies, ObjectId};
+use dynvote_protocol::{EventTallies, ObjectId};
 use dynvote_storage::{FsyncPolicy, StorageError, StoreConfig};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -136,8 +136,9 @@ pub struct ClusterConfig {
     /// of an ephemeral port, so out-of-process clients (`dynvote
     /// loadgen`) can find the nodes.
     pub port_base: Option<u16>,
-    /// Render every protocol event to stderr as it happens (events are
-    /// always counted; this adds the human-readable stream).
+    /// Print every protocol event to stderr as `[site i] {event}` when
+    /// the site's node drains it (events are always counted; this adds
+    /// the human-readable stream).
     pub trace: bool,
     /// Whether sites persist durable state to disk.
     pub durability: DurabilityMode,
@@ -498,7 +499,6 @@ pub struct Cluster {
     inboxes: Vec<Inbox>,
     handles: Vec<JoinHandle<()>>,
     ledger: Arc<ClusterLedger>,
-    events: Arc<CountingSink>,
     shard_stats: Vec<Arc<ShardStats>>,
     addrs: Vec<SocketAddr>,
     http_addrs: Vec<SocketAddr>,
@@ -525,7 +525,6 @@ impl Cluster {
         config.validate()?;
         let n = config.n;
         let ledger = Arc::new(ClusterLedger::new(config.objects));
-        let events = Arc::new(CountingSink::new());
         let (senders, receivers): (Vec<Sender<NodeEvent>>, Vec<_>) =
             (0..n).map(|_| mpsc::channel()).unzip();
 
@@ -566,7 +565,6 @@ impl Cluster {
                 config: Arc::clone(&shared),
                 id: SiteId(i as u8),
                 ledger: Arc::clone(&ledger),
-                events: Arc::clone(&events),
                 ready,
                 go,
             };
@@ -639,7 +637,6 @@ impl Cluster {
             inboxes,
             handles,
             ledger,
-            events,
             shard_stats,
             addrs,
             http_addrs,
@@ -684,10 +681,18 @@ impl Cluster {
         &self.shard_stats[site.index()]
     }
 
-    /// Per-site tallies of every protocol event emitted so far.
-    #[must_use]
-    pub fn event_tallies(&self) -> EventTallies {
-        self.events.tallies()
+    /// Per-site tallies of every protocol event emitted so far, one
+    /// [`ClientOp::Events`] request per site.
+    pub fn event_tallies(&self) -> Result<EventTallies, RequestError> {
+        let mut tallies = EventTallies::default();
+        for i in 0..self.n {
+            let site = SiteId(i as u8);
+            let ClientReply::Events { counts } = self.control(site, ClientOp::Events)? else {
+                unreachable!("a node answers Events with its tally row");
+            };
+            tallies.set_row(site, counts.try_into().expect("one count per event kind"));
+        }
+        Ok(tallies)
     }
 
     fn control(&self, site: SiteId, op: ClientOp) -> Result<ClientReply, RequestError> {
@@ -820,7 +825,6 @@ struct SiteBoot {
     config: Arc<ClusterConfig>,
     id: SiteId,
     ledger: Arc<ClusterLedger>,
-    events: Arc<CountingSink>,
     /// The site's one ready report: its node's counters, or why its
     /// store failed to open.
     ready: Sender<Result<Arc<ShardStats>, StorageError>>,
@@ -876,7 +880,6 @@ impl SiteBoot {
                     self.config.algorithm.to_string(),
                     self.config.objects as u32,
                     http.max_inflight,
-                    Arc::clone(&self.events),
                     Arc::clone(&reactor.stats),
                     node.shard_stats(),
                 ))
@@ -923,7 +926,7 @@ impl SiteBoot {
                 self.ledger.prime(object, node.recovered_log(object));
             }
         }
-        node.set_event_sink(Arc::clone(&self.events), config.trace);
+        node.trace = config.trace;
         Ok(node)
     }
 }

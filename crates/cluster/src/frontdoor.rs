@@ -28,7 +28,7 @@ use crate::transport::NetStats;
 use crate::wire::{ClientOp, ClientReply};
 use dynvote_core::SiteId;
 use dynvote_net::http;
-use dynvote_protocol::{CountingSink, EventKind};
+use dynvote_protocol::EventKind;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -69,7 +69,6 @@ pub(crate) struct FrontDoor {
     max_inflight: u64,
     inflight: AtomicU64,
     latency: Mutex<Histogram>,
-    events: Arc<CountingSink>,
     stats: Arc<NetStats>,
     shard: Arc<ShardStats>,
 }
@@ -80,7 +79,6 @@ impl FrontDoor {
         algorithm: String,
         objects: u32,
         max_inflight: u64,
-        events: Arc<CountingSink>,
         stats: Arc<NetStats>,
         shard: Arc<ShardStats>,
     ) -> Self {
@@ -91,7 +89,6 @@ impl FrontDoor {
             max_inflight,
             inflight: AtomicU64::new(0),
             latency: Mutex::new(Histogram::new()),
-            events,
             stats,
             shard,
         }
@@ -152,9 +149,10 @@ impl FrontDoor {
     }
 
     /// Render the Prometheus-style text exposition for `GET /metrics`:
-    /// protocol-event tallies, net-stack counters, the inflight gauge,
-    /// and the front-door op latency histogram.
-    pub(crate) fn render_metrics(&self) -> String {
+    /// the node's protocol-event tally row `events`, net-stack
+    /// counters, the inflight gauge, and the front-door op latency
+    /// histogram.
+    pub(crate) fn render_metrics(&self, events: &[u64; EventKind::COUNT]) -> String {
         let mut out = String::with_capacity(2048);
         let site = self.site.index();
         out.push_str("# TYPE dynvote_info gauge\n");
@@ -163,8 +161,7 @@ impl FrontDoor {
             self.algorithm
         ));
         out.push_str("# TYPE dynvote_event_total counter\n");
-        let row = self.events.tallies().row(self.site);
-        for (kind, count) in EventKind::ALL.iter().zip(row.iter()) {
+        for (kind, count) in EventKind::ALL.iter().zip(events) {
             out.push_str(&format!(
                 "dynvote_event_total{{site=\"{site}\",kind=\"{}\"}} {count}\n",
                 kind.name()

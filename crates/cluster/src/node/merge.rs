@@ -17,9 +17,10 @@
 //! 4. **Dispatch** — sends and broadcasts go to the transport's batch
 //!    encoder, `SetTimer` arms the wall-clock wheel, `Resolved`
 //!    retires the round's timers and completes parked clients (or, for
-//!    a lost lock race, forwards them to the object's home), and hints
+//!    a lost lock race, forwards them to the object's home), hints
 //!    feed the scheduler's peer-suspicion set (`Unanswered`) and route
-//!    table (`Rival`).
+//!    table (`Rival`), and protocol events are counted into the node's
+//!    tally row (and printed, with `trace`).
 //! 5. **Push** — if the suspicion set grew, the kernels are handed the
 //!    new set, every round this node has open is re-tested against it,
 //!    and the barrier runs again for what the re-tests staged: the
@@ -179,6 +180,12 @@ impl<T: Transport> Node<T> {
                     self.set_suspected(self.suspected.union(sites));
                 }
                 Action::Hint(Hint::Rival { txn, site }) => self.learn_home(txn.object, site),
+                Action::Event(event) => {
+                    if self.trace {
+                        eprintln!("[site {}] {event}", self.id);
+                    }
+                    self.event_counts[event.kind() as usize] += 1;
+                }
             }
         }
         self.scratch = batch;

@@ -76,8 +76,7 @@ use crate::transport::{NetStats, Transport};
 use crate::wire::{ClientOp, ClientReply, Relay};
 use dynvote_core::{AlgorithmKind, BackoffPolicy, SiteId, SiteSet, TimerWheel};
 use dynvote_protocol::{
-    Action, CountingSink, DurableState, EventSink, FanoutSink, LogEntry, Message, ObjectId,
-    RenderSink, ShardedSite, TimerKind, TxnId,
+    Action, DurableState, EventKind, LogEntry, Message, ObjectId, ShardedSite, TimerKind, TxnId,
 };
 use dynvote_storage::{NodeStore, RecoveryReport, StorageError, StoreConfig};
 use rand::rngs::StdRng;
@@ -423,9 +422,6 @@ pub struct Node<T: Transport> {
     /// shard's persist effects into it, seals them as one group-commit
     /// record, and drives WAL rotation. `None` for amnesiac nodes.
     pub(crate) store: Option<NodeStore>,
-    /// The installed event sink, kept so a disk reboot can re-install
-    /// it on the freshly restored kernel.
-    pub(crate) sink: Option<Arc<dyn EventSink>>,
     pub(crate) transport: T,
     pub(crate) config: NodeConfig,
     pub(crate) ledger: Arc<ClusterLedger>,
@@ -446,9 +442,14 @@ pub struct Node<T: Transport> {
     /// is bumped on every crash so timers armed before the crash are
     /// recognizably stale (volatile state they guard is gone).
     pub(crate) timers: TimerWheel<Instant, (TxnId, TimerKind)>,
-    /// The cluster-shared counting sink, kept to answer
-    /// [`ClientOp::Events`] with this site's tally row.
-    pub(crate) events: Option<Arc<CountingSink>>,
+    /// This site's protocol-event tally, in [`EventKind::ALL`] order:
+    /// the merge barrier counts every [`Action::Event`] it drains, and
+    /// [`ClientOp::Events`] and `/metrics` read it. Owned by the node,
+    /// so it survives a kernel swap from disk.
+    pub(crate) event_counts: [u64; EventKind::COUNT],
+    /// Print every drained event to stderr
+    /// ([`crate::ClusterConfig::trace`]).
+    pub(crate) trace: bool,
     /// This node's reactor counters, kept to answer
     /// [`ClientOp::NetStats`]. `None` under the channel transport.
     pub(crate) net: Option<Arc<NetStats>>,
@@ -499,7 +500,6 @@ impl<T: Transport> Node<T> {
             overflows: Vec::new(),
             durability: None,
             store: None,
-            sink: None,
             transport,
             config,
             ledger,
@@ -508,7 +508,8 @@ impl<T: Transport> Node<T> {
             suspected: SiteSet::EMPTY,
             vote_clock: grace::VoteClock::new(n),
             timers: TimerWheel::new(),
-            events: None,
+            event_counts: [0; EventKind::COUNT],
+            trace: false,
             net: None,
             max_batch: DEFAULT_MAX_BATCH,
             shard_stats: Arc::new(ShardStats::new(n)),
@@ -561,15 +562,11 @@ impl<T: Transport> Node<T> {
     }
 
     /// Swap in kernels restored from `states` and the `store` their
-    /// effects are sealed into. The event sink, if any, is re-installed.
+    /// effects are sealed into.
     fn install_store(&mut self, store: NodeStore, states: Vec<DurableState>) {
-        let mut site = ShardedSite::restore(self.id, self.n, states, || {
+        self.site = ShardedSite::restore(self.id, self.n, states, || {
             self.algorithm.instantiate(self.n)
         });
-        if let Some(sink) = &self.sink {
-            site.set_sink(Arc::clone(sink));
-        }
-        self.site = site;
         self.store = Some(store);
     }
 
@@ -588,23 +585,6 @@ impl<T: Transport> Node<T> {
         self.site
             .shard(object)
             .map_or(&[], |shard| &shard.durable().log)
-    }
-
-    /// Install the cluster-shared event sink: every protocol event the
-    /// kernel emits is counted per site (and, with `trace`, rendered to
-    /// stderr as it happens). Must be called before [`Node::run`].
-    pub fn set_event_sink(&mut self, counting: Arc<CountingSink>, trace: bool) {
-        let sink: Arc<dyn EventSink> = if trace {
-            Arc::new(FanoutSink::new(vec![
-                counting.clone() as Arc<dyn EventSink>,
-                Arc::new(RenderSink),
-            ]))
-        } else {
-            counting.clone()
-        };
-        self.site.set_sink(Arc::clone(&sink));
-        self.sink = Some(sink);
-        self.events = Some(counting);
     }
 
     /// Share the node's reactor counters so [`ClientOp::NetStats`] can

@@ -246,7 +246,7 @@ impl<T: Transport> Node<T> {
                     // Lazy cancellation: already-armed entries become
                     // stale and are skimmed off at the next peek/pop.
                     self.timers.bump_epoch();
-                    self.site.crash();
+                    self.site.crash(&mut self.scratch);
                     // Parked ops die with the site, and so does what it
                     // learned about rivals.
                     self.fail_parked();
@@ -294,11 +294,9 @@ impl<T: Transport> Node<T> {
                 );
             }
             ClientOp::Events => {
-                let counts = self
-                    .events
-                    .as_ref()
-                    .map(|sink| sink.tallies().row(self.id).to_vec())
-                    .unwrap_or_default();
+                // Count what the batch staged before reporting.
+                self.merge();
+                let counts = self.event_counts.to_vec();
                 reply.send(id, ClientReply::Events { counts });
             }
             ClientOp::Audit => {

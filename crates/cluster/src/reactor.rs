@@ -984,7 +984,7 @@ impl Reactor {
                 true
             }
             (Method::Get, "/metrics") => {
-                let body = front.render_metrics();
+                let body = front.render_metrics(&self.node.event_counts);
                 self.respond_with(
                     slot,
                     200,

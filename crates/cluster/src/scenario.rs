@@ -21,9 +21,12 @@
 //! when the round's straggler grace runs out. Scripted clusters
 //! therefore boot with a long vote deadline ([`scripted`]), so that the
 //! grace floor — a fixed fraction of it — is longer than a busy test
-//! machine keeps a live peer descheduled.
+//! machine keeps a live peer descheduled. A durable peer votes only
+//! after its prepare record is forced, and a busy disk holds an fsync
+//! far longer than a scheduler holds a thread, so durable scripted
+//! clusters get a longer deadline still.
 
-use crate::cluster::{Cluster, ClusterConfig, TransportKind};
+use crate::cluster::{Cluster, ClusterConfig, DurabilityMode, TransportKind};
 use crate::wire::ClientReply;
 use dynvote_core::{AlgorithmKind, CopyMeta, SiteId, SiteSet};
 use dynvote_protocol::EventTallies;
@@ -34,12 +37,23 @@ use std::time::Duration;
 /// tolerance these scripts have always passed under.
 const SCRIPT_VOTE_DEADLINE: Duration = Duration::from_millis(200);
 
-/// `config` with its vote deadline raised to at least 200 ms: what
-/// every cluster whose final `(VN, SC, DS)` is compared with the
-/// simulator's must boot from (see the module comment).
+/// The same for a durable scripted cluster: a grace floor of 125 ms,
+/// for a vote that waits on an fsync.
+const DURABLE_SCRIPT_VOTE_DEADLINE: Duration = Duration::from_secs(1);
+
+/// `config` with its vote deadline raised to at least 200 ms, or 1 s if
+/// it is durable: what every cluster whose final `(VN, SC, DS)` is
+/// compared with the simulator's must boot from (see the module
+/// comment). Only a round that cannot reach a distinguished set of
+/// votes waits the deadline out, so a longer one slows only the
+/// script's rejected steps.
 #[must_use]
 pub fn scripted(mut config: ClusterConfig) -> ClusterConfig {
-    config.node.vote_deadline = config.node.vote_deadline.max(SCRIPT_VOTE_DEADLINE);
+    let floor = match config.durability {
+        DurabilityMode::Amnesia => SCRIPT_VOTE_DEADLINE,
+        DurabilityMode::Durable { .. } => DURABLE_SCRIPT_VOTE_DEADLINE,
+    };
+    config.node.vote_deadline = config.node.vote_deadline.max(floor);
     config
 }
 
@@ -170,7 +184,7 @@ pub fn run_cluster_config(config: &ClusterConfig, script: &[ScriptOp]) -> (Fixpo
         );
     }
     let audit = cluster.audit().expect("audit");
-    let tallies = cluster.event_tallies();
+    let tallies = cluster.event_tallies().expect("event tallies");
     cluster.shutdown();
     (
         Fixpoint {

@@ -227,27 +227,48 @@ fn the_simulator_fixpoint_is_internally_consistent() {
 
 /// The kernel's structured event stream is substrate-independent: the
 /// scripted scenario must produce identical per-site, per-kind tallies
-/// on the virtual-time simulator and the wall-clock channel cluster —
-/// modulo [`EventKind::TerminationRound`], whose count depends on how
-/// retry backoff races the vote deadline ([`EventTallies::deterministic`]
-/// masks it).
+/// on the virtual-time simulator, the wall-clock channel and TCP
+/// clusters, and a durable TCP cluster — modulo
+/// [`EventKind::TerminationRound`], whose count depends on how retry
+/// backoff races the vote deadline ([`EventTallies::deterministic`]
+/// masks it). On the durable leg the script's Recover step reboots its
+/// site from disk, swapping every kernel: the node's tally row must
+/// survive the swap.
 #[test]
-fn protocol_event_tallies_match_sim_vs_channel() {
+fn protocol_event_tallies_match_across_substrates() {
     let script = demo_script();
     let (sim_fp, sim_tallies) = run_sim_traced(AlgorithmKind::Hybrid, 5, &script);
-    let (cluster_fp, cluster_tallies) =
-        run_cluster_traced(AlgorithmKind::Hybrid, 5, TransportKind::Channel, &script);
-    assert_eq!(sim_fp, cluster_fp, "fixpoints diverge");
+    let dir = std::env::temp_dir().join(format!("dynvote-tallies-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable_tcp = ClusterConfig::new(5, AlgorithmKind::Hybrid)
+        .with_transport(TransportKind::Tcp)
+        .with_data_dir(&dir, FsyncPolicy::Always);
+    let legs = [
+        (
+            "channel",
+            run_cluster_traced(AlgorithmKind::Hybrid, 5, TransportKind::Channel, &script),
+        ),
+        (
+            "tcp",
+            run_cluster_traced(AlgorithmKind::Hybrid, 5, TransportKind::Tcp, &script),
+        ),
+        ("durable tcp", run_cluster_config(&durable_tcp, &script)),
+    ];
+    std::fs::remove_dir_all(&dir).unwrap();
 
     let sim_det = sim_tallies.deterministic();
-    let cluster_det = cluster_tallies.deterministic();
-    for i in 0..5 {
-        let site = SiteId(i);
-        assert_eq!(
-            sim_det.row(site),
-            cluster_det.row(site),
-            "site {site}: event tallies diverge (sim: {sim_det}, cluster: {cluster_det})"
-        );
+    for (leg, (cluster_fp, cluster_tallies)) in &legs {
+        assert_eq!(&sim_fp, cluster_fp, "{leg}: fixpoints diverge");
+        let cluster_det = cluster_tallies.deterministic();
+        for i in 0..5 {
+            let site = SiteId(i);
+            assert_eq!(
+                sim_det.row(site),
+                cluster_det.row(site),
+                "{leg}: site {site}: event tallies diverge \
+                 (sim: {sim_det}, cluster: {cluster_det})"
+            );
+        }
     }
 
     // The scenario exercises the interesting vocabulary: quorum votes,

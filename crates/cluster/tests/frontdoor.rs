@@ -2,11 +2,13 @@
 //! `/status`, admission control (`429`), and paced load through
 //! [`HttpClient`] targets.
 
+use dynvote_cluster::wire::{ClientOp, ClientReply};
 use dynvote_cluster::{
     Cluster, ClusterConfig, FrontDoorConfig, HttpClient, LoadGen, LoadGenConfig, TransportKind,
     WorkloadTarget,
 };
 use dynvote_core::{AlgorithmKind, SiteId};
+use dynvote_protocol::EventKind;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
@@ -158,7 +160,15 @@ fn post_op_commits_and_status_reports_metadata() {
     assert!(!body.contains("dynvote_peer_vote_rtt_us{site=\"0\",peer=\"0\"}"));
     let grace = sample(&body, "dynvote_vote_grace_us{site=\"0\"}");
     assert!((3_125..=25_000).contains(&grace), "{grace}");
-    assert!(body.contains("dynvote_event_total"), "{body}");
+    // The event row `/metrics` serves is the one the node answers the
+    // binary `Events` op from.
+    let committed = sample(&body, "dynvote_event_total{site=\"0\",kind=\"committed\"}");
+    assert!(committed > 0, "{body}");
+    let events = cluster.client(SiteId(0)).request(ClientOp::Events);
+    let Ok(ClientReply::Events { counts }) = events else {
+        panic!("events reply: {events:?}");
+    };
+    assert_eq!(committed, counts[EventKind::Committed as usize]);
     assert!(body.contains("dynvote_net_total"), "{body}");
     assert!(body.contains("dynvote_op_latency_seconds_count"), "{body}");
     assert!(body.contains("conns_accepted"), "{body}");

@@ -14,8 +14,34 @@ use dynvote_core::{AlgorithmKind, SiteId};
 use dynvote_storage::FsyncPolicy;
 use std::time::Duration;
 
-/// Names (kernel `comm`, truncated to 15 bytes) of live threads that
-/// belong to the cluster runtime.
+/// The kernel's `PF_EXITING` task flag: set when a thread enters
+/// `do_exit`, before it releases its memory map and wakes a joiner.
+const PF_EXITING: u64 = 0x4;
+
+/// Whether a task has begun to exit, read from the `flags` field of its
+/// `/proc/self/task/<tid>/stat` (the seventh field after the
+/// parenthesised `comm`). A joined thread has always begun to exit, but
+/// the kernel may list it for a moment after `join` returns, until it
+/// is reaped; a thread still running its code never has this flag. An
+/// unreadable `stat` means the task is already gone.
+fn is_exiting(task: &std::path::Path) -> bool {
+    let Ok(stat) = std::fs::read_to_string(task.join("stat")) else {
+        return true;
+    };
+    let Some((_, fields)) = stat.rsplit_once(')') else {
+        return false;
+    };
+    fields
+        .split_whitespace()
+        .nth(6)
+        .and_then(|flags| flags.parse::<u64>().ok())
+        .is_some_and(|flags| flags & PF_EXITING != 0)
+}
+
+/// Names (kernel `comm`, truncated to 15 bytes) of running threads that
+/// belong to the cluster runtime. Threads that have begun to exit are
+/// left out: once joined, a thread runs no more code and holds no
+/// port, even while the kernel still lists it.
 fn dynvote_threads() -> Vec<String> {
     let mut found = Vec::new();
     let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
@@ -25,7 +51,7 @@ fn dynvote_threads() -> Vec<String> {
         let comm_path = task.path().join("comm");
         if let Ok(comm) = std::fs::read_to_string(comm_path) {
             let comm = comm.trim();
-            if comm.starts_with("dynvote") {
+            if comm.starts_with("dynvote") && !is_exiting(&task.path()) {
                 found.push(comm.to_owned());
             }
         }

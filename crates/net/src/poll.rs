@@ -330,13 +330,15 @@ mod tests {
         let ev = events.iter().next().unwrap();
         assert_eq!(ev.token(), Token(0));
         assert!(ev.is_readable());
+        // Both wakes have landed before the drain: the second may
+        // trail the first, and one drain must clear them both.
+        t.join().unwrap();
         waker.drain();
         // After drain, no residual readiness.
         poller
             .wait(&mut events, Some(Duration::from_millis(10)))
             .unwrap();
         assert!(events.is_empty());
-        t.join().unwrap();
     }
 
     /// The lost-wake-up regression: a producer keeps at most two

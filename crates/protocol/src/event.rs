@@ -1,17 +1,12 @@
 //! Structured protocol observability.
 //!
-//! The kernel used to narrate itself through a `DV_TRACE` eprintln
-//! macro — stringly, global, and invisible to the harnesses. It now
-//! emits typed [`ProtocolEvent`]s through an [`EventSink`] threaded
-//! into every [`SiteActor`](crate::SiteActor):
-//!
-//! * [`CountingSink`] aggregates per-site, per-kind tallies
-//!   ([`EventTallies`]) that the simulator exposes next to its stats
-//!   and the load generator embeds in its JSON report — and that the
-//!   conformance tests compare across substrates;
-//! * [`RenderSink`] prints a human-readable line per event (the old
-//!   trace output, now complete), enabled by the `--trace` CLI flag;
-//! * [`FanoutSink`] composes sinks, e.g. counting *and* rendering.
+//! Every protocol decision a [`SiteActor`](crate::SiteActor) makes
+//! leaves it as an [`Action::Event`](crate::Action::Event) in the
+//! caller-owned action buffer, beside its sends and persist effects.
+//! The kernel keeps no sink and no shared state: the host that drains
+//! the buffer counts each event into a per-kind tally row it owns (the
+//! simulator's [`EventTallies`], a live node's row) and, with `--trace`,
+//! prints it as `[site i] {event}`.
 //!
 //! Emission happens at the protocol's decision points, not its message
 //! edges, so the vocabulary is substrate-independent: the same scripted
@@ -23,7 +18,6 @@
 use crate::message::TxnId;
 use crate::site::ResolveReason;
 use dynvote_core::{SiteId, SiteSet};
-use std::sync::Mutex;
 
 /// One observable protocol decision at one site.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -276,23 +270,6 @@ impl EventKind {
     }
 }
 
-/// Where the kernel reports its [`ProtocolEvent`]s.
-///
-/// Implementations must be cheap and non-blocking: `emit` runs inside
-/// the protocol's hot path. `&self` because one sink is typically
-/// shared by every site of a harness.
-pub trait EventSink: Send + Sync {
-    /// Observe one event at one site.
-    fn emit(&self, site: SiteId, event: &ProtocolEvent);
-}
-
-/// The default sink: drops everything.
-pub(crate) struct NoopSink;
-
-impl EventSink for NoopSink {
-    fn emit(&self, _site: SiteId, _event: &ProtocolEvent) {}
-}
-
 /// Per-site, per-kind event tallies.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EventTallies {
@@ -325,11 +302,20 @@ impl EventTallies {
 
     /// Install one site's row (e.g. decoded from a wire reply).
     pub fn set_row(&mut self, site: SiteId, row: [u64; EventKind::COUNT]) {
+        *self.row_mut(site) = row;
+    }
+
+    /// Count one event of `kind` at `site`.
+    pub fn record(&mut self, site: SiteId, kind: EventKind) {
+        self.row_mut(site)[kind as usize] += 1;
+    }
+
+    fn row_mut(&mut self, site: SiteId) -> &mut [u64; EventKind::COUNT] {
         if self.per_site.len() <= site.index() {
             self.per_site
                 .resize(site.index() + 1, [0; EventKind::COUNT]);
         }
-        self.per_site[site.index()] = row;
+        &mut self.per_site[site.index()]
     }
 
     /// A copy with the wall-clock-dependent kinds zeroed, suitable for
@@ -363,73 +349,6 @@ impl std::fmt::Display for EventTallies {
             write!(f, "(no events)")?;
         }
         Ok(())
-    }
-}
-
-/// A sink that aggregates [`EventTallies`]; shareable across sites and
-/// threads.
-#[derive(Default)]
-pub struct CountingSink {
-    tallies: Mutex<EventTallies>,
-}
-
-impl CountingSink {
-    /// A fresh, all-zero counting sink.
-    #[must_use]
-    pub fn new() -> Self {
-        CountingSink::default()
-    }
-
-    /// A snapshot of the tallies so far.
-    #[must_use]
-    pub fn tallies(&self) -> EventTallies {
-        self.tallies.lock().expect("tallies lock").clone()
-    }
-}
-
-impl EventSink for CountingSink {
-    fn emit(&self, site: SiteId, event: &ProtocolEvent) {
-        let mut tallies = self.tallies.lock().expect("tallies lock");
-        if tallies.per_site.len() <= site.index() {
-            tallies
-                .per_site
-                .resize(site.index() + 1, [0; EventKind::COUNT]);
-        }
-        tallies.per_site[site.index()][event.kind() as usize] += 1;
-    }
-}
-
-/// A sink that renders every event to stderr, one line each — the
-/// successor of the old `DV_TRACE` output, now covering the full
-/// vocabulary. Enabled by the `--trace` CLI flag.
-#[derive(Debug, Default)]
-pub struct RenderSink;
-
-impl EventSink for RenderSink {
-    fn emit(&self, site: SiteId, event: &ProtocolEvent) {
-        eprintln!("[site {site}] {event}");
-    }
-}
-
-/// A sink that forwards every event to several sinks in order.
-#[derive(Default)]
-pub struct FanoutSink {
-    sinks: Vec<std::sync::Arc<dyn EventSink>>,
-}
-
-impl FanoutSink {
-    /// A fan-out over the given sinks.
-    #[must_use]
-    pub fn new(sinks: Vec<std::sync::Arc<dyn EventSink>>) -> Self {
-        FanoutSink { sinks }
-    }
-}
-
-impl EventSink for FanoutSink {
-    fn emit(&self, site: SiteId, event: &ProtocolEvent) {
-        for sink in &self.sinks {
-            sink.emit(site, event);
-        }
     }
 }
 
@@ -502,24 +421,11 @@ mod tests {
     }
 
     #[test]
-    fn counting_sink_tallies_per_site_and_kind() {
-        let sink = CountingSink::new();
-        sink.emit(
-            SiteId(2),
-            &ProtocolEvent::Committed {
-                txn: txn(1),
-                version: 1,
-            },
-        );
-        sink.emit(
-            SiteId(2),
-            &ProtocolEvent::Committed {
-                txn: txn(2),
-                version: 2,
-            },
-        );
-        sink.emit(SiteId(0), &ProtocolEvent::Crashed);
-        let tallies = sink.tallies();
+    fn tallies_count_per_site_and_kind() {
+        let mut tallies = EventTallies::default();
+        tallies.record(SiteId(2), EventKind::Committed);
+        tallies.record(SiteId(2), EventKind::Committed);
+        tallies.record(SiteId(0), EventKind::Crashed);
         assert_eq!(tallies.count(SiteId(2), EventKind::Committed), 2);
         assert_eq!(tallies.count(SiteId(0), EventKind::Crashed), 1);
         assert_eq!(tallies.count(SiteId(1), EventKind::Committed), 0);
@@ -530,41 +436,18 @@ mod tests {
 
     #[test]
     fn deterministic_masks_only_termination_rounds() {
-        let sink = CountingSink::new();
-        sink.emit(
-            SiteId(1),
-            &ProtocolEvent::TerminationRound {
-                txn: txn(1),
-                round: 1,
-            },
-        );
-        sink.emit(
-            SiteId(1),
-            &ProtocolEvent::CommitForced {
-                txn: txn(1),
-                version: 1,
-            },
-        );
-        let masked = sink.tallies().deterministic();
+        let mut tallies = EventTallies::default();
+        tallies.record(SiteId(1), EventKind::TerminationRound);
+        tallies.record(SiteId(1), EventKind::CommitForced);
+        let masked = tallies.deterministic();
         assert_eq!(masked.count(SiteId(1), EventKind::TerminationRound), 0);
         assert_eq!(masked.count(SiteId(1), EventKind::CommitForced), 1);
     }
 
     #[test]
-    fn fanout_forwards_to_every_sink() {
-        let a = std::sync::Arc::new(CountingSink::new());
-        let b = std::sync::Arc::new(CountingSink::new());
-        let fan = FanoutSink::new(vec![a.clone(), b.clone()]);
-        fan.emit(SiteId(0), &ProtocolEvent::Crashed);
-        assert_eq!(a.tallies().total(EventKind::Crashed), 1);
-        assert_eq!(b.tallies().total(EventKind::Crashed), 1);
-    }
-
-    #[test]
     fn rows_round_trip_through_set_row() {
-        let sink = CountingSink::new();
-        sink.emit(SiteId(3), &ProtocolEvent::Crashed);
-        let original = sink.tallies();
+        let mut original = EventTallies::default();
+        original.record(SiteId(3), EventKind::Crashed);
         let mut rebuilt = EventTallies::default();
         for i in 0..4 {
             rebuilt.set_row(SiteId(i), original.row(SiteId(i)));

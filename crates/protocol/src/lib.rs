@@ -13,7 +13,7 @@
 //! method call ([`SiteActor::handle_message`], [`SiteActor::timer_fired`],
 //! [`SiteActor::start_update`], ...); every effect is a returned
 //! [`Action`] (send, broadcast, set-timer, resolved, commit-recorded,
-//! persist) for a *harness* to interpret. Two harnesses exist:
+//! persist, event) for a *harness* to interpret. Two harnesses exist:
 //!
 //! * `dynvote-sim` — a discrete-event simulator under a virtual clock
 //!   and an adversarial fault layer;
@@ -26,8 +26,8 @@
 //!
 //! Observability is part of the kernel's contract: every protocol
 //! decision (votes, quorums, catch-ups, force-writes, commits, aborts,
-//! termination rounds, crash/recover) is emitted as a typed
-//! [`ProtocolEvent`] through an [`EventSink`] — see [`event`].
+//! termination rounds, crash/recover) is an [`Action::Event`] carrying
+//! a typed [`ProtocolEvent`], which the harness counts — see [`event`].
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -39,9 +39,7 @@ pub mod persist;
 mod shard;
 mod site;
 
-pub use event::{
-    CountingSink, EventKind, EventSink, EventTallies, FanoutSink, ProtocolEvent, RenderSink,
-};
+pub use event::{EventKind, EventTallies, ProtocolEvent};
 pub use message::{LogEntry, Message, ObjectId, StatusOutcome, TxnId};
 pub use persist::{PersistEffect, Persistence};
 pub use shard::ShardedSite;

@@ -18,11 +18,9 @@
 //! effects land in the one sink, each stamped with its object, and a
 //! single barrier seals the whole multi-object batch.
 
-use crate::event::EventSink;
 use crate::message::{Message, ObjectId, TxnId};
 use crate::site::{ActionSink, DurableState, SiteActor, TimerKind};
 use dynvote_core::{ReplicaControl, SiteId, SiteSet};
-use std::sync::Arc;
 
 /// One site's shard map: an independent protocol state machine per
 /// object, with O(1) routing by the object carried in every [`TxnId`].
@@ -109,13 +107,6 @@ impl ShardedSite {
     /// Every shard with its object id, in object order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (ObjectId, &SiteActor)> {
         self.shards.iter().map(|shard| (shard.object(), shard))
-    }
-
-    /// Install an [`EventSink`] on every shard.
-    pub fn set_sink(&mut self, sink: Arc<dyn EventSink>) {
-        for shard in &mut self.shards {
-            shard.set_sink(Arc::clone(&sink));
-        }
     }
 
     /// Replace the peer-suspicion hint every shard sees from its next
@@ -212,10 +203,10 @@ impl ShardedSite {
 
     /// Crash every shard (volatile state lost — the suspicion
     /// hint with it — durable records kept).
-    pub fn crash(&mut self) {
+    pub fn crash(&mut self, out: &mut ActionSink) {
         self.suspected = SiteSet::EMPTY;
         for shard in &mut self.shards {
-            shard.crash();
+            shard.crash(out);
         }
     }
 
@@ -319,7 +310,7 @@ mod tests {
         start(&mut s, 0, 1, &mut out);
         start(&mut s, 2, 2, &mut out);
         assert!(s.any_locked());
-        s.crash();
+        s.crash(&mut out);
         assert!(!s.any_locked());
     }
 
@@ -359,7 +350,7 @@ mod tests {
         assert!(s.suspicion_grew(txn, &mut out));
         assert!(!s.any_locked(), "re-test");
         // A crash forgets the hint with the rest of volatile state.
-        s.crash();
+        s.crash(&mut out);
         out.clear();
         start(&mut s, 3, 2, &mut out);
         let txn = vote_request(&out).txn();

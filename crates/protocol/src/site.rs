@@ -20,12 +20,11 @@
 //! `COMMIT` (so recovery can presume abort when no record exists).
 //! Both records live in [`DurableState`] and survive [`SiteActor::crash`].
 
-use crate::event::{EventSink, NoopSink, ProtocolEvent};
+use crate::event::ProtocolEvent;
 use crate::message::{LogEntry, Message, ObjectId, StatusOutcome, TxnId};
 use crate::persist::{self, PersistEffect, Persistence};
 use dynvote_core::{CopyMeta, LinearOrder, PartitionView, ReplicaControl, SiteId, SiteSet};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Why a transaction finished, for statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,6 +116,10 @@ pub enum Action {
     },
     /// An advisory observation; see [`Hint`] for the contract.
     Hint(Hint),
+    /// A protocol decision this site made (see [`crate::event`]). The
+    /// host counts it in the tally row it owns for this site and, when
+    /// tracing, renders it.
+    Event(ProtocolEvent),
     /// A mutation of `object`'s durable state (see [`crate::persist`]).
     /// Written at the mutation point, so it precedes every action the
     /// mutation guards: the harness makes it durable before it hands
@@ -314,7 +317,6 @@ pub struct SiteActor {
     algo: Box<dyn ReplicaControl>,
     durable: DurableState,
     volatile: Volatile,
-    sink: Arc<dyn EventSink>,
     /// The benchmark's [`Persistence`] adapter, `None` everywhere else.
     hook: Option<Box<dyn Persistence + Send>>,
 }
@@ -357,7 +359,6 @@ impl SiteActor {
             algo,
             durable,
             volatile: Volatile::default(),
-            sink: Arc::new(NoopSink),
             hook: None,
         }
     }
@@ -394,12 +395,6 @@ impl SiteActor {
     /// round whose live votes are all in never sees another one.
     pub fn suspicion_grew(&mut self, txn: TxnId, out: &mut ActionSink) {
         self.close_early(txn, CloseCause::Suspected, out);
-    }
-
-    /// Install an [`EventSink`]; every subsequent protocol decision is
-    /// reported to it. The default sink drops everything.
-    pub fn set_sink(&mut self, sink: Arc<dyn EventSink>) {
-        self.sink = sink;
     }
 
     /// Install the benchmark's [`Persistence`] adapter: every
@@ -442,10 +437,6 @@ impl SiteActor {
             let after = first_new as u64;
             self.persist(PersistEffect::Entries { after, upto }, out);
         }
-    }
-
-    fn emit(&self, event: ProtocolEvent) {
-        self.sink.emit(self.id, &event);
     }
 
     /// The site's id.
@@ -525,10 +516,10 @@ impl SiteActor {
                 .as_mut()
                 .expect("transaction just started");
             coord.extra.extend_from_slice(rest);
-            self.emit(ProtocolEvent::BatchSealed {
+            out.push(Action::Event(ProtocolEvent::BatchSealed {
                 txn,
                 ops: payloads.len() as u32,
-            });
+            }));
         }
         Some(txn)
     }
@@ -569,10 +560,10 @@ impl SiteActor {
             // lock now. The submission is refused (a real system would
             // queue or retry; retries are the workload driver's job).
             let txn = self.fresh_txn(out);
-            self.emit(ProtocolEvent::Aborted {
+            out.push(Action::Event(ProtocolEvent::Aborted {
                 txn,
                 reason: ResolveReason::LockBusy,
-            });
+            }));
             out.push(Action::Resolved {
                 txn,
                 reason: ResolveReason::LockBusy,
@@ -609,9 +600,9 @@ impl SiteActor {
 
     /// Crash: all volatile state is lost. Durable prepare/commit records
     /// survive.
-    pub fn crash(&mut self) {
+    pub fn crash(&mut self, out: &mut ActionSink) {
         self.volatile = Volatile::default();
-        self.emit(ProtocolEvent::Crashed);
+        out.push(Action::Event(ProtocolEvent::Crashed));
     }
 
     /// Recovery (Section V-C): restore the in-doubt lock from the
@@ -621,9 +612,9 @@ impl SiteActor {
     /// `restart_payload` identifies the no-op update `Make_Current`
     /// commits if it finds a distinguished partition.
     pub fn recover(&mut self, restart_payload: u64, out: &mut ActionSink) {
-        self.emit(ProtocolEvent::Recovered {
+        out.push(Action::Event(ProtocolEvent::Recovered {
             in_doubt: self.durable.prepared.is_some(),
-        });
+        }));
         if let Some((txn, coordinator)) = self.durable.prepared {
             // Re-acquire the lock the prepare record guards and go
             // straight to the termination protocol.
@@ -697,7 +688,7 @@ impl SiteActor {
     fn on_vote_request(&mut self, from: SiteId, txn: TxnId, out: &mut ActionSink) {
         match self.volatile.lock {
             Some(holder) if holder != txn => {
-                self.emit(ProtocolEvent::VoteDenied { txn, holder });
+                out.push(Action::Event(ProtocolEvent::VoteDenied { txn, holder }));
                 out.push(Action::Send {
                     to: from,
                     msg: Message::VoteBusy { txn, from: self.id },
@@ -721,14 +712,14 @@ impl SiteActor {
         self.volatile.prepared_rounds = 0;
         self.durable.prepared = Some((txn, from));
         self.persist(PersistEffect::Prepared(txn, from), out);
-        self.emit(ProtocolEvent::PrepareForced {
+        out.push(Action::Event(ProtocolEvent::PrepareForced {
             txn,
             coordinator: from,
-        });
-        self.emit(ProtocolEvent::VoteGranted {
+        }));
+        out.push(Action::Event(ProtocolEvent::VoteGranted {
             txn,
             coordinator: from,
-        });
+        }));
         out.push(Action::Send {
             to: from,
             msg: Message::VoteGranted {
@@ -792,10 +783,10 @@ impl SiteActor {
             // Emitted only when the copy actually advances, so a
             // duplicated or termination-protocol-delivered commit never
             // double-counts.
-            self.emit(ProtocolEvent::CommitForced {
+            out.push(Action::Event(ProtocolEvent::CommitForced {
                 txn,
                 version: meta.version,
-            });
+            }));
         }
         self.persist(PersistEffect::Committed(txn, meta, participants), out);
         self.durable
@@ -824,10 +815,10 @@ impl SiteActor {
     /// blocked."
     fn termination_round(&mut self, txn: TxnId, out: &mut ActionSink) {
         self.volatile.prepared_rounds = self.volatile.prepared_rounds.saturating_add(1);
-        self.emit(ProtocolEvent::TerminationRound {
+        out.push(Action::Event(ProtocolEvent::TerminationRound {
             txn,
             round: self.volatile.prepared_rounds,
-        });
+        }));
         let after_version = self.durable.log.last().map_or(0, |e| e.version);
         out.push(Action::Broadcast {
             msg: Message::StatusQuery {
@@ -1071,10 +1062,10 @@ impl SiteActor {
             self.abort_coordinated(txn, reason, out);
             return;
         }
-        self.emit(ProtocolEvent::QuorumAssembled {
+        out.push(Action::Event(ProtocolEvent::QuorumAssembled {
             txn,
             members: view.members(),
-        });
+        }));
         let my_version = self.durable.meta.version;
         if my_version < view.max_version() {
             // Catch-up phase: fetch missing updates from a current
@@ -1084,11 +1075,11 @@ impl SiteActor {
                 .iter()
                 .find(|s| *s != self.id)
                 .expect("a current subordinate exists when the coordinator is stale");
-            self.emit(ProtocolEvent::CatchUpStarted {
+            out.push(Action::Event(ProtocolEvent::CatchUpStarted {
                 txn,
                 source,
                 after_version: my_version,
-            });
+            }));
             coord.phase = CoordPhase::CatchingUp { members };
             self.volatile.coordinating = Some(coord);
             out.push(Action::Send {
@@ -1117,7 +1108,10 @@ impl SiteActor {
         // Served from the durable log; the copy is locked for `txn`, so
         // the suffix is stable.
         let entries = self.log_suffix(after_version).to_vec();
-        self.emit(ProtocolEvent::CatchUpServed { txn, to: from });
+        out.push(Action::Event(ProtocolEvent::CatchUpServed {
+            txn,
+            to: from,
+        }));
         out.push(Action::Send {
             to: from,
             msg: Message::CatchUpReply { txn, entries },
@@ -1262,7 +1256,7 @@ impl SiteActor {
         if self.volatile.lock == Some(txn) {
             self.volatile.lock = None;
         }
-        self.emit(ProtocolEvent::ReadServed { txn });
+        out.push(Action::Event(ProtocolEvent::ReadServed { txn }));
         out.push(Action::Broadcast {
             msg: Message::Abort { txn },
         });
@@ -1330,14 +1324,14 @@ impl SiteActor {
         self.persist(PersistEffect::Committed(txn, meta, participants), out);
         self.volatile.lock = None;
 
-        self.emit(ProtocolEvent::CommitForced {
+        out.push(Action::Event(ProtocolEvent::CommitForced {
             txn,
             version: meta.version,
-        });
-        self.emit(ProtocolEvent::Committed {
+        }));
+        out.push(Action::Event(ProtocolEvent::Committed {
             txn,
             version: meta.version,
-        });
+        }));
         for entry in &self.durable.log[first_new..] {
             out.push(Action::CommitRecorded {
                 version: entry.version,
@@ -1378,7 +1372,7 @@ impl SiteActor {
         if self.volatile.lock == Some(txn) {
             self.volatile.lock = None;
         }
-        self.emit(ProtocolEvent::Aborted { txn, reason });
+        out.push(Action::Event(ProtocolEvent::Aborted { txn, reason }));
         out.push(Action::Broadcast {
             msg: Message::Abort { txn },
         });
@@ -1453,6 +1447,10 @@ mod tests {
                     effect: PersistEffect::Seq(2),
                     ..
                 },
+                Action::Event(ProtocolEvent::Aborted {
+                    reason: ResolveReason::LockBusy,
+                    ..
+                }),
                 Action::Resolved {
                     reason: ResolveReason::LockBusy,
                     ..
@@ -1477,11 +1475,16 @@ mod tests {
             }
         );
         assert!(matches!(
-            &actions[1],
-            Action::Send {
-                to: SiteId(0),
-                msg: Message::VoteGranted { .. }
-            }
+            actions[1..],
+            [
+                Action::Event(ProtocolEvent::PrepareForced { .. }),
+                Action::Event(ProtocolEvent::VoteGranted { .. }),
+                Action::Send {
+                    to: SiteId(0),
+                    msg: Message::VoteGranted { .. }
+                },
+                ..
+            ]
         ));
     }
 
@@ -1491,11 +1494,14 @@ mod tests {
         deliver(&mut b, SiteId(0), Message::VoteRequest { txn: txn(0, 1) });
         let actions = deliver(&mut b, SiteId(2), Message::VoteRequest { txn: txn(2, 1) });
         assert!(matches!(
-            &actions[0],
-            Action::Send {
-                msg: Message::VoteBusy { .. },
-                ..
-            }
+            actions[..],
+            [
+                Action::Event(ProtocolEvent::VoteDenied { .. }),
+                Action::Send {
+                    msg: Message::VoteBusy { .. },
+                    ..
+                }
+            ]
         ));
     }
 
@@ -1503,7 +1509,7 @@ mod tests {
     fn prepare_record_survives_crash_and_restores_lock() {
         let mut b = site(1, 3);
         deliver(&mut b, SiteId(0), Message::VoteRequest { txn: txn(0, 1) });
-        b.crash();
+        b.crash(&mut Vec::new());
         assert!(!b.is_locked(), "volatile lock lost");
         assert!(b.is_in_doubt(), "prepare record is durable");
         let mut actions = Vec::new();
@@ -1521,7 +1527,7 @@ mod tests {
     #[test]
     fn recovery_without_doubt_runs_make_current() {
         let mut b = site(1, 3);
-        b.crash();
+        b.crash(&mut Vec::new());
         let mut actions = Vec::new();
         b.recover(999, &mut actions);
         assert!(actions.iter().any(|a| matches!(
@@ -1842,14 +1848,18 @@ mod tests {
             .start_update_batch(&[100, 101, 102], &mut out)
             .expect("lock free");
         // One round regardless of batch size: one sequence number, one
-        // broadcast, one timer.
+        // broadcast, one timer, and the batch's one seal event.
         assert!(matches!(
             &out[1],
             Action::Broadcast {
                 msg: Message::VoteRequest { .. }
             }
         ));
-        assert_eq!(out.len(), 3);
+        assert_eq!(out.len(), 4);
+        assert_eq!(
+            out[3],
+            Action::Event(ProtocolEvent::BatchSealed { txn: t, ops: 3 })
+        );
         for sub in [1u8, 2] {
             deliver(
                 &mut a,
@@ -1987,6 +1997,7 @@ mod tests {
                     effect: PersistEffect::Seq(_),
                     ..
                 },
+                Action::Event(ProtocolEvent::Aborted { .. }),
                 Action::Resolved {
                     reason: ResolveReason::LockBusy,
                     ..
@@ -2023,10 +2034,15 @@ mod tests {
                 PersistEffect::Committed(t, meta, participants),
             ]
         );
-        assert!(out[..3]
+        // Only the decision's quorum event comes first.
+        assert!(matches!(
+            out[0],
+            Action::Event(ProtocolEvent::QuorumAssembled { .. })
+        ));
+        assert!(out[1..4]
             .iter()
             .all(|action| matches!(action, Action::Persist { .. })));
-        assert!(out[3..]
+        assert!(out[4..]
             .iter()
             .any(|action| matches!(action, Action::Send { .. })));
     }

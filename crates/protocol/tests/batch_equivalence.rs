@@ -57,7 +57,8 @@ fn pump(sites: &mut [ShardedSite], persisted: &mut Persisted, seed: Vec<Action>,
                     | Action::Resolved { .. }
                     | Action::CommitRecorded { .. }
                     | Action::DecisionReady { .. }
-                    | Action::Hint(_) => {}
+                    | Action::Hint(_)
+                    | Action::Event(_) => {}
                     Action::Persist { object, effect } => {
                         persisted[from.index()].push((object, effect));
                     }

@@ -173,7 +173,7 @@ impl Net {
                     }
                 }
                 Action::Persist { effect, .. } => self.persisted[site.index()].push(effect),
-                Action::Resolved { .. } | Action::DecisionReady { .. } => {}
+                Action::Resolved { .. } | Action::DecisionReady { .. } | Action::Event(_) => {}
             }
         }
     }
@@ -350,7 +350,9 @@ impl Net {
             return;
         }
         self.down.insert(site);
-        self.sites[site.index()].crash();
+        let mut out = Vec::new();
+        self.sites[site.index()].crash(&mut out);
+        self.stage(site, out);
         self.timers.retain(|(s, _, _)| *s != site);
         if let Some(sets) = self.suspected.as_mut() {
             sets[site.index()] = SiteSet::EMPTY;

@@ -9,11 +9,10 @@ mod common;
 use common::Net;
 use dynvote_core::{AlgorithmKind, CopyMeta, LinearOrder, SiteId, SiteSet};
 use dynvote_protocol::{
-    Action, CloseCause, CountingSink, EventKind, Hint, Message, ObjectId, PersistEffect,
+    Action, CloseCause, EventKind, EventTallies, Hint, Message, ObjectId, PersistEffect,
     ResolveReason, ShardedSite, SiteActor, StatusOutcome, TimerKind, TxnId,
 };
 use proptest::prelude::*;
-use std::sync::Arc;
 
 fn site(id: u8, n: usize) -> SiteActor {
     SiteActor::new(SiteId(id), n, AlgorithmKind::Hybrid.instantiate(n))
@@ -105,7 +104,7 @@ fn durable_prepare_record_survives_crash() {
     deliver(&mut b, SiteId(0), Message::VoteRequest { txn: t });
     assert!(b.is_in_doubt());
 
-    b.crash();
+    b.crash(&mut Vec::new());
     assert!(!b.is_locked(), "volatile lock is lost");
     assert!(b.is_in_doubt(), "the prepare record is durable");
 
@@ -178,7 +177,7 @@ fn recovered_coordinator_presumes_abort_for_its_lost_transaction() {
     // A crashes before deciding; the in-flight transaction is volatile
     // and gone. After recovery there is no commit record for it, so it
     // can never commit: presumed abort.
-    a.crash();
+    a.crash(&mut Vec::new());
     a.recover(999, &mut Vec::new());
     let reply = deliver(
         &mut a,
@@ -213,22 +212,32 @@ fn recovered_coordinator_presumes_abort_for_its_lost_transaction() {
     assert!(!b.is_in_doubt());
 }
 
-/// The sink sees the kernel's decisions: a prepared-then-blocked
-/// subordinate emits prepare-forced, vote-granted, termination rounds,
-/// crash and recover in its tally row.
+/// Count the events in `actions` into `site`'s row, as the host that
+/// drained them would.
+fn tally(site: SiteId, actions: &[Action]) -> EventTallies {
+    let mut tallies = EventTallies::default();
+    for action in actions {
+        if let Action::Event(event) = action {
+            tallies.record(site, event.kind());
+        }
+    }
+    tallies
+}
+
+/// The action buffer carries the kernel's decisions: a
+/// prepared-then-blocked subordinate emits prepare-forced, vote-granted,
+/// termination rounds, crash and recover in its tally row.
 #[test]
 fn event_sink_observes_the_blocking_window() {
-    let sink = Arc::new(CountingSink::new());
     let mut b = site(1, 3);
-    b.set_sink(sink.clone());
     let t = txn(0, 1);
-    let mut sink_buf = Vec::new();
-    b.handle_message(SiteId(0), Message::VoteRequest { txn: t }, &mut sink_buf);
-    b.timer_fired(t, TimerKind::PreparedRetry, &mut sink_buf);
-    b.crash();
-    b.recover(999, &mut sink_buf); // in doubt: resumes termination, round 1 again
+    let mut out = Vec::new();
+    b.handle_message(SiteId(0), Message::VoteRequest { txn: t }, &mut out);
+    b.timer_fired(t, TimerKind::PreparedRetry, &mut out);
+    b.crash(&mut out);
+    b.recover(999, &mut out); // in doubt: resumes termination, round 1 again
 
-    let tallies = sink.tallies();
+    let tallies = tally(b.id(), &out);
     let at = |kind| tallies.count(SiteId(1), kind);
     assert_eq!(at(EventKind::PrepareForced), 1);
     assert_eq!(at(EventKind::VoteGranted), 1);
@@ -531,7 +540,7 @@ fn a_vote_from_an_unknown_site_is_ignored() {
 #[test]
 fn crash_forgets_the_suspicion_hint() {
     let (mut a, _) = coordinator_suspecting_e();
-    a.crash();
+    a.crash(&mut Vec::new());
     let t = open_round(&mut a, 101);
     for from in 1..=3 {
         assert!(
@@ -601,11 +610,10 @@ fn resolved(actions: &[Action], t: TxnId) -> Option<ResolveReason> {
 /// not write. Both are one `aborted` event, as before.
 #[test]
 fn a_lost_lock_race_is_contended_and_a_minority_is_not_distinguished() {
-    let sink = Arc::new(CountingSink::new());
-    let aborted = |sink: &CountingSink| sink.tallies().count(SiteId(0), EventKind::Aborted);
+    let aborted =
+        |closing: &[Action]| tally(SiteId(0), closing).count(SiteId(0), EventKind::Aborted);
 
     let mut raced = site(0, 5);
-    raced.set_sink(sink.clone());
     let t = open_round(&mut raced, 100);
     assert!(grant(&mut raced, t, 1).is_empty());
     assert!(busy(&mut raced, t, 2).is_empty());
@@ -613,16 +621,15 @@ fn a_lost_lock_race_is_contended_and_a_minority_is_not_distinguished() {
     let closing = busy(&mut raced, t, 4);
     assert_eq!(resolved(&closing, t), Some(ResolveReason::Contended));
     assert!(!raced.is_locked());
-    assert_eq!(aborted(&sink), 1);
+    assert_eq!(aborted(&closing), 1);
 
     let mut cut_off = site(0, 5);
-    cut_off.set_sink(sink.clone());
     let t = open_round(&mut cut_off, 100);
     assert!(grant(&mut cut_off, t, 1).is_empty());
     let mut closing = Vec::new();
     cut_off.timer_fired(t, TimerKind::VoteDeadline, &mut closing);
     assert_eq!(resolved(&closing, t), Some(ResolveReason::NotDistinguished));
-    assert_eq!(aborted(&sink), 2);
+    assert_eq!(aborted(&closing), 1);
 
     // One busy voter does not relabel a round that commits anyway.
     let mut won = site(0, 5);

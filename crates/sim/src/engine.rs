@@ -20,13 +20,12 @@ use dynvote_core::{
     BackoffPolicy, ConfigError, SiteId, SiteSet, TimerWheel, VirtualInstant,
 };
 use dynvote_protocol::{
-    Action, CountingSink, EventSink, EventTallies, FanoutSink, LogEntry, Message, ObjectId,
-    RenderSink, ResolveReason, ShardedSite, SiteActor, TimerKind, TxnId,
+    Action, EventTallies, LogEntry, Message, ObjectId, ResolveReason, ShardedSite, SiteActor,
+    TimerKind, TxnId,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -295,7 +294,9 @@ pub struct Simulation {
     clock: f64,
     rng: StdRng,
     /// Counts every [`dynvote_protocol::ProtocolEvent`] the actors emit.
-    sink: Arc<CountingSink>,
+    tallies: EventTallies,
+    /// Print every event as it is drained ([`Simulation::enable_trace`]).
+    trace: bool,
     /// `ledgers[object][v-1]` = that object's version `v`.
     pub(crate) ledgers: Vec<Vec<Option<LedgerEntry>>>,
     violations: Vec<ConsistencyViolation>,
@@ -354,15 +355,12 @@ impl Simulation {
         }
         assert!(!files.is_empty(), "{}", ConfigError::NoFiles);
         let n = config.n;
-        let sink = Arc::new(CountingSink::new());
         let sites = (0..n)
             .map(|i| {
                 let mut kinds = files.iter();
-                let mut site = ShardedSite::new(SiteId::new(i), n, files.len(), || {
+                ShardedSite::new(SiteId::new(i), n, files.len(), || {
                     kinds.next().expect("one kind per object").instantiate(n)
-                });
-                site.set_sink(sink.clone());
-                site
+                })
             })
             .collect();
         Simulation {
@@ -371,7 +369,8 @@ impl Simulation {
             timers: TimerWheel::new(),
             clock: 0.0,
             rng: StdRng::seed_from_u64(config.seed),
-            sink,
+            tallies: EventTallies::default(),
+            trace: false,
             ledgers: vec![Vec::new(); files.len()],
             violations: Vec::new(),
             stats: SimStats::default(),
@@ -431,19 +430,13 @@ impl Simulation {
     /// Per-site tallies of every protocol event the actors emitted.
     #[must_use]
     pub fn event_tallies(&self) -> EventTallies {
-        self.sink.tallies()
+        self.tallies.clone()
     }
 
     /// Mirror every protocol event to stderr as it happens (the tallies
     /// keep counting).
     pub fn enable_trace(&mut self) {
-        let fanout: Arc<dyn EventSink> = Arc::new(FanoutSink::new(vec![
-            self.sink.clone() as Arc<dyn EventSink>,
-            Arc::new(RenderSink),
-        ]));
-        for site in &mut self.sites {
-            site.set_sink(fanout.clone());
-        }
+        self.trace = true;
     }
 
     fn schedule(&mut self, delay: f64, event: Event) {
@@ -486,7 +479,8 @@ impl Simulation {
     pub fn crash_site(&mut self, site: SiteId) {
         if self.topology.is_up(site) {
             self.topology.crash(site);
-            self.sites[site.index()].crash();
+            self.sites[site.index()].crash(&mut self.scratch);
+            self.apply_actions(site);
             self.groups.crash(site);
             self.stats.site_crashes += 1;
             if self.divergence_trap == Some(site) {
@@ -646,6 +640,12 @@ impl Simulation {
                 // deadline and every site coordinates its own arrivals,
                 // as the paper's protocol does.
                 Action::Hint(_) => {}
+                Action::Event(event) => {
+                    if self.trace {
+                        eprintln!("[site {site}] {event}");
+                    }
+                    self.tallies.record(site, event.kind());
+                }
                 // A simulated crash keeps `DurableState` in memory, so
                 // there is no disk to write.
                 Action::Persist { .. } => {}

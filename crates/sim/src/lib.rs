@@ -64,8 +64,8 @@ mod topology;
 
 pub use dynvote_core::ConfigError;
 pub use dynvote_protocol::{
-    Action, CountingSink, DurableState, EventKind, EventSink, EventTallies, LogEntry, Message,
-    ObjectId, ProtocolEvent, RenderSink, ResolveReason, SiteActor, StatusOutcome, TimerKind, TxnId,
+    Action, DurableState, EventKind, EventTallies, LogEntry, Message, ObjectId, ProtocolEvent,
+    ResolveReason, SiteActor, StatusOutcome, TimerKind, TxnId,
 };
 pub use engine::{ConsistencyViolation, LedgerEntry, SimConfig, SimStats, Simulation};
 pub use experiments::{results_to_csv, ExperimentPlan, ExperimentResult};

@@ -145,7 +145,7 @@ fn five_site_script_writes_the_golden_wal_bytes() {
     s.fire(2, TimerKind::PreparedRetry);
     // Site 3 crashes, misses a commit, and restarts with Make_Current.
     s.down.insert(SiteId(3));
-    s.sites[3].crash();
+    s.run(3, |site, out| site.crash(out));
     s.update(1, 0, &[800]);
     s.drain();
     s.fire(1, TimerKind::VoteDeadline);
