@@ -1,7 +1,7 @@
 //! Bench: raw kernel dispatch throughput and allocation discipline.
 //!
 //! Unlike `protocol_sim` (which times the discrete-event engine around
-//! the kernel), this measures [`SiteActor::handle_message`] itself: a
+//! the kernel), this measures [`SiteActor::step`] itself: a
 //! synchronous in-process router delivers every `Send`/`Broadcast`
 //! action immediately, so the numbers are messages dispatched per
 //! second through the pure state machine with zero harness overhead.
@@ -24,7 +24,7 @@
 //! the same code and JSON schema at a fraction of the rounds.
 
 use dynvote_core::{AlgorithmKind, SiteId};
-use dynvote_protocol::{Action, Message, SiteActor, TimerKind, TxnId};
+use dynvote_protocol::{Action, Input, Message, SiteActor, TimerKind, TxnId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -100,7 +100,13 @@ impl Router {
         }
     }
 
-    /// Drain the sink filled by the last kernel call on `site`.
+    /// Step `site` with `input`, then interpret what it produced.
+    fn step(&mut self, site: SiteId, input: Input<'_>) {
+        self.actors[site.index()].step(input, &mut self.sink);
+        self.drain_sink(site);
+    }
+
+    /// Drain the sink filled by the last step of `site`.
     fn drain_sink(&mut self, site: SiteId) {
         let mut actions = std::mem::take(&mut self.sink);
         for action in actions.drain(..) {
@@ -121,25 +127,23 @@ impl Router {
         self.sink = actions;
     }
 
-    fn start_update(&mut self, site: SiteId, payload: u64) {
-        self.actors[site.index()].start_update(payload, &mut self.sink);
-        self.drain_sink(site);
+    fn update(&mut self, site: SiteId, payload: u64) {
+        let (payloads, hold) = (&[payload], false);
+        self.step(site, Input::Update { payloads, hold });
     }
 
     fn run_to_quiescence(&mut self) {
         loop {
             while let Some((from, to, msg)) = self.queue.pop_front() {
                 self.dispatched += 1;
-                self.actors[to.index()].handle_message(from, msg, &mut self.sink);
-                self.drain_sink(to);
+                self.step(to, Input::Message { from, msg });
             }
             if self.timers.is_empty() {
                 break;
             }
             let timers = std::mem::take(&mut self.timers);
             for (site, txn, kind) in timers {
-                self.actors[site.index()].timer_fired(txn, kind, &mut self.sink);
-                self.drain_sink(site);
+                self.step(site, Input::Timer { txn, kind });
             }
         }
     }
@@ -176,7 +180,7 @@ fn commit_heavy() -> Measurement {
     let rounds = rounds();
     let mut router = Router::new(AlgorithmKind::Hybrid);
     for i in 0..WARMUP {
-        router.start_update(SiteId((i % SITES as u64) as u8), i);
+        router.update(SiteId((i % SITES as u64) as u8), i);
         router.run_to_quiescence();
     }
     router.dispatched = 0;
@@ -184,7 +188,7 @@ fn commit_heavy() -> Measurement {
     let start = Instant::now();
     for i in 0..rounds {
         let coordinator = SiteId((i % SITES as u64) as u8);
-        router.start_update(coordinator, WARMUP + i);
+        router.update(coordinator, WARMUP + i);
         router.run_to_quiescence();
     }
     let seconds = start.elapsed().as_secs_f64();
@@ -212,18 +216,18 @@ fn abort_heavy() -> Measurement {
     for i in 1..SITES {
         // Lock the subordinate with a local coordination attempt whose
         // vote requests are never delivered: the lock is held forever.
-        let mut ignored = Vec::new();
-        router.actors[i].start_update(u64::MAX, &mut ignored);
+        let (payloads, hold) = (&[u64::MAX], false);
+        router.actors[i].step(Input::Update { payloads, hold }, &mut Vec::new());
     }
     for i in 0..WARMUP {
-        router.start_update(SiteId(0), i);
+        router.update(SiteId(0), i);
         router.run_to_quiescence();
     }
     router.dispatched = 0;
     let allocs_before = allocs_now();
     let start = Instant::now();
     for i in 0..rounds {
-        router.start_update(SiteId(0), WARMUP + i);
+        router.update(SiteId(0), WARMUP + i);
         router.run_to_quiescence();
     }
     let seconds = start.elapsed().as_secs_f64();

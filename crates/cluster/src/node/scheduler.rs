@@ -9,7 +9,7 @@ use super::{Client, Node, NodeEvent, ReplySink, Route};
 use crate::transport::Transport;
 use crate::wire::{ClientOp, ClientReply};
 use dynvote_core::{SiteId, SiteSet};
-use dynvote_protocol::{Message, ObjectId, TimerKind, TxnId};
+use dynvote_protocol::{Input, Message, ObjectId, TimerKind, TxnId};
 use dynvote_storage::NodeStore;
 use rand::Rng;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
@@ -155,9 +155,8 @@ impl<T: Transport> Node<T> {
                     }
                     // Unhosted objects are dropped, not panicked on: a
                     // hostile frame must not kill the node.
-                    self.step(msg.txn().object, |site, out| {
-                        site.handle_message(from, msg, out);
-                    });
+                    let object = msg.txn().object;
+                    self.step(object, Input::Message { from, msg });
                 }
             }
             NodeEvent::Relay { from, relay } => {
@@ -447,9 +446,7 @@ impl<T: Transport> Node<T> {
             .copied()
             .collect();
         for txn in open {
-            self.step(txn.object, |site, out| {
-                site.suspicion_grew(txn, out);
-            });
+            self.step(txn.object, Input::SuspicionGrew { txn });
         }
     }
 
@@ -521,9 +518,7 @@ impl<T: Transport> Node<T> {
                 continue;
             }
             self.vote_clock.fired(txn, kind);
-            self.step(txn.object, |site, out| {
-                site.timer_fired(txn, kind, out);
-            });
+            self.step(txn.object, Input::Timer { txn, kind });
         }
     }
 

@@ -11,7 +11,7 @@
 use super::{Client, Node};
 use crate::transport::Transport;
 use dynvote_core::{SiteId, SiteSet};
-use dynvote_protocol::{Action, Message, ObjectId, ShardedSite, SiteActor, TxnId};
+use dynvote_protocol::{Input, ObjectId, SiteActor, TxnId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -28,7 +28,7 @@ pub struct ShardStats {
     /// High-water mark of any single object's pending-op FIFO.
     pipeline_queue_peak: AtomicU64,
     /// Histogram of quorum-round batch sizes: how many client updates
-    /// each `start_update_batch` round sealed, bucketed by
+    /// each update round sealed, bucketed by
     /// [`Self::BATCH_BUCKETS`].
     batch_sizes: Vec<AtomicU64>,
     /// The node's peer-suspicion set, as [`SiteSet::bits`] (a gauge).
@@ -324,34 +324,21 @@ const PER_OBJECT_QUEUE_LIMIT: usize = 1024;
 impl<T: Transport> Node<T> {
     /// One kernel step on `object`'s shard: count it, run it into the
     /// scratch buffer, then pump the object's FIFO — the step may have
-    /// freed its lock.
-    pub(super) fn step(
-        &mut self,
-        object: ObjectId,
-        run: impl FnOnce(&mut ShardedSite, &mut Vec<Action>),
-    ) {
+    /// freed its lock. Returns the transaction the input started.
+    pub(super) fn step(&mut self, object: ObjectId, input: Input<'_>) -> Option<TxnId> {
         self.shard_stats.note_dispatch();
-        run(&mut self.site, &mut self.scratch);
+        let started = self.site.step(object, input, &mut self.scratch);
         self.pump(object);
+        started
     }
 
     /// Run the Section V-C restart protocol (`Make_Current`) on one
     /// object, tagging the transaction it starts (if any) so the merge
     /// books its commit as restart traffic, not workload.
     pub(super) fn restart(&mut self, object: ObjectId) {
-        let payload = self.fresh_payload();
-        self.shard_stats.note_dispatch();
-        let start = self.scratch.len();
-        self.site.recover(object, payload, &mut self.scratch);
-        for action in &self.scratch[start..] {
-            if let Action::Broadcast {
-                msg: Message::VoteRequest { txn },
-            } = action
-            {
-                self.restart_txns.insert(*txn);
-            }
-        }
-        self.pump(object);
+        let restart_payload = self.fresh_payload();
+        let started = self.step(object, Input::Recover { restart_payload });
+        self.restart_txns.extend(started);
     }
 
     /// Hand the kernels the scheduler's copy of the peer-suspicion set.
@@ -381,7 +368,7 @@ impl<T: Transport> Node<T> {
     /// lock is free: a head-of-queue read runs alone (reads cannot share
     /// an update's log append); a head-of-queue update takes every
     /// consecutively queued update behind it — up to `max_batch` — into
-    /// ONE vote/commit round via `start_update_batch`. The loop keeps
+    /// ONE vote/commit round via [`Input::Update`]. The loop keeps
     /// going because a round can resolve synchronously (single-site
     /// views, immediate refusals); normally the freshly taken lock ends
     /// it after one round.
@@ -395,9 +382,7 @@ impl<T: Transport> Node<T> {
             }
             if queue.front().is_some_and(|op| op.client.read) {
                 let read = queue.pop_front().expect("front checked as read");
-                let start = self.scratch.len();
-                self.site.start_read(object, &mut self.scratch);
-                let txn = txn_started(&self.scratch[start..]);
+                let txn = self.site.step(object, Input::Read, &mut self.scratch);
                 self.park(txn, vec![read.client]);
                 continue;
             }
@@ -411,9 +396,11 @@ impl<T: Transport> Node<T> {
                 payloads.push(update.payload);
                 clients.push(update.client);
             }
-            let txn = self
-                .site
-                .start_update_batch(object, &payloads, &mut self.scratch);
+            let input = Input::Update {
+                payloads: &payloads,
+                hold: false,
+            };
+            let txn = self.site.step(object, input, &mut self.scratch);
             self.shard_stats.note_batch(payloads.len() as u64);
             self.park(txn, clients);
         }
@@ -430,20 +417,6 @@ impl<T: Transport> Node<T> {
             None => self.overflows.extend(clients),
         }
     }
-}
-
-/// The transaction a client request started, found by scanning the
-/// actions the kernel just staged — the kernel does not return the
-/// `TxnId` directly. `None` means the kernel refused.
-fn txn_started(staged: &[Action]) -> Option<TxnId> {
-    staged.iter().find_map(|action| match action {
-        Action::Broadcast {
-            msg: Message::VoteRequest { txn },
-        }
-        | Action::Resolved { txn, .. }
-        | Action::SetTimer { txn, .. } => Some(*txn),
-        _ => None,
-    })
 }
 
 #[cfg(test)]

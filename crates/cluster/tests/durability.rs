@@ -10,7 +10,7 @@ use dynvote_cluster::scenario::scripted;
 use dynvote_cluster::{ClientOp, ClientReply, Cluster, ClusterConfig, TransportKind};
 use dynvote_core::{AlgorithmKind, CopyMeta, SiteId};
 use dynvote_protocol::persist::effects;
-use dynvote_protocol::{Action, DurableState, Message, SiteActor};
+use dynvote_protocol::{Action, DurableState, Input, Message, SiteActor};
 use dynvote_storage::{FsyncPolicy, NodeStore, StoreConfig};
 use std::fs::OpenOptions;
 use std::path::PathBuf;
@@ -245,7 +245,8 @@ fn orphaned_prepares_resolve_via_termination_protocol_at_boot() {
             .unzip();
 
         let mut out = Vec::new();
-        actors[0].start_update(4242, &mut out);
+        let (payloads, hold) = (&[4242], false);
+        actors[0].step(Input::Update { payloads, hold }, &mut out);
         seal(&mut stores[0], &actors[0], &out);
         let request = out
             .iter()
@@ -258,7 +259,8 @@ fn orphaned_prepares_resolve_via_termination_protocol_at_boot() {
         let mut votes = Vec::new();
         for (i, (sub, store)) in actors.iter_mut().zip(&mut stores).enumerate().skip(1) {
             let mut sub_out = Vec::new();
-            sub.handle_message(SiteId(0), request.clone(), &mut sub_out);
+            let (from, msg) = (SiteId(0), request.clone());
+            sub.step(Input::Message { from, msg }, &mut sub_out);
             // Barrier before the vote "leaves the site": the prepare
             // record is durable from here on.
             seal(store, sub, &sub_out);
@@ -272,7 +274,7 @@ fn orphaned_prepares_resolve_via_termination_protocol_at_boot() {
         }
         let mut fanout = Vec::new();
         for (from, msg) in votes {
-            actors[0].handle_message(from, msg, &mut fanout);
+            actors[0].step(Input::Message { from, msg }, &mut fanout);
         }
         seal(&mut stores[0], &actors[0], &fanout);
         assert_eq!(actors[0].meta().version, 1, "coordinator committed");

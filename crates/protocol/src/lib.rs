@@ -6,14 +6,14 @@
 //! as a pure state machine, [`SiteActor`]:
 //!
 //! ```text
-//! Message | timer | request  ->  SiteActor  ->  Vec<Action>
+//! Input  ->  SiteActor::step  ->  Vec<Action>
 //! ```
 //!
-//! The kernel owns no clock, no RNG and no socket. Every input is a
-//! method call ([`SiteActor::handle_message`], [`SiteActor::timer_fired`],
-//! [`SiteActor::start_update`], ...); every effect is a returned
-//! [`Action`] (send, broadcast, set-timer, resolved, commit-recorded,
-//! persist, event) for a *harness* to interpret. Two harnesses exist:
+//! The kernel owns no clock, no RNG and no socket. Every input is one
+//! [`Input`] value (request, message, timer, crash, recover, ...) fed
+//! to [`SiteActor::step`]; every effect is an appended [`Action`]
+//! (send, broadcast, set-timer, resolved, commit-recorded, persist,
+//! event) for a *harness* to interpret. Two harnesses exist:
 //!
 //! * `dynvote-sim` — a discrete-event simulator under a virtual clock
 //!   and an adversarial fault layer;
@@ -44,6 +44,6 @@ pub use message::{LogEntry, Message, ObjectId, StatusOutcome, TxnId};
 pub use persist::{PersistEffect, Persistence};
 pub use shard::ShardedSite;
 pub use site::{
-    Action, ActionSink, CloseCause, CommitRecord, DurableState, Hint, ResolveReason, SiteActor,
-    TimerKind,
+    Action, ActionSink, CloseCause, CommitRecord, DurableState, Hint, Input, ResolveReason,
+    SiteActor, TimerKind,
 };

@@ -200,7 +200,7 @@ pub(crate) fn forward(hook: &mut dyn Persistence, effect: PersistEffect, log: &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::site::SiteActor;
+    use crate::site::{ActionSink, Input, SiteActor};
     use crate::Message;
     use dynvote_core::AlgorithmKind;
 
@@ -218,6 +218,10 @@ mod tests {
         state
     }
 
+    fn deliver(to: &mut SiteActor, from: SiteId, msg: Message, out: &mut ActionSink) {
+        to.step(Input::Message { from, msg }, out);
+    }
+
     /// Drive a full three-site commit (and an aborted prepare), keeping
     /// every action each site emitted, then replay each site's persist
     /// effects into a fresh state: the result must equal the live
@@ -231,7 +235,14 @@ mod tests {
 
         // A coordinates an update; B and C vote; A commits; the COMMIT
         // messages land at B and C.
-        a.start_update(4242, &mut out_a);
+        let payloads = &[4242];
+        a.step(
+            Input::Update {
+                payloads,
+                hold: false,
+            },
+            &mut out_a,
+        );
         let req = out_a
             .iter()
             .find_map(|act| match act {
@@ -239,8 +250,8 @@ mod tests {
                 _ => None,
             })
             .expect("vote request broadcast");
-        b.handle_message(SiteId(0), req.clone(), &mut out_b);
-        c.handle_message(SiteId(0), req, &mut out_c);
+        deliver(&mut b, SiteId(0), req.clone(), &mut out_b);
+        deliver(&mut c, SiteId(0), req, &mut out_c);
         let votes: Vec<(SiteId, Message)> = [(SiteId(1), &out_b), (SiteId(2), &out_c)]
             .into_iter()
             .flat_map(|(from, out)| {
@@ -255,7 +266,7 @@ mod tests {
             .collect();
         let start = out_a.len();
         for (from, msg) in votes {
-            a.handle_message(from, msg, &mut out_a);
+            deliver(&mut a, from, msg, &mut out_a);
         }
         let commits: Vec<(SiteId, Message)> = out_a[start..]
             .iter()
@@ -270,7 +281,7 @@ mod tests {
             } else {
                 (&mut c, &mut out_c)
             };
-            target.handle_message(SiteId(0), msg, out);
+            deliver(target, SiteId(0), msg, out);
         }
         assert_eq!(a.meta().version, 1, "commit went through");
         assert_eq!(b.meta().version, 1);
@@ -278,8 +289,13 @@ mod tests {
         // One more prepare at B that aborts, exercising
         // Prepared/PrepareCleared.
         let t2 = crate::TxnId::new(SiteId(2), 99);
-        b.handle_message(SiteId(2), Message::VoteRequest { txn: t2 }, &mut out_b);
-        b.handle_message(SiteId(2), Message::Abort { txn: t2 }, &mut out_b);
+        deliver(
+            &mut b,
+            SiteId(2),
+            Message::VoteRequest { txn: t2 },
+            &mut out_b,
+        );
+        deliver(&mut b, SiteId(2), Message::Abort { txn: t2 }, &mut out_b);
 
         for (actor, out) in [(&a, &out_a), (&b, &out_b), (&c, &out_c)] {
             assert_eq!(
@@ -299,13 +315,14 @@ mod tests {
         let mut b = site(1, n);
         let mut out = Vec::new();
         let t = crate::TxnId::new(SiteId(0), 1);
-        b.handle_message(SiteId(0), Message::VoteRequest { txn: t }, &mut out);
+        deliver(&mut b, SiteId(0), Message::VoteRequest { txn: t }, &mut out);
         let meta = CopyMeta {
             version: 1,
             cardinality: 3,
             distinguished: dynvote_core::Distinguished::Trio(SiteSet::all(3)),
         };
-        b.handle_message(
+        deliver(
+            &mut b,
             SiteId(0),
             Message::Commit {
                 txn: t,

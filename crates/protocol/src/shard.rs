@@ -6,32 +6,34 @@
 //! layer's answer: one [`SiteActor`] per [`ObjectId`], each owning its
 //! own `(VN, SC, DS)` triple, commit chain, lock, and prepare record.
 //! Because every [`TxnId`] carries its object, routing is a vector
-//! index — messages, timers, and client requests all dispatch to their
-//! shard in O(1), and transactions on different objects never contend
-//! (shard-local locking).
+//! index: [`ShardedSite::step`] takes an object and one
+//! [`Input`](crate::Input) and steps that shard in O(1), and
+//! transactions on different objects never contend (shard-local
+//! locking).
 //!
 //! The router is still sans-IO: it owns no clock and no socket, and
-//! every entry point appends [`Action`](crate::Action)s to a
-//! caller-owned sink exactly like the single-object kernel. Harnesses
-//! that batch many shards' steps between two durability barriers get
-//! group commit for free: every shard's [`Action::Persist`](crate::Action)
-//! effects land in the one sink, each stamped with its object, and a
-//! single barrier seals the whole multi-object batch.
+//! it appends [`Action`](crate::Action)s to a caller-owned sink exactly
+//! like the single-object kernel. Harnesses that batch many shards'
+//! steps between two durability barriers get group commit for free:
+//! every shard's [`Action::Persist`](crate::Action) effects land in the
+//! one sink, each stamped with its object, and a single barrier seals
+//! the whole multi-object batch.
 
-use crate::message::{Message, ObjectId, TxnId};
-use crate::site::{ActionSink, DurableState, SiteActor, TimerKind};
+use crate::message::{ObjectId, TxnId};
+use crate::site::{ActionSink, DurableState, Input, SiteActor};
 use dynvote_core::{ReplicaControl, SiteId, SiteSet};
 
 /// One site's shard map: an independent protocol state machine per
 /// object, with O(1) routing by the object carried in every [`TxnId`].
 ///
-/// An object the site does not host is refused (`false` / `None`),
-/// never a panic: a hostile frame must not kill the node thread.
+/// An object the site does not host is refused (`None`, nothing
+/// emitted), never a panic: a hostile frame must not kill the node
+/// thread.
 pub struct ShardedSite {
     id: SiteId,
-    /// The node's peer-suspicion hint, copied onto a shard each time a
-    /// message or re-test is routed to it — one word here instead of
-    /// one write per hosted object whenever the set changes.
+    /// The node's peer-suspicion hint, copied onto a shard each time
+    /// it steps — one word here instead of one write per hosted object
+    /// whenever the set changes.
     suspected: SiteSet,
     /// One shard per object, in object order.
     shards: Vec<SiteActor>,
@@ -50,13 +52,11 @@ impl ShardedSite {
     /// A fresh site hosting `objects` independent state machines, each
     /// built with its own replica-control instance from `make_algo`.
     #[must_use]
-    pub fn new<F>(id: SiteId, n: usize, objects: usize, mut make_algo: F) -> Self
+    pub fn new<F>(id: SiteId, n: usize, objects: usize, make_algo: F) -> Self
     where
         F: FnMut() -> Box<dyn ReplicaControl>,
     {
-        assert!(objects >= 1, "a site hosts at least one object");
-        let shards = (0..objects).map(|_| SiteActor::new(id, n, make_algo()));
-        Self::numbered(id, shards.collect())
+        Self::restore(id, n, vec![DurableState::initial(n); objects], make_algo)
     }
 
     /// A site rebuilt from per-object recovered durable states — the
@@ -68,21 +68,15 @@ impl ShardedSite {
         F: FnMut() -> Box<dyn ReplicaControl>,
     {
         assert!(!states.is_empty(), "a site hosts at least one object");
-        let shards = states
-            .into_iter()
-            .map(|state| SiteActor::restore(id, n, make_algo(), state));
-        Self::numbered(id, shards.collect())
-    }
-
-    /// The site over `shards`, numbering them in order.
-    fn numbered(id: SiteId, mut shards: Vec<SiteActor>) -> Self {
-        for (o, shard) in shards.iter_mut().enumerate() {
+        let shards = states.into_iter().enumerate().map(|(o, state)| {
+            let mut shard = SiteActor::restore(id, n, make_algo(), state);
             shard.set_object(ObjectId(o as u32));
-        }
+            shard
+        });
         ShardedSite {
             id,
             suspected: SiteSet::EMPTY,
-            shards,
+            shards: shards.collect(),
         }
     }
 
@@ -99,106 +93,33 @@ impl ShardedSite {
         self.shards.get(object.index())
     }
 
-    /// One object's state machine, mutably.
-    pub fn shard_mut(&mut self, object: ObjectId) -> Option<&mut SiteActor> {
-        self.shards.get_mut(object.index())
-    }
-
     /// Every shard with its object id, in object order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (ObjectId, &SiteActor)> {
         self.shards.iter().map(|shard| (shard.object(), shard))
     }
 
     /// Replace the peer-suspicion hint every shard sees from its next
-    /// routed message on ([`SiteActor::set_suspected`]). One set per
-    /// node, shared by all its objects: a peer that went silent on one
-    /// object is silent on all of them. This call is the set's only
-    /// carrier — no frame brings a copy along. After the set *grew* the
-    /// host also calls [`ShardedSite::suspicion_grew`] for each round it
-    /// has open.
+    /// step on ([`SiteActor::set_suspected`]). One set per node, shared
+    /// by all its objects: a peer that went silent on one object is
+    /// silent on all of them. This call is the set's only carrier — no
+    /// frame brings a copy along. After the set *grew* the host also
+    /// steps [`Input::SuspicionGrew`] for each round it has open.
     pub fn set_suspected(&mut self, suspected: SiteSet) {
         self.suspected = suspected;
     }
 
-    /// Route a re-test of the early-close rule to `txn`'s shard
-    /// ([`SiteActor::suspicion_grew`]).
-    pub fn suspicion_grew(&mut self, txn: TxnId, out: &mut ActionSink) -> bool {
-        let suspected = self.suspected;
-        match self.shard_mut(txn.object) {
-            Some(shard) => {
-                shard.set_suspected(suspected);
-                shard.suspicion_grew(txn, out);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Route a message to its object's shard. Returns `false` (and does
-    /// nothing) when the site does not host the object.
-    pub fn handle_message(&mut self, from: SiteId, msg: Message, out: &mut ActionSink) -> bool {
-        let object = msg.txn().object;
-        let suspected = self.suspected;
-        match self.shard_mut(object) {
-            Some(shard) => {
-                shard.set_suspected(suspected);
-                shard.handle_message(from, msg, out);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Route a timer to its object's shard.
-    pub fn timer_fired(&mut self, txn: TxnId, kind: TimerKind, out: &mut ActionSink) -> bool {
-        match self.shard_mut(txn.object) {
-            Some(shard) => {
-                shard.timer_fired(txn, kind, out);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Start a read on one object.
-    pub fn start_read(&mut self, object: ObjectId, out: &mut ActionSink) -> bool {
-        match self.shard_mut(object) {
-            Some(shard) => {
-                shard.start_read(out);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Commit pipelining: seal a payload batch on one object with
-    /// a single quorum round ([`SiteActor::start_update_batch`]).
-    /// Returns `None` when the site does not host the object or the
-    /// batch was refused/empty.
-    pub fn start_update_batch(
+    /// Step `object`'s shard ([`SiteActor::step`]) with the site's
+    /// suspicion hint copied onto it first. An object this site does
+    /// not host returns `None` and emits nothing.
+    pub fn step(
         &mut self,
         object: ObjectId,
-        payloads: &[u64],
+        input: Input<'_>,
         out: &mut ActionSink,
     ) -> Option<TxnId> {
-        self.shard_mut(object)
-            .and_then(|shard| shard.start_update_batch(payloads, out))
-    }
-
-    /// Run the `Make_Current` restart protocol on one object.
-    pub fn recover(
-        &mut self,
-        object: ObjectId,
-        restart_payload: u64,
-        out: &mut ActionSink,
-    ) -> bool {
-        match self.shard_mut(object) {
-            Some(shard) => {
-                shard.recover(restart_payload, out);
-                true
-            }
-            None => false,
-        }
+        let shard = self.shards.get_mut(object.index())?;
+        shard.set_suspected(self.suspected);
+        shard.step(input, out)
     }
 
     /// Crash every shard (volatile state lost — the suspicion
@@ -206,7 +127,7 @@ impl ShardedSite {
     pub fn crash(&mut self, out: &mut ActionSink) {
         self.suspected = SiteSet::EMPTY;
         for shard in &mut self.shards {
-            shard.crash(out);
+            shard.step(Input::Crash, out);
         }
     }
 
@@ -226,8 +147,9 @@ impl ShardedSite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::site::Action;
-    use dynvote_core::AlgorithmKind;
+    use crate::message::Message;
+    use crate::site::{Action, TimerKind};
+    use dynvote_core::{AlgorithmKind, CopyMeta, LinearOrder};
 
     /// A 3-site deployment's site `id`, hosting `objects` objects.
     fn site(id: u8, objects: usize) -> ShardedSite {
@@ -237,7 +159,11 @@ mod tests {
     }
 
     fn start(s: &mut ShardedSite, object: u32, payload: u64, out: &mut ActionSink) {
-        let started = s.start_update_batch(ObjectId(object), &[payload], out);
+        let input = Input::Update {
+            payloads: &[payload],
+            hold: false,
+        };
+        let started = s.step(ObjectId(object), input, out);
         assert!(started.is_some(), "object {object} refused an update");
     }
 
@@ -245,6 +171,13 @@ mod tests {
         s.shard(ObjectId(object))
             .expect("hosted object")
             .is_locked()
+    }
+
+    /// Deliver `msg` from `from` to the shard of the object it names.
+    fn deliver(s: &mut ShardedSite, from: u8, msg: Message, out: &mut ActionSink) {
+        let object = msg.txn().object;
+        let from = SiteId(from);
+        s.step(object, Input::Message { from, msg }, out);
     }
 
     fn vote_request(out: &[Action]) -> Message {
@@ -287,20 +220,51 @@ mod tests {
         start(&mut a, 1, 42, &mut out);
         let req = vote_request(&out);
         let mut sub_out = Vec::new();
-        assert!(b.handle_message(SiteId(0), req, &mut sub_out));
+        deliver(&mut b, 0, req, &mut sub_out);
+        assert!(!sub_out.is_empty());
         assert!(is_locked(&b, 1));
         assert!(!is_locked(&b, 0));
         // An object this site does not host is refused, not a panic,
-        // and stages nothing.
-        sub_out.clear();
-        let bogus = Message::VoteRequest {
-            txn: TxnId::keyed(SiteId(0), 9, ObjectId(77)),
-        };
-        assert!(!b.handle_message(SiteId(0), bogus, &mut sub_out));
-        assert!(b
-            .start_update_batch(ObjectId(7), &[9], &mut sub_out)
-            .is_none());
-        assert!(sub_out.is_empty(), "a refused route must stage nothing");
+        // and stages nothing, whatever the input.
+        let unhosted = ObjectId(77);
+        let txn = TxnId::keyed(SiteId(0), 9, unhosted);
+        let members = [(
+            SiteId(0),
+            CopyMeta::initial(3, &LinearOrder::lexicographic(3)),
+        )];
+        let inputs = [
+            Input::Update {
+                payloads: &[9],
+                hold: false,
+            },
+            Input::Update {
+                payloads: &[9, 10],
+                hold: true,
+            },
+            Input::Read,
+            Input::Message {
+                from: SiteId(0),
+                msg: Message::VoteRequest { txn },
+            },
+            Input::Timer {
+                txn,
+                kind: TimerKind::VoteDeadline,
+            },
+            Input::SuspicionGrew { txn },
+            Input::Recover { restart_payload: 9 },
+            Input::Finalize { txn, commit: true },
+            Input::Redo {
+                txn,
+                payload: 9,
+                members: &members,
+            },
+        ];
+        for input in inputs {
+            let shown = format!("{input:?}");
+            let mut out = Vec::new();
+            assert_eq!(b.step(unhosted, input, &mut out), None, "{shown}");
+            assert!(out.is_empty(), "{shown} staged {out:?}");
+        }
     }
 
     #[test]
@@ -331,7 +295,7 @@ mod tests {
             meta: s.shard(ObjectId(3)).unwrap().meta(),
             from: SiteId(1),
         };
-        assert!(s.handle_message(SiteId(1), vote, &mut out));
+        deliver(&mut s, 1, vote, &mut out);
         assert!(!s.any_locked(), "round still waits for the suspected peer");
         // The same round with the vote in hand first: nothing closes
         // it until the host re-tests after growing the set.
@@ -344,10 +308,10 @@ mod tests {
             meta: s.shard(ObjectId(3)).unwrap().meta(),
             from: SiteId(1),
         };
-        s.handle_message(SiteId(1), vote, &mut out);
+        deliver(&mut s, 1, vote, &mut out);
         s.set_suspected(SiteSet::from_bits(0b100));
         assert!(s.any_locked(), "setting the hint tests nothing");
-        assert!(s.suspicion_grew(txn, &mut out));
+        s.step(ObjectId(3), Input::SuspicionGrew { txn }, &mut out);
         assert!(!s.any_locked(), "re-test");
         // A crash forgets the hint with the rest of volatile state.
         s.crash(&mut out);
@@ -359,7 +323,7 @@ mod tests {
             meta: s.shard(ObjectId(3)).unwrap().meta(),
             from: SiteId(1),
         };
-        s.handle_message(SiteId(1), vote, &mut out);
+        deliver(&mut s, 1, vote, &mut out);
         assert!(s.any_locked(), "unsuspected silent peer is waited for");
     }
 }

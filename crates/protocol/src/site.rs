@@ -18,7 +18,7 @@
 //! cannot silently release a lock that guards an in-doubt update), and a
 //! coordinator force-writes its *commit record* before announcing
 //! `COMMIT` (so recovery can presume abort when no record exists).
-//! Both records live in [`DurableState`] and survive [`SiteActor::crash`].
+//! Both records live in [`DurableState`] and survive [`Input::Crash`].
 
 use crate::event::ProtocolEvent;
 use crate::message::{LogEntry, Message, ObjectId, StatusOutcome, TxnId};
@@ -81,7 +81,7 @@ pub enum Action {
         /// The message.
         msg: Message,
     },
-    /// Arm a timer; the engine calls back [`SiteActor::timer_fired`].
+    /// Arm a timer; the engine steps [`Input::Timer`] when it fires.
     SetTimer {
         /// The transaction the timer guards.
         txn: TxnId,
@@ -96,7 +96,7 @@ pub enum Action {
         reason: ResolveReason,
     },
     /// Group mode: the voting (and catch-up) phases finished; the
-    /// transaction manager must now call [`SiteActor::finalize_group`].
+    /// transaction manager must now step [`Input::Finalize`].
     DecisionReady {
         /// The per-file transaction.
         txn: TxnId,
@@ -129,6 +129,89 @@ pub enum Action {
         object: ObjectId,
         /// What changed.
         effect: PersistEffect,
+    },
+}
+
+/// One arrival at a site, the kernel's only input type. A site reacts
+/// to one thing at a time (Section V): a request, a message, a
+/// timeout, a failure or a restart. [`SiteActor::step`] takes one and
+/// appends the [`Action`]s it causes.
+#[derive(Debug, Clone)]
+pub enum Input<'a> {
+    /// An update request. Commit pipelining: `payloads` are sealed by
+    /// ONE vote/catch-up/commit round, as consecutive log entries in
+    /// slice order (the version advances by `payloads.len()`). A held
+    /// local lock refuses the whole batch with one
+    /// [`ResolveReason::LockBusy`]; an empty slice has no effect at
+    /// all. With `hold` the round is one file's leg of a multi-file
+    /// transaction (paper footnote 2): voting and catch-up run
+    /// unchanged, then the round parks at the exit it reaches with
+    /// [`Action::DecisionReady`] until [`Input::Finalize`].
+    Update {
+        /// The batch, in log order.
+        payloads: &'a [u64],
+        /// Park at the decision instead of walking through it.
+        hold: bool,
+    },
+    /// A read-only request (paper footnote 5: "Read-only requests may
+    /// be handled as if they were updates, except that the version
+    /// number, update sites cardinality, and distinguished sites list
+    /// need not be modified"). The coordinator still votes (to learn
+    /// whether it sits in the distinguished partition) and still
+    /// catches up (to read current data), but commits nothing.
+    Read,
+    /// A message arrives from `from`.
+    Message {
+        /// The sending site.
+        from: SiteId,
+        /// The message.
+        msg: Message,
+    },
+    /// A timer fires.
+    Timer {
+        /// The transaction the timer guards.
+        txn: TxnId,
+        /// Which deadline.
+        kind: TimerKind,
+    },
+    /// The suspicion set grew while `txn` may be collecting votes here
+    /// (see [`SiteActor::set_suspected`]): apply the early-close test
+    /// now instead of at the next vote, since a round whose live votes
+    /// are all in never sees another one.
+    SuspicionGrew {
+        /// The round to re-test.
+        txn: TxnId,
+    },
+    /// Crash: all volatile state is lost (the suspicion hint with it).
+    /// Durable prepare and commit records survive.
+    Crash,
+    /// Recovery (Section V-C): restore the in-doubt lock from the
+    /// prepare record and resume the termination protocol; otherwise
+    /// run `Make_Current` as a coordinated no-op update committing
+    /// `restart_payload`.
+    Recover {
+        /// The payload `Make_Current` commits if it finds a
+        /// distinguished partition.
+        restart_payload: u64,
+    },
+    /// The transaction manager's verdict for a held leg: commit (only
+    /// valid if the leg parked `distinguished`) or abort.
+    Finalize {
+        /// The parked leg.
+        txn: TxnId,
+        /// Commit if true, abort otherwise.
+        commit: bool,
+    },
+    /// Crash-recovery redo: re-perform a group commit from the durable
+    /// group record. Idempotent: a no-op if the commit record already
+    /// exists locally.
+    Redo {
+        /// The leg's transaction.
+        txn: TxnId,
+        /// The group's payload.
+        payload: u64,
+        /// The participant view the leg parked with.
+        members: &'a [(SiteId, CopyMeta)],
     },
 }
 
@@ -178,10 +261,9 @@ pub enum CloseCause {
 }
 
 /// A caller-owned, reusable buffer the kernel appends its [`Action`]s
-/// to. Every action-producing [`SiteActor`] entry point takes
-/// `out: &mut ActionSink` and *appends* — it never clears — so one
-/// event-loop iteration can collect the effects of several kernel calls
-/// into a single buffer and drain it once. Reusing the buffer across
+/// to. [`SiteActor::step`] *appends* — it never clears — so one
+/// event-loop iteration can collect the effects of several steps into
+/// a single buffer and drain it once. Reusing the buffer across
 /// calls keeps the hot path free of per-message `Vec` allocations.
 pub type ActionSink = Vec<Action>;
 
@@ -256,10 +338,9 @@ enum CoordPhase {
     },
     /// Waiting for missing log entries from a current subordinate.
     CatchingUp { members: Vec<(SiteId, CopyMeta)> },
-    /// A held round ([`SiteActor::start_group_update`]) reached one of
-    /// its two exits and parked: `Some(members)` at the commit door,
-    /// `None` at the abort door. [`SiteActor::finalize_group`] walks it
-    /// through.
+    /// A held round reached one of its two exits and parked:
+    /// `Some(members)` at the commit door, `None` at the abort door.
+    /// [`Input::Finalize`] walks it through.
     Decided {
         members: Option<Vec<(SiteId, CopyMeta)>>,
     },
@@ -271,17 +352,15 @@ struct CoordTxn {
     txn: TxnId,
     payload: u64,
     /// Commit pipelining: payloads beyond the first, sealed by the same
-    /// round as consecutive log entries. Empty for a plain
-    /// [`SiteActor::start_update`] — every single-op code path is
-    /// untouched when this is empty.
+    /// round as consecutive log entries. Empty for a one-payload
+    /// update.
     extra: Vec<u64>,
     /// Read-only request: needs a distinguished partition and a current
     /// local copy, but commits no new version (paper footnote 5).
     read_only: bool,
     /// Hold the decision: park at whichever exit the round reaches
     /// ([`SiteActor::commit_with`] or [`SiteActor::abort_coordinated`])
-    /// and await [`SiteActor::finalize_group`] instead of walking
-    /// through. Set only by [`SiteActor::start_group_update`].
+    /// and await [`Input::Finalize`] instead of walking through.
     hold: bool,
     phase: CoordPhase,
 }
@@ -341,7 +420,7 @@ impl SiteActor {
     /// A site rebuilt from recovered durable state — the entry point of
     /// the Section V-C restart path when the state comes off disk
     /// rather than surviving in memory. Volatile state starts empty;
-    /// the caller runs [`SiteActor::recover`] next to re-acquire the
+    /// the caller steps [`Input::Recover`] next to re-acquire the
     /// in-doubt lock (or run `Make_Current`).
     #[must_use]
     pub fn restore(
@@ -382,24 +461,18 @@ impl SiteActor {
     /// close before the vote deadline once every unsuspected peer has
     /// answered **and** the replies in hand are distinguished. Suspected
     /// peers are still asked and their timely votes still counted. The
-    /// empty set — the default, restored by [`SiteActor::crash`] — is
-    /// the identity. Setting it tests nothing by itself: a host that
-    /// grew the set calls [`SiteActor::suspicion_grew`] for the rounds
-    /// it has open.
+    /// empty set — the default, restored by [`Input::Crash`] — is the
+    /// identity. Setting it tests nothing by itself: a host that grew
+    /// the set steps [`Input::SuspicionGrew`] for the rounds it has
+    /// open.
     pub fn set_suspected(&mut self, suspected: SiteSet) {
         self.volatile.suspected = suspected;
     }
 
-    /// The suspicion set grew while `txn` may be collecting votes here:
-    /// apply the early-close test now instead of at the next vote — a
-    /// round whose live votes are all in never sees another one.
-    pub fn suspicion_grew(&mut self, txn: TxnId, out: &mut ActionSink) {
-        self.close_early(txn, CloseCause::Suspected, out);
-    }
-
     /// Install the benchmark's [`Persistence`] adapter: every
-    /// subsequent [`Action::Persist`] is also forwarded to it. Deleted
-    /// once the benchmark reads the effects instead.
+    /// subsequent [`Action::Persist`] is also forwarded to it. Benchmark
+    /// shim; ROADMAP item 1 deletes.
+    #[doc(hidden)]
     pub fn set_persistence(&mut self, hook: Box<dyn Persistence + Send>) {
         self.hook = Some(hook);
     }
@@ -410,7 +483,9 @@ impl SiteActor {
         &self.durable
     }
 
-    /// [`Persistence::sync`] on the installed adapter, if any.
+    /// [`Persistence::sync`] on the installed adapter, if any. Benchmark
+    /// shim; ROADMAP item 1 deletes.
+    #[doc(hidden)]
     pub fn sync_persistence(&mut self) {
         if let Some(hook) = self.hook.as_mut() {
             hook.sync();
@@ -489,72 +564,62 @@ impl SiteActor {
         }
     }
 
-    /// An update (or `Make_Current` no-op) arrives at this site.
-    /// Effects are appended to `out`.
-    pub fn start_update(&mut self, payload: u64, out: &mut ActionSink) {
-        self.start_transaction(payload, false, out);
-    }
-
-    /// Commit pipelining: seal `payloads` with ONE vote/catch-up/commit
-    /// round, as consecutive log entries in slice order (the version
-    /// number advances by `payloads.len()`). A one-element batch is
-    /// byte-identical to [`SiteActor::start_update`] — same actions,
-    /// same events, same durable mutations. Returns the transaction id,
-    /// or `None` if the batch was refused (local lock held — one
-    /// [`Action::Resolved`] with [`ResolveReason::LockBusy`] covers the
-    /// whole batch) or `payloads` is empty (no effect at all).
-    pub fn start_update_batch(&mut self, payloads: &[u64], out: &mut ActionSink) -> Option<TxnId> {
-        let (&first, rest) = payloads.split_first()?;
-        if self.volatile.lock.is_some() {
-            return self.start_transaction(first, false, out);
-        }
-        let txn = self.start_transaction(first, false, out)?;
-        if !rest.is_empty() {
-            let coord = self
-                .volatile
-                .coordinating
-                .as_mut()
-                .expect("transaction just started");
-            coord.extra.extend_from_slice(rest);
-            out.push(Action::Event(ProtocolEvent::BatchSealed {
+    /// The kernel's one mutating entry point: react to `input`,
+    /// appending every effect to `out`. Returns the transaction the
+    /// input started (an update, a read, or `Make_Current` at
+    /// recovery), or `None` when it started none.
+    pub fn step(&mut self, input: Input<'_>, out: &mut ActionSink) -> Option<TxnId> {
+        match input {
+            Input::Update { payloads, hold } => return self.begin(payloads, false, hold, out),
+            Input::Read => return self.begin(&[0], true, false, out),
+            Input::Message { from, msg } => self.on_message(from, msg, out),
+            Input::Timer { txn, kind } => self.on_timer(txn, kind, out),
+            Input::SuspicionGrew { txn } => self.close_early(txn, CloseCause::Suspected, out),
+            Input::Crash => {
+                self.volatile = Volatile::default();
+                out.push(Action::Event(ProtocolEvent::Crashed));
+            }
+            Input::Recover { restart_payload } => return self.on_recover(restart_payload, out),
+            Input::Finalize { txn, commit } => self.finalize(txn, commit, out),
+            Input::Redo {
                 txn,
-                ops: payloads.len() as u32,
-            }));
+                payload,
+                members,
+            } => self.redo(txn, payload, members, out),
         }
-        Some(txn)
+        None
     }
 
-    /// Start this file's leg of a multi-file transaction (paper
-    /// footnote 2): an ordinary update whose coordinator *holds its
-    /// decision*. The round runs voting and catch-up unchanged, then
-    /// parks at the exit it reaches with [`Action::DecisionReady`]; the
-    /// cross-file transaction manager calls
-    /// [`SiteActor::finalize_group`] once every file has decided.
-    /// Returns `None` if the local copy is locked.
-    pub fn start_group_update(&mut self, payload: u64, out: &mut ActionSink) -> Option<TxnId> {
-        let txn = self.start_transaction(payload, false, out)?;
-        let coord = self.volatile.coordinating.as_mut();
-        coord.expect("transaction just started").hold = true;
-        Some(txn)
+    /// [`Input::Update`] of one payload. Benchmark shim; ROADMAP item 1
+    /// deletes.
+    #[doc(hidden)]
+    pub fn start_update(&mut self, payload: u64, out: &mut ActionSink) {
+        let (payloads, hold) = (&[payload], false);
+        self.step(Input::Update { payloads, hold }, out);
     }
 
-    /// A read-only request arrives at this site (paper footnote 5:
-    /// "Read-only requests may be handled as if they were updates,
-    /// except that the version number, update sites cardinality, and
-    /// distinguished sites list need not be modified"). The coordinator
-    /// still votes (to learn whether it sits in the distinguished
-    /// partition) and still catches up (to read current data), but
-    /// commits nothing.
-    pub fn start_read(&mut self, out: &mut ActionSink) {
-        self.start_transaction(0, true, out);
+    /// [`Input::Message`]. Benchmark shim; ROADMAP item 1 deletes.
+    #[doc(hidden)]
+    pub fn handle_message(&mut self, from: SiteId, msg: Message, out: &mut ActionSink) {
+        self.step(Input::Message { from, msg }, out);
     }
 
-    fn start_transaction(
+    /// [`Input::Timer`]. Benchmark shim; ROADMAP item 1 deletes.
+    #[doc(hidden)]
+    pub fn timer_fired(&mut self, txn: TxnId, kind: TimerKind, out: &mut ActionSink) {
+        self.step(Input::Timer { txn, kind }, out);
+    }
+
+    /// Start coordinating a round that seals `payloads` (a read carries
+    /// one ignored payload); `None` if it did not start.
+    fn begin(
         &mut self,
-        payload: u64,
+        payloads: &[u64],
         read_only: bool,
+        hold: bool,
         out: &mut ActionSink,
     ) -> Option<TxnId> {
+        let (&payload, extra) = payloads.split_first()?;
         if self.volatile.lock.is_some() {
             // Step i) failed: the local lock manager cannot grant the
             // lock now. The submission is refused (a real system would
@@ -579,9 +644,9 @@ impl SiteActor {
         self.volatile.coordinating = Some(CoordTxn {
             txn,
             payload,
-            extra: Vec::new(),
+            extra: extra.to_vec(),
             read_only,
-            hold: false,
+            hold,
             phase: CoordPhase::Voting {
                 replies,
                 awaiting,
@@ -595,23 +660,16 @@ impl SiteActor {
             txn,
             kind: TimerKind::VoteDeadline,
         });
+        if !extra.is_empty() {
+            out.push(Action::Event(ProtocolEvent::BatchSealed {
+                txn,
+                ops: payloads.len() as u32,
+            }));
+        }
         Some(txn)
     }
 
-    /// Crash: all volatile state is lost. Durable prepare/commit records
-    /// survive.
-    pub fn crash(&mut self, out: &mut ActionSink) {
-        self.volatile = Volatile::default();
-        out.push(Action::Event(ProtocolEvent::Crashed));
-    }
-
-    /// Recovery (Section V-C): restore the in-doubt lock from the
-    /// prepare record and resume the termination protocol; otherwise run
-    /// `Make_Current` as a coordinated no-op update.
-    ///
-    /// `restart_payload` identifies the no-op update `Make_Current`
-    /// commits if it finds a distinguished partition.
-    pub fn recover(&mut self, restart_payload: u64, out: &mut ActionSink) {
+    fn on_recover(&mut self, restart_payload: u64, out: &mut ActionSink) -> Option<TxnId> {
         out.push(Action::Event(ProtocolEvent::Recovered {
             in_doubt: self.durable.prepared.is_some(),
         }));
@@ -621,13 +679,12 @@ impl SiteActor {
             self.volatile.lock = Some(txn);
             self.volatile.prepared = Some((txn, coordinator));
             self.termination_round(txn, out);
-            return;
+            return None;
         }
-        self.start_update(restart_payload, out);
+        self.begin(&[restart_payload], false, false, out)
     }
 
-    /// A message arrives. Effects are appended to `out`.
-    pub fn handle_message(&mut self, from: SiteId, msg: Message, out: &mut ActionSink) {
+    fn on_message(&mut self, from: SiteId, msg: Message, out: &mut ActionSink) {
         match msg {
             Message::VoteRequest { txn } => self.on_vote_request(from, txn, out),
             Message::VoteGranted { txn, meta, from } => self.on_vote(txn, from, Some(meta), out),
@@ -652,8 +709,7 @@ impl SiteActor {
         }
     }
 
-    /// A timer fires.
-    pub fn timer_fired(&mut self, txn: TxnId, kind: TimerKind, out: &mut ActionSink) {
+    fn on_timer(&mut self, txn: TxnId, kind: TimerKind, out: &mut ActionSink) {
         match kind {
             TimerKind::VoteDeadline => {
                 if let Some(sites) = self.awaiting(txn).filter(|sites| !sites.is_empty()) {
@@ -1185,9 +1241,7 @@ impl SiteActor {
         }
     }
 
-    /// The transaction manager's verdict for a group leg: commit (only
-    /// valid if this file decided `distinguished`) or abort.
-    pub fn finalize_group(&mut self, txn: TxnId, commit: bool, out: &mut ActionSink) {
+    fn finalize(&mut self, txn: TxnId, commit: bool, out: &mut ActionSink) {
         let Some(mut coord) = self.volatile.coordinating.take() else {
             return;
         };
@@ -1213,10 +1267,7 @@ impl SiteActor {
         }
     }
 
-    /// Crash-recovery redo: re-perform a group commit from the durable
-    /// group record (idempotent — a no-op if the commit record already
-    /// exists locally).
-    pub fn commit_from_record(
+    fn redo(
         &mut self,
         txn: TxnId,
         payload: u64,
@@ -1393,17 +1444,36 @@ mod tests {
         TxnId::new(SiteId(c), seq)
     }
 
-    /// Test shim: run `handle_message` into a fresh sink.
+    /// Test shim: step a message into a fresh sink.
     fn deliver(a: &mut SiteActor, from: SiteId, msg: Message) -> Vec<Action> {
         let mut out = Vec::new();
-        a.handle_message(from, msg, &mut out);
+        a.step(Input::Message { from, msg }, &mut out);
         out
     }
 
     fn update(a: &mut SiteActor, payload: u64) -> Vec<Action> {
         let mut out = Vec::new();
-        a.start_update(payload, &mut out);
+        a.step(
+            Input::Update {
+                payloads: &[payload],
+                hold: false,
+            },
+            &mut out,
+        );
         out
+    }
+
+    /// Start a held group leg of payload 500 on a free copy.
+    fn held_leg(a: &mut SiteActor, out: &mut ActionSink) -> TxnId {
+        let payloads = &[500];
+        let started = a.step(
+            Input::Update {
+                payloads,
+                hold: true,
+            },
+            out,
+        );
+        started.expect("lock free")
     }
 
     #[test]
@@ -1509,11 +1579,16 @@ mod tests {
     fn prepare_record_survives_crash_and_restores_lock() {
         let mut b = site(1, 3);
         deliver(&mut b, SiteId(0), Message::VoteRequest { txn: txn(0, 1) });
-        b.crash(&mut Vec::new());
+        b.step(Input::Crash, &mut Vec::new());
         assert!(!b.is_locked(), "volatile lock lost");
         assert!(b.is_in_doubt(), "prepare record is durable");
         let mut actions = Vec::new();
-        b.recover(999, &mut actions);
+        b.step(
+            Input::Recover {
+                restart_payload: 999,
+            },
+            &mut actions,
+        );
         assert!(b.is_locked(), "recovery re-acquires the in-doubt lock");
         // Recovery resumes the termination protocol, not Make_Current.
         assert!(actions.iter().any(|a| matches!(
@@ -1527,9 +1602,14 @@ mod tests {
     #[test]
     fn recovery_without_doubt_runs_make_current() {
         let mut b = site(1, 3);
-        b.crash(&mut Vec::new());
+        b.step(Input::Crash, &mut Vec::new());
         let mut actions = Vec::new();
-        b.recover(999, &mut actions);
+        b.step(
+            Input::Recover {
+                restart_payload: 999,
+            },
+            &mut actions,
+        );
         assert!(actions.iter().any(|a| matches!(
             a,
             Action::Broadcast {
@@ -1645,7 +1725,7 @@ mod tests {
     fn group_leg_parks_at_decision_and_finalizes_on_command() {
         let mut a = site(0, 3);
         let mut actions = Vec::new();
-        let txn = a.start_group_update(500, &mut actions).expect("lock free");
+        let txn = held_leg(&mut a, &mut actions);
         assert!(matches!(
             &actions[1],
             Action::Broadcast {
@@ -1684,7 +1764,7 @@ mod tests {
         assert_eq!(a.decided_members(txn).map(<[_]>::len), Some(3));
         // Manager says commit.
         let mut actions = Vec::new();
-        a.finalize_group(txn, true, &mut actions);
+        a.step(Input::Finalize { txn, commit: true }, &mut actions);
         assert!(actions
             .iter()
             .any(|act| matches!(act, Action::CommitRecorded { version: 1, .. })));
@@ -1696,7 +1776,7 @@ mod tests {
     fn group_leg_abort_releases_everything() {
         let mut a = site(0, 3);
         let mut sink = Vec::new();
-        let txn = a.start_group_update(500, &mut sink).unwrap();
+        let txn = held_leg(&mut a, &mut sink);
         for sub in [1u8, 2] {
             let meta = a.meta();
             deliver(
@@ -1710,7 +1790,7 @@ mod tests {
             );
         }
         let mut actions = Vec::new();
-        a.finalize_group(txn, false, &mut actions);
+        a.step(Input::Finalize { txn, commit: false }, &mut actions);
         assert!(actions.iter().any(|act| matches!(
             act,
             Action::Broadcast {
@@ -1722,10 +1802,10 @@ mod tests {
     }
 
     #[test]
-    fn commit_from_record_is_idempotent() {
+    fn redo_is_idempotent() {
         let mut a = site(0, 3);
         let mut sink = Vec::new();
-        let txn = a.start_group_update(500, &mut sink).unwrap();
+        let txn = held_leg(&mut a, &mut sink);
         for sub in [1u8, 2] {
             deliver(
                 &mut a,
@@ -1745,11 +1825,18 @@ mod tests {
         }
         let members = a.decided_members(txn).unwrap().to_vec();
         sink.clear();
-        a.finalize_group(txn, true, &mut sink);
+        a.step(Input::Finalize { txn, commit: true }, &mut sink);
         assert_eq!(a.meta().version, 1);
         // Redo after the fact: a no-op.
         let mut redo = Vec::new();
-        a.commit_from_record(txn, 500, &members, &mut redo);
+        a.step(
+            Input::Redo {
+                txn,
+                payload: 500,
+                members: &members,
+            },
+            &mut redo,
+        );
         assert!(redo.is_empty());
         assert_eq!(a.meta().version, 1);
         assert_eq!(a.log().len(), 1);
@@ -1760,7 +1847,7 @@ mod tests {
     fn held_leg_catching_up() -> (SiteActor, TxnId) {
         let mut a = site(0, 3);
         let mut out = Vec::new();
-        let txn = a.start_group_update(500, &mut out).unwrap();
+        let txn = held_leg(&mut a, &mut out);
         let newer = CopyMeta {
             version: 1,
             cardinality: 3,
@@ -1773,7 +1860,13 @@ mod tests {
                 meta: newer,
                 from: SiteId(sub),
             };
-            a.handle_message(SiteId(sub), vote, &mut out);
+            a.step(
+                Input::Message {
+                    from: SiteId(sub),
+                    msg: vote,
+                },
+                &mut out,
+            );
         }
         let kind = TimerKind::CatchUpDeadline;
         assert_eq!(out.last(), Some(&Action::SetTimer { txn, kind }), "{out:?}");
@@ -1808,7 +1901,7 @@ mod tests {
         assert!(a.is_locked());
         assert_eq!(a.decided_members(txn).map(<[_]>::len), Some(3));
         let mut out = Vec::new();
-        a.finalize_group(txn, true, &mut out);
+        a.step(Input::Finalize { txn, commit: true }, &mut out);
         assert!(out
             .iter()
             .any(|act| matches!(act, Action::CommitRecorded { version: 2, .. })));
@@ -1820,7 +1913,13 @@ mod tests {
     fn held_leg_whose_catch_up_times_out_parks_at_the_abort_door() {
         let (mut a, txn) = held_leg_catching_up();
         let mut out = Vec::new();
-        a.timer_fired(txn, TimerKind::CatchUpDeadline, &mut out);
+        a.step(
+            Input::Timer {
+                txn,
+                kind: TimerKind::CatchUpDeadline,
+            },
+            &mut out,
+        );
         assert_eq!(
             out,
             [Action::DecisionReady {
@@ -1833,7 +1932,7 @@ mod tests {
         assert!(a.is_locked());
         assert_eq!(a.decided_members(txn), None);
         out.clear();
-        a.finalize_group(txn, false, &mut out);
+        a.step(Input::Finalize { txn, commit: false }, &mut out);
         let reason = ResolveReason::NotDistinguished;
         assert_eq!(out.last(), Some(&Action::Resolved { txn, reason }));
         assert!(!a.is_locked());
@@ -1845,7 +1944,13 @@ mod tests {
         let mut a = site(0, 3);
         let mut out = Vec::new();
         let t = a
-            .start_update_batch(&[100, 101, 102], &mut out)
+            .step(
+                Input::Update {
+                    payloads: &[100, 101, 102],
+                    hold: false,
+                },
+                &mut out,
+            )
             .expect("lock free");
         // One round regardless of batch size: one sequence number, one
         // broadcast, one timer, and the batch's one seal event.
@@ -1887,7 +1992,15 @@ mod tests {
     fn batch_commit_fans_out_one_record_per_entry_and_one_resolve() {
         let mut a = site(0, 3);
         let mut out = Vec::new();
-        let t = a.start_update_batch(&[7, 8], &mut out).unwrap();
+        let t = a
+            .step(
+                Input::Update {
+                    payloads: &[7, 8],
+                    hold: false,
+                },
+                &mut out,
+            )
+            .unwrap();
         out.clear();
         let meta = a.meta();
         deliver(
@@ -1900,12 +2013,14 @@ mod tests {
             },
         );
         let mut actions = Vec::new();
-        a.handle_message(
-            SiteId(2),
-            Message::VoteGranted {
-                txn: t,
-                meta: CopyMeta::initial(3, &LinearOrder::lexicographic(3)),
+        a.step(
+            Input::Message {
                 from: SiteId(2),
+                msg: Message::VoteGranted {
+                    txn: t,
+                    meta: CopyMeta::initial(3, &LinearOrder::lexicographic(3)),
+                    from: SiteId(2),
+                },
             },
             &mut actions,
         );
@@ -1938,48 +2053,18 @@ mod tests {
     }
 
     #[test]
-    fn one_element_batch_is_byte_identical_to_start_update() {
-        let mut plain = site(0, 3);
-        let mut batched = site(0, 3);
-        let plain_actions = update(&mut plain, 100);
-        let mut batched_actions = Vec::new();
-        let t = batched.start_update_batch(&[100], &mut batched_actions);
-        assert!(t.is_some());
-        assert_eq!(plain_actions, batched_actions);
-        // Drive both to commit; the full action streams must match.
-        let pt = plain_actions
-            .iter()
-            .find_map(|action| match action {
-                Action::Broadcast {
-                    msg: Message::VoteRequest { txn },
-                } => Some(*txn),
-                _ => None,
-            })
-            .expect("vote request");
-        for sub in [1u8, 2] {
-            let plain_vote = Message::VoteGranted {
-                txn: pt,
-                meta: plain.meta(),
-                from: SiteId(sub),
-            };
-            let batched_vote = Message::VoteGranted {
-                txn: t.unwrap(),
-                meta: batched.meta(),
-                from: SiteId(sub),
-            };
-            let a = deliver(&mut plain, SiteId(sub), plain_vote);
-            let b = deliver(&mut batched, SiteId(sub), batched_vote);
-            assert_eq!(a, b);
-        }
-        assert_eq!(plain.meta(), batched.meta());
-        assert_eq!(plain.log(), batched.log());
-    }
-
-    #[test]
     fn empty_batch_is_a_no_op() {
         let mut a = site(0, 3);
         let mut out = Vec::new();
-        assert!(a.start_update_batch(&[], &mut out).is_none());
+        assert!(a
+            .step(
+                Input::Update {
+                    payloads: &[],
+                    hold: false
+                },
+                &mut out
+            )
+            .is_none());
         assert!(out.is_empty());
         assert!(!a.is_locked());
     }
@@ -1989,7 +2074,15 @@ mod tests {
         let mut a = site(0, 3);
         update(&mut a, 100);
         let mut out = Vec::new();
-        assert!(a.start_update_batch(&[1, 2, 3], &mut out).is_none());
+        assert!(a
+            .step(
+                Input::Update {
+                    payloads: &[1, 2, 3],
+                    hold: false
+                },
+                &mut out
+            )
+            .is_none());
         assert!(matches!(
             out[..],
             [
@@ -2012,7 +2105,15 @@ mod tests {
     #[test]
     fn commit_record_is_persisted_ahead_of_the_fan_out() {
         let mut a = site(0, 3);
-        let t = a.start_update_batch(&[7, 8], &mut Vec::new()).unwrap();
+        let t = a
+            .step(
+                Input::Update {
+                    payloads: &[7, 8],
+                    hold: false,
+                },
+                &mut Vec::new(),
+            )
+            .unwrap();
         let mut out = Vec::new();
         for sub in [1u8, 2] {
             let meta = CopyMeta::initial(3, &LinearOrder::lexicographic(3));
@@ -2021,7 +2122,13 @@ mod tests {
                 meta,
                 from: SiteId(sub),
             };
-            a.handle_message(SiteId(sub), vote, &mut out);
+            a.step(
+                Input::Message {
+                    from: SiteId(sub),
+                    msg: vote,
+                },
+                &mut out,
+            );
         }
         let meta = a.meta();
         let participants = SiteSet::all(3);

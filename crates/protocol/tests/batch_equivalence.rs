@@ -1,7 +1,7 @@
 //! Commit-pipelining equivalence: a multi-op batched quorum round must
 //! be a pure wire optimization. For every algorithm and every random
 //! interleaved keyed script, running each op group through
-//! [`ShardedSite::start_update_batch`] (one vote/commit round sealing k
+//! one multi-payload [`Input::Update`] (one vote/commit round sealing k
 //! consecutive log entries) must leave every site's every object with
 //! **byte-identical** `(VN, SC, DS)` metadata and log to running the
 //! same payloads one-op-per-round.
@@ -15,7 +15,7 @@
 
 use dynvote_core::{AlgorithmKind, SiteId};
 use dynvote_protocol::persist::{apply_op, PersistEffect};
-use dynvote_protocol::{Action, DurableState, Message, ObjectId, ShardedSite};
+use dynvote_protocol::{Action, DurableState, Input, Message, ObjectId, ShardedSite};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -68,7 +68,8 @@ fn pump(sites: &mut [ShardedSite], persisted: &mut Persisted, seed: Vec<Action>,
     stage(&mut queue, from, seed);
     while let Some((from, to, msg)) = queue.pop_front() {
         let mut out = Vec::new();
-        sites[to.index()].handle_message(from, msg, &mut out);
+        let object = msg.txn().object;
+        sites[to.index()].step(object, Input::Message { from, msg }, &mut out);
         stage(&mut queue, to, out);
     }
 }
@@ -111,15 +112,24 @@ fn run_script(algorithm: AlgorithmKind, script: &[OpGroup], batched: bool) -> Ve
             .collect();
         if batched {
             let mut out = Vec::new();
-            let started =
-                sites[group.site as usize].start_update_batch(object, &payloads, &mut out);
+            let started = sites[group.site as usize].step(
+                object,
+                Input::Update {
+                    payloads: &payloads,
+                    hold: false,
+                },
+                &mut out,
+            );
             assert!(started.is_some(), "unlocked object refused a batch");
             pump(&mut sites, &mut persisted, out, SiteId(group.site));
         } else {
             for p in payloads {
                 let mut out = Vec::new();
-                let shard = sites[group.site as usize].shard_mut(object);
-                shard.expect("hosted object").start_update(p, &mut out);
+                let input = Input::Update {
+                    payloads: &[p],
+                    hold: false,
+                };
+                sites[group.site as usize].step(object, input, &mut out);
                 pump(&mut sites, &mut persisted, out, SiteId(group.site));
             }
         }

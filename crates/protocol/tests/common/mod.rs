@@ -17,7 +17,7 @@
 use dynvote_core::{AlgorithmKind, SiteId, SiteSet};
 use dynvote_protocol::persist::{apply_op, PersistEffect};
 use dynvote_protocol::{
-    Action, CloseCause, DurableState, Hint, Message, SiteActor, TimerKind, TxnId,
+    Action, CloseCause, DurableState, Hint, Input, Message, SiteActor, TimerKind, TxnId,
 };
 use std::collections::VecDeque;
 
@@ -50,13 +50,31 @@ pub struct Net {
     pub forwarded: u64,
     /// Per site, every persist effect it emitted, in order.
     pub persisted: Vec<Vec<PersistEffect>>,
+    /// `Some` = every input stepped, with its site, in order.
+    pub fed: Option<Vec<(SiteId, String)>>,
 }
 
 impl Net {
     pub fn new(algorithm: AlgorithmKind, n: usize, hinted: bool) -> Net {
+        Net::restored(algorithm, vec![DurableState::initial(n); n], hinted)
+    }
+
+    /// A net whose site `i` is rebuilt from `states[i]`
+    /// ([`SiteActor::restore`]), all up and mutually reachable. The
+    /// longest log is taken as the chain so far.
+    pub fn restored(algorithm: AlgorithmKind, states: Vec<DurableState>, hinted: bool) -> Net {
+        let n = states.len();
+        let longest = states
+            .iter()
+            .map(|state| &state.log)
+            .max_by_key(|log| log.len());
+        let ledger = longest.into_iter().flatten().map(|e| e.payload).collect();
         Net {
             sites: (0..n)
-                .map(|i| SiteActor::new(SiteId(i as u8), n, algorithm.instantiate(n)))
+                .zip(states)
+                .map(|(i, state)| {
+                    SiteActor::restore(SiteId(i as u8), n, algorithm.instantiate(n), state)
+                })
                 .collect(),
             suspected: hinted.then(|| vec![SiteSet::EMPTY; n]),
             down: SiteSet::EMPTY,
@@ -66,13 +84,20 @@ impl Net {
             closed_early: 0,
             deadlines_missed: 0,
             graces_missed: None,
-            ledger: Vec::new(),
+            ledger,
             violations: Vec::new(),
             homes: None,
             rivals: 0,
             forwarded: 0,
             persisted: vec![Vec::new(); n],
+            fed: None,
         }
+    }
+
+    /// Record every input stepped from now on (see [`Net::fed`]).
+    pub fn traced(mut self) -> Net {
+        self.fed = Some(Vec::new());
+        self
     }
 
     /// Arm a straggler grace with every vote deadline from now on.
@@ -114,7 +139,19 @@ impl Net {
             && self.groups.iter().any(|g| g.contains(a) && g.contains(b))
     }
 
-    /// Interpret what a kernel call on `site` produced.
+    /// Step `site` with `input` and interpret what it produced; returns
+    /// the transaction the input started, if any.
+    pub fn step(&mut self, site: SiteId, input: Input<'_>) -> Option<TxnId> {
+        if let Some(fed) = self.fed.as_mut() {
+            fed.push((site, format!("{input:?}")));
+        }
+        let mut out = Vec::new();
+        let started = self.sites[site.index()].step(input, &mut out);
+        self.stage(site, out);
+        started
+    }
+
+    /// Interpret what a step of `site` produced.
     fn stage(&mut self, site: SiteId, actions: Vec<Action>) {
         for action in actions {
             match action {
@@ -219,9 +256,8 @@ impl Net {
     pub fn fire_grace(&mut self, site: SiteId) {
         assert!(self.graces_missed.is_some(), "a grace nobody armed");
         for txn in self.armed(site, TimerKind::VoteGrace) {
-            let mut out = Vec::new();
-            self.sites[site.index()].timer_fired(txn, TimerKind::VoteGrace, &mut out);
-            self.stage(site, out);
+            let kind = TimerKind::VoteGrace;
+            self.step(site, Input::Timer { txn, kind });
         }
     }
 
@@ -234,9 +270,7 @@ impl Net {
         sets[site.index()] = sets[site.index()].union(down);
         self.sites[site.index()].set_suspected(sets[site.index()]);
         for txn in self.armed(site, TimerKind::VoteDeadline) {
-            let mut out = Vec::new();
-            self.sites[site.index()].suspicion_grew(txn, &mut out);
-            self.stage(site, out);
+            self.step(site, Input::SuspicionGrew { txn });
         }
     }
 
@@ -274,9 +308,7 @@ impl Net {
             }
             self.sites[to.index()].set_suspected(sets[to.index()]);
         }
-        let mut out = Vec::new();
-        self.sites[to.index()].handle_message(from, msg, &mut out);
-        self.stage(to, out);
+        self.step(to, Input::Message { from, msg });
     }
 
     /// Run to rest: drain, fire every armed timer once, repeat while
@@ -291,9 +323,7 @@ impl Net {
                 return;
             }
             for (site, txn, kind) in due {
-                let mut out = Vec::new();
-                self.sites[site.index()].timer_fired(txn, kind, &mut out);
-                self.stage(site, out);
+                self.step(site, Input::Timer { txn, kind });
             }
             self.drain();
             if self
@@ -319,17 +349,9 @@ impl Net {
 
     /// Start a batched round sealing `payloads` at `site` without
     /// delivering anything yet.
-    pub fn start_batch(&mut self, site: SiteId, payloads: &[u64]) {
-        let mut out = Vec::new();
-        self.sites[site.index()].start_update_batch(payloads, &mut out);
-        self.stage(site, out);
-    }
-
-    /// Start an update at `site` without delivering anything yet.
-    pub fn start_update(&mut self, site: SiteId, payload: u64) {
-        let mut out = Vec::new();
-        self.sites[site.index()].start_update(payload, &mut out);
-        self.stage(site, out);
+    pub fn start_batch(&mut self, site: SiteId, payloads: &[u64]) -> Option<TxnId> {
+        let hold = false;
+        self.step(site, Input::Update { payloads, hold })
     }
 
     /// A client update arrives at `site`: with routing on and a
@@ -339,9 +361,11 @@ impl Net {
         match self.home_of(site).filter(|&home| self.linked(site, home)) {
             Some(home) => {
                 self.forwarded += 1;
-                self.start_update(home, payload);
+                self.start_batch(home, &[payload]);
             }
-            None => self.start_update(site, payload),
+            None => {
+                self.start_batch(site, &[payload]);
+            }
         }
     }
 
@@ -350,9 +374,7 @@ impl Net {
             return;
         }
         self.down.insert(site);
-        let mut out = Vec::new();
-        self.sites[site.index()].crash(&mut out);
-        self.stage(site, out);
+        self.step(site, Input::Crash);
         self.timers.retain(|(s, _, _)| *s != site);
         if let Some(sets) = self.suspected.as_mut() {
             sets[site.index()] = SiteSet::EMPTY;
@@ -368,9 +390,8 @@ impl Net {
             return;
         }
         self.down.remove(site);
-        let mut out = Vec::new();
-        self.sites[site.index()].recover(payload, &mut out);
-        self.stage(site, out);
+        let restart_payload = payload;
+        self.step(site, Input::Recover { restart_payload });
     }
 
     pub fn partition(&mut self, groups: &[SiteSet]) {

@@ -9,7 +9,7 @@ mod common;
 use common::Net;
 use dynvote_core::{AlgorithmKind, CopyMeta, LinearOrder, SiteId, SiteSet};
 use dynvote_protocol::{
-    Action, CloseCause, EventKind, EventTallies, Hint, Message, ObjectId, PersistEffect,
+    Action, CloseCause, EventKind, EventTallies, Hint, Input, Message, ObjectId, PersistEffect,
     ResolveReason, ShardedSite, SiteActor, StatusOutcome, TimerKind, TxnId,
 };
 use proptest::prelude::*;
@@ -22,11 +22,28 @@ fn txn(c: u8, seq: u64) -> TxnId {
     TxnId::new(SiteId(c), seq)
 }
 
-/// Run `handle_message` into a fresh sink (tests care about one call's
+/// A one-payload update at `a`; the transaction it started, if any.
+fn start(a: &mut SiteActor, payload: u64, out: &mut Vec<Action>) -> Option<TxnId> {
+    let payloads = &[payload];
+    a.step(
+        Input::Update {
+            payloads,
+            hold: false,
+        },
+        out,
+    )
+}
+
+/// `txn`'s `kind` timer fires at `a`.
+fn fire_into(a: &mut SiteActor, txn: TxnId, kind: TimerKind, out: &mut Vec<Action>) {
+    a.step(Input::Timer { txn, kind }, out);
+}
+
+/// Step a message into a fresh sink (tests care about one call's
 /// actions at a time; production callers reuse one buffer).
 fn deliver(a: &mut SiteActor, from: SiteId, msg: Message) -> Vec<Action> {
     let mut out = Vec::new();
-    a.handle_message(from, msg, &mut out);
+    a.step(Input::Message { from, msg }, &mut out);
     out
 }
 
@@ -45,7 +62,7 @@ fn termination_protocol_blocks_until_a_definite_outcome() {
     // broadcasts a status query and re-arms the timer.
     for round in 1..=3u32 {
         let mut actions = Vec::new();
-        b.timer_fired(t, TimerKind::PreparedRetry, &mut actions);
+        fire_into(&mut b, t, TimerKind::PreparedRetry, &mut actions);
         assert!(
             actions.iter().any(|a| matches!(
                 a,
@@ -104,12 +121,17 @@ fn durable_prepare_record_survives_crash() {
     deliver(&mut b, SiteId(0), Message::VoteRequest { txn: t });
     assert!(b.is_in_doubt());
 
-    b.crash(&mut Vec::new());
+    b.step(Input::Crash, &mut Vec::new());
     assert!(!b.is_locked(), "volatile lock is lost");
     assert!(b.is_in_doubt(), "the prepare record is durable");
 
     let mut actions = Vec::new();
-    b.recover(999, &mut actions);
+    b.step(
+        Input::Recover {
+            restart_payload: 999,
+        },
+        &mut actions,
+    );
     assert!(b.is_locked(), "recovery re-acquires the in-doubt lock");
     assert!(
         actions.iter().any(|a| matches!(
@@ -142,7 +164,7 @@ fn recovered_coordinator_presumes_abort_for_its_lost_transaction() {
 
     // A starts an update; B prepares for it.
     let mut actions = Vec::new();
-    a.start_update(100, &mut actions);
+    start(&mut a, 100, &mut actions);
     let t = match &actions[1] {
         Action::Broadcast {
             msg: Message::VoteRequest { txn },
@@ -177,8 +199,13 @@ fn recovered_coordinator_presumes_abort_for_its_lost_transaction() {
     // A crashes before deciding; the in-flight transaction is volatile
     // and gone. After recovery there is no commit record for it, so it
     // can never commit: presumed abort.
-    a.crash(&mut Vec::new());
-    a.recover(999, &mut Vec::new());
+    a.step(Input::Crash, &mut Vec::new());
+    a.step(
+        Input::Recover {
+            restart_payload: 999,
+        },
+        &mut Vec::new(),
+    );
     let reply = deliver(
         &mut a,
         SiteId(1),
@@ -232,10 +259,21 @@ fn event_sink_observes_the_blocking_window() {
     let mut b = site(1, 3);
     let t = txn(0, 1);
     let mut out = Vec::new();
-    b.handle_message(SiteId(0), Message::VoteRequest { txn: t }, &mut out);
-    b.timer_fired(t, TimerKind::PreparedRetry, &mut out);
-    b.crash(&mut out);
-    b.recover(999, &mut out); // in doubt: resumes termination, round 1 again
+    b.step(
+        Input::Message {
+            from: SiteId(0),
+            msg: Message::VoteRequest { txn: t },
+        },
+        &mut out,
+    );
+    fire_into(&mut b, t, TimerKind::PreparedRetry, &mut out);
+    b.step(Input::Crash, &mut out);
+    b.step(
+        Input::Recover {
+            restart_payload: 999,
+        },
+        &mut out,
+    ); // in doubt: resumes termination, round 1 again
 
     let tallies = tally(b.id(), &out);
     let at = |kind| tallies.count(SiteId(1), kind);
@@ -262,7 +300,7 @@ fn coordinator_suspecting_e() -> (SiteActor, TxnId) {
 /// broadcast (suspected sites are asked like any other) carries.
 fn open_round(a: &mut SiteActor, payload: u64) -> TxnId {
     let mut out = Vec::new();
-    a.start_update(payload, &mut out);
+    start(a, payload, &mut out);
     assert!(out.iter().all(|act| !matches!(act, Action::Send { .. })));
     match &out[1] {
         Action::Broadcast {
@@ -333,7 +371,7 @@ fn round_closes_without_a_suspected_silent_site() {
     assert!(grant(&mut a, t, 4).is_empty(), "the late vote is ignored");
     // The stale deadline is a no-op too.
     let mut out = Vec::new();
-    a.timer_fired(t, TimerKind::VoteDeadline, &mut out);
+    fire_into(&mut a, t, TimerKind::VoteDeadline, &mut out);
     assert!(out.is_empty());
 }
 
@@ -393,7 +431,7 @@ fn undistinguished_replies_keep_waiting_for_the_suspected_site() {
     );
     assert!(a.is_locked());
     let mut out = Vec::new();
-    a.timer_fired(t, TimerKind::VoteDeadline, &mut out);
+    fire_into(&mut a, t, TimerKind::VoteDeadline, &mut out);
     assert!(matches!(
         out[0],
         Action::Hint(Hint::Unanswered {
@@ -423,7 +461,7 @@ fn unanswered(actions: &[Action]) -> Option<(SiteSet, CloseCause)> {
 
 fn fire(a: &mut SiteActor, t: TxnId, kind: TimerKind) -> Vec<Action> {
     let mut out = Vec::new();
-    a.timer_fired(t, kind, &mut out);
+    fire_into(a, t, kind, &mut out);
     out
 }
 
@@ -435,7 +473,7 @@ fn fire(a: &mut SiteActor, t: TxnId, kind: TimerKind) -> Vec<Action> {
 fn grace_with_distinguished_replies_closes_and_names_the_silent_peers() {
     let mut a = site(0, 5);
     let mut opening = Vec::new();
-    a.start_update(100, &mut opening);
+    start(&mut a, 100, &mut opening);
     let [Action::Persist {
         effect: PersistEffect::Seq(1),
         ..
@@ -494,11 +532,11 @@ fn retest_after_growth_closes_a_round_whose_live_votes_are_all_in() {
         assert!(grant(&mut a, t, from).is_empty(), "E unsuspected: wait");
     }
     let mut out = Vec::new();
-    a.suspicion_grew(t, &mut out);
+    a.step(Input::SuspicionGrew { txn: t }, &mut out);
     assert!(out.is_empty(), "nothing grew: nothing to close");
     a.set_suspected(sites("E"));
     assert!(a.is_locked(), "setting the hint tests nothing by itself");
-    a.suspicion_grew(t, &mut out);
+    a.step(Input::SuspicionGrew { txn: t }, &mut out);
     assert_eq!(unanswered(&out), Some((sites("E"), CloseCause::Suspected)));
     assert_eq!(committed_participants(&out), Some(sites("ABCD")));
 
@@ -507,7 +545,7 @@ fn retest_after_growth_closes_a_round_whose_live_votes_are_all_in() {
     assert!(grant(&mut minority, t, 1).is_empty());
     minority.set_suspected(sites("CDE"));
     let mut out = Vec::new();
-    minority.suspicion_grew(t, &mut out);
+    minority.step(Input::SuspicionGrew { txn: t }, &mut out);
     assert!(out.is_empty() && minority.is_locked(), "two of five: wait");
     // D is silent and unsuspected: the re-test must not close on E's
     // account alone either.
@@ -517,7 +555,7 @@ fn retest_after_growth_closes_a_round_whose_live_votes_are_all_in() {
         assert!(grant(&mut partial, t, from).is_empty());
     }
     partial.set_suspected(sites("E"));
-    partial.suspicion_grew(t, &mut out);
+    partial.step(Input::SuspicionGrew { txn: t }, &mut out);
     assert!(out.is_empty() && partial.is_locked(), "D is still awaited");
 }
 
@@ -540,7 +578,7 @@ fn a_vote_from_an_unknown_site_is_ignored() {
 #[test]
 fn crash_forgets_the_suspicion_hint() {
     let (mut a, _) = coordinator_suspecting_e();
-    a.crash(&mut Vec::new());
+    a.step(Input::Crash, &mut Vec::new());
     let t = open_round(&mut a, 101);
     for from in 1..=3 {
         assert!(
@@ -559,19 +597,19 @@ fn crash_forgets_the_suspicion_hint() {
 fn healed_minority_coordinator_commits_with_all_five() {
     let (c, d, e) = (SiteId(2), SiteId(3), SiteId(4));
     let mut net = Net::new(AlgorithmKind::Hybrid, 5, true);
-    net.start_update(SiteId(0), 1);
+    net.start_batch(SiteId(0), &[1]);
     net.settle();
     net.partition(&[sites("ABC"), sites("DE")]);
-    net.start_update(c, 2);
+    net.start_batch(c, &[2]);
     net.settle();
     assert_eq!(net.sites[c.index()].meta().cardinality, 3);
-    net.start_update(d, 3);
+    net.start_batch(d, &[3]);
     net.settle();
     assert_eq!(net.sites[d.index()].meta().version, 1, "minority refused");
     assert_eq!(net.suspected_by(d), sites("ABC"));
 
     net.heal();
-    net.start_update(d, 4);
+    net.start_batch(d, &[4]);
     for _ in 0..4 {
         assert!(net.deliver_from(d), "four vote requests");
     }
@@ -627,7 +665,7 @@ fn a_lost_lock_race_is_contended_and_a_minority_is_not_distinguished() {
     let t = open_round(&mut cut_off, 100);
     assert!(grant(&mut cut_off, t, 1).is_empty());
     let mut closing = Vec::new();
-    cut_off.timer_fired(t, TimerKind::VoteDeadline, &mut closing);
+    fire_into(&mut cut_off, t, TimerKind::VoteDeadline, &mut closing);
     assert_eq!(resolved(&closing, t), Some(ResolveReason::NotDistinguished));
     assert_eq!(aborted(&closing), 1);
 
@@ -695,14 +733,37 @@ fn rival_is_emitted_only_while_coordinating_the_same_object() {
     let mut node = ShardedSite::new(SiteId(1), 5, 2, || AlgorithmKind::Hybrid.instantiate(5));
     let mut out = Vec::new();
     assert!(node
-        .start_update_batch(ObjectId(0), &[100], &mut out)
+        .step(
+            ObjectId(0),
+            Input::Update {
+                payloads: &[100],
+                hold: false
+            },
+            &mut out
+        )
         .is_some());
     out.clear();
     let other = TxnId::keyed(SiteId(0), 1, ObjectId(1));
-    node.handle_message(SiteId(0), Message::VoteRequest { txn: other }, &mut out);
+    let msg = Message::VoteRequest { txn: other };
+    node.step(
+        ObjectId(1),
+        Input::Message {
+            from: SiteId(0),
+            msg,
+        },
+        &mut out,
+    );
     assert!(!denies(&out) && rivals(&out).is_empty());
     let same = TxnId::keyed(SiteId(0), 2, ObjectId(0));
-    node.handle_message(SiteId(0), Message::VoteRequest { txn: same }, &mut out);
+    let msg = Message::VoteRequest { txn: same };
+    node.step(
+        ObjectId(0),
+        Input::Message {
+            from: SiteId(0),
+            msg,
+        },
+        &mut out,
+    );
     assert_eq!(rivals(&out).len(), 1);
 
     // Once the round is over the site is a subordinate like any other.
@@ -723,8 +784,8 @@ fn rival_is_emitted_only_while_coordinating_the_same_object() {
 fn the_loser_of_a_race_hands_its_next_update_to_the_winner() {
     let (a, b) = (SiteId(0), SiteId(1));
     let mut net = Net::new(AlgorithmKind::Hybrid, 5, false).routed();
-    net.start_update(a, 1);
-    net.start_update(b, 2);
+    net.start_batch(a, &[1]);
+    net.start_batch(b, &[2]);
     net.settle();
     assert_eq!(net.rivals, 2, "each coordinator turned the other away");
     assert_eq!(net.home_of(b), Some(a));
@@ -790,7 +851,7 @@ fn run_route_script(algorithm: AlgorithmKind, script: &[RouteStep], routed: bool
             RouteStep::Race(s, t) => {
                 for (site, payload) in [(s, payload), (t, payload + 1)] {
                     if !net.is_down(SiteId(site)) {
-                        net.start_update(SiteId(site), payload);
+                        net.start_batch(SiteId(site), &[payload]);
                     }
                 }
             }

@@ -68,7 +68,7 @@ fn run(algorithm: AlgorithmKind, steps: &[Step]) -> Net {
             Step::Race { a, b } => {
                 for site in [SiteId(a), SiteId(b)] {
                     if !net.is_down(site) {
-                        net.start_update(site, next());
+                        net.start_batch(site, &[next()]);
                     }
                 }
             }
@@ -78,7 +78,7 @@ fn run(algorithm: AlgorithmKind, steps: &[Step]) -> Net {
                 victim,
             } => {
                 if !net.is_down(SiteId(coord)) {
-                    net.start_update(SiteId(coord), next());
+                    net.start_batch(SiteId(coord), &[next()]);
                 }
                 net.deliver_next(frames);
                 net.crash(SiteId(victim));

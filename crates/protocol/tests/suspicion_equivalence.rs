@@ -74,7 +74,7 @@ fn run_script(algorithm: AlgorithmKind, script: &[Step], mode: Mode) -> Net {
             Step::Update(s, retest) => {
                 // A crashed site accepts no client work.
                 if !net.is_down(SiteId(s)) {
-                    net.start_update(SiteId(s), payload);
+                    net.start_batch(SiteId(s), &[payload]);
                     if retest && mode == Mode::Graced {
                         net.drain();
                         net.suspect_the_down(SiteId(s));
@@ -142,7 +142,7 @@ proptest! {
                     Racing::Recover(s) => net.recover(SiteId(s), payload),
                     Racing::Update(s) => {
                         if !net.is_down(SiteId(s)) {
-                            net.start_update(SiteId(s), payload);
+                            net.start_batch(SiteId(s), &[payload]);
                         }
                     }
                     Racing::Deliver(frames) => net.deliver_next(frames as usize),
@@ -241,7 +241,7 @@ fn a_retest_closes_the_round_already_waiting() {
 fn a_grace_that_leaves_live_peers_out_is_a_legal_history() {
     let (a, d, e) = (SiteId(0), SiteId(3), SiteId(4));
     let mut net = Net::new(AlgorithmKind::Hybrid, N, true).graced();
-    net.start_update(a, 1);
+    net.start_batch(a, &[1]);
     net.deliver_next(4); // the four vote requests
     assert!(net.deliver_from(SiteId(1)) && net.deliver_from(SiteId(2)));
     net.fire_grace(a);
@@ -261,7 +261,7 @@ fn a_grace_that_leaves_live_peers_out_is_a_legal_history() {
         "left out, not harmed"
     );
 
-    net.start_update(a, 2);
+    net.start_batch(a, &[2]);
     net.settle();
     for site in &net.sites {
         assert_eq!(site.meta().version, 2, "site {}", site.id());

@@ -20,8 +20,8 @@ use dynvote_core::{
     BackoffPolicy, ConfigError, SiteId, SiteSet, TimerWheel, VirtualInstant,
 };
 use dynvote_protocol::{
-    Action, EventTallies, LogEntry, Message, ObjectId, ResolveReason, ShardedSite, SiteActor,
-    TimerKind, TxnId,
+    Action, EventTallies, Input, LogEntry, Message, ObjectId, ResolveReason, ShardedSite,
+    SiteActor, TimerKind, TxnId,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -457,9 +457,8 @@ impl Simulation {
             return false;
         }
         self.stats.submitted += 1;
-        let payload = self.fresh_payload();
-        self.sites[site.index()].start_update_batch(ObjectId::ZERO, &[payload], &mut self.scratch);
-        self.apply_actions(site);
+        let (payloads, hold) = (&[self.fresh_payload()], false);
+        self.feed(site, ObjectId::ZERO, Input::Update { payloads, hold });
         true
     }
 
@@ -470,8 +469,7 @@ impl Simulation {
             return false;
         }
         self.stats.submitted += 1;
-        self.sites[site.index()].start_read(ObjectId::ZERO, &mut self.scratch);
-        self.apply_actions(site);
+        self.feed(site, ObjectId::ZERO, Input::Read);
         true
     }
 
@@ -517,22 +515,28 @@ impl Simulation {
             self.stats.site_recoveries += 1;
             self.redo_groups(site);
             for object in 0..self.ledgers.len() as u32 {
-                let payload = self.fresh_payload();
-                self.sites[site.index()].recover(ObjectId(object), payload, &mut self.scratch);
+                let restart_payload = self.fresh_payload();
+                let input = Input::Recover { restart_payload };
                 // Tag the Make_Current transaction (if one started) so
                 // its outcome is booked as restart traffic, not
-                // workload.
-                for action in &self.scratch {
-                    if let Action::Broadcast {
-                        msg: Message::VoteRequest { txn },
-                    } = action
-                    {
-                        self.restart_txns.insert(*txn);
-                    }
-                }
-                self.apply_actions(site);
+                // workload. Nothing it starts resolves in the same step.
+                let started = self.feed(site, ObjectId(object), input);
+                self.restart_txns.extend(started);
             }
         }
+    }
+
+    /// Step `site`'s copy of `object` with `input` and apply what it
+    /// produced; returns the transaction the input started.
+    pub(crate) fn feed(
+        &mut self,
+        site: SiteId,
+        object: ObjectId,
+        input: Input<'_>,
+    ) -> Option<TxnId> {
+        let started = self.sites[site.index()].step(object, input, &mut self.scratch);
+        self.apply_actions(site);
+        started
     }
 
     /// Fail the link between two sites.
@@ -736,8 +740,7 @@ impl Simulation {
             Event::Deliver { from, to, msg } => {
                 // Delivery requires connectivity *now*.
                 if self.topology.connected(from, to) {
-                    self.sites[to.index()].handle_message(from, msg, &mut self.scratch);
-                    self.apply_actions(to);
+                    self.feed(to, msg.txn().object, Input::Message { from, msg });
                 } else {
                     self.stats.messages_dropped += 1;
                 }
@@ -745,8 +748,7 @@ impl Simulation {
             Event::Timer { site, txn, kind } => {
                 // Timers at a crashed site die with its volatile state.
                 if self.topology.is_up(site) {
-                    self.sites[site.index()].timer_fired(txn, kind, &mut self.scratch);
-                    self.apply_actions(site);
+                    self.feed(site, txn.object, Input::Timer { txn, kind });
                 }
             }
             Event::Arrival { site } => {

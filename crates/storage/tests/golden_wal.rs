@@ -12,7 +12,9 @@
 
 use dynvote_core::{AlgorithmKind, SiteId, SiteSet};
 use dynvote_protocol::persist::effects;
-use dynvote_protocol::{Action, DurableState, Message, ObjectId, ShardedSite, TimerKind, TxnId};
+use dynvote_protocol::{
+    Action, DurableState, Input, Message, ObjectId, ShardedSite, TimerKind, TxnId,
+};
 use dynvote_storage::{FsyncPolicy, NodeStore, StoreConfig};
 use std::collections::VecDeque;
 use std::path::Path;
@@ -66,8 +68,9 @@ impl Script {
             if self.drop_commits_to == Some(to) && matches!(msg, Message::Commit { .. }) {
                 continue;
             }
+            let object = msg.txn().object;
             self.run(to.index(), |site, out| {
-                site.handle_message(from, msg, out);
+                site.step(object, Input::Message { from, msg }, out);
             });
         }
     }
@@ -81,14 +84,15 @@ impl Script {
             .find(|(s, _, k)| s.index() == site && *k == kind)
             .expect("timer armed");
         self.run(site, |s, out| {
-            s.timer_fired(txn, kind, out);
+            s.step(txn.object, Input::Timer { txn, kind }, out);
         });
         self.drain();
     }
 
     fn update(&mut self, site: usize, object: u32, payloads: &[u64]) {
         self.run(site, |s, out| {
-            s.start_update_batch(ObjectId(object), payloads, out);
+            let hold = false;
+            s.step(ObjectId(object), Input::Update { payloads, hold }, out);
         });
     }
 }
@@ -127,7 +131,7 @@ fn five_site_script_writes_the_golden_wal_bytes() {
     s.update(1, 1, &[200, 201]);
     s.drain();
     s.run(2, |site, out| {
-        site.start_read(ObjectId(0), out);
+        site.step(ObjectId(0), Input::Read, out);
     });
     s.drain();
     // A lock race: site 0 commits without site 4, whose round aborts.
@@ -151,7 +155,8 @@ fn five_site_script_writes_the_golden_wal_bytes() {
     s.fire(1, TimerKind::VoteDeadline);
     s.down.remove(SiteId(3));
     s.run(3, |site, out| {
-        site.recover(ObjectId(0), 700, out);
+        let restart_payload = 700;
+        site.step(ObjectId(0), Input::Recover { restart_payload }, out);
     });
     s.drain();
 

@@ -446,7 +446,7 @@ fn inspect_is_read_only() {
 #[test]
 fn persistence_hooks_feed_the_wal() {
     use dynvote_core::AlgorithmKind;
-    use dynvote_protocol::{Message, SiteActor};
+    use dynvote_protocol::{Input, Message, SiteActor};
 
     let dir = temp_dir("hooks");
     let n = 3;
@@ -454,20 +454,19 @@ fn persistence_hooks_feed_the_wal() {
     let mut sub = SiteActor::restore(SiteId(1), n, AlgorithmKind::Hybrid.instantiate(n), state);
     let mut out = Vec::new();
     let t = txn(0, 1);
-    sub.handle_message(SiteId(0), Message::VoteRequest { txn: t }, &mut out);
-    sub.handle_message(
-        SiteId(0),
-        Message::Commit {
-            txn: t,
-            meta: meta_v(1),
-            entries: vec![LogEntry {
-                version: 1,
-                payload: 321,
-            }],
-            participants: SiteSet::all(n),
-        },
-        &mut out,
-    );
+    let from = SiteId(0);
+    let msg = Message::VoteRequest { txn: t };
+    sub.step(Input::Message { from, msg }, &mut out);
+    let msg = Message::Commit {
+        txn: t,
+        meta: meta_v(1),
+        entries: vec![LogEntry {
+            version: 1,
+            payload: 321,
+        }],
+        participants: SiteSet::all(n),
+    };
+    sub.step(Input::Message { from, msg }, &mut out);
     // The node loop's durability barrier: runs before any of `out`
     // leaves the site. Only steps that passed it are recoverable.
     seal(&mut store, &out, sub.log());
