@@ -7,16 +7,17 @@
 //! only way into a site from another thread is its `Inbox`, which
 //! [`Cluster`]'s control ops, [`LocalClient`] and shutdown share.
 
+use crate::audit::AuditOutcome;
 use crate::frontdoor::{self, FrontDoor, FrontDoorConfig};
 use crate::node::{
-    AuditOutcome, ClusterLedger, Node, NodeConfig, NodeDurability, NodeEvent, ReplySink, ShardStats,
+    ClusterLedger, Node, NodeConfig, NodeDurability, NodeEvent, ReplySink, ShardStats,
 };
 use crate::reactor::{Reactor, ReactorConfig, ReactorTransport, TOKEN_WAKER};
 use crate::transport::{ChannelTransport, NetStats, Transport};
 use crate::wire::{self, ClientOp, ClientReply, HELLO_CLIENT};
-use dynvote_core::{AlgorithmKind, ConfigError, SiteId, SiteSet, MAX_SITES};
+use dynvote_core::{AlgorithmKind, ConfigError, CopyMeta, SiteId, SiteSet, MAX_SITES};
 use dynvote_net::{Poller, ResponseParser, Waker};
-use dynvote_protocol::{EventTallies, ObjectId};
+use dynvote_protocol::{EventTallies, LogEntry, ObjectId};
 use dynvote_storage::{FsyncPolicy, StorageError, StoreConfig};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -798,12 +799,51 @@ impl Cluster {
         }
         let violations = self.ledger.violations();
         consistent &= violations.is_empty();
-        Ok(AuditOutcome {
+        let outcome = AuditOutcome {
             commits,
             chain_len: self.ledger.chain_len(),
             consistent,
             violations,
-        })
+        };
+        // Pin: the sites' own logs give the ledger's verdict.
+        let mut objects = 0;
+        for site in self.sites() {
+            let ClientReply::Status { objects: k, .. } = self.control(site, ClientOp::Status)?
+            else {
+                unreachable!("a node answers Status with its snapshot");
+            };
+            objects = k;
+        }
+        let copies = (0..objects)
+            .map(|o| self.copies(ObjectId(o)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let logs = AuditOutcome::of_logs(commits, &copies);
+        assert_eq!(
+            (logs.chain_len, logs.consistent),
+            (outcome.chain_len, outcome.consistent),
+            "log audit {:?} disagrees with ledger audit {:?}",
+            logs.violations,
+            outcome.violations
+        );
+        Ok(outcome)
+    }
+
+    fn sites(&self) -> impl Iterator<Item = SiteId> {
+        (0..self.n).map(|i| SiteId(i as u8))
+    }
+
+    /// Every site's copy of `object` — its metadata and committed log —
+    /// in site order; none for an object the cluster does not host.
+    fn copies(&self, object: ObjectId) -> Result<Vec<(CopyMeta, Vec<LogEntry>)>, RequestError> {
+        let mut copies = Vec::with_capacity(self.n);
+        for site in self.sites() {
+            match self.control(site, ClientOp::DumpLog { key: object.0 })? {
+                ClientReply::Log { meta, entries } => copies.push((meta, entries)),
+                ClientReply::UnknownKey => return Ok(Vec::new()),
+                other => unreachable!("a node answers DumpLog with its log, not {other:?}"),
+            }
+        }
+        Ok(copies)
     }
 
     /// Stop every site's thread and join them all. Shutdown rides the

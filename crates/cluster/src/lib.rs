@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+mod audit;
 mod cluster;
 mod frontdoor;
 mod loadgen;
@@ -54,6 +55,7 @@ pub mod scenario;
 mod transport;
 pub mod wire;
 
+pub use audit::{audit_logs, AuditOutcome};
 pub use cluster::{
     BootError, Cluster, ClusterConfig, DurabilityMode, HttpClient, LocalClient, RequestError,
     TcpClient, TransportKind, MAX_BATCH, MAX_OBJECTS,
@@ -64,8 +66,8 @@ pub use loadgen::{
     NetCounterEntry, ShardCounterEntry, WorkloadTarget,
 };
 pub use node::{
-    AuditOutcome, ClusterLedger, Node, NodeConfig, NodeDurability, NodeEvent, ReplySink,
-    ShardStats, DEFAULT_MAX_BATCH,
+    ClusterLedger, Node, NodeConfig, NodeDurability, NodeEvent, ReplySink, ShardStats,
+    DEFAULT_MAX_BATCH,
 };
 pub use reactor::ReactorTransport;
 pub use transport::{ChannelTransport, NetStats, Transport, TransportError};

@@ -325,21 +325,6 @@ impl ClusterLedger {
     }
 }
 
-/// The verdict of a cluster-wide audit (see [`crate::Cluster::audit`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuditOutcome {
-    /// Workload updates committed, summed over all coordinators
-    /// (`Make_Current` restart commits excluded).
-    pub commits: u64,
-    /// Length of the global version chain (restart commits included).
-    pub chain_len: u64,
-    /// True if every site's durable log is a gapless prefix of the
-    /// chain and no ledger violation was flagged.
-    pub consistent: bool,
-    /// Human-readable ledger violations (empty on a correct run).
-    pub violations: Vec<String>,
-}
-
 /// Where (and how) one node keeps its durable state on disk.
 #[derive(Debug, Clone)]
 pub struct NodeDurability {
