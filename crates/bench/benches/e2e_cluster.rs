@@ -11,9 +11,8 @@
 //!   full production stack.
 //!
 //! Workers spread across all five sites so commits contend the way the
-//! paper's workload does. Each run ends with a ledger audit (every
-//! committed update force-written at a quorum, per-site metadata
-//! consistent) so a throughput number from a silently-broken cluster
+//! paper's workload does. Each run ends with a log audit (every
+//! site's log a gapless prefix of one chain, its metadata in step) so a throughput number from a silently-broken cluster
 //! cannot become a baseline.
 //!
 //! One line per run goes to stderr and each run's JSON report to

@@ -13,7 +13,7 @@
 //!   at 1 inflight op: exercises the 429 reject fast path (which must
 //!   stay fast, or overload turns into collapse).
 //!
-//! Every run ends with a ledger audit so a throughput number from an
+//! Every run ends with a log audit so a throughput number from an
 //! inconsistent cluster cannot be reported. One line per run goes to
 //! stderr and each run's JSON report to stdout. Set
 //! `DYNVOTE_BENCH_QUICK=1` for a short CI smoke run.

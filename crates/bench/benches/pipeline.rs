@@ -17,8 +17,8 @@
 //!   entries. A full run shows >3x commits/s from 1 → 64; the program
 //!   asserts a 2x floor so noise cannot mask a pipelining collapse.
 //!
-//! Every run ends with a ledger audit and a client/ledger commit-count
-//! cross-check, so a fast-but-wrong pipeline cannot be reported.
+//! Every run ends with a log audit and a client/coordinator
+//! commit-count cross-check, so a fast-but-wrong pipeline cannot be reported.
 //!
 //! One line per run goes to stderr and each run's JSON report to
 //! stdout. Set `DYNVOTE_BENCH_QUICK=1` for a short CI smoke run.

@@ -16,7 +16,7 @@
 //! * `tcp` — framed loopback TCP with peer-frame batching: the full
 //!   production stack.
 //!
-//! Each run ends with a ledger audit (per-object chains, every commit
+//! Each run ends with a log audit (per-object chains, every commit
 //! accounted for) so a throughput number from a silently-broken cluster
 //! cannot be reported.
 //!

@@ -21,7 +21,7 @@ pub fn assert_audited(cluster: &Cluster, run: &str, committed: u64) {
     assert!(audit.consistent, "{run}: cluster metadata inconsistent");
     assert_eq!(
         audit.commits, committed,
-        "{run}: ledger commits disagree with client-observed commits"
+        "{run}: coordinator commits disagree with client-observed commits"
     );
     assert!(committed > 0, "{run}: nothing committed");
 }

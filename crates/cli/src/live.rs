@@ -11,12 +11,12 @@
 use crate::opts::Opts;
 use dynvote_cluster::wire::{ClientOp, ClientReply};
 use dynvote_cluster::{
-    check_concurrency, Cluster, ClusterConfig, EventCountEntry, FrontDoorConfig, HttpClient,
-    LoadGen, LoadGenConfig, NetCounterEntry, NetStats, ShardCounterEntry, ShardStats, TcpClient,
-    TransportKind, WorkloadTarget, DEFAULT_MAX_BATCH,
+    check_concurrency, AuditOutcome, Cluster, ClusterConfig, EventCountEntry, FrontDoorConfig,
+    HttpClient, LoadGen, LoadGenConfig, NetCounterEntry, NetStats, ShardCounterEntry, ShardStats,
+    TcpClient, TransportKind, WorkloadTarget, DEFAULT_MAX_BATCH,
 };
-use dynvote_core::{AlgorithmKind, ConfigError, SiteId};
-use dynvote_protocol::{DurableState, EventKind};
+use dynvote_core::{AlgorithmKind, ConfigError, CopyMeta, SiteId};
+use dynvote_protocol::{DurableState, EventKind, LogEntry};
 use dynvote_storage::{FsyncPolicy, NodeStore};
 use std::net::SocketAddr;
 use std::path::Path;
@@ -348,15 +348,17 @@ pub fn loadgen_cmd(opts: &Opts) -> Result<(), String> {
             .map_err(|_| "chaos thread panicked".to_string())??;
     }
 
-    // Give in-flight commit fan-out a moment to drain, then audit every
-    // node over the wire and pull its counters into the report: protocol
-    // event tallies, the reactor's transport and front-door counters
-    // (dial failures, backpressure drops, decode errors) and the node's
-    // kernel-step counters (steps run, merge barriers, the pipelining
-    // queue peak and batch sizes). Zero counts are omitted.
+    // Give in-flight commit fan-out a moment to drain, then pull every
+    // node's commit count, its copy of every object, and its counters
+    // over the wire: protocol event tallies, the reactor's transport and
+    // front-door counters (dial failures, backpressure drops, decode
+    // errors) and the node's kernel-step counters (steps run, merge
+    // barriers, the pipelining queue peak and batch sizes). Zero counts
+    // are omitted. The copies are audited as `Cluster::audit` audits
+    // them in-process.
     thread::sleep(Duration::from_millis(200));
     let mut audited_commits = 0u64;
-    let mut consistent = true;
+    let mut copies: Vec<Vec<(CopyMeta, Vec<LogEntry>)>> = Vec::new();
     for (site, addr) in addrs.iter().enumerate() {
         let mut client =
             TcpClient::connect(*addr).map_err(|e| format!("audit connect {addr}: {e}"))?;
@@ -366,16 +368,14 @@ pub fn loadgen_cmd(opts: &Opts) -> Result<(), String> {
                 .map_err(|e| format!("{op:?} request {addr}: {e}"))
         };
         let replies = (
-            ask(ClientOp::Audit)?,
+            ask(ClientOp::Status)?,
             ask(ClientOp::Events)?,
             ask(ClientOp::NetStats)?,
             ask(ClientOp::ShardStats)?,
         );
         let (
-            ClientReply::Audit {
-                commits,
-                consistent: ok,
-                ..
+            ClientReply::Status {
+                commits, objects, ..
             },
             ClientReply::Events { counts: events },
             ClientReply::NetStats { counts: net },
@@ -388,7 +388,13 @@ pub fn loadgen_cmd(opts: &Opts) -> Result<(), String> {
             return Err(format!("unexpected audit replies from {addr}: {replies:?}"));
         };
         audited_commits += commits;
-        consistent &= ok;
+        copies.resize_with(objects as usize, Vec::new);
+        for (key, object) in (0..).zip(&mut copies) {
+            let ClientReply::Log { meta, entries } = ask(ClientOp::DumpLog { key })? else {
+                return Err(format!("unexpected DumpLog reply from {addr}"));
+            };
+            object.push((meta, entries));
+        }
         let nonzero = |names: Vec<String>, counts: Vec<u64>| {
             names
                 .into_iter()
@@ -423,13 +429,17 @@ pub fn loadgen_cmd(opts: &Opts) -> Result<(), String> {
     report.transport = if http_addrs.is_some() { "http" } else { "tcp" }.into();
     report.sites = n;
     println!("{}", report.to_json());
+    let audit = AuditOutcome::of_logs(audited_commits, &copies);
     eprintln!(
-        "audited: coordinator commits = {audited_commits}, consistent = {consistent} \
+        "audited: coordinator commits = {}, chain_len = {}, consistent = {} \
          (client observed {} commits)",
-        report.committed
+        audit.commits, audit.chain_len, audit.consistent, report.committed
     );
+    for violation in &audit.violations {
+        eprintln!("violation: {violation}");
+    }
 
-    if !consistent {
+    if !audit.consistent {
         return Err("serializability violation: a node's log diverged from the chain".into());
     }
     if report.committed < min_commits {

@@ -9,7 +9,9 @@
 //! Durability is a property of the data directory, not the ports.
 
 use dynvote_cluster::wire::{ClientOp, ClientReply};
-use dynvote_cluster::TcpClient;
+use dynvote_cluster::{audit_logs, TcpClient};
+use dynvote_core::CopyMeta;
+use dynvote_protocol::{LogEntry, ObjectId};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -76,14 +78,13 @@ fn commit_update(client: &mut TcpClient, what: &str) -> u64 {
     panic!("{what}: update never committed");
 }
 
-fn dump_log(client: &mut TcpClient) -> (u64, Vec<u64>) {
+/// One site's copy of object 0: its metadata and committed log.
+fn dump_log(client: &mut TcpClient) -> (CopyMeta, Vec<LogEntry>) {
     match client
         .request(&ClientOp::DumpLog { key: 0 })
         .expect("dump log")
     {
-        ClientReply::Log { meta, entries } => {
-            (meta.version, entries.iter().map(|e| e.version).collect())
-        }
+        ClientReply::Log { meta, entries } => (meta, entries),
         other => panic!("unexpected DumpLog reply {other:?}"),
     }
 }
@@ -135,37 +136,37 @@ fn sigkill_mid_storm_recovers_every_acked_commit() {
     let mut client = connect(second_base);
 
     // Every acknowledged commit was forced to disk before its reply
-    // left the coordinator, so site 0 must recover at least `acked`.
-    let (meta_version, versions) = dump_log(&mut client);
+    // left the coordinator, so site 0 must recover at least `acked`,
+    // as a gapless log its metadata agrees with.
+    let recovered = dump_log(&mut client);
+    let meta_version = recovered.0.version;
     assert!(
         meta_version >= acked,
         "recovered version {meta_version} lost acked commit {acked}"
     );
-    assert_eq!(
-        meta_version,
-        versions.len() as u64,
-        "metadata disagrees with the recovered log"
-    );
-    for (j, version) in versions.iter().enumerate() {
-        assert_eq!(*version, (j + 1) as u64, "recovered log has a gap");
-    }
+    let (_, violations) = audit_logs(ObjectId::ZERO, &[recovered]);
+    assert!(violations.is_empty(), "site 0 recovered {violations:?}");
 
     // The rebooted cluster is live: it accepts at least one new commit
     // past everything the first life wrote.
     let next = commit_update(&mut client, "post-recovery commit");
     assert!(next > meta_version, "post-recovery commit did not advance");
 
-    // Ledger audit across every node: primed from the recovered logs,
-    // so the new commit extends the chain instead of flagging a gap.
-    for i in 0..n {
-        let mut site = connect(second_base + i as u16);
-        match site.request(&ClientOp::Audit).expect("audit") {
-            ClientReply::Audit { consistent, .. } => {
-                assert!(consistent, "site {i} flags divergence after reboot");
-            }
-            other => panic!("unexpected audit reply {other:?}"),
-        }
-    }
+    // Log audit across every node: each site's recovered log, plus the
+    // new commit where it has reached, is a prefix of one chain, and
+    // that chain ends at the new commit.
+    let copies: Vec<_> = (0..n)
+        .map(|i| dump_log(&mut connect(second_base + i as u16)))
+        .collect();
+    let (chain_len, violations) = audit_logs(ObjectId::ZERO, &copies);
+    assert!(
+        violations.is_empty(),
+        "logs diverge after reboot: {violations:?}"
+    );
+    assert_eq!(
+        chain_len, next,
+        "the chain ends at the post-recovery commit"
+    );
 
     drop(_serve2);
     std::fs::remove_dir_all(&dir).unwrap();

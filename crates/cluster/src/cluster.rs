@@ -9,9 +9,7 @@
 
 use crate::audit::AuditOutcome;
 use crate::frontdoor::{self, FrontDoor, FrontDoorConfig};
-use crate::node::{
-    ClusterLedger, Node, NodeConfig, NodeDurability, NodeEvent, ReplySink, ShardStats,
-};
+use crate::node::{Node, NodeConfig, NodeDurability, NodeEvent, ReplySink, ShardStats};
 use crate::reactor::{Reactor, ReactorConfig, ReactorTransport, TOKEN_WAKER};
 use crate::transport::{ChannelTransport, NetStats, Transport};
 use crate::wire::{self, ClientOp, ClientReply, HELLO_CLIENT};
@@ -499,7 +497,6 @@ pub struct Cluster {
     n: usize,
     inboxes: Vec<Inbox>,
     handles: Vec<JoinHandle<()>>,
-    ledger: Arc<ClusterLedger>,
     shard_stats: Vec<Arc<ShardStats>>,
     addrs: Vec<SocketAddr>,
     http_addrs: Vec<SocketAddr>,
@@ -515,17 +512,15 @@ impl Cluster {
     /// Each site thread builds its own node: with
     /// [`DurabilityMode::Durable`] it first opens and recovers its store
     /// under `data_dir/site-<i>` (an empty directory boots the initial
-    /// state, a populated one resumes where the last process left off)
-    /// and primes the audit ledger from the recovered logs. It then
-    /// reports ready and waits for go, which boot sends once every site
-    /// is ready, so no site runs a protocol step before every store is
-    /// open and every log primed. If any store fails to open, boot
+    /// state, a populated one resumes where the last process left off).
+    /// It then reports ready and waits for go, which boot sends once
+    /// every site is ready, so no site runs a protocol step before every
+    /// store is open. If any store fails to open, boot
     /// joins every site thread, which drops its listeners unrun, and
     /// returns [`BootError::Storage`] for the lowest failing site.
     pub fn boot(config: &ClusterConfig) -> Result<Self, BootError> {
         config.validate()?;
         let n = config.n;
-        let ledger = Arc::new(ClusterLedger::new(config.objects));
         let (senders, receivers): (Vec<Sender<NodeEvent>>, Vec<_>) =
             (0..n).map(|_| mpsc::channel()).unzip();
 
@@ -565,7 +560,6 @@ impl Cluster {
             let site = SiteBoot {
                 config: Arc::clone(&shared),
                 id: SiteId(i as u8),
-                ledger: Arc::clone(&ledger),
                 ready,
                 go,
             };
@@ -637,7 +631,6 @@ impl Cluster {
             n,
             inboxes,
             handles,
-            ledger,
             shard_stats,
             addrs,
             http_addrs,
@@ -669,10 +662,11 @@ impl Cluster {
         LocalClient::new(self.inboxes[site.index()].clone())
     }
 
-    /// The shared commit ledger (for divergence checks).
+    /// Benchmark shim; ROADMAP item 1 deletes.
+    #[doc(hidden)]
     #[must_use]
-    pub fn ledger(&self) -> &Arc<ClusterLedger> {
-        &self.ledger
+    pub fn ledger(&self) -> &Self {
+        self
     }
 
     /// One node's kernel-step, peer-health and routing counters — the
@@ -686,8 +680,7 @@ impl Cluster {
     /// [`ClientOp::Events`] request per site.
     pub fn event_tallies(&self) -> Result<EventTallies, RequestError> {
         let mut tallies = EventTallies::default();
-        for i in 0..self.n {
-            let site = SiteId(i as u8);
+        for site in self.sites() {
             let ClientReply::Events { counts } = self.control(site, ClientOp::Events)? else {
                 unreachable!("a node answers Events with its tally row");
             };
@@ -713,8 +706,7 @@ impl Cluster {
     /// Impose a partition: each site may only exchange messages within
     /// its group; sites in no group are isolated.
     pub fn set_partition(&self, groups: &[SiteSet]) -> Result<(), RequestError> {
-        for i in 0..self.n {
-            let site = SiteId(i as u8);
+        for site in self.sites() {
             let reachable = groups
                 .iter()
                 .copied()
@@ -729,8 +721,8 @@ impl Cluster {
     /// of the simulator's `impose_partitions(&[all])`).
     pub fn heal_links(&self) -> Result<(), RequestError> {
         let all = SiteSet::all(self.n);
-        for i in 0..self.n {
-            self.control(SiteId(i as u8), ClientOp::SetReachable(all))?;
+        for site in self.sites() {
+            self.control(site, ClientOp::SetReachable(all))?;
         }
         Ok(())
     }
@@ -752,10 +744,10 @@ impl Cluster {
         let deadline = Instant::now() + timeout;
         loop {
             let mut quiet = true;
-            for i in 0..self.n {
+            for site in self.sites() {
                 // Status aggregates lock/in-doubt across every shard,
                 // so one request per site covers all objects.
-                match self.control(SiteId(i as u8), ClientOp::Status) {
+                match self.control(site, ClientOp::Status) {
                     Ok(ClientReply::Status {
                         locked,
                         in_doubt,
@@ -779,53 +771,42 @@ impl Cluster {
         }
     }
 
-    /// Cluster-wide consistency audit: per-site log checks against the
-    /// shared ledger, plus any divergence flagged at commit time.
+    /// Cluster-wide consistency audit: every site's `Status` (for its
+    /// coordinator commit count) and its copy of every object, compared
+    /// by [`AuditOutcome::of_logs`] — the same check `dynvote loadgen`
+    /// runs over the wire.
     pub fn audit(&self) -> Result<AuditOutcome, RequestError> {
         let mut commits = 0;
-        let mut consistent = true;
-        for i in 0..self.n {
-            match self.control(SiteId(i as u8), ClientOp::Audit)? {
-                ClientReply::Audit {
-                    commits: c,
-                    consistent: ok,
-                    ..
-                } => {
-                    commits += c;
-                    consistent &= ok;
-                }
-                _ => consistent = false,
-            }
-        }
-        let violations = self.ledger.violations();
-        consistent &= violations.is_empty();
-        let outcome = AuditOutcome {
-            commits,
-            chain_len: self.ledger.chain_len(),
-            consistent,
-            violations,
-        };
-        // Pin: the sites' own logs give the ledger's verdict.
         let mut objects = 0;
         for site in self.sites() {
-            let ClientReply::Status { objects: k, .. } = self.control(site, ClientOp::Status)?
+            let ClientReply::Status {
+                commits: c,
+                objects: k,
+                ..
+            } = self.control(site, ClientOp::Status)?
             else {
                 unreachable!("a node answers Status with its snapshot");
             };
+            commits += c;
             objects = k;
         }
         let copies = (0..objects)
             .map(|o| self.copies(ObjectId(o)))
             .collect::<Result<Vec<_>, _>>()?;
-        let logs = AuditOutcome::of_logs(commits, &copies);
-        assert_eq!(
-            (logs.chain_len, logs.consistent),
-            (outcome.chain_len, outcome.consistent),
-            "log audit {:?} disagrees with ledger audit {:?}",
-            logs.violations,
-            outcome.violations
-        );
-        Ok(outcome)
+        Ok(AuditOutcome::of_logs(commits, &copies))
+    }
+
+    /// Length of one object's chain: its longest log across sites (0
+    /// for an object the cluster does not host). Panics if a site does
+    /// not answer.
+    #[must_use]
+    pub fn chain_len_of(&self, object: ObjectId) -> u64 {
+        let copies = self.copies(object).expect("every site answers DumpLog");
+        copies
+            .iter()
+            .map(|(_, log)| log.len() as u64)
+            .max()
+            .unwrap_or(0)
     }
 
     fn sites(&self) -> impl Iterator<Item = SiteId> {
@@ -864,7 +845,6 @@ impl Cluster {
 struct SiteBoot {
     config: Arc<ClusterConfig>,
     id: SiteId,
-    ledger: Arc<ClusterLedger>,
     /// The site's one ready report: its node's counters, or why its
     /// store failed to open.
     ready: Sender<Result<Arc<ShardStats>, StorageError>>,
@@ -934,8 +914,8 @@ impl SiteBoot {
     }
 
     /// This site's node sending through `transport`: opened and
-    /// recovered from its data directory if durable, with the ledger
-    /// primed from it, ready for its host.
+    /// recovered from its data directory if durable, ready for its
+    /// host.
     fn node<T: Transport>(&self, transport: T) -> Result<Node<T>, StorageError> {
         let config = &self.config;
         let mut node = Node::new(
@@ -945,7 +925,6 @@ impl SiteBoot {
             config.algorithm,
             config.node,
             transport,
-            Arc::clone(&self.ledger),
         );
         node.set_max_batch(config.max_batch);
         if let DurabilityMode::Durable { data_dir, fsync } = &config.durability {
@@ -956,15 +935,6 @@ impl SiteBoot {
                     ..StoreConfig::default()
                 },
             })?;
-            // The audit ledger must start from the history the disks
-            // already hold, or the first post-reboot commit would be
-            // flagged as a version gap — per object, since every shard
-            // has its own chain. Sites prime concurrently: `prime`
-            // converges on the longest recovered prefix in any order.
-            for o in 0..config.objects {
-                let object = ObjectId(o as u32);
-                self.ledger.prime(object, node.recovered_log(object));
-            }
         }
         node.trace = config.trace;
         Ok(node)

@@ -66,8 +66,7 @@ pub use loadgen::{
     NetCounterEntry, ShardCounterEntry, WorkloadTarget,
 };
 pub use node::{
-    ClusterLedger, Node, NodeConfig, NodeDurability, NodeEvent, ReplySink, ShardStats,
-    DEFAULT_MAX_BATCH,
+    Node, NodeConfig, NodeDurability, NodeEvent, ReplySink, ShardStats, DEFAULT_MAX_BATCH,
 };
 pub use reactor::ReactorTransport;
 pub use transport::{ChannelTransport, NetStats, Transport, TransportError};

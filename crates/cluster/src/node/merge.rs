@@ -12,16 +12,16 @@
 //!    and seal them as **one** checksummed group-commit record behind
 //!    one fsync. Only after this may anything be announced: nothing
 //!    leaves the node before this point.
-//! 3. **Ledger** — record commits in the cluster ledger before the
-//!    fan-out can trigger a dependent commit on another node.
-//! 4. **Dispatch** — sends and broadcasts go to the transport's batch
-//!    encoder, `SetTimer` arms the wall-clock wheel, `Resolved`
-//!    retires the round's timers and completes parked clients (or, for
-//!    a lost lock race, forwards them to the object's home), hints
-//!    feed the scheduler's peer-suspicion set (`Unanswered`) and route
-//!    table (`Rival`), and protocol events are counted into the node's
-//!    tally row (and printed, with `trace`).
-//! 5. **Push** — if the suspicion set grew, the kernels are handed the
+//! 3. **Dispatch** — sends and broadcasts go to the transport's batch
+//!    encoder, `SetTimer` arms the wall-clock wheel, `CommitRecorded`
+//!    books the version a round's op landed at (the kernel emits it
+//!    before the round's `Resolved`), `Resolved` retires the round's
+//!    timers and completes parked clients (or, for a lost lock race,
+//!    forwards them to the object's home), hints feed the scheduler's
+//!    peer-suspicion set (`Unanswered`) and route table (`Rival`), and
+//!    protocol events are counted into the node's tally row (and
+//!    printed, with `trace`).
+//! 4. **Push** — if the suspicion set grew, the kernels are handed the
 //!    new set, every round this node has open is re-tested against it,
 //!    and the barrier runs again for what the re-tests staged: the
 //!    rounds already waiting close in this loop iteration, not at
@@ -70,29 +70,11 @@ impl<T: Transport> Node<T> {
             store.barrier().expect("WAL barrier");
         }
 
-        // Ledger bookkeeping before the fan-out: a commit must be
-        // globally recorded before the Commit broadcast below can
-        // trigger a dependent commit (version + 1) on another thread,
-        // or the ledger would flag a spurious gap.
         // A batched round commits k entries — one CommitRecorded per
-        // entry, in version (= payload) order — so a transaction maps
-        // to the ordered version list its client ops landed at.
+        // entry, in version (= payload) order, all before the round's
+        // Resolved — so a transaction maps to the ordered version list
+        // its client ops landed at.
         let mut committed: HashMap<TxnId, Vec<u64>> = HashMap::new();
-        for action in &batch {
-            if let Action::CommitRecorded {
-                version,
-                payload,
-                txn,
-            } = action
-            {
-                self.ledger.record(self.id, txn.object, *version, *payload);
-                committed.entry(*txn).or_default().push(*version);
-                if !self.restart_txns.contains(txn) {
-                    self.commits += 1;
-                }
-            }
-        }
-
         let suspected_before = self.suspected;
         for action in batch.drain(..) {
             match action {
@@ -164,7 +146,13 @@ impl<T: Transport> Node<T> {
                 // Group mode is a multi-file transaction-manager hook;
                 // the live cluster runs single-file updates only.
                 Action::DecisionReady { .. } => {}
-                Action::CommitRecorded { .. } | Action::Persist { .. } => {} // handled above
+                Action::CommitRecorded { version, txn, .. } => {
+                    committed.entry(txn).or_default().push(version);
+                    if !self.restart_txns.contains(&txn) {
+                        self.commits += 1;
+                    }
+                }
+                Action::Persist { .. } => {} // sealed above
                 Action::Hint(Hint::Unanswered {
                     cause: CloseCause::Suspected,
                     ..

@@ -76,16 +76,15 @@ use crate::transport::{NetStats, Transport};
 use crate::wire::{ClientOp, ClientReply, Relay};
 use dynvote_core::{AlgorithmKind, BackoffPolicy, SiteId, SiteSet, TimerWheel};
 use dynvote_protocol::{
-    Action, DurableState, EventKind, LogEntry, Message, ObjectId, ShardedSite, TimerKind, TxnId,
+    Action, DurableState, EventKind, Message, ObjectId, ShardedSite, TimerKind, TxnId,
 };
 use dynvote_storage::{NodeStore, RecoveryReport, StorageError, StoreConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default bound on how many queued client updates one quorum round
@@ -198,133 +197,6 @@ impl Default for NodeConfig {
     }
 }
 
-/// The cluster-wide omniscient commit ledger: every coordinator records
-/// its commits here, and divergence (two different payloads claiming
-/// the same version number of the same object) or version gaps are
-/// flagged immediately. One independent chain per object — commits on
-/// different shards never order against each other. This is the
-/// live-cluster analogue of the simulator's ledger — a checking device,
-/// not part of the protocol.
-#[derive(Debug)]
-pub struct ClusterLedger {
-    inner: Mutex<LedgerInner>,
-}
-
-#[derive(Debug, Default)]
-struct LedgerInner {
-    /// Per-object payload chains; `chains[o][v - 1]` holds the payload
-    /// committed at version `v` of object `o`.
-    chains: Vec<Vec<u64>>,
-    violations: Vec<String>,
-}
-
-impl ClusterLedger {
-    /// A fresh, empty ledger tracking `objects` independent chains.
-    #[must_use]
-    pub fn new(objects: usize) -> Self {
-        ClusterLedger {
-            inner: Mutex::new(LedgerInner {
-                chains: vec![Vec::new(); objects.max(1)],
-                violations: Vec::new(),
-            }),
-        }
-    }
-
-    fn record(&self, site: SiteId, object: ObjectId, version: u64, payload: u64) {
-        let mut inner = self.inner.lock().expect("ledger poisoned");
-        let o = object.index();
-        if o >= inner.chains.len() {
-            inner
-                .violations
-                .push(format!("site {site} committed on unknown object {object}"));
-            return;
-        }
-        let next = inner.chains[o].len() as u64 + 1;
-        match version.cmp(&next) {
-            Ordering::Equal => inner.chains[o].push(payload),
-            Ordering::Less => {
-                let existing = inner.chains[o][(version - 1) as usize];
-                inner.violations.push(format!(
-                    "site {site} re-committed {object} version {version} \
-                     (payload {payload:#x}, chain has {existing:#x})"
-                ));
-            }
-            Ordering::Greater => {
-                inner.violations.push(format!(
-                    "site {site} committed {object} version {version} but \
-                     the chain only reaches {}",
-                    next - 1
-                ));
-            }
-        }
-    }
-
-    /// Number of versions committed cluster-wide, summed over every
-    /// object's chain (including `Make_Current` restart commits).
-    #[must_use]
-    pub fn chain_len(&self) -> u64 {
-        let inner = self.inner.lock().expect("ledger poisoned");
-        inner.chains.iter().map(|c| c.len() as u64).sum()
-    }
-
-    /// Length of one object's chain (0 for an unknown object).
-    #[must_use]
-    pub fn chain_len_of(&self, object: ObjectId) -> u64 {
-        let inner = self.inner.lock().expect("ledger poisoned");
-        inner
-            .chains
-            .get(object.index())
-            .map_or(0, |c| c.len() as u64)
-    }
-
-    /// All violations flagged so far (empty on a correct run).
-    #[must_use]
-    pub fn violations(&self) -> Vec<String> {
-        self.inner
-            .lock()
-            .expect("ledger poisoned")
-            .violations
-            .clone()
-    }
-
-    /// Seed one object's chain from a recovered site's durable log, so
-    /// a durable cluster rebooted from disk audits against the history
-    /// its disks already hold rather than flagging the first
-    /// post-reboot commit as a gap. Entries extend the chain exactly
-    /// where they continue it; anything already covered is left for
-    /// [`Self::check_log`] and [`Self::record`] to cross-check. Priming
-    /// with every site's logs in any order converges on the longest
-    /// recovered prefix per object.
-    pub fn prime(&self, object: ObjectId, log: &[LogEntry]) {
-        let mut inner = self.inner.lock().expect("ledger poisoned");
-        let o = object.index();
-        if o >= inner.chains.len() {
-            return;
-        }
-        for entry in log {
-            if entry.version == inner.chains[o].len() as u64 + 1 {
-                inner.chains[o].push(entry.payload);
-            }
-        }
-    }
-
-    /// True if `log` is a gapless prefix of `object`'s global chain and
-    /// `meta_version` matches its length — the paper's invariant for
-    /// every copy.
-    #[must_use]
-    pub fn check_log(&self, object: ObjectId, log: &[LogEntry], meta_version: u64) -> bool {
-        let inner = self.inner.lock().expect("ledger poisoned");
-        let Some(chain) = inner.chains.get(object.index()) else {
-            return false;
-        };
-        meta_version == log.len() as u64
-            && log
-                .iter()
-                .enumerate()
-                .all(|(i, e)| e.version == (i + 1) as u64 && chain.get(i) == Some(&e.payload))
-    }
-}
-
 /// Where (and how) one node keeps its durable state on disk.
 #[derive(Debug, Clone)]
 pub struct NodeDurability {
@@ -409,7 +281,6 @@ pub struct Node<T: Transport> {
     pub(crate) store: Option<NodeStore>,
     pub(crate) transport: T,
     pub(crate) config: NodeConfig,
-    pub(crate) ledger: Arc<ClusterLedger>,
     pub(crate) down: bool,
     pub(crate) reachable: SiteSet,
     /// Peers whose reply a straggler grace or a vote deadline waited for
@@ -470,7 +341,6 @@ impl<T: Transport> Node<T> {
         algorithm: AlgorithmKind,
         config: NodeConfig,
         transport: T,
-        ledger: Arc<ClusterLedger>,
     ) -> Self {
         let site = ShardedSite::new(id, n, objects, || algorithm.instantiate(n));
         let rng = StdRng::seed_from_u64(config.seed ^ (0x9E37 + u64::from(id.0)));
@@ -487,7 +357,6 @@ impl<T: Transport> Node<T> {
             store: None,
             transport,
             config,
-            ledger,
             down: false,
             reachable: SiteSet::all(n),
             suspected: SiteSet::EMPTY,
@@ -561,126 +430,9 @@ impl<T: Transport> Node<T> {
         self.durability.is_some()
     }
 
-    /// One object's durable committed log (what recovery
-    /// reconstructed, for a freshly booted durable node). Used to prime
-    /// the cluster ledger's per-object chains before the first
-    /// post-reboot commit. Empty for unhosted objects.
-    #[must_use]
-    pub fn recovered_log(&self, object: ObjectId) -> &[LogEntry] {
-        self.site
-            .shard(object)
-            .map_or(&[], |shard| &shard.durable().log)
-    }
-
     /// Share the node's reactor counters so [`ClientOp::NetStats`] can
     /// report them. Called by cluster boot under the TCP transport.
     pub fn set_net_stats(&mut self, stats: Arc<NetStats>) {
         self.net = Some(stats);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ledger_accepts_the_chain_and_flags_divergence() {
-        let ledger = ClusterLedger::new(1);
-        let o = ObjectId::ZERO;
-        ledger.record(SiteId(0), o, 1, 0x10);
-        ledger.record(SiteId(1), o, 2, 0x20);
-        assert_eq!(ledger.chain_len(), 2);
-        assert!(ledger.violations().is_empty());
-
-        ledger.record(SiteId(2), o, 2, 0x99); // divergent re-commit
-        ledger.record(SiteId(3), o, 9, 0x30); // gap
-        let violations = ledger.violations();
-        assert_eq!(violations.len(), 2);
-        assert!(violations[0].contains("version 2"));
-        assert!(violations[1].contains("version 9"));
-    }
-
-    #[test]
-    fn ledger_checks_logs_as_gapless_prefixes() {
-        let ledger = ClusterLedger::new(1);
-        let o = ObjectId::ZERO;
-        ledger.record(SiteId(0), o, 1, 0x10);
-        ledger.record(SiteId(0), o, 2, 0x20);
-        let full = [
-            LogEntry {
-                version: 1,
-                payload: 0x10,
-            },
-            LogEntry {
-                version: 2,
-                payload: 0x20,
-            },
-        ];
-        assert!(ledger.check_log(o, &full, 2));
-        assert!(ledger.check_log(o, &full[..1], 1)); // stale prefix is fine
-        assert!(!ledger.check_log(o, &full, 1)); // meta out of step
-        let diverged = [LogEntry {
-            version: 1,
-            payload: 0x99,
-        }];
-        assert!(!ledger.check_log(o, &diverged, 1));
-    }
-
-    #[test]
-    fn ledger_chains_are_independent_per_object() {
-        let ledger = ClusterLedger::new(3);
-        // Version 1 of three different objects: three independent
-        // chains, no gaps, no divergence.
-        ledger.record(SiteId(0), ObjectId(0), 1, 0xA0);
-        ledger.record(SiteId(1), ObjectId(1), 1, 0xB0);
-        ledger.record(SiteId(2), ObjectId(2), 1, 0xC0);
-        assert!(ledger.violations().is_empty());
-        assert_eq!(ledger.chain_len(), 3);
-        assert_eq!(ledger.chain_len_of(ObjectId(1)), 1);
-
-        // Same payload at the same version of two objects is fine —
-        // but a second version-1 commit on object 1 diverges.
-        ledger.record(SiteId(0), ObjectId(1), 1, 0xB1);
-        assert_eq!(ledger.violations().len(), 1);
-
-        // A commit on an object the ledger does not track is flagged.
-        ledger.record(SiteId(0), ObjectId(9), 1, 0xD0);
-        assert_eq!(ledger.violations().len(), 2);
-
-        // check_log keys by object: object 0's log does not validate
-        // against object 1's chain.
-        let log = [LogEntry {
-            version: 1,
-            payload: 0xA0,
-        }];
-        assert!(ledger.check_log(ObjectId(0), &log, 1));
-        assert!(!ledger.check_log(ObjectId(1), &log, 1));
-    }
-
-    #[test]
-    fn ledger_primes_per_object() {
-        let ledger = ClusterLedger::new(2);
-        let log0 = [
-            LogEntry {
-                version: 1,
-                payload: 0x10,
-            },
-            LogEntry {
-                version: 2,
-                payload: 0x20,
-            },
-        ];
-        let log1 = [LogEntry {
-            version: 1,
-            payload: 0x99,
-        }];
-        ledger.prime(ObjectId(0), &log0);
-        ledger.prime(ObjectId(1), &log1);
-        assert_eq!(ledger.chain_len_of(ObjectId(0)), 2);
-        assert_eq!(ledger.chain_len_of(ObjectId(1)), 1);
-        // Post-prime commits continue each chain where its log left off.
-        ledger.record(SiteId(0), ObjectId(0), 3, 0x30);
-        ledger.record(SiteId(1), ObjectId(1), 2, 0xAA);
-        assert!(ledger.violations().is_empty());
     }
 }

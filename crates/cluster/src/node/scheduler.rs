@@ -298,27 +298,6 @@ impl<T: Transport> Node<T> {
                 let counts = self.event_counts.to_vec();
                 reply.send(id, ClientReply::Events { counts });
             }
-            ClientOp::Audit => {
-                self.merge();
-                // Consistency seen from this node: every shard's log is
-                // a gapless prefix of its object's chain AND no commit
-                // anywhere was flagged divergent — so remote auditors
-                // (the loadgen CLI) learn about ledger violations too.
-                let consistent = self.ledger.violations().is_empty()
-                    && self.site.iter().all(|(object, shard)| {
-                        self.ledger
-                            .check_log(object, shard.log(), shard.meta().version)
-                    });
-                let log_len = self.log_len();
-                reply.send(
-                    id,
-                    ClientReply::Audit {
-                        commits: self.commits,
-                        log_len,
-                        consistent,
-                    },
-                );
-            }
             ClientOp::DumpLog { key } => {
                 let Some(object) = self.object_for(key, id, &reply) else {
                     return;
@@ -336,7 +315,6 @@ impl<T: Transport> Node<T> {
             ClientOp::Status => {
                 self.merge();
                 let shard = self.site.shard(ObjectId::ZERO).expect("object 0 hosted");
-                let log_len = self.log_len();
                 reply.send(
                     id,
                     ClientReply::Status {
@@ -347,7 +325,7 @@ impl<T: Transport> Node<T> {
                         locked: self.site.any_locked(),
                         in_doubt: self.site.any_in_doubt(),
                         down: self.down,
-                        log_len,
+                        log_len: self.site.iter().map(|(_, s)| s.log().len() as u64).sum(),
                         commits: self.commits,
                         wal_epoch: self.store.as_ref().map(NodeStore::epoch),
                     },
@@ -396,14 +374,6 @@ impl<T: Transport> Node<T> {
                 self.id, torn.epoch, torn.offset, torn.reason
             );
         }
-    }
-
-    /// Committed log entries summed over every object.
-    fn log_len(&self) -> u64 {
-        self.site
-            .iter()
-            .map(|(_, shard)| shard.log().len() as u64)
-            .sum()
     }
 
     /// Rotate the shared WAL into a fresh epoch behind a node-wide

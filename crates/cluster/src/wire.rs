@@ -66,15 +66,11 @@ pub enum ClientOp {
         /// The object (shard) to inspect.
         key: u32,
     },
-    /// Ask the node to audit its durable log against the cluster's
-    /// shared omniscient ledger.
-    Audit,
     /// Fetch the node's protocol-event tallies (one counter per
     /// [`dynvote_protocol::EventKind`], in declaration order).
     Events,
-    /// Fetch one object's durable metadata and full committed log, so
-    /// an external harness can audit consistency across nodes that do
-    /// not share a process (and hence no in-memory ledger).
+    /// Fetch one object's durable metadata and full committed log: what
+    /// an auditor compares across sites (see [`crate::audit_logs`]).
     DumpLog {
         /// The object (shard) to dump.
         key: u32,
@@ -133,17 +129,6 @@ pub enum ClientReply {
         /// True if the site is crashed.
         down: bool,
     },
-    /// Audit result.
-    Audit {
-        /// Updates committed here as coordinator (workload only;
-        /// `Make_Current` restart commits are excluded).
-        commits: u64,
-        /// Durable log length.
-        log_len: u64,
-        /// True if the log is a gapless prefix of the shared ledger and
-        /// the metadata version matches the log.
-        consistent: bool,
-    },
     /// Protocol-event tallies for the queried site, indexed by
     /// [`dynvote_protocol::EventKind`] declaration order.
     Events {
@@ -176,9 +161,10 @@ pub enum ClientReply {
         in_doubt: bool,
         /// True if the site is crashed.
         down: bool,
-        /// Durable log length.
+        /// Durable log length, summed over every object.
         log_len: u64,
-        /// Updates committed here as coordinator.
+        /// Updates committed here as coordinator (workload only;
+        /// `Make_Current` restart commits are excluded).
         commits: u64,
         /// WAL epoch when running durable, `None` on a volatile node.
         wal_epoch: Option<u64>,
@@ -501,7 +487,7 @@ pub fn encode_request_into(out: &mut Vec<u8>, id: u64, op: &ClientOp) {
             put_u8(out, 5);
             put_u32(out, *key);
         }
-        ClientOp::Audit => put_u8(out, 6),
+        // Tag 6 was the retired `Audit` request; it is not reused.
         ClientOp::Events => put_u8(out, 7),
         ClientOp::DumpLog { key } => {
             put_u8(out, 8);
@@ -524,7 +510,6 @@ pub fn decode_request(body: &[u8]) -> Result<(u64, ClientOp), WireError> {
         3 => ClientOp::Recover,
         4 => ClientOp::SetReachable(r.site_set()?),
         5 => ClientOp::Probe { key: r.u32()? },
-        6 => ClientOp::Audit,
         7 => ClientOp::Events,
         8 => ClientOp::DumpLog { key: r.u32()? },
         9 => ClientOp::Status,
@@ -571,16 +556,7 @@ pub fn encode_reply_into(out: &mut Vec<u8>, id: u64, reply: &ClientReply) {
             put_u8(out, u8::from(*in_doubt));
             put_u8(out, u8::from(*down));
         }
-        ClientReply::Audit {
-            commits,
-            log_len,
-            consistent,
-        } => {
-            put_u8(out, 8);
-            put_u64(out, *commits);
-            put_u64(out, *log_len);
-            put_u8(out, u8::from(*consistent));
-        }
+        // Tag 8 was the retired `Audit` reply; it is not reused.
         ClientReply::Events { counts } => {
             put_u8(out, 9);
             put_u32(out, counts.len() as u32);
@@ -663,11 +639,6 @@ pub fn decode_reply(body: &[u8]) -> Result<(u64, ClientReply), WireError> {
             locked: r.u8()? != 0,
             in_doubt: r.u8()? != 0,
             down: r.u8()? != 0,
-        },
-        8 => ClientReply::Audit {
-            commits: r.u64()?,
-            log_len: r.u64()?,
-            consistent: r.u8()? != 0,
         },
         9 => {
             let count = r.u32()? as usize;
@@ -963,7 +934,6 @@ mod tests {
             ClientOp::Recover,
             ClientOp::SetReachable(SiteSet::parse("ACE").unwrap()),
             ClientOp::Probe { key: 2 },
-            ClientOp::Audit,
             ClientOp::Events,
             ClientOp::DumpLog { key: 5 },
             ClientOp::Status,
@@ -986,11 +956,6 @@ mod tests {
                 locked: true,
                 in_doubt: false,
                 down: true,
-            },
-            ClientReply::Audit {
-                commits: 9,
-                log_len: 13,
-                consistent: true,
             },
             ClientReply::Events {
                 counts: vec![0, 3, 0, 17, u64::MAX],
@@ -1057,9 +1022,18 @@ mod tests {
             let bytes = encode_reply(i as u64, &reply);
             assert_eq!(decode_reply(&bytes).unwrap(), (i as u64, reply));
         }
+        // Retired tags are unknown, not misread: reply 3 (`Busy`) and
+        // 8 (`Audit`), request 6 (`Audit`) — with or without the body
+        // the old frame carried.
+        for (tag, body) in [(3, 0), (8, 17), (8, 0)] {
+            let mut retired = 7u64.to_le_bytes().to_vec();
+            retired.push(tag);
+            retired.resize(retired.len() + body, 0xFF);
+            assert_eq!(decode_reply(&retired), Err(WireError::BadTag(tag)));
+        }
         let mut retired = 7u64.to_le_bytes().to_vec();
-        retired.push(3);
-        assert_eq!(decode_reply(&retired), Err(WireError::BadTag(3)));
+        retired.push(6);
+        assert_eq!(decode_request(&retired), Err(WireError::BadTag(6)));
     }
 
     #[test]

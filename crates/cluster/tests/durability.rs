@@ -82,9 +82,8 @@ fn durable_cluster_resumes_from_disk_across_reboots() {
     assert_eq!(audit.chain_len, 3);
     first.shutdown();
 
-    // Second boot: every site recovers version 3 from its own disk and
-    // the ledger is primed from the recovered logs, so the next commit
-    // is version 4 — not a flagged gap.
+    // Second boot: every site recovers version 3 from its own disk, so
+    // the next commit is version 4 and extends every recovered log.
     let second = Cluster::boot(&config).unwrap();
     for i in 0..n {
         assert_eq!(
@@ -145,8 +144,8 @@ fn probe_all(cluster: &Cluster, n: usize, keys: u32) -> Vec<CopyMeta> {
 
 /// Boot opens every site's store at once. On a populated multi-object
 /// data dir written by two coordinators, every site must come back with
-/// the exact `(VN, SC, DS)` it held for every key, and the ledger must
-/// be primed from every store: one more commit per key audits clean.
+/// the exact `(VN, SC, DS)` it held for every key, and its logs must
+/// audit as they did before: one more commit per key audits clean.
 #[test]
 fn concurrent_boot_recovers_a_populated_multi_object_dir() {
     let dir = temp_dir("multi");
@@ -412,7 +411,7 @@ fn torn_wal_tail_truncates_and_catchup_reconverges() {
     assert_eq!(state.meta.version, state.log.len() as u64);
 
     // Reboot: the damaged site comes up stale, the others current; the
-    // ledger primes to the longest recovered history.
+    // chain is the longest recovered log, and a stale prefix is clean.
     let second = Cluster::boot(&config).unwrap();
     let audit = second.audit().unwrap();
     assert!(
@@ -505,7 +504,7 @@ fn live_rotation_advances_wal_epoch_and_reboot_recovers_every_acked_version() {
         );
     }
 
-    // Every acked version survives: the ledger primes from the longest
+    // Every acked version survives: the chain is the longest
     // recovered log, and the next commit extends it.
     let second = Cluster::boot(&config).unwrap();
     let audit = second.audit().unwrap();

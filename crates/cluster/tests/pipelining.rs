@@ -123,7 +123,7 @@ fn contended_burst_commits_without_busy() {
 /// into a non-distinguished minority. Every op — in flight, queued, or
 /// submitted after the cut — must resolve exactly once (the closed
 /// loops would hang or die on a dropped or doubled reply), and healing
-/// restores commit service with a consistent ledger.
+/// restores commit service with logs that audit clean.
 #[test]
 fn partition_mid_batch_resolves_every_queued_op_exactly_once() {
     const THREADS: usize = 6;
@@ -167,7 +167,7 @@ fn partition_mid_batch_resolves_every_queued_op_exactly_once() {
 
 /// The crash path: killing the coordinator drains its per-object
 /// queues with `Down` — queued ops are never silently dropped — and
-/// recovery brings the object back with a consistent ledger.
+/// recovery brings the object back with logs that audit clean.
 #[test]
 fn crash_mid_batch_drains_queues_with_down() {
     const THREADS: usize = 6;

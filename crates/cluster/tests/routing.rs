@@ -82,7 +82,7 @@ impl Acked {
     fn assert_gapless(mut self, cluster: &Cluster, extra: &[u64]) {
         for (key, versions) in self.0.iter_mut().enumerate() {
             versions.sort_unstable();
-            let len = cluster.ledger().chain_len_of(ObjectId(key as u32));
+            let len = cluster.chain_len_of(ObjectId(key as u32));
             let unacked = extra.get(key).copied().unwrap_or(0);
             assert_eq!(
                 versions.len() as u64 + unacked,
@@ -374,20 +374,20 @@ fn a_forward_that_meets_a_fault_times_out_once(transport: TransportKind) {
     // 1. The home is down. Nothing tells site 1 so: it forwards, hears
     // nothing, and says so.
     teach_site_1_its_home(&cluster, &mut acked);
-    let chain = cluster.ledger().chain_len_of(ObjectId(0));
+    let chain = cluster.chain_len_of(ObjectId(0));
     cluster.crash(SiteId(0)).expect("crash");
     expect_timeout(&mut origin, "home crashed");
-    assert_eq!(cluster.ledger().chain_len_of(ObjectId(0)), chain);
+    assert_eq!(cluster.chain_len_of(ObjectId(0)), chain);
     commits_locally(&mut origin, &mut acked, "after the home crashed");
     let recover = |site: u8, unacked: &mut u64| {
         // The last commit's fan-out must land first, or the restart
         // round races it for the subordinates' locks.
         assert!(cluster.await_quiescence(Duration::from_secs(10)));
-        let chain = cluster.ledger().chain_len_of(ObjectId(0));
+        let chain = cluster.chain_len_of(ObjectId(0));
         cluster.recover(SiteId(site)).expect("recover");
         assert!(cluster.await_quiescence(Duration::from_secs(10)));
         // The restart round commits a no-op version of its own.
-        assert_eq!(cluster.ledger().chain_len_of(ObjectId(0)), chain + 1);
+        assert_eq!(cluster.chain_len_of(ObjectId(0)), chain + 1);
         *unacked += 1;
     };
     recover(0, &mut unacked);
@@ -395,10 +395,10 @@ fn a_forward_that_meets_a_fault_times_out_once(transport: TransportKind) {
     // 2. The partition has reached the home but not the origin: the
     // forward is dropped at the home's boundary.
     teach_site_1_its_home(&cluster, &mut acked);
-    let chain = cluster.ledger().chain_len_of(ObjectId(0));
+    let chain = cluster.chain_len_of(ObjectId(0));
     set_reachable(&cluster, 0, "ACDE");
     expect_timeout(&mut origin, "forward cut off");
-    assert_eq!(cluster.ledger().chain_len_of(ObjectId(0)), chain);
+    assert_eq!(cluster.chain_len_of(ObjectId(0)), chain);
     commits_locally(&mut origin, &mut acked, "after the forward was cut off");
     cluster.heal_links().expect("heal");
     assert!(cluster.await_quiescence(Duration::from_secs(10)));
@@ -418,7 +418,7 @@ fn a_forward_that_meets_a_fault_times_out_once(transport: TransportKind) {
     assert_eq!(stats(&cluster, 1).forwarded_out(), crossed + 1);
     assert_eq!(stats(&cluster, 1).routed_objects(), 1);
     assert!(cluster.await_quiescence(Duration::from_secs(10)));
-    let chain = cluster.ledger().chain_len_of(ObjectId(0));
+    let chain = cluster.chain_len_of(ObjectId(0));
     cluster.crash(SiteId(4)).expect("crash");
     let landed = stats(&cluster, 0).forwarded_in();
     std::thread::scope(|scope| {
@@ -433,7 +433,7 @@ fn a_forward_that_meets_a_fault_times_out_once(transport: TransportKind) {
     });
     assert!(cluster.await_quiescence(Duration::from_secs(10)));
     assert_eq!(
-        cluster.ledger().chain_len_of(ObjectId(0)),
+        cluster.chain_len_of(ObjectId(0)),
         chain + 1,
         "the forwarded op ran at the home exactly once"
     );
