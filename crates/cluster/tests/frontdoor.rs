@@ -359,3 +359,146 @@ fn status_is_served_while_partitioned() {
     assert!(cluster.await_quiescence(Duration::from_secs(5)));
     cluster.shutdown();
 }
+
+/// A 5-site HTTP cluster whose rounds wait 600 ms for votes, with site 0
+/// cut off alone: every op site 0 coordinates stays in flight for the
+/// whole vote deadline, then is rejected.
+fn isolated_site_zero(max_inflight: u64) -> Cluster {
+    let mut config = http_config(5, max_inflight);
+    config.node.vote_deadline = Duration::from_millis(600);
+    let cluster = Cluster::boot(&config).expect("boot http cluster");
+    let rest = dynvote_core::SiteSet::from_sites([1, 2, 3, 4].map(SiteId));
+    cluster.set_partition(&[rest]).expect("partition");
+    cluster
+}
+
+/// Site 0's `dynvote_http_inflight` gauge.
+fn inflight(addr: SocketAddr) -> u64 {
+    let (_, metrics) = roundtrip(
+        addr,
+        "GET /metrics HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
+    );
+    sample(&metrics, "dynvote_http_inflight{site=\"0\"}")
+}
+
+/// Poll `read` every millisecond until it returns `want`, for at most
+/// `within`.
+fn await_value(within: Duration, want: u64, mut read: impl FnMut() -> u64) {
+    let deadline = Instant::now() + within;
+    loop {
+        let got = read();
+        if got == want {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "stuck at {got}, waiting for {want}"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn hung_up_http_ops_give_back_their_admission_slots() {
+    let cluster = isolated_site_zero(2);
+    let addr = cluster.http_addr(SiteId(0)).expect("http addr");
+
+    // Two ops take both admission slots; their clients leave without
+    // reading a byte of the answer.
+    for _ in 0..2 {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let body = "{\"op\":\"update\"}";
+        let request = format!(
+            "POST /v1/op HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        stream.write_all(request.as_bytes()).expect("write request");
+    }
+    await_value(Duration::from_millis(500), 2, || inflight(addr));
+    // Both rounds wait out the deadline and are answered into the void;
+    // each answer still returns its slot.
+    await_value(Duration::from_secs(5), 0, || inflight(addr));
+
+    cluster.heal_links().expect("heal");
+    assert!(cluster.await_quiescence(Duration::from_secs(5)));
+    cluster.shutdown();
+}
+
+/// One binary-client request, framed.
+fn request_frame(id: u64, op: &ClientOp) -> Vec<u8> {
+    let mut frame = Vec::new();
+    dynvote_cluster::wire::write_frame(&mut frame, &dynvote_cluster::wire::encode_request(id, op))
+        .expect("frame into a Vec");
+    frame
+}
+
+/// Site 0's `conns_closed` counter.
+fn conns_closed(cluster: &Cluster) -> u64 {
+    let reply = cluster.client(SiteId(0)).request(ClientOp::NetStats);
+    let Ok(ClientReply::NetStats { counts }) = reply else {
+        panic!("net stats reply: {reply:?}");
+    };
+    let idx = dynvote_cluster::NetStats::NAMES
+        .iter()
+        .position(|name| *name == "conns_closed")
+        .expect("conns_closed counter");
+    counts[idx]
+}
+
+#[test]
+fn a_reply_for_a_closed_connection_skips_the_one_that_reuses_its_slot() {
+    use dynvote_cluster::wire::{decode_reply, read_frame, HELLO_CLIENT};
+    let cluster = isolated_site_zero(64);
+    let addr = cluster.addr(SiteId(0)).expect("binary addr");
+
+    // Client A starts an update that stays in flight, and hangs up.
+    let closed = conns_closed(&cluster);
+    let mut a = TcpStream::connect(addr).expect("connect a");
+    a.write_all(&[HELLO_CLIENT]).expect("hello a");
+    a.write_all(&request_frame(777, &ClientOp::Update { key: 0 }))
+        .expect("update a");
+    drop(a);
+    await_value(Duration::from_secs(5), closed + 1, || {
+        conns_closed(&cluster)
+    });
+
+    // Client B takes the freed slot.
+    let mut b = TcpStream::connect(addr).expect("connect b");
+    b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    b.write_all(&[HELLO_CLIENT]).expect("hello b");
+    let next_reply = |b: &mut TcpStream| {
+        let body = read_frame(b).expect("a reply frame");
+        decode_reply(&body).expect("a reply").0
+    };
+    b.write_all(&request_frame(1, &ClientOp::Probe { key: 0 }))
+        .expect("probe 1");
+    assert_eq!(next_reply(&mut b), 1);
+
+    // A's round runs out its vote deadline and is answered.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !matches!(
+        cluster.probe(SiteId(0)),
+        Ok(ClientReply::Probe { locked: false, .. })
+    ) {
+        assert!(Instant::now() < deadline, "A's round never resolved");
+        thread::sleep(Duration::from_millis(5));
+    }
+    b.write_all(&request_frame(2, &ClientOp::Probe { key: 0 }))
+        .expect("probe 2");
+    assert_eq!(next_reply(&mut b), 2, "A's answer reached B");
+    b.set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    let mut byte = [0u8; 1];
+    let err = b.read(&mut byte).expect_err("nothing more for B");
+    assert!(
+        matches!(
+            err.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ),
+        "{err}"
+    );
+
+    cluster.heal_links().expect("heal");
+    assert!(cluster.await_quiescence(Duration::from_secs(5)));
+    cluster.shutdown();
+}
