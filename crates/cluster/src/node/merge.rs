@@ -12,8 +12,9 @@
 //!    and seal them as **one** checksummed group-commit record behind
 //!    one fsync. Only after this may anything be announced: nothing
 //!    leaves the node before this point.
-//! 3. **Dispatch** — sends and broadcasts go to the transport's batch
-//!    encoder, `SetTimer` arms the wall-clock wheel, `CommitRecorded`
+//! 3. **Dispatch** — sends, broadcasts and client answers go to the
+//!    node's outbox, for the host to transmit after the batch;
+//!    `SetTimer` arms the wall-clock wheel, `CommitRecorded`
 //!    books the version a round's op landed at (the kernel emits it
 //!    before the round's `Resolved`), `Resolved` retires the round's
 //!    timers and completes parked clients (or, for a lost lock race,
@@ -28,14 +29,13 @@
 //!    their own deadlines.
 
 use super::{Node, Route};
-use crate::transport::Transport;
 use crate::wire::ClientReply;
 use dynvote_core::SiteId;
 use dynvote_protocol::persist::effects;
 use dynvote_protocol::{Action, CloseCause, Hint, ResolveReason, SiteActor, TxnId};
 use std::collections::HashMap;
 
-impl<T: Transport> Node<T> {
+impl Node {
     /// Run the merge barrier, again for as long as a pass grows the
     /// suspicion set (at most once per peer). Idempotent: with nothing
     /// staged it costs one no-op barrier check.

@@ -20,9 +20,8 @@
 //! when a forwarded op meets a fault is enumerated in DESIGN.md
 //! ("Single-writer routing").
 
-use super::{Client, Node, Route};
-use crate::transport::Transport;
-use crate::wire::{ClientReply, Relay};
+use super::{Client, Node, ReplySink, Route};
+use crate::wire::{ClientReply, PeerFrame, Relay};
 use dynvote_core::SiteId;
 use dynvote_protocol::ObjectId;
 use std::collections::{HashMap, VecDeque};
@@ -51,7 +50,7 @@ pub(crate) struct Routes {
     next_id: u64,
 }
 
-impl<T: Transport> Node<T> {
+impl Node {
     /// How long a forwarded op may stay unanswered: the home may need a
     /// full round for the op queued ahead of it and one for this one.
     fn forward_deadline(&self) -> Duration {
@@ -132,7 +131,7 @@ impl<T: Transport> Node<T> {
             Relay::Forward { id, key, read } => {
                 let client = Client {
                     id,
-                    reply: super::ReplySink::Null,
+                    reply: ReplySink::Null,
                     read,
                     route: Route::From(from),
                 };
@@ -232,15 +231,23 @@ impl<T: Transport> Node<T> {
                     reply,
                 },
             ),
-            Route::Free | Route::Spent => client.reply.send(client.id, reply),
+            Route::Free | Route::Spent => self.reply(client.reply, client.id, reply),
         }
     }
 
-    /// Relay frames obey the same fault model as protocol messages: a
-    /// crashed site is silent and a partition drops both directions.
-    fn relay(&mut self, to: SiteId, relay: Relay) {
+    /// Put a client's answer in the outbox for its host to deliver.
+    pub(super) fn reply(&mut self, sink: ReplySink, id: u64, reply: ClientReply) {
+        if !matches!(sink, ReplySink::Null) {
+            self.out.replies.push((sink, id, reply));
+        }
+    }
+
+    /// Put a relay frame in the outbox. Relays obey the same fault model
+    /// as protocol messages: a crashed site is silent and a partition
+    /// drops both directions.
+    pub(super) fn relay(&mut self, to: SiteId, relay: Relay) {
         if self.reaches(to) {
-            self.transport.relay(to, relay);
+            self.out.peers.push((to, PeerFrame::Relay(relay)));
         }
     }
 }

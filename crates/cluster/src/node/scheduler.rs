@@ -6,31 +6,34 @@
 //! control-plane queries all live here.
 
 use super::{Client, Node, NodeEvent, ReplySink, Route};
-use crate::transport::Transport;
-use crate::wire::{ClientOp, ClientReply};
+use crate::transport;
+use crate::wire::{ClientOp, ClientReply, PeerFrame};
 use dynvote_core::{SiteId, SiteSet};
 use dynvote_protocol::{Input, Message, ObjectId, TimerKind, TxnId};
 use dynvote_storage::NodeStore;
 use rand::Rng;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::{Duration, Instant};
 
 /// How many already-queued inbox events one loop iteration may drain
-/// behind the blocking receive before timers fire and the transport
-/// flushes. Bounded so a message storm cannot starve timers; large
-/// enough that a commit fan-in coalesces into one flush.
+/// behind the blocking receive before timers fire and the outbox is
+/// delivered. Bounded so a message storm cannot starve timers; large
+/// enough that a commit fan-in coalesces into one batch.
 const INBOX_BATCH: usize = 128;
 
 /// Longest the channel host blocks on an idle inbox.
 const IDLE_WAIT: Duration = Duration::from_millis(50);
 
-impl<T: Transport> Node<T> {
+impl Node {
     /// The channel host: block on `inbox` up to the next timer
     /// deadline, hand the burst queued behind the first event (bounded
-    /// by [`INBOX_BATCH`]) to the node, then close the batch; repeat
-    /// until [`NodeEvent::Shutdown`] or until every sender is gone.
-    pub fn run(mut self, inbox: Receiver<NodeEvent>) {
+    /// by [`INBOX_BATCH`]) to the node, then close the batch and hand
+    /// its outbox to `peers` (every site's inbox, indexed by site);
+    /// repeat until [`NodeEvent::Shutdown`] or until every sender is
+    /// gone.
+    pub fn run(mut self, inbox: Receiver<NodeEvent>, peers: &[Sender<NodeEvent>]) {
         self.start();
+        transport::deliver(self.id, peers, &mut self.out);
         'outer: loop {
             let timeout = self.next_timer_in().map_or(IDLE_WAIT, |t| t.min(IDLE_WAIT));
             match inbox.recv_timeout(timeout) {
@@ -50,37 +53,38 @@ impl<T: Transport> Node<T> {
                 Err(RecvTimeoutError::Timeout) => {}
             }
             self.end_batch();
+            transport::deliver(self.id, peers, &mut self.out);
         }
         self.finish();
+        transport::deliver(self.id, peers, &mut self.out);
     }
 
     /// Close the batch the host has handed over since the last call:
     /// fire due timers and overdue forwards, then [`Node::merge`] the
-    /// whole batch behind **one** group-commit barrier, rotate the WAL
-    /// if it is due, and flush the transport once.
+    /// whole batch behind **one** group-commit barrier and rotate the
+    /// WAL if it is due. The host then transmits the outbox once.
     ///
-    /// The single barrier + single flush per batch is what makes the
-    /// durable hot path cheap: every persist effect the batch produced
-    /// — across every shard — is sealed by one fsync, and each peer
-    /// gets one frame.
+    /// The single barrier + single transmission per batch is what makes
+    /// the durable hot path cheap: every persist effect the batch
+    /// produced — across every shard — is sealed by one fsync, and each
+    /// peer gets one frame.
     pub(crate) fn end_batch(&mut self) {
         self.fire_due_timers();
         self.expire_forwards();
         // One barrier seals the batch's persist effects, then the staged
-        // sends and replies dispatch.
+        // sends and replies go to the outbox.
         self.merge();
         // Between batches: rotate the WAL if it has grown past the
         // configured threshold (no-op for amnesiac nodes). Safe here
         // because merge() just drained the pending record.
         self.maybe_rotate();
-        self.transport.flush();
     }
 
-    /// Stop: seal and send what the last batch staged, then fail every
-    /// op still parked with `Down`. The host calls nothing after this.
+    /// Stop: seal what the last batch staged into the outbox, then fail
+    /// every op still parked with `Down`. The host drains the outbox
+    /// once more and calls nothing else.
     pub(crate) fn finish(&mut self) {
         self.merge();
-        self.transport.flush();
         // Ops still parked in per-object FIFOs never started a round;
         // fail them alongside the in-flight ones.
         self.fail_parked();
@@ -137,15 +141,15 @@ impl<T: Transport> Node<T> {
             self.restart(object);
         }
         self.merge();
-        self.transport.flush();
     }
 
     /// Run one event on its object's shard. Actions are **staged** in
-    /// the scratch buffer; nothing is sent or replied until the batch's
-    /// [`Node::end_batch`] — except control and diagnostic operations,
-    /// which manage the staging discipline explicitly (see
-    /// [`Node::handle_client`]). [`NodeEvent::Shutdown`] is the host's
-    /// to act on and is ignored here.
+    /// the scratch buffer; nothing reaches the outbox until the batch's
+    /// [`Node::end_batch`] — except control and diagnostic replies,
+    /// which merge first (see [`Node::handle_client`]). Either way the
+    /// host transmits only after the batch closes.
+    /// [`NodeEvent::Shutdown`] is the host's to act on and is ignored
+    /// here.
     pub(crate) fn on_event(&mut self, event: NodeEvent) {
         match event {
             NodeEvent::Peer { from, msg } => {
@@ -198,23 +202,19 @@ impl<T: Transport> Node<T> {
         }
     }
 
-    /// Resolve a wire key to a hosted object, or fail the client.
-    fn object_for(&self, key: u32, id: u64, reply: &ReplySink) -> Option<ObjectId> {
-        if (key as usize) < self.objects {
-            Some(ObjectId(key))
-        } else {
-            reply.send(id, ClientReply::UnknownKey);
-            None
-        }
+    /// The hosted object a wire key names, if any.
+    fn object_for(&self, key: u32) -> Option<ObjectId> {
+        ((key as usize) < self.objects).then_some(ObjectId(key))
     }
 
     /// A client update or read-only request.
     fn handle_data_op(&mut self, key: u32, read: bool, id: u64, reply: ReplySink) {
         if self.down {
-            reply.send(id, ClientReply::Down);
+            self.reply(reply, id, ClientReply::Down);
             return;
         }
-        let Some(object) = self.object_for(key, id, &reply) else {
+        let Some(object) = self.object_for(key) else {
+            self.reply(reply, id, ClientReply::UnknownKey);
             return;
         };
         let client = Client {
@@ -250,7 +250,7 @@ impl<T: Transport> Node<T> {
                     // learned about rivals.
                     self.fail_parked();
                 }
-                reply.send(id, ClientReply::Ok);
+                self.reply(reply, id, ClientReply::Ok);
             }
             ClientOp::Recover => {
                 self.merge();
@@ -266,70 +266,66 @@ impl<T: Transport> Node<T> {
                     }
                     self.merge();
                 }
-                reply.send(id, ClientReply::Ok);
+                self.reply(reply, id, ClientReply::Ok);
             }
             ClientOp::SetReachable(set) => {
                 // Staged sends were produced under the old topology;
                 // let them leave before the partition takes effect.
                 self.merge();
                 self.reachable = set;
-                reply.send(id, ClientReply::Ok);
+                self.reply(reply, id, ClientReply::Ok);
             }
             ClientOp::Probe { key } => {
-                let Some(object) = self.object_for(key, id, &reply) else {
+                let Some(object) = self.object_for(key) else {
+                    self.reply(reply, id, ClientReply::UnknownKey);
                     return;
                 };
                 // Seal staged durable ops before announcing state.
                 self.merge();
                 let shard = self.site.shard(object).expect("validated object");
-                reply.send(
-                    id,
-                    ClientReply::Probe {
-                        meta: shard.meta(),
-                        locked: shard.is_locked(),
-                        in_doubt: shard.is_in_doubt(),
-                        down: self.down,
-                    },
-                );
+                let probe = ClientReply::Probe {
+                    meta: shard.meta(),
+                    locked: shard.is_locked(),
+                    in_doubt: shard.is_in_doubt(),
+                    down: self.down,
+                };
+                self.reply(reply, id, probe);
             }
             ClientOp::Events => {
                 // Count what the batch staged before reporting.
                 self.merge();
                 let counts = self.event_counts.to_vec();
-                reply.send(id, ClientReply::Events { counts });
+                self.reply(reply, id, ClientReply::Events { counts });
             }
             ClientOp::DumpLog { key } => {
-                let Some(object) = self.object_for(key, id, &reply) else {
+                let Some(object) = self.object_for(key) else {
+                    self.reply(reply, id, ClientReply::UnknownKey);
                     return;
                 };
                 self.merge();
                 let shard = self.site.shard(object).expect("validated object");
-                reply.send(
-                    id,
-                    ClientReply::Log {
-                        meta: shard.meta(),
-                        entries: shard.log().to_vec(),
-                    },
-                );
+                let log = ClientReply::Log {
+                    meta: shard.meta(),
+                    entries: shard.log().to_vec(),
+                };
+                self.reply(reply, id, log);
             }
             ClientOp::Status => {
                 self.merge();
                 let shard = self.site.shard(ObjectId::ZERO).expect("object 0 hosted");
-                reply.send(
-                    id,
-                    ClientReply::Status {
-                        algorithm: self.algorithm.to_string(),
-                        objects: self.objects as u32,
-                        meta: shard.meta(),
-                        reachable: self.reachable,
-                        locked: self.site.any_locked(),
-                        in_doubt: self.site.any_in_doubt(),
-                        down: self.down,
-                        log_len: self.site.iter().map(|(_, s)| s.log().len() as u64).sum(),
-                        commits: self.commits,
-                        wal_epoch: self.store.as_ref().map(NodeStore::epoch),
-                    },
-                );
+                let status = ClientReply::Status {
+                    algorithm: self.algorithm.to_string(),
+                    objects: self.objects as u32,
+                    meta: shard.meta(),
+                    reachable: self.reachable,
+                    locked: self.site.any_locked(),
+                    in_doubt: self.site.any_in_doubt(),
+                    down: self.down,
+                    log_len: self.site.iter().map(|(_, s)| s.log().len() as u64).sum(),
+                    commits: self.commits,
+                    wal_epoch: self.store.as_ref().map(NodeStore::epoch),
+                };
+                self.reply(reply, id, status);
             }
             ClientOp::NetStats => {
                 let counts = self
@@ -337,16 +333,11 @@ impl<T: Transport> Node<T> {
                     .as_ref()
                     .map(|stats| stats.snapshot())
                     .unwrap_or_default();
-                reply.send(id, ClientReply::NetStats { counts });
+                self.reply(reply, id, ClientReply::NetStats { counts });
             }
             ClientOp::ShardStats => {
-                reply.send(
-                    id,
-                    ClientReply::ShardStats {
-                        workers: 1,
-                        counts: self.shard_stats.snapshot(),
-                    },
-                );
+                let counts = self.shard_stats.snapshot();
+                self.reply(reply, id, ClientReply::ShardStats { workers: 1, counts });
             }
         }
     }
@@ -426,9 +417,11 @@ impl<T: Transport> Node<T> {
         !self.down && self.reachable.contains(to)
     }
 
+    /// Put a protocol message for `to` in the outbox, if it leaves the
+    /// node at all.
     pub(crate) fn send(&mut self, to: SiteId, msg: Message) {
         if self.reaches(to) {
-            self.transport.send(to, &msg);
+            self.out.peers.push((to, PeerFrame::Msg(msg)));
         }
     }
 

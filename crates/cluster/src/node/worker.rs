@@ -9,7 +9,6 @@
 //! (`node/merge.rs`) seals and dispatches the lot.
 
 use super::{Client, Node};
-use crate::transport::Transport;
 use dynvote_core::{SiteId, SiteSet};
 use dynvote_protocol::{Input, ObjectId, SiteActor, TxnId};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -321,7 +320,7 @@ pub(crate) struct QueuedOp {
 /// without bound — the front door surfaces that as `429 Retry-After`.
 const PER_OBJECT_QUEUE_LIMIT: usize = 1024;
 
-impl<T: Transport> Node<T> {
+impl Node {
     /// One kernel step on `object`'s shard: count it, run it into the
     /// scratch buffer, then pump the object's FIFO — the step may have
     /// freed its lock. Returns the transaction the input started.

@@ -1,147 +1,47 @@
-//! Pluggable inter-site message transports.
+//! What leaves a node: the channel host's delivery of the node's outbox,
+//! and the network counters the TCP host keeps.
 //!
-//! A [`Transport`] is a node's *outbound* half: the node runtime hands
-//! it `(destination, message)` pairs and it delivers them — or silently
-//! doesn't, because message loss is a legal fault in the dynamic-voting
-//! model and every protocol path tolerates it. The *inbound* half is
-//! whatever hosts the node and calls `Node::on_event`.
+//! A node performs no output of its own. Its sends, relays and client
+//! replies are data in its outbox ([`crate::node::Outbox`]), which the
+//! host drains after each batch and transmits — or silently doesn't,
+//! because message loss is a legal fault in the dynamic-voting model
+//! and every protocol path tolerates it. Two hosts:
 //!
-//! Two implementations:
-//!
-//! * [`ChannelTransport`] — in-process `std::sync::mpsc` fan-out into
-//!   each peer's inbox, which that peer's node thread blocks on. Zero
+//! * the channel host ([`crate::node::Node::run`]) hands each peer item
+//!   to the destination's `mpsc` inbox through [`deliver`]. Zero
 //!   serialization; the fastest way to run a whole cluster inside one
 //!   test.
-//! * [`crate::ReactorTransport`] — loopback TCP via the site's
-//!   readiness reactor ([`crate::reactor`]), the thread that also hosts
-//!   the node. Sends are buffered per peer and sealed by
-//!   [`Transport::flush`] into per-peer queues the reactor writes out
-//!   right after the batch; the node's kernels never wait on a socket
-//!   or a dead peer. Link failures are not returned to the caller at
-//!   all — they are *counted*, per cause, in [`NetStats`] (the PR 7
-//!   replacement for the old `take_error` one-slot surface), and
-//!   exposed through the loadgen report, `/metrics`, and the
+//! * the site's readiness reactor ([`crate::reactor`]) seals each
+//!   peer's items into one frame per batch on a bounded per-peer queue
+//!   and writes them to loopback TCP; the node's kernels never wait on
+//!   a socket or a dead peer. Link failures are not returned to anyone
+//!   — they are *counted*, per cause, in [`NetStats`], and exposed
+//!   through the loadgen report, `/metrics`, and the
 //!   [`crate::wire::ClientOp::NetStats`] client op.
 
-use crate::node::NodeEvent;
-use crate::wire::Relay;
+use crate::node::{NodeEvent, Outbox, ReplySink};
+use crate::wire::PeerFrame;
 use dynvote_core::SiteId;
-use dynvote_protocol::Message;
-use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 
-/// Why an outbound link or inbound connection failed. Delivery stays
-/// best-effort — a failed link means lost messages, which the protocol
-/// tolerates — but the *cause* is typed instead of being swallowed by
-/// `.ok()?` chains. The reactor aggregates these causes into
-/// [`NetStats`] tallies rather than surfacing one error at a time.
-#[derive(Debug)]
-pub enum TransportError {
-    /// No listen address is known for the destination site.
-    UnknownPeer(SiteId),
-    /// Dialing the peer failed or timed out.
-    Dial(io::Error),
-    /// The [`crate::wire::HELLO_PEER`] preamble could not be written
-    /// after connecting.
-    Hello(io::Error),
-    /// Writing buffered frames to an established connection failed.
-    Write(io::Error),
-    /// Reading from an established connection failed (includes the
-    /// peer hanging up — legal message loss, but no longer anonymous).
-    Read(io::Error),
-    /// A received frame body failed to decode.
-    Decode(crate::wire::WireError),
-    /// An inbound connection announced an unknown preamble byte.
-    BadPreamble(u8),
-    /// The node's inbox is closed (shutdown); the connection is done.
-    NodeGone,
-}
-
-impl std::fmt::Display for TransportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TransportError::UnknownPeer(site) => {
-                write!(f, "no address known for peer site {site}")
-            }
-            TransportError::Dial(e) => write!(f, "dialing peer failed: {e}"),
-            TransportError::Hello(e) => write!(f, "peer handshake failed: {e}"),
-            TransportError::Write(e) => write!(f, "writing to peer failed: {e}"),
-            TransportError::Read(e) => write!(f, "reading from connection failed: {e}"),
-            TransportError::Decode(e) => write!(f, "malformed frame: {e}"),
-            TransportError::BadPreamble(b) => {
-                write!(f, "unknown connection preamble byte {b:#04x}")
-            }
-            TransportError::NodeGone => write!(f, "node inbox closed"),
-        }
-    }
-}
-
-impl std::error::Error for TransportError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TransportError::UnknownPeer(_)
-            | TransportError::BadPreamble(_)
-            | TransportError::NodeGone => None,
-            TransportError::Dial(e)
-            | TransportError::Hello(e)
-            | TransportError::Write(e)
-            | TransportError::Read(e) => Some(e),
-            TransportError::Decode(e) => Some(e),
-        }
-    }
-}
-
-/// A node's outbound message path. Delivery is best-effort by design.
-pub trait Transport: Send {
-    /// Deliver `msg` to site `to`, or drop it if the destination is
-    /// unreachable. Must not block indefinitely. A transport may buffer
-    /// until [`Transport::flush`].
-    fn send(&mut self, to: SiteId, msg: &Message);
-
-    /// Deliver a relayed client op or its answer to site `to`, on the
-    /// same best-effort terms (and the same link) as [`Transport::send`].
-    fn relay(&mut self, to: SiteId, relay: Relay);
-
-    /// Push any buffered frames to the wire. The node runtime calls
-    /// this once per event-loop batch (and on idle timeouts); eager
-    /// transports need not override the no-op default.
-    fn flush(&mut self) {}
-}
-
-/// In-process transport: every peer's inbox is an `mpsc` sender.
-pub struct ChannelTransport {
-    from: SiteId,
-    peers: Vec<Sender<NodeEvent>>,
-}
-
-impl ChannelTransport {
-    /// A transport for site `from`, given every node's inbox (indexed
-    /// by site).
-    #[must_use]
-    pub fn new(from: SiteId, peers: Vec<Sender<NodeEvent>>) -> Self {
-        ChannelTransport { from, peers }
-    }
-}
-
-impl Transport for ChannelTransport {
-    fn send(&mut self, to: SiteId, msg: &Message) {
-        if let Some(peer) = self.peers.get(to.index()) {
-            // A closed inbox means the peer shut down — equivalent to a
-            // lost message.
-            let _ = peer.send(NodeEvent::Peer {
-                from: self.from,
-                msg: msg.clone(),
+/// The channel host's drain: each peer item becomes an event from
+/// `from` in its destination's inbox (`peers`, indexed by site), and
+/// each in-process reply goes to its client's channel. A closed or
+/// missing inbox is a lost message.
+pub(crate) fn deliver(from: SiteId, peers: &[Sender<NodeEvent>], out: &mut Outbox) {
+    for (to, item) in out.peers.drain(..) {
+        if let Some(peer) = peers.get(to.index()) {
+            let _ = peer.send(match item {
+                PeerFrame::Msg(msg) => NodeEvent::Peer { from, msg },
+                PeerFrame::Relay(relay) => NodeEvent::Relay { from, relay },
             });
         }
     }
-
-    fn relay(&mut self, to: SiteId, relay: Relay) {
-        if let Some(peer) = self.peers.get(to.index()) {
-            let _ = peer.send(NodeEvent::Relay {
-                from: self.from,
-                relay,
-            });
+    for (sink, id, reply) in out.replies.drain(..) {
+        // Only in-process clients reach a channel site.
+        if let ReplySink::Channel(tx) = sink {
+            let _ = tx.send((id, reply));
         }
     }
 }
@@ -291,36 +191,58 @@ impl NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynvote_protocol::TxnId;
+    use crate::wire::{ClientReply, Relay};
+    use dynvote_protocol::{Message, TxnId};
     use std::sync::mpsc;
 
-    fn abort(seq: u64) -> Message {
-        Message::Abort {
+    fn abort(seq: u64) -> PeerFrame {
+        PeerFrame::Msg(Message::Abort {
             txn: TxnId::new(SiteId(0), seq),
-        }
+        })
     }
 
     #[test]
     fn channel_transport_delivers_with_sender_identity() {
         let (tx, rx) = mpsc::channel();
-        let mut t = ChannelTransport::new(SiteId(2), vec![tx.clone(), tx]);
-        t.send(SiteId(1), &abort(7));
+        let mut out = Outbox::default();
+        out.peers.push((SiteId(1), abort(7)));
+        let relay = Relay::Forward {
+            id: 3,
+            key: 0,
+            read: false,
+        };
+        out.peers.push((SiteId(1), PeerFrame::Relay(relay.clone())));
+        let (client, replies) = mpsc::channel();
+        out.replies
+            .push((ReplySink::Channel(client), 5, ClientReply::Ok));
+        deliver(SiteId(2), &[tx.clone(), tx], &mut out);
+        assert_eq!(replies.recv().unwrap(), (5, ClientReply::Ok));
         match rx.recv().unwrap() {
             NodeEvent::Peer { from, msg } => {
                 assert_eq!(from, SiteId(2));
-                assert_eq!(msg, abort(7));
+                assert_eq!(PeerFrame::Msg(msg), abort(7));
             }
             other => panic!("unexpected event {other:?}"),
         }
+        match rx.recv().unwrap() {
+            NodeEvent::Relay { from, relay: got } => {
+                assert_eq!(from, SiteId(2));
+                assert_eq!(got, relay);
+            }
+            other => panic!("unexpected event {other:?}"),
+        }
+        assert!(out.peers.is_empty() && out.replies.is_empty());
     }
 
     #[test]
     fn channel_transport_tolerates_closed_and_missing_peers() {
         let (tx, rx) = mpsc::channel();
         drop(rx);
-        let mut t = ChannelTransport::new(SiteId(0), vec![tx]);
-        t.send(SiteId(0), &abort(1)); // closed inbox
-        t.send(SiteId(9), &abort(2)); // out of range
+        let mut out = Outbox::default();
+        out.peers.push((SiteId(0), abort(1))); // closed inbox
+        out.peers.push((SiteId(9), abort(2))); // out of range
+        deliver(SiteId(0), &[tx], &mut out);
+        assert!(out.peers.is_empty());
     }
 
     #[test]
