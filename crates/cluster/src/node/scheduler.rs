@@ -67,7 +67,7 @@ impl Node {
     /// The single barrier + single transmission per batch is what makes
     /// the durable hot path cheap: every persist effect the batch
     /// produced — across every shard — is sealed by one fsync, and each
-    /// peer gets one frame.
+    /// peer gets one write.
     pub(crate) fn end_batch(&mut self) {
         self.fire_due_timers();
         self.expire_forwards();

@@ -11,10 +11,10 @@
 //!   to the destination's `mpsc` inbox through [`deliver`]. Zero
 //!   serialization; the fastest way to run a whole cluster inside one
 //!   test.
-//! * the site's readiness reactor ([`crate::reactor`]) seals each
-//!   peer's items into one frame per batch on a bounded per-peer queue
-//!   and writes them to loopback TCP; the node's kernels never wait on
-//!   a socket or a dead peer. Link failures are not returned to anyone
+//! * the site's readiness reactor ([`crate::reactor`]) encodes each
+//!   peer item as one frame onto its peer's one bounded buffer and
+//!   writes that to loopback TCP; the node's kernels never wait on a
+//!   socket or a dead peer. Link failures are not returned to anyone
 //!   — they are *counted*, per cause, in [`NetStats`], and exposed
 //!   through the loadgen report, `/metrics`, and the
 //!   [`crate::wire::ClientOp::NetStats`] client op.
@@ -116,7 +116,7 @@ net_counters![
         5,
         "backpressure_drops",
         bump_backpressure_drop,
-        "A flush batch was dropped because the peer's queue was full."
+        "A batch's frames for a peer were dropped because its link's buffer was full."
     ),
     (
         6,

@@ -11,6 +11,7 @@ use dynvote_core::{AlgorithmKind, SiteId};
 use dynvote_protocol::EventKind;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -24,8 +25,50 @@ fn http_config(n: usize, max_inflight: u64) -> ClusterConfig {
         })
 }
 
+/// Held while a cluster boots, so a `dynvote-node-0` thread that
+/// appears during one boot belongs to that cluster.
+static BOOTING: Mutex<()> = Mutex::new(());
+
+/// Boot `config`; also returns the kernel task id of its site 0's
+/// thread.
+fn boot(config: &ClusterConfig) -> (Cluster, u64) {
+    let _alone = BOOTING.lock().unwrap_or_else(PoisonError::into_inner);
+    let before = node_zero_tasks();
+    let cluster = Cluster::boot(config).expect("boot http cluster");
+    let mut new = node_zero_tasks()
+        .into_iter()
+        .filter(|t| !before.contains(t));
+    let task = new.next().expect("site 0's thread");
+    assert_eq!(new.next(), None, "one site 0 per boot");
+    (cluster, task)
+}
+
+/// The task ids of this process's live `dynvote-node-0` threads.
+fn node_zero_tasks() -> Vec<u64> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("read /proc/self/task")
+        .flatten()
+        .filter(|task| {
+            std::fs::read_to_string(task.path().join("comm"))
+                .is_ok_and(|comm| comm.trim_end() == "dynvote-node-0")
+        })
+        .filter_map(|task| task.file_name().to_str()?.parse().ok())
+        .collect()
+}
+
+/// CPU clock ticks (user + system) task `tid` of this process has used.
+fn cpu_ticks(tid: u64) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/self/task/{tid}/stat"))
+        .expect("read the task's stat");
+    // Fields 14 and 15 (`utime`, `stime`), counted after the
+    // parenthesised command name, which may hold spaces.
+    let (_, rest) = stat.rsplit_once(')').expect("a stat line");
+    let fields: Vec<&str> = rest.split_whitespace().collect();
+    fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime")
+}
+
 fn http_cluster(n: usize, max_inflight: u64) -> Cluster {
-    Cluster::boot(&http_config(n, max_inflight)).expect("boot http cluster")
+    boot(&http_config(n, max_inflight)).0
 }
 
 /// `workers` HTTP targets, round-robin over the front doors of the
@@ -219,7 +262,7 @@ fn overload_yields_429_not_hangs() {
     // Long enough that the op held below cannot slip out of its slot
     // before the probe arrives; healthy rounds never wait it out.
     config.node.vote_deadline = Duration::from_secs(1);
-    let cluster = Cluster::boot(&config).expect("boot http cluster");
+    let (cluster, _) = boot(&config);
     let addr = cluster.http_addr(SiteId(0)).expect("http addr");
 
     let load = LoadGenConfig {
@@ -298,7 +341,7 @@ fn holds_5000_concurrent_connections() {
             max_inflight: 512,
             max_conns: 8192,
         });
-    let cluster = Cluster::boot(&config).expect("boot");
+    let (cluster, _) = boot(&config);
     let addr = cluster.http_addr(SiteId(0)).expect("http addr");
 
     // Hold CONNS idle connections open against one node...
@@ -362,14 +405,14 @@ fn status_is_served_while_partitioned() {
 
 /// A 5-site HTTP cluster whose rounds wait 600 ms for votes, with site 0
 /// cut off alone: every op site 0 coordinates stays in flight for the
-/// whole vote deadline, then is rejected.
-fn isolated_site_zero(max_inflight: u64) -> Cluster {
+/// whole vote deadline, then is rejected. Also returns site 0's task id.
+fn isolated_site_zero(max_inflight: u64) -> (Cluster, u64) {
     let mut config = http_config(5, max_inflight);
     config.node.vote_deadline = Duration::from_millis(600);
-    let cluster = Cluster::boot(&config).expect("boot http cluster");
+    let (cluster, task) = boot(&config);
     let rest = dynvote_core::SiteSet::from_sites([1, 2, 3, 4].map(SiteId));
     cluster.set_partition(&[rest]).expect("partition");
-    cluster
+    (cluster, task)
 }
 
 /// Site 0's `dynvote_http_inflight` gauge.
@@ -400,7 +443,7 @@ fn await_value(within: Duration, want: u64, mut read: impl FnMut() -> u64) {
 
 #[test]
 fn hung_up_http_ops_give_back_their_admission_slots() {
-    let cluster = isolated_site_zero(2);
+    let (cluster, _) = isolated_site_zero(2);
     let addr = cluster.http_addr(SiteId(0)).expect("http addr");
 
     // Two ops take both admission slots; their clients leave without
@@ -448,7 +491,7 @@ fn conns_closed(cluster: &Cluster) -> u64 {
 #[test]
 fn a_reply_for_a_closed_connection_skips_the_one_that_reuses_its_slot() {
     use dynvote_cluster::wire::{decode_reply, read_frame, HELLO_CLIENT};
-    let cluster = isolated_site_zero(64);
+    let (cluster, _) = isolated_site_zero(64);
     let addr = cluster.addr(SiteId(0)).expect("binary addr");
 
     // Client A starts an update that stays in flight, and hangs up.
@@ -497,6 +540,45 @@ fn a_reply_for_a_closed_connection_skips_the_one_that_reuses_its_slot() {
         ),
         "{err}"
     );
+
+    cluster.heal_links().expect("heal");
+    assert!(cluster.await_quiescence(Duration::from_secs(5)));
+    cluster.shutdown();
+}
+
+#[test]
+fn a_reset_http_connection_with_an_op_in_flight_is_closed_not_polled() {
+    let (cluster, site_zero) = isolated_site_zero(4);
+    let addr = cluster.http_addr(SiteId(0)).expect("http addr");
+
+    // The client pipelines a scrape and an op that stays in flight, and
+    // leaves without reading the scrape's response: its socket resets.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let body = "{\"op\":\"update\"}";
+    let requests = format!(
+        "GET /metrics HTTP/1.1\r\nhost: t\r\n\r\n\
+         POST /v1/op HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    stream
+        .write_all(requests.as_bytes())
+        .expect("write requests");
+    await_value(Duration::from_millis(500), 1, || inflight(addr));
+    let closed = conns_closed(&cluster);
+    let ticks = cpu_ticks(site_zero);
+    drop(stream);
+
+    thread::sleep(Duration::from_millis(300));
+    let spent = cpu_ticks(site_zero) - ticks;
+    assert!(
+        spent < 10,
+        "site 0 spent {spent} ticks in 300 ms on a reset connection"
+    );
+    // Closed at once, while its op still holds its admission slot...
+    assert_eq!(conns_closed(&cluster), closed + 1);
+    assert_eq!(inflight(addr), 1, "the op was answered already");
+    // ...which its answer gives back.
+    await_value(Duration::from_secs(5), 0, || inflight(addr));
 
     cluster.heal_links().expect("heal");
     assert!(cluster.await_quiescence(Duration::from_secs(5)));
