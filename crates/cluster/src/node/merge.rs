@@ -14,7 +14,7 @@
 //!    leaves the node before this point.
 //! 3. **Dispatch** — sends, broadcasts and client answers go to the
 //!    node's outbox, for the host to transmit after the batch;
-//!    `SetTimer` arms the wall-clock wheel, `CommitRecorded`
+//!    `SetTimer` arms the timer wheel from `now`, `CommitRecorded`
 //!    books the version a round's op landed at (the kernel emits it
 //!    before the round's `Resolved`), `Resolved` retires the round's
 //!    timers and completes parked clients (or, for a lost lock race,
@@ -34,19 +34,20 @@ use dynvote_core::SiteId;
 use dynvote_protocol::persist::effects;
 use dynvote_protocol::{Action, CloseCause, Hint, ResolveReason, SiteActor, TxnId};
 use std::collections::HashMap;
+use std::time::Instant;
 
 impl Node {
     /// Run the merge barrier, again for as long as a pass grows the
     /// suspicion set (at most once per peer). Idempotent: with nothing
     /// staged it costs one no-op barrier check.
-    pub(super) fn merge(&mut self) {
-        while self.merge_pass() {
+    pub(super) fn merge(&mut self, now: Instant) {
+        while self.merge_pass(now) {
             self.push_suspicion();
         }
     }
 
     /// One barrier. `true` if it grew the suspicion set.
-    fn merge_pass(&mut self) -> bool {
+    fn merge_pass(&mut self, now: Instant) -> bool {
         self.shard_stats.note_merge();
         let mut batch = std::mem::take(&mut self.scratch);
         // Ops refused at the per-object queue bound: the typed overload
@@ -94,7 +95,7 @@ impl Node {
                         .site
                         .shard(txn.object)
                         .map_or(0, SiteActor::prepared_rounds);
-                    self.arm_timer(txn, kind, rounds);
+                    self.arm_timer(txn, kind, rounds, now);
                 }
                 Action::Resolved { txn, reason } => {
                     // Nobody waits on this round's deadlines any more:
@@ -121,7 +122,7 @@ impl Node {
                             // back to try the same race again.
                             if reason == ResolveReason::Contended && client.route == Route::Free {
                                 if let Some(home) = self.usable_home(txn.object) {
-                                    self.forward(home, txn.object, client);
+                                    self.forward(home, txn.object, client, now);
                                     continue;
                                 }
                             }

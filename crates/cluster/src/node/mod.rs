@@ -3,13 +3,14 @@
 //!
 //! A node owns the protocol kernels for its site and translates their
 //! [`Action`]s into data: sends, relays and client replies are appended
-//! to the node's [`Outbox`], `SetTimer` becomes an entry in a
-//! wall-clock timer heap, and `Resolved` answers the client request
-//! that started the transaction. Everything arrives as a [`NodeEvent`]
-//! — peer frames, relays, client requests — handed to
+//! to the node's [`Outbox`], `SetTimer` becomes an entry in the node's
+//! one deadline queue, and `Resolved` answers the client request that
+//! started the transaction. Everything arrives as a [`NodeEvent`] —
+//! peer frames, relays, client requests — handed to
 //! [`Node::on_event`] by whichever thread hosts the node, and that
 //! thread is the only one that ever touches it. The node performs no
-//! output of its own; its host transmits what the outbox holds:
+//! output of its own and reads no clock: its host passes `now` into
+//! every call and transmits what the outbox holds:
 //!
 //! * **channel transport** — [`Node::run`] blocks on the node's `mpsc`
 //!   inbox and hands each peer item to that peer's inbox;
@@ -22,14 +23,15 @@
 //! Both hosts drive the same five calls — [`Node::start`],
 //! [`Node::on_event`], [`Node::end_batch`], [`Node::next_timer_in`] and
 //! [`Node::finish`] — and drain the outbox after `start`, every
-//! `end_batch` and `finish`, so only the blocking wait and the
-//! transmission differ.
+//! `end_batch` and `finish`. Both wait exactly until the node's next
+//! deadline (with none, until an event), so only the blocking wait and
+//! the transmission differ.
 //!
 //! The runtime is split into five pieces, one file each:
 //!
-//! * **scheduler** (`node/scheduler.rs`) — the five calls above and the
-//!   channel host. It hands each event to its object's shard, fires
-//!   wall-clock timers, and paces the merge barrier.
+//! * **scheduler** (`node/scheduler.rs`) — the five calls above. It
+//!   hands each event to its object's shard, fires due deadlines, and
+//!   paces the merge barrier.
 //! * **worker** (`node/worker.rs`) — the kernel step: every event runs
 //!   its shard into one scratch buffer, then the object's commit-
 //!   pipelining FIFO is pumped.
@@ -54,8 +56,8 @@
 //! Fault injection mirrors the simulator's model exactly:
 //!
 //! * **crash** wipes the kernels' volatile state (durable
-//!   prepare/commit records survive), cancels pending wall-clock timers
-//!   (they guard volatile transactions) and fails parked clients with
+//!   prepare/commit records survive), cancels pending deadlines (they
+//!   guard volatile rounds and forwards) and fails parked clients with
 //!   [`ClientReply::Down`]. The thread stays up so control traffic
 //!   keeps working.
 //! * **recover** runs the Section V-C restart protocol
@@ -165,6 +167,15 @@ pub(crate) enum NodeEvent {
     /// Stop the node's thread (parked clients are failed with `Down`).
     /// Handled by the host, not by [`Node::on_event`].
     Shutdown,
+}
+
+/// What one entry of the node's timer wheel stands for.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Deadline {
+    /// A protocol timer of one of this site's rounds.
+    Round(TxnId, TimerKind),
+    /// The forward with this id has gone unanswered too long.
+    Forward(u64),
 }
 
 /// Wall-clock protocol deadlines for one node.
@@ -303,11 +314,11 @@ pub(crate) struct Node {
     /// How fast each peer has been voting, the straggler grace that
     /// follows from it, and the timers guarding each recent round.
     pub(crate) vote_clock: grace::VoteClock,
-    /// Wall-clock protocol deadlines, in the shared [`TimerWheel`] (the
-    /// simulator arms the same wheel under a virtual clock). Its epoch
-    /// is bumped on every crash so timers armed before the crash are
-    /// recognizably stale (volatile state they guard is gone).
-    pub(crate) timers: TimerWheel<Instant, (TxnId, TimerKind)>,
+    /// Round timers and forward deadlines, in the shared [`TimerWheel`]
+    /// (the simulator arms the same wheel under a virtual clock). Its
+    /// epoch is bumped on every crash so timers armed before the crash
+    /// are recognizably stale (volatile state they guard is gone).
+    pub(crate) timers: TimerWheel<Instant, Deadline>,
     /// This site's protocol-event tally, in [`EventKind::ALL`] order:
     /// the merge barrier counts every [`Action::Event`] it drains, and
     /// [`ClientOp::Events`] and `/metrics` read it. Owned by the node,
@@ -392,7 +403,7 @@ impl Node {
     }
 
     /// Cap how many queued client updates one quorum round may seal
-    /// (clamped to at least 1). Call before [`Node::run`].
+    /// (clamped to at least 1). Call before the node is hosted.
     pub fn set_max_batch(&mut self, max_batch: usize) {
         self.max_batch = max_batch.max(1);
     }
@@ -403,8 +414,8 @@ impl Node {
     /// durable-write point (prepare records, commit records, log
     /// appends, metadata installs) reaches the WAL before the action
     /// that announced it leaves the node: the merge barrier seals the
-    /// batch's [`Action::Persist`] effects first. Call before
-    /// [`Node::run`], on the thread that will run the node.
+    /// batch's [`Action::Persist`] effects first. Call before the node
+    /// is hosted, on the thread that will host it.
     pub fn enable_durability(
         &mut self,
         durability: NodeDurability,

@@ -12,7 +12,8 @@
 //! the clients of a round it has just lost) are not started as rival
 //! rounds: each crosses one link as a [`Relay::Forward`], joins the
 //! home's ordinary per-object FIFO, and its answer comes back as a
-//! [`Relay::ForwardReply`] for the sink this node kept.
+//! [`Relay::ForwardReply`] for the sink this node kept (or its deadline
+//! on the node's timer wheel answers it `TimedOut`).
 //!
 //! Everything here is volatile and advisory. A hint is learned only
 //! from observed contention, never expires, and a stale one costs one
@@ -20,11 +21,11 @@
 //! when a forwarded op meets a fault is enumerated in DESIGN.md
 //! ("Single-writer routing").
 
-use super::{Client, Node, ReplySink, Route};
+use super::{Client, Deadline, Node, ReplySink, Route};
 use crate::wire::{ClientReply, PeerFrame, Relay};
-use dynvote_core::SiteId;
+use dynvote_core::{SiteId, TimerId};
 use dynvote_protocol::ObjectId;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// An op handed to its object's home and not yet answered.
@@ -33,6 +34,8 @@ struct Forwarded {
     object: ObjectId,
     home: SiteId,
     client: Client,
+    /// The forward's deadline, cancelled when its answer arrives.
+    timer: TimerId,
 }
 
 /// The node's routing state.
@@ -42,9 +45,6 @@ pub(crate) struct Routes {
     homes: HashMap<ObjectId, SiteId>,
     /// Ops in flight to a home, by forward id.
     pending: HashMap<u64, Forwarded>,
-    /// Forward ids with their deadlines. Every forward gets the same
-    /// allowance, so arrival order is deadline order.
-    deadlines: VecDeque<(Instant, u64)>,
     /// Never reset: an answer to a forward from before a crash must not
     /// find a newer op under its id.
     next_id: u64,
@@ -87,10 +87,10 @@ impl Node {
     /// Start a data-plane op of a live node on its way: to the object's
     /// home if the op may still travel and a usable hint exists, into
     /// the local per-object FIFO otherwise.
-    pub(super) fn submit(&mut self, object: ObjectId, client: Client) {
+    pub(super) fn submit(&mut self, object: ObjectId, client: Client, now: Instant) {
         if client.route == Route::Free {
             if let Some(home) = self.usable_home(object) {
-                self.forward(home, object, client);
+                self.forward(home, object, client, now);
                 return;
             }
         }
@@ -98,22 +98,22 @@ impl Node {
         self.enqueue(object, payload, client);
     }
 
-    /// Hand one of this node's client ops to `home`.
-    pub(super) fn forward(&mut self, home: SiteId, object: ObjectId, client: Client) {
+    /// Hand one of this node's client ops to `home` at `now`.
+    pub(super) fn forward(&mut self, home: SiteId, object: ObjectId, client: Client, now: Instant) {
         self.routes.next_id += 1;
         let id = self.routes.next_id;
         let read = client.read;
+        let when = now + self.forward_deadline();
+        let timer = self.timers.schedule(when, Deadline::Forward(id));
         self.routes.pending.insert(
             id,
             Forwarded {
                 object,
                 home,
                 client,
+                timer,
             },
         );
-        self.routes
-            .deadlines
-            .push_back((Instant::now() + self.forward_deadline(), id));
         self.shard_stats.note_forwarded_out();
         self.relay(
             home,
@@ -126,7 +126,7 @@ impl Node {
     }
 
     /// A relay frame from a peer this node can hear.
-    pub(super) fn on_relay(&mut self, from: SiteId, relay: Relay) {
+    pub(super) fn on_relay(&mut self, from: SiteId, relay: Relay, now: Instant) {
         match relay {
             Relay::Forward { id, key, read } => {
                 let client = Client {
@@ -137,7 +137,7 @@ impl Node {
                 };
                 self.shard_stats.note_forwarded_in();
                 if (key as usize) < self.objects {
-                    self.submit(ObjectId(key), client);
+                    self.submit(ObjectId(key), client, now);
                 } else {
                     self.answer(client, ClientReply::UnknownKey);
                 }
@@ -152,7 +152,9 @@ impl Node {
                     object,
                     home,
                     mut client,
+                    timer,
                 } = self.routes.pending.remove(&id).expect("entry just seen");
+                self.timers.cancel(timer);
                 // A refusal is definite — the op did not run — so it
                 // runs here instead, once. The home's own `TimedOut`
                 // is relayed as it is: to a client that always means
@@ -170,7 +172,7 @@ impl Node {
                 }
                 if refused {
                     client.route = Route::Spent;
-                    self.submit(object, client);
+                    self.submit(object, client, now);
                 } else {
                     self.answer(client, reply);
                 }
@@ -178,34 +180,14 @@ impl Node {
         }
     }
 
-    /// When the oldest forward still in flight runs out of time.
-    /// Answered forwards leave their deadline behind; those are skimmed
-    /// off here so that the event loop is not woken for them.
-    pub(super) fn next_forward_deadline(&mut self) -> Option<Instant> {
-        while let Some(&(when, id)) = self.routes.deadlines.front() {
-            if self.routes.pending.contains_key(&id) {
-                return Some(when);
-            }
-            self.routes.deadlines.pop_front();
-        }
-        None
-    }
-
-    /// Give up on forwards whose answer is overdue. The op may or may
+    /// Forward `id`'s deadline passed with no answer. The op may or may
     /// not have run at the home, so it is **not** run again: the client
     /// is told `TimedOut`, which means exactly that.
-    pub(super) fn expire_forwards(&mut self) {
-        let now = Instant::now();
-        while let Some(&(when, id)) = self.routes.deadlines.front() {
-            if when > now {
-                break;
-            }
-            self.routes.deadlines.pop_front();
-            if let Some(forwarded) = self.routes.pending.remove(&id) {
-                self.shard_stats.note_forward_timeout();
-                self.forget_home(forwarded.object, forwarded.home);
-                self.answer(forwarded.client, ClientReply::TimedOut);
-            }
+    pub(super) fn expire_forward(&mut self, id: u64) {
+        if let Some(forwarded) = self.routes.pending.remove(&id) {
+            self.shard_stats.note_forward_timeout();
+            self.forget_home(forwarded.object, forwarded.home);
+            self.answer(forwarded.client, ClientReply::TimedOut);
         }
     }
 
@@ -214,7 +196,6 @@ impl Node {
     pub(super) fn drop_routes(&mut self) {
         self.routes.homes.clear();
         self.shard_stats.note_routed(0);
-        self.routes.deadlines.clear();
         let pending = std::mem::take(&mut self.routes.pending);
         for (_, forwarded) in pending {
             self.answer(forwarded.client, ClientReply::Down);

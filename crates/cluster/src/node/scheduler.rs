@@ -1,79 +1,33 @@
 //! The scheduler: the five calls every host drives ([`Node::start`],
 //! [`Node::on_event`], [`Node::end_batch`], [`Node::next_timer_in`],
-//! [`Node::finish`]) and the channel host ([`Node::run`]). Each event
-//! goes to its object's shard ([`Node::step`]). Wall-clock timers,
-//! reachability filtering, the crash/recover fault model, and
-//! control-plane queries all live here.
+//! [`Node::finish`]). Each takes the host's `now`, the only clock the
+//! node sees. Each event goes to its object's shard ([`Node::step`]).
+//! The deadline queue, reachability filtering, the crash/recover fault
+//! model, and control-plane queries all live here.
 
-use super::{Client, Node, NodeEvent, ReplySink, Route};
-use crate::transport;
+use super::{Client, Deadline, Node, NodeEvent, ReplySink, Route};
 use crate::wire::{ClientOp, ClientReply, PeerFrame};
 use dynvote_core::{SiteId, SiteSet};
 use dynvote_protocol::{Input, Message, ObjectId, TimerKind, TxnId};
 use dynvote_storage::NodeStore;
 use rand::Rng;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::{Duration, Instant};
 
-/// How many already-queued inbox events one loop iteration may drain
-/// behind the blocking receive before timers fire and the outbox is
-/// delivered. Bounded so a message storm cannot starve timers; large
-/// enough that a commit fan-in coalesces into one batch.
-const INBOX_BATCH: usize = 128;
-
-/// Longest the channel host blocks on an idle inbox.
-const IDLE_WAIT: Duration = Duration::from_millis(50);
-
 impl Node {
-    /// The channel host: block on `inbox` up to the next timer
-    /// deadline, hand the burst queued behind the first event (bounded
-    /// by [`INBOX_BATCH`]) to the node, then close the batch and hand
-    /// its outbox to `peers` (every site's inbox, indexed by site);
-    /// repeat until [`NodeEvent::Shutdown`] or until every sender is
-    /// gone.
-    pub fn run(mut self, inbox: Receiver<NodeEvent>, peers: &[Sender<NodeEvent>]) {
-        self.start();
-        transport::deliver(self.id, peers, &mut self.out);
-        'outer: loop {
-            let timeout = self.next_timer_in().map_or(IDLE_WAIT, |t| t.min(IDLE_WAIT));
-            match inbox.recv_timeout(timeout) {
-                Ok(NodeEvent::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
-                Ok(event) => {
-                    self.on_event(event);
-                    for _ in 1..INBOX_BATCH {
-                        match inbox.try_recv() {
-                            Ok(NodeEvent::Shutdown) | Err(TryRecvError::Disconnected) => {
-                                break 'outer;
-                            }
-                            Ok(event) => self.on_event(event),
-                            Err(TryRecvError::Empty) => break,
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-            }
-            self.end_batch();
-            transport::deliver(self.id, peers, &mut self.out);
-        }
-        self.finish();
-        transport::deliver(self.id, peers, &mut self.out);
-    }
-
     /// Close the batch the host has handed over since the last call:
-    /// fire due timers and overdue forwards, then [`Node::merge`] the
-    /// whole batch behind **one** group-commit barrier and rotate the
-    /// WAL if it is due. The host then transmits the outbox once.
+    /// fire every deadline due by `now`, then [`Node::merge`] the whole
+    /// batch behind **one** group-commit barrier and rotate the WAL if
+    /// it is due. The host then transmits the outbox once.
     ///
     /// The single barrier + single transmission per batch is what makes
     /// the durable hot path cheap: every persist effect the batch
     /// produced — across every shard — is sealed by one fsync, and each
     /// peer gets one write.
-    pub(crate) fn end_batch(&mut self) {
-        self.fire_due_timers();
-        self.expire_forwards();
+    pub(crate) fn end_batch(&mut self, now: Instant) {
+        self.fire_due(now);
         // One barrier seals the batch's persist effects, then the staged
         // sends and replies go to the outbox.
-        self.merge();
+        self.merge(now);
         // Between batches: rotate the WAL if it has grown past the
         // configured threshold (no-op for amnesiac nodes). Safe here
         // because merge() just drained the pending record.
@@ -83,8 +37,8 @@ impl Node {
     /// Stop: seal what the last batch staged into the outbox, then fail
     /// every op still parked with `Down`. The host drains the outbox
     /// once more and calls nothing else.
-    pub(crate) fn finish(&mut self) {
-        self.merge();
+    pub(crate) fn finish(&mut self, now: Instant) {
+        self.merge(now);
         // Ops still parked in per-object FIFOs never started a round;
         // fail them alongside the in-flight ones.
         self.fail_parked();
@@ -121,7 +75,7 @@ impl Node {
     /// and no partition is ever distinguished again). The StatusQuery
     /// broadcast may race the peers' own boots; the PreparedRetry
     /// timer the round arms re-sends it until someone answers.
-    pub(crate) fn start(&mut self) {
+    pub(crate) fn start(&mut self, now: Instant) {
         if self.durability.is_none() {
             return;
         }
@@ -140,22 +94,22 @@ impl Node {
         for object in in_doubt {
             self.restart(object);
         }
-        self.merge();
+        self.merge(now);
     }
 
-    /// Run one event on its object's shard. Actions are **staged** in
-    /// the scratch buffer; nothing reaches the outbox until the batch's
-    /// [`Node::end_batch`] — except control and diagnostic replies,
-    /// which merge first (see [`Node::handle_client`]). Either way the
-    /// host transmits only after the batch closes.
-    /// [`NodeEvent::Shutdown`] is the host's to act on and is ignored
-    /// here.
-    pub(crate) fn on_event(&mut self, event: NodeEvent) {
+    /// Run one event, which reached the host at `now`, on its object's
+    /// shard. Actions are **staged** in the scratch buffer; nothing
+    /// reaches the outbox until the batch's [`Node::end_batch`] — except
+    /// control and diagnostic replies, which merge first (see
+    /// [`Node::handle_client`]). Either way the host transmits only
+    /// after the batch closes. [`NodeEvent::Shutdown`] is the host's to
+    /// act on and is ignored here.
+    pub(crate) fn on_event(&mut self, event: NodeEvent, now: Instant) {
         match event {
             NodeEvent::Peer { from, msg } => {
                 if self.hears(from) {
                     if let Message::VoteGranted { txn, .. } | Message::VoteBusy { txn, .. } = &msg {
-                        self.note_vote(*txn, from);
+                        self.note_vote(*txn, from, now);
                     }
                     // Unhosted objects are dropped, not panicked on: a
                     // hostile frame must not kill the node.
@@ -165,10 +119,10 @@ impl Node {
             }
             NodeEvent::Relay { from, relay } => {
                 if self.hears(from) {
-                    self.on_relay(from, relay);
+                    self.on_relay(from, relay, now);
                 }
             }
-            NodeEvent::Client { id, op, reply } => self.handle_client(id, op, reply),
+            NodeEvent::Client { id, op, reply } => self.handle_client(id, op, reply, now),
             NodeEvent::Shutdown => {}
         }
     }
@@ -194,10 +148,10 @@ impl Node {
         true
     }
 
-    /// `from`'s vote for `txn` arrived: one sample of how fast that
-    /// peer answers, whether or not the round is still open.
-    fn note_vote(&mut self, txn: TxnId, from: SiteId) {
-        if let Some(srtt) = self.vote_clock.sample(txn, from, Instant::now()) {
+    /// `from`'s vote for `txn` arrived at `now`: one sample of how fast
+    /// that peer answers, whether or not the round is still open.
+    fn note_vote(&mut self, txn: TxnId, from: SiteId, now: Instant) {
+        if let Some(srtt) = self.vote_clock.sample(txn, from, now) {
             self.shard_stats.note_vote_rtt(from, srtt);
         }
     }
@@ -208,7 +162,7 @@ impl Node {
     }
 
     /// A client update or read-only request.
-    fn handle_data_op(&mut self, key: u32, read: bool, id: u64, reply: ReplySink) {
+    fn handle_data_op(&mut self, key: u32, read: bool, id: u64, reply: ReplySink, now: Instant) {
         if self.down {
             self.reply(reply, id, ClientReply::Down);
             return;
@@ -223,19 +177,19 @@ impl Node {
             read,
             route: Route::Free,
         };
-        self.submit(object, client);
+        self.submit(object, client, now);
     }
 
-    fn handle_client(&mut self, id: u64, op: ClientOp, reply: ReplySink) {
+    fn handle_client(&mut self, id: u64, op: ClientOp, reply: ReplySink, now: Instant) {
         match op {
-            ClientOp::Update { key } => self.handle_data_op(key, false, id, reply),
-            ClientOp::Read { key } => self.handle_data_op(key, true, id, reply),
+            ClientOp::Update { key } => self.handle_data_op(key, false, id, reply, now),
+            ClientOp::Read { key } => self.handle_data_op(key, true, id, reply, now),
             ClientOp::Crash => {
                 // Dispatch whatever earlier events in this batch staged
                 // *before* the crash wipes volatile state: those
                 // actions were produced by a live site, and the merge
                 // seals their persist effects first.
-                self.merge();
+                self.merge(now);
                 if !self.down {
                     self.down = true;
                     // The kernels' copy of the set goes with the rest
@@ -253,7 +207,7 @@ impl Node {
                 self.reply(reply, id, ClientReply::Ok);
             }
             ClientOp::Recover => {
-                self.merge();
+                self.merge(now);
                 if self.down {
                     self.down = false;
                     // A durable site restarts from its disk, not from
@@ -264,14 +218,14 @@ impl Node {
                     for object in 0..self.objects {
                         self.restart(ObjectId(object as u32));
                     }
-                    self.merge();
+                    self.merge(now);
                 }
                 self.reply(reply, id, ClientReply::Ok);
             }
             ClientOp::SetReachable(set) => {
                 // Staged sends were produced under the old topology;
                 // let them leave before the partition takes effect.
-                self.merge();
+                self.merge(now);
                 self.reachable = set;
                 self.reply(reply, id, ClientReply::Ok);
             }
@@ -281,7 +235,7 @@ impl Node {
                     return;
                 };
                 // Seal staged durable ops before announcing state.
-                self.merge();
+                self.merge(now);
                 let shard = self.site.shard(object).expect("validated object");
                 let probe = ClientReply::Probe {
                     meta: shard.meta(),
@@ -293,7 +247,7 @@ impl Node {
             }
             ClientOp::Events => {
                 // Count what the batch staged before reporting.
-                self.merge();
+                self.merge(now);
                 let counts = self.event_counts.to_vec();
                 self.reply(reply, id, ClientReply::Events { counts });
             }
@@ -302,7 +256,7 @@ impl Node {
                     self.reply(reply, id, ClientReply::UnknownKey);
                     return;
                 };
-                self.merge();
+                self.merge(now);
                 let shard = self.site.shard(object).expect("validated object");
                 let log = ClientReply::Log {
                     meta: shard.meta(),
@@ -311,7 +265,7 @@ impl Node {
                 self.reply(reply, id, log);
             }
             ClientOp::Status => {
-                self.merge();
+                self.merge(now);
                 let shard = self.site.shard(ObjectId::ZERO).expect("object 0 hosted");
                 let status = ClientReply::Status {
                     algorithm: self.algorithm.to_string(),
@@ -425,13 +379,12 @@ impl Node {
         }
     }
 
-    /// Arm one wall-clock deadline. `prepared_rounds` is the shard's
-    /// current termination-round count, read by the merge pass. A vote
-    /// deadline opens the round on the vote clock and
+    /// Arm one protocol deadline, counted from `now`. `rounds` is the
+    /// shard's current termination-round count, read by the merge pass.
+    /// A vote deadline opens the round on the vote clock and
     /// brings the straggler grace with it, unless the grace would be
     /// the whole deadline anyway.
-    pub(crate) fn arm_timer(&mut self, txn: TxnId, kind: TimerKind, prepared_rounds: u32) {
-        let now = Instant::now();
+    pub(crate) fn arm_timer(&mut self, txn: TxnId, kind: TimerKind, rounds: u32, now: Instant) {
         let delay = match kind {
             TimerKind::VoteDeadline => {
                 let deadline = self.config.vote_deadline;
@@ -448,7 +401,7 @@ impl Node {
             TimerKind::CatchUpDeadline => self.config.catchup_deadline,
             TimerKind::PreparedRetry => {
                 let u: f64 = self.rng.gen();
-                let ms = self.config.backoff.delay(prepared_rounds, u);
+                let ms = self.config.backoff.delay(rounds, u);
                 Duration::from_secs_f64(ms / 1000.0)
             }
         };
@@ -456,32 +409,34 @@ impl Node {
     }
 
     fn arm_at(&mut self, when: Instant, txn: TxnId, kind: TimerKind) {
-        let id = self.timers.schedule(when, (txn, kind));
+        let id = self.timers.schedule(when, Deadline::Round(txn, kind));
         self.vote_clock.guard(txn, kind, id);
     }
 
-    /// Time until the next protocol deadline or forward deadline: the
-    /// longest the host may wait before [`Node::end_batch`] is due
-    /// again (`None`: no deadline pending).
-    pub(crate) fn next_timer_in(&mut self) -> Option<Duration> {
-        let now = Instant::now();
-        let protocol = self.timers.next_deadline().copied();
-        let next = match (protocol, self.next_forward_deadline()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        next.map(|when| when.saturating_duration_since(now))
+    /// Time from `now` until the node's next deadline: the longest the
+    /// host may wait before [`Node::end_batch`] is due again (`None`: no
+    /// deadline pending, wait for an event).
+    pub(crate) fn next_timer_in(&mut self, now: Instant) -> Option<Duration> {
+        let next = self.timers.next_deadline()?;
+        Some(next.saturating_duration_since(now))
     }
 
-    /// Fire every due timer on its object's shard; the caller's
-    /// [`Node::merge`] collects the results with the batch.
-    fn fire_due_timers(&mut self) {
-        while let Some((_, (txn, kind))) = self.timers.pop_due(&Instant::now()) {
+    /// Fire every deadline due by `now`, in deadline order: a round's
+    /// timer runs on its object's shard, and an overdue forward is
+    /// answered. The caller's [`Node::merge`] collects the results with
+    /// the batch.
+    fn fire_due(&mut self, now: Instant) {
+        while let Some((_, deadline)) = self.timers.pop_due(&now) {
             if self.down {
                 continue;
             }
-            self.vote_clock.fired(txn, kind);
-            self.step(txn.object, Input::Timer { txn, kind });
+            match deadline {
+                Deadline::Round(txn, kind) => {
+                    self.vote_clock.fired(txn, kind);
+                    self.step(txn.object, Input::Timer { txn, kind });
+                }
+                Deadline::Forward(id) => self.expire_forward(id),
+            }
         }
     }
 
@@ -492,5 +447,171 @@ impl Node {
     pub(super) fn fresh_payload(&mut self) -> u64 {
         self.payload_seq += 1;
         ((u64::from(self.id.0) + 1) << 48) | self.payload_seq
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The node driven in synthetic time: one site of three, built
+    //! directly, handed `t0 + offset` by the test — no sockets, no
+    //! threads, no sleeps.
+
+    use super::*;
+    use crate::node::NodeConfig;
+    use crate::wire::Relay;
+    use dynvote_core::AlgorithmKind;
+
+    const NS: Duration = Duration::from_nanos(1);
+
+    /// Site 1 of a 3-site, one-object hybrid cluster.
+    fn node() -> Node {
+        Node::new(
+            SiteId(1),
+            3,
+            1,
+            AlgorithmKind::Hybrid,
+            NodeConfig::default(),
+        )
+    }
+
+    /// The same node with object 0's home at site 0, as a lost lock race
+    /// against site 0 would have taught it.
+    fn routed_node() -> Node {
+        let mut node = node();
+        node.learn_home(ObjectId::ZERO, SiteId(0));
+        node
+    }
+
+    fn client(id: u64, op: ClientOp) -> NodeEvent {
+        NodeEvent::Client {
+            id,
+            op,
+            reply: ReplySink::Channel(std::sync::mpsc::channel().0),
+        }
+    }
+
+    fn update(id: u64) -> NodeEvent {
+        client(id, ClientOp::Update { key: 0 })
+    }
+
+    /// Take the peer items out of the outbox, as a host would.
+    fn sent(node: &mut Node) -> Vec<(SiteId, PeerFrame)> {
+        node.out.peers.drain(..).collect()
+    }
+
+    /// Take the client replies out of the outbox as `(id, reply)`.
+    fn answered(node: &mut Node) -> Vec<(u64, ClientReply)> {
+        let replies = node.out.replies.drain(..);
+        replies.map(|(_, id, reply)| (id, reply)).collect()
+    }
+
+    fn forward_deadline(node: &Node) -> Duration {
+        2 * (node.config.vote_deadline + node.config.catchup_deadline)
+    }
+
+    #[test]
+    fn a_vote_deadline_fires_at_its_instant_and_not_a_nanosecond_before() {
+        let mut node = node();
+        let deadline = node.config.vote_deadline;
+        let t = Instant::now();
+        node.on_event(update(7), t);
+        node.end_batch(t);
+        assert_eq!(sent(&mut node).len(), 2, "a vote request to each peer");
+        assert_eq!(answered(&mut node), []);
+        // No peer has voted yet, so the grace is the whole deadline and
+        // the deadline is the one entry on the wheel.
+        assert_eq!(node.next_timer_in(t), Some(deadline));
+
+        let early = t + deadline - NS;
+        node.end_batch(early);
+        assert_eq!(answered(&mut node), []);
+        assert_eq!(node.shard_stats.vote_deadline_missed(), [0, 0, 0]);
+        assert_eq!(node.next_timer_in(early), Some(NS));
+
+        node.end_batch(t + deadline);
+        assert_eq!(answered(&mut node), [(7, ClientReply::Rejected)]);
+        assert_eq!(node.shard_stats.vote_deadline_missed(), [1, 0, 1]);
+    }
+
+    #[test]
+    fn an_unanswered_forward_times_out_exactly_at_its_deadline() {
+        let mut node = routed_node();
+        let t = Instant::now();
+        node.on_event(update(7), t);
+        node.end_batch(t);
+        let forward = Relay::Forward {
+            id: 1,
+            key: 0,
+            read: false,
+        };
+        assert_eq!(sent(&mut node), [(SiteId(0), PeerFrame::Relay(forward))]);
+        let late = t + forward_deadline(&node);
+        assert_eq!(node.next_timer_in(t), Some(late - t));
+
+        node.end_batch(late - NS);
+        assert_eq!(answered(&mut node), []);
+        assert_eq!(node.shard_stats.forward_timeouts(), 0);
+
+        node.end_batch(late);
+        assert_eq!(answered(&mut node), [(7, ClientReply::TimedOut)]);
+        assert_eq!(node.shard_stats.forward_timeouts(), 1);
+        // Never re-run: nothing else is pending, and the home that
+        // timed out is forgotten.
+        assert_eq!(node.next_timer_in(late), None);
+        assert_eq!(node.usable_home(ObjectId::ZERO), None);
+    }
+
+    #[test]
+    fn a_forward_answered_in_time_leaves_no_deadline_behind() {
+        let mut node = routed_node();
+        let t = Instant::now();
+        node.on_event(update(7), t);
+        node.end_batch(t);
+        sent(&mut node);
+
+        let on_time = t + Duration::from_millis(1);
+        let committed = ClientReply::Committed { version: 1 };
+        let reply = Relay::ForwardReply {
+            id: 1,
+            reply: committed.clone(),
+        };
+        node.on_event(
+            NodeEvent::Relay {
+                from: SiteId(0),
+                relay: reply,
+            },
+            on_time,
+        );
+        node.end_batch(on_time);
+        assert_eq!(answered(&mut node), [(7, committed)]);
+        assert_eq!(node.next_timer_in(on_time), None);
+
+        node.end_batch(t + forward_deadline(&node));
+        assert_eq!(answered(&mut node), []);
+        assert_eq!(node.shard_stats.forward_timeouts(), 0);
+    }
+
+    #[test]
+    fn a_crash_answers_a_forward_in_flight_once_and_nothing_fires_later() {
+        let mut node = routed_node();
+        let t = Instant::now();
+        node.on_event(update(7), t);
+        node.end_batch(t);
+        sent(&mut node);
+
+        let crashed = t + Duration::from_millis(1);
+        node.on_event(client(8, ClientOp::Crash), crashed);
+        node.end_batch(crashed);
+        assert_eq!(
+            answered(&mut node),
+            [(7, ClientReply::Down), (8, ClientReply::Ok)]
+        );
+        assert_eq!(node.next_timer_in(crashed), None);
+
+        let late = t + forward_deadline(&node);
+        node.end_batch(late);
+        node.finish(late);
+        assert_eq!(answered(&mut node), []);
+        assert_eq!(node.shard_stats.forward_timeouts(), 0);
     }
 }

@@ -20,12 +20,12 @@
 //!
 //! Ownership model: the reactor owns the site's [`Node`]. Every peer
 //! frame, relay and client op it decodes goes straight to
-//! [`Node::on_event`]; once per poll iteration [`Node::end_batch`]
-//! seals the batch (WAL barrier, then sends and replies into the
-//! node's outbox) and the reactor drains the outbox: peer items are
-//! sealed onto their peers' buffers, and each reply is staged on the
-//! connection its [`ReplySink`] names — if that slot still holds the
-//! same connection. Nothing is shared and nothing rings a waker: the
+//! [`Node::on_event`] with the time the poll returned; once per poll
+//! iteration [`Node::end_batch`] seals the batch (WAL barrier, then
+//! sends and replies into the node's outbox) and the reactor drains the
+//! outbox: peer items are sealed onto their peers' buffers, and each
+//! reply is staged on the connection its [`ReplySink`] names — if that
+//! slot still holds the same connection. Nothing is shared and nothing rings a waker: the
 //! producer is this thread, and it writes right after the batch. The
 //! only way in from another thread is the site's inbox (see
 //! `crate::cluster`), whose every send rings the [`Waker`].
@@ -203,6 +203,8 @@ pub(crate) struct Reactor {
     inbox: Receiver<NodeEvent>,
     /// The node was handed an event since its last `end_batch`.
     fed: bool,
+    /// When the latest poll returned: the node's `now` for the batch.
+    now: Instant,
     /// Outbound link per site (this site's own stays idle).
     links: Vec<PeerLink>,
     /// Connections a write-out staged replies on; reused.
@@ -247,6 +249,7 @@ impl Reactor {
             node,
             inbox,
             fed: false,
+            now: Instant::now(),
             links: (0..n).map(|_| PeerLink::default()).collect(),
             touched: Vec::new(),
             listener: config.listener,
@@ -272,7 +275,7 @@ impl Reactor {
     /// batch once, then write.
     pub(crate) fn run(mut self) {
         let mut events = Events::with_capacity(512);
-        self.node.start();
+        self.node.start(Instant::now());
         self.write_out();
         loop {
             let now = Instant::now();
@@ -284,7 +287,7 @@ impl Reactor {
                 Some(Duration::ZERO)
             } else {
                 let reconnect = poll_timeout(self.timers.next_deadline().copied(), now);
-                match (reconnect, self.node.next_timer_in()) {
+                match (reconnect, self.node.next_timer_in(now)) {
                     (Some(a), Some(b)) => Some(a.min(b)),
                     (a, b) => a.or(b),
                 }
@@ -299,18 +302,19 @@ impl Reactor {
             if !self.drain_inbox() {
                 break;
             }
-            self.node.end_batch();
+            self.node.end_batch(self.now);
             self.fed = false;
             self.write_out();
         }
-        self.node.finish();
+        self.node.finish(Instant::now());
         self.final_flush();
     }
 
-    /// Wait up to `timeout` for readiness and handle every event it
-    /// brings.
+    /// Wait up to `timeout` for readiness, read the clock once, and
+    /// handle every event the wait brought.
     fn poll(&mut self, events: &mut Events, timeout: Option<Duration>) -> io::Result<()> {
         self.poller.wait(events, timeout)?;
+        self.now = Instant::now();
         for ev in events.iter() {
             match ev.token() {
                 TOKEN_WAKER => self.waker.drain(),
@@ -324,7 +328,7 @@ impl Reactor {
 
     /// Run one event on the node; the loop closes the batch.
     fn feed(&mut self, event: NodeEvent) {
-        self.node.on_event(event);
+        self.node.on_event(event, self.now);
         self.fed = true;
     }
 

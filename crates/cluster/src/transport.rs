@@ -7,8 +7,8 @@
 //! because message loss is a legal fault in the dynamic-voting model
 //! and every protocol path tolerates it. Two hosts:
 //!
-//! * the channel host ([`crate::node::Node::run`]) hands each peer item
-//!   to the destination's `mpsc` inbox through [`deliver`]. Zero
+//! * the channel host ([`Node::run`]) hands each peer item to the
+//!   destination's `mpsc` inbox through [`deliver`]. Zero
 //!   serialization; the fastest way to run a whole cluster inside one
 //!   test.
 //! * the site's readiness reactor ([`crate::reactor`]) encodes each
@@ -19,11 +19,52 @@
 //!   through the loadgen report, `/metrics`, and the
 //!   [`crate::wire::ClientOp::NetStats`] client op.
 
-use crate::node::{NodeEvent, Outbox, ReplySink};
+use crate::node::{Node, NodeEvent, Outbox, ReplySink};
 use crate::wire::PeerFrame;
 use dynvote_core::SiteId;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::time::Instant;
+
+/// How many inbox events one batch of the channel host may take before
+/// timers fire and the outbox is delivered. Bounded so a message storm
+/// cannot starve timers; large enough that a commit fan-in coalesces
+/// into one batch.
+const INBOX_BATCH: usize = 128;
+
+impl Node {
+    /// The channel host: block on `inbox` until the node's next
+    /// deadline (or, with none pending, until an event arrives), hand
+    /// the burst queued behind the first event (bounded by
+    /// [`INBOX_BATCH`]) to the node with the time read after the wait,
+    /// then close the batch and hand its outbox to `peers` (every
+    /// site's inbox, indexed by site); repeat until
+    /// [`NodeEvent::Shutdown`] or until every sender is gone.
+    pub fn run(mut self, inbox: Receiver<NodeEvent>, peers: &[Sender<NodeEvent>]) {
+        self.start(Instant::now());
+        deliver(self.id, peers, &mut self.out);
+        'outer: loop {
+            let first = match self.next_timer_in(Instant::now()) {
+                Some(timeout) => inbox.recv_timeout(timeout),
+                None => inbox.recv().map_err(RecvTimeoutError::from),
+            };
+            if matches!(first, Err(RecvTimeoutError::Disconnected)) {
+                break;
+            }
+            let now = Instant::now();
+            for event in first.into_iter().chain(inbox.try_iter()).take(INBOX_BATCH) {
+                if matches!(event, NodeEvent::Shutdown) {
+                    break 'outer;
+                }
+                self.on_event(event, now);
+            }
+            self.end_batch(now);
+            deliver(self.id, peers, &mut self.out);
+        }
+        self.finish(Instant::now());
+        deliver(self.id, peers, &mut self.out);
+    }
+}
 
 /// The channel host's drain: each peer item becomes an event from
 /// `from` in its destination's inbox (`peers`, indexed by site), and

@@ -6,6 +6,11 @@
 //! new place — would leave the op unread until unrelated traffic came
 //! by, which on an idle cluster is never. The inbox cannot send without
 //! waking; this pins it.
+//!
+//! The other side of the same contract: a site with nothing to do is
+//! not woken at all. Both hosts wait exactly until the node's next
+//! deadline, and with none pending a channel site blocks on its inbox
+//! until an event arrives — it runs no batch, so no merge barrier.
 
 use dynvote_cluster::{ClientReply, Cluster, ClusterConfig, TransportKind};
 use dynvote_core::{AlgorithmKind, SiteId};
@@ -41,4 +46,31 @@ fn idle_tcp_sites_answer_every_probe_promptly() {
     cluster.shutdown();
     let took = started.elapsed();
     assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+}
+
+#[test]
+fn idle_channel_sites_run_no_merge_barrier() {
+    /// `ShardStats::snapshot` slot of the merge-barrier count.
+    const MERGE_BARRIERS: usize = 2;
+    let config =
+        ClusterConfig::new(5, AlgorithmKind::Hybrid).with_transport(TransportKind::Channel);
+    let cluster = Cluster::boot(&config).expect("boot");
+
+    // One commit arms deadlines on every site; the coordinator's are
+    // retired when the round resolves, and a subordinate's retry timer
+    // fires once within a backoff step and arms nothing more.
+    let reply = cluster.client(SiteId(0)).update().expect("update");
+    assert!(matches!(reply, ClientReply::Committed { .. }), "{reply:?}");
+    assert!(cluster.await_quiescence(Duration::from_secs(5)));
+    std::thread::sleep(Duration::from_millis(200));
+
+    let barriers = || -> Vec<u64> {
+        (0..config.n)
+            .map(|site| cluster.shard_stats(SiteId::new(site)).snapshot()[MERGE_BARRIERS])
+            .collect()
+    };
+    let before = barriers();
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(barriers(), before, "idle channel sites woke to run a batch");
+    cluster.shutdown();
 }
