@@ -16,12 +16,12 @@
 //! answered contributes the whole deadline, so a node shortcuts nothing
 //! until it has heard every peer vote once.
 //!
-//! The same per-round record remembers which wall-clock timers guard
-//! the round, so the merge can retire them the moment the round
-//! resolves instead of letting each wake the scheduler for nothing.
+//! A round's record here is only its start instant, kept for those
+//! samples. The timers guarding a round live in the node's timer map,
+//! and the kernel's `ClearTimers` retires them.
 
-use dynvote_core::{SiteId, TimerId};
-use dynvote_protocol::{TimerKind, TxnId};
+use dynvote_core::SiteId;
+use dynvote_protocol::TxnId;
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
@@ -57,30 +57,13 @@ impl Rtt {
     }
 }
 
-/// A round coordinated here that started less than a vote deadline ago.
-#[derive(Debug)]
-struct Round {
-    started: Instant,
-    /// Armed timers guarding the round: vote deadline, grace, catch-up
-    /// deadline. An entry is cleared when its timer fires or is retired.
-    timers: [Option<TimerId>; 3],
-}
-
-fn slot(kind: TimerKind) -> Option<usize> {
-    match kind {
-        TimerKind::VoteDeadline => Some(0),
-        TimerKind::VoteGrace => Some(1),
-        TimerKind::CatchUpDeadline => Some(2),
-        // Subordinate side: the node cannot see that round resolve.
-        TimerKind::PreparedRetry => None,
-    }
-}
-
 /// Per-peer vote latency plus the recent rounds it is sampled against.
 #[derive(Debug)]
 pub(crate) struct VoteClock {
     peers: Vec<Option<Rtt>>,
-    rounds: HashMap<TxnId, Round>,
+    /// When each round coordinated here that started less than a vote
+    /// deadline ago opened.
+    rounds: HashMap<TxnId, Instant>,
     /// `rounds` in start order. Every round gets the same allowance, so
     /// start order is expiry order.
     order: VecDeque<(Instant, TxnId)>,
@@ -120,52 +103,16 @@ impl VoteClock {
             self.rounds.remove(&old);
         }
         self.order.push_back((now, txn));
-        self.rounds.insert(
-            txn,
-            Round {
-                started: now,
-                timers: [None; 3],
-            },
-        );
-    }
-
-    /// `id` is an armed `kind` timer guarding `txn`.
-    pub(crate) fn guard(&mut self, txn: TxnId, kind: TimerKind, id: TimerId) {
-        self.set_timer(txn, kind, Some(id));
-    }
-
-    /// `txn`'s `kind` timer fired: it is in the wheel no more.
-    pub(crate) fn fired(&mut self, txn: TxnId, kind: TimerKind) {
-        self.set_timer(txn, kind, None);
-    }
-
-    fn set_timer(&mut self, txn: TxnId, kind: TimerKind, id: Option<TimerId>) {
-        let Some(slot) = slot(kind) else {
-            return;
-        };
-        if let Some(round) = self.rounds.get_mut(&txn) {
-            round.timers[slot] = id;
-        }
-    }
-
-    /// `txn` resolved: the timers still guarding it, for the caller to
-    /// cancel. The round itself stays on record for late votes.
-    pub(crate) fn retire(&mut self, txn: TxnId) -> impl Iterator<Item = TimerId> {
-        self.rounds
-            .get_mut(&txn)
-            .map(|round| std::mem::take(&mut round.timers))
-            .into_iter()
-            .flatten()
-            .flatten()
+        self.rounds.insert(txn, now);
     }
 
     /// `peer`'s vote for `txn` reached the inbox at `now`. Returns the
     /// peer's smoothed latency when `txn` is a recent round of this
     /// node.
     pub(crate) fn sample(&mut self, txn: TxnId, peer: SiteId, now: Instant) -> Option<Duration> {
-        let round = self.rounds.get(&txn)?;
+        let started = *self.rounds.get(&txn)?;
         let rtt = self.peers.get_mut(peer.index())?;
-        let sample = now.saturating_duration_since(round.started).as_nanos() as u64;
+        let sample = now.saturating_duration_since(started).as_nanos() as u64;
         let rtt = match rtt {
             Some(rtt) => {
                 rtt.update(sample);
@@ -185,7 +132,6 @@ impl VoteClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynvote_core::TimerWheel;
 
     const DEADLINE: Duration = Duration::from_millis(24);
     const FLOOR: Duration = Duration::from_millis(3);
@@ -221,11 +167,10 @@ mod tests {
         let fast = Duration::from_micros(300);
         round(&mut clock, 1, t0, &[(1, fast), (2, fast)]);
         assert_eq!(clock.grace(ME, DEADLINE), FLOOR);
-        // Peer 2 takes 6 ms: round 2 closed without it at the grace and
-        // was retired, and its vote is sampled all the same.
+        // Peer 2 takes 6 ms: round 2 closed without it at the grace,
+        // and its vote is sampled all the same.
         clock.open(txn(2), t0, DEADLINE);
         clock.sample(txn(2), SiteId(1), t0 + fast);
-        assert_eq!(clock.retire(txn(2)).count(), 0);
         let late = Duration::from_millis(6);
         assert!(clock.sample(txn(2), SiteId(2), t0 + late).is_some());
         let widened = clock.grace(ME, DEADLINE);
@@ -235,32 +180,6 @@ mod tests {
             round(&mut clock, seq, t0, &[(2, Duration::from_millis(40))]);
         }
         assert_eq!(clock.grace(ME, DEADLINE), DEADLINE);
-    }
-
-    #[test]
-    fn a_resolved_round_hands_back_only_the_timers_still_armed() {
-        let mut wheel: TimerWheel<Instant, (TxnId, TimerKind)> = TimerWheel::new();
-        let mut clock = VoteClock::new(2);
-        let t0 = Instant::now();
-        clock.open(txn(1), t0, DEADLINE);
-        for kind in [
-            TimerKind::VoteDeadline,
-            TimerKind::VoteGrace,
-            TimerKind::PreparedRetry,
-        ] {
-            let id = wheel.schedule(t0 + DEADLINE, (txn(1), kind));
-            clock.guard(txn(1), kind, id);
-        }
-        // The grace fired without closing the round; a subordinate's
-        // retry timer is never the coordinator's to retire.
-        clock.fired(txn(1), TimerKind::VoteGrace);
-        for id in clock.retire(txn(1)) {
-            wheel.cancel(id);
-        }
-        assert_eq!(clock.retire(txn(1)).count(), 0, "retired once");
-        let left: Vec<TimerKind> =
-            std::iter::from_fn(|| wheel.pop_next().map(|(_, (_, kind))| kind)).collect();
-        assert_eq!(left, [TimerKind::VoteGrace, TimerKind::PreparedRetry]);
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //!    leaves the node before this point.
 //! 3. **Dispatch** — sends, broadcasts and client answers go to the
 //!    node's outbox, for the host to transmit after the batch;
-//!    `SetTimer` arms the timer wheel from `now`, `CommitRecorded`
-//!    books the version a round's op landed at (the kernel emits it
-//!    before the round's `Resolved`), `Resolved` retires the round's
-//!    timers and completes parked clients (or, for a lost lock race,
-//!    forwards them to the object's home), hints feed the scheduler's
+//!    `SetTimer` arms the timer wheel from `now` and `ClearTimers`
+//!    cancels every timer still armed for its transaction,
+//!    `CommitRecorded` books the version a round's op landed at (the
+//!    kernel emits it before the round's `Resolved`), `Resolved`
+//!    completes parked clients (or, for a lost lock race, forwards them
+//!    to the object's home), hints feed the scheduler's
 //!    peer-suspicion set (`Unanswered`) and route table (`Rival`), and
 //!    protocol events are counted into the node's tally row (and
 //!    printed, with `trace`).
@@ -97,12 +98,8 @@ impl Node {
                         .map_or(0, SiteActor::prepared_rounds);
                     self.arm_timer(txn, kind, rounds, now);
                 }
+                Action::ClearTimers { txn } => self.clear_timers(txn),
                 Action::Resolved { txn, reason } => {
-                    // Nobody waits on this round's deadlines any more:
-                    // retire them instead of waking up for each.
-                    for timer in self.vote_clock.retire(txn) {
-                        self.timers.cancel(timer);
-                    }
                     self.restart_txns.remove(&txn);
                     if reason == ResolveReason::Contended {
                         self.shard_stats.note_contended();

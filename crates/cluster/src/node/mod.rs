@@ -4,8 +4,9 @@
 //! A node owns the protocol kernels for its site and translates their
 //! [`Action`]s into data: sends, relays and client replies are appended
 //! to the node's [`Outbox`], `SetTimer` becomes an entry in the node's
-//! one deadline queue, and `Resolved` answers the client request that
-//! started the transaction. Everything arrives as a [`NodeEvent`] —
+//! one deadline queue and `ClearTimers` takes its transaction's entries
+//! out again, and `Resolved` answers the client request that started
+//! the transaction. Everything arrives as a [`NodeEvent`] —
 //! peer frames, relays, client requests — handed to
 //! [`Node::on_event`] by whichever thread hosts the node, and that
 //! thread is the only one that ever touches it. The node performs no
@@ -56,7 +57,7 @@
 //! Fault injection mirrors the simulator's model exactly:
 //!
 //! * **crash** wipes the kernels' volatile state (durable
-//!   prepare/commit records survive), cancels pending deadlines (they
+//!   prepare/commit records survive), clears pending deadlines (they
 //!   guard volatile rounds and forwards) and fails parked clients with
 //!   [`ClientReply::Down`]. The thread stays up so control traffic
 //!   keeps working.
@@ -78,7 +79,7 @@ pub use worker::ShardStats;
 
 use crate::transport::NetStats;
 use crate::wire::{ClientOp, ClientReply, PeerFrame, Relay};
-use dynvote_core::{AlgorithmKind, BackoffPolicy, SiteId, SiteSet, TimerWheel};
+use dynvote_core::{AlgorithmKind, BackoffPolicy, SiteId, SiteSet, TimerId, TimerWheel};
 use dynvote_protocol::{
     Action, DurableState, EventKind, Message, ObjectId, ShardedSite, TimerKind, TxnId,
 };
@@ -311,14 +312,17 @@ pub(crate) struct Node {
     /// is distinguished without them — one crash costs one coordinator
     /// about one grace, not one deadline per commit.
     pub(crate) suspected: SiteSet,
-    /// How fast each peer has been voting, the straggler grace that
-    /// follows from it, and the timers guarding each recent round.
+    /// How fast each peer has been voting, and the straggler grace
+    /// that follows from it.
     pub(crate) vote_clock: grace::VoteClock,
     /// Round timers and forward deadlines, in the shared [`TimerWheel`]
-    /// (the simulator arms the same wheel under a virtual clock). Its
-    /// epoch is bumped on every crash so timers armed before the crash
-    /// are recognizably stale (volatile state they guard is gone).
+    /// (the simulator arms the same wheel under a virtual clock).
+    /// Cleared on every crash: the volatile state they guard is gone.
     pub(crate) timers: TimerWheel<Instant, Deadline>,
+    /// Every round timer armed in `timers`, by what it guards. An entry
+    /// leaves when its timer fires or the kernel's
+    /// [`Action::ClearTimers`] names its transaction, which cancels it.
+    pub(crate) round_timers: HashMap<(TxnId, TimerKind), TimerId>,
     /// This site's protocol-event tally, in [`EventKind::ALL`] order:
     /// the merge barrier counts every [`Action::Event`] it drains, and
     /// [`ClientOp::Events`] and `/metrics` read it. Owned by the node,
@@ -381,6 +385,7 @@ impl Node {
             suspected: SiteSet::EMPTY,
             vote_clock: grace::VoteClock::new(n),
             timers: TimerWheel::new(),
+            round_timers: HashMap::new(),
             event_counts: [0; EventKind::COUNT],
             trace: false,
             net: None,

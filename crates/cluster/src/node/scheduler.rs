@@ -196,9 +196,10 @@ impl Node {
                     // of their volatile state below.
                     self.set_suspected(SiteSet::EMPTY);
                     self.vote_clock.reset();
-                    // Lazy cancellation: already-armed entries become
-                    // stale and are skimmed off at the next peek/pop.
-                    self.timers.bump_epoch();
+                    // Every deadline guards volatile state: none is
+                    // armed again until the site recovers.
+                    self.timers.clear();
+                    self.round_timers.clear();
                     self.site.crash(&mut self.scratch);
                     // Parked ops die with the site, and so does what it
                     // learned about rivals.
@@ -410,7 +411,20 @@ impl Node {
 
     fn arm_at(&mut self, when: Instant, txn: TxnId, kind: TimerKind) {
         let id = self.timers.schedule(when, Deadline::Round(txn, kind));
-        self.vote_clock.guard(txn, kind, id);
+        // Re-arming a kind still armed (a re-granted vote) replaces it.
+        if let Some(replaced) = self.round_timers.insert((txn, kind), id) {
+            self.timers.cancel(replaced);
+        }
+    }
+
+    /// The kernel is done with `txn`: cancel every timer still armed
+    /// for it.
+    pub(super) fn clear_timers(&mut self, txn: TxnId) {
+        for kind in TimerKind::ALL {
+            if let Some(id) = self.round_timers.remove(&(txn, kind)) {
+                self.timers.cancel(id);
+            }
+        }
     }
 
     /// Time from `now` until the node's next deadline: the longest the
@@ -427,12 +441,9 @@ impl Node {
     /// the batch.
     fn fire_due(&mut self, now: Instant) {
         while let Some((_, deadline)) = self.timers.pop_due(&now) {
-            if self.down {
-                continue;
-            }
             match deadline {
                 Deadline::Round(txn, kind) => {
-                    self.vote_clock.fired(txn, kind);
+                    self.round_timers.remove(&(txn, kind));
                     self.step(txn.object, Input::Timer { txn, kind });
                 }
                 Deadline::Forward(id) => self.expire_forward(id),
@@ -452,9 +463,10 @@ impl Node {
 
 #[cfg(test)]
 mod tests {
-    //! The node driven in synthetic time: one site of three, built
-    //! directly, handed `t0 + offset` by the test — no sockets, no
-    //! threads, no sleeps.
+    //! The node driven in synthetic time: nodes built directly, handed
+    //! `t0 + offset` by the test — no sockets, no threads, no sleeps.
+    //! Most tests drive one site of three; a [`pump`] steps a whole
+    //! cluster of them.
 
     use super::*;
     use crate::node::NodeConfig;
@@ -463,15 +475,48 @@ mod tests {
 
     const NS: Duration = Duration::from_nanos(1);
 
+    /// Site `id` of an `n`-site, one-object hybrid cluster.
+    fn site(id: u8, n: usize) -> Node {
+        let config = NodeConfig::default();
+        Node::new(SiteId(id), n, 1, AlgorithmKind::Hybrid, config)
+    }
+
     /// Site 1 of a 3-site, one-object hybrid cluster.
     fn node() -> Node {
-        Node::new(
-            SiteId(1),
-            3,
-            1,
-            AlgorithmKind::Hybrid,
-            NodeConfig::default(),
-        )
+        site(1, 3)
+    }
+
+    /// Hand every peer item in the nodes' outboxes to its target at
+    /// `now`, then close the batch of each node that got one, until no
+    /// node has anything left to send. Client replies stay in the
+    /// outboxes. Returns how many peer items moved.
+    fn pump(nodes: &mut [Node], now: Instant) -> usize {
+        let mut moved = 0;
+        loop {
+            let mut items = Vec::new();
+            for node in nodes.iter_mut() {
+                let from = node.id;
+                items.extend(node.out.peers.drain(..).map(|(to, item)| (from, to, item)));
+            }
+            if items.is_empty() {
+                return moved;
+            }
+            moved += items.len();
+            let mut touched = vec![false; nodes.len()];
+            for (from, to, item) in items {
+                let event = match item {
+                    PeerFrame::Msg(msg) => NodeEvent::Peer { from, msg },
+                    PeerFrame::Relay(relay) => NodeEvent::Relay { from, relay },
+                };
+                nodes[to.index()].on_event(event, now);
+                touched[to.index()] = true;
+            }
+            for (node, touched) in nodes.iter_mut().zip(touched) {
+                if touched {
+                    node.end_batch(now);
+                }
+            }
+        }
     }
 
     /// The same node with object 0's home at site 0, as a lost lock race
@@ -613,5 +658,33 @@ mod tests {
         node.finish(late);
         assert_eq!(answered(&mut node), []);
         assert_eq!(node.shard_stats.forward_timeouts(), 0);
+    }
+
+    #[test]
+    fn a_committed_update_leaves_no_timer_armed_on_any_node() {
+        let mut nodes: Vec<Node> = (0..5).map(|id| site(id, 5)).collect();
+        let deadline = nodes[0].config.vote_deadline;
+        let t = Instant::now();
+        // The first round waits the whole deadline for peers it has not
+        // heard; the second arms the straggler grace beside it, which
+        // the commit must clear as well.
+        for (version, first_timer) in [(1, deadline), (2, deadline / 8)] {
+            nodes[0].on_event(update(version), t);
+            nodes[0].end_batch(t);
+            assert_eq!(nodes[0].next_timer_in(t), Some(first_timer));
+            assert_eq!(
+                pump(&mut nodes, t),
+                12,
+                "four vote requests, four votes, four commits"
+            );
+            assert_eq!(
+                answered(&mut nodes[0]),
+                [(version, ClientReply::Committed { version })]
+            );
+            for node in &mut nodes {
+                assert_eq!(node.next_timer_in(t), None, "site {}", node.id);
+                assert!(node.round_timers.is_empty(), "site {}", node.id);
+            }
+        }
     }
 }

@@ -56,13 +56,12 @@ fn idle_channel_sites_run_no_merge_barrier() {
         ClusterConfig::new(5, AlgorithmKind::Hybrid).with_transport(TransportKind::Channel);
     let cluster = Cluster::boot(&config).expect("boot");
 
-    // One commit arms deadlines on every site; the coordinator's are
-    // retired when the round resolves, and a subordinate's retry timer
-    // fires once within a backoff step and arms nothing more.
+    // One commit arms deadlines on every site, and each site clears its
+    // own once the round is decided there: from quiescence on, no
+    // deadline is left to wake an idle site.
     let reply = cluster.client(SiteId(0)).update().expect("update");
     assert!(matches!(reply, ClientReply::Committed { .. }), "{reply:?}");
     assert!(cluster.await_quiescence(Duration::from_secs(5)));
-    std::thread::sleep(Duration::from_millis(200));
 
     let barriers = || -> Vec<u64> {
         (0..config.n)

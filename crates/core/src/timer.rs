@@ -2,13 +2,12 @@
 //!
 //! Both harnesses of the protocol kernel need the same structure: a
 //! binary heap of pending deadlines, ordered by `(deadline, arming
-//! order)` so that ties fire in the order they were armed, with *epoch
-//! invalidation* — crashing a site must cancel every timer guarding
-//! volatile transactions that no longer exist, without walking the
-//! heap — and per-timer *tombstones* for the one deadline whose
-//! transaction finished on time. The simulator instantiates it over virtual time
-//! ([`VirtualInstant`], a totally ordered `f64`), the live cluster over
-//! [`std::time::Instant`]; jittered delays come from
+//! order)` so that ties fire in the order they were armed, with
+//! per-timer *tombstones* for a deadline nobody waits on any more (its
+//! transaction finished first) and [`TimerWheel::clear`] for a crash,
+//! which voids every timer at once. The simulator instantiates it over
+//! virtual time ([`VirtualInstant`], a totally ordered `f64`), the live
+//! cluster over [`std::time::Instant`]; jittered delays come from
 //! [`BackoffPolicy`](crate::BackoffPolicy) scaling the delay *before*
 //! it is scheduled, so the wheel itself stays deterministic.
 
@@ -35,13 +34,12 @@ impl Ord for VirtualInstant {
     }
 }
 
-/// One armed timer: a deadline, the arming order (tie-break), the epoch
-/// it was armed in, and the caller's payload.
+/// One armed timer: a deadline, the arming order (tie-break), and the
+/// caller's payload.
 #[derive(Debug, Clone)]
 struct Entry<T, P> {
     when: T,
     seq: u64,
-    epoch: u64,
     payload: P,
 }
 
@@ -72,18 +70,16 @@ impl<T: Ord, P> Ord for Entry<T, P> {
 pub struct TimerId(u64);
 
 /// A binary-heap timer wheel ordered by `(deadline, arming order)` with
-/// epoch invalidation and per-timer tombstones.
+/// per-timer tombstones.
 ///
-/// [`bump_epoch`](TimerWheel::bump_epoch) invalidates every currently
-/// armed timer in O(1) and [`cancel`](TimerWheel::cancel) one of them;
-/// dead entries are discarded lazily as the heap is inspected, so
-/// neither a crash nor a cancellation pays for walking the heap, and a
-/// wall-clock loop is never woken for a deadline nobody waits on.
+/// [`cancel`](TimerWheel::cancel) retires one armed timer in O(1): its
+/// entry is discarded lazily as the heap is inspected, so a
+/// cancellation never walks the heap, and a wall-clock loop is never
+/// woken for a deadline nobody waits on.
 #[derive(Debug)]
 pub struct TimerWheel<T, P> {
     heap: BinaryHeap<Reverse<Entry<T, P>>>,
     seq: u64,
-    epoch: u64,
     /// Tombstones: cancelled timers still sitting in the heap. Each
     /// leaves the set with its entry.
     cancelled: HashSet<u64>,
@@ -96,13 +92,12 @@ impl<T: Ord, P> Default for TimerWheel<T, P> {
 }
 
 impl<T: Ord, P> TimerWheel<T, P> {
-    /// An empty wheel at epoch 0.
+    /// An empty wheel.
     #[must_use]
     pub fn new() -> Self {
         TimerWheel {
             heap: BinaryHeap::new(),
             seq: 0,
-            epoch: 0,
             cancelled: HashSet::new(),
         }
     }
@@ -113,7 +108,6 @@ impl<T: Ord, P> TimerWheel<T, P> {
         self.heap.push(Reverse(Entry {
             when,
             seq: self.seq,
-            epoch: self.epoch,
             payload,
         }));
         TimerId(self.seq)
@@ -127,29 +121,28 @@ impl<T: Ord, P> TimerWheel<T, P> {
         self.cancelled.insert(id.0);
     }
 
-    /// Invalidate every currently armed timer (a crash boundary). New
-    /// timers armed afterwards belong to the new epoch and fire
-    /// normally.
-    pub fn bump_epoch(&mut self) {
-        self.epoch += 1;
-    }
-
-    /// Drop every entry, live or stale, without changing the epoch.
+    /// Drop every timer, armed or cancelled (a crash boundary). Timers
+    /// armed afterwards fire normally; no earlier [`TimerId`] may be
+    /// cancelled.
     pub fn clear(&mut self) {
         self.heap.clear();
         self.cancelled.clear();
     }
 
-    /// Discard stale-epoch and cancelled entries sitting at the top of
-    /// the heap.
+    /// Discard cancelled entries sitting at the top of the heap.
     fn skim(&mut self) {
         while let Some(Reverse(e)) = self.heap.peek() {
-            let cancelled = !self.cancelled.is_empty() && self.cancelled.remove(&e.seq);
-            if !cancelled && e.epoch == self.epoch {
-                return;
+            if self.cancelled.is_empty() || !self.cancelled.remove(&e.seq) {
+                break;
             }
             self.heap.pop();
         }
+        // Every tombstone leaves with its entry, so an empty heap keeps
+        // none: one left over named a timer that was no longer armed.
+        debug_assert!(
+            !self.heap.is_empty() || self.cancelled.is_empty(),
+            "a cancelled timer was not armed"
+        );
     }
 
     /// The earliest live deadline, if any.
@@ -176,8 +169,8 @@ impl<T: Ord, P> TimerWheel<T, P> {
         }
     }
 
-    /// Number of entries in the heap (stale entries included until they
-    /// are lazily discarded).
+    /// Number of entries in the heap (cancelled entries included until
+    /// they are lazily discarded).
     #[must_use]
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -226,30 +219,17 @@ mod tests {
     }
 
     #[test]
-    fn bump_epoch_cancels_armed_timers_lazily() {
-        let mut wheel: TimerWheel<VirtualInstant, u32> = TimerWheel::new();
-        wheel.schedule(VirtualInstant(1.0), 1);
-        wheel.schedule(VirtualInstant(2.0), 2);
-        wheel.bump_epoch();
-        wheel.schedule(VirtualInstant(3.0), 3);
-        // The stale entries are still physically present...
-        assert_eq!(wheel.len(), 3);
-        // ...but invisible to every accessor.
-        assert_eq!(wheel.next_deadline(), Some(&VirtualInstant(3.0)));
-        assert_eq!(wheel.pop_next(), Some((VirtualInstant(3.0), 3)));
-        assert!(wheel.is_empty());
-    }
-
-    #[test]
-    fn cancelled_timers_are_skimmed_like_stale_epochs() {
+    fn cancelled_timers_are_skimmed() {
         let mut wheel: TimerWheel<VirtualInstant, u32> = TimerWheel::new();
         let first = wheel.schedule(VirtualInstant(1.0), 1);
         let second = wheel.schedule(VirtualInstant(2.0), 2);
         wheel.schedule(VirtualInstant(3.0), 3);
         wheel.cancel(first);
         wheel.cancel(second);
-        // No accessor reports a cancelled deadline: a wall-clock loop
-        // sleeping until `next_deadline` is not woken for one.
+        // The cancelled entries are still physically present...
+        assert_eq!(wheel.len(), 3);
+        // ...but no accessor reports one: a wall-clock loop sleeping
+        // until `next_deadline` is not woken for it.
         assert_eq!(wheel.next_deadline(), Some(&VirtualInstant(3.0)));
         assert_eq!(wheel.pop_due(&VirtualInstant(2.5)), None);
         assert_eq!(
@@ -257,13 +237,33 @@ mod tests {
             Some((VirtualInstant(3.0), 3))
         );
         assert!(wheel.is_empty());
-        // A tombstone dies with its entry, whichever reason killed it.
-        let doomed = wheel.schedule(VirtualInstant(4.0), 4);
-        wheel.cancel(doomed);
-        wheel.bump_epoch();
-        wheel.schedule(VirtualInstant(5.0), 5);
-        assert_eq!(wheel.pop_next(), Some((VirtualInstant(5.0), 5)));
+        // A tombstone dies with its entry.
         assert!(wheel.cancelled.is_empty());
+    }
+
+    #[test]
+    fn clear_drops_every_timer_and_tombstone() {
+        let mut wheel: TimerWheel<VirtualInstant, u32> = TimerWheel::new();
+        wheel.schedule(VirtualInstant(1.0), 1);
+        let doomed = wheel.schedule(VirtualInstant(2.0), 2);
+        wheel.cancel(doomed);
+        wheel.clear();
+        assert!(wheel.is_empty());
+        assert!(wheel.cancelled.is_empty());
+        // Timers armed after a clear fire normally.
+        wheel.schedule(VirtualInstant(3.0), 3);
+        assert_eq!(wheel.pop_next(), Some((VirtualInstant(3.0), 3)));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a cancelled timer was not armed")]
+    fn cancelling_a_timer_that_already_fired_is_caught() {
+        let mut wheel: TimerWheel<VirtualInstant, u32> = TimerWheel::new();
+        let fired = wheel.schedule(VirtualInstant(1.0), 1);
+        assert_eq!(wheel.pop_next(), Some((VirtualInstant(1.0), 1)));
+        wheel.cancel(fired);
+        wheel.next_deadline();
     }
 
     #[test]

@@ -66,6 +66,16 @@ pub enum TimerKind {
     PreparedRetry,
 }
 
+impl TimerKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [TimerKind; 4] = [
+        TimerKind::VoteDeadline,
+        TimerKind::VoteGrace,
+        TimerKind::CatchUpDeadline,
+        TimerKind::PreparedRetry,
+    ];
+}
+
 /// Effects a site hands back to the engine.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Action {
@@ -82,13 +92,27 @@ pub enum Action {
         msg: Message,
     },
     /// Arm a timer; the engine steps [`Input::Timer`] when it fires.
+    /// It stays armed until it fires or a [`Action::ClearTimers`] names
+    /// its transaction. A host that keeps it past that point only pays
+    /// for a step that finds nothing to do.
     SetTimer {
         /// The transaction the timer guards.
         txn: TxnId,
         /// Which deadline.
         kind: TimerKind,
     },
-    /// A transaction coordinated here finished (for statistics).
+    /// `txn` needs none of the timers this site armed for it, the
+    /// host-armed [`TimerKind::VoteGrace`] included. Emitted once `txn`
+    /// is decided here: just before a coordinator's
+    /// [`Action::Resolved`], and when a subordinate releases `txn`. A
+    /// host may drop it, as the simulator does, and let those timers
+    /// fire into a kernel that has finished with `txn`.
+    ClearTimers {
+        /// The finished transaction.
+        txn: TxnId,
+    },
+    /// A transaction coordinated here finished: the host completes the
+    /// client requests that rode it and counts how it ended.
     Resolved {
         /// The transaction.
         txn: TxnId,
@@ -803,7 +827,8 @@ impl SiteActor {
     }
 
     /// Release `txn`'s prepare record and lock, if it holds them (the
-    /// tail of a commit, and all of an abort).
+    /// tail of a commit, and all of an abort): `txn` is decided here,
+    /// so its retry timer goes too.
     fn release(&mut self, txn: TxnId, out: &mut ActionSink) {
         if self.volatile.prepared.is_some_and(|(t, _)| t == txn) {
             self.volatile.prepared = None;
@@ -815,6 +840,7 @@ impl SiteActor {
         if self.volatile.lock == Some(txn) {
             self.volatile.lock = None;
         }
+        out.push(Action::ClearTimers { txn });
     }
 
     /// Apply a commit's effects monotonically (idempotent under
@@ -1311,10 +1337,7 @@ impl SiteActor {
         out.push(Action::Broadcast {
             msg: Message::Abort { txn },
         });
-        out.push(Action::Resolved {
-            txn,
-            reason: ResolveReason::ReadServed,
-        });
+        resolve(txn, ResolveReason::ReadServed, out);
     }
 
     /// The commit phase (`Do_Update`): force the commit record, apply
@@ -1390,10 +1413,7 @@ impl SiteActor {
                 txn,
             });
         }
-        out.push(Action::Resolved {
-            txn,
-            reason: ResolveReason::Committed,
-        });
+        resolve(txn, ResolveReason::Committed, out);
         for &(site, site_meta) in &members {
             if site == self.id {
                 continue;
@@ -1427,8 +1447,15 @@ impl SiteActor {
         out.push(Action::Broadcast {
             msg: Message::Abort { txn },
         });
-        out.push(Action::Resolved { txn, reason });
+        resolve(txn, reason, out);
     }
+}
+
+/// A round coordinated here ended: its timers go, then the host hears
+/// how it ended.
+fn resolve(txn: TxnId, reason: ResolveReason, out: &mut ActionSink) {
+    out.push(Action::ClearTimers { txn });
+    out.push(Action::Resolved { txn, reason });
 }
 
 #[cfg(test)]

@@ -54,6 +54,7 @@ fn pump(sites: &mut [ShardedSite], persisted: &mut Persisted, seed: Vec<Action>,
                     // No faults: deadlines never expire, and the local
                     // bookkeeping actions carry no messages.
                     Action::SetTimer { .. }
+                    | Action::ClearTimers { .. }
                     | Action::Resolved { .. }
                     | Action::CommitRecorded { .. }
                     | Action::DecisionReady { .. }

@@ -170,6 +170,10 @@ impl Net {
                     }
                     self.timers.push((site, txn, kind));
                 }
+                // As the node does: the kernel is done with `txn` here.
+                Action::ClearTimers { txn } => {
+                    self.timers.retain(|&(s, t, _)| s != site || t != txn);
+                }
                 Action::Hint(Hint::Unanswered {
                     cause: CloseCause::Suspected,
                     ..
@@ -240,6 +244,21 @@ impl Net {
             };
             self.deliver(frame);
         }
+    }
+
+    /// Every armed timer, with the site it is armed at.
+    pub fn armed_timers(&self) -> &[(SiteId, TxnId, TimerKind)] {
+        &self.timers
+    }
+
+    /// Frames sent and not yet delivered, as `(from, to, message)`.
+    pub fn queued(&self) -> impl Iterator<Item = &(SiteId, SiteId, Message)> {
+        self.queue.iter()
+    }
+
+    /// Lose every queued frame `lost` picks.
+    pub fn discard(&mut self, lost: impl Fn(&Message) -> bool) {
+        self.queue.retain(|(_, _, msg)| !lost(msg));
     }
 
     /// The rounds of `site` an armed `kind` timer still guards.

@@ -239,6 +239,48 @@ fn recovered_coordinator_presumes_abort_for_its_lost_transaction() {
     assert!(!b.is_in_doubt());
 }
 
+/// The kernel disarms what it armed: a healthy update at n = 5 leaves no
+/// timer armed anywhere. A subordinate keeps its retry timer only while
+/// it is in doubt: with the coordinator's `Commit` frames lost, each of
+/// the four still holds one, and firing it starts the termination
+/// protocol.
+#[test]
+fn a_decided_transaction_leaves_no_timer_and_an_in_doubt_one_keeps_its_retry() {
+    let mut net = Net::new(AlgorithmKind::Hybrid, 5, false);
+    net.start_batch(SiteId(0), &[100]);
+    net.drain();
+    assert_eq!(net.sites[1].meta().version, 1);
+    assert_eq!(net.armed_timers(), []);
+
+    let txn = net.start_batch(SiteId(0), &[101]).expect("lock free");
+    // The vote requests, then the votes: the coordinator commits.
+    net.deliver_next(8);
+    assert_eq!(net.sites[0].meta().version, 2);
+    net.discard(|msg| matches!(msg, Message::Commit { .. }));
+    assert_eq!(net.queued().count(), 0);
+    let kind = TimerKind::PreparedRetry;
+    let expected: Vec<_> = (1..5u8).map(|i| (SiteId(i), txn, kind)).collect();
+    assert_eq!(net.armed_timers(), expected);
+    for i in 1..5u8 {
+        let sub = SiteId(i);
+        assert!(net.sites[sub.index()].is_in_doubt());
+        net.step(sub, Input::Timer { txn, kind });
+        let queries = net
+            .queued()
+            .filter(|(from, _, msg)| *from == sub && matches!(msg, Message::StatusQuery { .. }))
+            .count();
+        assert_eq!(queries, 4, "site {sub} asks every peer");
+    }
+    // The coordinator's commit record answers them: nobody is left in
+    // doubt, and nothing is left armed.
+    net.drain();
+    for site in &net.sites {
+        assert_eq!(site.meta().version, 2, "site {}", site.id());
+        assert!(!site.is_in_doubt());
+    }
+    assert_eq!(net.armed_timers(), []);
+}
+
 /// Count the events in `actions` into `site`'s row, as the host that
 /// drained them would.
 fn tally(site: SiteId, actions: &[Action]) -> EventTallies {

@@ -610,6 +610,9 @@ impl Simulation {
                     let delay = self.jittered(base);
                     self.schedule(delay, Event::Timer { site, txn, kind });
                 }
+                // Left to fire: the kernel ignores a cleared timer, and
+                // the event queue stays exactly what the seed made it.
+                Action::ClearTimers { .. } => {}
                 Action::Resolved { txn, reason } => {
                     let restart = self.restart_txns.remove(&txn);
                     match reason {
