@@ -77,7 +77,8 @@ fn allocs_now() -> u64 {
 
 /// A zero-latency router: every action is interpreted immediately,
 /// timers fire only at quiescence (mirroring the simulator's quiesce
-/// loop, minus the event heap). The kernel emits into one reusable
+/// loop, minus the event heap), and a site's `ClearTimers` disarms its
+/// timers for that transaction. The kernel emits into one reusable
 /// sink, exactly like the production harnesses.
 struct Router {
     actors: Vec<SiteActor>,
@@ -121,6 +122,10 @@ impl Router {
                     }
                 }
                 Action::SetTimer { txn, kind } => self.timers.push((site, txn, kind)),
+                Action::ClearTimers { txn } => {
+                    self.timers
+                        .retain(|&(at, armed, _)| (at, armed) != (site, txn));
+                }
                 _ => {}
             }
         }
@@ -132,16 +137,20 @@ impl Router {
         self.step(site, Input::Update { payloads, hold });
     }
 
-    fn run_to_quiescence(&mut self) {
+    /// Deliver every message, then fire the timers still armed, until
+    /// neither is left. Returns how many timers fired.
+    fn run_to_quiescence(&mut self) -> usize {
+        let mut fired = 0;
         loop {
             while let Some((from, to, msg)) = self.queue.pop_front() {
                 self.dispatched += 1;
                 self.step(to, Input::Message { from, msg });
             }
             if self.timers.is_empty() {
-                break;
+                return fired;
             }
             let timers = std::mem::take(&mut self.timers);
+            fired += timers.len();
             for (site, txn, kind) in timers {
                 self.step(site, Input::Timer { txn, kind });
             }
@@ -175,13 +184,14 @@ fn rounds() -> u64 {
     }
 }
 
-/// Healthy commits: every site up, round-robin coordinators.
+/// Healthy commits: every site up, round-robin coordinators. A commit
+/// disarms every timer it armed, so no round leaves one to fire.
 fn commit_heavy() -> Measurement {
     let rounds = rounds();
     let mut router = Router::new(AlgorithmKind::Hybrid);
     for i in 0..WARMUP {
         router.update(SiteId((i % SITES as u64) as u8), i);
-        router.run_to_quiescence();
+        assert_eq!(router.run_to_quiescence(), 0, "a commit left a timer");
     }
     router.dispatched = 0;
     let allocs_before = allocs_now();
@@ -189,7 +199,7 @@ fn commit_heavy() -> Measurement {
     for i in 0..rounds {
         let coordinator = SiteId((i % SITES as u64) as u8);
         router.update(coordinator, WARMUP + i);
-        router.run_to_quiescence();
+        assert_eq!(router.run_to_quiescence(), 0, "a commit left a timer");
     }
     let seconds = start.elapsed().as_secs_f64();
     let allocs = allocs_now() - allocs_before;

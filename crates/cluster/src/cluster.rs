@@ -4,19 +4,19 @@
 //! Under [`TransportKind::Tcp`] a site's thread is its reactor, which
 //! owns the site's sockets, kernels and WAL together and writes the
 //! node's outbox to the sockets; under [`TransportKind::Channel`] it is
-//! the node's own loop, which hands the outbox to the peers' inboxes.
-//! Either way the only way into a site from another thread is its
-//! `Inbox`, which [`Cluster`]'s control ops, [`LocalClient`] and
-//! shutdown share.
+//! the channel host (`transport::run`), which hands the outbox to the
+//! peers' inboxes. Either way the only way into a site from another
+//! thread is its `Inbox`, which [`Cluster`]'s control ops,
+//! [`LocalClient`] and shutdown share.
 
 use crate::audit::AuditOutcome;
 use crate::frontdoor::{self, FrontDoor, FrontDoorConfig};
-use crate::node::{Node, NodeConfig, NodeDurability, NodeEvent, ReplySink, ShardStats};
 use crate::reactor::{Reactor, ReactorConfig, TOKEN_WAKER};
-use crate::transport::NetStats;
+use crate::transport::{self, NetStats};
 use crate::wire::{self, ClientOp, ClientReply, HELLO_CLIENT};
 use dynvote_core::{AlgorithmKind, ConfigError, CopyMeta, SiteId, SiteSet, MAX_SITES};
 use dynvote_net::{Poller, ResponseParser, Waker};
+use dynvote_node::{Node, NodeConfig, NodeDurability, NodeEvent, ShardStats};
 use dynvote_protocol::{EventTallies, LogEntry, ObjectId};
 use dynvote_storage::{FsyncPolicy, StorageError, StoreConfig};
 use std::io::{self, Read, Write};
@@ -146,7 +146,7 @@ pub struct ClusterConfig {
     /// Per-node wall-clock deadlines.
     pub node: NodeConfig,
     /// TCP only: expose the HTTP front door (one listener per node; see
-    /// [`crate::frontdoor`]). `None` keeps the cluster binary-only.
+    /// [`FrontDoorConfig`]). `None` keeps the cluster binary-only.
     pub http: Option<FrontDoorConfig>,
 }
 
@@ -158,7 +158,7 @@ impl ClusterConfig {
             n,
             objects: 1,
             algorithm,
-            max_batch: crate::node::DEFAULT_MAX_BATCH,
+            max_batch: dynvote_node::DEFAULT_MAX_BATCH,
             transport: TransportKind::Channel,
             port_base: None,
             trace: false,
@@ -225,30 +225,21 @@ impl ClusterConfig {
     /// Reject impossible parameters through the same typed error path
     /// the simulator uses — booting never panics on bad input.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.n == 0 || self.n > MAX_SITES {
-            return Err(ConfigError::OutOfRange {
-                field: "n",
-                value: self.n as u64,
+        let one_to = |field, value: usize, hi: usize| {
+            if (1..=hi).contains(&value) {
+                return Ok(());
+            }
+            let (value, hi) = (value as u64, hi as u64);
+            Err(ConfigError::OutOfRange {
+                field,
+                value,
                 lo: 1,
-                hi: MAX_SITES as u64,
-            });
-        }
-        if self.objects == 0 || self.objects > MAX_OBJECTS {
-            return Err(ConfigError::OutOfRange {
-                field: "objects",
-                value: self.objects as u64,
-                lo: 1,
-                hi: MAX_OBJECTS as u64,
-            });
-        }
-        if self.max_batch == 0 || self.max_batch > MAX_BATCH {
-            return Err(ConfigError::OutOfRange {
-                field: "max_batch",
-                value: self.max_batch as u64,
-                lo: 1,
-                hi: MAX_BATCH as u64,
-            });
-        }
+                hi,
+            })
+        };
+        one_to("n", self.n, MAX_SITES)?;
+        one_to("objects", self.objects, MAX_OBJECTS)?;
+        one_to("max_batch", self.max_batch, MAX_BATCH)?;
         if self.node.vote_deadline.is_zero() {
             return Err(ConfigError::NotPositive {
                 field: "vote_deadline",
@@ -315,18 +306,38 @@ impl std::fmt::Display for RequestError {
 
 impl std::error::Error for RequestError {}
 
+/// Where an in-process client reads its answers: `(correlation id,
+/// reply)`.
+pub(crate) type ReplySender = Sender<(u64, ClientReply)>;
+
+/// What another thread hands a site through its [`Inbox`].
+#[derive(Debug)]
+pub(crate) enum SiteEvent {
+    /// For the node as it is: under the channel transport, every peer
+    /// item arrives this way.
+    Node(NodeEvent),
+    /// An in-process client's request, answered on `reply`.
+    Client {
+        id: u64,
+        op: ClientOp,
+        reply: ReplySender,
+    },
+    /// Stop the site's thread (parked clients are failed with `Down`).
+    Shutdown,
+}
+
 /// The one way into a site from another thread. A TCP site sleeps in
 /// `epoll_pwait`, not on the channel, so every send rings its waker —
 /// there is no way to send without waking it. A channel site blocks on
 /// the channel itself and has no waker.
 #[derive(Clone)]
 struct Inbox {
-    tx: Sender<NodeEvent>,
+    tx: Sender<SiteEvent>,
     waker: Option<Waker>,
 }
 
 impl Inbox {
-    fn send(&self, event: NodeEvent) -> Result<(), RequestError> {
+    fn send(&self, event: SiteEvent) -> Result<(), RequestError> {
         self.tx.send(event).map_err(|_| RequestError::NodeGone)?;
         if let Some(waker) = &self.waker {
             waker.wake();
@@ -339,7 +350,7 @@ impl Inbox {
 /// synchronous: send, then block for the correlated reply.
 pub struct LocalClient {
     inbox: Inbox,
-    tx: Sender<(u64, ClientReply)>,
+    tx: ReplySender,
     rx: Receiver<(u64, ClientReply)>,
     next_id: u64,
     timeout: Duration,
@@ -361,10 +372,10 @@ impl LocalClient {
     pub fn request(&mut self, op: ClientOp) -> Result<ClientReply, RequestError> {
         self.next_id += 1;
         let id = self.next_id;
-        self.inbox.send(NodeEvent::Client {
+        self.inbox.send(SiteEvent::Client {
             id,
             op,
-            reply: ReplySink::Channel(self.tx.clone()),
+            reply: self.tx.clone(),
         })?;
         let deadline = Instant::now() + self.timeout;
         loop {
@@ -523,7 +534,7 @@ impl Cluster {
     pub fn boot(config: &ClusterConfig) -> Result<Self, BootError> {
         config.validate()?;
         let n = config.n;
-        let (senders, receivers): (Vec<Sender<NodeEvent>>, Vec<_>) =
+        let (senders, receivers): (Vec<Sender<SiteEvent>>, Vec<_>) =
             (0..n).map(|_| mpsc::channel()).unzip();
 
         let mut addrs = Vec::new();
@@ -834,7 +845,7 @@ impl Cluster {
     /// thread is ever parked in a blocking accept.
     pub fn shutdown(self) {
         for inbox in &self.inboxes {
-            let _ = inbox.send(NodeEvent::Shutdown);
+            let _ = inbox.send(SiteEvent::Shutdown);
         }
         for handle in self.handles {
             let _ = handle.join();
@@ -870,13 +881,14 @@ impl SiteBoot {
     }
 
     /// A channel site's thread: build the node, pass the barrier, run.
-    fn run_channel(self, inbox: Receiver<NodeEvent>, senders: Vec<Sender<NodeEvent>>) {
+    fn run_channel(self, inbox: Receiver<SiteEvent>, senders: Vec<Sender<SiteEvent>>) {
         let built = self.node().map(|node| {
             let stats = node.shard_stats();
             (node, stats)
         });
+        let site = self.id;
         if let Some(node) = self.pass(built) {
-            node.run(inbox, &senders);
+            transport::run(node, site, inbox, &senders);
         }
     }
 
@@ -885,13 +897,12 @@ impl SiteBoot {
     /// the barrier, run.
     fn run_tcp(
         self,
-        inbox: Receiver<NodeEvent>,
+        inbox: Receiver<SiteEvent>,
         poller: Poller,
         waker: Waker,
         mut reactor: ReactorConfig,
     ) {
-        let built = self.node().map(|mut node| {
-            node.set_net_stats(Arc::clone(&reactor.stats));
+        let built = self.node().map(|node| {
             let stats = node.shard_stats();
             reactor.front = self.config.http.as_ref().map(|http| {
                 FrontDoor::new(
@@ -933,7 +944,7 @@ impl SiteBoot {
                 },
             })?;
         }
-        node.trace = config.trace;
+        node.set_trace(config.trace);
         Ok(node)
     }
 }

@@ -24,11 +24,11 @@
 //! and the answer to each op all happen on the site's one thread.
 
 use crate::loadgen::Histogram;
-use crate::node::ShardStats;
 use crate::transport::NetStats;
 use crate::wire::{ClientOp, ClientReply};
 use dynvote_core::SiteId;
 use dynvote_net::http;
+use dynvote_node::ShardStats;
 use dynvote_protocol::EventKind;
 use std::sync::Arc;
 use std::time::Instant;

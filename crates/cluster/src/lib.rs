@@ -15,8 +15,9 @@
 //! dynvote-core      PartitionView / ReplicaControl   (pure decision rules)
 //! dynvote-protocol  SiteActor: Message -> Vec<Action> (pure protocol kernel)
 //! dynvote-net       epoll reactor primitives + incremental frame/HTTP decode
-//! this crate        Node: Action -> outbox (sends, replies) + wall-clock timers
-//!                   hosts: in-process channels, or the per-node epoll
+//! dynvote-node      Node: Action -> outbox (sends, replies to host tokens)
+//!                   + deadlines against the host's `now`
+//! this crate        hosts: in-process channels, or the per-node epoll
 //!                   reactor multiplexing peer links, binary clients, and
 //!                   the HTTP front door (`/v1/op`, `/metrics`, `/status`)
 //!                   Cluster / LoadGen: boot, faults, measurement
@@ -50,7 +51,6 @@ mod audit;
 mod cluster;
 mod frontdoor;
 mod loadgen;
-mod node;
 mod reactor;
 pub mod scenario;
 mod transport;
@@ -61,11 +61,11 @@ pub use cluster::{
     BootError, Cluster, ClusterConfig, DurabilityMode, HttpClient, LocalClient, RequestError,
     TcpClient, TransportKind, MAX_BATCH, MAX_OBJECTS,
 };
+pub use dynvote_node::{NodeConfig, ShardStats, DEFAULT_MAX_BATCH};
 pub use frontdoor::FrontDoorConfig;
 pub use loadgen::{
     check_concurrency, EventCountEntry, Histogram, KeyDist, LoadGen, LoadGenConfig, LoadReport,
     NetCounterEntry, ShardCounterEntry, WorkloadTarget,
 };
-pub use node::{NodeConfig, ShardStats, DEFAULT_MAX_BATCH};
 pub use transport::NetStats;
 pub use wire::{ClientOp, ClientReply, WireError};

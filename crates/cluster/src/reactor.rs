@@ -24,10 +24,12 @@
 //! iteration [`Node::end_batch`] seals the batch (WAL barrier, then
 //! sends and replies into the node's outbox) and the reactor drains the
 //! outbox: peer items are sealed onto their peers' buffers, and each
-//! reply is staged on the connection its [`ReplySink`] names — if that
-//! slot still holds the same connection. Nothing is shared and nothing rings a waker: the
-//! producer is this thread, and it writes right after the batch. The
-//! only way in from another thread is the site's inbox (see
+//! answer is staged where its token's [`Waiting`] entry says — on a
+//! connection only if that slot still holds the same connection.
+//! `NetStats` never reaches the node: the counters are the reactor's,
+//! and it answers from them. Nothing is shared and nothing rings a
+//! waker: the producer is this thread, and it writes right after the
+//! batch. The only way in from another thread is the site's inbox (see
 //! `crate::cluster`), whose every send rings the [`Waker`].
 //!
 //! Level-triggered discipline: interest is narrowed whenever a
@@ -38,14 +40,15 @@
 //! that reports a hang-up or an error is closed at once, since epoll
 //! reports those whatever the interest.
 
+use crate::cluster::{ReplySender, SiteEvent};
 use crate::frontdoor::FrontDoor;
-use crate::node::{Node, NodeEvent, ReplySink};
-use crate::transport::NetStats;
-use crate::wire::{self, ClientReply, PeerFrame, HELLO_CLIENT, HELLO_PEER, MAX_FRAME};
+use crate::transport::{NetStats, ReplyTable};
+use crate::wire::{self, ClientOp, ClientReply, PeerFrame, HELLO_CLIENT, HELLO_PEER, MAX_FRAME};
 use dynvote_core::{BackoffPolicy, SiteId, TimerWheel};
 use dynvote_net::{
     poll_timeout, Event, Events, FrameDecoder, Interest, Poller, RequestParser, Token, Waker,
 };
+use dynvote_node::{Node, NodeEvent};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{Receiver, TryRecvError};
@@ -118,6 +121,28 @@ fn seal(
     }
 }
 
+/// Where the answer to an op handed to the node goes.
+enum Waiting {
+    /// In-process client: the answer is sent on its channel.
+    Channel(ReplySender),
+    /// Remote binary client on connection `slot`, if the slot still
+    /// holds connection `serial`.
+    Conn { slot: usize, serial: u64 },
+    /// HTTP front-door op on connection `slot`, if the slot still holds
+    /// connection `serial` (see [`crate::frontdoor`]).
+    Http {
+        slot: usize,
+        serial: u64,
+        /// When the front door handed the op over.
+        started: Instant,
+        /// Whether the response keeps the connection open.
+        keep_alive: bool,
+        /// The op holds an admission slot, which its answer gives back
+        /// whether or not the connection is still there.
+        charged: bool,
+    },
+}
+
 /// Everything a reactor needs at spawn time besides its node.
 pub(crate) struct ReactorConfig {
     pub site: SiteId,
@@ -133,11 +158,11 @@ pub(crate) struct ReactorConfig {
 enum ConnKind {
     /// Awaiting the preamble byte(s) on an inbound connection.
     Handshake,
-    /// Inbound peer link: frames become [`NodeEvent::Peer`].
+    /// Inbound peer link: frames become peer events for the node.
     PeerIn { from: SiteId },
     /// Outbound peer link owned by this node.
     PeerOut { peer: usize, connected: bool },
-    /// Inbound binary client: frames become [`NodeEvent::Client`].
+    /// Inbound binary client: frames become client ops.
     ClientBin,
     /// Inbound HTTP front-door connection.
     Http,
@@ -199,8 +224,10 @@ pub(crate) struct Reactor {
     poller: Poller,
     waker: Waker,
     node: Node,
+    /// Where each answer the node owes goes, by its token.
+    waiting: ReplyTable<Waiting>,
     /// Control ops, in-process clients and shutdown from other threads.
-    inbox: Receiver<NodeEvent>,
+    inbox: Receiver<SiteEvent>,
     /// The node was handed an event since its last `end_batch`.
     fed: bool,
     /// When the latest poll returned: the node's `now` for the batch.
@@ -232,7 +259,7 @@ impl Reactor {
         poller: Poller,
         waker: Waker,
         node: Node,
-        inbox: Receiver<NodeEvent>,
+        inbox: Receiver<SiteEvent>,
         config: ReactorConfig,
     ) -> io::Result<Self> {
         let n = config.peer_addrs.len();
@@ -247,6 +274,7 @@ impl Reactor {
             poller,
             waker,
             node,
+            waiting: ReplyTable::new(),
             inbox,
             fed: false,
             now: Instant::now(),
@@ -268,7 +296,7 @@ impl Reactor {
         })
     }
 
-    /// The site's loop, until the inbox says [`NodeEvent::Shutdown`] (or
+    /// The site's loop, until the inbox says [`SiteEvent::Shutdown`] (or
     /// every sender is gone): poll up to the earlier of the reactor's
     /// reconnect timers and the node's next deadline, hand the node
     /// every frame and inbox event the wake brought, close the node's
@@ -332,13 +360,28 @@ impl Reactor {
         self.fed = true;
     }
 
+    /// Hand a client op to the node under a token for `to`. `NetStats`
+    /// is answered here, from the counters this reactor keeps.
+    fn submit(&mut self, id: u64, op: ClientOp, to: Waiting) {
+        if op == ClientOp::NetStats {
+            let counts = self.stats.snapshot();
+            self.stage_reply(to, id, ClientReply::NetStats { counts });
+            return;
+        }
+        let reply = self.waiting.token(to);
+        self.feed(NodeEvent::Client { id, op, reply });
+    }
+
     /// Hand the node everything other threads sent. `false` once the
     /// inbox says stop.
     fn drain_inbox(&mut self) -> bool {
         loop {
             match self.inbox.try_recv() {
-                Ok(NodeEvent::Shutdown) | Err(TryRecvError::Disconnected) => return false,
-                Ok(event) => self.feed(event),
+                Ok(SiteEvent::Shutdown) | Err(TryRecvError::Disconnected) => return false,
+                Ok(SiteEvent::Node(event)) => self.feed(event),
+                Ok(SiteEvent::Client { id, op, reply }) => {
+                    self.submit(id, op, Waiting::Channel(reply));
+                }
                 Err(TryRecvError::Empty) => return true,
             }
         }
@@ -375,24 +418,30 @@ impl Reactor {
     /// and stage every reply, noting the connections that gained bytes
     /// in `touched`.
     fn stage_outbox(&mut self) {
-        seal(&mut self.links, self.node.out.peers.drain(..), &self.stats);
-        let mut replies = std::mem::take(&mut self.node.out.replies);
-        for (sink, id, reply) in replies.drain(..) {
-            self.stage_reply(sink, id, reply);
+        seal(
+            &mut self.links,
+            self.node.outbox().peers.drain(..),
+            &self.stats,
+        );
+        let mut replies = std::mem::take(&mut self.node.outbox().replies);
+        for (token, id, reply) in replies.drain(..) {
+            if let Some(to) = self.waiting.take(token) {
+                self.stage_reply(to, id, reply);
+            }
         }
-        self.node.out.replies = replies;
+        self.node.outbox().replies = replies;
     }
 
     /// Stage one reply for its client. A connection reply goes only to
-    /// the connection its sink was made for: a slot that has since been
+    /// the connection it was meant for: a slot that has since been
     /// reused holds another serial, and the reply is dropped with the
     /// connection it was for.
-    fn stage_reply(&mut self, sink: ReplySink, id: u64, reply: ClientReply) {
-        match sink {
-            ReplySink::Channel(tx) => {
+    fn stage_reply(&mut self, to: Waiting, id: u64, reply: ClientReply) {
+        match to {
+            Waiting::Channel(tx) => {
                 let _ = tx.send((id, reply));
             }
-            ReplySink::Conn { slot, serial } => {
+            Waiting::Conn { slot, serial } => {
                 if let Some(conn) = conn_at(&mut self.conns, slot, serial) {
                     wire::encode_frame_into(&mut conn.pending, |out| {
                         wire::encode_reply_into(out, id, &reply);
@@ -400,7 +449,7 @@ impl Reactor {
                     self.touched.push(slot);
                 }
             }
-            ReplySink::Http {
+            Waiting::Http {
                 slot,
                 serial,
                 started,
@@ -428,7 +477,6 @@ impl Reactor {
                 self.stats.bump_http_response();
                 self.touched.push(slot);
             }
-            ReplySink::Null => {}
         }
     }
 
@@ -550,26 +598,17 @@ impl Reactor {
 
     // ----- accepting -----------------------------------------------
 
+    /// Accept until the listener has no connection left to give
+    /// (`WouldBlock`) or fails.
     fn accept_binary(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => self.admit_conn(stream, ConnKind::Handshake),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
+        while let Ok((stream, _)) = self.listener.accept() {
+            self.admit_conn(stream, ConnKind::Handshake);
         }
     }
 
     fn accept_http(&mut self) {
-        loop {
-            let Some(listener) = self.http_listener.as_ref() else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _)) => self.admit_conn(stream, ConnKind::Http),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
+        while let Some(Ok((stream, _))) = self.http_listener.as_ref().map(TcpListener::accept) {
+            self.admit_conn(stream, ConnKind::Http);
         }
     }
 
@@ -772,10 +811,7 @@ impl Reactor {
                 conn.decoder.extend(&self.scratch[start..n]);
                 loop {
                     match self.next_frame(slot, wire::decode_peer_frame) {
-                        Ok(Some(PeerFrame::Msg(msg))) => self.feed(NodeEvent::Peer { from, msg }),
-                        Ok(Some(PeerFrame::Relay(relay))) => {
-                            self.feed(NodeEvent::Relay { from, relay });
-                        }
+                        Ok(Some(frame)) => self.feed(NodeEvent::Peer { from, frame }),
                         Ok(None) => return true,
                         Err(()) => return false,
                     }
@@ -787,8 +823,7 @@ impl Reactor {
                     match self.next_frame(slot, wire::decode_request) {
                         Ok(Some((id, op))) => {
                             let serial = self.conns[slot].as_ref().expect("decoding conn").serial;
-                            let reply = ReplySink::Conn { slot, serial };
-                            self.feed(NodeEvent::Client { id, op, reply });
+                            self.submit(id, op, Waiting::Conn { slot, serial });
                         }
                         Ok(None) => return true,
                         Err(()) => return false,
@@ -905,7 +940,7 @@ impl Reactor {
                 true
             }
             (Method::Get, "/metrics") => {
-                let body = front.render_metrics(&self.node.event_counts);
+                let body = front.render_metrics(self.node.event_counts());
                 self.respond_with(
                     slot,
                     200,
@@ -956,14 +991,14 @@ impl Reactor {
             .as_mut()
             .expect("a routed request's connection is live");
         conn.blocked = true;
-        let reply = ReplySink::Http {
+        let to = Waiting::Http {
             slot,
             serial: conn.serial,
             started: Instant::now(),
             keep_alive,
             charged,
         };
-        self.feed(NodeEvent::Client { id: 0, op, reply });
+        self.submit(0, op, to);
         self.update_interest(slot);
     }
 
@@ -1163,8 +1198,8 @@ mod tests {
     /// the peer stay within the cap plus one batch.
     #[test]
     fn a_connected_peer_that_stops_reading_holds_at_most_the_cap() {
-        use crate::node::NodeConfig;
         use dynvote_core::AlgorithmKind;
+        use dynvote_node::NodeConfig;
         let own = TcpListener::bind("127.0.0.1:0").expect("bind own listener");
         let stalled = TcpListener::bind("127.0.0.1:0").expect("bind peer listener");
         let poller = Poller::new().expect("epoll");
@@ -1201,7 +1236,7 @@ mod tests {
         let mut held = 0;
         for _ in 0..2_000 {
             let item = (SiteId(1), PeerFrame::Msg(commit.clone()));
-            reactor.node.out.peers.push(item);
+            reactor.node.outbox().peers.push(item);
             reactor.write_out();
             reactor
                 .poll(&mut events, Some(Duration::ZERO))

@@ -584,3 +584,49 @@ fn a_reset_http_connection_with_an_op_in_flight_is_closed_not_polled() {
     assert!(cluster.await_quiescence(Duration::from_secs(5)));
     cluster.shutdown();
 }
+
+/// `ClientOp::NetStats` reads the site's network counters: all of
+/// them, in `NetStats::NAMES` order, whether asked in process or over
+/// a binary connection. A channel site has no network and answers with
+/// no counts.
+#[test]
+fn net_stats_answers_every_network_counter_in_name_order() {
+    use dynvote_cluster::wire::{decode_reply, read_frame, HELLO_CLIENT};
+    use dynvote_cluster::NetStats;
+    let at = |name: &str| {
+        NetStats::NAMES
+            .iter()
+            .position(|n| *n == name)
+            .expect("a counter name")
+    };
+
+    let config = ClusterConfig::new(3, AlgorithmKind::Hybrid).with_transport(TransportKind::Tcp);
+    let cluster = Cluster::boot(&config).expect("boot tcp cluster");
+    let mut raw =
+        TcpStream::connect(cluster.addr(SiteId(0)).expect("binary addr")).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    raw.write_all(&[HELLO_CLIENT]).expect("hello");
+    raw.write_all(&request_frame(9, &ClientOp::NetStats))
+        .expect("request");
+    let body = read_frame(&mut raw).expect("a reply frame");
+    let (id, over_wire) = decode_reply(&body).expect("a reply");
+    assert_eq!(id, 9);
+    let in_process = cluster.client(SiteId(0)).request(ClientOp::NetStats);
+    for reply in [Ok(over_wire), in_process] {
+        let Ok(ClientReply::NetStats { counts }) = reply else {
+            panic!("net stats reply: {reply:?}");
+        };
+        assert_eq!(counts.len(), NetStats::COUNT);
+        assert!(counts[at("conns_accepted")] >= 1, "{counts:?}");
+        assert!(counts[at("frames_in")] >= 1, "{counts:?}");
+        assert_eq!(counts[at("decode_errors")], 0, "{counts:?}");
+        assert_eq!(counts[at("http_requests")], 0, "{counts:?}");
+    }
+    drop(raw);
+    cluster.shutdown();
+
+    let cluster = Cluster::boot(&ClusterConfig::new(3, AlgorithmKind::Hybrid)).expect("boot");
+    let reply = cluster.client(SiteId(0)).request(ClientOp::NetStats);
+    assert_eq!(reply, Ok(ClientReply::NetStats { counts: Vec::new() }));
+    cluster.shutdown();
+}

@@ -31,7 +31,7 @@
 //! | Goal | Start at |
 //! |---|---|
 //! | Decide/commit logic for my own replication layer | [`ReplicaControl`], [`algorithms`] |
-//! | Drive the full commit protocol from my own event loop | [`protocol::SiteActor`](dynvote_protocol::SiteActor) |
+//! | Drive the full commit protocol from my own event loop | [`protocol::SiteActor`] |
 //! | "What would algorithm X do in partition Y?" | [`ReplicaSystem`] |
 //! | Exact availability numbers | [`markov::availability`](dynvote_markov::sweep::availability) |
 //! | Protocol behaviour under crashes and partitions | [`sim::Simulation`] |

@@ -15,7 +15,7 @@
 //! ```
 //!
 //! Timer integration: the reactor owns a
-//! [`dynvote_core::timer::TimerWheel`]`<Instant, _>` and passes
+//! [`dynvote_core::TimerWheel`]`<Instant, _>` and passes
 //! `next_deadline() - now` as the [`Poller::wait`] timeout — see
 //! [`poll_timeout`]. Level-triggered discipline, write-queue
 //! backpressure, and ownership rules are documented in the workspace

@@ -1,55 +1,29 @@
-//! The per-site node runtime: one thread driving a [`ShardedSite`] —
-//! many independent per-object protocol kernels behind one router.
+//! # dynvote-node — one live site, for any host to drive
 //!
-//! A node owns the protocol kernels for its site and translates their
-//! [`Action`]s into data: sends, relays and client replies are appended
-//! to the node's [`Outbox`], `SetTimer` becomes an entry in the node's
-//! one deadline queue and `ClearTimers` takes its transaction's entries
-//! out again, and `Resolved` answers the client request that started
-//! the transaction. Everything arrives as a [`NodeEvent`] —
-//! peer frames, relays, client requests — handed to
-//! [`Node::on_event`] by whichever thread hosts the node, and that
-//! thread is the only one that ever touches it. The node performs no
-//! output of its own and reads no clock: its host passes `now` into
-//! every call and transmits what the outbox holds:
+//! A node is one site's [`ShardedSite`] — a protocol kernel per object
+//! behind one router — with its queues, routing, deadlines and
+//! write-ahead log. It turns the kernels' [`Action`]s into data: sends,
+//! relays and client replies go to its [`Outbox`], `SetTimer` and
+//! `ClearTimers` arm and disarm entries in its one deadline queue, and
+//! `Resolved` answers the request that started the transaction. It
+//! performs no output, reads no clock and names no socket or channel.
 //!
-//! * **channel transport** — [`Node::run`] blocks on the node's `mpsc`
-//!   inbox and hands each peer item to that peer's inbox;
-//! * **TCP transport** — the site's reactor (`crate::reactor`) owns the
-//!   node along with every fd of the site, calls it with each frame it
-//!   decodes, and writes the outbox to the sockets; only control,
-//!   in-process clients and shutdown come through an inbox, whose
-//!   sender rings the reactor's waker.
+//! Its host owns it and is the one thread that touches it. The host
+//! drives five calls — [`Node::start`], [`Node::on_event`],
+//! [`Node::end_batch`], [`Node::next_timer_in`] and [`Node::finish`] —
+//! passing `now` into each; hands in peer frames, relays and client
+//! requests as [`NodeEvent`]s, each request tagged with a [`ReplyTo`]
+//! token of its own choosing; drains the outbox after `start`, every
+//! `end_batch` and `finish`; and waits at most until the node's next
+//! deadline (with none, until an event).
 //!
-//! Both hosts drive the same five calls — [`Node::start`],
-//! [`Node::on_event`], [`Node::end_batch`], [`Node::next_timer_in`] and
-//! [`Node::finish`] — and drain the outbox after `start`, every
-//! `end_batch` and `finish`. Both wait exactly until the node's next
-//! deadline (with none, until an event), so only the blocking wait and
-//! the transmission differ.
-//!
-//! The runtime is split into five pieces, one file each:
-//!
-//! * **scheduler** (`node/scheduler.rs`) — the five calls above. It
-//!   hands each event to its object's shard, fires due deadlines, and
-//!   paces the merge barrier.
-//! * **worker** (`node/worker.rs`) — the kernel step: every event runs
-//!   its shard into one scratch buffer, then the object's commit-
-//!   pipelining FIFO is pumped.
-//! * **merge** (`node/merge.rs`) — the barrier that encodes the batch's
-//!   persist effects into the node's own [`NodeStore`] and seals them as
-//!   **one** group-commit record behind one fsync, and only then
-//!   appends the staged sends and client replies to the outbox, which
-//!   the host drains after the batch. The force-write
-//!   discipline is intact — nothing announced is ever lost — but the
-//!   fsync is amortized across every object the batch touched.
-//! * **route** (`node/route.rs`) — single-writer routing: the volatile
-//!   per-object home hints learned from lost lock races, and the table
-//!   of client ops handed to another site and not yet answered.
-//! * **grace** (`node/grace.rs`) — per-peer vote latency and the
-//!   straggler grace scaled to it: how long a round that already holds
-//!   a distinguished set of votes waits for the rest before the node
-//!   suspects them.
+//! The runtime is split into five files: `scheduler.rs` (the five
+//! calls, the deadline queue and the fault model), `worker.rs` (the
+//! kernel step and the per-object commit-pipelining FIFOs), `merge.rs`
+//! (the barrier that seals a batch's persist effects into the node's
+//! own [`NodeStore`] as one group-commit record behind one fsync, and
+//! only then fills the outbox), `route.rs` (single-writer routing) and
+//! `grace.rs` (per-peer vote latency and the straggler grace).
 //!
 //! Transactions on different objects never contend: each shard has its
 //! own lock, commit chain, and prepare record.
@@ -69,110 +43,82 @@
 //!   outbound messages — transport-agnostic, and equivalent to the
 //!   simulator's link topology once in-flight traffic has drained.
 
+#![warn(missing_docs)]
+#![warn(clippy::all)]
+
 mod grace;
 mod merge;
+mod op;
 mod route;
 mod scheduler;
 mod worker;
 
+pub use op::{ClientOp, ClientReply, PeerFrame, Relay};
 pub use worker::ShardStats;
 
-use crate::transport::NetStats;
-use crate::wire::{ClientOp, ClientReply, PeerFrame, Relay};
 use dynvote_core::{AlgorithmKind, BackoffPolicy, SiteId, SiteSet, TimerId, TimerWheel};
-use dynvote_protocol::{
-    Action, DurableState, EventKind, Message, ObjectId, ShardedSite, TimerKind, TxnId,
-};
+use dynvote_protocol::{Action, DurableState, EventKind, ObjectId, ShardedSite, TimerKind, TxnId};
 use dynvote_storage::{NodeStore, RecoveryReport, StorageError, StoreConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default bound on how many queued client updates one quorum round
-/// seals (see [`crate::ClusterConfig::max_batch`]). Adaptive batching
-/// means this is a cap, not a target: an idle object still commits a
-/// lone op immediately.
+/// seals (see [`Node::set_max_batch`]). Adaptive batching means this is
+/// a cap, not a target: an idle object still commits a lone op
+/// immediately.
 pub const DEFAULT_MAX_BATCH: usize = 32;
 
-/// Where a client reply should go: plain data, carried with the reply
-/// through the node's [`Outbox`] to the host that delivers it. Not
-/// `Clone`, so each op's sink is delivered at most once.
-#[derive(Debug)]
-pub(crate) enum ReplySink {
-    /// In-process client: the host sends `(correlation id, reply)` on
-    /// the channel.
-    Channel(Sender<(u64, ClientReply)>),
-    /// Remote binary client on the reactor's connection `slot`, if the
-    /// slot still holds connection `serial`.
-    Conn { slot: usize, serial: u64 },
-    /// HTTP front-door op on the reactor's connection `slot`, if the
-    /// slot still holds connection `serial` (see [`crate::frontdoor`]).
-    Http {
-        slot: usize,
-        serial: u64,
-        /// When the front door handed the op over.
-        started: Instant,
-        /// Whether the response keeps the connection open.
-        keep_alive: bool,
-        /// The op holds an admission slot, which its answer gives back
-        /// whether or not the connection is still there.
-        charged: bool,
-    },
-    /// Discard the reply: a [`Route::From`] op, answered with a relay.
-    Null,
-}
+/// Where a client's answer goes: a token the host chose when it handed
+/// the request over, carried with the answer through the node's
+/// [`Outbox`]. What the token stands for — a channel, a connection, an
+/// HTTP exchange — is the host's to remember. Neither `Clone` nor
+/// `Copy`, so each request's token comes back at most once.
+#[derive(Debug, PartialEq, Eq)]
+pub struct ReplyTo(pub u64);
 
 /// What the node has produced since its host last drained it: peer
-/// items in send order and client replies in answer order. Only
-/// [`Node::send`], [`Node::relay`] and [`Node::reply`] fill it. Hosts
-/// drain it only after a merge barrier has sealed the batch's WAL
-/// record, so nothing they transmit announces state that is not
-/// durable. Reused across batches, like [`Node::scratch`].
+/// items in send order and client answers in answer order. Only the
+/// node's sends, relays and replies fill it. Hosts drain it only after
+/// a merge barrier has sealed the batch's WAL record, so nothing they
+/// transmit announces state that is not durable. Reused across batches:
+/// drain it, do not replace it.
 #[derive(Debug, Default)]
-pub(crate) struct Outbox {
-    pub(crate) peers: Vec<(SiteId, PeerFrame)>,
-    pub(crate) replies: Vec<(ReplySink, u64, ClientReply)>,
+pub struct Outbox {
+    /// Frames for other sites, each with the site it goes to.
+    pub peers: Vec<(SiteId, PeerFrame)>,
+    /// Answers: the request's token, its correlation id and the reply.
+    pub replies: Vec<(ReplyTo, u64, ClientReply)>,
 }
 
-/// Everything that can be handed to a node.
+/// Everything a node handles.
 #[derive(Debug)]
-pub(crate) enum NodeEvent {
-    /// A protocol message from another site.
+pub enum NodeEvent {
+    /// One item of another site's peer link: a protocol message, a
+    /// client op it relays, or its answer to one relayed from here.
     Peer {
         /// The sending site.
         from: SiteId,
-        /// The message.
-        msg: Message,
+        /// The item.
+        frame: PeerFrame,
     },
-    /// A client request with a correlation id and a reply path.
+    /// A client request with a correlation id and a reply token.
     Client {
         /// Client-chosen correlation id, echoed in the reply.
         id: u64,
         /// The requested operation.
         op: ClientOp,
-        /// Where the reply goes.
-        reply: ReplySink,
+        /// The host's token for the answer.
+        reply: ReplyTo,
     },
-    /// A client op relayed by another site, or that site's answer to
-    /// one relayed from here.
-    Relay {
-        /// The sending site.
-        from: SiteId,
-        /// The relayed op or answer.
-        relay: Relay,
-    },
-    /// Stop the node's thread (parked clients are failed with `Down`).
-    /// Handled by the host, not by [`Node::on_event`].
-    Shutdown,
 }
 
 /// What one entry of the node's timer wheel stands for.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Deadline {
+enum Deadline {
     /// A protocol timer of one of this site's rounds.
     Round(TxnId, TimerKind),
     /// The forward with this id has gone unanswered too long.
@@ -220,47 +166,33 @@ impl Default for NodeConfig {
 
 /// Where (and how) one node keeps its durable state on disk.
 #[derive(Debug, Clone)]
-pub(crate) struct NodeDurability {
+pub struct NodeDurability {
     /// This site's data directory (each site owns its own).
     pub dir: PathBuf,
     /// WAL fsync discipline and rotation threshold.
     pub store: StoreConfig,
 }
 
-impl NodeDurability {
-    /// Open and recover the store of a site of an `n`-site cluster
-    /// hosting `objects` objects: the store, every object's recovered
-    /// state, and what recovery found. Touches only this site's
-    /// directory, so every site thread opens its own at boot.
-    pub fn open(
-        &self,
-        n: usize,
-        objects: usize,
-    ) -> Result<(NodeStore, Vec<DurableState>, RecoveryReport), StorageError> {
-        NodeStore::open(&self.dir, self.store, objects, DurableState::initial(n))
-    }
-}
-
 /// One data-plane client op on its way through the node: parked in an
 /// object's FIFO, riding a quorum round, or waiting for another site's
 /// answer. Answered exactly once, through [`Node::answer`].
 #[derive(Debug)]
-pub(crate) struct Client {
+struct Client {
     /// The correlation id the answer carries (for a [`Route::From`] op,
     /// the origin's forward id).
-    pub(crate) id: u64,
-    /// Where the answer goes ([`ReplySink::Null`] for a [`Route::From`]
-    /// op: its answer is a relay frame).
-    pub(crate) reply: ReplySink,
+    id: u64,
+    /// The host's token for the answer; `None` for a [`Route::From`]
+    /// op, whose answer is a relay frame.
+    reply: Option<ReplyTo>,
     /// A read-only request; otherwise an update.
-    pub(crate) read: bool,
-    pub(crate) route: Route,
+    read: bool,
+    route: Route,
 }
 
 /// How far an op may still travel. An op crosses at most one link to be
 /// coordinated and is never coordinated twice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Route {
+enum Route {
     /// This node's client: may be handed to its object's home site.
     Free,
     /// This node's client, back from a home site that refused it: runs
@@ -272,86 +204,114 @@ pub(crate) enum Route {
 }
 
 /// A live protocol site: the sharded kernels plus their wall-clock
-/// surroundings, producing its output into an [`Outbox`]. Consume with
-/// [`Node::run`] on a dedicated thread, or host it in a reactor.
-pub(crate) struct Node {
-    pub(crate) id: SiteId,
-    pub(crate) n: usize,
-    pub(crate) objects: usize,
-    pub(crate) algorithm: AlgorithmKind,
+/// surroundings, producing its output into an [`Outbox`]. A host owns
+/// it and drives it through the five calls in the crate doc, from one
+/// thread at a time.
+///
+/// Any crate can host a node. Three sites, their peer frames carried
+/// at one instant, and one update whose answer comes back with the
+/// host's token:
+///
+/// ```
+/// use dynvote_core::{AlgorithmKind, SiteId};
+/// use dynvote_node::{ClientOp, ClientReply, Node, NodeConfig, NodeEvent, ReplyTo};
+///
+/// let new = |i| Node::new(SiteId(i), 3, 1, AlgorithmKind::Hybrid, NodeConfig::default());
+/// let mut sites = [new(0), new(1), new(2)];
+/// let now = std::time::Instant::now();
+/// sites.iter_mut().for_each(|site| site.start(now));
+/// let op = ClientOp::Update { key: 0 };
+/// sites[0].on_event(NodeEvent::Client { id: 7, op, reply: ReplyTo(42) }, now);
+/// sites[0].end_batch(now);
+/// while let Some(from) = sites.iter_mut().position(|s| !s.outbox().peers.is_empty()) {
+///     let frames: Vec<_> = sites[from].outbox().peers.drain(..).collect();
+///     for (to, frame) in frames {
+///         let to = &mut sites[to.index()];
+///         to.on_event(NodeEvent::Peer { from: SiteId(from as u8), frame }, now);
+///         to.end_batch(now);
+///     }
+/// }
+/// let answer = sites[0].outbox().replies.pop();
+/// assert_eq!(answer, Some((ReplyTo(42), 7, ClientReply::Committed { version: 1 })));
+/// for site in &mut sites {
+///     assert_eq!(site.next_timer_in(now), None);
+///     site.finish(now);
+/// }
+/// ```
+pub struct Node {
+    id: SiteId,
+    n: usize,
+    objects: usize,
+    algorithm: AlgorithmKind,
     /// The site's kernels, one per object.
-    pub(crate) site: ShardedSite,
+    site: ShardedSite,
     /// Actions the kernels staged since the last merge barrier, which
     /// drains them; reused, so the steady-state loop allocates no
     /// per-batch `Vec<Action>`.
-    pub(crate) scratch: Vec<Action>,
+    scratch: Vec<Action>,
     /// Per-object pending-op FIFOs: ops that arrived while the object's
     /// lock was held, drained up to `max_batch` at a time into one
     /// quorum round whenever the lock frees.
-    pub(crate) queues: HashMap<ObjectId, VecDeque<worker::QueuedOp>>,
+    queues: HashMap<ObjectId, VecDeque<worker::QueuedOp>>,
     /// Ops refused at the per-object queue bound since the last merge,
     /// which answers them `Overloaded`.
-    pub(crate) overflows: Vec<Client>,
+    overflows: Vec<Client>,
     /// `Some` when this node owns a data directory: every boot and
     /// every [`ClientOp::Recover`] reloads the kernels' durable state
     /// from disk instead of trusting process memory.
-    pub(crate) durability: Option<NodeDurability>,
+    durability: Option<NodeDurability>,
     /// The node's multi-object store: the merge barrier encodes every
     /// shard's persist effects into it, seals them as one group-commit
     /// record, and drives WAL rotation. `None` for amnesiac nodes.
-    pub(crate) store: Option<NodeStore>,
+    store: Option<NodeStore>,
     /// Sends, relays and replies for the host to transmit.
-    pub(crate) out: Outbox,
-    pub(crate) config: NodeConfig,
-    pub(crate) down: bool,
-    pub(crate) reachable: SiteSet,
+    out: Outbox,
+    config: NodeConfig,
+    down: bool,
+    reachable: SiteSet,
     /// Peers whose reply a straggler grace or a vote deadline waited for
     /// in vain; emptied by a frame from any of them. Volatile (a crash
     /// wipes it) and shared by every object: handed to the kernels
     /// whenever it changes, so a round stops waiting for them once it
     /// is distinguished without them — one crash costs one coordinator
     /// about one grace, not one deadline per commit.
-    pub(crate) suspected: SiteSet,
+    suspected: SiteSet,
     /// How fast each peer has been voting, and the straggler grace
     /// that follows from it.
-    pub(crate) vote_clock: grace::VoteClock,
+    vote_clock: grace::VoteClock,
     /// Round timers and forward deadlines, in the shared [`TimerWheel`]
     /// (the simulator arms the same wheel under a virtual clock).
     /// Cleared on every crash: the volatile state they guard is gone.
-    pub(crate) timers: TimerWheel<Instant, Deadline>,
+    timers: TimerWheel<Instant, Deadline>,
     /// Every round timer armed in `timers`, by what it guards. An entry
     /// leaves when its timer fires or the kernel's
     /// [`Action::ClearTimers`] names its transaction, which cancels it.
-    pub(crate) round_timers: HashMap<(TxnId, TimerKind), TimerId>,
+    round_timers: HashMap<(TxnId, TimerKind), TimerId>,
     /// This site's protocol-event tally, in [`EventKind::ALL`] order:
     /// the merge barrier counts every [`Action::Event`] it drains, and
     /// [`ClientOp::Events`] and `/metrics` read it. Owned by the node,
     /// so it survives a kernel swap from disk.
-    pub(crate) event_counts: [u64; EventKind::COUNT],
-    /// Print every drained event to stderr
-    /// ([`crate::ClusterConfig::trace`]).
-    pub(crate) trace: bool,
-    /// This node's reactor counters, kept to answer
-    /// [`ClientOp::NetStats`]. `None` under the channel transport.
-    pub(crate) net: Option<Arc<NetStats>>,
+    event_counts: [u64; EventKind::COUNT],
+    /// Print every drained event to stderr ([`Node::set_trace`]).
+    trace: bool,
     /// Most queued client updates one quorum round may seal as
     /// consecutive log entries (commit pipelining); `1` disables
     /// multi-op rounds entirely.
-    pub(crate) max_batch: usize,
+    max_batch: usize,
     /// The node's observability counters, answering
     /// [`ClientOp::ShardStats`] and shared with the front door.
-    pub(crate) shard_stats: Arc<ShardStats>,
+    shard_stats: Arc<ShardStats>,
     /// Clients parked on in-flight transactions. A pipelined round
     /// carries many client ops, so one transaction parks a payload-
     /// ordered list; every entry is resolved (exactly once) when the
     /// transaction resolves.
-    pub(crate) pending: HashMap<TxnId, Vec<Client>>,
-    /// Single-writer routing state (see `node/route.rs`).
-    pub(crate) routes: route::Routes,
-    pub(crate) restart_txns: HashSet<TxnId>,
-    pub(crate) payload_seq: u64,
-    pub(crate) commits: u64,
-    pub(crate) rng: StdRng,
+    pending: HashMap<TxnId, Vec<Client>>,
+    /// Single-writer routing state (see `route.rs`).
+    routes: route::Routes,
+    restart_txns: HashSet<TxnId>,
+    payload_seq: u64,
+    commits: u64,
+    rng: StdRng,
 }
 
 impl Node {
@@ -388,7 +348,6 @@ impl Node {
             round_timers: HashMap::new(),
             event_counts: [0; EventKind::COUNT],
             trace: false,
-            net: None,
             max_batch: DEFAULT_MAX_BATCH,
             shard_stats: Arc::new(ShardStats::new(n)),
             pending: HashMap::new(),
@@ -413,8 +372,28 @@ impl Node {
         self.max_batch = max_batch.max(1);
     }
 
+    /// Print every protocol event to stderr as `[site i] {event}` when
+    /// the merge barrier drains it (events are counted either way).
+    pub fn set_trace(&mut self, trace: bool) {
+        self.trace = trace;
+    }
+
+    /// What the node has produced for its host to transmit. Drain it
+    /// after [`Node::start`], every [`Node::end_batch`] and
+    /// [`Node::finish`].
+    pub fn outbox(&mut self) -> &mut Outbox {
+        &mut self.out
+    }
+
+    /// This site's protocol-event tally, one count per
+    /// [`EventKind`] in declaration order.
+    #[must_use]
+    pub fn event_counts(&self) -> &[u64; EventKind::COUNT] {
+        &self.event_counts
+    }
+
     /// Give this node a data directory: open and recover its store
-    /// ([`NodeDurability::open`]) and rebuild the kernels from the
+    /// and rebuild the kernels from the
     /// per-object states recovery returned. From then on every
     /// durable-write point (prepare records, commit records, log
     /// appends, metadata installs) reaches the WAL before the action
@@ -429,28 +408,19 @@ impl Node {
         self.reload_site_from_disk()
     }
 
-    /// (Re)open the data directory and rebuild the kernels from what it
-    /// holds, discarding process memory. Boot, and the in-process
-    /// stand-in for a machine reboot.
-    pub(crate) fn reload_site_from_disk(&mut self) -> Result<RecoveryReport, StorageError> {
+    /// (Re)open the data directory and rebuild the kernels and the
+    /// store from what it holds, discarding process memory. Boot, and
+    /// the in-process stand-in for a machine reboot. Touches only this
+    /// site's directory, so every site thread opens its own.
+    fn reload_site_from_disk(&mut self) -> Result<RecoveryReport, StorageError> {
         let durability = self.durability.as_ref().expect("durability configured");
-        let (store, states, report) = durability.open(self.n, self.objects)?;
-        self.install_store(store, states);
-        Ok(report)
-    }
-
-    /// Swap in kernels restored from `states` and the `store` their
-    /// effects are sealed into.
-    fn install_store(&mut self, store: NodeStore, states: Vec<DurableState>) {
-        self.site = ShardedSite::restore(self.id, self.n, states, || {
-            self.algorithm.instantiate(self.n)
-        });
+        let initial = DurableState::initial(self.n);
+        let (store, states, report) =
+            NodeStore::open(&durability.dir, durability.store, self.objects, initial)?;
+        let algorithm = self.algorithm;
+        let n = self.n;
+        self.site = ShardedSite::restore(self.id, n, states, || algorithm.instantiate(n));
         self.store = Some(store);
-    }
-
-    /// Share the node's reactor counters so [`ClientOp::NetStats`] can
-    /// report them. Called by cluster boot under the TCP transport.
-    pub fn set_net_stats(&mut self, stats: Arc<NetStats>) {
-        self.net = Some(stats);
+        Ok(report)
     }
 }

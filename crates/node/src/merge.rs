@@ -29,8 +29,7 @@
 //!    rounds already waiting close in this loop iteration, not at
 //!    their own deadlines.
 
-use super::{Node, Route};
-use crate::wire::ClientReply;
+use crate::{ClientReply, Node, Route};
 use dynvote_core::SiteId;
 use dynvote_protocol::persist::effects;
 use dynvote_protocol::{Action, CloseCause, Hint, ResolveReason, SiteActor, TxnId};

@@ -12,7 +12,7 @@
 //! the clients of a round it has just lost) are not started as rival
 //! rounds: each crosses one link as a [`Relay::Forward`], joins the
 //! home's ordinary per-object FIFO, and its answer comes back as a
-//! [`Relay::ForwardReply`] for the sink this node kept (or its deadline
+//! [`Relay::ForwardReply`] for the reply token this node kept (or its deadline
 //! on the node's timer wheel answers it `TimedOut`).
 //!
 //! Everything here is volatile and advisory. A hint is learned only
@@ -21,8 +21,8 @@
 //! when a forwarded op meets a fault is enumerated in DESIGN.md
 //! ("Single-writer routing").
 
-use super::{Client, Deadline, Node, ReplySink, Route};
-use crate::wire::{ClientReply, PeerFrame, Relay};
+use crate::{Client, Deadline, Node, ReplyTo, Route};
+use crate::{ClientReply, PeerFrame, Relay};
 use dynvote_core::{SiteId, TimerId};
 use dynvote_protocol::ObjectId;
 use std::collections::HashMap;
@@ -131,7 +131,7 @@ impl Node {
             Relay::Forward { id, key, read } => {
                 let client = Client {
                     id,
-                    reply: ReplySink::Null,
+                    reply: None,
                     read,
                     route: Route::From(from),
                 };
@@ -204,23 +204,22 @@ impl Node {
 
     /// Answer a data-plane op, wherever its client is.
     pub(crate) fn answer(&mut self, client: Client, reply: ClientReply) {
-        match client.route {
-            Route::From(origin) => self.relay(
+        match (client.route, client.reply) {
+            (Route::From(origin), _) => self.relay(
                 origin,
                 Relay::ForwardReply {
                     id: client.id,
                     reply,
                 },
             ),
-            Route::Free | Route::Spent => self.reply(client.reply, client.id, reply),
+            (Route::Free | Route::Spent, Some(to)) => self.reply(to, client.id, reply),
+            (Route::Free | Route::Spent, None) => {}
         }
     }
 
     /// Put a client's answer in the outbox for its host to deliver.
-    pub(super) fn reply(&mut self, sink: ReplySink, id: u64, reply: ClientReply) {
-        if !matches!(sink, ReplySink::Null) {
-            self.out.replies.push((sink, id, reply));
-        }
+    pub(super) fn reply(&mut self, to: ReplyTo, id: u64, reply: ClientReply) {
+        self.out.replies.push((to, id, reply));
     }
 
     /// Put a relay frame in the outbox. Relays obey the same fault model

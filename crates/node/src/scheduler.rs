@@ -5,8 +5,8 @@
 //! The deadline queue, reachability filtering, the crash/recover fault
 //! model, and control-plane queries all live here.
 
-use super::{Client, Deadline, Node, NodeEvent, ReplySink, Route};
-use crate::wire::{ClientOp, ClientReply, PeerFrame};
+use crate::{Client, Deadline, Node, NodeEvent, ReplyTo, Route};
+use crate::{ClientOp, ClientReply, PeerFrame};
 use dynvote_core::{SiteId, SiteSet};
 use dynvote_protocol::{Input, Message, ObjectId, TimerKind, TxnId};
 use dynvote_storage::NodeStore;
@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 impl Node {
     /// Close the batch the host has handed over since the last call:
-    /// fire every deadline due by `now`, then [`Node::merge`] the whole
+    /// fire every deadline due by `now`, then merge the whole
     /// batch behind **one** group-commit barrier and rotate the WAL if
     /// it is due. The host then transmits the outbox once.
     ///
@@ -23,7 +23,7 @@ impl Node {
     /// the durable hot path cheap: every persist effect the batch
     /// produced — across every shard — is sealed by one fsync, and each
     /// peer gets one write.
-    pub(crate) fn end_batch(&mut self, now: Instant) {
+    pub fn end_batch(&mut self, now: Instant) {
         self.fire_due(now);
         // One barrier seals the batch's persist effects, then the staged
         // sends and replies go to the outbox.
@@ -37,7 +37,7 @@ impl Node {
     /// Stop: seal what the last batch staged into the outbox, then fail
     /// every op still parked with `Down`. The host drains the outbox
     /// once more and calls nothing else.
-    pub(crate) fn finish(&mut self, now: Instant) {
+    pub fn finish(&mut self, now: Instant) {
         self.merge(now);
         // Ops still parked in per-object FIFOs never started a round;
         // fail them alongside the in-flight ones.
@@ -75,7 +75,7 @@ impl Node {
     /// and no partition is ever distinguished again). The StatusQuery
     /// broadcast may race the peers' own boots; the PreparedRetry
     /// timer the round arms re-sends it until someone answers.
-    pub(crate) fn start(&mut self, now: Instant) {
+    pub fn start(&mut self, now: Instant) {
         if self.durability.is_none() {
             return;
         }
@@ -100,14 +100,12 @@ impl Node {
     /// Run one event, which reached the host at `now`, on its object's
     /// shard. Actions are **staged** in the scratch buffer; nothing
     /// reaches the outbox until the batch's [`Node::end_batch`] — except
-    /// control and diagnostic replies, which merge first (see
-    /// [`Node::handle_client`]). Either way the host transmits only
-    /// after the batch closes. [`NodeEvent::Shutdown`] is the host's to
-    /// act on and is ignored here.
-    pub(crate) fn on_event(&mut self, event: NodeEvent, now: Instant) {
+    /// control and diagnostic replies, which merge first. Either way the
+    /// host transmits only after the batch closes.
+    pub fn on_event(&mut self, event: NodeEvent, now: Instant) {
         match event {
-            NodeEvent::Peer { from, msg } => {
-                if self.hears(from) {
+            NodeEvent::Peer { from, frame } if self.hears(from) => match frame {
+                PeerFrame::Msg(msg) => {
                     if let Message::VoteGranted { txn, .. } | Message::VoteBusy { txn, .. } = &msg {
                         self.note_vote(*txn, from, now);
                     }
@@ -116,14 +114,10 @@ impl Node {
                     let object = msg.txn().object;
                     self.step(object, Input::Message { from, msg });
                 }
-            }
-            NodeEvent::Relay { from, relay } => {
-                if self.hears(from) {
-                    self.on_relay(from, relay, now);
-                }
-            }
+                PeerFrame::Relay(relay) => self.on_relay(from, relay, now),
+            },
+            NodeEvent::Peer { .. } => {} // not heard: dropped at the boundary
             NodeEvent::Client { id, op, reply } => self.handle_client(id, op, reply, now),
-            NodeEvent::Shutdown => {}
         }
     }
 
@@ -162,7 +156,7 @@ impl Node {
     }
 
     /// A client update or read-only request.
-    fn handle_data_op(&mut self, key: u32, read: bool, id: u64, reply: ReplySink, now: Instant) {
+    fn handle_data_op(&mut self, key: u32, read: bool, id: u64, reply: ReplyTo, now: Instant) {
         if self.down {
             self.reply(reply, id, ClientReply::Down);
             return;
@@ -173,14 +167,14 @@ impl Node {
         };
         let client = Client {
             id,
-            reply,
+            reply: Some(reply),
             read,
             route: Route::Free,
         };
         self.submit(object, client, now);
     }
 
-    fn handle_client(&mut self, id: u64, op: ClientOp, reply: ReplySink, now: Instant) {
+    fn handle_client(&mut self, id: u64, op: ClientOp, reply: ReplyTo, now: Instant) {
         match op {
             ClientOp::Update { key } => self.handle_data_op(key, false, id, reply, now),
             ClientOp::Read { key } => self.handle_data_op(key, true, id, reply, now),
@@ -282,12 +276,10 @@ impl Node {
                 };
                 self.reply(reply, id, status);
             }
+            // A node has no network: a host that has one answers this
+            // from its own counters before the node sees it.
             ClientOp::NetStats => {
-                let counts = self
-                    .net
-                    .as_ref()
-                    .map(|stats| stats.snapshot())
-                    .unwrap_or_default();
+                let counts = Vec::new();
                 self.reply(reply, id, ClientReply::NetStats { counts });
             }
             ClientOp::ShardStats => {
@@ -430,7 +422,7 @@ impl Node {
     /// Time from `now` until the node's next deadline: the longest the
     /// host may wait before [`Node::end_batch`] is due again (`None`: no
     /// deadline pending, wait for an event).
-    pub(crate) fn next_timer_in(&mut self, now: Instant) -> Option<Duration> {
+    pub fn next_timer_in(&mut self, now: Instant) -> Option<Duration> {
         let next = self.timers.next_deadline()?;
         Some(next.saturating_duration_since(now))
     }
@@ -469,8 +461,7 @@ mod tests {
     //! cluster of them.
 
     use super::*;
-    use crate::node::NodeConfig;
-    use crate::wire::Relay;
+    use crate::{NodeConfig, Relay};
     use dynvote_core::AlgorithmKind;
 
     const NS: Duration = Duration::from_nanos(1);
@@ -504,11 +495,7 @@ mod tests {
             moved += items.len();
             let mut touched = vec![false; nodes.len()];
             for (from, to, item) in items {
-                let event = match item {
-                    PeerFrame::Msg(msg) => NodeEvent::Peer { from, msg },
-                    PeerFrame::Relay(relay) => NodeEvent::Relay { from, relay },
-                };
-                nodes[to.index()].on_event(event, now);
+                nodes[to.index()].on_event(NodeEvent::Peer { from, frame: item }, now);
                 touched[to.index()] = true;
             }
             for (node, touched) in nodes.iter_mut().zip(touched) {
@@ -531,7 +518,7 @@ mod tests {
         NodeEvent::Client {
             id,
             op,
-            reply: ReplySink::Channel(std::sync::mpsc::channel().0),
+            reply: ReplyTo(id),
         }
     }
 
@@ -621,9 +608,9 @@ mod tests {
             reply: committed.clone(),
         };
         node.on_event(
-            NodeEvent::Relay {
+            NodeEvent::Peer {
                 from: SiteId(0),
-                relay: reply,
+                frame: PeerFrame::Relay(reply),
             },
             on_time,
         );

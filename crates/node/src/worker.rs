@@ -2,20 +2,19 @@
 //! front of its [`ShardedSite`](dynvote_protocol::ShardedSite), and the
 //! counters that make the node observable.
 //!
-//! Every kernel runs on the node's one thread (under TCP, its reactor).
+//! Every kernel runs on the one thread that hosts the node.
 //! The scheduler hands each event straight to its object's shard
 //! ([`Node::step`]), which stages the resulting actions in the node's
 //! scratch buffer and then pumps that object's FIFO; the merge barrier
-//! (`node/merge.rs`) seals and dispatches the lot.
+//! (`merge.rs`) seals and dispatches the lot.
 
-use super::{Client, Node};
+use crate::{Client, Node};
 use dynvote_core::{SiteId, SiteSet};
 use dynvote_protocol::{Input, ObjectId, SiteActor, TxnId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Node counters in the style of [`crate::NetStats`]: relaxed atomics
-/// bumped on the hot path, snapshotted wholesale for loadgen reports
+/// Node counters: relaxed atomics bumped on the hot path, snapshotted wholesale for loadgen reports
 /// and the front door's `/metrics`.
 #[derive(Debug)]
 pub struct ShardStats {

@@ -1,7 +1,7 @@
 //! The kernel's durability boundary.
 //!
 //! [`SiteActor`](crate::SiteActor) funnels every mutation of its
-//! [`DurableState`](crate::DurableState) through a handful of code
+//! [`DurableState`] through a handful of code
 //! paths — prepare, commit, metadata install, log append, sequence
 //! bump. Each one writes a [`PersistEffect`] into the caller's
 //! [`ActionSink`](crate::ActionSink) as an [`Action::Persist`], at the
