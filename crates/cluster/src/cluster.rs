@@ -12,9 +12,9 @@
 use crate::audit::AuditOutcome;
 use crate::frontdoor::{self, FrontDoor, FrontDoorConfig};
 use crate::reactor::{Reactor, ReactorConfig, TOKEN_WAKER};
-use crate::transport::{self, NetStats};
+use crate::transport;
 use crate::wire::{self, ClientOp, ClientReply, HELLO_CLIENT};
-use dynvote_core::{AlgorithmKind, ConfigError, CopyMeta, SiteId, SiteSet, MAX_SITES};
+use dynvote_core::{check_site_count, AlgorithmKind, ConfigError, CopyMeta, SiteId, SiteSet};
 use dynvote_net::{Poller, ResponseParser, Waker};
 use dynvote_node::{Node, NodeConfig, NodeDurability, NodeEvent, ShardStats};
 use dynvote_protocol::{EventTallies, LogEntry, ObjectId};
@@ -22,7 +22,7 @@ use dynvote_storage::{FsyncPolicy, StorageError, StoreConfig};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -115,7 +115,7 @@ impl From<ConfigError> for BootError {
 /// Everything needed to boot a cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Number of sites (`1..=MAX_SITES`).
+    /// Number of sites (`2..=MAX_SITES`).
     pub n: usize,
     /// Number of independent replicated objects every site hosts
     /// (`1..=MAX_OBJECTS`). Each object is its own shard: its own
@@ -237,7 +237,7 @@ impl ClusterConfig {
                 hi,
             })
         };
-        one_to("n", self.n, MAX_SITES)?;
+        check_site_count(self.n)?;
         one_to("objects", self.objects, MAX_OBJECTS)?;
         one_to("max_batch", self.max_batch, MAX_BATCH)?;
         if self.node.vote_deadline.is_zero() {
@@ -306,6 +306,15 @@ impl std::fmt::Display for RequestError {
 
 impl std::error::Error for RequestError {}
 
+impl From<RecvTimeoutError> for RequestError {
+    fn from(e: RecvTimeoutError) -> Self {
+        match e {
+            RecvTimeoutError::Timeout => RequestError::Timeout,
+            RecvTimeoutError::Disconnected => RequestError::NodeGone,
+        }
+    }
+}
+
 /// Where an in-process client reads its answers: `(correlation id,
 /// reply)`.
 pub(crate) type ReplySender = Sender<(u64, ClientReply)>;
@@ -322,6 +331,9 @@ pub(crate) enum SiteEvent {
         op: ClientOp,
         reply: ReplySender,
     },
+    /// Ask for a copy of the node's counters, taken between two
+    /// batches. The host answers it itself and hands the node nothing.
+    Stats(Sender<ShardStats>),
     /// Stop the site's thread (parked clients are failed with `Down`).
     Shutdown,
 }
@@ -383,8 +395,7 @@ impl LocalClient {
             match self.rx.recv_timeout(left) {
                 Ok((rid, reply)) if rid == id => return Ok(reply),
                 Ok(_) => continue, // stale reply from a timed-out request
-                Err(mpsc::RecvTimeoutError::Timeout) => return Err(RequestError::Timeout),
-                Err(mpsc::RecvTimeoutError::Disconnected) => return Err(RequestError::NodeGone),
+                Err(e) => return Err(e.into()),
             }
         }
     }
@@ -510,7 +521,6 @@ pub struct Cluster {
     n: usize,
     inboxes: Vec<Inbox>,
     handles: Vec<JoinHandle<()>>,
-    shard_stats: Vec<Arc<ShardStats>>,
     addrs: Vec<SocketAddr>,
     http_addrs: Vec<SocketAddr>,
 }
@@ -596,7 +606,6 @@ impl Cluster {
                         backoff: config.node.backoff,
                         front: None,
                         max_conns: config.http.as_ref().map_or(8192, |http| http.max_conns),
-                        stats: Arc::new(NetStats::new()),
                     };
                     let reactor_waker = waker.clone();
                     (
@@ -615,27 +624,20 @@ impl Cluster {
         // Reports are taken in site order, so the first failure is the
         // lowest failing site's. Dropping every go sender then releases
         // each waiting site unrun.
-        let ready: Result<Vec<_>, BootError> = readies
-            .iter()
-            .enumerate()
-            .map(|(i, ready)| {
-                let report = ready.recv().expect("site thread panicked while booting");
-                report.map_err(|error| BootError::Storage {
-                    site: SiteId(i as u8),
-                    error,
-                })
+        let ready = readies.iter().enumerate().try_for_each(|(i, ready)| {
+            let report = ready.recv().expect("site thread panicked while booting");
+            report.map_err(|error| BootError::Storage {
+                site: SiteId(i as u8),
+                error,
             })
-            .collect();
-        let shard_stats = match ready {
-            Ok(shard_stats) => shard_stats,
-            Err(error) => {
-                drop(gos);
-                for handle in handles {
-                    let _ = handle.join();
-                }
-                return Err(error);
+        });
+        if let Err(error) = ready {
+            drop(gos);
+            for handle in handles {
+                let _ = handle.join();
             }
-        };
+            return Err(error);
+        }
         for go in &gos {
             let _ = go.send(());
         }
@@ -644,7 +646,6 @@ impl Cluster {
             n,
             inboxes,
             handles,
-            shard_stats,
             addrs,
             http_addrs,
         })
@@ -682,11 +683,13 @@ impl Cluster {
         self
     }
 
-    /// One node's kernel-step, peer-health and routing counters — the
-    /// ones `/metrics` serves, readable without an HTTP listener.
-    #[must_use]
-    pub fn shard_stats(&self, site: SiteId) -> &ShardStats {
-        &self.shard_stats[site.index()]
+    /// A copy of one node's kernel-step, peer-health and routing
+    /// counters — the ones `/metrics` serves, readable without an HTTP
+    /// listener. The site's thread takes it between two batches.
+    pub fn shard_stats(&self, site: SiteId) -> Result<ShardStats, RequestError> {
+        let (tx, rx) = mpsc::channel();
+        self.inboxes[site.index()].send(SiteEvent::Stats(tx))?;
+        Ok(rx.recv_timeout(Duration::from_secs(2))?)
     }
 
     /// Per-site tallies of every protocol event emitted so far, one
@@ -858,9 +861,9 @@ impl Cluster {
 struct SiteBoot {
     config: Arc<ClusterConfig>,
     id: SiteId,
-    /// The site's one ready report: its node's counters, or why its
-    /// store failed to open.
-    ready: Sender<Result<Arc<ShardStats>, StorageError>>,
+    /// The site's one ready report: why its store failed to open, if
+    /// it did.
+    ready: Sender<Result<(), StorageError>>,
     /// Go, sent once every site is ready; dropped unsent when any
     /// site's open failed.
     go: Receiver<()>,
@@ -870,9 +873,9 @@ impl SiteBoot {
     /// Report `built` and wait for go: the host to run, or `None` when
     /// this site or another failed to open, so the thread returns
     /// without a protocol step.
-    fn pass<H>(self, built: Result<(H, Arc<ShardStats>), StorageError>) -> Option<H> {
+    fn pass<H>(self, built: Result<H, StorageError>) -> Option<H> {
         let (host, report) = match built {
-            Ok((host, stats)) => (Some(host), Ok(stats)),
+            Ok(host) => (Some(host), Ok(())),
             Err(error) => (None, Err(error)),
         };
         self.ready.send(report).ok()?;
@@ -882,10 +885,7 @@ impl SiteBoot {
 
     /// A channel site's thread: build the node, pass the barrier, run.
     fn run_channel(self, inbox: Receiver<SiteEvent>, senders: Vec<Sender<SiteEvent>>) {
-        let built = self.node().map(|node| {
-            let stats = node.shard_stats();
-            (node, stats)
-        });
+        let built = self.node();
         let site = self.id;
         if let Some(node) = self.pass(built) {
             transport::run(node, site, inbox, &senders);
@@ -903,20 +903,15 @@ impl SiteBoot {
         mut reactor: ReactorConfig,
     ) {
         let built = self.node().map(|node| {
-            let stats = node.shard_stats();
             reactor.front = self.config.http.as_ref().map(|http| {
                 FrontDoor::new(
                     self.id,
                     self.config.algorithm.to_string(),
                     self.config.objects as u32,
                     http.max_inflight,
-                    Arc::clone(&reactor.stats),
-                    node.shard_stats(),
                 )
             });
-            let reactor = Reactor::new(poller, waker, node, inbox, reactor)
-                .expect("register reactor listeners");
-            (reactor, stats)
+            Reactor::new(poller, waker, node, inbox, reactor).expect("register reactor listeners")
         });
         if let Some(reactor) = self.pass(built) {
             reactor.run();
@@ -946,5 +941,30 @@ impl SiteBoot {
         }
         node.set_trace(config.trace);
         Ok(node)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dynvote_core::MAX_SITES;
+
+    /// A one-site cluster would wait out the whole vote deadline on
+    /// every op; the simulator refuses it, and so does boot.
+    #[test]
+    fn fewer_than_two_sites_are_refused() {
+        for n in [0, 1] {
+            let config = ClusterConfig::new(n, AlgorithmKind::Hybrid);
+            assert_eq!(config.validate(), Err(ConfigError::SiteCount { n }));
+        }
+        assert_eq!(
+            ClusterConfig::new(2, AlgorithmKind::Hybrid).validate(),
+            Ok(())
+        );
+        let too_many = ClusterConfig::new(MAX_SITES + 1, AlgorithmKind::Hybrid);
+        assert_eq!(
+            too_many.validate(),
+            Err(ConfigError::SiteCount { n: MAX_SITES + 1 })
+        );
     }
 }

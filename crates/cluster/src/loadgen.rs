@@ -361,7 +361,7 @@ pub struct NetCounterEntry {
 pub struct ShardCounterEntry {
     /// Site index.
     pub site: usize,
-    /// Counter name (see [`crate::ShardStats::names`]).
+    /// Counter name (see [`crate::ShardStats::names_for`]).
     pub counter: String,
     /// Value observed at that site.
     pub count: u64,

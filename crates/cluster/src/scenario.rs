@@ -172,7 +172,7 @@ pub fn run_cluster_config(config: &ClusterConfig, script: &[ScriptOp]) -> (Fixpo
     // Steps run to quiescence, so no two coordinators ever met: the
     // cluster must not have learned a route or forwarded an op.
     for i in 0..n {
-        let stats = cluster.shard_stats(SiteId(i as u8));
+        let stats = cluster.shard_stats(SiteId(i as u8)).expect("shard stats");
         assert_eq!(
             (
                 stats.contended(),

@@ -18,16 +18,18 @@
 //!   peer item as one frame onto its peer's one bounded buffer and
 //!   writes that to loopback TCP; the node's kernels never wait on a
 //!   socket or a dead peer. Link failures are not returned to anyone
-//!   — they are *counted*, per cause, in [`NetStats`], and exposed
-//!   through the loadgen report, `/metrics`, and the
+//!   — they are *counted*, per cause, in the reactor's [`NetStats`],
+//!   and exposed through the loadgen report, `/metrics`, and the
 //!   [`ClientOp::NetStats`](crate::wire::ClientOp::NetStats) client
 //!   op, which the reactor answers itself.
+//!
+//! Either host answers [`SiteEvent::Stats`] with a copy of its node's
+//! counters without handing the node anything.
 
 use crate::cluster::{ReplySender, SiteEvent};
 use dynvote_core::SiteId;
 use dynvote_node::{Node, NodeEvent, Outbox, ReplyTo};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::time::Instant;
 
@@ -69,9 +71,10 @@ impl<T> ReplyTable<T> {
 /// The channel host: block on `inbox` until the node's next deadline
 /// (or, with none pending, until an event arrives), hand the burst
 /// queued behind the first event (bounded by [`INBOX_BATCH`]) to the
-/// node with the time read after the wait, then close the batch and
-/// hand its outbox to `peers` (every site's inbox, indexed by site);
-/// repeat until [`SiteEvent::Shutdown`] or until every sender is gone.
+/// node with the time read after the wait, then — if the node was fed
+/// or a deadline is due — close the batch and hand its outbox to
+/// `peers` (every site's inbox, indexed by site); repeat until
+/// [`SiteEvent::Shutdown`] or until every sender is gone.
 pub(crate) fn run(
     mut node: Node,
     site: SiteId,
@@ -90,6 +93,8 @@ pub(crate) fn run(
             break;
         }
         let now = Instant::now();
+        // A wait that timed out has a deadline to fire.
+        let mut fed = first.is_err();
         for event in first.into_iter().chain(inbox.try_iter()).take(INBOX_BATCH) {
             let event = match event {
                 SiteEvent::Node(event) => event,
@@ -97,12 +102,20 @@ pub(crate) fn run(
                     let reply = clients.token(reply);
                     NodeEvent::Client { id, op, reply }
                 }
+                SiteEvent::Stats(reply) => {
+                    let _ = reply.send(node.shard_stats().clone());
+                    continue;
+                }
                 SiteEvent::Shutdown => break 'outer,
             };
             node.on_event(event, now);
+            fed = true;
         }
-        node.end_batch(now);
-        deliver(site, peers, node.outbox(), &mut clients);
+        // Reading the counters closes no batch, so it moves none of them.
+        if fed {
+            node.end_batch(now);
+            deliver(site, peers, node.outbox(), &mut clients);
+        }
     }
     node.finish(Instant::now());
     deliver(site, peers, node.outbox(), &mut clients);
@@ -130,19 +143,14 @@ pub(crate) fn deliver(
     }
 }
 
-/// Per-node network counters, shared between the reactor thread (which
-/// bumps them) and everything that reports them: the loadgen JSON
-/// report, the `/metrics` exposition, and the
-/// [`ClientOp::NetStats`](crate::wire::ClientOp::NetStats) client op,
-/// whose reply the reactor fills with [`NetStats::snapshot`] in
-/// [`NetStats::NAMES`] order.
-///
-/// Lock-free relaxed atomics: the counters are monotonic tallies, not
-/// synchronization — a reader may see a snapshot mid-update and that is
-/// fine.
-#[derive(Debug, Default)]
+/// Per-node network counters: plain tallies the reactor owns, bumps and
+/// reads on its one thread. It renders them on `/metrics` and fills the
+/// [`ClientOp::NetStats`](crate::wire::ClientOp::NetStats) reply with
+/// [`NetStats::snapshot`] in [`NetStats::NAMES`] order, which is how the
+/// loadgen report reads them.
+#[derive(Debug, Default, Clone)]
 pub struct NetStats {
-    counters: [AtomicU64; NetStats::COUNT],
+    counters: [u64; NetStats::COUNT],
 }
 
 macro_rules! net_counters {
@@ -158,8 +166,8 @@ macro_rules! net_counters {
 
             $(
                 #[doc = $doc]
-                pub fn $bump(&self) {
-                    self.counters[$idx].fetch_add(1, Ordering::Relaxed);
+                pub fn $bump(&mut self) {
+                    self.counters[$idx] += 1;
                 }
             )+
         }
@@ -192,10 +200,7 @@ impl NetStats {
     /// Current counter values, index-aligned with [`NetStats::NAMES`].
     #[must_use]
     pub fn snapshot(&self) -> Vec<u64> {
-        self.counters
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
+        self.counters.to_vec()
     }
 
     /// One counter by name, mostly for tests.
@@ -204,7 +209,7 @@ impl NetStats {
         NetStats::NAMES
             .iter()
             .position(|n| *n == name)
-            .map_or(0, |i| self.counters[i].load(Ordering::Relaxed))
+            .map_or(0, |i| self.counters[i])
     }
 }
 
@@ -278,7 +283,7 @@ mod tests {
 
     #[test]
     fn net_stats_names_align_with_snapshot() {
-        let stats = NetStats::new();
+        let mut stats = NetStats::new();
         stats.bump_conn_accepted();
         stats.bump_backpressure_drop();
         stats.bump_backpressure_drop();

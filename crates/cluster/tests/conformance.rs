@@ -384,7 +384,7 @@ fn run_keyed_and_check(config: &ClusterConfig, label: &str, refs: &[Fixpoint]) {
         );
     }
     for i in 0..n {
-        let stats = cluster.shard_stats(SiteId(i as u8));
+        let stats = cluster.shard_stats(SiteId(i as u8)).expect("shard stats");
         assert_eq!(
             (stats.routed_objects(), stats.forwarded_out()),
             (0, 0),

@@ -65,7 +65,12 @@ fn idle_channel_sites_run_no_merge_barrier() {
 
     let barriers = || -> Vec<u64> {
         (0..config.n)
-            .map(|site| cluster.shard_stats(SiteId::new(site)).snapshot()[MERGE_BARRIERS])
+            .map(|site| {
+                cluster
+                    .shard_stats(SiteId::new(site))
+                    .expect("shard stats")
+                    .snapshot()[MERGE_BARRIERS]
+            })
             .collect()
     };
     let before = barriers();

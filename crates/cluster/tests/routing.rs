@@ -30,8 +30,8 @@ fn boot(transport: TransportKind, objects: usize) -> Cluster {
     Cluster::boot(&config).expect("boot cluster")
 }
 
-fn stats(cluster: &Cluster, site: u8) -> &ShardStats {
-    cluster.shard_stats(SiteId(site))
+fn stats(cluster: &Cluster, site: u8) -> ShardStats {
+    cluster.shard_stats(SiteId(site)).expect("shard stats")
 }
 
 /// One tick: every client sends an update on `key` at the same instant.

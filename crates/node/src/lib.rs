@@ -63,7 +63,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default bound on how many queued client updates one quorum round
@@ -299,8 +298,8 @@ pub struct Node {
     /// multi-op rounds entirely.
     max_batch: usize,
     /// The node's observability counters, answering
-    /// [`ClientOp::ShardStats`] and shared with the front door.
-    shard_stats: Arc<ShardStats>,
+    /// [`ClientOp::ShardStats`]; its host reads them by reference.
+    shard_stats: ShardStats,
     /// Clients parked on in-flight transactions. A pipelined round
     /// carries many client ops, so one transaction parks a payload-
     /// ordered list; every entry is resolved (exactly once) when the
@@ -349,7 +348,7 @@ impl Node {
             event_counts: [0; EventKind::COUNT],
             trace: false,
             max_batch: DEFAULT_MAX_BATCH,
-            shard_stats: Arc::new(ShardStats::new(n)),
+            shard_stats: ShardStats::new(n),
             pending: HashMap::new(),
             routes: route::Routes::default(),
             restart_txns: HashSet::new(),
@@ -359,11 +358,12 @@ impl Node {
         }
     }
 
-    /// The node's observability counters (shared with the front
-    /// door for `/metrics`).
+    /// The node's observability counters, for its host to read (the
+    /// front door's `/metrics` and `/status`) or to copy for another
+    /// thread that asks.
     #[must_use]
-    pub fn shard_stats(&self) -> Arc<ShardStats> {
-        Arc::clone(&self.shard_stats)
+    pub fn shard_stats(&self) -> &ShardStats {
+        &self.shard_stats
     }
 
     /// Cap how many queued client updates one quorum round may seal

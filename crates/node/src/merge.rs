@@ -48,7 +48,7 @@ impl Node {
 
     /// One barrier. `true` if it grew the suspicion set.
     fn merge_pass(&mut self, now: Instant) -> bool {
-        self.shard_stats.note_merge();
+        self.shard_stats.merge_barriers += 1;
         let mut batch = std::mem::take(&mut self.scratch);
         // Ops refused at the per-object queue bound: the typed overload
         // reply, distinct from a protocol-level refusal.
@@ -101,7 +101,7 @@ impl Node {
                 Action::Resolved { txn, reason } => {
                     self.restart_txns.remove(&txn);
                     if reason == ResolveReason::Contended {
-                        self.shard_stats.note_contended();
+                        self.shard_stats.contended += 1;
                     }
                     if let Some(clients) = self.pending.remove(&txn) {
                         // One Resolved covers every op of the round:
@@ -153,7 +153,7 @@ impl Node {
                 Action::Hint(Hint::Unanswered {
                     cause: CloseCause::Suspected,
                     ..
-                }) => self.shard_stats.note_closed_early(),
+                }) => self.shard_stats.rounds_closed_early += 1,
                 // A deadline or a grace waited for these peers in vain:
                 // stop waiting for them until they are heard from
                 // again.

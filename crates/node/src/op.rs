@@ -56,7 +56,7 @@ pub enum ClientOp {
     NetStats,
     /// Fetch the node's kernel-step counters (steps run, merge-barrier
     /// count, pipelining queue peak and batch sizes) in
-    /// [`crate::ShardStats::names`] order.
+    /// [`crate::ShardStats::names_for`] order.
     ShardStats,
 }
 
@@ -147,14 +147,14 @@ pub enum ClientReply {
         /// One counter per name the host gives.
         counts: Vec<u64>,
     },
-    /// Node counters in [`crate::ShardStats::names`] order, 13 slots:
+    /// Node counters in [`crate::ShardStats::names_for`] order, 13 slots:
     /// `[dispatched, queue_peak, merge_barriers, merge_wait_ns,
     /// pipeline_queue_peak, pipeline_batch(8)]`.
     ShardStats {
         /// Always 1: a node runs its kernels on one thread. Readers
         /// pass it to [`crate::ShardStats::names_for`].
         workers: u32,
-        /// One counter per [`crate::ShardStats::names`] entry.
+        /// One counter per [`crate::ShardStats::names_for`] entry.
         counts: Vec<u64>,
     },
 }

@@ -65,14 +65,14 @@ impl Node {
         }
         let home = self.routes.homes.entry(object).or_insert(rival);
         *home = (*home).min(rival);
-        self.shard_stats.note_routed(self.routes.homes.len());
+        self.shard_stats.routed_objects = self.routes.homes.len() as u64;
     }
 
     /// Drop `object`'s hint if it still names `home`.
     fn forget_home(&mut self, object: ObjectId, home: SiteId) {
         if self.routes.homes.get(&object) == Some(&home) {
             self.routes.homes.remove(&object);
-            self.shard_stats.note_routed(self.routes.homes.len());
+            self.shard_stats.routed_objects = self.routes.homes.len() as u64;
         }
     }
 
@@ -114,7 +114,7 @@ impl Node {
                 timer,
             },
         );
-        self.shard_stats.note_forwarded_out();
+        self.shard_stats.forwarded_out += 1;
         self.relay(
             home,
             Relay::Forward {
@@ -135,7 +135,7 @@ impl Node {
                     read,
                     route: Route::From(from),
                 };
-                self.shard_stats.note_forwarded_in();
+                self.shard_stats.forwarded_in += 1;
                 if (key as usize) < self.objects {
                     self.submit(ObjectId(key), client, now);
                 } else {
@@ -185,7 +185,7 @@ impl Node {
     /// is told `TimedOut`, which means exactly that.
     pub(super) fn expire_forward(&mut self, id: u64) {
         if let Some(forwarded) = self.routes.pending.remove(&id) {
-            self.shard_stats.note_forward_timeout();
+            self.shard_stats.forward_timeouts += 1;
             self.forget_home(forwarded.object, forwarded.home);
             self.answer(forwarded.client, ClientReply::TimedOut);
         }
@@ -195,7 +195,7 @@ impl Node {
     /// flight to a home die with the site like every other parked op.
     pub(super) fn drop_routes(&mut self) {
         self.routes.homes.clear();
-        self.shard_stats.note_routed(0);
+        self.shard_stats.routed_objects = 0;
         let pending = std::mem::take(&mut self.routes.pending);
         for (_, forwarded) in pending {
             self.answer(forwarded.client, ClientReply::Down);

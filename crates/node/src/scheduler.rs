@@ -337,7 +337,7 @@ impl Node {
     /// [`Node::share_suspected`] and nowhere else.
     pub(crate) fn set_suspected(&mut self, suspected: SiteSet) {
         self.suspected = suspected;
-        self.shard_stats.note_suspected(suspected);
+        self.shard_stats.suspected = suspected;
     }
 
     /// The set grew: hand it to the kernels and have each round this

@@ -11,50 +11,51 @@
 use crate::{Client, Node};
 use dynvote_core::{SiteId, SiteSet};
 use dynvote_protocol::{Input, ObjectId, SiteActor, TxnId};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Node counters: relaxed atomics bumped on the hot path, snapshotted wholesale for loadgen reports
-/// and the front door's `/metrics`.
-#[derive(Debug)]
+/// Node counters: plain values the node bumps on the thread that hosts
+/// it. The host reads them by reference ([`Node::shard_stats`]) for the
+/// `ShardStats` client op and the front door's `/metrics` and
+/// `/status`; another thread reads a copy by asking the host.
+#[derive(Debug, Clone)]
 pub struct ShardStats {
     /// Kernel steps run since launch: one per routed message, client
     /// op, timer, restart, re-test and suspicion-set hand-over.
-    dispatched: AtomicU64,
+    pub(crate) dispatched: u64,
     /// Merge barriers executed.
-    merge_barriers: AtomicU64,
+    pub(crate) merge_barriers: u64,
     /// High-water mark of any single object's pending-op FIFO.
-    pipeline_queue_peak: AtomicU64,
+    pipeline_queue_peak: u64,
     /// Histogram of quorum-round batch sizes: how many client updates
     /// each update round sealed, bucketed by
     /// [`Self::BATCH_BUCKETS`].
-    batch_sizes: Vec<AtomicU64>,
-    /// The node's peer-suspicion set, as [`SiteSet::bits`] (a gauge).
-    suspected: AtomicU64,
+    batch_sizes: Vec<u64>,
+    /// The node's peer-suspicion set (a gauge).
+    pub(crate) suspected: SiteSet,
     /// Per peer: vote deadlines that fired without its reply.
-    vote_deadline_missed: Vec<AtomicU64>,
+    vote_deadline_missed: Vec<u64>,
     /// Per peer: straggler graces that ran out without its reply and
     /// closed the round (its replies were distinguished without it).
-    vote_grace_missed: Vec<AtomicU64>,
+    vote_grace_missed: Vec<u64>,
     /// Per peer: smoothed vote latency in microseconds (a gauge; 0
     /// until the peer has voted in a round coordinated here).
-    peer_vote_rtt_us: Vec<AtomicU64>,
+    peer_vote_rtt_us: Vec<u64>,
     /// The straggler grace the latest round was given, in microseconds
     /// (a gauge).
-    vote_grace_us: AtomicU64,
+    vote_grace_us: u64,
     /// Quorum rounds that closed before their vote deadline because
     /// only suspected peers were still silent.
-    rounds_closed_early: AtomicU64,
+    pub(crate) rounds_closed_early: u64,
     /// Client ops this node handed to an object's home site.
-    forwarded_out: AtomicU64,
+    pub(crate) forwarded_out: u64,
     /// Client ops other sites handed to this node.
-    forwarded_in: AtomicU64,
+    pub(crate) forwarded_in: u64,
     /// Forwarded ops whose answer never came back in time.
-    forward_timeouts: AtomicU64,
+    pub(crate) forward_timeouts: u64,
     /// Rounds coordinated here that lost a lock race.
-    contended: AtomicU64,
+    pub(crate) contended: u64,
     /// Objects with a home hint right now (a gauge).
-    routed_objects: AtomicU64,
+    pub(crate) routed_objects: u64,
 }
 
 impl ShardStats {
@@ -66,97 +67,57 @@ impl ShardStats {
     #[must_use]
     pub fn new(sites: usize) -> Self {
         ShardStats {
-            dispatched: AtomicU64::new(0),
-            merge_barriers: AtomicU64::new(0),
-            pipeline_queue_peak: AtomicU64::new(0),
-            batch_sizes: Self::BATCH_BUCKETS
-                .iter()
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            suspected: AtomicU64::new(0),
-            vote_deadline_missed: (0..sites).map(|_| AtomicU64::new(0)).collect(),
-            vote_grace_missed: (0..sites).map(|_| AtomicU64::new(0)).collect(),
-            peer_vote_rtt_us: (0..sites).map(|_| AtomicU64::new(0)).collect(),
-            vote_grace_us: AtomicU64::new(0),
-            rounds_closed_early: AtomicU64::new(0),
-            forwarded_out: AtomicU64::new(0),
-            forwarded_in: AtomicU64::new(0),
-            forward_timeouts: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
-            routed_objects: AtomicU64::new(0),
+            dispatched: 0,
+            merge_barriers: 0,
+            pipeline_queue_peak: 0,
+            batch_sizes: vec![0; Self::BATCH_BUCKETS.len()],
+            suspected: SiteSet::EMPTY,
+            vote_deadline_missed: vec![0; sites],
+            vote_grace_missed: vec![0; sites],
+            peer_vote_rtt_us: vec![0; sites],
+            vote_grace_us: 0,
+            rounds_closed_early: 0,
+            forwarded_out: 0,
+            forwarded_in: 0,
+            forward_timeouts: 0,
+            contended: 0,
+            routed_objects: 0,
         }
     }
 
-    fn note_dispatch(&self) {
-        self.dispatched.fetch_add(1, Ordering::Relaxed);
+    fn note_pipeline_depth(&mut self, depth: u64) {
+        self.pipeline_queue_peak = self.pipeline_queue_peak.max(depth);
     }
 
-    pub(crate) fn note_merge(&self) {
-        self.merge_barriers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_pipeline_depth(&self, depth: u64) {
-        self.pipeline_queue_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    fn note_batch(&self, ops: u64) {
+    fn note_batch(&mut self, ops: u64) {
         let bucket = Self::BATCH_BUCKETS
             .iter()
             .position(|&hi| ops <= hi)
             .unwrap_or(Self::BATCH_BUCKETS.len() - 1);
-        self.batch_sizes[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_suspected(&self, suspected: SiteSet) {
-        self.suspected.store(suspected.bits(), Ordering::Relaxed);
+        self.batch_sizes[bucket] += 1;
     }
 
     /// A round closed without `peer`'s vote: at its straggler grace, or
     /// else at its vote deadline.
-    pub(crate) fn note_vote_missed(&self, peer: SiteId, at_grace: bool) {
+    pub(crate) fn note_vote_missed(&mut self, peer: SiteId, at_grace: bool) {
         let counts = if at_grace {
-            &self.vote_grace_missed
+            &mut self.vote_grace_missed
         } else {
-            &self.vote_deadline_missed
+            &mut self.vote_deadline_missed
         };
-        if let Some(count) = counts.get(peer.index()) {
-            count.fetch_add(1, Ordering::Relaxed);
+        if let Some(count) = counts.get_mut(peer.index()) {
+            *count += 1;
         }
     }
 
-    pub(crate) fn note_vote_rtt(&self, peer: SiteId, srtt: Duration) {
-        if let Some(gauge) = self.peer_vote_rtt_us.get(peer.index()) {
-            gauge.store(srtt.as_micros() as u64, Ordering::Relaxed);
+    pub(crate) fn note_vote_rtt(&mut self, peer: SiteId, srtt: Duration) {
+        if let Some(gauge) = self.peer_vote_rtt_us.get_mut(peer.index()) {
+            *gauge = srtt.as_micros() as u64;
         }
     }
 
-    pub(crate) fn note_vote_grace(&self, grace: Duration) {
-        self.vote_grace_us
-            .store(grace.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_closed_early(&self) {
-        self.rounds_closed_early.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_forwarded_out(&self) {
-        self.forwarded_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_forwarded_in(&self) {
-        self.forwarded_in.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_forward_timeout(&self) {
-        self.forward_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_contended(&self) {
-        self.contended.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_routed(&self, objects: usize) {
-        self.routed_objects.store(objects as u64, Ordering::Relaxed);
+    pub(crate) fn note_vote_grace(&mut self, grace: Duration) {
+        self.vote_grace_us = grace.as_micros() as u64;
     }
 
     /// The peers this node currently suspects of being silent. The
@@ -166,71 +127,71 @@ impl ShardStats {
     /// locate the batch histogram from its tail.
     #[must_use]
     pub fn suspected(&self) -> SiteSet {
-        SiteSet::from_bits(self.suspected.load(Ordering::Relaxed))
+        self.suspected
     }
 
     /// Per peer (indexed by site), how many vote deadlines fired
     /// without its reply.
     #[must_use]
-    pub fn vote_deadline_missed(&self) -> Vec<u64> {
-        load_all(&self.vote_deadline_missed)
+    pub fn vote_deadline_missed(&self) -> &[u64] {
+        &self.vote_deadline_missed
     }
 
     /// Per peer (indexed by site), how many rounds closed at their
     /// straggler grace without its reply.
     #[must_use]
-    pub fn vote_grace_missed(&self) -> Vec<u64> {
-        load_all(&self.vote_grace_missed)
+    pub fn vote_grace_missed(&self) -> &[u64] {
+        &self.vote_grace_missed
     }
 
     /// Per peer (indexed by site), the smoothed latency of its votes in
     /// microseconds; 0 for a peer that has not voted here yet.
     #[must_use]
-    pub fn peer_vote_rtt_us(&self) -> Vec<u64> {
-        load_all(&self.peer_vote_rtt_us)
+    pub fn peer_vote_rtt_us(&self) -> &[u64] {
+        &self.peer_vote_rtt_us
     }
 
     /// The straggler grace of the latest round coordinated here, in
     /// microseconds.
     #[must_use]
     pub fn vote_grace_us(&self) -> u64 {
-        self.vote_grace_us.load(Ordering::Relaxed)
+        self.vote_grace_us
     }
 
     /// Quorum rounds closed ahead of their vote deadline.
     #[must_use]
     pub fn rounds_closed_early(&self) -> u64 {
-        self.rounds_closed_early.load(Ordering::Relaxed)
+        self.rounds_closed_early
     }
 
     /// Client ops this node handed to an object's home site.
     #[must_use]
     pub fn forwarded_out(&self) -> u64 {
-        self.forwarded_out.load(Ordering::Relaxed)
+        self.forwarded_out
     }
 
     /// Client ops other sites handed to this node to coordinate.
     #[must_use]
     pub fn forwarded_in(&self) -> u64 {
-        self.forwarded_in.load(Ordering::Relaxed)
+        self.forwarded_in
     }
 
     /// Forwarded ops answered `TimedOut` because the home never did.
     #[must_use]
     pub fn forward_timeouts(&self) -> u64 {
-        self.forward_timeouts.load(Ordering::Relaxed)
+        self.forward_timeouts
     }
 
     /// Rounds coordinated here that lost a lock race.
     #[must_use]
     pub fn contended(&self) -> u64 {
-        self.contended.load(Ordering::Relaxed)
+        self.contended
     }
 
     /// Objects whose ops this node currently routes to another site.
     #[must_use]
     pub fn routed_objects(&self) -> u64 {
-        self.routed_objects.load(Ordering::Relaxed)
+        self.routed_objects
     }
 
     /// The five routing readings by name, for `/metrics` and `/status`
@@ -238,38 +199,32 @@ impl ShardStats {
     #[must_use]
     pub fn routing(&self) -> [(&'static str, u64); 5] {
         [
-            ("contended", self.contended()),
-            ("routed_objects", self.routed_objects()),
-            ("forwarded_out", self.forwarded_out()),
-            ("forwarded_in", self.forwarded_in()),
-            ("forward_timeouts", self.forward_timeouts()),
+            ("contended", self.contended),
+            ("routed_objects", self.routed_objects),
+            ("forwarded_out", self.forwarded_out),
+            ("forwarded_in", self.forwarded_in),
+            ("forward_timeouts", self.forward_timeouts),
         ]
     }
 
-    /// One row of 13 counters, in [`Self::names`] order: `[dispatched,
-    /// queue_peak, merge_barriers, merge_wait_ns, pipeline_queue_peak,
-    /// batch_sizes(8)]`. `queue_peak` and `merge_wait_ns` always read
-    /// 0 — nothing queues between threads and nobody waits at the
-    /// barrier — but keep their slots: wire readers locate counters by
-    /// [`Self::names_for`] and the batch histogram by the tail.
+    /// One row of 13 counters, in [`Self::names_for`] order:
+    /// `[dispatched, queue_peak, merge_barriers, merge_wait_ns,
+    /// pipeline_queue_peak, batch_sizes(8)]`. `queue_peak` and
+    /// `merge_wait_ns` always read 0 — nothing queues between threads
+    /// and nobody waits at the barrier — but keep their slots: wire
+    /// readers locate counters by name and the batch histogram by the
+    /// tail.
     #[must_use]
     pub fn snapshot(&self) -> Vec<u64> {
         let mut counts = vec![
-            self.dispatched.load(Ordering::Relaxed),
+            self.dispatched,
             0,
-            self.merge_barriers.load(Ordering::Relaxed),
+            self.merge_barriers,
             0,
-            self.pipeline_queue_peak.load(Ordering::Relaxed),
+            self.pipeline_queue_peak,
         ];
-        counts.extend(load_all(&self.batch_sizes));
+        counts.extend(&self.batch_sizes);
         counts
-    }
-
-    /// Counter names matching [`Self::snapshot`] positions, for JSON
-    /// reports.
-    #[must_use]
-    pub fn names(&self) -> Vec<String> {
-        Self::names_for(1)
     }
 
     /// The names of the snapshot a `ShardStats` reply carries, for the
@@ -300,10 +255,6 @@ impl ShardStats {
     }
 }
 
-fn load_all(counters: &[AtomicU64]) -> Vec<u64> {
-    counters.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-}
-
 /// One client op parked in an object's commit-pipelining FIFO, waiting
 /// for the object's lock to free. A read is never batched with updates
 /// — it runs its own round — but it keeps its FIFO position.
@@ -324,7 +275,7 @@ impl Node {
     /// scratch buffer, then pump the object's FIFO — the step may have
     /// freed its lock. Returns the transaction the input started.
     pub(super) fn step(&mut self, object: ObjectId, input: Input<'_>) -> Option<TxnId> {
-        self.shard_stats.note_dispatch();
+        self.shard_stats.dispatched += 1;
         let started = self.site.step(object, input, &mut self.scratch);
         self.pump(object);
         started
@@ -341,7 +292,7 @@ impl Node {
 
     /// Hand the kernels the scheduler's copy of the peer-suspicion set.
     pub(super) fn share_suspected(&mut self) {
-        self.shard_stats.note_dispatch();
+        self.shard_stats.dispatched += 1;
         self.site.set_suspected(self.suspected);
     }
 
@@ -351,7 +302,7 @@ impl Node {
     /// latency tax), while ops that arrived under a held lock drain in
     /// one multi-op round the moment it frees.
     pub(super) fn enqueue(&mut self, object: ObjectId, payload: u64, client: Client) {
-        self.shard_stats.note_dispatch();
+        self.shard_stats.dispatched += 1;
         let queue = self.queues.entry(object).or_default();
         if queue.len() >= PER_OBJECT_QUEUE_LIMIT {
             self.overflows.push(client);
@@ -424,16 +375,14 @@ mod tests {
     /// The 13-slot layout wire readers decode by name and by tail.
     #[test]
     fn stats_snapshot_layout_matches_names() {
-        let stats = ShardStats::new(3);
-        stats.note_dispatch();
-        stats.note_dispatch();
-        stats.note_merge();
+        let mut stats = ShardStats::new(3);
+        stats.dispatched += 2;
+        stats.merge_barriers += 1;
         stats.note_pipeline_depth(4);
         stats.note_batch(3);
-        let names = stats.names();
+        let names = ShardStats::names_for(1);
         let counts = stats.snapshot();
         assert_eq!(counts.len(), 13);
-        assert_eq!(names, ShardStats::names_for(1));
         assert_eq!(
             names[..5],
             [
@@ -456,7 +405,7 @@ mod tests {
 
     #[test]
     fn queue_peak_is_a_high_water_mark() {
-        let stats = ShardStats::new(3);
+        let mut stats = ShardStats::new(3);
         stats.note_pipeline_depth(7);
         stats.note_pipeline_depth(3);
         assert_eq!(stats.snapshot()[4], 7);
@@ -466,7 +415,7 @@ mod tests {
 
     #[test]
     fn batch_sizes_land_in_their_buckets() {
-        let stats = ShardStats::new(3);
+        let mut stats = ShardStats::new(3);
         for ops in [1, 1, 2, 5, 64, 65, 1000] {
             stats.note_batch(ops);
         }
