@@ -259,20 +259,32 @@ fn overload_yields_429_not_hangs() {
     // One admission slot: paced workers all aimed at one node must see
     // the excess bounce as 429, never stall.
     let mut config = http_config(3, 1);
-    // Long enough that the op held below cannot slip out of its slot
+    // Long enough that the ops held below cannot slip out of the slot
     // before the probe arrives; healthy rounds never wait it out.
     config.node.vote_deadline = Duration::from_secs(1);
     let (cluster, _) = boot(&config);
     let addr = cluster.http_addr(SiteId(0)).expect("http addr");
 
+    // The paced window opens while one op holds the slot. Cut off from
+    // the other two sites, site 0 sends its vote requests into the
+    // void, so that op's round waits out the whole vote deadline even
+    // after the links heal: every op paced into that second bounces as
+    // 429, and the ops after it commit.
+    let rest = dynvote_core::SiteSet::from_sites([1, 2].map(SiteId));
+    cluster.set_partition(&[rest]).expect("partition");
+    let held = thread::spawn(move || post_op(addr, "update"));
+    await_value(Duration::from_secs(5), 1, || inflight(addr));
+    cluster.heal_links().expect("heal");
     let load = LoadGenConfig {
-        duration: Duration::from_millis(500),
+        duration: Duration::from_millis(1500),
         rate: Some(2000.0),
         read_fraction: 0.0,
         seed: 3,
         ..LoadGenConfig::default()
     };
     let report = LoadGen::run(&load, http_targets(&cluster, 1, 8)).expect("paced run");
+    let (status, text) = held.join().expect("held op");
+    assert_eq!(status, 409, "a lone site must be rejected: {text}");
     assert!(
         report.overloaded > 0,
         "expected admission rejections, report: {}",
