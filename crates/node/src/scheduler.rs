@@ -423,7 +423,11 @@ impl Node {
     /// host may wait before [`Node::end_batch`] is due again (`None`: no
     /// deadline pending, wait for an event).
     pub fn next_timer_in(&mut self, now: Instant) -> Option<Duration> {
-        let next = self.timers.next_deadline()?;
+        let Some(next) = self.timers.next_deadline() else {
+            // Every armed round timer has its entry on the wheel.
+            debug_assert!(self.round_timers.is_empty(), "a round timer leaked");
+            return None;
+        };
         Some(next.saturating_duration_since(now))
     }
 
@@ -455,10 +459,10 @@ impl Node {
 
 #[cfg(test)]
 mod tests {
-    //! The node driven in synthetic time: nodes built directly, handed
+    //! The node driven in synthetic time: a node built directly, handed
     //! `t0 + offset` by the test — no sockets, no threads, no sleeps.
-    //! Most tests drive one site of three; a [`pump`] steps a whole
-    //! cluster of them.
+    //! Each test drives one site of three; `tests/common` steps whole
+    //! clusters through the public calls.
 
     use super::*;
     use crate::{NodeConfig, Relay};
@@ -466,44 +470,10 @@ mod tests {
 
     const NS: Duration = Duration::from_nanos(1);
 
-    /// Site `id` of an `n`-site, one-object hybrid cluster.
-    fn site(id: u8, n: usize) -> Node {
-        let config = NodeConfig::default();
-        Node::new(SiteId(id), n, 1, AlgorithmKind::Hybrid, config)
-    }
-
     /// Site 1 of a 3-site, one-object hybrid cluster.
     fn node() -> Node {
-        site(1, 3)
-    }
-
-    /// Hand every peer item in the nodes' outboxes to its target at
-    /// `now`, then close the batch of each node that got one, until no
-    /// node has anything left to send. Client replies stay in the
-    /// outboxes. Returns how many peer items moved.
-    fn pump(nodes: &mut [Node], now: Instant) -> usize {
-        let mut moved = 0;
-        loop {
-            let mut items = Vec::new();
-            for node in nodes.iter_mut() {
-                let from = node.id;
-                items.extend(node.out.peers.drain(..).map(|(to, item)| (from, to, item)));
-            }
-            if items.is_empty() {
-                return moved;
-            }
-            moved += items.len();
-            let mut touched = vec![false; nodes.len()];
-            for (from, to, item) in items {
-                nodes[to.index()].on_event(NodeEvent::Peer { from, frame: item }, now);
-                touched[to.index()] = true;
-            }
-            for (node, touched) in nodes.iter_mut().zip(touched) {
-                if touched {
-                    node.end_batch(now);
-                }
-            }
-        }
+        let config = NodeConfig::default();
+        Node::new(SiteId(1), 3, 1, AlgorithmKind::Hybrid, config)
     }
 
     /// The same node with object 0's home at site 0, as a lost lock race
@@ -645,33 +615,5 @@ mod tests {
         node.finish(late);
         assert_eq!(answered(&mut node), []);
         assert_eq!(node.shard_stats.forward_timeouts(), 0);
-    }
-
-    #[test]
-    fn a_committed_update_leaves_no_timer_armed_on_any_node() {
-        let mut nodes: Vec<Node> = (0..5).map(|id| site(id, 5)).collect();
-        let deadline = nodes[0].config.vote_deadline;
-        let t = Instant::now();
-        // The first round waits the whole deadline for peers it has not
-        // heard; the second arms the straggler grace beside it, which
-        // the commit must clear as well.
-        for (version, first_timer) in [(1, deadline), (2, deadline / 8)] {
-            nodes[0].on_event(update(version), t);
-            nodes[0].end_batch(t);
-            assert_eq!(nodes[0].next_timer_in(t), Some(first_timer));
-            assert_eq!(
-                pump(&mut nodes, t),
-                12,
-                "four vote requests, four votes, four commits"
-            );
-            assert_eq!(
-                answered(&mut nodes[0]),
-                [(version, ClientReply::Committed { version })]
-            );
-            for node in &mut nodes {
-                assert_eq!(node.next_timer_in(t), None, "site {}", node.id);
-                assert!(node.round_timers.is_empty(), "site {}", node.id);
-            }
-        }
     }
 }

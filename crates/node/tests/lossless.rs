@@ -1,0 +1,131 @@
+//! On a lossless path the node never waits on a clock. Timers exist for
+//! loss — a silent peer, a dropped frame, a crashed coordinator — so
+//! when every frame lands at the instant it was sent, every op is
+//! answered at that instant and no node is left with a deadline.
+
+mod common;
+
+use common::{answered, pump};
+use dynvote_core::{AlgorithmKind, SiteId};
+use dynvote_node::{ClientOp, ClientReply, Node, NodeConfig, NodeEvent, ReplyTo};
+use std::time::Instant;
+
+/// Site `id` of an `n`-site cluster hosting `objects` objects.
+fn site(id: usize, n: usize, objects: usize, algorithm: AlgorithmKind) -> Node {
+    Node::new(
+        SiteId::new(id),
+        n,
+        objects,
+        algorithm,
+        NodeConfig::default(),
+    )
+}
+
+fn update(id: u64) -> NodeEvent {
+    NodeEvent::Client {
+        id,
+        op: ClientOp::Update { key: 0 },
+        reply: ReplyTo(id),
+    }
+}
+
+#[test]
+fn a_committed_update_leaves_no_timer_armed_on_any_node() {
+    let mut nodes: Vec<Node> = (0..5)
+        .map(|id| site(id, 5, 1, AlgorithmKind::Hybrid))
+        .collect();
+    let deadline = NodeConfig::default().vote_deadline;
+    let t = Instant::now();
+    // The first round waits the whole deadline for peers it has not
+    // heard; the second arms the straggler grace beside it, which
+    // the commit must clear as well.
+    for (version, first_timer) in [(1, deadline), (2, deadline / 8)] {
+        nodes[0].on_event(update(version), t);
+        nodes[0].end_batch(t);
+        assert_eq!(nodes[0].next_timer_in(t), Some(first_timer));
+        assert_eq!(
+            pump(&mut nodes, t),
+            12,
+            "four vote requests, four votes, four commits"
+        );
+        assert_eq!(
+            answered(&mut nodes[0]),
+            [(version, ClientReply::Committed { version })]
+        );
+        // With no deadline left, the node also checks (in debug builds)
+        // that no round timer outlived its wheel entry.
+        for (id, node) in nodes.iter_mut().enumerate() {
+            assert_eq!(node.next_timer_in(t), None, "site {id}");
+        }
+    }
+}
+
+/// One batch of client ops: `(site, op)`, each handed to its site at
+/// the same instant.
+type Phase = Vec<(usize, ClientOp)>;
+
+/// The shapes, by name: one or more phases, run one after another.
+fn shapes() -> Vec<(&'static str, Vec<Phase>)> {
+    let update = |key| ClientOp::Update { key };
+    let rivals = vec![(0, update(0)), (1, update(0))];
+    vec![
+        ("a single update", vec![vec![(0, update(0))]]),
+        ("a read", vec![vec![(0, ClientOp::Read { key: 0 })]]),
+        ("8 ops on one key", vec![vec![(0, update(0)); 8]]),
+        (
+            "8 ops over 8 keys",
+            vec![(0..8).map(|k| (0, update(k))).collect()],
+        ),
+        ("two rival coordinators", vec![rivals.clone()]),
+        // Site 1 lost the race to a lower-numbered rival, so its next
+        // op on the key goes to site 0.
+        ("a forwarded op", vec![rivals, vec![(1, update(0))]]),
+    ]
+}
+
+#[test]
+fn every_op_on_a_lossless_path_is_answered_at_once_and_leaves_no_timer() {
+    let t = Instant::now();
+    for algorithm in AlgorithmKind::ALL {
+        for n in 2..=5 {
+            for (shape, phases) in shapes() {
+                let case = format!("{algorithm:?}, n = {n}, {shape}");
+                let mut nodes: Vec<Node> = (0..n).map(|id| site(id, n, 8, algorithm)).collect();
+                let mut next_id = 0;
+                let mut forwarded = 0;
+                for phase in phases {
+                    forwarded = nodes[1].shard_stats().forwarded_out();
+                    let mut asked = Vec::new();
+                    for (at, op) in phase {
+                        next_id += 1;
+                        asked.push(next_id);
+                        let reply = ReplyTo(next_id);
+                        let event = NodeEvent::Client {
+                            id: next_id,
+                            op,
+                            reply,
+                        };
+                        nodes[at].on_event(event, t);
+                    }
+                    for node in &mut nodes {
+                        node.end_batch(t);
+                    }
+                    pump(&mut nodes, t);
+                    let mut got: Vec<u64> = nodes
+                        .iter_mut()
+                        .flat_map(|node| answered(node).into_iter().map(|(id, _)| id))
+                        .collect();
+                    got.sort_unstable();
+                    assert_eq!(got, asked, "{case}: answered at t0");
+                    for (id, node) in nodes.iter_mut().enumerate() {
+                        assert_eq!(node.next_timer_in(t), None, "{case}: site {id}");
+                    }
+                }
+                if shape == "a forwarded op" {
+                    let travelled = nodes[1].shard_stats().forwarded_out() - forwarded;
+                    assert_eq!(travelled, 1, "{case}: the last op travelled");
+                }
+            }
+        }
+    }
+}
