@@ -49,6 +49,7 @@
 
 mod audit;
 mod cluster;
+mod conn;
 mod frontdoor;
 mod loadgen;
 mod reactor;
