@@ -4,7 +4,6 @@
 //! dynvote repro <target>      regenerate a paper table/figure
 //! dynvote avail [...]         availability of one algorithm at (n, ratio)
 //! dynvote sweep [...]         availability sweep as CSV or JSON
-//! dynvote figures [...]       both paper figure sweeps, multi-core
 //! dynvote crossover [...]     crossover ratio between two algorithms
 //! dynvote mc [...]            parallel Monte-Carlo replication batch
 //! dynvote simulate [...]      message-level protocol simulation run
@@ -53,13 +52,9 @@ USAGE:
     dynvote sweep --n <sites> --lo <r> --hi <r> --steps <k>
                   [--algos a,b,c] [--format csv|json] [--jobs j]
         Normalised-availability sweep over a ratio grid. Grid points
-        run on --jobs worker threads (0 or absent = auto, also settable
-        via DYNVOTE_JOBS); results are byte-identical for any job
-        count. Progress lines go to stderr.
-
-    dynvote figures [--n <sites>] [--jobs j]
-        Both paper figure sweeps (Figs. 3 and 4) as CSV, through the
-        same parallel engine.
+        run on --jobs worker threads (0 or absent = one per core);
+        results are byte-identical for any job count. Progress lines
+        go to stderr.
 
     dynvote crossover --first <algo> --second <algo> --n <sites>
         The ratio where `first` overtakes `second`.
@@ -274,7 +269,6 @@ fn main() -> ExitCode {
         }
         "avail" => runs::avail(&opts),
         "sweep" => runs::sweep_cmd(&opts),
-        "figures" => runs::figures_cmd(&opts),
         "mc" => runs::mc_cmd(&opts),
         "experiments" => runs::experiments_cmd(&opts),
         "crossover" => runs::crossover_cmd(&opts),

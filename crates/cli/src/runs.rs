@@ -18,8 +18,8 @@ fn parse_algo(name: &str) -> Result<AlgorithmKind, String> {
         .map_err(|_| format!("unknown algorithm {name:?}; see `dynvote help`"))
 }
 
-/// Resolve `--jobs` (0 or absent = auto: `DYNVOTE_JOBS`, then the
-/// machine's available parallelism).
+/// Resolve `--jobs` (0 or absent = auto: the machine's available
+/// parallelism).
 fn jobs_from(opts: &Opts) -> Result<usize, String> {
     let requested: usize = opts.get_or("jobs", 0).map_err(|e| e.to_string())?;
     Ok(par::resolve_jobs(Some(requested)))
@@ -592,31 +592,6 @@ pub fn chaos_cmd(opts: &Opts) -> Result<(), String> {
         }
     }
     Err("consistency violations detected".into())
-}
-
-/// `dynvote figures`: both paper figure sweeps (Figs. 3 and 4) through
-/// the parallel engine.
-pub fn figures_cmd(opts: &Opts) -> Result<(), String> {
-    let n: usize = opts.get_or("n", 5).map_err(|e| e.to_string())?;
-    if !(2..=20).contains(&n) {
-        return Err("--n must be in 2..=20".into());
-    }
-    let jobs = jobs_from(opts)?;
-    let figures = [
-        ("fig3", sweep::ratio_grid(0.1, 2.0, 19)),
-        ("fig4", sweep::ratio_grid(2.0, 10.0, 16)),
-    ];
-    let total: usize = figures.iter().map(|(_, g)| g.len()).sum();
-    let progress = Progress::new(total, jobs, "figures");
-    for (name, grid) in &figures {
-        let result =
-            sweep::figure_series_with_progress(n, &sweep::FIGURE_ALGOS, grid, jobs, |row| {
-                progress.tick(&format!("{name} ratio {:.4}", row.ratio));
-            });
-        println!("# {name} (n = {n})");
-        print!("{}", result.to_csv());
-    }
-    Ok(())
 }
 
 /// `dynvote mc`: a batch of independent Monte-Carlo replications with
