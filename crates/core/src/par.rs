@@ -21,13 +21,13 @@
 //!    must never share an RNG stream; [`seed_for`] gives every index
 //!    its own statistically independent seed, counter-based so it can
 //!    be computed without running earlier tasks.
-//! 3. *Results land in pre-sized slots.* Worker `w` finishing task `i`
-//!    writes `slots[i]`; output order is index order by construction
-//!    and scheduling cannot leak into it.
+//! 3. *Results are placed by index.* Each worker returns the
+//!    `(index, value)` pairs it computed through its join handle, and
+//!    the caller orders them by index; output order is index order by
+//!    construction and scheduling cannot leak into it.
 //!
 //! The module is std-only: `dynvote-core` stays dependency-clean.
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The number of hardware threads, with a fallback of 1 when the
@@ -38,19 +38,14 @@ pub fn available_parallelism() -> usize {
 }
 
 /// Resolve a worker count: an explicit request (CLI `--jobs`) wins,
-/// then the `DYNVOTE_JOBS` environment variable, then
-/// [`available_parallelism`]. A request of `Some(0)` means "auto",
+/// else [`available_parallelism`]. A request of `Some(0)` means "auto",
 /// mirroring `make -j`/`cargo build -j` conventions; the result is
 /// always at least 1.
 #[must_use]
 pub fn resolve_jobs(requested: Option<usize>) -> usize {
     match requested {
         Some(n) if n > 0 => n,
-        _ => std::env::var("DYNVOTE_JOBS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(available_parallelism),
+        _ => available_parallelism(),
     }
 }
 
@@ -80,17 +75,6 @@ pub fn seed_for(master_seed: u64, task_index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A raw pointer to the slot array that is allowed to cross thread
-/// boundaries. Safety rests on the cursor protocol in [`run`]: each
-/// index is claimed by exactly one worker, so writes through this
-/// pointer never alias.
-struct Slots<T>(UnsafeCell<Vec<Option<T>>>);
-
-// SAFETY: workers write disjoint elements (each task index is handed
-// out exactly once by `fetch_add`) and the scope join synchronizes all
-// writes before the vector is read back.
-unsafe impl<T: Send> Sync for Slots<T> {}
-
 /// Run `count` independent tasks on `jobs` worker threads and return
 /// the results **in task-index order**, regardless of scheduling.
 ///
@@ -115,43 +99,35 @@ where
     if jobs <= 1 || count <= 1 {
         return (0..count).map(task).collect();
     }
-    let slots = Slots(UnsafeCell::new(Vec::new()));
-    // SAFETY: no worker exists yet; this is the only live reference.
-    unsafe { &mut *slots.0.get() }.resize_with(count, || None);
     let cursor = AtomicUsize::new(0);
-    let workers = jobs.min(count);
-    // Capture the `Sync` wrapper, not its `UnsafeCell` field (edition
-    // 2021 closures capture disjoint fields by default).
-    let (slots_ref, cursor_ref, task_ref) = (&slots, &cursor, &task);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(move || loop {
-                // Claim-one-index queue: task grids here are coarse
-                // (one Markov solve, one Monte-Carlo replication), so
-                // per-index claiming costs nothing measurable and
-                // balances tail latency better than static chunks.
-                let i = cursor_ref.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                let value = task_ref(i);
-                // SAFETY: `i` was handed to this worker alone, the
-                // vector was pre-sized (never reallocates), and the
-                // element write touches only slot `i`.
-                unsafe {
-                    let base = (*slots_ref.0.get()).as_mut_ptr();
-                    *base.add(i) = Some(value);
-                }
-            });
-        }
+    let (cursor, task) = (&cursor, &task);
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs.min(count))
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        // Claim-one-index queue: task grids here are
+                        // coarse (one Markov solve, one Monte-Carlo
+                        // replication), so per-index claiming costs
+                        // nothing measurable and balances tail latency
+                        // better than static chunks.
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= count {
+                            return done;
+                        }
+                        done.push((i, task(i)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
-    // The scope joined every worker: all writes are visible.
-    slots
-        .0
-        .into_inner()
-        .into_iter()
-        .map(|slot| slot.expect("every task index claimed exactly once"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, value)| value).collect()
 }
 
 #[cfg(test)]

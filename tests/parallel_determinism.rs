@@ -3,8 +3,7 @@
 //! any worker count.**
 //!
 //! Each surface is run at `jobs = 1` and at several parallel worker
-//! counts (including whatever `DYNVOTE_JOBS` resolves to, so the CI
-//! `parallel-smoke` job exercises 2- and 8-worker schedules), and the
+//! counts (2, 8 and the machine's core count), and the
 //! full result structures *and* their rendered CSV artifacts are
 //! compared for equality. If scheduling ever leaks into results — a
 //! shared RNG stream, a slot written by index-of-completion instead of
@@ -17,8 +16,7 @@ use dynvote::sim::experiments::{results_to_csv, ExperimentPlan};
 use dynvote::AlgorithmKind;
 
 /// The parallel worker counts to pit against the serial run: fixed 2
-/// and 8, plus the environment's resolution (`DYNVOTE_JOBS` or the
-/// machine's core count) so CI can sweep schedules externally.
+/// and 8, plus the machine's core count.
 fn worker_counts() -> Vec<usize> {
     let mut counts = vec![2, 8, par::resolve_jobs(None)];
     counts.sort_unstable();
