@@ -414,11 +414,6 @@ impl LocalClient {
     pub fn read(&mut self) -> Result<ClientReply, RequestError> {
         self.request(ClientOp::Read { key: 0 })
     }
-
-    /// Submit a read-only request on one keyed object.
-    pub fn read_key(&mut self, key: u32) -> Result<ClientReply, RequestError> {
-        self.request(ClientOp::Read { key })
-    }
 }
 
 /// A TCP client speaking the [`crate::wire`] client framing — what

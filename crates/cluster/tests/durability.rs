@@ -6,7 +6,9 @@
 //! version, so no live site may be left out of a round because an fsync
 //! took longer than a straggler grace: the clusters boot `scripted`.
 
-use dynvote_cluster::scenario::scripted;
+mod common;
+
+use common::scripted;
 use dynvote_cluster::{ClientOp, ClientReply, Cluster, ClusterConfig, TransportKind};
 use dynvote_core::{AlgorithmKind, CopyMeta, SiteId};
 use dynvote_protocol::persist::effects;

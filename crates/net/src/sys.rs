@@ -25,7 +25,6 @@ pub const EPOLLERR: u32 = 0x008;
 pub const EPOLLHUP: u32 = 0x010;
 
 const EPOLL_CTL_ADD: usize = 1;
-const EPOLL_CTL_DEL: usize = 2;
 const EPOLL_CTL_MOD: usize = 3;
 const EPOLL_CLOEXEC: usize = 0o2000000;
 const O_NONBLOCK: usize = 0o4000;
@@ -157,11 +156,7 @@ fn epoll_ctl(epfd: RawFd, op: usize, fd: RawFd, events: u32, token: u64) -> io::
         events,
         data: token,
     };
-    let ptr = if op == EPOLL_CTL_DEL {
-        0usize
-    } else {
-        &ev as *const EpollEvent as usize
-    };
+    let ptr = &ev as *const EpollEvent as usize;
     cvt(unsafe { syscall(nr::EPOLL_CTL, epfd as usize, op, fd as usize, ptr, 0) })?;
     Ok(())
 }
@@ -174,11 +169,6 @@ pub fn epoll_add(epfd: RawFd, fd: RawFd, events: u32, token: u64) -> io::Result<
 /// Change the registered interest for `fd`.
 pub fn epoll_mod(epfd: RawFd, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
     epoll_ctl(epfd, EPOLL_CTL_MOD, fd, events, token)
-}
-
-/// Remove `fd` from the epoll instance.
-pub fn epoll_del(epfd: RawFd, fd: RawFd) -> io::Result<()> {
-    epoll_ctl(epfd, EPOLL_CTL_DEL, fd, 0, 0)
 }
 
 /// `epoll_pwait` with a millisecond timeout (`-1` blocks forever).

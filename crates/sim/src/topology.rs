@@ -44,12 +44,6 @@ impl Topology {
         self.n
     }
 
-    /// The set of up sites.
-    #[must_use]
-    pub fn up_sites(&self) -> SiteSet {
-        self.up
-    }
-
     /// True if `site` is up.
     #[must_use]
     pub fn is_up(&self, site: SiteId) -> bool {
