@@ -786,7 +786,8 @@ mod tests {
             let out = outgoing(conn, &mut links).expect("a link writes its peer's buffer");
             held = held.max(out.len());
             let pending = !out.is_empty();
-            assert_eq!(conn.want(pending), Want::Io(Interest::BOTH));
+            let both = Interest::READABLE.add(Interest::WRITABLE);
+            assert_eq!(conn.want(pending), Want::Io(both));
         }
         assert!(
             held <= PEER_QUEUE_CAP + batch.len(),

@@ -482,8 +482,9 @@ fn hung_up_http_ops_give_back_their_admission_slots() {
 /// One binary-client request, framed.
 fn request_frame(id: u64, op: &ClientOp) -> Vec<u8> {
     let mut frame = Vec::new();
-    dynvote_cluster::wire::write_frame(&mut frame, &dynvote_cluster::wire::encode_request(id, op))
-        .expect("frame into a Vec");
+    dynvote_cluster::wire::encode_frame_into(&mut frame, |out| {
+        dynvote_cluster::wire::encode_request_into(out, id, op);
+    });
     frame
 }
 

@@ -263,12 +263,6 @@ impl LinearOrder {
         self.rank[site.index()]
     }
 
-    /// True if `a > b` in the order.
-    #[must_use]
-    pub fn greater(&self, a: SiteId, b: SiteId) -> bool {
-        self.rank(a) > self.rank(b)
-    }
-
     /// The greatest member of `set`, or `None` if `set` is empty.
     ///
     /// This is the *distinguished site* selection rule of dynamic-linear:
@@ -355,7 +349,7 @@ mod tests {
         let order = LinearOrder::lexicographic(5);
         let bcde = SiteSet::parse("BCDE").unwrap();
         assert_eq!(order.max_of(bcde), Some(SiteId(1)));
-        assert!(order.greater(SiteId(0), SiteId(4)));
+        assert!(order.rank(SiteId(0)) > order.rank(SiteId(4)));
     }
 
     #[test]

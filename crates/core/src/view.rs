@@ -209,25 +209,10 @@ impl<'a> PartitionView<'a> {
         self.current_meta.cardinality
     }
 
-    /// `P − I`: members whose copies are stale and need the catch-up phase.
-    #[must_use]
-    pub fn stale_sites(&self) -> SiteSet {
-        self.members.difference(self.current)
-    }
-
     /// The raw responses, in the order they were supplied.
     #[must_use]
     pub fn responses(&self) -> &[(SiteId, CopyMeta)] {
         self.responses
-    }
-
-    /// The metadata reported by `site`, if it is a member.
-    #[must_use]
-    pub fn meta_of(&self, site: SiteId) -> Option<CopyMeta> {
-        self.responses
-            .iter()
-            .find(|(s, _)| *s == site)
-            .map(|(_, m)| *m)
     }
 }
 
@@ -263,9 +248,8 @@ mod tests {
         assert_eq!(view.current_sites(), SiteSet::parse("AC").unwrap());
         assert_eq!(view.cardinality(), 3);
         assert_eq!(view.member_count(), 3);
-        assert_eq!(view.stale_sites(), SiteSet::parse("D").unwrap());
-        assert_eq!(view.meta_of(SiteId(3)).unwrap().version, 9);
-        assert_eq!(view.meta_of(SiteId(4)), None);
+        let stale = view.members().difference(view.current_sites());
+        assert_eq!(stale, SiteSet::parse("D").unwrap());
     }
 
     #[test]

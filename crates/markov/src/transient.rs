@@ -116,15 +116,6 @@ impl AvailabilityChain {
             .map(|(s, &p)| p * f64::from(s.up) / self.n as f64)
             .sum()
     }
-
-    /// The availability trajectory over a time grid.
-    #[must_use]
-    pub fn availability_trajectory(&self, initial_state: usize, times: &[f64]) -> Vec<f64> {
-        times
-            .iter()
-            .map(|&t| self.site_availability_at(initial_state, t))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +188,10 @@ mod tests {
         let chain = hybrid_chain(5, 2.0);
         let all_up = chain.states.iter().position(|s| s.up == 5).unwrap();
         let times: Vec<f64> = (0..30).map(|i| 0.2 * f64::from(i)).collect();
-        let traj = chain.availability_trajectory(all_up, &times);
+        let traj: Vec<f64> = times
+            .iter()
+            .map(|&t| chain.site_availability_at(all_up, t))
+            .collect();
         for w in traj.windows(2) {
             assert!(w[0] >= w[1] - 1e-9, "availability rose: {w:?}");
         }

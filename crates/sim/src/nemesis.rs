@@ -53,8 +53,7 @@ pub enum NemesisEvent {
     },
     /// Impose an explicit partition layout at `at`; heal all links
     /// `duration` later. A sequence of these with shifting `groups`
-    /// forms a rolling partition (see
-    /// [`FaultSchedule::rolling_partition`]).
+    /// forms a rolling partition.
     Partition {
         /// The partition classes, each a list of site indices.
         groups: Vec<Vec<usize>>,
@@ -332,30 +331,6 @@ impl FaultSchedule {
         }
         FaultSchedule { events }
     }
-
-    /// A rolling partition: `rounds` successive two-way splits starting
-    /// at `start`, each `period` long, isolating a minority window that
-    /// rotates around the ring — every site gets its turn on the wrong
-    /// side of the cut, no quorum ever rests.
-    #[must_use]
-    pub fn rolling_partition(n: usize, start: f64, period: f64, rounds: usize) -> Self {
-        assert!(n >= 2 && period > 0.0);
-        let minority = (n - 1) / 2;
-        let events = (0..rounds)
-            .map(|round| {
-                let isolated: Vec<usize> = (0..minority.max(1)).map(|k| (round + k) % n).collect();
-                let rest: Vec<usize> = (0..n).filter(|s| !isolated.contains(s)).collect();
-                NemesisEvent::Partition {
-                    groups: vec![isolated, rest],
-                    at: start + round as f64 * period,
-                    // A hair under the period so each layout heals
-                    // before the next is imposed.
-                    duration: period * 0.95,
-                }
-            })
-            .collect();
-        FaultSchedule { events }
-    }
 }
 
 /// Delta-debug a failing schedule down to a locally minimal reproducer.
@@ -518,22 +493,6 @@ mod tests {
         for event in &a.events {
             assert!(event.at() >= 0.0 && event.end() <= 60.0 * 1.2);
         }
-    }
-
-    #[test]
-    fn rolling_partition_rotates_the_minority() {
-        let schedule = FaultSchedule::rolling_partition(5, 10.0, 8.0, 5);
-        assert_eq!(schedule.len(), 5);
-        let mut isolated_seen = std::collections::HashSet::new();
-        for event in &schedule.events {
-            let NemesisEvent::Partition { groups, .. } = event else {
-                panic!("rolling partitions are Partition events");
-            };
-            assert_eq!(groups.len(), 2);
-            assert_eq!(groups[0].len() + groups[1].len(), 5);
-            isolated_seen.extend(groups[0].iter().copied());
-        }
-        assert_eq!(isolated_seen.len(), 5, "every site takes a turn isolated");
     }
 
     #[test]
