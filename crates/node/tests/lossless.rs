@@ -7,7 +7,9 @@ mod common;
 
 use common::{answered, pump};
 use dynvote_core::{AlgorithmKind, SiteId};
-use dynvote_node::{ClientOp, ClientReply, Node, NodeConfig, NodeEvent, ReplyTo};
+use dynvote_node::{ClientOp, ClientReply, Node, NodeConfig, NodeDurability, NodeEvent, ReplyTo};
+use dynvote_storage::{FsyncPolicy, StoreConfig};
+use std::path::Path;
 use std::time::Instant;
 
 /// Site `id` of an `n`-site cluster hosting `objects` objects.
@@ -19,6 +21,36 @@ fn site(id: usize, n: usize, objects: usize, algorithm: AlgorithmKind) -> Node {
         algorithm,
         NodeConfig::default(),
     )
+}
+
+/// Give every node its own data directory under `root`, each WAL append
+/// forced before the action that announced it leaves the node.
+fn make_durable(nodes: &mut [Node], root: &Path, now: Instant) {
+    for (id, node) in nodes.iter_mut().enumerate() {
+        let durability = NodeDurability {
+            dir: site_dir(root, id),
+            store: StoreConfig {
+                fsync: FsyncPolicy::Always,
+                ..StoreConfig::default()
+            },
+        };
+        node.enable_durability(durability)
+            .expect("a fresh data directory opens");
+        node.start(now);
+    }
+}
+
+fn site_dir(root: &Path, id: usize) -> std::path::PathBuf {
+    root.join(format!("site-{id}"))
+}
+
+/// The bytes each site's data directory holds.
+fn disk_bytes(root: &Path, n: usize) -> Vec<u64> {
+    let bytes = |id| {
+        let files = std::fs::read_dir(site_dir(root, id)).expect("a data directory");
+        files.map(|f| f.expect("an entry").metadata().expect("a size").len())
+    };
+    (0..n).map(|id| bytes(id).sum()).collect()
 }
 
 fn update(id: u64) -> NodeEvent {
@@ -70,6 +102,9 @@ fn shapes() -> Vec<(&'static str, Vec<Phase>)> {
     let rivals = vec![(0, update(0)), (1, update(0))];
     vec![
         ("a single update", vec![vec![(0, update(0))]]),
+        // Run on nodes with data directories: votes and commits wait on
+        // an fsync, not on a clock.
+        ("a durable update", vec![vec![(0, update(0))]]),
         ("a read", vec![vec![(0, ClientOp::Read { key: 0 })]]),
         ("8 ops on one key", vec![vec![(0, update(0)); 8]]),
         (
@@ -91,6 +126,17 @@ fn every_op_on_a_lossless_path_is_answered_at_once_and_leaves_no_timer() {
             for (shape, phases) in shapes() {
                 let case = format!("{algorithm:?}, n = {n}, {shape}");
                 let mut nodes: Vec<Node> = (0..n).map(|id| site(id, n, 8, algorithm)).collect();
+                let root = std::env::temp_dir().join(format!(
+                    "dynvote-lossless-{}-{algorithm:?}-{n}",
+                    std::process::id()
+                ));
+                let durable = shape == "a durable update";
+                let mut opened = Vec::new();
+                if durable {
+                    let _ = std::fs::remove_dir_all(&root);
+                    make_durable(&mut nodes, &root, t);
+                    opened = disk_bytes(&root, n);
+                }
                 let mut next_id = 0;
                 let mut forwarded = 0;
                 for phase in phases {
@@ -124,6 +170,13 @@ fn every_op_on_a_lossless_path_is_answered_at_once_and_leaves_no_timer() {
                 if shape == "a forwarded op" {
                     let travelled = nodes[1].shard_stats().forwarded_out() - forwarded;
                     assert_eq!(travelled, 1, "{case}: the last op travelled");
+                }
+                if durable {
+                    let written = disk_bytes(&root, n);
+                    let grew = written.iter().zip(&opened).all(|(w, o)| w > o);
+                    assert!(grew, "{case}: every site logged the update");
+                    drop(nodes);
+                    std::fs::remove_dir_all(&root).expect("the data directories go");
                 }
             }
         }
