@@ -8,6 +8,8 @@
 //! * **performance characterisation** — kernel decision latency, Markov
 //!   solve scaling, protocol-simulation and Monte-Carlo throughput.
 
+#![forbid(unsafe_code)]
+
 use dynvote_cluster::Cluster;
 use dynvote_core::{
     AlgorithmKind, CopyMeta, LinearOrder, PartitionView, ReplicaSystem, SiteId, SiteSet,

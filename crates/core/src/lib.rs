@@ -47,6 +47,7 @@
 //! Monte-Carlo simulation) lives in the sibling crates `dynvote-sim`,
 //! `dynvote-markov` and `dynvote-mc`, all consuming this kernel.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -51,6 +51,7 @@
 //! assert!((availability - 0.6425).abs() < 1e-3);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use dynvote_core::*;

@@ -33,6 +33,7 @@
 //! assert!((c.ratio - 0.63).abs() < 0.01);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -34,6 +34,7 @@
 //!     < result.site_half_width + 0.01);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -43,6 +43,7 @@
 //!   outbound messages — transport-agnostic, and equivalent to the
 //!   simulator's link topology once in-flight traffic has drained.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

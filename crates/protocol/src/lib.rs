@@ -29,6 +29,7 @@
 //! termination rounds, crash/recover) is an [`Action::Event`] carrying
 //! a typed [`ProtocolEvent`], which the harness counts — see [`event`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -53,6 +53,7 @@
 //! assert!(sim.check_invariants().is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

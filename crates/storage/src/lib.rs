@@ -22,6 +22,7 @@
 //! Std-only by design: the container builds offline, and a WAL is an
 //! excellent fit for plain `std::fs`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
