@@ -19,7 +19,7 @@
 //! `next_deadline() - now` as the [`Poller::wait`] timeout — see
 //! [`poll_timeout`]. Level-triggered discipline, write-queue
 //! backpressure, and ownership rules are documented in the workspace
-//! DESIGN.md ("Readiness loop and front door").
+//! DESIGN.md ("Live cluster: one thread per site, sans-IO inside").
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
