@@ -16,7 +16,7 @@ use crate::transport;
 use crate::wire::{self, ClientOp, ClientReply, HELLO_CLIENT};
 use dynvote_core::{check_site_count, AlgorithmKind, ConfigError, CopyMeta, SiteId, SiteSet};
 use dynvote_net::{Poller, ResponseParser, Waker};
-use dynvote_node::{Node, NodeConfig, NodeDurability, NodeEvent, ShardStats};
+use dynvote_node::{Node, NodeDurability, NodeEvent, ShardStats};
 use dynvote_protocol::{EventTallies, LogEntry, ObjectId};
 use dynvote_storage::{FsyncPolicy, StorageError, StoreConfig};
 use std::io::{self, Read, Write};
@@ -143,8 +143,9 @@ pub struct ClusterConfig {
     pub trace: bool,
     /// Whether sites persist durable state to disk.
     pub durability: DurabilityMode,
-    /// Per-node wall-clock deadlines.
-    pub node: NodeConfig,
+    /// How long a coordinator waits for votes: the node's one timing
+    /// setting (see [`Node::new`]; 25 ms unless set).
+    pub vote_deadline: Duration,
     /// TCP only: expose the HTTP front door (one listener per node; see
     /// [`FrontDoorConfig`]). `None` keeps the cluster binary-only.
     pub http: Option<FrontDoorConfig>,
@@ -163,7 +164,7 @@ impl ClusterConfig {
             port_base: None,
             trace: false,
             durability: DurabilityMode::default(),
-            node: NodeConfig::default(),
+            vote_deadline: dynvote_node::DEFAULT_VOTE_DEADLINE,
             http: None,
         }
     }
@@ -240,22 +241,10 @@ impl ClusterConfig {
         check_site_count(self.n)?;
         one_to("objects", self.objects, MAX_OBJECTS)?;
         one_to("max_batch", self.max_batch, MAX_BATCH)?;
-        if self.node.vote_deadline.is_zero() {
+        if self.vote_deadline.is_zero() {
             return Err(ConfigError::NotPositive {
                 field: "vote_deadline",
                 value: 0.0,
-            });
-        }
-        if self.node.catchup_deadline.is_zero() {
-            return Err(ConfigError::NotPositive {
-                field: "catchup_deadline",
-                value: 0.0,
-            });
-        }
-        if !self.node.backoff.is_valid() {
-            return Err(ConfigError::BackoffRange {
-                initial: self.node.backoff.initial,
-                max: self.node.backoff.max,
             });
         }
         if let Some(http) = &self.http {
@@ -598,7 +587,6 @@ impl Cluster {
                         peer_addrs: addrs.clone(),
                         listener: listeners[i].take().expect("listener bound above"),
                         http_listener: http_listeners[i].take(),
-                        backoff: config.node.backoff,
                         front: None,
                         max_conns: config.http.as_ref().map_or(8192, |http| http.max_conns),
                     };
@@ -922,16 +910,13 @@ impl SiteBoot {
             config.n,
             config.objects,
             config.algorithm,
-            config.node,
+            config.vote_deadline,
         );
         node.set_max_batch(config.max_batch);
         if let DurabilityMode::Durable { data_dir, fsync } = &config.durability {
             node.enable_durability(NodeDurability {
                 dir: data_dir.join(format!("site-{}", self.id.index())),
-                store: StoreConfig {
-                    fsync: *fsync,
-                    ..StoreConfig::default()
-                },
+                store: StoreConfig { fsync: *fsync },
             })?;
         }
         node.set_trace(config.trace);

@@ -507,7 +507,7 @@ mod tests {
 
     use super::*;
     use dynvote_core::AlgorithmKind;
-    use dynvote_node::NodeConfig;
+    use dynvote_node::DEFAULT_VOTE_DEADLINE;
     use dynvote_protocol::{Message, TxnId};
 
     const POST: &[u8] =
@@ -530,7 +530,7 @@ mod tests {
                 3,
                 4,
                 AlgorithmKind::Hybrid,
-                NodeConfig::default(),
+                DEFAULT_VOTE_DEADLINE,
             );
             Site {
                 stats: NetStats::new(),

@@ -62,7 +62,7 @@ pub use cluster::{
     BootError, Cluster, ClusterConfig, DurabilityMode, HttpClient, LocalClient, RequestError,
     TcpClient, TransportKind, MAX_BATCH, MAX_OBJECTS,
 };
-pub use dynvote_node::{NodeConfig, ShardStats, DEFAULT_MAX_BATCH};
+pub use dynvote_node::{ShardStats, DEFAULT_MAX_BATCH};
 pub use frontdoor::FrontDoorConfig;
 pub use loadgen::{
     check_concurrency, EventCountEntry, Histogram, KeyDist, LoadGen, LoadGenConfig, LoadReport,

@@ -9,8 +9,8 @@
 //! up, stages bytes to write, and says which interest it wants next or
 //! that it is done.
 //!
-//! Outbound peer links are dialed lazily and redialed on the shared
-//! [`BackoffPolicy`] schedule (the reactor's [`TimerWheel`]). Each
+//! Outbound peer links are dialed lazily and redialed on the node's
+//! [`BACKOFF`] schedule (the reactor's [`TimerWheel`]). Each
 //! peer's frames wait in one bounded buffer ([`PeerLink`]) that the
 //! socket writes straight out of, behind a [`wire::HELLO_PEER`]
 //! preamble. A batch that would pile up past the cap behind a slow,
@@ -37,10 +37,10 @@ use crate::conn::{Answer, Conn, Conns, Cx, Kind, Up, Want};
 use crate::frontdoor::FrontDoor;
 use crate::transport::{NetStats, ReplyTable};
 use crate::wire::{self, ClientOp, ClientReply, PeerFrame, HELLO_PEER};
-use dynvote_core::{BackoffPolicy, SiteId, TimerWheel};
+use dynvote_core::{SiteId, TimerWheel};
 use dynvote_net::sys::connect_nonblocking;
 use dynvote_net::{poll_timeout, Event, Events, Interest, Poller, Token, Waker};
-use dynvote_node::{Node, NodeEvent};
+use dynvote_node::{Node, NodeEvent, BACKOFF};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{Receiver, TryRecvError};
@@ -135,7 +135,6 @@ pub(crate) struct ReactorConfig {
     pub peer_addrs: Vec<SocketAddr>,
     pub listener: TcpListener,
     pub http_listener: Option<TcpListener>,
-    pub backoff: BackoffPolicy,
     pub front: Option<FrontDoor>,
     pub max_conns: usize,
 }
@@ -163,7 +162,6 @@ pub(crate) struct Reactor {
     http_listener: Option<TcpListener>,
     front: Option<FrontDoor>,
     peer_addrs: Vec<SocketAddr>,
-    backoff: BackoffPolicy,
     timers: TimerWheel<Instant, usize>,
     conns: Conns<TcpStream>,
     /// What the connections handed up since the node last took it.
@@ -219,7 +217,6 @@ impl Reactor {
             http_listener: config.http_listener,
             front: config.front,
             peer_addrs: config.peer_addrs,
-            backoff: config.backoff,
             timers: TimerWheel::new(),
             conns: Conns::new(config.max_conns),
             up: Vec::new(),
@@ -453,10 +450,10 @@ impl Reactor {
         let round = link.round;
         link.round = round.saturating_add(1);
         link.waiting = true;
-        // The shared node backoff schedule is in milliseconds; skip the
-        // jitter draw (u = 0.5 is the midpoint) — one reactor per
-        // process has no retry storm to decorrelate.
-        let delay_ms = self.backoff.delay(round, 0.5).max(1.0);
+        // The node's retry schedule is in milliseconds; skip the jitter
+        // draw (u = 0.5 is the midpoint) — one reactor per process has
+        // no retry storm to decorrelate.
+        let delay_ms = BACKOFF.delay(round, 0.5).max(1.0);
         let delay = Duration::from_secs_f64(delay_ms / 1000.0);
         self.timers.schedule(Instant::now() + delay, peer);
     }
@@ -704,7 +701,7 @@ mod tests {
     #[test]
     fn a_connected_peer_that_stops_reading_holds_at_most_the_cap() {
         use dynvote_core::AlgorithmKind;
-        use dynvote_node::NodeConfig;
+        use dynvote_node::DEFAULT_VOTE_DEADLINE;
         let own = TcpListener::bind("127.0.0.1:0").expect("bind own listener");
         let stalled = TcpListener::bind("127.0.0.1:0").expect("bind peer listener");
         let poller = Poller::new().expect("epoll");
@@ -715,7 +712,7 @@ mod tests {
             2,
             1,
             AlgorithmKind::Hybrid,
-            NodeConfig::default(),
+            DEFAULT_VOTE_DEADLINE,
         );
         let config = ReactorConfig {
             site: SiteId(0),
@@ -725,7 +722,6 @@ mod tests {
             ],
             listener: own,
             http_listener: None,
-            backoff: NodeConfig::default().backoff,
             front: None,
             max_conns: 16,
         };

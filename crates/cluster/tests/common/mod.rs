@@ -56,7 +56,7 @@ pub fn scripted(mut config: ClusterConfig) -> ClusterConfig {
         DurabilityMode::Amnesia => SCRIPT_VOTE_DEADLINE,
         DurabilityMode::Durable { .. } => DURABLE_SCRIPT_VOTE_DEADLINE,
     };
-    config.node.vote_deadline = config.node.vote_deadline.max(floor);
+    config.vote_deadline = config.vote_deadline.max(floor);
     config
 }
 

@@ -261,7 +261,7 @@ fn overload_yields_429_not_hangs() {
     let mut config = http_config(3, 1);
     // Long enough that the ops held below cannot slip out of the slot
     // before the probe arrives; healthy rounds never wait it out.
-    config.node.vote_deadline = Duration::from_secs(1);
+    config.vote_deadline = Duration::from_secs(1);
     let (cluster, _) = boot(&config);
     let addr = cluster.http_addr(SiteId(0)).expect("http addr");
 
@@ -420,7 +420,7 @@ fn status_is_served_while_partitioned() {
 /// whole vote deadline, then is rejected. Also returns site 0's task id.
 fn isolated_site_zero(max_inflight: u64) -> (Cluster, u64) {
     let mut config = http_config(5, max_inflight);
-    config.node.vote_deadline = Duration::from_millis(600);
+    config.vote_deadline = Duration::from_millis(600);
     let (cluster, task) = boot(&config);
     let rest = dynvote_core::SiteSet::from_sites([1, 2, 3, 4].map(SiteId));
     cluster.set_partition(&[rest]).expect("partition");

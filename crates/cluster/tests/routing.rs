@@ -26,7 +26,7 @@ fn boot(transport: TransportKind, objects: usize) -> Cluster {
     // No site is ever silent here, so no round should end on its
     // deadline — not even when the test binary's other clusters keep
     // a vote from being scheduled for longer than the default 25 ms.
-    config.node.vote_deadline = Duration::from_secs(1);
+    config.vote_deadline = Duration::from_secs(1);
     Cluster::boot(&config).expect("boot cluster")
 }
 
@@ -345,8 +345,8 @@ fn a_forward_that_meets_a_fault_times_out_once(transport: TransportKind) {
     // can act in without racing the clock.
     let vote_deadline = Duration::from_millis(150);
     let mut config = ClusterConfig::new(N, AlgorithmKind::Hybrid).with_transport(transport);
-    config.node.vote_deadline = vote_deadline;
-    let forward_deadline = 2 * (vote_deadline + config.node.catchup_deadline);
+    config.vote_deadline = vote_deadline;
+    let forward_deadline = 2 * (vote_deadline + dynvote_node::CATCHUP_DEADLINE);
     let cluster = Cluster::boot(&config).expect("boot cluster");
     let mut acked = Acked::new(1);
     let mut origin = cluster.client(SiteId(1));

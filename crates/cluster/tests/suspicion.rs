@@ -33,7 +33,7 @@ fn boot() -> Cluster {
         .with_transport(TransportKind::Tcp)
         .with_objects(OBJECTS as usize)
         .with_http(FrontDoorConfig::default());
-    config.node.vote_deadline = VOTE_DEADLINE;
+    config.vote_deadline = VOTE_DEADLINE;
     Cluster::boot(&config).expect("boot cluster")
 }
 

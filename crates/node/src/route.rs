@@ -21,7 +21,7 @@
 //! when a forwarded op meets a fault is enumerated in DESIGN.md
 //! ("Single-writer routing").
 
-use crate::{Client, Deadline, Node, ReplyTo, Route};
+use crate::{Client, Deadline, Node, ReplyTo, Route, CATCHUP_DEADLINE};
 use crate::{ClientReply, PeerFrame, Relay};
 use dynvote_core::{SiteId, TimerId};
 use dynvote_protocol::ObjectId;
@@ -54,7 +54,7 @@ impl Node {
     /// How long a forwarded op may stay unanswered: the home may need a
     /// full round for the op queued ahead of it and one for this one.
     fn forward_deadline(&self) -> Duration {
-        2 * (self.config.vote_deadline + self.config.catchup_deadline)
+        2 * (self.vote_deadline + CATCHUP_DEADLINE)
     }
 
     /// A round coordinated here denied `rival`'s vote request for

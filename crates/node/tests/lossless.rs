@@ -7,7 +7,8 @@ mod common;
 
 use common::{answered, pump};
 use dynvote_core::{AlgorithmKind, SiteId};
-use dynvote_node::{ClientOp, ClientReply, Node, NodeConfig, NodeDurability, NodeEvent, ReplyTo};
+use dynvote_node::DEFAULT_VOTE_DEADLINE;
+use dynvote_node::{ClientOp, ClientReply, Node, NodeDurability, NodeEvent, ReplyTo};
 use dynvote_storage::{FsyncPolicy, StoreConfig};
 use std::path::Path;
 use std::time::Instant;
@@ -19,7 +20,7 @@ fn site(id: usize, n: usize, objects: usize, algorithm: AlgorithmKind) -> Node {
         n,
         objects,
         algorithm,
-        NodeConfig::default(),
+        DEFAULT_VOTE_DEADLINE,
     )
 }
 
@@ -31,7 +32,6 @@ fn make_durable(nodes: &mut [Node], root: &Path, now: Instant) {
             dir: site_dir(root, id),
             store: StoreConfig {
                 fsync: FsyncPolicy::Always,
-                ..StoreConfig::default()
             },
         };
         node.enable_durability(durability)
@@ -66,7 +66,7 @@ fn a_committed_update_leaves_no_timer_armed_on_any_node() {
     let mut nodes: Vec<Node> = (0..5)
         .map(|id| site(id, 5, 1, AlgorithmKind::Hybrid))
         .collect();
-    let deadline = NodeConfig::default().vote_deadline;
+    let deadline = DEFAULT_VOTE_DEADLINE;
     let t = Instant::now();
     // The first round waits the whole deadline for peers it has not
     // heard; the second arms the straggler grace beside it, which

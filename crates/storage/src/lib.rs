@@ -32,5 +32,5 @@ mod store;
 pub mod wal;
 
 pub use multi::NodeStore;
-pub use store::{FsyncPolicy, RecoveryReport, StorageError, StoreConfig, TornTail};
+pub use store::{FsyncPolicy, RecoveryReport, StorageError, StoreConfig, TornTail, ROTATE_BYTES};
 pub use wal::TornReason;

@@ -27,7 +27,7 @@
 use crate::store::{
     compact, create_segment, fsync_dir, io_err, list_epochs, read_snapshot_bytes, snap_name,
     wal_name, write_snapshot_bytes, FsyncPolicy, RecoveryReport, StorageError, StoreConfig,
-    TornTail,
+    TornTail, ROTATE_BYTES,
 };
 use crate::wal::{
     decode_states, encode_keyed_effect_into, encode_keyed_op_into, encode_states_into,
@@ -212,13 +212,13 @@ impl NodeStore {
         Ok(())
     }
 
-    /// True once the live segment has outgrown the rotation threshold.
+    /// True once the live segment has grown to [`ROTATE_BYTES`].
     /// The node polls this between batches and calls
     /// [`NodeStore::rotate`] with every shard's state — rotation is
     /// node-driven because the snapshot must cover all objects at once.
     #[must_use]
     pub fn wants_rotation(&self) -> bool {
-        self.wal_len >= self.config.rotate_bytes
+        self.wal_len >= ROTATE_BYTES
     }
 
     /// Snapshot all objects' states at the next epoch, switch to a

@@ -88,21 +88,21 @@ impl std::fmt::Display for FsyncPolicy {
     }
 }
 
-/// Store tuning knobs.
+/// Rotate (snapshot + compact) once the live segment has grown to this
+/// many bytes.
+pub const ROTATE_BYTES: u64 = 4 * 1024 * 1024;
+
+/// Store settings.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
     /// Fsync discipline for WAL appends.
     pub fsync: FsyncPolicy,
-    /// Rotate (snapshot + compact) once the live segment exceeds this
-    /// many bytes.
-    pub rotate_bytes: u64,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             fsync: FsyncPolicy::Always,
-            rotate_bytes: 4 * 1024 * 1024,
         }
     }
 }

@@ -103,7 +103,6 @@ fn five_site_script_writes_the_golden_wal_bytes() {
     let _ = std::fs::remove_dir_all(&root);
     let config = StoreConfig {
         fsync: FsyncPolicy::Never,
-        ..StoreConfig::default()
     };
     let (stores, sites) = (0..N)
         .map(|i| {

@@ -90,7 +90,6 @@ proptest! {
         let dir = temp_dir();
         let config = StoreConfig {
             fsync: FsyncPolicy::Always,
-            ..StoreConfig::default()
         };
         let (mut store, state, _) = open(&dir, config);
         let mut reference = state;
@@ -138,7 +137,6 @@ proptest! {
         let dir = temp_dir();
         let config = StoreConfig {
             fsync: FsyncPolicy::Always,
-            ..StoreConfig::default()
         };
         // Mirror the on-disk layout: ops buffer into a batch, and each
         // barrier seals the batch as one framed record. Checkpoints are

@@ -86,7 +86,6 @@ fn reference_after(ops: &[PersistOp]) -> DurableState {
 fn always() -> StoreConfig {
     StoreConfig {
         fsync: FsyncPolicy::Always,
-        ..StoreConfig::default()
     }
 }
 
@@ -378,7 +377,6 @@ fn group_commit_loses_only_the_unsynced_tail() {
     let ops = sample_ops();
     let config = StoreConfig {
         fsync: FsyncPolicy::Interval(0),
-        ..StoreConfig::default()
     };
     {
         let (mut store, _, _) = open(&dir, config, 3);
@@ -486,7 +484,6 @@ fn sync_hook_flushes_buffered_records() {
     let dir = temp_dir("synchook");
     let config = StoreConfig {
         fsync: FsyncPolicy::Interval(0),
-        ..StoreConfig::default()
     };
     {
         let (mut store, _, _) = open(&dir, config, 3);
