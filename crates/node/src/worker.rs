@@ -282,12 +282,13 @@ impl Node {
     }
 
     /// Run the Section V-C restart protocol (`Make_Current`) on one
-    /// object, tagging the transaction it starts (if any) so the merge
-    /// books its commit as restart traffic, not workload.
+    /// object. The transaction it starts (if any) is pending with no
+    /// client, so the merge books its commit as restart traffic, not
+    /// workload, and a crash ends it like any other round.
     pub(super) fn restart(&mut self, object: ObjectId) {
         let restart_payload = self.fresh_payload();
         let started = self.step(object, Input::Recover { restart_payload });
-        self.restart_txns.extend(started);
+        self.park(started, Vec::new());
     }
 
     /// Hand the kernels the scheduler's copy of the peer-suspicion set.

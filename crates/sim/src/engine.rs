@@ -304,7 +304,7 @@ pub struct Simulation {
     next_payload: u64,
     /// Transactions started by the restart protocol, so their outcomes
     /// are booked separately from workload statistics.
-    restart_txns: HashSet<TxnId>,
+    restart_rounds: HashSet<TxnId>,
     nemesis: NemesisKnobs,
     /// Test-only: crashing this site fabricates a consistency violation
     /// (see [`Simulation::set_divergence_trap`]).
@@ -375,7 +375,7 @@ impl Simulation {
             violations: Vec::new(),
             stats: SimStats::default(),
             next_payload: 0,
-            restart_txns: HashSet::new(),
+            restart_rounds: HashSet::new(),
             nemesis: NemesisKnobs::default(),
             divergence_trap: None,
             scratch: Vec::new(),
@@ -521,7 +521,7 @@ impl Simulation {
                 // its outcome is booked as restart traffic, not
                 // workload. Nothing it starts resolves in the same step.
                 let started = self.feed(site, ObjectId(object), input);
-                self.restart_txns.extend(started);
+                self.restart_rounds.extend(started);
             }
         }
     }
@@ -614,7 +614,7 @@ impl Simulation {
                 // the event queue stays exactly what the seed made it.
                 Action::ClearTimers { .. } => {}
                 Action::Resolved { txn, reason } => {
-                    let restart = self.restart_txns.remove(&txn);
+                    let restart = self.restart_rounds.remove(&txn);
                     match reason {
                         ResolveReason::Committed if restart => {
                             self.stats.restarts_committed += 1;
