@@ -76,18 +76,6 @@ impl BackoffPolicy {
     pub fn delay(&self, rounds: u32, u: f64) -> f64 {
         self.scale(self.base_delay(rounds), u)
     }
-
-    /// True if every field is finite and within its documented range
-    /// (`0 < initial ≤ max`, `0 ≤ jitter < 1`).
-    #[must_use]
-    pub fn is_valid(&self) -> bool {
-        self.initial.is_finite()
-            && self.initial > 0.0
-            && self.max.is_finite()
-            && self.max >= self.initial
-            && self.jitter.is_finite()
-            && (0.0..1.0).contains(&self.jitter)
-    }
 }
 
 #[cfg(test)]
@@ -122,16 +110,6 @@ mod tests {
         let p = BackoffPolicy::new(0.25, 2.0);
         assert_eq!(p.delay(2, 0.987), 1.0);
         assert_eq!(p.scale(7.0, 0.1), 7.0);
-    }
-
-    #[test]
-    fn validity() {
-        assert!(BackoffPolicy::new(0.25, 2.0).is_valid());
-        assert!(BackoffPolicy::new(0.25, 2.0).with_jitter(0.3).is_valid());
-        assert!(!BackoffPolicy::new(0.0, 2.0).is_valid());
-        assert!(!BackoffPolicy::new(0.5, 0.25).is_valid());
-        assert!(!BackoffPolicy::new(0.25, 2.0).with_jitter(1.0).is_valid());
-        assert!(!BackoffPolicy::new(f64::NAN, 2.0).is_valid());
     }
 
     #[test]
