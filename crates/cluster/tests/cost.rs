@@ -122,6 +122,7 @@ fn shapes() -> Vec<Shape> {
             (0..OBJECTS).map(|key| (0, update(key))).collect(),
         ),
         shape("read", false, vec![], vec![(0, read.clone())]),
+        shape("8 reads, 1 key", false, vec![], vec![(0, read.clone()); 8]),
         shape("rivals", false, vec![], rivals.clone()),
         // Site 1 lost the race to a lower-numbered rival, so its next
         // op on the key goes to site 0.
