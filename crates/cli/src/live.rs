@@ -13,7 +13,7 @@ use dynvote_cluster::wire::{ClientOp, ClientReply};
 use dynvote_cluster::{
     check_concurrency, AuditOutcome, Cluster, ClusterConfig, EventCountEntry, FrontDoorConfig,
     HttpClient, LoadGen, LoadGenConfig, NetCounterEntry, NetStats, ShardCounterEntry, ShardStats,
-    TcpClient, TransportKind, WorkloadTarget, DEFAULT_MAX_BATCH,
+    TcpClient, TransportKind, WorkloadTarget,
 };
 use dynvote_core::{AlgorithmKind, ConfigError, CopyMeta, SiteId};
 use dynvote_protocol::{DurableState, EventKind, LogEntry};
@@ -49,15 +49,11 @@ pub fn serve_cmd(opts: &Opts) -> Result<(), String> {
         "http-port",
         "max-inflight",
         "max-conns",
-        "max-batch",
     ])
     .map_err(|e| format!("{e}; see `dynvote help`"))?;
     let algorithm = parse_algo(opts.get("algo").unwrap_or("hybrid"))?;
     let n: usize = opts.get_or("n", 5).map_err(|e| e.to_string())?;
     let keys: usize = opts.get_or("keys", 1).map_err(|e| e.to_string())?;
-    let max_batch: usize = opts
-        .get_or("max-batch", DEFAULT_MAX_BATCH)
-        .map_err(|e| e.to_string())?;
     let port_base: u16 = opts.get_or("port-base", 7700).map_err(|e| e.to_string())?;
     let duration = secs(
         opts.get_or("duration", 0.0).map_err(|e| e.to_string())?,
@@ -69,7 +65,6 @@ pub fn serve_cmd(opts: &Opts) -> Result<(), String> {
         .with_transport(TransportKind::Tcp)
         .with_objects(keys)
         .with_port_base(port_base)
-        .with_max_batch(max_batch)
         .with_trace(trace);
     // The HTTP front door is opt-in; its tuning knobs without
     // --http-port are a typed configuration error, not a silent ignore.
@@ -123,8 +118,7 @@ pub fn serve_cmd(opts: &Opts) -> Result<(), String> {
     }
     let mode = if durable { "durable" } else { "amnesia" };
     println!(
-        "cluster ready: n={n} algo={algorithm} objects={keys} transport=tcp durability={mode} \
-         max-batch={max_batch}"
+        "cluster ready: n={n} algo={algorithm} objects={keys} transport=tcp durability={mode}"
     );
     use std::io::Write as _;
     std::io::stdout().flush().ok();

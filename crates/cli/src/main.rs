@@ -143,7 +143,6 @@ USAGE:
     dynvote serve [--n k] [--algo <name>] [--port-base p] [--duration secs]
                   [--keys k] [--trace true] [--data-dir path] [--fsync policy]
                   [--http-port p] [--max-inflight k] [--max-conns k]
-                  [--max-batch k]
         Boot a live n-node cluster on loopback TCP, node i listening on
         127.0.0.1:(port-base + i). With --duration 0 (default) it runs
         until killed; otherwise it audits consistency at the deadline
@@ -159,13 +158,13 @@ USAGE:
         a \"key\" field; an absent key means object 0, so single-object
         clients keep working unchanged.
 
-        --max-batch k caps commit pipelining (default 32): ops against a
-        locked object queue per object instead of being refused, and
-        when the lock frees, up to k queued updates are sealed by one
-        vote/commit round as k consecutive log entries. k=1 disables
-        multi-op rounds; an idle object still commits a lone op
-        immediately, so batching adds no idle latency. A full queue
-        refuses with the typed Overloaded reply (HTTP 429).
+        Ops against a locked object queue per object instead of being
+        refused. When the lock frees, the run of same-kind ops at the
+        head of the queue (at most 32) shares one quorum round: updates
+        are sealed as consecutive log entries, reads are all served by
+        one read round. An idle object still runs a lone op at once, so
+        pipelining adds no idle latency. A full queue refuses with the
+        typed Overloaded reply (HTTP 429).
 
         Each node runs on one thread: an epoll reactor that multiplexes
         its peer links and clients and runs the node's kernels and WAL.

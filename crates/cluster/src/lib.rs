@@ -60,9 +60,9 @@ pub mod wire;
 pub use audit::{audit_logs, AuditOutcome};
 pub use cluster::{
     BootError, Cluster, ClusterConfig, DurabilityMode, HttpClient, LocalClient, RequestError,
-    TcpClient, TransportKind, MAX_BATCH, MAX_OBJECTS,
+    TcpClient, TransportKind, MAX_OBJECTS,
 };
-pub use dynvote_node::{ShardStats, DEFAULT_MAX_BATCH};
+pub use dynvote_node::ShardStats;
 pub use frontdoor::FrontDoorConfig;
 pub use loadgen::{
     check_concurrency, EventCountEntry, Histogram, KeyDist, LoadGen, LoadGenConfig, LoadReport,

@@ -484,9 +484,7 @@ fn pipelined_determinism(algorithm: AlgorithmKind) {
         .collect();
 
     let label = format!("{algorithm:?}/pipelined");
-    let config = ClusterConfig::new(n, algorithm)
-        .with_objects(OBJECTS as usize)
-        .with_max_batch(64);
+    let config = ClusterConfig::new(n, algorithm).with_objects(OBJECTS as usize);
     let cluster = Cluster::boot(&scripted(config)).expect("boot pipelined cluster");
     for step in &script {
         match step {

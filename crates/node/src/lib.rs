@@ -66,11 +66,11 @@ use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// Default bound on how many queued client updates one quorum round
-/// seals (see [`Node::set_max_batch`]). Adaptive batching means this is
-/// a cap, not a target: an idle object still commits a lone op
-/// immediately.
-pub const DEFAULT_MAX_BATCH: usize = 32;
+/// Most queued client ops one quorum round takes from an object's
+/// FIFO: a run of updates sealed as consecutive log entries, or a run
+/// of reads served together. A cap, not a target: an idle object still
+/// runs a lone op at once.
+pub const MAX_BATCH: usize = 32;
 
 /// Where a client's answer goes: a token the host chose when it handed
 /// the request over, carried with the answer through the node's
@@ -226,8 +226,8 @@ pub struct Node {
     /// drained, in order; cleared and reused by each pass.
     committed: Vec<(TxnId, u64)>,
     /// Per-object pending-op FIFOs: ops that arrived while the object's
-    /// lock was held, drained up to `max_batch` at a time into one
-    /// quorum round whenever the lock frees.
+    /// lock was held, drained up to [`MAX_BATCH`] same-kind ops at a
+    /// time into one quorum round whenever the lock frees.
     queues: HashMap<ObjectId, VecDeque<worker::QueuedOp>>,
     /// Ops refused at the per-object queue bound since the last merge,
     /// which answers them `Overloaded`.
@@ -271,10 +271,6 @@ pub struct Node {
     event_counts: [u64; EventKind::COUNT],
     /// Print every drained event to stderr ([`Node::set_trace`]).
     trace: bool,
-    /// Most queued client updates one quorum round may seal as
-    /// consecutive log entries (commit pipelining); `1` disables
-    /// multi-op rounds entirely.
-    max_batch: usize,
     /// The node's observability counters, answering
     /// [`ClientOp::ShardStats`]; its host reads them by reference.
     shard_stats: ShardStats,
@@ -337,7 +333,6 @@ impl Node {
             round_timers: HashMap::new(),
             event_counts: [0; EventKind::COUNT],
             trace: false,
-            max_batch: DEFAULT_MAX_BATCH,
             shard_stats: ShardStats::new(n),
             pending: HashMap::new(),
             routes: route::Routes::default(),
@@ -353,12 +348,6 @@ impl Node {
     #[must_use]
     pub fn shard_stats(&self) -> &ShardStats {
         &self.shard_stats
-    }
-
-    /// Cap how many queued client updates one quorum round may seal
-    /// (clamped to at least 1). Call before the node is hosted.
-    pub fn set_max_batch(&mut self, max_batch: usize) {
-        self.max_batch = max_batch.max(1);
     }
 
     /// Print every protocol event to stderr as `[site i] {event}` when
