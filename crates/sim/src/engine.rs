@@ -473,12 +473,15 @@ impl Simulation {
         true
     }
 
-    /// Crash a site (volatile state lost; messages to it dropped).
+    /// Crash a site (volatile state lost; messages to it dropped). The
+    /// restart rounds it coordinated end unresolved: a crash emits no
+    /// `Resolved`, so they are forgotten here.
     pub fn crash_site(&mut self, site: SiteId) {
         if self.topology.is_up(site) {
             self.topology.crash(site);
             self.sites[site.index()].crash(&mut self.scratch);
             self.apply_actions(site);
+            self.restart_rounds.retain(|txn| txn.coordinator != site);
             self.groups.crash(site);
             self.stats.site_crashes += 1;
             if self.divergence_trap == Some(site) {
@@ -1082,6 +1085,33 @@ mod tests {
         assert_eq!(s.stats().commits, 2);
         assert_eq!(s.stats().restarts_committed, 1);
         assert_eq!(s.site(SiteId(4)).meta().version, 3);
+        assert!(s.check_invariants().is_empty());
+    }
+
+    /// A crash during `Make_Current` ends that restart round for good:
+    /// after the next recovery only the new round is booked as restart
+    /// traffic.
+    #[test]
+    fn a_crash_forgets_the_restart_rounds_it_interrupts() {
+        let mut s = sim(5);
+        s.crash_site(SiteId(4));
+        s.submit_update(SiteId(0));
+        s.quiesce();
+        s.recover_site(SiteId(4));
+        let interrupted = s.restart_rounds.clone();
+        assert_eq!(interrupted.len(), 1, "one Make_Current round started");
+        s.crash_site(SiteId(4));
+        assert!(s.restart_rounds.is_empty(), "{:?}", s.restart_rounds);
+        s.recover_site(SiteId(4));
+        assert_eq!(s.restart_rounds.len(), 1);
+        assert!(s.restart_rounds.is_disjoint(&interrupted));
+        s.quiesce();
+        // Whether the new round commits or is refused (the interrupted
+        // one can leave its peers locked), it is restart traffic.
+        assert!(s.restart_rounds.is_empty(), "the new round resolved");
+        let stats = s.stats();
+        assert_eq!(stats.restarts_committed + stats.restarts_rejected, 1);
+        assert_eq!((stats.commits, stats.rejected), (1, 0), "{stats:?}");
         assert!(s.check_invariants().is_empty());
     }
 
