@@ -40,6 +40,9 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+/// Bytes of a record's `[len][crc]` frame header.
+const FRAME: usize = 8;
+
 /// The durable store for one node: a single open WAL segment shared by
 /// every hosted object, plus node-wide snapshots.
 pub struct NodeStore {
@@ -51,8 +54,10 @@ pub struct NodeStore {
     /// Bytes of the live segment (header + records), including the
     /// still-buffered batch.
     wal_len: u64,
-    /// Keyed op encodings accumulated since the last barrier — the
-    /// group-commit batch. Sealed as one framed record at the barrier.
+    /// The group-commit batch: the keyed op encodings accumulated since
+    /// the last barrier, behind [`FRAME`] bytes reserved for the
+    /// record's frame header. The barrier fills the header in and
+    /// writes the whole record at once.
     pending: Vec<u8>,
     unsynced: bool,
     last_fsync: Instant,
@@ -123,7 +128,7 @@ impl NodeStore {
             wal,
             wal_path,
             wal_len: 16,
-            pending: Vec::with_capacity(4096),
+            pending: new_batch(),
             unsynced: false,
             last_fsync: Instant::now(),
         };
@@ -189,12 +194,12 @@ impl NodeStore {
     /// shard whose effects were buffered since the previous barrier
     /// becomes durable with this single force-write.
     pub fn barrier(&mut self) -> Result<(), StorageError> {
-        if !self.pending.is_empty() {
-            let header = frame_header(&self.pending);
-            io_err(&self.wal_path, self.wal.write_all(&header))?;
+        if self.pending.len() > FRAME {
+            let header = frame_header(&self.pending[FRAME..]);
+            self.pending[..FRAME].copy_from_slice(&header);
             io_err(&self.wal_path, self.wal.write_all(&self.pending))?;
-            self.pending.clear();
-            self.wal_len += 8;
+            self.pending.truncate(FRAME);
+            self.wal_len += FRAME as u64;
             self.unsynced = true;
         }
         let due = match self.config.fsync {
@@ -250,7 +255,7 @@ impl NodeStore {
         self.epoch = epoch;
         self.wal = wal;
         self.wal_path = wal_path;
-        self.wal_len = 16 + self.pending.len() as u64;
+        self.wal_len = 16 + (self.pending.len() - FRAME) as u64;
         self.unsynced = false;
         let states = states.into_iter();
         let mut payload = Vec::with_capacity(1024 * states.len());
@@ -258,6 +263,13 @@ impl NodeStore {
         write_snapshot_bytes(&self.dir, epoch, &payload)?;
         compact(&self.dir, epoch)
     }
+}
+
+/// An empty group-commit batch: the reserved frame header alone.
+fn new_batch() -> Vec<u8> {
+    let mut batch = Vec::with_capacity(4096);
+    batch.resize(FRAME, 0);
+    batch
 }
 
 // ----- recovery ----------------------------------------------------------
