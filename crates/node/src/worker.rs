@@ -11,6 +11,7 @@
 use crate::{Client, Node, MAX_BATCH};
 use dynvote_core::{SiteId, SiteSet};
 use dynvote_protocol::{Input, ObjectId, SiteActor, TxnId};
+use std::collections::hash_map::Entry;
 use std::time::Duration;
 
 /// Node counters: plain values the node bumps on the thread that hosts
@@ -368,7 +369,12 @@ impl Node {
     /// shard, so no client op gets here; were one to, it never ran.
     fn park(&mut self, txn: Option<TxnId>, clients: Vec<Client>) {
         match txn {
-            Some(txn) => self.pending.entry(txn).or_default().extend(clients),
+            Some(txn) => match self.pending.entry(txn) {
+                Entry::Occupied(mut parked) => parked.get_mut().extend(clients),
+                Entry::Vacant(slot) => {
+                    slot.insert(clients);
+                }
+            },
             None => self.overflows.extend(clients),
         }
     }
