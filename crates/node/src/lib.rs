@@ -225,6 +225,9 @@ pub struct Node {
     /// The merge pass's `(txn, version)` of every `CommitRecorded` it
     /// drained, in order; cleared and reused by each pass.
     committed: Vec<(TxnId, u64)>,
+    /// The payloads of the update round `pump` is starting; cleared and
+    /// reused by each round.
+    payloads: Vec<u64>,
     /// Per-object pending-op FIFOs: ops that arrived while the object's
     /// lock was held, drained up to [`MAX_BATCH`] same-kind ops at a
     /// time into one quorum round whenever the lock frees.
@@ -319,6 +322,7 @@ impl Node {
             site,
             scratch: Vec::new(),
             committed: Vec::new(),
+            payloads: Vec::new(),
             queues: HashMap::new(),
             overflows: Vec::new(),
             durability: None,

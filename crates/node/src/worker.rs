@@ -337,23 +337,23 @@ impl Node {
             let read = queue.front().is_some_and(|op| op.client.read);
             // Updates in FIFO (= payload-assignment) order; a read run
             // collects no payloads.
-            let mut payloads = Vec::new();
+            self.payloads.clear();
             let mut clients = Vec::new();
             while clients.len() < MAX_BATCH
                 && queue.front().is_some_and(|op| op.client.read == read)
             {
                 let op = queue.pop_front().expect("front checked");
                 if !read {
-                    payloads.push(op.payload);
+                    self.payloads.push(op.payload);
                 }
                 clients.push(op.client);
             }
             let input = if read {
                 Input::Read
             } else {
-                self.shard_stats.note_batch(payloads.len() as u64);
+                self.shard_stats.note_batch(self.payloads.len() as u64);
                 Input::Update {
-                    payloads: &payloads,
+                    payloads: &self.payloads,
                     hold: false,
                 }
             };
