@@ -15,6 +15,9 @@
 //!   action behind them leaves, so under [`FsyncPolicy::Always`] the
 //!   prepare record is on disk before the vote is sent, the commit
 //!   record before `COMMIT` fans out.
+//! * [`disk`] — the one door to the filesystem: [`NodeStore`] is
+//!   generic over a [`Disk`], [`OsDisk`] by default, and [`MemDisk`]
+//!   holds the files in memory with a crash that keeps synced bytes only.
 //! * [`wal`] — record/snapshot byte formats, built on the protocol
 //!   crate's codec primitives.
 //! * [`crc32`] — table-driven CRC-32 (IEEE), no external crates.
@@ -27,10 +30,12 @@
 #![warn(clippy::all)]
 
 pub mod crc32;
+pub mod disk;
 mod multi;
 mod store;
 pub mod wal;
 
+pub use disk::{Disk, MemDisk, OsDisk};
 pub use multi::NodeStore;
 pub use store::{FsyncPolicy, RecoveryReport, StorageError, StoreConfig, TornTail, ROTATE_BYTES};
 pub use wal::TornReason;

@@ -24,10 +24,11 @@
 //! (`snap-<E>`/`wal-<E>`, boot rotation, torn-tail truncation,
 //! compaction) under the magics `DVWALM01`/`DVSNAPM1`.
 
+use crate::disk::{Disk, OsDisk};
 use crate::store::{
-    compact, create_segment, fsync_dir, io_err, list_epochs, read_snapshot_bytes, snap_name,
-    wal_name, write_snapshot_bytes, FsyncPolicy, RecoveryReport, StorageError, StoreConfig,
-    TornTail, ROTATE_BYTES,
+    compact, create_segment, list_epochs, read_snapshot_bytes, snap_name, wal_name,
+    write_snapshot_bytes, FsyncPolicy, RecoveryReport, StorageError, StoreConfig, TornTail,
+    ROTATE_BYTES,
 };
 use crate::wal::{
     decode_states, encode_keyed_effect_into, encode_keyed_op_into, encode_states_into,
@@ -35,8 +36,6 @@ use crate::wal::{
 };
 use dynvote_protocol::persist::{apply_op, PersistEffect, PersistOp};
 use dynvote_protocol::{DurableState, LogEntry, ObjectId};
-use std::fs::{self, File};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -44,16 +43,15 @@ use std::time::Instant;
 const FRAME: usize = 8;
 
 /// The durable store for one node: a single open WAL segment shared by
-/// every hosted object, plus node-wide snapshots.
-pub struct NodeStore {
+/// every hosted object, plus node-wide snapshots, on the [`Disk`] `D`.
+pub struct NodeStore<D: Disk = OsDisk> {
+    disk: D,
     dir: PathBuf,
     config: StoreConfig,
     epoch: u64,
-    wal: File,
-    wal_path: PathBuf,
-    /// Bytes of the live segment (header + records), including the
-    /// still-buffered batch.
-    wal_len: u64,
+    wal: D::File,
+    /// Bytes written to the live segment: its header and sealed records.
+    written: u64,
     /// The group-commit batch: the keyed op encodings accumulated since
     /// the last barrier, behind [`FRAME`] bytes reserved for the
     /// record's frame header. The barrier fills the header in and
@@ -63,17 +61,17 @@ pub struct NodeStore {
     last_fsync: Instant,
 }
 
-impl std::fmt::Debug for NodeStore {
+impl<D: Disk> std::fmt::Debug for NodeStore<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NodeStore")
             .field("dir", &self.dir)
             .field("epoch", &self.epoch)
-            .field("wal_len", &self.wal_len)
+            .field("wal_len", &self.wal_len())
             .finish_non_exhaustive()
     }
 }
 
-impl NodeStore {
+impl NodeStore<OsDisk> {
     /// Open (and recover) the node store in `dir`, creating it if
     /// needed. `objects` is the configured shard count and `template`
     /// the fresh state for an object with no history.
@@ -100,39 +98,7 @@ impl NodeStore {
         objects: usize,
         template: DurableState,
     ) -> Result<(Self, Vec<DurableState>, RecoveryReport), StorageError> {
-        assert!(objects >= 1, "a node hosts at least one object");
-        let created = !dir.is_dir();
-        io_err(dir, fs::create_dir_all(dir))?;
-        let (states, report, max_epoch) = recover_multi(dir, &template, objects)?;
-        let epoch = max_epoch + 1;
-
-        let (wal, wal_path) = if max_epoch == 0 {
-            create_segment(dir, epoch)?
-        } else {
-            let mut payload = Vec::with_capacity(1024 * states.len());
-            encode_states_into(&mut payload, &states);
-            write_snapshot_bytes(dir, epoch, &payload)?;
-            let segment = create_segment(dir, epoch)?;
-            compact(dir, epoch)?;
-            segment
-        };
-        if created {
-            let parent = dir.parent().filter(|p| !p.as_os_str().is_empty());
-            fsync_dir(parent.unwrap_or(Path::new(".")))?;
-        }
-
-        let store = NodeStore {
-            dir: dir.to_path_buf(),
-            config,
-            epoch,
-            wal,
-            wal_path,
-            wal_len: 16,
-            pending: new_batch(),
-            unsynced: false,
-            last_fsync: Instant::now(),
-        };
-        Ok((store, states, report))
+        Self::open_on(OsDisk, dir, config, objects, template)
     }
 
     /// Read-only recovery: reconstruct the per-object states a crashed
@@ -146,8 +112,69 @@ impl NodeStore {
         dir: &Path,
         template: DurableState,
     ) -> Result<(Vec<DurableState>, RecoveryReport), StorageError> {
-        let (states, report, _) = recover_multi(dir, &template, 1)?;
+        Self::inspect_on(&OsDisk, dir, template)
+    }
+}
+
+impl<D: Disk> NodeStore<D> {
+    /// [`NodeStore::open`] on `disk`.
+    pub fn open_on(
+        mut disk: D,
+        dir: &Path,
+        config: StoreConfig,
+        objects: usize,
+        template: DurableState,
+    ) -> Result<(Self, Vec<DurableState>, RecoveryReport), StorageError> {
+        assert!(objects >= 1, "a node hosts at least one object");
+        let created = disk.create_dir_all(dir)?;
+        let (states, report, max_epoch) = recover_multi(&disk, dir, &template, objects)?;
+        let epoch = max_epoch + 1;
+
+        let wal = if max_epoch == 0 {
+            create_segment(&mut disk, dir, epoch)?
+        } else {
+            let mut payload = Vec::with_capacity(1024 * states.len());
+            encode_states_into(&mut payload, &states);
+            write_snapshot_bytes(&mut disk, dir, epoch, &payload)?;
+            let segment = create_segment(&mut disk, dir, epoch)?;
+            compact(&mut disk, dir, epoch)?;
+            segment
+        };
+        if created {
+            let parent = dir.parent().filter(|p| !p.as_os_str().is_empty());
+            disk.sync_dir(parent.unwrap_or(Path::new(".")))?;
+        }
+
+        let mut pending = Vec::with_capacity(4096);
+        pending.resize(FRAME, 0);
+        let store = NodeStore {
+            disk,
+            dir: dir.to_path_buf(),
+            config,
+            epoch,
+            wal,
+            written: 16,
+            pending,
+            unsynced: false,
+            last_fsync: Instant::now(),
+        };
+        Ok((store, states, report))
+    }
+
+    /// [`NodeStore::inspect`] on `disk`.
+    pub fn inspect_on(
+        disk: &D,
+        dir: &Path,
+        template: DurableState,
+    ) -> Result<(Vec<DurableState>, RecoveryReport), StorageError> {
+        let (states, report, _) = recover_multi(disk, dir, &template, 1)?;
         Ok((states, report))
+    }
+
+    /// The disk this store lives on.
+    #[must_use]
+    pub fn disk(&self) -> &D {
+        &self.disk
     }
 
     /// The directory this store lives in.
@@ -165,15 +192,13 @@ impl NodeStore {
     /// Bytes in the live segment (including not-yet-flushed ones).
     #[must_use]
     pub fn wal_len(&self) -> u64 {
-        self.wal_len
+        self.written + (self.pending.len() - FRAME) as u64
     }
 
     /// Buffer one object's op into the group-commit batch. Nothing
     /// reaches the file until [`NodeStore::barrier`] seals the batch.
     pub fn append(&mut self, object: ObjectId, op: &PersistOp) -> Result<(), StorageError> {
-        let before = self.pending.len();
         encode_keyed_op_into(&mut self.pending, object, op);
-        self.wal_len += (self.pending.len() - before) as u64;
         Ok(())
     }
 
@@ -184,9 +209,7 @@ impl NodeStore {
     /// [`NodeStore::append`] buffers for [`PersistEffect::op`], with no
     /// copy of the entries made on the way.
     pub fn append_effect(&mut self, object: ObjectId, effect: &PersistEffect, log: &[LogEntry]) {
-        let before = self.pending.len();
         encode_keyed_effect_into(&mut self.pending, object, effect, log);
-        self.wal_len += (self.pending.len() - before) as u64;
     }
 
     /// The group-commit barrier: seal the whole pending multi-object
@@ -197,9 +220,9 @@ impl NodeStore {
         if self.pending.len() > FRAME {
             let header = frame_header(&self.pending[FRAME..]);
             self.pending[..FRAME].copy_from_slice(&header);
-            io_err(&self.wal_path, self.wal.write_all(&self.pending))?;
+            self.disk.append(&mut self.wal, &self.pending)?;
+            self.written += self.pending.len() as u64;
             self.pending.truncate(FRAME);
-            self.wal_len += FRAME as u64;
             self.unsynced = true;
         }
         let due = match self.config.fsync {
@@ -210,7 +233,7 @@ impl NodeStore {
             FsyncPolicy::Never => false,
         };
         if due {
-            io_err(&self.wal_path, self.wal.sync_data())?;
+            self.disk.sync(&self.wal)?;
             self.unsynced = false;
             self.last_fsync = Instant::now();
         }
@@ -223,7 +246,7 @@ impl NodeStore {
     /// node-driven because the snapshot must cover all objects at once.
     #[must_use]
     pub fn wants_rotation(&self) -> bool {
-        self.wal_len >= ROTATE_BYTES
+        self.wal_len() >= ROTATE_BYTES
     }
 
     /// Snapshot all objects' states at the next epoch, switch to a
@@ -248,28 +271,19 @@ impl NodeStore {
             // Records sealed but not yet forced: force them before the
             // switch, since the snapshot that would subsume them may not
             // land.
-            io_err(&self.wal_path, self.wal.sync_data())?;
+            self.disk.sync(&self.wal)?;
         }
         let epoch = self.epoch + 1;
-        let (wal, wal_path) = create_segment(&self.dir, epoch)?;
+        self.wal = create_segment(&mut self.disk, &self.dir, epoch)?;
         self.epoch = epoch;
-        self.wal = wal;
-        self.wal_path = wal_path;
-        self.wal_len = 16 + (self.pending.len() - FRAME) as u64;
+        self.written = 16;
         self.unsynced = false;
         let states = states.into_iter();
         let mut payload = Vec::with_capacity(1024 * states.len());
         encode_states_into(&mut payload, states);
-        write_snapshot_bytes(&self.dir, epoch, &payload)?;
-        compact(&self.dir, epoch)
+        write_snapshot_bytes(&mut self.disk, &self.dir, epoch, &payload)?;
+        compact(&mut self.disk, &self.dir, epoch)
     }
-}
-
-/// An empty group-commit batch: the reserved frame header alone.
-fn new_batch() -> Vec<u8> {
-    let mut batch = Vec::with_capacity(4096);
-    batch.resize(FRAME, 0);
-    batch
 }
 
 // ----- recovery ----------------------------------------------------------
@@ -279,12 +293,13 @@ fn new_batch() -> Vec<u8> {
 /// the highest epoch seen on disk (0 for an empty directory). States
 /// grow on demand (an op naming an object beyond the current map seeds
 /// it from `template`) and never shrink below `min_objects`.
-fn recover_multi(
+fn recover_multi<D: Disk>(
+    disk: &D,
     dir: &Path,
     template: &DurableState,
     min_objects: usize,
 ) -> Result<(Vec<DurableState>, RecoveryReport, u64), StorageError> {
-    let (snaps, wals) = list_epochs(dir)?;
+    let (snaps, wals) = list_epochs(disk, dir)?;
     let max_epoch = snaps.iter().chain(wals.iter()).copied().max().unwrap_or(0);
 
     let mut report = RecoveryReport::default();
@@ -292,8 +307,8 @@ fn recover_multi(
     let mut base_epoch = 0u64;
     for &epoch in snaps.iter().rev() {
         let path = dir.join(snap_name(epoch));
-        let decoded =
-            read_snapshot_bytes(&path, epoch).and_then(|payload| decode_states(&payload).ok());
+        let decoded = read_snapshot_bytes(disk, &path, epoch)
+            .and_then(|payload| decode_states(&payload).ok());
         match decoded {
             Some(snapped) => {
                 for (o, state) in snapped.into_iter().enumerate() {
@@ -312,8 +327,7 @@ fn recover_multi(
     }
 
     'replay: for &epoch in wals.iter().filter(|&&e| e >= base_epoch) {
-        let path = dir.join(wal_name(epoch));
-        let bytes = io_err(&path, fs::read(&path))?;
+        let bytes = disk.read(&dir.join(wal_name(epoch)))?;
         let mut expected_header = Vec::with_capacity(16);
         expected_header.extend_from_slice(WAL_MAGIC_MULTI);
         expected_header.extend_from_slice(&epoch.to_le_bytes());
@@ -366,6 +380,7 @@ mod tests {
     use super::*;
     use dynvote_core::{CopyMeta, Distinguished, SiteId, SiteSet};
     use dynvote_protocol::{LogEntry, TxnId};
+    use std::fs;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -471,7 +486,7 @@ mod tests {
             store.append(object, &op).unwrap();
         }
         store.barrier().unwrap();
-        let wal_path = store.wal_path.clone();
+        let wal_path = dir.join(wal_name(store.epoch()));
         drop(store);
 
         // Tear the tail: chop the last record short.
@@ -529,7 +544,7 @@ mod tests {
             direct.append(o, &op).unwrap();
         }
         direct.barrier().unwrap();
-        let direct_wal = fs::read(&direct.wal_path).unwrap();
+        let direct_wal = fs::read(dir_direct.join(wal_name(direct.epoch()))).unwrap();
         drop(direct);
 
         let dir_effects = tmpdir("staged-node");
@@ -540,7 +555,8 @@ mod tests {
             store.append_effect(o, &effect, &log);
         }
         store.barrier().unwrap();
-        assert_eq!(fs::read(&store.wal_path).unwrap(), direct_wal);
+        let wal = fs::read(dir_effects.join(wal_name(store.epoch()))).unwrap();
+        assert_eq!(wal, direct_wal);
         drop(store);
 
         let (direct, direct_report) = NodeStore::inspect(&dir_direct, template.clone()).unwrap();

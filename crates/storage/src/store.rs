@@ -29,9 +29,8 @@
 //! state anyway.
 
 use crate::crc32::crc32;
+use crate::disk::Disk;
 use crate::wal::{TornReason, MAX_RECORD, SNAP_MAGIC_MULTI, WAL_MAGIC_MULTI};
-use std::fs::{self, File, OpenOptions};
-use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// When (and whether) sealed records reach the platter.
@@ -137,13 +136,6 @@ impl std::error::Error for StorageError {
     }
 }
 
-pub(crate) fn io_err<T>(path: &Path, r: std::io::Result<T>) -> Result<T, StorageError> {
-    r.map_err(|source| StorageError::Io {
-        path: path.to_path_buf(),
-        source,
-    })
-}
-
 /// Where a replay stopped short: the torn tail recovery cut off.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TornTail {
@@ -184,36 +176,19 @@ pub(crate) fn parse_epoch(name: &str, prefix: &str) -> Option<u64> {
     name.strip_prefix(prefix)?.parse().ok()
 }
 
-/// Make the creates, renames and removals in `dir` durable. A directory
-/// that cannot be opened, or whose sync fails, is an error; only a
-/// filesystem that refuses to sync a directory handle at all
-/// (`InvalidInput`/`Unsupported`) is skipped, as production WALs do.
-pub(crate) fn fsync_dir(dir: &Path) -> Result<(), StorageError> {
-    let handle = io_err(dir, File::open(dir))?;
-    match handle.sync_all() {
-        Err(e) if matches!(e.kind(), ErrorKind::InvalidInput | ErrorKind::Unsupported) => Ok(()),
-        synced => io_err(dir, synced),
-    }
-}
-
 /// List the snapshot and WAL epochs present in `dir`, sorted ascending.
 /// A missing directory lists as empty.
-pub(crate) fn list_epochs(dir: &Path) -> Result<(Vec<u64>, Vec<u64>), StorageError> {
+pub(crate) fn list_epochs<D: Disk>(
+    disk: &D,
+    dir: &Path,
+) -> Result<(Vec<u64>, Vec<u64>), StorageError> {
     let mut snaps: Vec<u64> = Vec::new();
     let mut wals: Vec<u64> = Vec::new();
-    match fs::read_dir(dir) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        other => {
-            for entry in io_err(dir, other)? {
-                let entry = io_err(dir, entry)?;
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                if let Some(epoch) = parse_epoch(name, "snap-") {
-                    snaps.push(epoch);
-                } else if let Some(epoch) = parse_epoch(name, "wal-") {
-                    wals.push(epoch);
-                }
-            }
+    for name in disk.list(dir)? {
+        if let Some(epoch) = parse_epoch(&name, "snap-") {
+            snaps.push(epoch);
+        } else if let Some(epoch) = parse_epoch(&name, "wal-") {
+            wals.push(epoch);
         }
     }
     snaps.sort_unstable();
@@ -222,31 +197,29 @@ pub(crate) fn list_epochs(dir: &Path) -> Result<(Vec<u64>, Vec<u64>), StorageErr
 }
 
 /// Create `wal-<epoch>` with its `magic + epoch` header, fsynced.
-pub(crate) fn create_segment(dir: &Path, epoch: u64) -> Result<(File, PathBuf), StorageError> {
-    let wal_path = dir.join(wal_name(epoch));
-    let mut wal = io_err(
-        &wal_path,
-        OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .write(true)
-            .open(&wal_path),
-    )?;
+pub(crate) fn create_segment<D: Disk>(
+    disk: &mut D,
+    dir: &Path,
+    epoch: u64,
+) -> Result<D::File, StorageError> {
+    let mut wal = disk.create(&dir.join(wal_name(epoch)))?;
     let mut header = Vec::with_capacity(16);
     header.extend_from_slice(WAL_MAGIC_MULTI);
     header.extend_from_slice(&epoch.to_le_bytes());
-    io_err(&wal_path, wal.write_all(&header))?;
-    io_err(&wal_path, wal.sync_data())?;
-    fsync_dir(dir)?;
-    Ok((wal, wal_path))
+    disk.append(&mut wal, &header)?;
+    disk.sync(&wal)?;
+    disk.sync_dir(dir)?;
+    Ok(wal)
 }
 
 /// Validate + read one snapshot file's payload (magic, epoch stamp,
 /// length, CRC); `None` if anything is off.
-pub(crate) fn read_snapshot_bytes(path: &Path, expected_epoch: u64) -> Option<Vec<u8>> {
-    let mut file = File::open(path).ok()?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes).ok()?;
+pub(crate) fn read_snapshot_bytes<D: Disk>(
+    disk: &D,
+    path: &Path,
+    expected_epoch: u64,
+) -> Option<Vec<u8>> {
+    let mut bytes = disk.read(path).ok()?;
     if bytes.len() < 24 || &bytes[..8] != SNAP_MAGIC_MULTI {
         return None;
     }
@@ -268,7 +241,8 @@ pub(crate) fn read_snapshot_bytes(path: &Path, expected_epoch: u64) -> Option<Ve
 
 /// Atomically write `snap-<epoch>` holding `payload`: tmp file, fsync,
 /// rename, fsync dir.
-pub(crate) fn write_snapshot_bytes(
+pub(crate) fn write_snapshot_bytes<D: Disk>(
+    disk: &mut D,
     dir: &Path,
     epoch: u64,
     payload: &[u8],
@@ -281,45 +255,24 @@ pub(crate) fn write_snapshot_bytes(
     bytes.extend_from_slice(payload);
 
     let tmp = dir.join(format!("{}.tmp", snap_name(epoch)));
-    let fin = dir.join(snap_name(epoch));
-    {
-        let mut file = io_err(&tmp, File::create(&tmp))?;
-        io_err(&tmp, file.write_all(&bytes))?;
-        io_err(&tmp, file.sync_all())?;
-    }
-    io_err(&fin, fs::rename(&tmp, &fin))?;
-    fsync_dir(dir)?;
-    Ok(())
+    let mut file = disk.create(&tmp)?;
+    disk.append(&mut file, &bytes)?;
+    disk.sync(&file)?;
+    drop(file);
+    disk.rename(&tmp, &dir.join(snap_name(epoch)))?;
+    disk.sync_dir(dir)
 }
 
 /// Delete every snapshot/segment/tmp file of an epoch below `keep` —
 /// the new snapshot subsumes them.
-pub(crate) fn compact(dir: &Path, keep: u64) -> Result<(), StorageError> {
-    for entry in io_err(dir, fs::read_dir(dir))? {
-        let entry = io_err(dir, entry)?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let stale = parse_epoch(name, "snap-").is_some_and(|e| e < keep)
-            || parse_epoch(name, "wal-").is_some_and(|e| e < keep)
+pub(crate) fn compact<D: Disk>(disk: &mut D, dir: &Path, keep: u64) -> Result<(), StorageError> {
+    for name in disk.list(dir)? {
+        let stale = parse_epoch(&name, "snap-").is_some_and(|e| e < keep)
+            || parse_epoch(&name, "wal-").is_some_and(|e| e < keep)
             || name.ends_with(".tmp");
         if stale {
-            let _ = fs::remove_file(entry.path());
+            let _ = disk.remove(&dir.join(name));
         }
     }
-    fsync_dir(dir)?;
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fsync_dir_reports_a_missing_directory() {
-        let missing =
-            std::env::temp_dir().join(format!("dynvote-fsync-dir-missing-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&missing);
-        assert!(fsync_dir(&missing).is_err(), "a missing directory synced");
-        assert!(fsync_dir(&std::env::temp_dir()).is_ok());
-    }
+    disk.sync_dir(dir)
 }
