@@ -30,7 +30,8 @@ pub trait Disk {
     /// Write all of `bytes` at the end of `file`.
     fn append(&mut self, file: &mut Self::File, bytes: &[u8]) -> Result<(), StorageError>;
 
-    /// Force the bytes written to `file` down to the platter.
+    /// Force the bytes written to `file`, and the length needed to read
+    /// them back, down to the platter (`fdatasync`).
     fn sync(&mut self, file: &Self::File) -> Result<(), StorageError>;
 
     /// Rename `from` to `to`, replacing any file at `to`.
