@@ -184,11 +184,12 @@ USAGE:
         keeps a checksummed write-ahead log plus snapshots under
         <path>/site-i; boot recovers from whatever is there, so killing
         the process (even SIGKILL) and re-running serve with the same
-        --data-dir resumes from disk. --fsync sets the force-write
-        discipline: always (default, fsync at every force-write
-        barrier), batch (alias for interval:0), interval:<ms> (group
-        commit, at most one fsync per interval), never (OS-paced).
-        --fsync without --data-dir is a configuration error.
+        --data-dir resumes from disk. --fsync always (default) forces
+        each sealed record to disk before anything it guards leaves
+        the site, so an acked commit survives a power loss; --fsync
+        never leaves the flush to the OS, which survives a process
+        kill but not a power loss. --fsync without --data-dir is a
+        configuration error.
 
     dynvote recover --data-dir <path> [--n k]
         Offline inspection: run boot recovery (newest valid snapshot +

@@ -22,8 +22,9 @@
 //!   crate's codec primitives.
 //! * [`crc32`] — table-driven CRC-32 (IEEE), no external crates.
 //!
-//! Std-only by design: the container builds offline, and a WAL is an
-//! excellent fit for plain `std::fs`.
+//! Std-only by design. The store reaches files only through its
+//! [`Disk`] and reads no clock, so what it writes and recovers is a
+//! function of the ops it is fed and the disk it is given.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -37,7 +37,6 @@ use crate::wal::{
 use dynvote_protocol::persist::{apply_op, PersistEffect, PersistOp};
 use dynvote_protocol::{DurableState, LogEntry, ObjectId};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// Bytes of a record's `[len][crc]` frame header.
 const FRAME: usize = 8;
@@ -58,7 +57,6 @@ pub struct NodeStore<D: Disk = OsDisk> {
     /// writes the whole record at once.
     pending: Vec<u8>,
     unsynced: bool,
-    last_fsync: Instant,
 }
 
 impl<D: Disk> std::fmt::Debug for NodeStore<D> {
@@ -156,7 +154,6 @@ impl<D: Disk> NodeStore<D> {
             written: 16,
             pending,
             unsynced: false,
-            last_fsync: Instant::now(),
         };
         Ok((store, states, report))
     }
@@ -181,6 +178,12 @@ impl<D: Disk> NodeStore<D> {
     #[must_use]
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// The settings this store was opened with.
+    #[must_use]
+    pub fn config(&self) -> StoreConfig {
+        self.config
     }
 
     /// The live segment's epoch.
@@ -213,9 +216,10 @@ impl<D: Disk> NodeStore<D> {
     }
 
     /// The group-commit barrier: seal the whole pending multi-object
-    /// batch as **one** framed record, then fsync per policy. Every
-    /// shard whose effects were buffered since the previous barrier
-    /// becomes durable with this single force-write.
+    /// batch as **one** framed record and, under
+    /// [`FsyncPolicy::Always`], fsync it. Every shard whose effects
+    /// were buffered since the previous barrier becomes durable with
+    /// this single force-write.
     pub fn barrier(&mut self) -> Result<(), StorageError> {
         if self.pending.len() > FRAME {
             let header = frame_header(&self.pending[FRAME..]);
@@ -225,17 +229,9 @@ impl<D: Disk> NodeStore<D> {
             self.pending.truncate(FRAME);
             self.unsynced = true;
         }
-        let due = match self.config.fsync {
-            FsyncPolicy::Always => self.unsynced,
-            FsyncPolicy::Interval(ms) => {
-                self.unsynced && self.last_fsync.elapsed().as_millis() >= u128::from(ms)
-            }
-            FsyncPolicy::Never => false,
-        };
-        if due {
+        if self.unsynced && self.config.fsync == FsyncPolicy::Always {
             self.disk.sync(&self.wal)?;
             self.unsynced = false;
-            self.last_fsync = Instant::now();
         }
         Ok(())
     }

@@ -33,45 +33,34 @@ use crate::disk::Disk;
 use crate::wal::{TornReason, MAX_RECORD, SNAP_MAGIC_MULTI, WAL_MAGIC_MULTI};
 use std::path::{Path, PathBuf};
 
-/// When (and whether) sealed records reach the platter.
+/// Whether a sealed record is forced to the platter before the barrier
+/// that sealed it returns.
 ///
 /// Ops always buffer in memory until the force-write barrier
 /// ([`NodeStore::barrier`](crate::NodeStore::barrier)) seals them as
 /// one record — that is what makes a protocol step atomic on disk. The
-/// policy only decides when the sealed record is fsynced.
+/// policy only decides whether the barrier also fsyncs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fdatasync` at every barrier — the classic force-write
-    /// discipline; nothing acknowledged is ever lost.
+    /// `fdatasync` at every barrier that sealed a record — the classic
+    /// force-write discipline: nothing acknowledged is lost, even to a
+    /// power loss.
     Always,
-    /// Group commit: fsync at a barrier only when at least `ms`
-    /// milliseconds have passed since the previous fsync (`0` = every
-    /// barrier, equivalent to [`FsyncPolicy::Always`]). A kill can lose
-    /// the tail since the last sync; recovery still yields a consistent
-    /// (older) state.
-    Interval(u64),
-    /// Write-through to the OS at each barrier but never fsync; the
-    /// kernel flushes on its own schedule. Fastest, weakest.
+    /// Write each sealed record to the OS but never fsync it; the
+    /// kernel flushes on its own schedule. Survives a process kill,
+    /// not a power loss.
     Never,
 }
 
 impl FsyncPolicy {
-    /// Parse a CLI-style spec: `always`, `never`, `batch` (= every
-    /// barrier), or `interval:<ms>`.
+    /// Parse a CLI-style spec: `always` or `never`.
     pub fn parse(spec: &str) -> Result<Self, String> {
         match spec {
             "always" => Ok(FsyncPolicy::Always),
             "never" => Ok(FsyncPolicy::Never),
-            "batch" => Ok(FsyncPolicy::Interval(0)),
-            other => match other.strip_prefix("interval:") {
-                Some(ms) => ms
-                    .parse::<u64>()
-                    .map(FsyncPolicy::Interval)
-                    .map_err(|_| format!("bad fsync interval {ms:?}")),
-                None => Err(format!(
-                    "unknown fsync policy {other:?} (expected always | batch | interval:<ms> | never)"
-                )),
-            },
+            other => Err(format!(
+                "unknown fsync policy {other:?} (expected always | never)"
+            )),
         }
     }
 }
@@ -80,8 +69,6 @@ impl std::fmt::Display for FsyncPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FsyncPolicy::Always => write!(f, "always"),
-            FsyncPolicy::Interval(0) => write!(f, "batch"),
-            FsyncPolicy::Interval(ms) => write!(f, "interval:{ms}"),
             FsyncPolicy::Never => write!(f, "never"),
         }
     }
@@ -275,4 +262,20 @@ pub(crate) fn compact<D: Disk>(disk: &mut D, dir: &Path, keep: u64) -> Result<()
         }
     }
     disk.sync_dir(dir)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fsync_policy_parses_its_two_forms_and_nothing_else() {
+        for policy in [FsyncPolicy::Always, FsyncPolicy::Never] {
+            assert_eq!(FsyncPolicy::parse(&policy.to_string()), Ok(policy));
+        }
+        for spec in ["batch", "interval:5", "", "ALWAYS"] {
+            let err = FsyncPolicy::parse(spec).unwrap_err();
+            assert!(err.contains("always | never"), "{spec:?}: {err}");
+        }
+    }
 }

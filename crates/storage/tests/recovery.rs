@@ -376,7 +376,7 @@ fn group_commit_loses_only_the_unsynced_tail() {
     let dir = temp_dir("group");
     let ops = sample_ops();
     let config = StoreConfig {
-        fsync: FsyncPolicy::Interval(0),
+        fsync: FsyncPolicy::Always,
     };
     {
         let (mut store, _, _) = open(&dir, config, 3);
@@ -483,7 +483,7 @@ fn persistence_hooks_feed_the_wal() {
 fn sync_hook_flushes_buffered_records() {
     let dir = temp_dir("synchook");
     let config = StoreConfig {
-        fsync: FsyncPolicy::Interval(0),
+        fsync: FsyncPolicy::Always,
     };
     {
         let (mut store, _, _) = open(&dir, config, 3);
