@@ -467,3 +467,49 @@ fn a_closed_stdout_ends_a_command_quietly() {
     assert!(output.status.success(), "{:?}: {err}", output.status);
     assert!(err.is_empty(), "{err}");
 }
+
+/// Boot reports a torn WAL tail the way in-process recovery does: one
+/// line per site that recovery cut short, and a clean run after it.
+#[test]
+fn serve_reports_a_torn_wal_tail_at_boot() {
+    use dynvote_protocol::persist::PersistOp;
+    use dynvote_protocol::{DurableState, ObjectId};
+    use dynvote_storage::{NodeStore, StoreConfig};
+
+    let n = 3;
+    let root = std::env::temp_dir().join(format!("dynvote-cli-torn-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    for site in 0..n {
+        let dir = root.join(format!("site-{site}"));
+        let template = DurableState::initial(n);
+        let (mut store, _, _) = NodeStore::open(&dir, StoreConfig::default(), 1, template).unwrap();
+        for seq in 1..=2 {
+            store.append(ObjectId(0), &PersistOp::Seq(seq)).unwrap();
+            store.barrier().unwrap();
+        }
+        if site == 0 {
+            let wal = dir.join(format!("wal-{:016}", store.epoch()));
+            let bytes = std::fs::read(&wal).unwrap();
+            std::fs::write(&wal, &bytes[..bytes.len() - 1]).unwrap();
+        }
+    }
+
+    let (ok, out, err) = dynvote(&[
+        "serve",
+        "--n",
+        &n.to_string(),
+        "--port-base",
+        "7900",
+        "--data-dir",
+        root.to_str().unwrap(),
+        "--duration",
+        "1",
+    ]);
+    assert!(ok, "serve failed: {out}{err}");
+    assert!(
+        err.contains("site A: WAL tail truncated at epoch 1 offset"),
+        "{err}"
+    );
+    assert!(!err.contains("site B") && !err.contains("site C"), "{err}");
+    std::fs::remove_dir_all(&root).unwrap();
+}

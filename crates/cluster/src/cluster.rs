@@ -16,7 +16,7 @@ use crate::transport;
 use crate::wire::{self, ClientOp, ClientReply, HELLO_CLIENT};
 use dynvote_core::{check_site_count, AlgorithmKind, ConfigError, CopyMeta, SiteId, SiteSet};
 use dynvote_net::{Poller, ResponseParser, Waker};
-use dynvote_node::{Node, NodeDurability, NodeEvent, ShardStats};
+use dynvote_node::{Node, NodeEvent, ShardStats};
 use dynvote_protocol::{EventTallies, LogEntry, ObjectId};
 use dynvote_storage::{FsyncPolicy, StorageError, StoreConfig};
 use std::io::{self, Read, Write};
@@ -920,10 +920,8 @@ impl SiteBoot {
             config.vote_deadline,
         );
         if let DurabilityMode::Durable { data_dir, fsync } = &config.durability {
-            node.enable_durability(NodeDurability {
-                dir: data_dir.join(format!("site-{}", self.id.index())),
-                store: StoreConfig { fsync: *fsync },
-            })?;
+            let dir = data_dir.join(format!("site-{}", self.id.index()));
+            node.open_store(&dir, StoreConfig { fsync: *fsync })?;
         }
         node.set_trace(config.trace);
         Ok(node)

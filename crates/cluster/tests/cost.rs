@@ -82,7 +82,7 @@ mod alloc {
 use alloc::counted;
 use dynvote_cluster::wire;
 use dynvote_core::{AlgorithmKind, SiteId};
-use dynvote_node::{ClientOp, ClientReply, Node, NodeDurability, NodeEvent};
+use dynvote_node::{ClientOp, ClientReply, Node, NodeEvent};
 use dynvote_node::{PeerFrame, ReplyTo, DEFAULT_VOTE_DEADLINE};
 use dynvote_storage::{FsyncPolicy, StoreConfig};
 use std::fmt::Write as _;
@@ -175,13 +175,10 @@ impl Pump {
     /// append forced before the action that announced it leaves.
     fn make_durable(&mut self, root: &Path) {
         for (id, node) in self.nodes.iter_mut().enumerate() {
-            let durability = NodeDurability {
-                dir: root.join(format!("site-{id}")),
-                store: StoreConfig {
-                    fsync: FsyncPolicy::Always,
-                },
+            let config = StoreConfig {
+                fsync: FsyncPolicy::Always,
             };
-            node.enable_durability(durability)
+            node.open_store(&root.join(format!("site-{id}")), config)
                 .expect("a fresh data directory opens");
             node.start(self.now);
         }

@@ -59,11 +59,11 @@ pub use worker::ShardStats;
 
 use dynvote_core::{AlgorithmKind, BackoffPolicy, SiteId, SiteSet, TimerId, TimerWheel};
 use dynvote_protocol::{Action, DurableState, EventKind, ObjectId, ShardedSite, TimerKind, TxnId};
-use dynvote_storage::{NodeStore, RecoveryReport, StorageError, StoreConfig};
+use dynvote_storage::{NodeStore, StorageError, StoreConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Most queued client ops one quorum round takes from an object's
@@ -136,15 +136,6 @@ pub const BACKOFF: BackoffPolicy = BackoffPolicy::new(5.0, 80.0).with_jitter(0.1
 /// The vote deadline a cluster runs with unless it asks for another
 /// (see [`Node::new`]).
 pub const DEFAULT_VOTE_DEADLINE: Duration = Duration::from_millis(25);
-
-/// Where (and how) one node keeps its durable state on disk.
-#[derive(Debug, Clone)]
-pub struct NodeDurability {
-    /// This site's data directory (each site owns its own).
-    pub dir: PathBuf,
-    /// WAL fsync discipline.
-    pub store: StoreConfig,
-}
 
 /// One data-plane client op on its way through the node: parked in an
 /// object's FIFO, riding a quorum round, or waiting for another site's
@@ -235,13 +226,11 @@ pub struct Node {
     /// Ops refused at the per-object queue bound since the last merge,
     /// which answers them `Overloaded`.
     overflows: Vec<Client>,
-    /// `Some` when this node owns a data directory: every boot and
-    /// every [`ClientOp::Recover`] reloads the kernels' durable state
-    /// from disk instead of trusting process memory.
-    durability: Option<NodeDurability>,
-    /// The node's multi-object store: the merge barrier encodes every
-    /// shard's persist effects into it, seals them as one group-commit
-    /// record, and drives WAL rotation. `None` for amnesiac nodes.
+    /// The node's multi-object store, `Some` when it owns a data
+    /// directory: the merge barrier encodes every shard's persist
+    /// effects into it, seals them as one group-commit record, and
+    /// drives WAL rotation, and every [`ClientOp::Recover`] reopens it
+    /// instead of trusting process memory. `None` for amnesiac nodes.
     store: Option<NodeStore>,
     /// Sends, relays and replies for the host to transmit.
     out: Outbox,
@@ -325,7 +314,6 @@ impl Node {
             payloads: Vec::new(),
             queues: HashMap::new(),
             overflows: Vec::new(),
-            durability: None,
             store: None,
             out: Outbox::default(),
             vote_deadline,
@@ -374,35 +362,31 @@ impl Node {
         &self.event_counts
     }
 
-    /// Give this node a data directory: open and recover its store
-    /// and rebuild the kernels from the
-    /// per-object states recovery returned. From then on every
-    /// durable-write point (prepare records, commit records, log
-    /// appends, metadata installs) reaches the WAL before the action
-    /// that announced it leaves the node: the merge barrier seals the
-    /// batch's [`Action::Persist`] effects first. Call before the node
-    /// is hosted, on the thread that will host it.
-    pub fn enable_durability(
-        &mut self,
-        durability: NodeDurability,
-    ) -> Result<RecoveryReport, StorageError> {
-        self.durability = Some(durability);
-        self.reload_site_from_disk()
-    }
-
-    /// (Re)open the data directory and rebuild the kernels and the
-    /// store from what it holds, discarding process memory. Boot, and
-    /// the in-process stand-in for a machine reboot. Touches only this
-    /// site's directory, so every site thread opens its own.
-    fn reload_site_from_disk(&mut self) -> Result<RecoveryReport, StorageError> {
-        let durability = self.durability.as_ref().expect("durability configured");
+    /// Open (or reopen) the store in `dir` and rebuild the kernels from
+    /// the per-object states recovery returns, discarding what process
+    /// memory held; a torn tail that recovery cut off is reported on stderr.
+    /// From then on every durable-write point (prepare records, commit
+    /// records, log appends, metadata installs) reaches the WAL before
+    /// the action that announced it leaves the node: the merge barrier
+    /// seals the batch's [`Action::Persist`] effects first.
+    ///
+    /// The host calls this before [`Node::start`], on the thread that
+    /// will host the node. [`ClientOp::Recover`] calls it again on the
+    /// store's own directory: the in-process stand-in for a machine
+    /// reboot, which loses nothing the store wrote, synced or not.
+    /// Touches only `dir`, so every site thread opens its own.
+    pub fn open_store(&mut self, dir: &Path, config: StoreConfig) -> Result<(), StorageError> {
         let initial = DurableState::initial(self.n);
-        let (store, states, report) =
-            NodeStore::open(&durability.dir, durability.store, self.objects, initial)?;
-        let algorithm = self.algorithm;
-        let n = self.n;
+        let (store, states, report) = NodeStore::open(dir, config, self.objects, initial)?;
+        if let Some(torn) = &report.truncated {
+            eprintln!(
+                "site {}: WAL tail truncated at epoch {} offset {}: {}",
+                self.id, torn.epoch, torn.offset, torn.reason
+            );
+        }
+        let (algorithm, n) = (self.algorithm, self.n);
         self.site = ShardedSite::restore(self.id, n, states, || algorithm.instantiate(n));
         self.store = Some(store);
-        Ok(report)
+        Ok(())
     }
 }

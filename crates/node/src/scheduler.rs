@@ -76,7 +76,7 @@ impl Node {
     /// broadcast may race the peers' own boots; the PreparedRetry
     /// timer the round arms re-sends it until someone answers.
     pub fn start(&mut self, now: Instant) {
-        if self.durability.is_none() {
+        if self.store.is_none() {
             return;
         }
         // `iter` walks objects in order, so restart payloads are
@@ -208,8 +208,14 @@ impl Node {
                     // A durable site restarts from its disk, not from
                     // whatever this process still holds in memory —
                     // the same code path a genuinely rebooted process
-                    // takes.
-                    self.reboot_from_disk();
+                    // takes. An I/O failure panics, as the merge
+                    // barrier's does: a site that cannot read its own
+                    // disk cannot rejoin. A torn file does not: recovery
+                    // truncates and reports.
+                    if let Some(store) = self.store.take() {
+                        self.open_store(store.dir(), store.config())
+                            .expect("reboot from data dir");
+                    }
                     for object in 0..self.objects {
                         self.restart(ObjectId(object as u32));
                     }
@@ -286,31 +292,6 @@ impl Node {
                 let counts = self.shard_stats.snapshot();
                 self.reply(reply, id, ClientReply::ShardStats { workers: 1, counts });
             }
-        }
-    }
-
-    /// Rebuild the kernels from what the data directory says,
-    /// discarding process memory — the in-process stand-in for a
-    /// machine reboot. Called with the batch already merged. Under a
-    /// group-commit fsync policy this honestly loses whatever the store
-    /// had not yet synced.
-    ///
-    /// # Panics
-    ///
-    /// On I/O failure, matching the merge barrier's: a durable site
-    /// that cannot read its own disk cannot rejoin.
-    /// Corrupt or torn files do **not** panic — recovery truncates and
-    /// reports.
-    fn reboot_from_disk(&mut self) {
-        if self.durability.is_none() {
-            return;
-        }
-        let report = self.reload_site_from_disk().expect("reboot from data dir");
-        if let Some(torn) = &report.truncated {
-            eprintln!(
-                "site {}: WAL tail truncated at epoch {} offset {}: {}",
-                self.id, torn.epoch, torn.offset, torn.reason
-            );
         }
     }
 

@@ -8,7 +8,7 @@ mod common;
 use common::{answered, pump};
 use dynvote_core::{AlgorithmKind, SiteId};
 use dynvote_node::DEFAULT_VOTE_DEADLINE;
-use dynvote_node::{ClientOp, ClientReply, Node, NodeDurability, NodeEvent, ReplyTo};
+use dynvote_node::{ClientOp, ClientReply, Node, NodeEvent, ReplyTo};
 use dynvote_protocol::EventKind;
 use dynvote_storage::{FsyncPolicy, StoreConfig};
 use std::path::Path;
@@ -29,13 +29,10 @@ fn site(id: usize, n: usize, objects: usize, algorithm: AlgorithmKind) -> Node {
 /// forced before the action that announced it leaves the node.
 fn make_durable(nodes: &mut [Node], root: &Path, now: Instant) {
     for (id, node) in nodes.iter_mut().enumerate() {
-        let durability = NodeDurability {
-            dir: site_dir(root, id),
-            store: StoreConfig {
-                fsync: FsyncPolicy::Always,
-            },
+        let config = StoreConfig {
+            fsync: FsyncPolicy::Always,
         };
-        node.enable_durability(durability)
+        node.open_store(&site_dir(root, id), config)
             .expect("a fresh data directory opens");
         node.start(now);
     }
