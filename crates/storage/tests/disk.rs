@@ -1,165 +1,15 @@
-//! The store over the disk seam: the golden WAL script on a
-//! [`MemDisk`], what a crash image recovers, and how many disk calls a
-//! barrier and a fresh open make.
+//! The store over the disk seam: what a crash image recovers, and how
+//! many disk calls a barrier and a fresh open make. (`golden_wal.rs`
+//! runs the golden WAL script on a [`MemDisk`] too.)
 
-use dynvote_core::{AlgorithmKind, SiteId, SiteSet};
-use dynvote_protocol::persist::{apply_op, effects, PersistOp};
-use dynvote_protocol::{
-    Action, DurableState, Input, Message, ObjectId, ShardedSite, TimerKind, TxnId,
-};
+use dynvote_protocol::persist::{apply_op, PersistOp};
+use dynvote_protocol::{DurableState, ObjectId};
 use dynvote_storage::{Disk, FsyncPolicy, MemDisk, NodeStore, StorageError, StoreConfig};
 use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::path::{Path, PathBuf};
-
-const N: usize = 5;
-const OBJECTS: usize = 2;
+use std::path::Path;
 
 fn config(fsync: FsyncPolicy) -> StoreConfig {
     StoreConfig { fsync }
-}
-
-/// `golden_wal.rs`'s five-site script, each site's store on its own
-/// [`MemDisk`]: a zero-latency FIFO network, timers fired only when the
-/// script says so, frames to or from a crashed site lost.
-struct Script {
-    sites: Vec<ShardedSite>,
-    stores: Vec<NodeStore<MemDisk>>,
-    queue: VecDeque<(SiteId, SiteId, Message)>,
-    timers: Vec<(SiteId, TxnId, TimerKind)>,
-    down: SiteSet,
-    drop_commits_to: Option<SiteId>,
-}
-
-impl Script {
-    fn run(&mut self, site: usize, call: impl FnOnce(&mut ShardedSite, &mut Vec<Action>)) {
-        let mut out = Vec::new();
-        call(&mut self.sites[site], &mut out);
-        let store = &mut self.stores[site];
-        for (object, effect) in effects(&out) {
-            let log = self.sites[site].shard(object).expect("hosted").log();
-            store.append_effect(object, &effect, log);
-        }
-        store.barrier().unwrap();
-        let from = SiteId(site as u8);
-        for action in out {
-            match action {
-                Action::Send { to, msg } => self.queue.push_back((from, to, msg)),
-                Action::Broadcast { msg } => {
-                    for i in (0..N).filter(|&i| i != site) {
-                        self.queue.push_back((from, SiteId(i as u8), msg.clone()));
-                    }
-                }
-                Action::SetTimer { txn, kind } => self.timers.push((from, txn, kind)),
-                _ => {}
-            }
-        }
-    }
-
-    fn drain(&mut self) {
-        while let Some((from, to, msg)) = self.queue.pop_front() {
-            if self.down.contains(from) || self.down.contains(to) {
-                continue;
-            }
-            if self.drop_commits_to == Some(to) && matches!(msg, Message::Commit { .. }) {
-                continue;
-            }
-            let object = msg.txn().object;
-            self.run(to.index(), |site, out| {
-                site.step(object, Input::Message { from, msg }, out);
-            });
-        }
-    }
-
-    fn fire(&mut self, site: usize, kind: TimerKind) {
-        let (_, txn, _) = *self
-            .timers
-            .iter()
-            .rev()
-            .find(|(s, _, k)| s.index() == site && *k == kind)
-            .expect("timer armed");
-        self.run(site, |s, out| {
-            s.step(txn.object, Input::Timer { txn, kind }, out);
-        });
-        self.drain();
-    }
-
-    fn update(&mut self, site: usize, object: u32, payloads: &[u64]) {
-        self.run(site, |s, out| {
-            let hold = false;
-            s.step(ObjectId(object), Input::Update { payloads, hold }, out);
-        });
-    }
-}
-
-#[test]
-fn the_golden_script_on_a_mem_disk_writes_the_fixture_bytes() {
-    let (stores, sites) = (0..N)
-        .map(|i| {
-            let dir = PathBuf::from(format!("site-{i}"));
-            let (store, states, _) = NodeStore::open_on(
-                MemDisk::default(),
-                &dir,
-                config(FsyncPolicy::Never),
-                OBJECTS,
-                DurableState::initial(N),
-            )
-            .unwrap();
-            let site = ShardedSite::restore(SiteId(i as u8), N, states, || {
-                AlgorithmKind::Hybrid.instantiate(N)
-            });
-            (store, site)
-        })
-        .unzip();
-    let mut s = Script {
-        sites,
-        stores,
-        queue: VecDeque::new(),
-        timers: Vec::new(),
-        down: SiteSet::EMPTY,
-        drop_commits_to: None,
-    };
-
-    s.update(0, 0, &[100]);
-    s.drain();
-    s.update(1, 1, &[200, 201]);
-    s.drain();
-    s.run(2, |site, out| {
-        site.step(ObjectId(0), Input::Read, out);
-    });
-    s.drain();
-    s.update(0, 1, &[300]);
-    s.update(4, 1, &[400]);
-    s.drain();
-    s.update(4, 1, &[500]);
-    s.drain();
-    s.drop_commits_to = Some(SiteId(2));
-    s.update(3, 0, &[600]);
-    s.drain();
-    s.drop_commits_to = None;
-    s.fire(2, TimerKind::PreparedRetry);
-    s.down.insert(SiteId(3));
-    s.run(3, |site, out| site.crash(out));
-    s.update(1, 0, &[800]);
-    s.drain();
-    s.fire(1, TimerKind::VoteDeadline);
-    s.down.remove(SiteId(3));
-    s.run(3, |site, out| {
-        let restart_payload = 700;
-        site.step(ObjectId(0), Input::Recover { restart_payload }, out);
-    });
-    s.drain();
-
-    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    for (i, store) in s.stores.iter().enumerate() {
-        let wal = Path::new(&format!("site-{i}")).join(format!("wal-{:016}", 1));
-        let written = store.disk().read(&wal).unwrap();
-        let expected = std::fs::read(golden.join(format!("site-{i}.wal"))).unwrap();
-        assert!(
-            written == expected,
-            "site {i}: WAL bytes differ from the fixture"
-        );
-    }
 }
 
 /// Three sealed ops and a fourth left in the batch, on a fresh

@@ -1,7 +1,8 @@
 //! Golden WAL bytes: a fixed five-site, two-object kernel script whose
 //! every site seals its persist effects into its own [`NodeStore`] after
 //! each kernel call, the way a node's merge barrier does. The WAL each
-//! site writes must match `tests/golden/site-<i>.wal` byte for byte.
+//! site writes must match `tests/golden/site-<i>.wal` byte for byte,
+//! with the stores on the real filesystem and on a [`MemDisk`] alike.
 //!
 //! The fixture was written by the per-object hook path the persist
 //! effects replaced, so a data directory written before or after that
@@ -15,7 +16,7 @@ use dynvote_protocol::persist::effects;
 use dynvote_protocol::{
     Action, DurableState, Input, Message, ObjectId, ShardedSite, TimerKind, TxnId,
 };
-use dynvote_storage::{FsyncPolicy, NodeStore, StoreConfig};
+use dynvote_storage::{Disk, FsyncPolicy, MemDisk, NodeStore, OsDisk, StoreConfig};
 use std::collections::VecDeque;
 use std::path::Path;
 
@@ -24,16 +25,16 @@ const OBJECTS: usize = 2;
 
 /// Five sites on a zero-latency FIFO network. Timers fire only when the
 /// script says so; frames to or from a crashed site are lost.
-struct Script {
+struct Script<D: Disk> {
     sites: Vec<ShardedSite>,
-    stores: Vec<NodeStore>,
+    stores: Vec<NodeStore<D>>,
     queue: VecDeque<(SiteId, SiteId, Message)>,
     timers: Vec<(SiteId, TxnId, TimerKind)>,
     down: SiteSet,
     drop_commits_to: Option<SiteId>,
 }
 
-impl Script {
+impl<D: Disk> Script<D> {
     /// One kernel call on `site`, sealed before anything it sent
     /// leaves.
     fn run(&mut self, site: usize, call: impl FnOnce(&mut ShardedSite, &mut Vec<Action>)) {
@@ -97,18 +98,19 @@ impl Script {
     }
 }
 
-#[test]
-fn five_site_script_writes_the_golden_wal_bytes() {
-    let root = std::env::temp_dir().join(format!("dynvote-golden-wal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+/// Run the script with site `i`'s store in `root/site-<i>` on its own
+/// `D`, and check every site's WAL, read back through its disk, against
+/// the fixture.
+fn script_writes_the_fixture<D: Disk + Default>(root: &Path) {
     let config = StoreConfig {
         fsync: FsyncPolicy::Never,
     };
     let (stores, sites) = (0..N)
         .map(|i| {
             let dir = root.join(format!("site-{i}"));
+            let template = DurableState::initial(N);
             let (store, states, _) =
-                NodeStore::open(&dir, config, OBJECTS, DurableState::initial(N)).unwrap();
+                NodeStore::open_on(D::default(), &dir, config, OBJECTS, template).unwrap();
             let site = ShardedSite::restore(SiteId(i as u8), N, states, || {
                 AlgorithmKind::Hybrid.instantiate(N)
             });
@@ -164,15 +166,27 @@ fn five_site_script_writes_the_golden_wal_bytes() {
             assert_eq!(shard.meta().version, 4, "site {} {object}", site.id());
         }
     }
-    drop(s);
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    for i in 0..N {
-        let written = std::fs::read(root.join(format!("site-{i}/wal-{:016}", 1))).unwrap();
+    for (i, store) in s.stores.iter().enumerate() {
+        let wal = store.dir().join(format!("wal-{:016}", 1));
+        let written = store.disk().read(&wal).unwrap();
         let expected = std::fs::read(golden.join(format!("site-{i}.wal"))).unwrap();
         assert!(
             written == expected,
             "site {i}: WAL bytes differ from the fixture"
         );
     }
+}
+
+#[test]
+fn five_site_script_writes_the_golden_wal_bytes() {
+    let root = std::env::temp_dir().join(format!("dynvote-golden-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    script_writes_the_fixture::<OsDisk>(&root);
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn the_golden_script_on_a_mem_disk_writes_the_fixture_bytes() {
+    script_writes_the_fixture::<MemDisk>(Path::new(""));
 }
